@@ -77,6 +77,10 @@ def cmd_parity(args) -> int:
     report = genfunc.parity_report(
         FunctionSpec(args.family, _shape(args.shape), args.n))
     print(f"count={report.count} odd={'true' if report.is_odd else 'false'}")
+    if not report.count:
+        print("note: the tableau set is empty; the parity statement "
+              "does not apply", file=sys.stderr)
+        return USAGE
     return PASS if report.is_odd else FAIL
 
 
@@ -171,22 +175,20 @@ def cmd_verify_involution(args) -> int:
                   for shape in _sweep_shapes(args.max_weight, skew=True)
                   for n in range(1, args.max_n + 1)
                   for fam in ("P", "Q")]
-    done = 0
-    for shape, n, fam in shapes:
+    for done, (shape, n, fam) in enumerate(shapes):
         if budget.exhausted():
+            print(f"partial sweep: covered {done}/{len(shapes)} instances")
             break
-        try:
-            rep = involutions.verify_involution(shape, fam, n)
-        except ValueError:
-            continue  # empty tableau set for this (shape, family, n)
-        signed = genfunc.signed_count(FunctionSpec("G" + fam, shape, n))
+        spec = FunctionSpec("G" + fam, shape, n)
+        if not genfunc.parity_report(spec).count:
+            print(f"shape={shape} family={fam} n={n} empty")
+            continue
+        rep = involutions.verify_involution(shape, fam, n)
+        signed = genfunc.signed_count(spec)
         ok = rep.ok and signed == 1
-        done += 1
         print(f"shape={shape} family={fam} n={n} checked={rep.checked} "
               f"signed={signed} {'ok' if ok else 'FAIL'}")
         failures += 0 if ok else 1
-    if done < len(shapes):
-        print(f"partial sweep: covered {done}/{len(shapes)} instances")
     return FAIL if failures else PASS
 
 

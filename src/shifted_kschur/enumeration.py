@@ -32,6 +32,8 @@ class EnumSpec:
     def __post_init__(self):
         if self.family not in ("P", "Q"):
             raise ValueError(f"family must be P or Q, got {self.family!r}")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.size_cap is not None and self.size_cap < self.shape.size:

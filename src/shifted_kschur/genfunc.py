@@ -1,17 +1,22 @@
 """Schur P/Q and their K-theoretic GP/GQ variants as exact polynomials.
 
-Everything here folds the enumeration stream into a sparse polynomial; the
-double-skew functions additionally sum over inner shapes obtained by
-deleting subsets of removable boxes, and the shortcut path evaluates that
-sum symbolically without touching any tableau.
+Polynomials are built letter by letter: the tableaux of lam/mu in x1..xk
+split by the shape nu their letters below k fill, so the sum is a
+recursion over strict shapes mu <= nu <= lam with one-letter factors (the
+coproduct with a single y-variable).  Folding the enumeration stream into a
+polynomial (``_tableau_sum``) is kept as the definition the engine is
+tested against.  The double-skew functions additionally sum over inner
+shapes obtained by deleting subsets of removable boxes, and the shortcut
+path evaluates that sum symbolically without touching any tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .enumeration import EnumSpec, count, enumerate_fillings
+from .enumeration import EnumSpec, enumerate_fillings
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, is_subpartition,
                      remove_subset, removable_boxes, strict_subpartitions)
@@ -37,34 +42,101 @@ class FunctionSpec:
     def base_family(self) -> str:
         return "P" if self.family in ("P", "GP", "GPdouble") else "Q"
 
+    @property
+    def kind(self) -> str:
+        return "single" if self.family in ("P", "Q") else "set-valued"
 
-def _tableau_sum(shape: SkewShape, n: int, family: str, kind: str,
-                 with_beta: bool) -> LaurentPoly:
+
+def _tableau_sum(shape: SkewShape, n: int, family: str,
+                 kind: str) -> LaurentPoly:
+    """The definition: each tableau adds x^weight * b^(|T| - #boxes)."""
     spec = EnumSpec(shape, n, family, kind)
     terms: dict = {}
     base = shape.size
     for f in enumerate_fillings(spec):
-        key = (f.weight(), f.size() - base if with_beta else 0)
+        key = (f.weight(), f.size() - base)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPoly(n, terms)
+
+
+@lru_cache(maxsize=1 << 14)
+def _one_letter(outer: tuple, inner: tuple, family: str,
+                kind: str) -> tuple[tuple[int, int, int], ...]:
+    """The tableau sum of outer/inner in one letter: (x-exp, b-exp, coeff)."""
+    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
+    p = _tableau_sum(shape, 1, family, kind)
+    return tuple((x[0], b, c) for (x, b), c in p.terms.items())
+
+
+def _letter_factor(nu: tuple, rho: tuple, mu: StrictPartition, family: str,
+                   kind: str) -> dict:
+    """The last letter's factor f(nu, rho), as {(x-exp, b-exp): coeff}.
+
+    The boxes of nu/rho hold that letter only.  In set-valued tableaux it
+    may also join the boxes of a set S of corners of rho outside mu; each
+    such box already counts in rho, so S contributes b^|S| times the
+    one-letter sum of nu/(rho - S).  A corner inside mu holds no entries.
+    """
+    out: dict = {}
+    if not _one_letter(nu, rho, family, kind):
+        return out  # a filling of nu/(rho - S) restricts to one of nu/rho
+    rho_p = StrictPartition(rho)
+    corners = []
+    if kind == "set-valued" and rho:
+        corners = sorted(box for box in removable_boxes(rho_p)
+                         if rho_p.part(box[0]) > mu.part(box[0]))
+    for mask in range(1 << len(corners)):
+        S = [box for k, box in enumerate(corners) if mask >> k & 1]
+        inner = remove_subset(rho_p, S).parts if S else rho
+        for x, b, c in _one_letter(nu, inner, family, kind):
+            key = (x, b + len(S))
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def _branching_sum(shape: SkewShape, n: int, family: str,
+                   kind: str) -> LaurentPoly:
+    """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
+
+    Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
+    nu/mu in x1..xk: F_k(nu) = sum over mu <= rho <= nu of F_(k-1)(rho)
+    times the letter-k factor f(nu, rho).
+    """
+    lam, mu = shape.outer.parts, shape.inner.parts
+    nus = [nu.parts for nu in strict_subpartitions(shape.outer)
+           if is_subpartition(shape.inner, nu)]
+    level = {mu: {((), 0): 1}}
+    for k in range(1, n + 1):
+        nxt = {}
+        for nu in nus if k < n else [lam]:
+            terms: dict = {}
+            for rho, poly in level.items():
+                if len(rho) > len(nu) or any(r > v for r, v in zip(rho, nu)):
+                    continue
+                for (x, b), c in _letter_factor(nu, rho, shape.inner, family,
+                                                kind).items():
+                    for (xexp, bexp), d in poly.items():
+                        key = (xexp + (x,), bexp + b)
+                        terms[key] = terms.get(key, 0) + c * d
+            if terms:
+                nxt[nu] = terms
+        level = nxt
+    return LaurentPoly(n, level.get(lam, {}))
 
 
 def compute(spec: FunctionSpec) -> LaurentPoly:
     """The polynomial of the requested family on the given shape."""
     fam, shape, n = spec.family, spec.shape, spec.n
-    if fam in ("P", "Q"):
-        return _tableau_sum(shape, n, fam, "single", with_beta=False)
-    if fam in ("GP", "GQ"):
-        return _tableau_sum(shape, n, spec.base_family, "set-valued",
-                            with_beta=True)
+    if fam in ("P", "Q", "GP", "GQ"):
+        return _branching_sum(shape, n, spec.base_family, spec.kind)
     # double-skew: sum over inner shapes nu = mu minus a removable subset
     lam, mu = shape.outer, shape.inner
     if not is_subpartition(mu, lam):
         return LaurentPoly.zero(n)
     total = LaurentPoly.zero(n)
     for b, nu in _nu_terms(mu):
-        skew = _tableau_sum(SkewShape(lam, nu), n, spec.base_family,
-                            "set-valued", with_beta=True)
+        skew = _branching_sum(SkewShape(lam, nu), n, spec.base_family,
+                              spec.kind)
         total = total + skew.scalar_beta_power(b)
     return total
 
@@ -103,10 +175,7 @@ def signed_count(spec: FunctionSpec) -> int:
     """Sum of (-1)^(|T| - #boxes) over all set-valued tableaux."""
     if spec.family not in ("GP", "GQ"):
         raise ValueError("signed_count applies to GP and GQ only")
-    enum = EnumSpec(spec.shape, spec.n, spec.base_family, "set-valued")
-    base = spec.shape.size
-    return sum(-1 if (f.size() - base) % 2 else 1
-               for f in enumerate_fillings(enum))
+    return sum(-c if b % 2 else c for (_, b), c in compute(spec).terms.items())
 
 
 class NuTerm(NamedTuple):
@@ -172,7 +241,9 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
     if lam.weight > COPRODUCT_MAX_WEIGHT:
         raise ValueError("coproduct guard exceeded: |lambda| too large")
     total = n_x + n_y
-    lhs = compute(FunctionSpec(family, SkewShape(lam), total))
+    # enumerated, so the check does not compare the engine with itself
+    spec = FunctionSpec(family, SkewShape(lam), total)
+    lhs = _tableau_sum(spec.shape, total, spec.base_family, spec.kind)
     rhs = LaurentPoly.zero(total)
     if family in ("P", "Q"):
         inner_family = family
@@ -199,5 +270,5 @@ def parity_report(spec: FunctionSpec) -> ParityReport:
     """Count of the underlying set-valued tableau set with its parity."""
     if spec.family not in ("GP", "GQ"):
         raise ValueError("parity_report applies to GP and GQ only")
-    c = count(EnumSpec(spec.shape, spec.n, spec.base_family, "set-valued"))
+    c = sum(compute(spec).terms.values())
     return ParityReport(c, c % 2 == 1)

@@ -206,8 +206,5 @@ def strict_subpartitions(lam: StrictPartition) -> Iterator[StrictPartition]:
             for rest in rec(i + 1, p):
                 yield (p, *rest)
 
-    seen = set()
     for parts in rec(1, lam.part(1) + 1):
-        if parts not in seen:
-            seen.add(parts)
-            yield StrictPartition(parts)
+        yield StrictPartition(parts)

@@ -39,6 +39,12 @@ class TestParity:
                            "--family", "GQ", "-n", "3")
         assert code == 0 and out.strip() == "count=5103 odd=true"
 
+    def test_empty_set_does_not_apply(self, capsys):
+        code, out, err = run(capsys, "parity", "--shape", "2,1",
+                             "--family", "GP", "-n", "1")
+        assert code == 2 and out.strip() == "count=0 odd=false"
+        assert "does not apply" in err
+
 
 class TestDoubleSkew:
     def test_shortcut_flagship(self, capsys):
@@ -85,6 +91,11 @@ class TestEnumerate:
             runs.add(out)
         assert len(runs) == 1
 
+    def test_n_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--shape", "2,1",
+                             "--family", "P", "-n", "-1", "--count-only")
+        assert code == 2 and not out and "n must be at least 1" in err
+
 
 class TestPoly:
     def test_gq_one_box(self, capsys):
@@ -121,13 +132,29 @@ class TestVerifyInvolution:
         code, out, _ = run(capsys, "verify-involution", "--shape", "2,1",
                            "--max-n", "2")
         assert code == 0
-        assert all("signed=1 ok" in l for l in out.strip().splitlines()
-                   if l.startswith("shape="))
+        assert out.strip().splitlines() == [
+            "shape=2,1 family=P n=1 empty",
+            "shape=2,1 family=Q n=1 empty",
+            "shape=2,1 family=P n=2 checked=2 signed=1 ok",
+            "shape=2,1 family=Q n=2 checked=26 signed=1 ok"]
 
     def test_sweep(self, capsys):
         code, _, _ = run(capsys, "verify-involution", "--max-weight", "3",
                          "--max-n", "2")
         assert code == 0
+
+    def test_empty_sets_reported(self, capsys):
+        code, out, _ = run(capsys, "verify-involution", "--max-weight", "3",
+                           "--max-n", "1")
+        lines = out.strip().splitlines()
+        assert code == 0 and len(lines) == 26
+        assert [l for l in lines if not l.endswith(" ok")] == [
+            "shape=2,1 family=P n=1 empty", "shape=2,1 family=Q n=1 empty"]
+
+    def test_budget_cut_reported(self, capsys):
+        code, out, _ = run(capsys, "verify-involution", "--max-weight", "3",
+                           "--max-n", "1", "--time-budget", "0")
+        assert code == 0 and out == "partial sweep: covered 0/26 instances\n"
 
 
 class TestOracleCheck:

@@ -120,3 +120,6 @@ def test_spec_validation():
         spec((1,), 1, "X")
     with pytest.raises(ValueError):
         EnumSpec(SkewShape(sp(1)), 1, "P", "weird")
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            spec((2, 1), n, "P")

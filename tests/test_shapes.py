@@ -181,3 +181,12 @@ def test_partition_generators():
         [(6,), (5, 1), (4, 2), (3, 2, 1)]
     subs = {p.parts for p in strict_subpartitions(sp(3, 1))}
     assert subs == {(), (1,), (2,), (3,), (2, 1), (3, 1)}
+
+
+def test_strict_subpartitions_are_distinct_and_complete():
+    for lam in strict_partitions_up_to_weight(8):
+        subs = [mu.parts for mu in strict_subpartitions(lam)]
+        assert len(subs) == len(set(subs)), lam
+        below = strict_partitions_up_to_weight(lam.weight)
+        assert set(subs) == {mu.parts for mu in below
+                             if is_subpartition(mu, lam)}, lam

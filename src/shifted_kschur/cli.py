@@ -8,9 +8,11 @@ deterministic; sweeps emit one line per instance in canonical shape order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import enumeration, genfunc, involutions
 from .enumeration import EnumSpec
@@ -118,9 +120,11 @@ def cmd_identity(args) -> int:
     failures = 0
     done = total = 0
     if args.check in ("beta-zero", "pq-factor"):
+        # pq-factor checks Q = 2^rows * P on straight shapes only
         instances = [
             (shape, n)
             for shape in _sweep_shapes(args.max_weight, skew=args.skew)
+            if args.check == "beta-zero" or not shape.inner
             for n in range(1, args.max_n + 1)
         ]
         total = len(instances)
@@ -135,8 +139,6 @@ def cmd_identity(args) -> int:
                         FunctionSpec(fam[1], shape, n))
                     ok = ok and genfunc.beta_zero(spec) == base
             else:
-                if shape.inner:
-                    continue
                 p = genfunc.compute(FunctionSpec("P", shape, n))
                 q = genfunc.compute(FunctionSpec("Q", shape, n))
                 ok = q == p.scale(2 ** shape.outer.length)
@@ -215,11 +217,29 @@ def cmd_pair(args) -> int:
     lam = StrictPartition.parse(args.lam)
     mu = StrictPartition.parse(args.mu)
     if args.check:
-        with open(args.check) as fh:
-            data = json.load(fh)
-        cert = _certificate_from_json(data)
-        ok = _recheck_certificate(cert)
+        try:
+            with open(args.check) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE
+        try:
+            cert = involutions.PairingCertificate.from_json(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            ok, why = False, f"malformed certificate ({exc!r})"
+        else:
+            asked = (lam, mu, args.family, args.n, args.minimal_only)
+            held = (cert.lam, cert.mu, cert.family, cert.n,
+                    cert.minimal_only)
+            if held != asked:
+                ok, why = False, ("certificate is for lambda={} mu={} "
+                                  "family={} n={} minimal_only={}"
+                                  .format(*held))
+            else:
+                ok, why = involutions.check_certificate(cert)
         print("certificate ok" if ok else "certificate FAILED")
+        if not ok:
+            print(f"note: {why}", file=sys.stderr)
         return PASS if ok else FAIL
     try:
         cert = involutions.pairing_certificate(
@@ -227,39 +247,89 @@ def cmd_pair(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    payload = cert.to_json()
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+            write_json(cert.to_json(), fh)
     print(f"pairs={len(cert.pairs)} leftover={len(cert.leftover)} "
           f"{'ok' if cert.complete else 'FAIL'}")
     return PASS if cert.complete else FAIL
 
 
-def _certificate_from_json(data: dict) -> involutions.PairingCertificate:
-    cert = involutions.PairingCertificate(
-        StrictPartition(tuple(data["lambda"])),
-        StrictPartition(tuple(data["mu"])),
-        data["n"], data["family"], data["minimal_only"],
-    )
-    cert.pairs = [involutions.Pair(p["left"], p["right"], p["tag"])
-                  for p in data["pairs"]]
-    cert.leftover = list(data["leftover"])
-    return cert
+_INDENT = ["\n" + " " * k for k in range(64)]
 
 
-def _recheck_certificate(cert: involutions.PairingCertificate) -> bool:
-    fresh = involutions.pairing_certificate(
-        cert.lam, cert.mu, cert.n, cert.family,
-        minimal_only=cert.minimal_only)
-    want = {json.dumps({"left": p.left, "right": p.right, "tag": p.tag},
-                       sort_keys=True) for p in fresh.pairs}
-    got = {json.dumps({"left": p.left, "right": p.right, "tag": p.tag},
-                      sort_keys=True) for p in cert.pairs}
-    return want == got and not cert.leftover
+def _encode(o, level: int) -> str:
+    """``json.dumps(o, sort_keys=True, indent=1)`` of o nested level deep."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = level + 1
+        sep = "," + _INDENT[inner]
+        body = None
+        if type(o[0]) is str:
+            try:  # a list of strings (a tableau cell) skips the recursion
+                body = sep.join(map(encode_basestring_ascii, o))
+            except TypeError:  # not all of them are
+                pass
+        if body is None:
+            body = sep.join([_encode(v, inner) for v in o])
+        return "[" + _INDENT[inner] + body + _INDENT[level] + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = level + 1
+        return ("{" + _INDENT[inner] + ("," + _INDENT[inner]).join(
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner)
+             for k, v in sorted(o.items())])
+            + _INDENT[level] + "}")
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is int:
+        return int.__repr__(o)
+    raise TypeError(f"cannot encode {t.__name__} as JSON")
 
 
+def _chunks(o, level: int, depth: int):
+    """``_encode(o, level)`` in pieces, one per item of the top depth levels."""
+    t = type(o)
+    if depth == 0 or not o or t not in (list, tuple, dict):
+        yield _encode(o, level)
+        return
+    if t is dict:
+        opening, closing = "{", "}"
+        items = [(encode_basestring_ascii(k) + ": ", v)
+                 for k, v in sorted(o.items())]
+    else:
+        opening, closing = "[", "]"
+        items = [("", v) for v in o]
+    yield opening
+    for k, (prefix, v) in enumerate(items):
+        yield ("," if k else "") + _INDENT[level + 1] + prefix
+        yield from _chunks(v, level + 1, depth - 1)
+    yield _INDENT[level] + closing
+
+
+def write_json(payload, fh) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=1)`` to fh.
+
+    Values must be of exactly these types: dict with str keys, list,
+    tuple, str, int, bool and None, nested at most 63 deep.  The top two
+    levels go out item by item, so a large document is never held as one
+    string.
+    """
+    fh.writelines(_chunks(payload, 0, 2))
+
+
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kschur`` parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="kschur",
         description="Shifted set-valued tableaux and their generating "

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .shapes import SkewShape, boxes_row_major
-from .tableaux import Filling, letter, primed, validate, validate_single
+from .tableaux import Filling, primed, validate_cells
 
 KINDS = ("single", "set-valued")
 
@@ -113,10 +113,11 @@ def count(spec: EnumSpec) -> int:
 
 
 def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
-    """All subset assignments to boxes, filtered by validate.
+    """All subset assignments to boxes, filtered by the tableau rules.
 
     Guarded to at most 5 boxes and n <= 2; the point is independence from
-    the backtracking logic, not speed.
+    the backtracking logic, not speed.  Each assignment is tested as raw
+    cells; a ``Filling`` is built only for the ones that pass.
     """
     if spec.shape.size > ORACLE_MAX_BOXES or spec.n > ORACLE_MAX_N:
         raise ValueError("oracle scale exceeded")
@@ -124,28 +125,22 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
     codes = range(1, 2 * spec.n + 1)
     if spec.kind == "single":
         pool = [(c,) for c in codes]
-        check = validate_single
     else:
         pool = []
         for k in range(1, 2 * spec.n + 1):
             pool.extend(combinations(codes, k))
         pool.sort()
-        check = validate
 
     def assign(k: int, cells: dict) -> Iterator[Filling]:
         if k == len(boxes):
-            f = Filling(spec.shape, spec.n, spec.family, dict(cells))
-            if check(f):
-                yield f
+            if (spec.size_cap is None
+                    or sum(map(len, cells.values())) <= spec.size_cap) \
+                    and validate_cells(spec.shape, spec.family, cells):
+                yield Filling(spec.shape, spec.n, spec.family, dict(cells))
             return
         for cell in pool:
             cells[boxes[k]] = cell
             yield from assign(k + 1, cells)
             del cells[boxes[k]]
 
-    def filtered():
-        for f in assign(0, {}):
-            if spec.size_cap is None or f.size() <= spec.size_cap:
-                yield f
-
-    return filtered()
+    return assign(0, {})

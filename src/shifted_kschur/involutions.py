@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .enumeration import EnumSpec, enumerate_fillings
+from .genfunc import FunctionSpec, parity_report
 from .shapes import (Box, SkewShape, StrictPartition, boxes_in_order,
                      boxes_row_major, is_subpartition, removable_boxes,
                      remove_subset)
-from .tableaux import Filling, primed, validate
+from .tableaux import Filling, filling_from_rows, primed, validate
 
 
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
@@ -58,9 +59,14 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     return Filling(shape, n, family, cells)
 
 
-def iota(T: Filling) -> Filling:
-    """Toggle the minimal cell content at the first differing box."""
-    tmin = minimal_tableau(T.shape, T.family, T.n)
+def iota(T: Filling, tmin: Filling | None = None) -> Filling:
+    """Toggle the minimal cell content at the first differing box.
+
+    ``tmin`` is the minimal tableau of T's shape, family and n; callers
+    that hold it pass it in, otherwise it is built here.
+    """
+    if tmin is None:
+        tmin = minimal_tableau(T.shape, T.family, T.n)
     for box in boxes_in_order(T.shape):
         if T.cells[box] != tmin.cells[box]:
             break
@@ -93,7 +99,7 @@ def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport
         if T == tmin:
             continue
         checked += 1
-        image = iota(T)
+        image = iota(T, tmin)
         if not validate(image):
             violations.append(f"iota image of {T!r} is invalid")
             continue
@@ -103,7 +109,7 @@ def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport
             violations.append(f"iota of {T!r} hits the minimal tableau")
         if abs(image.size() - T.size()) != 1:
             violations.append(f"iota of {T!r} changes |T| by != 1")
-        if iota(image) != T:
+        if iota(image, tmin) != T:
             violations.append(f"iota is not an involution at {T!r}")
     return InvolutionReport(str(shape), family, n, checked, tuple(violations))
 
@@ -174,6 +180,25 @@ class PairingCertificate:
             "leftover": list(self.leftover),
         }
 
+    @classmethod
+    def from_json(cls, data: dict) -> "PairingCertificate":
+        """The certificate as ``to_json`` wrote it; elements stay raw dicts."""
+        cert = cls(StrictPartition(tuple(data["lambda"])),
+                   StrictPartition(tuple(data["mu"])),
+                   data["n"], data["family"], data["minimal_only"])
+        cert.pairs = [Pair(p["left"], p["right"], p["tag"])
+                      for p in data["pairs"]]
+        cert.leftover = list(data["leftover"])
+        return cert
+
+
+def _nu_states(mu: StrictPartition) -> list[NuSubsetState]:
+    """One state per subset of Rem(mu), in bit-mask order of sorted Rem."""
+    rem = sorted(removable_boxes(mu))
+    return [NuSubsetState(mu, frozenset(rem[k] for k in range(len(rem))
+                                        if mask >> k & 1))
+            for mask in range(1 << len(rem))]
+
 
 def _element(nu: StrictPartition, T: Filling) -> dict:
     return {"nu": list(nu.parts), "tableau": T.to_json()}
@@ -192,14 +217,11 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     """
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
-    rem = sorted(removable_boxes(mu))
+    rem = removable_boxes(mu)
     if not minimal_only and lam.weight - mu.weight + len(rem) > max_boxes:
         raise ValueError("infeasible scale; use minimal_only")
     cert = PairingCertificate(lam, mu, n, family, minimal_only)
-    states = []
-    for mask in range(1 << len(rem)):
-        chosen = frozenset(rem[k] for k in range(len(rem)) if mask >> k & 1)
-        states.append(NuSubsetState(mu, chosen))
+    states = _nu_states(mu)
 
     minimal = {s.chosen: minimal_tableau(SkewShape(lam, s.nu), family, n)
                for s in states}
@@ -215,19 +237,20 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         return cert
 
     for s in states:
-        shape = SkewShape(lam, s.nu)
+        nu = s.nu
         tmin = minimal[s.chosen]
         seen = set()
-        for T in enumerate_fillings(EnumSpec(shape, n, family, "set-valued")):
+        spec = EnumSpec(SkewShape(lam, nu), n, family, "set-valued")
+        for T in enumerate_fillings(spec):
             if T == tmin or T in seen:
                 continue
-            partner = iota(T)
+            partner = iota(T, tmin)
             seen.update({T, partner})
-            if partner == T or iota(partner) != T:
-                cert.leftover.append(_element(s.nu, T))
+            if partner == T or iota(partner, tmin) != T:
+                cert.leftover.append(_element(nu, T))
                 continue
-            cert.pairs.append(Pair(_element(s.nu, T),
-                                   _element(s.nu, partner), "iota"))
+            cert.pairs.append(Pair(_element(nu, T), _element(nu, partner),
+                                   "iota"))
     return cert
 
 
@@ -253,4 +276,88 @@ def certificate_covers(cert: PairingCertificate,
         return False, "an element appears in more than one pair"
     if cert.leftover:
         return False, "nonempty leftover"
+    return True, None
+
+
+def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
+    """Verify a certificate as it stands, without rebuilding it.
+
+    Every element must be a valid tableau of lam/nu, with the header's n
+    and family, for some nu = mu minus a subset of Rem(mu); no element may
+    appear twice; the two sides of each pair must have opposite sign
+    (-1)^(|T| - |lam/nu| + |mu/nu|); an "iota" pair stays on one nu; a
+    "pi" pair joins the minimal tableaux of two nu that differ by mu's
+    bottom removable box; nothing is left over.  Distinct valid elements
+    that number as many as the tableau sets hold (the branching engine's
+    count; one minimal tableau per nu with minimal_only) are the whole
+    family, so the pairs prove that its signed sum is 0.
+    """
+    lam, mu, n, family = cert.lam, cert.mu, cert.n, cert.family
+    if family not in ("P", "Q") or type(n) is not int or n < 1:
+        return False, f"bad header: family={family!r} n={n!r}"
+    if not mu or not is_subpartition(mu, lam):
+        return False, "need a nonempty mu contained in lam"
+    state_of = {s.nu.parts: s for s in _nu_states(mu)}
+    shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in state_of}
+    shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
+    minimal: dict[tuple, Filling] = {}
+
+    def parse(element) -> tuple[tuple, Filling]:
+        nu = tuple(element["nu"])
+        if nu not in shapes:
+            raise ValueError(f"nu={list(nu)} is not mu minus a subset of "
+                             f"Rem(mu)")
+        tab = element["tableau"]
+        if tab["shape"] != shape_json[nu] or tab["n"] != n \
+                or tab["family"] != family:
+            raise ValueError(f"tableau header does not match "
+                             f"{shapes[nu]}, n={n}, family {family}")
+        if len(tab["rows"]) != lam.length:
+            raise ValueError(f"{len(tab['rows'])} rows, want {lam.length}")
+        T = filling_from_rows(shapes[nu], n, family, tab["rows"])
+        verdict = validate(T)
+        if not verdict:
+            raise ValueError(f"invalid tableau: {verdict.violation}")
+        return nu, T
+
+    seen: set[Filling] = set()
+    for k, p in enumerate(cert.pairs):
+        if p.tag not in ("iota", "pi") or \
+                (cert.minimal_only and p.tag != "pi"):
+            return False, f"pair {k}: tag {p.tag!r} not allowed"
+        signs = []
+        sides = []
+        for element in (p.left, p.right):
+            try:
+                nu, T = parse(element)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                return False, f"pair {k}: malformed element ({exc})"
+            if T in seen:
+                return False, f"pair {k}: element appears twice: {T!r}"
+            seen.add(T)
+            signs.append((T.size() - T.shape.size + state_of[nu].b) % 2)
+            sides.append((nu, T))
+        (nu_l, _), (nu_r, _) = sides
+        if signs[0] == signs[1]:
+            return False, f"pair {k}: both sides have the same sign"
+        if p.tag == "iota" and nu_l != nu_r:
+            return False, f"pair {k}: iota pair across two inner shapes"
+        if p.tag == "pi":
+            if pi(state_of[nu_l]) != state_of[nu_r]:
+                return False, (f"pair {k}: pi pair of inner shapes that do "
+                               f"not differ by the bottom removable box")
+            for nu, T in sides:
+                if nu not in minimal:
+                    minimal[nu] = minimal_tableau(shapes[nu], family, n)
+                if T != minimal[nu]:
+                    return False, f"pair {k}: pi side is not minimal: {T!r}"
+    if cert.leftover:
+        return False, f"{len(cert.leftover)} leftover elements"
+    if cert.minimal_only:
+        want = len(shapes)
+    else:
+        want = sum(parity_report(FunctionSpec("G" + family, shape, n)).count
+                   for shape in shapes.values())
+    if len(seen) != want:
+        return False, f"{len(seen)} elements, the family has {want}"
     return True, None

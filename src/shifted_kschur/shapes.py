@@ -92,6 +92,11 @@ class SkewShape:
             out.extend((i, j) for j in range(lo, hi + 1))
         return frozenset(out)
 
+    @cached_property
+    def row_major(self) -> tuple[Box, ...]:
+        """The boxes row by row, left to right; see ``boxes_row_major``."""
+        return tuple(sorted(self.boxes))
+
     @property
     def size(self) -> int:
         """Number of boxes, |lam| - |mu|."""
@@ -141,9 +146,9 @@ def boxes_in_order(shape: SkewShape) -> list[Box]:
     return sorted(shape.boxes, key=lambda b: (b[1], b[0]))
 
 
-def boxes_row_major(shape: SkewShape) -> list[Box]:
+def boxes_row_major(shape: SkewShape) -> tuple[Box, ...]:
     """All boxes row by row, left to right (the enumeration fill order)."""
-    return sorted(shape.boxes)
+    return shape.row_major
 
 
 def removable_boxes(mu: StrictPartition) -> frozenset[Box]:

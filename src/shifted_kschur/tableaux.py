@@ -149,28 +149,37 @@ def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
 
 
 def validate(f: Filling) -> ValidationResult:
-    """Check the set-valued tableau rules, reporting the first violation.
+    """Check the set-valued tableau rules, reporting the first violation."""
+    return validate_cells(f.shape, f.family, f.cells)
 
+
+def validate_cells(shape: SkewShape, family: str,
+                   cells: dict) -> ValidationResult:
+    """The set-valued tableau rules on raw cells, first violation reported.
+
+    ``cells`` maps every box of the shape to a nonempty, strictly
+    increasing tuple of entry codes (what ``Filling`` guarantees).
     (1) max of a cell <= min of its right and lower neighbors;
     (2) each unprimed letter appears at most once in each column;
     (3) each primed letter appears at most once in each row;
     (4) family P only: diagonal cells contain unprimed entries only.
     """
-    shape, cells = f.shape, f.cells
-    for box in boxes_row_major(shape):
+    boxes = boxes_row_major(shape)
+    inside = shape.boxes
+    for box in boxes:
         i, j = box
-        cell = cells[box]
+        top = cells[box][-1]
         right = (i, j + 1)
-        if right in shape and cell[-1] > cells[right][0]:
+        if right in inside and top > cells[right][0]:
             return ValidationResult(
                 False, f"max of {box} exceeds min of {right} (rule 1)")
         below = (i + 1, j)
-        if below in shape and cell[-1] > cells[below][0]:
+        if below in inside and top > cells[below][0]:
             return ValidationResult(
                 False, f"max of {box} exceeds min of {below} (rule 1)")
     col_seen: dict[tuple[int, int], Box] = {}
     row_seen: dict[tuple[int, int], Box] = {}
-    for box in boxes_row_major(shape):
+    for box in boxes:
         i, j = box
         for code in cells[box]:
             if primed(code):
@@ -189,8 +198,8 @@ def validate(f: Filling) -> ValidationResult:
                         f"{entry_str(code)} repeats in column {j} "
                         f"({col_seen[key]} and {box}) (rule 2)")
                 col_seen[key] = box
-    if f.family == "P":
-        for box in boxes_row_major(shape):
+    if family == "P":
+        for box in boxes:
             if shape.is_diagonal(box) and any(primed(c) for c in cells[box]):
                 return ValidationResult(
                     False, f"primed entry on the diagonal at {box} (rule 4)")

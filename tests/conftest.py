@@ -43,3 +43,57 @@ def set_valued_examples(shape_421):
         "T3": rows(shape_421, 3, "Q", "1' 1 1 1 | 2' 2 | 3',3"),
         "T4": rows(shape_421, 3, "Q", "1' 1 1 1,2,3 | 2 2 | 3'"),
     }
+
+
+# Ways to spoil a good certificate of 2,1 // 1, family P, n = 2, each
+# applied in place to its JSON document; every one must be rejected.
+def _tamper_invalid_entry(doc):
+    # a primed entry on the diagonal box (2,2) breaks rule 4 of family P
+    doc["pairs"][0]["left"]["tableau"]["rows"][1][0] = ["1'"]
+
+
+def _tamper_move_to_other_nu(doc):
+    doc["pairs"][-1]["right"]["nu"] = [1] if \
+        doc["pairs"][-1]["right"]["nu"] == [] else []
+
+
+def _tamper_drop_pair(doc):
+    del doc["pairs"][-1]
+
+
+def _tamper_duplicate_element(doc):
+    doc["pairs"][-1]["right"] = doc["pairs"][0]["left"]
+
+
+def _tamper_add_leftover(doc):
+    last = doc["pairs"].pop()
+    doc["leftover"].extend([last["left"], last["right"]])
+
+
+def _tamper_iota_across_nu(doc):
+    pi_pair = next(p for p in doc["pairs"] if p["tag"] == "pi")
+    pi_pair["tag"] = "iota"
+
+
+def _tamper_header_n(doc):
+    doc["n"] = 3
+
+
+def _tamper_same_sign_pairs(doc):
+    # pairs 1 and 2 are iota pairs on one nu: (a+, a-), (b+, b-) become
+    # (a+, b+), (a-, b-), which keeps every element once
+    first, second = doc["pairs"][1], doc["pairs"][2]
+    first["right"], second["left"] = second["left"], first["right"]
+
+
+# each with a fragment of the reason check_certificate gives
+TAMPERS = [
+    (_tamper_invalid_entry, "invalid tableau"),
+    (_tamper_move_to_other_nu, "tableau header does not match"),
+    (_tamper_drop_pair, "10 elements, the family has 12"),
+    (_tamper_duplicate_element, "appears twice"),
+    (_tamper_add_leftover, "leftover"),
+    (_tamper_iota_across_nu, "iota pair across"),
+    (_tamper_header_n, "tableau header does not match"),
+    (_tamper_same_sign_pairs, "same sign"),
+]

@@ -1,8 +1,15 @@
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shifted_kschur.cli import main
+from shifted_kschur.cli import main, write_json
+from shifted_kschur.involutions import pairing_certificate
+from shifted_kschur.shapes import (strict_partitions_up_to_weight,
+                                   strict_subpartitions)
+from tests.conftest import TAMPERS
 
 
 def run(capsys, *argv):
@@ -117,6 +124,12 @@ class TestIdentity:
                            "--max-weight", "4", "--max-n", "2")
         assert code == 0
 
+    def test_pq_factor_skew_skips_skew_shapes(self, capsys):
+        code, out, _ = run(capsys, "identity", "--check", "pq-factor",
+                           "--skew", "--max-weight", "2", "--max-n", "1")
+        assert code == 0
+        assert out == "shape=1 n=1 ok\nshape=2 n=1 ok\n"
+
     def test_coproduct(self, capsys):
         code, out, _ = run(capsys, "identity", "--check", "coproduct",
                            "--max-weight", "3", "--nx", "1", "--ny", "1")
@@ -165,31 +178,133 @@ class TestOracleCheck:
         assert out.strip()
 
 
+PAIR_21_1 = ("pair", "--lambda", "2,1", "--mu", "1", "--family", "P",
+             "-n", "2")
+
+
+def _pair_cases(max_weight, max_n):
+    for lam in strict_partitions_up_to_weight(max_weight):
+        for mu in strict_subpartitions(lam):
+            if not mu:
+                continue
+            for family in ("P", "Q"):
+                for n in range(1, max_n + 1):
+                    yield lam, mu, family, n
+
+
 class TestPair:
     def test_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
-        code, out, _ = run(capsys, "pair", "--lambda", "2,1", "--mu", "1",
-                           "--family", "P", "-n", "2", "--out", str(path))
+        code, out, _ = run(capsys, *PAIR_21_1, "--out", str(path))
         assert code == 0 and out.strip().endswith("ok")
-        code, out, _ = run(capsys, "pair", "--lambda", "2,1", "--mu", "1",
-                           "--family", "P", "-n", "2", "--check", str(path))
+        code, out, _ = run(capsys, *PAIR_21_1, "--check", str(path))
         assert code == 0 and out.strip() == "certificate ok"
 
     def test_tampered_certificate_fails(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
-        run(capsys, "pair", "--lambda", "2,1", "--mu", "1",
-            "--family", "P", "-n", "2", "--out", str(path))
+        run(capsys, *PAIR_21_1, "--out", str(path))
         doc = json.loads(path.read_text())
         doc["pairs"] = doc["pairs"][:-1]
         path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "pair", "--lambda", "2,1", "--mu", "1",
-                           "--family", "P", "-n", "2", "--check", str(path))
+        code, out, _ = run(capsys, *PAIR_21_1, "--check", str(path))
         assert code == 1 and "FAILED" in out
+
+    @pytest.mark.parametrize("tamper", [t for t, _ in TAMPERS],
+                             ids=lambda t: t.__name__)
+    def test_each_tamper_fails(self, capsys, tmp_path, tamper):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
+        assert (code, out) == (1, "certificate FAILED\n") and err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "3,1"), ("--mu", "2"), ("--family", "Q"), ("-n", "3")])
+    def test_check_rejects_other_command_line(self, capsys, tmp_path, flag,
+                                              value):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        argv = list(PAIR_21_1)
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, *argv, "--check", str(path))
+        assert (code, out) == (1, "certificate FAILED\n")
+        assert "certificate is for lambda=2,1 mu=1 family=P n=2 " \
+            "minimal_only=False" in err
+
+    def test_check_rejects_other_certificate_kind(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        code, out, _ = run(capsys, *PAIR_21_1, "--minimal-only", "--check",
+                           str(path))
+        assert (code, out) == (1, "certificate FAILED\n")
+        run(capsys, *PAIR_21_1, "--minimal-only", "--out", str(path))
+        code, out, _ = run(capsys, *PAIR_21_1, "--check", str(path))
+        assert (code, out) == (1, "certificate FAILED\n")
+        code, out, _ = run(capsys, *PAIR_21_1, "--minimal-only", "--check",
+                           str(path))
+        assert (code, out) == (0, "certificate ok\n")
+
+    def test_check_missing_file_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, *PAIR_21_1, "--check",
+                             str(tmp_path / "absent.json"))
+        assert code == 2 and not out and "error" in err
+
+    def test_out_bytes_equal_json_dumps(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        written = 0
+        for lam, mu, family, n in _pair_cases(5, 2):
+            try:
+                cert = pairing_certificate(lam, mu, n, family)
+            except ValueError:  # an empty tableau set
+                continue
+            if path.exists():
+                path.unlink()
+            code, _, _ = run(capsys, "pair", "--lambda", str(lam), "--mu",
+                             str(mu), "--family", family, "-n", str(n),
+                             "--out", str(path))
+            want = json.dumps(cert.to_json(), sort_keys=True, indent=1)
+            assert code == 0 and path.read_text() == want, \
+                (str(lam), str(mu), family, n)
+            written += 1
+        assert written > 100
 
     def test_empty_mu_is_usage_error(self, capsys):
         code, _, err = run(capsys, "pair", "--lambda", "2,1", "--mu", "-",
                            "--family", "P", "-n", "2")
         assert code == 2 and "error" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30)
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", "\u00e9\u2028\"\\\n\U0001f600", 0, -7, True, None,
+        {"b": [], "a": {}, "c": [[], {}, [[]]]}, [{"x": ["1'", "2"]}],
+        ["a", 1, ["b"], None, False]])
+    def test_examples(self, value):
+        fh = io.StringIO()
+        write_json(value, fh)
+        assert fh.getvalue() == json.dumps(value, sort_keys=True, indent=1)
+
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        fh = io.StringIO()
+        write_json(value, fh)
+        assert fh.getvalue() == json.dumps(value, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {3}}])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            write_json(value, io.StringIO())
 
 
 class TestUsage:

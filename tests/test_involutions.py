@@ -1,16 +1,19 @@
 import itertools
+import json
 
 import pytest
 
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
-from shifted_kschur.involutions import (NuSubsetState, bottom_removable_box,
-                                        certificate_covers, iota,
-                                        minimal_tableau, pairing_certificate,
-                                        pi, verify_involution)
+from shifted_kschur.involutions import (NuSubsetState, PairingCertificate,
+                                        bottom_removable_box,
+                                        certificate_covers, check_certificate,
+                                        iota, minimal_tableau,
+                                        pairing_certificate, pi,
+                                        verify_involution)
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from tests.conftest import rows
+from tests.conftest import TAMPERS, rows
 
 
 def sp(*parts):
@@ -111,6 +114,12 @@ class TestIota:
     def test_undefined_on_minimal(self, shape_421):
         with pytest.raises(ValueError):
             iota(minimal_tableau(shape_421, "P", 3))
+
+    def test_given_minimal_tableau_changes_nothing(self, skew_6431_42):
+        tmin = minimal_tableau(skew_6431_42, "Q", 2)
+        spec = EnumSpec(skew_6431_42, 2, "Q", "set-valued")
+        for T in itertools.islice(enumerate_fillings(spec), 1, 300):
+            assert iota(T, tmin) == iota(T)
 
     def test_one_box_q_swap(self):
         shape = SkewShape(sp(1))
@@ -216,3 +225,90 @@ class TestPairingCertificate:
         cert = pairing_certificate(sp(2, 1), sp(1), 2, "Q")
         doc = cert.to_json()
         assert doc["pairs"] and not doc["leftover"]
+
+
+def _roundtrip(cert):
+    """A fresh copy of the certificate, as a checker reading its file sees it."""
+    return PairingCertificate.from_json(json.loads(json.dumps(cert.to_json())))
+
+
+class TestCheckCertificate:
+    def test_good_certificate(self):
+        cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
+        assert check_certificate(_roundtrip(cert)) == (True, None)
+
+    @pytest.mark.parametrize("tamper,reason", TAMPERS,
+                             ids=[t.__name__ for t, _ in TAMPERS])
+    def test_each_tamper_fails(self, tamper, reason):
+        doc = pairing_certificate(sp(2, 1), sp(1), 2, "P").to_json()
+        doc = json.loads(json.dumps(doc))
+        tamper(doc)
+        ok, why = check_certificate(PairingCertificate.from_json(doc))
+        assert not ok and reason in why, why
+
+    def test_minimal_only(self):
+        cert = pairing_certificate(sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P",
+                                   minimal_only=True)
+        assert check_certificate(_roundtrip(cert)) == (True, None)
+        cert.pairs.pop()
+        assert not check_certificate(cert)[0]
+
+    def test_minimal_only_refuses_iota_pairs(self):
+        full = pairing_certificate(sp(2, 1), sp(1), 2, "P")
+        cert = pairing_certificate(sp(2, 1), sp(1), 2, "P",
+                                   minimal_only=True)
+        # two iota pairs in place of the pi pair: as many elements as nus
+        cert.pairs = [p for p in full.pairs if p.tag == "iota"][:1]
+        assert not check_certificate(cert)[0]
+
+    def test_iota_pair_retagged_pi_fails(self):
+        cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
+        k = next(k for k, p in enumerate(cert.pairs) if p.tag == "iota")
+        cert.pairs[k] = cert.pairs[k]._replace(tag="pi")
+        ok, why = check_certificate(cert)
+        assert not ok and "pi pair" in why
+
+    def test_pi_pair_of_non_minimal_tableaux_fails(self):
+        cert = pairing_certificate(sp(3, 1), sp(2), 2, "Q")
+        pi_pair = cert.pairs[0]
+        assert pi_pair.tag == "pi"
+
+        def size(element):
+            return sum(map(len, itertools.chain(*element["tableau"]["rows"])))
+
+        # a non-minimal tableau of the same nu and sign as the left side
+        other = next(e for p in cert.pairs if p.tag == "iota"
+                     for e in (p.left, p.right)
+                     if e["nu"] == pi_pair.left["nu"]
+                     and (size(e) - size(pi_pair.left)) % 2 == 0)
+        cert.pairs[0] = pi_pair._replace(left=other)
+        ok, why = check_certificate(cert)
+        assert not ok and "not minimal" in why, why
+
+    def test_bad_header(self):
+        cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
+        for field, value in (("family", "GP"), ("n", 0), ("mu", sp())):
+            bad = _roundtrip(cert)
+            setattr(bad, field, value)
+            assert not check_certificate(bad)[0], field
+
+    def test_agrees_with_covers_oracle(self):
+        checked = 0
+        for lam in strict_partitions_up_to_weight(5):
+            for mu in strict_subpartitions(lam):
+                if not mu:
+                    continue
+                for family, n in itertools.product("PQ", (1, 2)):
+                    try:
+                        cert = pairing_certificate(lam, mu, n, family)
+                    except ValueError:  # an empty tableau set
+                        continue
+                    elements = _family_elements(lam, mu, n, family)
+                    case = (str(lam), str(mu), family, n)
+                    assert check_certificate(cert) == (True, None), case
+                    assert certificate_covers(cert, elements)[0], case
+                    cert.pairs.pop()
+                    assert not check_certificate(cert)[0], case
+                    assert not certificate_covers(cert, elements)[0], case
+                    checked += 1
+        assert checked > 100

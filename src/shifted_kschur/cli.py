@@ -258,8 +258,14 @@ def cmd_pair(args) -> int:
 _INDENT = ["\n" + " " * k for k in range(64)]
 
 
-def _encode(o, level: int) -> str:
-    """``json.dumps(o, sort_keys=True, indent=1)`` of o nested level deep."""
+def _encode(o, level: int, memo: dict) -> str:
+    """``json.dumps(o, sort_keys=True, indent=1)`` of o nested level deep.
+
+    ``memo`` maps (id of a dict, level) to None once that dict has been
+    encoded, and to its text from the second time on; so a dict that
+    occurs many times (a shared header) is encoded at most twice, and
+    one that occurs once costs no stored text.
+    """
     t = type(o)
     if t is str:
         return encode_basestring_ascii(o)
@@ -275,16 +281,21 @@ def _encode(o, level: int) -> str:
             except TypeError:  # not all of them are
                 pass
         if body is None:
-            body = sep.join([_encode(v, inner) for v in o])
+            body = sep.join([_encode(v, inner, memo) for v in o])
         return "[" + _INDENT[inner] + body + _INDENT[level] + "]"
     if t is dict:
         if not o:
             return "{}"
+        key = id(o) << 6 | level
+        text = memo.get(key, 0)  # 0: not seen yet, None: seen once
+        if text:
+            return text
         inner = level + 1
-        return ("{" + _INDENT[inner] + ("," + _INDENT[inner]).join(
-            [encode_basestring_ascii(k) + ": " + _encode(v, inner)
-             for k, v in sorted(o.items())])
-            + _INDENT[level] + "}")
+        encoded = ("{" + _INDENT[inner] + ("," + _INDENT[inner]).join(
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner, memo)
+             for k, v in sorted(o.items())]) + _INDENT[level] + "}")
+        memo[key] = None if text == 0 else encoded
+        return encoded
     if o is None:
         return "null"
     if o is True:
@@ -296,11 +307,12 @@ def _encode(o, level: int) -> str:
     raise TypeError(f"cannot encode {t.__name__} as JSON")
 
 
-def _chunks(o, level: int, depth: int):
-    """``_encode(o, level)`` in pieces, one per item of the top depth levels."""
+def _chunks(o, level: int, depth: int, memo: dict):
+    """``_encode(o, level, memo)`` in pieces, one per item of the top depth
+    levels."""
     t = type(o)
     if depth == 0 or not o or t not in (list, tuple, dict):
-        yield _encode(o, level)
+        yield _encode(o, level, memo)
         return
     if t is dict:
         opening, closing = "{", "}"
@@ -312,7 +324,7 @@ def _chunks(o, level: int, depth: int):
     yield opening
     for k, (prefix, v) in enumerate(items):
         yield ("," if k else "") + _INDENT[level + 1] + prefix
-        yield from _chunks(v, level + 1, depth - 1)
+        yield from _chunks(v, level + 1, depth - 1, memo)
     yield _INDENT[level] + closing
 
 
@@ -322,9 +334,10 @@ def write_json(payload, fh) -> None:
     Values must be of exactly these types: dict with str keys, list,
     tuple, str, int, bool and None, nested at most 63 deep.  The top two
     levels go out item by item, so a large document is never held as one
-    string.
+    string.  A dict that occurs more than once is encoded at most twice
+    (the memo lives for this call only).
     """
-    fh.writelines(_chunks(payload, 0, 2))
+    fh.writelines(_chunks(payload, 0, 2, {}))
 
 
 @functools.lru_cache(maxsize=1)

@@ -91,7 +91,9 @@ def enumerate_fillings(spec: EnumSpec) -> Iterator[Filling]:
 
     def fill(k: int) -> Iterator[Filling]:
         if k == len(boxes):
-            yield Filling(spec.shape, spec.n, spec.family, dict(cells))
+            # row-major keys and sorted, in-range candidate cells: canonical
+            yield Filling._trusted(spec.shape, spec.n, spec.family,
+                                   dict(cells))
             return
         box = boxes[k]
         i, j = box

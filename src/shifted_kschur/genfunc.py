@@ -100,11 +100,13 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
 
     Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
     nu/mu in x1..xk: F_k(nu) = sum over mu <= rho <= nu of F_(k-1)(rho)
-    times the letter-k factor f(nu, rho).
+    times the letter-k factor f(nu, rho), which is the same at every level
+    and so is computed once per call.
     """
     lam, mu = shape.outer.parts, shape.inner.parts
     nus = [nu.parts for nu in strict_subpartitions(shape.outer)
            if is_subpartition(shape.inner, nu)]
+    factors: dict = {}
     level = {mu: {((), 0): 1}}
     for k in range(1, n + 1):
         nxt = {}
@@ -113,8 +115,11 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
             for rho, poly in level.items():
                 if len(rho) > len(nu) or any(r > v for r, v in zip(rho, nu)):
                     continue
-                for (x, b), c in _letter_factor(nu, rho, shape.inner, family,
-                                                kind).items():
+                factor = factors.get((nu, rho))
+                if factor is None:
+                    factor = factors[nu, rho] = _letter_factor(
+                        nu, rho, shape.inner, family, kind)
+                for (x, b), c in factor.items():
                     for (xexp, bexp), d in poly.items():
                         key = (xexp + (x,), bexp + b)
                         terms[key] = terms.get(key, 0) + c * d
@@ -133,12 +138,13 @@ def compute(spec: FunctionSpec) -> LaurentPoly:
     lam, mu = shape.outer, shape.inner
     if not is_subpartition(mu, lam):
         return LaurentPoly.zero(n)
-    total = LaurentPoly.zero(n)
+    terms: dict = {}
     for b, nu in _nu_terms(mu):
         skew = _branching_sum(SkewShape(lam, nu), n, spec.base_family,
                               spec.kind)
-        total = total + skew.scalar_beta_power(b)
-    return total
+        for (x, e), c in skew.terms.items():
+            terms[x, e + b] = terms.get((x, e + b), 0) + c
+    return LaurentPoly(n, terms)
 
 
 def _nu_terms(mu: StrictPartition) -> Iterator[tuple[int, StrictPartition]]:
@@ -201,14 +207,13 @@ def double_skew_shortcut(lam: StrictPartition,
         return DoubleSkewShortcut(LaurentPoly.zero(1), ())
     if not mu:
         return DoubleSkewShortcut(LaurentPoly.beta(1, lam.weight), ())
-    total = LaurentPoly.zero(1)
     terms = []
     for b, nu in _nu_terms(mu):
-        sign = -1 if b % 2 else 1
-        terms.append(NuTerm(nu, b, sign))
-        total = total + LaurentPoly.beta(1, lam.weight - mu.weight).scale(sign)
+        terms.append(NuTerm(nu, b, -1 if b % 2 else 1))
     terms.sort(key=lambda t: (t.removed, t.nu.parts))
-    return DoubleSkewShortcut(total, tuple(terms))
+    coeff = sum(t.sign for t in terms)  # of b^(|lam| - |mu|)
+    value = LaurentPoly(1, {((0,), lam.weight - mu.weight): coeff})
+    return DoubleSkewShortcut(value, tuple(terms))
 
 
 class CoproductReport(NamedTuple):
@@ -216,15 +221,6 @@ class CoproductReport(NamedTuple):
     residual: LaurentPoly
     lhs: LaurentPoly
     rhs: LaurentPoly
-
-
-def _embed(p: LaurentPoly, total: int, offset: int) -> LaurentPoly:
-    """Reindex a polynomial in p.nvars variables into slots offset.. of total."""
-    terms = {}
-    for (xexp, bexp), c in p.terms.items():
-        full = (0,) * offset + xexp + (0,) * (total - offset - len(xexp))
-        terms[(full, bexp)] = c
-    return LaurentPoly(total, terms)
 
 
 def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
@@ -244,7 +240,7 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
     # enumerated, so the check does not compare the engine with itself
     spec = FunctionSpec(family, SkewShape(lam), total)
     lhs = _tableau_sum(spec.shape, total, spec.base_family, spec.kind)
-    rhs = LaurentPoly.zero(total)
+    rhs: dict = {}
     if family in ("P", "Q"):
         inner_family = family
         nus = list(strict_subpartitions(lam))
@@ -256,7 +252,12 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
         if not left:
             continue
         right = compute(FunctionSpec(inner_family, SkewShape(lam, nu), n_y))
-        rhs = rhs + _embed(left, total, 0) * _embed(right, total, n_x)
+        # F_nu(x) * F(y): x-exponents side by side, b-exponents added
+        for (xa, ba), ca in left.terms.items():
+            for (xb, bb), cb in right.terms.items():
+                key = (xa + xb, ba + bb)
+                rhs[key] = rhs.get(key, 0) + ca * cb
+    rhs = LaurentPoly(total, rhs)
     residual = lhs - rhs
     return CoproductReport(not residual, residual, lhs, rhs)
 

@@ -15,9 +15,8 @@ from typing import Iterator, NamedTuple
 
 from .enumeration import EnumSpec, enumerate_fillings
 from .genfunc import FunctionSpec, parity_report
-from .shapes import (Box, SkewShape, StrictPartition, boxes_in_order,
-                     boxes_row_major, is_subpartition, removable_boxes,
-                     remove_subset)
+from .shapes import (Box, SkewShape, StrictPartition, boxes_row_major,
+                     is_subpartition, removable_boxes, remove_subset)
 from .tableaux import Filling, filling_from_rows, primed, validate
 
 
@@ -56,7 +55,7 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
             row_primed.setdefault(i, set()).add(choice)
         else:
             col_unprimed.setdefault(j, set()).add(choice)
-    return Filling(shape, n, family, cells)
+    return Filling._trusted(shape, n, family, cells)
 
 
 def iota(T: Filling, tmin: Filling | None = None) -> Filling:
@@ -67,7 +66,7 @@ def iota(T: Filling, tmin: Filling | None = None) -> Filling:
     """
     if tmin is None:
         tmin = minimal_tableau(T.shape, T.family, T.n)
-    for box in boxes_in_order(T.shape):
+    for box in T.shape.col_major:
         if T.cells[box] != tmin.cells[box]:
             break
     else:
@@ -200,8 +199,10 @@ def _nu_states(mu: StrictPartition) -> list[NuSubsetState]:
             for mask in range(1 << len(rem))]
 
 
-def _element(nu: StrictPartition, T: Filling) -> dict:
-    return {"nu": list(nu.parts), "tableau": T.to_json()}
+def _element(nu: StrictPartition, T: Filling,
+             shape_json: dict | None = None) -> dict:
+    """A certificate element; ``shape_json`` is T.shape's JSON, if shared."""
+    return {"nu": list(nu.parts), "tableau": T.to_json(shape_json)}
 
 
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
@@ -213,7 +214,8 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     the minimal tableau of lam/nu pairs with the minimal tableau of the
     inner shape reached by toggling the bottom-row removable box (tag
     "pi").  With minimal_only=True only the pi pairs are produced, which
-    stays feasible for large shapes.
+    stays feasible for large shapes.  The elements of one nu share one
+    shape object, so treat them as read-only.
     """
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
@@ -222,34 +224,38 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         raise ValueError("infeasible scale; use minimal_only")
     cert = PairingCertificate(lam, mu, n, family, minimal_only)
     states = _nu_states(mu)
+    shapes = {s.chosen: SkewShape(lam, s.nu) for s in states}
+    shape_json = {key: shape.to_json() for key, shape in shapes.items()}
 
-    minimal = {s.chosen: minimal_tableau(SkewShape(lam, s.nu), family, n)
-               for s in states}
+    def element(s: NuSubsetState, T: Filling) -> dict:
+        return _element(shapes[s.chosen].inner, T, shape_json[s.chosen])
+
+    minimal = {key: minimal_tableau(shape, family, n)
+               for key, shape in shapes.items()}
     done_pi = set()
     for s in states:
         if s.chosen in done_pi:
             continue
         t = pi(s)
-        cert.pairs.append(Pair(_element(s.nu, minimal[s.chosen]),
-                               _element(t.nu, minimal[t.chosen]), "pi"))
+        cert.pairs.append(Pair(element(s, minimal[s.chosen]),
+                               element(t, minimal[t.chosen]), "pi"))
         done_pi.update({s.chosen, t.chosen})
     if minimal_only:
         return cert
 
     for s in states:
-        nu = s.nu
         tmin = minimal[s.chosen]
         seen = set()
-        spec = EnumSpec(SkewShape(lam, nu), n, family, "set-valued")
+        spec = EnumSpec(shapes[s.chosen], n, family, "set-valued")
         for T in enumerate_fillings(spec):
             if T == tmin or T in seen:
                 continue
             partner = iota(T, tmin)
             seen.update({T, partner})
             if partner == T or iota(partner, tmin) != T:
-                cert.leftover.append(_element(nu, T))
+                cert.leftover.append(element(s, T))
                 continue
-            cert.pairs.append(Pair(_element(nu, T), _element(nu, partner),
+            cert.pairs.append(Pair(element(s, T), element(s, partner),
                                    "iota"))
     return cert
 
@@ -312,8 +318,6 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
                 or tab["family"] != family:
             raise ValueError(f"tableau header does not match "
                              f"{shapes[nu]}, n={n}, family {family}")
-        if len(tab["rows"]) != lam.length:
-            raise ValueError(f"{len(tab['rows'])} rows, want {lam.length}")
         T = filling_from_rows(shapes[nu], n, family, tab["rows"])
         verdict = validate(T)
         if not verdict:

@@ -97,6 +97,17 @@ class SkewShape:
         """The boxes row by row, left to right; see ``boxes_row_major``."""
         return tuple(sorted(self.boxes))
 
+    @cached_property
+    def col_major(self) -> tuple[Box, ...]:
+        """The boxes column by column, top first; see ``boxes_in_order``."""
+        return tuple(sorted(self.boxes, key=lambda b: (b[1], b[0])))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Box, ...], ...]:
+        """The boxes of each row 1..len(outer), left to right (maybe none)."""
+        return tuple(tuple((i, j) for j in self.row_cols(i))
+                     for i in range(1, self.outer.length + 1))
+
     @property
     def size(self) -> int:
         """Number of boxes, |lam| - |mu|."""
@@ -134,7 +145,7 @@ class SkewShape:
         return {
             "outer": list(self.outer.parts),
             "inner": list(self.inner.parts),
-            "boxes": [[i, j] for (i, j) in boxes_in_order(self)],
+            "boxes": [[i, j] for (i, j) in self.col_major],
         }
 
 
@@ -143,7 +154,7 @@ def boxes_in_order(shape: SkewShape) -> list[Box]:
 
     (i, j) precedes (i~, j~) iff j < j~, or j == j~ and i < i~.
     """
-    return sorted(shape.boxes, key=lambda b: (b[1], b[0]))
+    return list(shape.col_major)
 
 
 def boxes_row_major(shape: SkewShape) -> tuple[Box, ...]:

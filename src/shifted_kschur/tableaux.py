@@ -40,6 +40,27 @@ def cell_from_strs(entries) -> CellSet:
     return tuple(sorted(entry_from_str(e) for e in entries))
 
 
+# the entry strings of the first 20 letters, looked up before computing
+_STR_OF = {code: entry_str(code) for code in range(1, 41)}
+_CODE_OF = {text: code for code, text in _STR_OF.items()}
+
+
+def _check_family(family: str) -> None:
+    if family not in FAMILIES:
+        raise ValueError(f"family must be P or Q, got {family!r}")
+
+
+def _check_cell(box: Box, cell: CellSet, n: int) -> None:
+    """Raise ValueError unless the sorted cell is nonempty, without
+    repeats, with every entry code in 1..2n."""
+    if not cell:
+        raise ValueError(f"empty cell at {box}")
+    if len(set(cell)) != len(cell):
+        raise ValueError(f"duplicate entries at {box}")
+    if not (1 <= cell[0] and cell[-1] <= 2 * n):
+        raise ValueError(f"entry out of range 1..{2 * n} at {box}")
+
+
 class ValidationResult(NamedTuple):
     ok: bool
     violation: str | None
@@ -49,28 +70,44 @@ class ValidationResult(NamedTuple):
 
 
 class Filling:
-    """An assignment of one nonempty cell set to every box of a shape."""
+    """An assignment of one nonempty cell set to every box of a shape.
+
+    ``cells`` is kept canonical: keys in row-major order, each cell a
+    strictly increasing tuple of entry codes in 1..2n.
+    """
 
     __slots__ = ("shape", "n", "family", "cells", "_key")
 
     def __init__(self, shape: SkewShape, n: int, family: str, cells: dict):
-        if family not in FAMILIES:
-            raise ValueError(f"family must be P or Q, got {family!r}")
+        _check_family(family)
         if set(cells) != shape.boxes:
             raise ValueError("cells must cover exactly the boxes of the shape")
+        canonical = {}
+        for box in shape.row_major:
+            cell = tuple(sorted(cells[box]))
+            _check_cell(box, cell, n)
+            canonical[box] = cell
+        self._set(shape, n, family, canonical)
+
+    @classmethod
+    def _trusted(cls, shape: SkewShape, n: int, family: str,
+                 cells: dict) -> "Filling":
+        """A filling from cells that are canonical already; no checks.
+
+        For the package's own constructions only (enumerator leaves,
+        minimal tableaux, parsed and checked rows).
+        """
+        self = object.__new__(cls)
+        self._set(shape, n, family, cells)
+        return self
+
+    def _set(self, shape: SkewShape, n: int, family: str, cells: dict):
         self.shape = shape
         self.n = n
         self.family = family
-        self.cells = {box: tuple(sorted(cells[box])) for box in sorted(cells)}
-        for box, cell in self.cells.items():
-            if not cell:
-                raise ValueError(f"empty cell at {box}")
-            if len(set(cell)) != len(cell):
-                raise ValueError(f"duplicate entries at {box}")
-            if not all(1 <= c <= 2 * n for c in cell):
-                raise ValueError(f"entry out of range 1..{2 * n} at {box}")
+        self.cells = cells
         self._key = (shape.outer.parts, shape.inner.parts, n, family,
-                     tuple(self.cells.items()))
+                     tuple(cells.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Filling) and self._key == other._key
@@ -79,12 +116,8 @@ class Filling:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        rows = []
-        for i in range(1, self.shape.outer.length + 1):
-            cols = self.shape.row_cols(i)
-            rows.append(" ".join(
-                ",".join(entry_str(c) for c in self.cells[(i, j)]) for j in cols
-            ))
+        rows = [" ".join(",".join(entry_str(c) for c in self.cells[box])
+                         for box in row) for row in self.shape.rows]
         return f"Filling({self.shape}; " + " | ".join(rows) + ")"
 
     def size(self) -> int:
@@ -102,23 +135,31 @@ class Filling:
     def is_single_valued(self) -> bool:
         return all(len(cell) == 1 for cell in self.cells.values())
 
-    def with_cell(self, box: Box, cell: CellSet) -> "Filling":
+    def with_cell(self, box: Box, cell) -> "Filling":
+        """This filling with the cell at box replaced (checked)."""
+        if box not in self.cells:
+            raise ValueError(f"{box} is not a box of {self.shape}")
+        cell = tuple(sorted(cell))
+        _check_cell(box, cell, self.n)
         cells = dict(self.cells)
         cells[box] = cell
-        return Filling(self.shape, self.n, self.family, cells)
+        return Filling._trusted(self.shape, self.n, self.family, cells)
 
-    def to_json(self) -> dict:
-        rows = []
-        for i in range(1, self.shape.outer.length + 1):
-            rows.append([
-                [entry_str(c) for c in self.cells[(i, j)]]
-                for j in self.shape.row_cols(i)
-            ])
+    def to_json(self, shape_json: dict | None = None) -> dict:
+        """The filling as JSON; ``shape_json`` is the shape's ``to_json()``.
+
+        A caller writing many fillings of one shape may pass one
+        ``shape_json`` to share among them; by default each call builds
+        its own.
+        """
+        str_of = _STR_OF.get
         return {
-            "shape": self.shape.to_json(),
+            "shape": self.shape.to_json() if shape_json is None
+            else shape_json,
             "n": self.n,
             "family": self.family,
-            "rows": rows,
+            "rows": [[[str_of(c) or entry_str(c) for c in self.cells[box]]
+                      for box in row] for row in self.shape.rows],
         }
 
     @classmethod
@@ -129,23 +170,32 @@ class Filling:
             StrictPartition(tuple(data["shape"]["outer"])),
             StrictPartition(tuple(data["shape"]["inner"])),
         )
-        cells = {}
-        for i, row in enumerate(data["rows"], start=1):
-            for j, cell in zip(shape.row_cols(i), row):
-                cells[(i, j)] = cell_from_strs(cell)
-        return cls(shape, data["n"], data["family"], cells)
+        return filling_from_rows(shape, data["n"], data["family"],
+                                 data["rows"])
 
 
 def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
-    """Build a filling from per-row lists of cells given as entry strings."""
+    """Build a filling from per-row lists of cells given as entry strings.
+
+    ``rows`` holds one list per row of the outer shape, with one cell per
+    box of that row.  Entry strings parse as ``entry_from_str`` does, and
+    the cells get the checks ``Filling`` makes; a fault raises ValueError.
+    """
+    _check_family(family)
+    if len(rows) != len(shape.rows):
+        raise ValueError(f"{len(rows)} rows, want {len(shape.rows)}")
+    code_of = _CODE_OF.get
     cells = {}
-    for i, row in enumerate(rows, start=1):
-        cols = list(shape.row_cols(i))
-        if len(cols) != len(row):
-            raise ValueError(f"row {i} needs {len(cols)} cells, got {len(row)}")
-        for j, cell in zip(cols, row):
-            cells[(i, j)] = cell_from_strs(cell)
-    return Filling(shape, n, family, cells)
+    for i, (boxes, row) in enumerate(zip(shape.rows, rows), start=1):
+        if len(boxes) != len(row):
+            raise ValueError(f"row {i} needs {len(boxes)} cells, "
+                             f"got {len(row)}")
+        for box, strs in zip(boxes, row):
+            cell = tuple(sorted([code_of(e) or entry_from_str(e)
+                                 for e in strs]))
+            _check_cell(box, cell, n)
+            cells[box] = cell
+    return Filling._trusted(shape, n, family, cells)
 
 
 def validate(f: Filling) -> ValidationResult:

@@ -280,15 +280,23 @@ json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
     lambda children: st.lists(children, max_size=4)
     | st.tuples(children, children)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    # one object referenced several times, at one level and at others
+    | children.map(lambda v: [v, v, v, [v, {"k": v}]]),
     max_leaves=30)
+
+
+_HEAD = {"outer": [2, 1], "inner": [1], "boxes": [[1, 2], [2, 2]]}
 
 
 class TestWriteJson:
     @pytest.mark.parametrize("value", [
         {}, [], (), "", "\u00e9\u2028\"\\\n\U0001f600", 0, -7, True, None,
         {"b": [], "a": {}, "c": [[], {}, [[]]]}, [{"x": ["1'", "2"]}],
-        ["a", 1, ["b"], None, False]])
+        ["a", 1, ["b"], None, False],
+        # one header shared by many elements, as in a pairing certificate
+        {"pairs": [{"left": {"shape": _HEAD}, "right": {"shape": _HEAD}}] * 3
+         + [_HEAD, [_HEAD]]}])
     def test_examples(self, value):
         fh = io.StringIO()
         write_json(value, fh)

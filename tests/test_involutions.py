@@ -13,6 +13,7 @@ from shifted_kschur.involutions import (NuSubsetState, PairingCertificate,
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
+from shifted_kschur.tableaux import Filling, validate
 from tests.conftest import TAMPERS, rows
 
 
@@ -312,3 +313,27 @@ class TestCheckCertificate:
                     assert not certificate_covers(cert, elements)[0], case
                     checked += 1
         assert checked > 100
+
+
+def test_trusted_images_equal_checked_rebuild():
+    """minimal_tableau and iota build without checks; rebuild them checked."""
+    images = 0
+    for lam in strict_partitions_up_to_weight(6):
+        for mu in strict_subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            for n, family in itertools.product((1, 2), "PQ"):
+                try:
+                    tmin = minimal_tableau(shape, family, n)
+                except ValueError:  # an empty tableau set
+                    continue
+                assert tmin._key == Filling(shape, n, family, tmin.cells)._key
+                spec = EnumSpec(shape, n, family, "set-valued")
+                for T in enumerate_fillings(spec):
+                    if T == tmin:
+                        continue
+                    image = iota(T, tmin)
+                    rebuilt = Filling(shape, n, family, image.cells)
+                    assert image == rebuilt and image._key == rebuilt._key
+                    assert hash(image) == hash(rebuilt) and validate(image)
+                    images += 1
+    assert images > 4000

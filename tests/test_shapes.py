@@ -85,6 +85,18 @@ class TestBoxOrder:
         assert got == explicit
         assert got[0] == (3, 3)
 
+    def test_cached_orders(self):
+        for lam in strict_partitions_up_to_weight(8):
+            for mu in strict_subpartitions(lam):
+                sh = SkewShape(lam, mu)
+                assert sh.col_major == tuple(
+                    sorted(sh.boxes, key=lambda b: (b[1], b[0])))
+                assert boxes_in_order(sh) == list(sh.col_major)
+                assert len(sh.rows) == lam.length
+                assert sum(sh.rows, ()) == sh.row_major
+                for i, row in enumerate(sh.rows, start=1):
+                    assert row == tuple((i, j) for j in sh.row_cols(i))
+
     def test_total_order_is_permutation(self):
         for lam in strict_partitions_up_to_weight(8):
             sh = SkewShape(lam)

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
-                                   strict_partitions_up_to_weight)
+                                   strict_partitions_up_to_weight,
+                                   strict_subpartitions)
 from shifted_kschur.tableaux import (Filling, cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
                                      primed, validate, validate_single)
@@ -177,3 +179,97 @@ class TestFillingConstruction:
         cells[(1, 1)] = (7,)
         with pytest.raises(ValueError):
             Filling(shape_421, 3, "P", cells)
+
+
+def skew_shapes(max_weight):
+    for lam in strict_partitions_up_to_weight(max_weight):
+        for mu in strict_subpartitions(lam):
+            yield SkewShape(lam, mu)
+
+
+def same(f, g):
+    return f == g and f._key == g._key and hash(f) == hash(g)
+
+
+class TestTrustedConstruction:
+    def test_enumerated_fillings_equal_checked_rebuild(self):
+        built = 0
+        for shape in skew_shapes(6):
+            for n, family, kind in itertools.product((1, 2), "PQ", KINDS):
+                for f in enumerate_fillings(EnumSpec(shape, n, family, kind)):
+                    assert same(f, Filling(f.shape, f.n, f.family, f.cells))
+                    built += 1
+        assert built > 10000
+
+    def test_with_cell_sorts_and_checks(self, shape_421):
+        f = rows(shape_421, 3, "P", "1 1 1 2 | 2 2 | 3")
+        g = f.with_cell((1, 4), [5, 4])
+        assert g.cells[(1, 4)] == (4, 5)
+        assert same(g, Filling(g.shape, g.n, g.family, g.cells))
+        assert list(g.cells) == list(f.cells)
+        for box, cell in [((1, 4), ()), ((1, 4), (4, 4)), ((1, 4), (7,)),
+                          ((1, 4), (0,)), ((3, 4), (4,))]:
+            with pytest.raises(ValueError):
+                f.with_cell(box, cell)
+
+    def test_to_json_is_fresh(self, shape_421):
+        f = rows(shape_421, 3, "P", "1 1 1 2 | 2 2 | 3")
+        assert f.to_json() == f.to_json()
+        assert f.to_json()["shape"] is not f.to_json()["shape"]
+        assert shape_421.to_json()["boxes"] is not shape_421.to_json()["boxes"]
+
+
+def reference_rows(shape, n, family, rows_):
+    """Row parsing entry by entry through cell_from_strs, then Filling."""
+    cells = {}
+    for i, row in enumerate(rows_, start=1):
+        cols = list(shape.row_cols(i))
+        if len(cols) != len(row):
+            raise ValueError(f"row {i} needs {len(cols)} cells, got {len(row)}")
+        for j, cell in zip(cols, row):
+            cells[(i, j)] = cell_from_strs(cell)
+    return Filling(shape, n, family, cells)
+
+
+SHAPE_21 = SkewShape(StrictPartition((2, 1)))
+
+
+class TestRowParsing:
+    @pytest.mark.parametrize("first", [
+        [" 1"], ["1 "], ["1 '"], ["+1"], ["01"], ["2'", "1"], ["2", "1'", "1"],
+        ["1", "1"], ["1'", "1'", "2"], ["3"], ["0"], ["0'"], ["-1"], ["x"],
+        ["'"], [], ["2'"], ["1'", "2"]])
+    @pytest.mark.parametrize("family", ["P", "Q"])
+    def test_same_as_reference(self, first, family):
+        rows_ = [[first, ["2"]], [["2"]]]
+
+        def outcome(parse):
+            try:
+                return parse(SHAPE_21, 2, family, rows_)._key
+            except ValueError as exc:
+                return repr(exc)
+
+        assert outcome(filling_from_rows) == outcome(reference_rows)
+
+    def test_bad_family(self):
+        with pytest.raises(ValueError, match="family"):
+            filling_from_rows(SHAPE_21, 2, "R", [[["1"], ["2"]], [["2"]]])
+
+    def test_letters_beyond_the_table(self):
+        cells = [[["21'", "25"], ["25"]], [["30"]]]
+        assert filling_from_rows(SHAPE_21, 30, "Q", cells) == \
+            reference_rows(SHAPE_21, 30, "Q", cells)
+
+    def test_from_json_rejects_extra_cell_and_row(self):
+        shape = {"outer": [2, 1], "inner": []}
+        good = [[["1"], ["1"]], [["2"]]]
+        assert Filling.from_json({"shape": shape, "n": 2, "family": "P",
+                                  "rows": good}).cells[(2, 2)] == (4,)
+        extra_cell = [[["1"], ["1"], ["2"]], [["2"]]]
+        extra_row = [[["1"], ["1"]], [["2"]], [["1"]]]
+        for bad, why in [(extra_cell, "row 1 needs 2 cells, got 3"),
+                         (extra_row, "3 rows, want 2"),
+                         (good[:1], "1 rows, want 2")]:
+            with pytest.raises(ValueError, match=why):
+                Filling.from_json({"shape": shape, "n": 2, "family": "P",
+                                   "rows": bad})

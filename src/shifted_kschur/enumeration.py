@@ -92,8 +92,8 @@ def enumerate_fillings(spec: EnumSpec) -> Iterator[Filling]:
     def fill(k: int) -> Iterator[Filling]:
         if k == len(boxes):
             # row-major keys and sorted, in-range candidate cells: canonical
-            yield Filling._trusted(spec.shape, spec.n, spec.family,
-                                   dict(cells))
+            yield Filling(spec.shape, spec.n, spec.family, dict(cells),
+                          _trusted=True)
             return
         box = boxes[k]
         i, j = box

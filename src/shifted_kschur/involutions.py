@@ -55,7 +55,7 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
             row_primed.setdefault(i, set()).add(choice)
         else:
             col_unprimed.setdefault(j, set()).add(choice)
-    return Filling._trusted(shape, n, family, cells)
+    return Filling(shape, n, family, cells, _trusted=True)
 
 
 def iota(T: Filling, tmin: Filling | None = None) -> Filling:
@@ -74,7 +74,7 @@ def iota(T: Filling, tmin: Filling | None = None) -> Filling:
     have = set(T.cells[box])
     mincell = set(tmin.cells[box])
     new = have - mincell if have & mincell else have | mincell
-    return T.with_cell(box, tuple(sorted(new)))
+    return T.with_cell(box, new)
 
 
 class InvolutionReport(NamedTuple):
@@ -199,12 +199,6 @@ def _nu_states(mu: StrictPartition) -> list[NuSubsetState]:
             for mask in range(1 << len(rem))]
 
 
-def _element(nu: StrictPartition, T: Filling,
-             shape_json: dict | None = None) -> dict:
-    """A certificate element; ``shape_json`` is T.shape's JSON, if shared."""
-    return {"nu": list(nu.parts), "tableau": T.to_json(shape_json)}
-
-
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
                         family: str, minimal_only: bool = False,
                         max_boxes: int = 12) -> PairingCertificate:
@@ -228,7 +222,8 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     shape_json = {key: shape.to_json() for key, shape in shapes.items()}
 
     def element(s: NuSubsetState, T: Filling) -> dict:
-        return _element(shapes[s.chosen].inner, T, shape_json[s.chosen])
+        return {"nu": list(shapes[s.chosen].inner.parts),
+                "tableau": T.to_json(shape_json[s.chosen])}
 
     minimal = {key: minimal_tableau(shape, family, n)
                for key, shape in shapes.items()}

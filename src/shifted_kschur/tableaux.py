@@ -40,11 +40,6 @@ def cell_from_strs(entries) -> CellSet:
     return tuple(sorted(entry_from_str(e) for e in entries))
 
 
-# the entry strings of the first 20 letters, looked up before computing
-_STR_OF = {code: entry_str(code) for code in range(1, 41)}
-_CODE_OF = {text: code for code, text in _STR_OF.items()}
-
-
 def _check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ValueError(f"family must be P or Q, got {family!r}")
@@ -78,30 +73,25 @@ class Filling:
 
     __slots__ = ("shape", "n", "family", "cells", "_key")
 
-    def __init__(self, shape: SkewShape, n: int, family: str, cells: dict):
-        _check_family(family)
-        if set(cells) != shape.boxes:
-            raise ValueError("cells must cover exactly the boxes of the shape")
-        canonical = {}
-        for box in shape.row_major:
-            cell = tuple(sorted(cells[box]))
-            _check_cell(box, cell, n)
-            canonical[box] = cell
-        self._set(shape, n, family, canonical)
+    def __init__(self, shape: SkewShape, n: int, family: str, cells: dict,
+                 *, _trusted: bool = False):
+        """Check and canonicalize ``cells``; ValueError on a fault.
 
-    @classmethod
-    def _trusted(cls, shape: SkewShape, n: int, family: str,
-                 cells: dict) -> "Filling":
-        """A filling from cells that are canonical already; no checks.
-
-        For the package's own constructions only (enumerator leaves,
-        minimal tableaux, parsed and checked rows).
+        ``_trusted=True`` skips the checks and the sorting.  It is for the
+        package's own constructions whose cells are canonical already
+        (enumerator leaves, minimal tableaux, ``with_cell``, checked rows).
         """
-        self = object.__new__(cls)
-        self._set(shape, n, family, cells)
-        return self
-
-    def _set(self, shape: SkewShape, n: int, family: str, cells: dict):
+        if not _trusted:
+            _check_family(family)
+            if set(cells) != shape.boxes:
+                raise ValueError(
+                    "cells must cover exactly the boxes of the shape")
+            canonical = {}
+            for box in shape.row_major:
+                cell = tuple(sorted(cells[box]))
+                _check_cell(box, cell, n)
+                canonical[box] = cell
+            cells = canonical
         self.shape = shape
         self.n = n
         self.family = family
@@ -143,7 +133,7 @@ class Filling:
         _check_cell(box, cell, self.n)
         cells = dict(self.cells)
         cells[box] = cell
-        return Filling._trusted(self.shape, self.n, self.family, cells)
+        return Filling(self.shape, self.n, self.family, cells, _trusted=True)
 
     def to_json(self, shape_json: dict | None = None) -> dict:
         """The filling as JSON; ``shape_json`` is the shape's ``to_json()``.
@@ -152,13 +142,12 @@ class Filling:
         ``shape_json`` to share among them; by default each call builds
         its own.
         """
-        str_of = _STR_OF.get
         return {
             "shape": self.shape.to_json() if shape_json is None
             else shape_json,
             "n": self.n,
             "family": self.family,
-            "rows": [[[str_of(c) or entry_str(c) for c in self.cells[box]]
+            "rows": [[[entry_str(c) for c in self.cells[box]]
                       for box in row] for row in self.shape.rows],
         }
 
@@ -184,18 +173,16 @@ def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
     _check_family(family)
     if len(rows) != len(shape.rows):
         raise ValueError(f"{len(rows)} rows, want {len(shape.rows)}")
-    code_of = _CODE_OF.get
     cells = {}
     for i, (boxes, row) in enumerate(zip(shape.rows, rows), start=1):
         if len(boxes) != len(row):
             raise ValueError(f"row {i} needs {len(boxes)} cells, "
                              f"got {len(row)}")
         for box, strs in zip(boxes, row):
-            cell = tuple(sorted([code_of(e) or entry_from_str(e)
-                                 for e in strs]))
+            cell = cell_from_strs(strs)
             _check_cell(box, cell, n)
             cells[box] = cell
-    return Filling._trusted(shape, n, family, cells)
+    return Filling(shape, n, family, cells, _trusted=True)
 
 
 def validate(f: Filling) -> ValidationResult:

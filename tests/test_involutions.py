@@ -180,7 +180,6 @@ class TestPi:
 
 
 def _family_elements(lam, mu, n, family):
-    from shifted_kschur.involutions import _element
     from shifted_kschur.shapes import removable_boxes, remove_subset
     out = []
     rem = sorted(removable_boxes(mu))
@@ -188,7 +187,8 @@ def _family_elements(lam, mu, n, family):
         for chosen in itertools.combinations(rem, k):
             nu = remove_subset(mu, frozenset(chosen))
             spec = EnumSpec(SkewShape(lam, nu), n, family, "set-valued")
-            out.extend(_element(nu, T) for T in enumerate_fillings(spec))
+            out.extend({"nu": list(nu.parts), "tableau": T.to_json()}
+                       for T in enumerate_fillings(spec))
     return out
 
 

@@ -255,7 +255,7 @@ class TestRowParsing:
         with pytest.raises(ValueError, match="family"):
             filling_from_rows(SHAPE_21, 2, "R", [[["1"], ["2"]], [["2"]]])
 
-    def test_letters_beyond_the_table(self):
+    def test_multi_digit_letters(self):
         cells = [[["21'", "25"], ["25"]], [["30"]]]
         assert filling_from_rows(SHAPE_21, 30, "Q", cells) == \
             reference_rows(SHAPE_21, 30, "Q", cells)

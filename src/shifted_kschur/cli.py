@@ -17,8 +17,10 @@ from json.encoder import encode_basestring_ascii
 from . import enumeration, genfunc, involutions
 from .enumeration import EnumSpec
 from .genfunc import FunctionSpec
+from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, strict_subpartitions,
                      strict_partitions_up_to_weight)
+from .tableaux import FAMILIES
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -66,10 +68,8 @@ def cmd_special_value(args) -> int:
     got = genfunc.special_value(spec)
     print(got)
     if args.family in ("GP", "GQ"):
-        from .polyring import LaurentPoly
         expected = LaurentPoly.beta(args.n, shape.size)
     else:
-        from .polyring import LaurentPoly
         expected = (LaurentPoly.zero(args.n) if shape.inner
                     else LaurentPoly.beta(args.n, shape.outer.weight))
     return PASS if got == expected else FAIL
@@ -171,22 +171,23 @@ def cmd_verify_involution(args) -> int:
     if args.shape:
         shapes = [(_shape(args.shape), n, fam)
                   for n in range(1, args.max_n + 1)
-                  for fam in ("P", "Q")]
+                  for fam in FAMILIES]
     else:
         shapes = [(shape, n, fam)
                   for shape in _sweep_shapes(args.max_weight, skew=True)
                   for n in range(1, args.max_n + 1)
-                  for fam in ("P", "Q")]
+                  for fam in FAMILIES]
     for done, (shape, n, fam) in enumerate(shapes):
         if budget.exhausted():
             print(f"partial sweep: covered {done}/{len(shapes)} instances")
             break
-        spec = FunctionSpec("G" + fam, shape, n)
-        if not genfunc.parity_report(spec).count:
+        poly = genfunc.compute(FunctionSpec("G" + fam, shape, n))
+        if not poly:
             print(f"shape={shape} family={fam} n={n} empty")
             continue
         rep = involutions.verify_involution(shape, fam, n)
-        signed = genfunc.signed_count(spec)
+        # G at x = 1, b = -1 is the signed count, sum of (-1)^(|T| - #boxes)
+        signed = int(poly.eval_integers([1] * n, -1))
         ok = rep.ok and signed == 1
         print(f"shape={shape} family={fam} n={n} checked={rep.checked} "
               f"signed={signed} {'ok' if ok else 'FAIL'}")
@@ -200,7 +201,7 @@ def cmd_oracle_check(args) -> int:
         if shape.size > enumeration.ORACLE_MAX_BOXES:
             continue
         for n in range(1, min(args.max_n, enumeration.ORACLE_MAX_N) + 1):
-            for fam in ("P", "Q"):
+            for fam in FAMILIES:
                 for kind in ("single", "set-valued"):
                     spec = EnumSpec(shape, n, fam, kind)
                     fast = list(enumeration.enumerate_fillings(spec))
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p = sub.add_parser("enumerate", help="list or count tableaux")
-    add_common(p, ("P", "Q"))
+    add_common(p, FAMILIES)
     p.add_argument("--kind", choices=("single", "set-valued"),
                    default="set-valued")
     p.add_argument("--size-cap", type=int, default=None)
@@ -366,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("poly", help="compute a generating polynomial")
-    add_common(p, ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble"))
+    add_common(p, genfunc.FAMILIES)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("special-value",
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="pairing certificate for lam // mu")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--family", choices=("P", "Q"), default="P")
+    p.add_argument("--family", choices=FAMILIES, default="P")
     p.add_argument("-n", type=int, default=1)
     p.add_argument("--minimal-only", action="store_true")
     p.add_argument("--out", default=None)

@@ -8,12 +8,13 @@ over all subset assignments is provided for cross-validation.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .shapes import SkewShape, boxes_row_major
-from .tableaux import Filling, primed, validate_cells
+from .shapes import SkewShape
+from .tableaux import Filling, _check_family, primed, validate_cells
 
 KINDS = ("single", "set-valued")
 
@@ -30,8 +31,7 @@ class EnumSpec:
     size_cap: int | None = None
 
     def __post_init__(self):
-        if self.family not in ("P", "Q"):
-            raise ValueError(f"family must be P or Q, got {self.family!r}")
+        _check_family(self.family)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.kind not in KINDS:
@@ -43,29 +43,29 @@ class EnumSpec:
 def _candidate_cells(spec, box, cells, row_primed, col_unprimed):
     """Cell sets admissible at box given the partial filling, lex order.
 
+    ``cells`` holds the boxes before box in row-major order;
+    ``row_primed[i]`` and ``col_unprimed[j]`` (defaultdicts of sets) hold
+    the primed codes used in row i and the unprimed codes used in column j.
     Admissible codes are bounded below by the max of the left and top
     neighbors (weak; the equal-letter exclusions are exactly the row/column
     multiplicity rules), exclude primed letters already used in the row and
     unprimed letters already used in the column, and exclude primed letters
-    on the diagonal for family P.
+    on the diagonal for family P.  ``minimal_tableau`` takes the first cell.
     """
     i, j = box
     lo = 1
-    left = (i, j - 1)
-    if left in spec.shape:
-        lo = max(lo, cells[left][-1])
-    top = (i - 1, j)
-    if top in spec.shape:
-        lo = max(lo, cells[top][-1])
-    diagonal_p = spec.family == "P" and i == j
-    allowed = []
-    for code in range(lo, 2 * spec.n + 1):
-        if primed(code):
-            if diagonal_p or code in row_primed[i]:
-                continue
-        elif code in col_unprimed[j]:
-            continue
-        allowed.append(code)
+    left = cells.get((i, j - 1))
+    if left:
+        lo = left[-1]
+    top = cells.get((i - 1, j))
+    if top and top[-1] > lo:
+        lo = top[-1]
+    step = 1
+    if spec.family == "P" and i == j:
+        lo += lo & 1  # the even codes, unprimed letters only
+        step = 2
+    taken = row_primed[i] | col_unprimed[j]
+    allowed = [c for c in range(lo, 2 * spec.n + 1, step) if c not in taken]
     if spec.kind == "single":
         return [(c,) for c in allowed]
     budget = len(allowed)
@@ -82,11 +82,8 @@ def _candidate_cells(spec, box, cells, row_primed, col_unprimed):
 
 def enumerate_fillings(spec: EnumSpec) -> Iterator[Filling]:
     """Every valid filling exactly once, in canonical order."""
-    boxes = boxes_row_major(spec.shape)
-    row_primed = {i: set() for i in range(spec.shape.outer.length + 2)}
-    col_unprimed = {}
-    for (i, j) in boxes:
-        col_unprimed.setdefault(j, set())
+    boxes = spec.shape.row_major
+    row_primed, col_unprimed = defaultdict(set), defaultdict(set)
     cells: dict = {}
 
     def fill(k: int) -> Iterator[Filling]:
@@ -123,7 +120,7 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
     """
     if spec.shape.size > ORACLE_MAX_BOXES or spec.n > ORACLE_MAX_N:
         raise ValueError("oracle scale exceeded")
-    boxes = boxes_row_major(spec.shape)
+    boxes = spec.shape.row_major
     codes = range(1, 2 * spec.n + 1)
     if spec.kind == "single":
         pool = [(c,) for c in codes]

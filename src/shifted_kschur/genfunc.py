@@ -19,7 +19,8 @@ from typing import Iterator, NamedTuple
 from .enumeration import EnumSpec, enumerate_fillings
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, is_subpartition,
-                     remove_subset, removable_boxes, strict_subpartitions)
+                     remove_subset, removable_boxes, removable_subsets,
+                     strict_subpartitions)
 
 FAMILIES = ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")
 
@@ -152,9 +153,7 @@ def _nu_terms(mu: StrictPartition) -> Iterator[tuple[int, StrictPartition]]:
     if not mu:
         yield 0, mu
         return
-    rem = sorted(removable_boxes(mu))
-    for mask in range(1 << len(rem)):
-        B = {rem[k] for k in range(len(rem)) if mask >> k & 1}
+    for B in removable_subsets(mu):
         yield len(B), remove_subset(mu, B)
 
 

@@ -10,51 +10,37 @@ tableau family with no element left over.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .enumeration import EnumSpec, enumerate_fillings
+from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, parity_report
-from .shapes import (Box, SkewShape, StrictPartition, boxes_row_major,
-                     is_subpartition, removable_boxes, remove_subset)
-from .tableaux import Filling, filling_from_rows, primed, validate
+from .shapes import (Box, SkewShape, StrictPartition, is_subpartition,
+                     removable_boxes, removable_subsets, remove_subset)
+from .tableaux import FAMILIES, Filling, filling_from_rows, primed, validate
 
 
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     """The single-valued tableau minimizing the total numeric entry value.
 
-    Greedy row-major fill: each box takes the smallest entry code allowed
-    by its left and top neighbors, the row/column multiplicity rules, and
-    (family P) the unprimed-diagonal rule.
+    Greedy row-major fill: each box takes the first cell that the
+    enumerator's candidate rule allows there, and the walk never backs up.
+    The result is the first single-valued tableau ``enumerate_fillings``
+    yields, and the walk fails exactly when there is none.
     """
+    spec = EnumSpec(shape, n, family, "single")
+    row_primed, col_unprimed = defaultdict(set), defaultdict(set)
     cells: dict[Box, tuple[int, ...]] = {}
-    row_primed: dict[int, set[int]] = {}
-    col_unprimed: dict[int, set[int]] = {}
-    for box in boxes_row_major(shape):
+    for box in shape.row_major:
         i, j = box
-        lo = 1
-        if (i, j - 1) in shape:
-            lo = max(lo, cells[(i, j - 1)][-1])
-        if (i - 1, j) in shape:
-            lo = max(lo, cells[(i - 1, j)][-1])
-        choice = None
-        for code in range(lo, 2 * n + 1):
-            if primed(code):
-                if family == "P" and i == j:
-                    continue
-                if code in row_primed.get(i, ()):
-                    continue
-            elif code in col_unprimed.get(j, ()):
-                continue
-            choice = code
-            break
-        if choice is None:
+        candidates = _candidate_cells(spec, box, cells, row_primed,
+                                      col_unprimed)
+        if not candidates:
             raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")
-        cells[box] = (choice,)
-        if primed(choice):
-            row_primed.setdefault(i, set()).add(choice)
-        else:
-            col_unprimed.setdefault(j, set()).add(choice)
+        cells[box] = candidates[0]
+        code = candidates[0][0]
+        (row_primed[i] if primed(code) else col_unprimed[j]).add(code)
     return Filling(shape, n, family, cells, _trusted=True)
 
 
@@ -89,27 +75,46 @@ class InvolutionReport(NamedTuple):
         return not self.violations
 
 
-def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport:
-    """Exhaustively check the involution properties on one tableau set."""
-    tmin = minimal_tableau(shape, family, n)
-    violations = []
-    checked = 0
+def _iota_pairs(shape: SkewShape, family: str, n: int,
+                tmin: Filling) -> Iterator[tuple[Filling, Filling]]:
+    """(T, iota(T)) for the set-valued tableaux T of shape other than
+    ``tmin``, in enumeration order, skipping each T an earlier T mapped to."""
+    images: set[Filling] = set()
     for T in enumerate_fillings(EnumSpec(shape, n, family, "set-valued")):
         if T == tmin:
             continue
-        checked += 1
+        if T in images:
+            images.discard(T)
+            continue
         image = iota(T, tmin)
+        images.add(image)
+        yield T, image
+
+
+def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport:
+    """Exhaustively check the involution properties on one tableau set.
+
+    Each pair (T, iota(T)) is checked once, every property on every pair;
+    a pair that passes covers both its tableaux, so on success ``checked``
+    counts every non-minimal tableau.
+    """
+    tmin = minimal_tableau(shape, family, n)
+    violations = []
+    checked = 0
+    for T, image in _iota_pairs(shape, family, n, tmin):
+        before = len(violations)
         if not validate(image):
             violations.append(f"iota image of {T!r} is invalid")
-            continue
-        if image == T:
-            violations.append(f"iota fixes {T!r}")
-        if image == tmin:
-            violations.append(f"iota of {T!r} hits the minimal tableau")
-        if abs(image.size() - T.size()) != 1:
-            violations.append(f"iota of {T!r} changes |T| by != 1")
-        if iota(image, tmin) != T:
-            violations.append(f"iota is not an involution at {T!r}")
+        else:
+            if image == T:
+                violations.append(f"iota fixes {T!r}")
+            if abs(image.size() - T.size()) != 1:
+                violations.append(f"iota of {T!r} changes |T| by != 1")
+            if image == tmin:
+                violations.append(f"iota of {T!r} hits the minimal tableau")
+            elif iota(image, tmin) != T:
+                violations.append(f"iota is not an involution at {T!r}")
+        checked += 1 if len(violations) > before else 2
     return InvolutionReport(str(shape), family, n, checked, tuple(violations))
 
 
@@ -192,11 +197,8 @@ class PairingCertificate:
 
 
 def _nu_states(mu: StrictPartition) -> list[NuSubsetState]:
-    """One state per subset of Rem(mu), in bit-mask order of sorted Rem."""
-    rem = sorted(removable_boxes(mu))
-    return [NuSubsetState(mu, frozenset(rem[k] for k in range(len(rem))
-                                        if mask >> k & 1))
-            for mask in range(1 << len(rem))]
+    """One state per subset of Rem(mu), in ``removable_subsets`` order."""
+    return [NuSubsetState(mu, chosen) for chosen in removable_subsets(mu)]
 
 
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
@@ -240,13 +242,7 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
 
     for s in states:
         tmin = minimal[s.chosen]
-        seen = set()
-        spec = EnumSpec(shapes[s.chosen], n, family, "set-valued")
-        for T in enumerate_fillings(spec):
-            if T == tmin or T in seen:
-                continue
-            partner = iota(T, tmin)
-            seen.update({T, partner})
+        for T, partner in _iota_pairs(shapes[s.chosen], family, n, tmin):
             if partner == T or iota(partner, tmin) != T:
                 cert.leftover.append(element(s, T))
                 continue
@@ -294,7 +290,7 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     family, so the pairs prove that its signed sum is 0.
     """
     lam, mu, n, family = cert.lam, cert.mu, cert.n, cert.family
-    if family not in ("P", "Q") or type(n) is not int or n < 1:
+    if family not in FAMILIES or type(n) is not int or n < 1:
         return False, f"bad header: family={family!r} n={n!r}"
     if not mu or not is_subpartition(mu, lam):
         return False, "need a nonempty mu contained in lam"

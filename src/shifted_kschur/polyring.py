@@ -137,17 +137,19 @@ class LaurentPoly:
         xvals = list(xvals)
         if len(xvals) != self.nvars:
             raise ValueError(f"need {self.nvars} x-values, got {len(xvals)}")
-        total = Fraction(0)
+        # integer terms sum as ints; only b^-k terms need a Fraction
+        whole, part = 0, Fraction(0)
         for (xexp, bexp), c in self.terms.items():
             if bexp < 0 and bval == 0:
                 raise ZeroDivisionError(
                     "b = 0 with a negative b-exponent present")
-            term = Fraction(c)
             for v, e in zip(xvals, xexp):
-                term *= Fraction(v) ** e
-            term *= Fraction(bval) ** bexp
-            total += term
-        return total
+                c *= v ** e
+            if bexp >= 0:
+                whole += c * bval ** bexp
+            else:
+                part += Fraction(c, bval ** -bexp)
+        return part + whole
 
     # -- canonical text -------------------------------------------------
 

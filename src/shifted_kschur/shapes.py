@@ -94,7 +94,7 @@ class SkewShape:
 
     @cached_property
     def row_major(self) -> tuple[Box, ...]:
-        """The boxes row by row, left to right; see ``boxes_row_major``."""
+        """The boxes row by row, left to right (the enumeration fill order)."""
         return tuple(sorted(self.boxes))
 
     @cached_property
@@ -157,11 +157,6 @@ def boxes_in_order(shape: SkewShape) -> list[Box]:
     return list(shape.col_major)
 
 
-def boxes_row_major(shape: SkewShape) -> tuple[Box, ...]:
-    """All boxes row by row, left to right (the enumeration fill order)."""
-    return shape.row_major
-
-
 def removable_boxes(mu: StrictPartition) -> frozenset[Box]:
     """The last boxes of rows whose single removal leaves a strict partition."""
     if not mu:
@@ -174,6 +169,14 @@ def removable_boxes(mu: StrictPartition) -> frozenset[Box]:
         if (i == mu.length and row >= 1) or row - 1 > below:
             out.append((i, row + i - 1))
     return frozenset(out)
+
+
+def removable_subsets(mu: StrictPartition) -> list[frozenset[Box]]:
+    """Every subset of Rem(mu): subset k holds the boxes of sorted Rem(mu)
+    whose bit is set in k.  Certificates list inner shapes in this order."""
+    rem = sorted(removable_boxes(mu))
+    return [frozenset(box for k, box in enumerate(rem) if mask >> k & 1)
+            for mask in range(1 << len(rem))]
 
 
 def remove_subset(mu: StrictPartition, B) -> StrictPartition:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .shapes import Box, SkewShape, boxes_row_major
+from .shapes import Box, SkewShape
 
 CellSet = tuple[int, ...]  # strictly increasing entry codes, nonempty
 
@@ -201,7 +201,7 @@ def validate_cells(shape: SkewShape, family: str,
     (3) each primed letter appears at most once in each row;
     (4) family P only: diagonal cells contain unprimed entries only.
     """
-    boxes = boxes_row_major(shape)
+    boxes = shape.row_major
     inside = shape.boxes
     for box in boxes:
         i, j = box

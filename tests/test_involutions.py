@@ -47,8 +47,24 @@ class TestMinimalTableau:
             minimal_tableau(SkewShape(sp(2, 1)), "P", 1)
 
     def test_greedy_matches_exhaustive_minimum(self):
-        # the greedy fill must achieve the minimum total entry value and
-        # the unique minimum-size single tableau among all candidates
+        # the greedy fill is the first enumerated single-valued tableau,
+        # and it fails exactly when there is none
+        cases = 0
+        for lam in strict_partitions_up_to_weight(7):
+            for mu in strict_subpartitions(lam):
+                shape = SkewShape(lam, mu)
+                for family, n in itertools.product("PQ", (1, 2, 3)):
+                    spec = EnumSpec(shape, n, family, "single")
+                    first = next(iter(enumerate_fillings(spec)), None)
+                    try:
+                        tmin = minimal_tableau(shape, family, n)
+                    except ValueError:
+                        assert first is None, (lam, mu, family, n)
+                        continue
+                    assert tmin == first, (lam, mu, family, n)
+                    cases += 1
+        assert cases > 700
+        # it also achieves the minimum total entry value among all of them
         for lam in strict_partitions_up_to_weight(5):
             for mu in strict_subpartitions(lam):
                 shape = SkewShape(lam, mu)
@@ -65,6 +81,14 @@ class TestMinimalTableau:
                         return sum(sum((e + 1) // 2 for e in cell)
                                    for cell in t.cells.values())
                     assert total(tmin) == min(total(t) for t in singles)
+
+    def test_empty_staircase_fails_without_search(self):
+        # ten diagonal boxes need ten unprimed letters; the greedy walk
+        # stops at the first box with no candidate, where a backtracking
+        # search would walk the whole dead tree (minutes)
+        staircase = SkewShape(sp(*range(10, 0, -1)))
+        with pytest.raises(ValueError, match="empty tableau set"):
+            minimal_tableau(staircase, "P", 5)
 
     def test_greedy_fails_iff_empty(self):
         for lam in strict_partitions_up_to_weight(4):
@@ -146,6 +170,64 @@ class TestVerifyInvolution:
     def test_empty_shape_is_vacuous(self):
         rep = verify_involution(SkewShape(sp()), "P", 1)
         assert rep.ok and rep.checked == 0
+
+
+class TestFailureDetection:
+    """A broken iota must show in verify_involution and pairing_certificate.
+
+    Each test breaks iota at the second enumerated tableau of 3,1/1 (P,
+    n=2), or at its partner; the first is the minimal tableau, so the
+    second is never the image of an earlier one and its pair is walked
+    from it.
+    """
+
+    LAM, MU, N, FAMILY = sp(3, 1), sp(1), 2, "P"
+
+    def _break_iota(self, monkeypatch, broken):
+        """Patch iota to return broken(T) where that is not None, else the
+        true image; return the tableaux of lam/mu in enumeration order."""
+        real = iota
+
+        def patched(T, tmin=None):
+            other = broken(T)
+            return real(T, tmin) if other is None else other
+
+        monkeypatch.setattr("shifted_kschur.involutions.iota", patched)
+        shape = SkewShape(self.LAM, self.MU)
+        tableaux = list(enumerate_fillings(
+            EnumSpec(shape, self.N, self.FAMILY, "set-valued")))
+        assert tableaux[0] == minimal_tableau(shape, self.FAMILY, self.N)
+        return tableaux
+
+    def _violations(self):
+        rep = verify_involution(SkewShape(self.LAM, self.MU), self.FAMILY,
+                                self.N)
+        assert not rep.ok
+        cert = pairing_certificate(self.LAM, self.MU, self.N, self.FAMILY)
+        assert cert.leftover and not cert.complete
+        return " ".join(rep.violations)
+
+    def test_fixed_point(self, monkeypatch):
+        tableaux = self._break_iota(
+            monkeypatch, lambda T: T if T == tableaux[1] else None)
+        assert "iota fixes" in self._violations()
+
+    def test_not_an_involution(self, monkeypatch):
+        # the partner of the second tableau maps on to a third one
+        tableaux = self._break_iota(
+            monkeypatch, lambda T: third if T == partner else None)
+        partner = iota(tableaux[1])
+        third = next(T for T in tableaux[2:] if T != partner)
+        assert "not an involution" in self._violations()
+
+    def test_invalid_image(self, monkeypatch):
+        tableaux = self._break_iota(
+            monkeypatch, lambda T: bad if T == tableaux[1] else None)
+        # every box holds the largest unprimed letter: column 2 repeats it
+        bad = Filling(tableaux[1].shape, self.N, self.FAMILY,
+                      {box: (2 * self.N,) for box in tableaux[1].cells})
+        assert not validate(bad)
+        assert "is invalid" in self._violations()
 
 
 class TestPi:

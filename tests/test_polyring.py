@@ -107,6 +107,15 @@ class TestEval:
     def test_beta_power_at_one(self):
         assert LaurentPoly.beta(1, 7).eval_integers([0], 1) == 1
 
+    def test_matches_term_by_term_fractions(self):
+        p = LaurentPoly.parse("3*x1^2*x2*b^-1 - 2*x2^3*b^2 + 5 + x1*b^-3", 2)
+        for xs, b in (([2, -3], -2), ([1, 1], -1), ([0, 4], 3)):
+            want = sum(Fraction(c) * Fraction(xs[0]) ** x[0]
+                       * Fraction(xs[1]) ** x[1] * Fraction(b) ** e
+                       for (x, e), c in p.terms.items())
+            got = p.eval_integers(xs, b)
+            assert got == want and type(got) is Fraction, (xs, b)
+
     def test_negative_beta_exponent_needs_nonzero(self):
         p = LaurentPoly.beta(1, -2)
         assert p.eval_integers([3], 2) == Fraction(1, 4)

@@ -4,7 +4,8 @@ import pytest
 
 from shifted_kschur.shapes import (SkewShape, StrictPartition, boxes_in_order,
                                    is_subpartition, removable_boxes,
-                                   remove_subset, strict_partitions_of_weight,
+                                   removable_subsets, remove_subset,
+                                   strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 
@@ -167,6 +168,14 @@ class TestRemoveSubset:
                 for B in itertools.combinations(rem, r):
                     nu = remove_subset(mu, B)  # constructor raises if not strict
                     assert nu.weight == mu.weight - len(B)
+
+
+    def test_removable_subsets_in_bit_mask_order(self):
+        mu = sp(7, 5, 4, 2)  # Rem = (1, 7), (3, 6), (4, 5)
+        a, b, c = (1, 7), (3, 6), (4, 5)
+        assert removable_subsets(mu) == [
+            frozenset(), {a}, {b}, {a, b}, {c}, {a, c}, {b, c}, {a, b, c}]
+        assert removable_subsets(sp(1)) == [frozenset(), {(1, 1)}]
 
 
 class TestSubpartition:

@@ -6,8 +6,8 @@ exact sparse Laurent polynomials, and verifies their special-value,
 parity, vanishing, coproduct and pairing properties mechanically.
 """
 
-from .shapes import (Box, SkewShape, StrictPartition, boxes_in_order,
-                     is_subpartition, removable_boxes, remove_subset)
+from .shapes import (Box, SkewShape, StrictPartition, is_subpartition,
+                     removable_boxes, remove_subset)
 from .tableaux import Filling, ValidationResult, filling_from_rows, validate
 from .enumeration import EnumSpec, count, enumerate_fillings, naive_oracle
 from .polyring import LaurentPoly
@@ -19,8 +19,8 @@ from .involutions import (NuSubsetState, PairingCertificate, iota,
                           verify_involution)
 
 __all__ = [
-    "Box", "SkewShape", "StrictPartition", "boxes_in_order",
-    "is_subpartition", "removable_boxes", "remove_subset",
+    "Box", "SkewShape", "StrictPartition", "is_subpartition",
+    "removable_boxes", "remove_subset",
     "Filling", "ValidationResult", "filling_from_rows", "validate",
     "EnumSpec", "count", "enumerate_fillings", "naive_oracle",
     "LaurentPoly",

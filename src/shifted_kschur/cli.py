@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success (or a verified claim), 1 on a mathematical
-failure, 2 on a usage error or an infeasible-scale guard.  All output is
+failure, 2 on a usage error, an infeasible-scale guard, or a statement
+that does not apply to an empty tableau set.  All output is
 deterministic; sweeps emit one line per instance in canonical shape order.
 """
 
@@ -25,23 +26,9 @@ from .tableaux import FAMILIES
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-class Budget:
-    """Soft wall-clock limit for sweeps; None means unlimited."""
-
-    def __init__(self, seconds: float | None):
-        self.deadline = None if seconds is None else time.monotonic() + seconds
-
-    def exhausted(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-
-def _shape(text: str) -> SkewShape:
-    return SkewShape.parse(text)
-
-
 def cmd_enumerate(args) -> int:
-    spec = EnumSpec(_shape(args.shape), args.n, args.family, args.kind,
-                    args.size_cap)
+    spec = EnumSpec(SkewShape.parse(args.shape), args.n, args.family,
+                    args.kind, args.size_cap)
     if args.count_only:
         print(enumeration.count(spec))
         return PASS
@@ -54,7 +41,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    p = genfunc.compute(FunctionSpec(args.family, _shape(args.shape), args.n))
+    p = genfunc.compute(
+        FunctionSpec(args.family, SkewShape.parse(args.shape), args.n))
     if args.format == "jsonl":
         print(json.dumps(p.to_json(), sort_keys=True))
     else:
@@ -62,22 +50,38 @@ def cmd_poly(args) -> int:
     return PASS
 
 
+def _failed(statement: str, family: str, shape: SkewShape, n: int) -> int:
+    """FAIL for a special value off its claimed value, or USAGE when a
+    tableau set it sums over (lam/mu, or each lam/nu of the double-skew
+    expansion) is empty and the statement does not apply."""
+    nus = ([nu for _, nu in genfunc._nu_terms(shape.inner)]
+           if family.endswith("double") else [shape.inner])
+    for nu in nus:
+        skew = SkewShape(shape.outer, nu)
+        if not genfunc.compute(FunctionSpec(family[:2], skew, n)):
+            print(f"note: the tableau set of {skew} is empty; the "
+                  f"{statement} statement does not apply", file=sys.stderr)
+            return USAGE
+    return FAIL
+
+
 def cmd_special_value(args) -> int:
-    shape = _shape(args.shape)
-    spec = FunctionSpec(args.family, shape, args.n)
-    got = genfunc.special_value(spec)
+    shape = SkewShape.parse(args.shape)
+    got = genfunc.special_value(FunctionSpec(args.family, shape, args.n))
     print(got)
     if args.family in ("GP", "GQ"):
         expected = LaurentPoly.beta(args.n, shape.size)
     else:
         expected = (LaurentPoly.zero(args.n) if shape.inner
                     else LaurentPoly.beta(args.n, shape.outer.weight))
-    return PASS if got == expected else FAIL
+    if got == expected:
+        return PASS
+    return _failed("special-value", args.family, shape, args.n)
 
 
 def cmd_parity(args) -> int:
     report = genfunc.parity_report(
-        FunctionSpec(args.family, _shape(args.shape), args.n))
+        FunctionSpec(args.family, SkewShape.parse(args.shape), args.n))
     print(f"count={report.count} odd={'true' if report.is_odd else 'false'}")
     if not report.count:
         print("note: the tableau set is empty; the parity statement "
@@ -100,10 +104,10 @@ def cmd_double_skew(args) -> int:
         print("error: -n is required without --shortcut", file=sys.stderr)
         return USAGE
     family = "GQdouble" if args.family == "GQ" else "GPdouble"
-    got = genfunc.special_value(
-        FunctionSpec(family, SkewShape(lam, mu), args.n))
+    shape = SkewShape(lam, mu)
+    got = genfunc.special_value(FunctionSpec(family, shape, args.n))
     print(got)
-    return PASS if not got else FAIL
+    return PASS if not got else _failed("vanishing", family, shape, args.n)
 
 
 def _sweep_shapes(max_weight: int, skew: bool):
@@ -115,103 +119,104 @@ def _sweep_shapes(max_weight: int, skew: bool):
             yield SkewShape(lam, mu)
 
 
-def cmd_identity(args) -> int:
-    budget = Budget(args.time_budget)
+def _sweep(instances: list, check, time_budget: float | None = None) -> int:
+    """Print the line of ``check(*instance)`` for each instance in order.
+
+    ``check`` returns (line, verdict); a False verdict is a failure, and
+    None (an empty tableau set) is not.  With a time budget in seconds the
+    deadline is checked before each instance, and the sweep stops at the
+    cut with a line saying how many instances it covered.
+    """
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     failures = 0
-    done = total = 0
-    if args.check in ("beta-zero", "pq-factor"):
-        # pq-factor checks Q = 2^rows * P on straight shapes only
-        instances = [
-            (shape, n)
-            for shape in _sweep_shapes(args.max_weight, skew=args.skew)
-            if args.check == "beta-zero" or not shape.inner
-            for n in range(1, args.max_n + 1)
-        ]
-        total = len(instances)
-        for shape, n in instances:
-            if budget.exhausted():
-                break
-            if args.check == "beta-zero":
-                ok = True
-                for fam in ("GP", "GQ"):
-                    spec = FunctionSpec(fam, shape, n)
-                    base = genfunc.compute(
-                        FunctionSpec(fam[1], shape, n))
-                    ok = ok and genfunc.beta_zero(spec) == base
-            else:
-                p = genfunc.compute(FunctionSpec("P", shape, n))
-                q = genfunc.compute(FunctionSpec("Q", shape, n))
-                ok = q == p.scale(2 ** shape.outer.length)
-            done += 1
-            print(f"shape={shape} n={n} {'ok' if ok else 'FAIL'}")
-            failures += 0 if ok else 1
-    elif args.check == "coproduct":
-        lams = [l for l in strict_partitions_up_to_weight(args.max_weight) if l]
-        total = len(lams) * 4
-        for lam in lams:
-            for fam in ("P", "Q", "GP", "GQ"):
-                if budget.exhausted():
-                    break
-                rep = genfunc.coproduct_check(lam, args.nx, args.ny, fam)
-                done += 1
-                print(f"lambda={lam} family={fam} "
-                      f"{'ok' if rep.ok else 'FAIL residual=' + str(rep.residual)}")
-                failures += 0 if rep.ok else 1
-    else:
-        print(f"error: unknown check {args.check!r}", file=sys.stderr)
-        return USAGE
-    if total and done < total:
-        print(f"partial sweep: covered {done}/{total} instances")
+    for done, instance in enumerate(instances):
+        if deadline is not None and time.monotonic() >= deadline:
+            print(f"partial sweep: covered {done}/{len(instances)} instances")
+            break
+        line, verdict = check(*instance)
+        print(line)
+        failures += verdict is False
     return FAIL if failures else PASS
+
+
+def _beta_zero(shape: SkewShape, n: int) -> tuple[str, bool]:
+    ok = all(genfunc.beta_zero(FunctionSpec(fam, shape, n))
+             == genfunc.compute(FunctionSpec(fam[1], shape, n))
+             for fam in ("GP", "GQ"))
+    return f"shape={shape} n={n} {'ok' if ok else 'FAIL'}", ok
+
+
+def _pq_factor(shape: SkewShape, n: int) -> tuple[str, bool]:
+    p = genfunc.compute(FunctionSpec("P", shape, n))
+    q = genfunc.compute(FunctionSpec("Q", shape, n))
+    ok = q == p.scale(2 ** shape.outer.length)
+    return f"shape={shape} n={n} {'ok' if ok else 'FAIL'}", ok
+
+
+def _coproduct(lam: StrictPartition, nx: int, ny: int,
+               fam: str) -> tuple[str, bool]:
+    rep = genfunc.coproduct_check(lam, nx, ny, fam)
+    verdict = "ok" if rep.ok else f"FAIL residual={rep.residual}"
+    return f"lambda={lam} family={fam} {verdict}", rep.ok
+
+
+def cmd_identity(args) -> int:
+    if args.check == "coproduct":
+        instances = [(lam, args.nx, args.ny, fam)
+                     for lam in strict_partitions_up_to_weight(args.max_weight)
+                     if lam
+                     for fam in ("P", "Q", "GP", "GQ")]
+        return _sweep(instances, _coproduct, args.time_budget)
+    # Q = 2^rows * P is a statement about straight shapes only
+    skew = args.skew and args.check == "beta-zero"
+    instances = [(shape, n)
+                 for shape in _sweep_shapes(args.max_weight, skew)
+                 for n in range(1, args.max_n + 1)]
+    check = _beta_zero if args.check == "beta-zero" else _pq_factor
+    return _sweep(instances, check, args.time_budget)
+
+
+def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
+    poly = genfunc.compute(FunctionSpec("G" + fam, shape, n))
+    if not poly:
+        return f"shape={shape} family={fam} n={n} empty", None
+    rep = involutions.verify_involution(shape, fam, n)
+    # G at x = 1, b = -1 is the signed count, sum of (-1)^(|T| - #boxes)
+    signed = int(poly.eval_integers([1] * n, -1))
+    ok = rep.ok and signed == 1
+    return (f"shape={shape} family={fam} n={n} checked={rep.checked} "
+            f"signed={signed} {'ok' if ok else 'FAIL'}"), ok
 
 
 def cmd_verify_involution(args) -> int:
-    budget = Budget(args.time_budget)
-    failures = 0
-    if args.shape:
-        shapes = [(_shape(args.shape), n, fam)
-                  for n in range(1, args.max_n + 1)
-                  for fam in FAMILIES]
-    else:
-        shapes = [(shape, n, fam)
-                  for shape in _sweep_shapes(args.max_weight, skew=True)
-                  for n in range(1, args.max_n + 1)
-                  for fam in FAMILIES]
-    for done, (shape, n, fam) in enumerate(shapes):
-        if budget.exhausted():
-            print(f"partial sweep: covered {done}/{len(shapes)} instances")
-            break
-        poly = genfunc.compute(FunctionSpec("G" + fam, shape, n))
-        if not poly:
-            print(f"shape={shape} family={fam} n={n} empty")
-            continue
-        rep = involutions.verify_involution(shape, fam, n)
-        # G at x = 1, b = -1 is the signed count, sum of (-1)^(|T| - #boxes)
-        signed = int(poly.eval_integers([1] * n, -1))
-        ok = rep.ok and signed == 1
-        print(f"shape={shape} family={fam} n={n} checked={rep.checked} "
-              f"signed={signed} {'ok' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-    return FAIL if failures else PASS
+    shapes = ([SkewShape.parse(args.shape)] if args.shape
+              else _sweep_shapes(args.max_weight, skew=True))
+    instances = [(shape, n, fam)
+                 for shape in shapes
+                 for n in range(1, args.max_n + 1)
+                 for fam in FAMILIES]
+    return _sweep(instances, _involution, args.time_budget)
+
+
+def _oracle(shape: SkewShape, n: int, fam: str,
+            kind: str) -> tuple[str, bool]:
+    spec = EnumSpec(shape, n, fam, kind)
+    fast = list(enumeration.enumerate_fillings(spec))
+    slow = list(enumeration.naive_oracle(spec))
+    ok = sorted(f._key for f in fast) == sorted(f._key for f in slow)
+    return (f"shape={shape} n={n} family={fam} kind={kind} "
+            f"count={len(fast)} {'ok' if ok else 'FAIL'}"), ok
 
 
 def cmd_oracle_check(args) -> int:
-    failures = 0
-    for shape in _sweep_shapes(args.max_weight, skew=True):
-        if shape.size > enumeration.ORACLE_MAX_BOXES:
-            continue
-        for n in range(1, min(args.max_n, enumeration.ORACLE_MAX_N) + 1):
-            for fam in FAMILIES:
-                for kind in ("single", "set-valued"):
-                    spec = EnumSpec(shape, n, fam, kind)
-                    fast = list(enumeration.enumerate_fillings(spec))
-                    slow = list(enumeration.naive_oracle(spec))
-                    ok = sorted(f._key for f in fast) == \
-                        sorted(f._key for f in slow)
-                    print(f"shape={shape} n={n} family={fam} kind={kind} "
-                          f"count={len(fast)} {'ok' if ok else 'FAIL'}")
-                    failures += 0 if ok else 1
-    return FAIL if failures else PASS
+    max_n = min(args.max_n, enumeration.ORACLE_MAX_N)
+    instances = [(shape, n, fam, kind)
+                 for shape in _sweep_shapes(args.max_weight, skew=True)
+                 if shape.size <= enumeration.ORACLE_MAX_BOXES
+                 for n in range(1, max_n + 1)
+                 for fam in FAMILIES
+                 for kind in ("single", "set-valued")]
+    return _sweep(instances, _oracle)
 
 
 def cmd_pair(args) -> int:
@@ -249,8 +254,12 @@ def cmd_pair(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     if args.out:
-        with open(args.out, "w") as fh:
-            write_json(cert.to_json(), fh)
+        try:
+            with open(args.out, "w") as fh:
+                write_json(cert.to_json(), fh)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE
     print(f"pairs={len(cert.pairs)} leftover={len(cert.leftover)} "
           f"{'ok' if cert.complete else 'FAIL'}")
     return PASS if cert.complete else FAIL
@@ -350,16 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "polynomials, with built-in verification sweeps.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, family_choices, needs_n=True):
+    def add_common(p, family_choices, with_format=False):
         p.add_argument("--shape", required=True,
                        help="partition '4,2,1' or skew shape '6,4,1/4,2'")
         p.add_argument("--family", required=True, choices=family_choices)
-        if needs_n:
-            p.add_argument("-n", type=int, required=True)
-        p.add_argument("--format", choices=("text", "jsonl"), default="text")
+        p.add_argument("-n", type=int, required=True)
+        if with_format:
+            p.add_argument("--format", choices=("text", "jsonl"),
+                           default="text")
 
     p = sub.add_parser("enumerate", help="list or count tableaux")
-    add_common(p, FAMILIES)
+    add_common(p, FAMILIES, with_format=True)
     p.add_argument("--kind", choices=("single", "set-valued"),
                    default="set-valued")
     p.add_argument("--size-cap", type=int, default=None)
@@ -367,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("poly", help="compute a generating polynomial")
-    add_common(p, genfunc.FAMILIES)
+    add_common(p, genfunc.FAMILIES, with_format=True)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("special-value",

@@ -20,6 +20,9 @@ from .shapes import (Box, SkewShape, StrictPartition, is_subpartition,
                      removable_boxes, removable_subsets, remove_subset)
 from .tableaux import FAMILIES, Filling, filling_from_rows, primed, validate
 
+# a full certificate is built only while |lam/mu| + |Rem(mu)| stays within this
+PAIR_MAX_BOXES = 12
+
 
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     """The single-valued tableau minimizing the total numeric entry value.
@@ -202,8 +205,8 @@ def _nu_states(mu: StrictPartition) -> list[NuSubsetState]:
 
 
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
-                        family: str, minimal_only: bool = False,
-                        max_boxes: int = 12) -> PairingCertificate:
+                        family: str,
+                        minimal_only: bool = False) -> PairingCertificate:
     """Match every tableau of the double-skew family with a partner.
 
     Non-minimal tableaux pair with their involution image (tag "iota");
@@ -215,8 +218,8 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     """
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
-    rem = removable_boxes(mu)
-    if not minimal_only and lam.weight - mu.weight + len(rem) > max_boxes:
+    boxes = lam.weight - mu.weight + len(removable_boxes(mu))
+    if not minimal_only and boxes > PAIR_MAX_BOXES:
         raise ValueError("infeasible scale; use minimal_only")
     cert = PairingCertificate(lam, mu, n, family, minimal_only)
     states = _nu_states(mu)
@@ -249,31 +252,6 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
             cert.pairs.append(Pair(element(s, T), element(s, partner),
                                    "iota"))
     return cert
-
-
-def certificate_covers(cert: PairingCertificate,
-                       elements: list[dict]) -> tuple[bool, str | None]:
-    """Check that a certificate matches each given element exactly once."""
-    import json
-
-    def key(e):
-        return json.dumps(e, sort_keys=True)
-
-    seen: dict[str, int] = {}
-    for p in cert.pairs:
-        l, r = key(p.left), key(p.right)
-        if l == r:
-            return False, f"self-pair {l}"
-        seen[l] = seen.get(l, 0) + 1
-        seen[r] = seen.get(r, 0) + 1
-    want = {key(e) for e in elements}
-    if set(seen) != want:
-        return False, "paired elements differ from the enumerated family"
-    if any(v != 1 for v in seen.values()):
-        return False, "an element appears in more than one pair"
-    if cert.leftover:
-        return False, "nonempty leftover"
-    return True, None
 
 
 def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:

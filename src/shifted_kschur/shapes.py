@@ -43,12 +43,6 @@ class StrictPartition:
     def __bool__(self) -> bool:
         return bool(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __le__(self, other: "StrictPartition") -> bool:
-        return is_subpartition(self, other)
-
     @classmethod
     def parse(cls, text: str) -> "StrictPartition":
         """Parse a comma-separated list such as "4,2,1"; "" or "0" is empty."""
@@ -99,7 +93,8 @@ class SkewShape:
 
     @cached_property
     def col_major(self) -> tuple[Box, ...]:
-        """The boxes column by column, top first; see ``boxes_in_order``."""
+        """The boxes column by column, top of each column first: (i, j)
+        precedes (i~, j~) iff j < j~, or j == j~ and i < i~."""
         return tuple(sorted(self.boxes, key=lambda b: (b[1], b[0])))
 
     @cached_property
@@ -117,16 +112,9 @@ class SkewShape:
         """Columns occupied by row i (possibly empty)."""
         return range(self.inner.part(i) + i, self.outer.part(i) + i)
 
-    def __contains__(self, box: Box) -> bool:
-        return box in self.boxes
-
     @staticmethod
     def is_diagonal(box: Box) -> bool:
         return box[0] == box[1]
-
-    @property
-    def is_straight(self) -> bool:
-        return not self.inner
 
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
@@ -147,14 +135,6 @@ class SkewShape:
             "inner": list(self.inner.parts),
             "boxes": [[i, j] for (i, j) in self.col_major],
         }
-
-
-def boxes_in_order(shape: SkewShape) -> list[Box]:
-    """All boxes column by column, top of each column first.
-
-    (i, j) precedes (i~, j~) iff j < j~, or j == j~ and i < i~.
-    """
-    return list(shape.col_major)
 
 
 def removable_boxes(mu: StrictPartition) -> frozenset[Box]:

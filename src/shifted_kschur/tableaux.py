@@ -242,10 +242,3 @@ def validate_cells(shape: SkewShape, family: str,
                     False, f"primed entry on the diagonal at {box} (rule 4)")
     return ValidationResult(True, None)
 
-
-def validate_single(f: Filling) -> ValidationResult:
-    """Single-valued validity: validate plus one entry per cell."""
-    for box, cell in f.cells.items():
-        if len(cell) != 1:
-            return ValidationResult(False, f"cell {box} has {len(cell)} entries")
-    return validate(f)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shifted_kschur import genfunc
 from shifted_kschur.cli import main, write_json
 from shifted_kschur.involutions import pairing_certificate
+from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from tests.conftest import TAMPERS
@@ -34,6 +36,22 @@ class TestSpecialValue:
                            "--family", "GPdouble", "-n", "2")
         assert code == 0 and out.strip() == "0"
 
+    @pytest.mark.parametrize("shape,family,value", [
+        ("2,1", "GP", "0"), ("2,1/1", "GPdouble", "b^2")])
+    def test_empty_set_does_not_apply(self, capsys, shape, family, value):
+        code, out, err = run(capsys, "special-value", "--shape", shape,
+                             "--family", family, "-n", "1")
+        assert (code, out) == (2, value + "\n")
+        assert err == ("note: the tableau set of 2,1 is empty; the "
+                       "special-value statement does not apply\n")
+
+    def test_wrong_value_on_nonempty_set_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(genfunc, "special_value",
+                            lambda spec: LaurentPoly.zero(spec.n))
+        code, out, err = run(capsys, "special-value", "--shape", "4,2,1",
+                             "--family", "GP", "-n", "3")
+        assert (code, out, err) == (1, "0\n", "")
+
 
 class TestParity:
     def test_one_box(self, capsys):
@@ -51,6 +69,11 @@ class TestParity:
                              "--family", "GP", "-n", "1")
         assert code == 2 and out.strip() == "count=0 odd=false"
         assert "does not apply" in err
+
+    def test_format_is_not_an_option(self, capsys):
+        code, out, err = run(capsys, "parity", "--shape", "1",
+                             "--family", "GQ", "-n", "1", "--format", "jsonl")
+        assert code == 2 and not out and "--format" in err
 
 
 class TestDoubleSkew:
@@ -73,6 +96,14 @@ class TestDoubleSkew:
         code, _, err = run(capsys, "double-skew", "--lambda", "2,1",
                            "--mu", "1")
         assert code == 2 and "-n" in err
+
+    def test_empty_set_does_not_apply(self, capsys):
+        # lambda/nu for nu = mu minus its box is 2,1, with no tableau in n=1
+        code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
+                             "--mu", "1", "--family", "GP", "-n", "1")
+        assert (code, out) == (2, "b^2\n")
+        assert err == ("note: the tableau set of 2,1 is empty; the "
+                       "vanishing statement does not apply\n")
 
 
 class TestEnumerate:
@@ -138,6 +169,21 @@ class TestIdentity:
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run(capsys, "identity", "--check", "nonsense")
         assert code == 2
+
+    @pytest.mark.parametrize("check,total", [
+        ("beta-zero", 18), ("coproduct", 24)])
+    def test_budget_cut_reported(self, capsys, check, total):
+        code, out, _ = run(capsys, "identity", "--check", check,
+                           "--time-budget", "0")
+        assert (code, out) == (
+            0, f"partial sweep: covered 0/{total} instances\n")
+
+    def test_failing_check_fails_the_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(genfunc, "beta_zero",
+                            lambda spec: LaurentPoly.zero(spec.n))
+        code, out, _ = run(capsys, "identity", "--check", "beta-zero",
+                           "--max-weight", "2", "--max-n", "1")
+        assert (code, out) == (1, "shape=1 n=1 FAIL\nshape=2 n=1 FAIL\n")
 
 
 class TestVerifyInvolution:
@@ -250,6 +296,12 @@ class TestPair:
         code, out, err = run(capsys, *PAIR_21_1, "--check",
                              str(tmp_path / "absent.json"))
         assert code == 2 and not out and "error" in err
+
+    def test_out_into_missing_directory_is_usage_error(self, capsys,
+                                                       tmp_path):
+        code, out, err = run(capsys, *PAIR_21_1, "--out",
+                             str(tmp_path / "missing" / "c.json"))
+        assert code == 2 and not out and err.startswith("error: ")
 
     def test_out_bytes_equal_json_dumps(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

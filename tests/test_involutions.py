@@ -6,10 +6,9 @@ import pytest
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
 from shifted_kschur.involutions import (NuSubsetState, PairingCertificate,
                                         bottom_removable_box,
-                                        certificate_covers, check_certificate,
-                                        iota, minimal_tableau,
-                                        pairing_certificate, pi,
-                                        verify_involution)
+                                        check_certificate, iota,
+                                        minimal_tableau, pairing_certificate,
+                                        pi, verify_involution)
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
@@ -274,6 +273,29 @@ def _family_elements(lam, mu, n, family):
     return out
 
 
+def certificate_covers(cert, elements):
+    """Check that a certificate matches each given element exactly once."""
+
+    def key(e):
+        return json.dumps(e, sort_keys=True)
+
+    seen: dict[str, int] = {}
+    for p in cert.pairs:
+        l, r = key(p.left), key(p.right)
+        if l == r:
+            return False, f"self-pair {l}"
+        seen[l] = seen.get(l, 0) + 1
+        seen[r] = seen.get(r, 0) + 1
+    want = {key(e) for e in elements}
+    if set(seen) != want:
+        return False, "paired elements differ from the enumerated family"
+    if any(v != 1 for v in seen.values()):
+        return False, "an element appears in more than one pair"
+    if cert.leftover:
+        return False, "nonempty leftover"
+    return True, None
+
+
 class TestPairingCertificate:
     def test_small_complete(self):
         cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
@@ -300,9 +322,9 @@ class TestPairingCertificate:
             pairing_certificate(sp(2, 1), sp(), 2, "P")
 
     def test_scale_guard(self):
+        # 10 boxes plus 3 removable boxes of mu: one more than PAIR_MAX_BOXES
         with pytest.raises(ValueError, match="minimal_only"):
-            pairing_certificate(sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P",
-                                max_boxes=8)
+            pairing_certificate(sp(10, 8, 6, 4), sp(7, 5, 4, 2), 2, "P")
 
     def test_json_roundtrippable(self):
         cert = pairing_certificate(sp(2, 1), sp(1), 2, "Q")

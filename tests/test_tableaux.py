@@ -8,7 +8,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import (Filling, cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
-                                     primed, validate, validate_single)
+                                     primed, validate)
 from conftest import rows
 
 
@@ -35,7 +35,7 @@ class TestValidate:
 
     def test_reference_single_valued_examples_valid(self, single_valued_examples):
         for name, f in single_valued_examples.items():
-            assert validate_single(f), name
+            assert validate(f), name
 
     def test_rejected_repeated_unprimed_in_column(self, shape_421):
         bad = rows(shape_421, 3, "Q", "1' 1 2' 2 | 2 3 | 3")
@@ -113,7 +113,7 @@ def test_single_valued_cross_check():
         for f in _all_single_fillings(shape, 2):
             for family in ("P", "Q"):
                 g = Filling(shape, 2, family, f.cells)
-                assert bool(validate_single(g)) == _definition_single_check(g)
+                assert bool(validate(g)) == _definition_single_check(g)
 
 
 class TestWeightSizeMonomial:

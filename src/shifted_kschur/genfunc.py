@@ -3,24 +3,26 @@
 Polynomials are built letter by letter: the tableaux of lam/mu in x1..xk
 split by the shape nu their letters below k fill, so the sum is a
 recursion over strict shapes mu <= nu <= lam with one-letter factors (the
-coproduct with a single y-variable).  Folding the enumeration stream into a
-polynomial (``_tableau_sum``) is kept as the definition the engine is
-tested against.  The double-skew functions additionally sum over inner
-shapes obtained by deleting subsets of removable boxes, and the shortcut
-path evaluates that sum symbolically without touching any tableau.
+coproduct with a single y-variable).  Each one-letter factor comes from a
+per-row rule on the first box of each row, with no tableaux.  Folding the
+enumeration stream into a polynomial (``_tableau_sum``) is kept as the
+definition the engine and the rule are tested against.  The double-skew
+functions additionally sum over inner shapes obtained by deleting subsets
+of removable boxes, and the shortcut path evaluates that sum symbolically
+without touching any tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .enumeration import EnumSpec, enumerate_fillings
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, is_subpartition,
-                     remove_subset, removable_boxes, removable_subsets,
-                     strict_subpartitions)
+                     remove_subset, removable_subsets, strict_subpartitions)
 
 FAMILIES = ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")
 
@@ -63,13 +65,32 @@ def _tableau_sum(shape: SkewShape, n: int, family: str,
 @lru_cache(maxsize=1 << 14)
 def _one_letter(outer: tuple, inner: tuple, family: str,
                 kind: str) -> tuple[tuple[int, int, int], ...]:
-    """The tableau sum of outer/inner in one letter: (x-exp, b-exp, coeff)."""
-    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    p = _tableau_sum(shape, 1, family, kind)
-    return tuple((x[0], b, c) for (x, b), c in p.terms.items())
+    """The tableau sum of outer/inner in one letter: (x-exp, b-exp, coeff).
+
+    Rows increase weakly and hold 1' at most once, so 1' sits only in the
+    first box of a row; 1 appears at most once per column and a cell's max
+    is at most the min of the cell below, so a box holding 1 has no box below.
+    Hence every other box of a row holds {1}, and the sum is 0 if one of them
+    has a box below.  A row's first box holds {1'} unless it is diagonal and
+    the family is P, {1} if no box is below it, and {1',1} (set-valued only,
+    one more entry: x*b) when both hold.  The sum is x^|outer/inner| times the
+    product of these first-box polynomials.
+    """
+    rho = inner + (0,) * (len(outer) - len(inner))
+    free = 0  # rows whose first box may hold {1'} or {1}
+    for v, p, w in zip(outer, rho, outer[1:] + (0,)):
+        if w > p:
+            return ()  # a non-first box of this row has a box below
+        if v > p and (w < p or (p == 0 and family == "Q")):
+            free += 1
+    size = sum(outer) - sum(inner)
+    if kind == "single":
+        return ((size, 0, 1 << free),)
+    return tuple((size + j, j, comb(free, j) << (free - j))
+                 for j in range(free + 1))
 
 
-def _letter_factor(nu: tuple, rho: tuple, mu: StrictPartition, family: str,
+def _letter_factor(nu: tuple, rho: tuple, mu: tuple, family: str,
                    kind: str) -> dict:
     """The last letter's factor f(nu, rho), as {(x-exp, b-exp): coeff}.
 
@@ -81,16 +102,21 @@ def _letter_factor(nu: tuple, rho: tuple, mu: StrictPartition, family: str,
     out: dict = {}
     if not _one_letter(nu, rho, family, kind):
         return out  # a filling of nu/(rho - S) restricts to one of nu/rho
-    rho_p = StrictPartition(rho)
     corners = []
-    if kind == "set-valued" and rho:
-        corners = sorted(box for box in removable_boxes(rho_p)
-                         if rho_p.part(box[0]) > mu.part(box[0]))
+    if kind == "set-valued":
+        # row r of rho loses its last box and stays strict, outside mu
+        corners = [r for r, p in enumerate(rho)
+                   if (r + 1 == len(rho) or p - 1 > rho[r + 1])
+                   and p > (mu[r] if r < len(mu) else 0)]
     for mask in range(1 << len(corners)):
-        S = [box for k, box in enumerate(corners) if mask >> k & 1]
-        inner = remove_subset(rho_p, S).parts if S else rho
-        for x, b, c in _one_letter(nu, inner, family, kind):
-            key = (x, b + len(S))
+        inner = list(rho)  # rho - S, S the corners whose bit is set
+        for k, r in enumerate(corners):
+            inner[r] -= mask >> k & 1
+        if inner and not inner[-1]:
+            inner.pop()  # only the last row can empty
+        s = mask.bit_count()  # |S|
+        for x, b, c in _one_letter(nu, tuple(inner), family, kind):
+            key = (x, b + s)
             out[key] = out.get(key, 0) + c
     return out
 
@@ -119,7 +145,7 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
                 factor = factors.get((nu, rho))
                 if factor is None:
                     factor = factors[nu, rho] = _letter_factor(
-                        nu, rho, shape.inner, family, kind)
+                        nu, rho, mu, family, kind)
                 for (x, b), c in factor.items():
                     for (xexp, bexp), d in poly.items():
                         key = (xexp + (x,), bexp + b)

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shifted_kschur import genfunc
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
-from shifted_kschur.genfunc import (FunctionSpec, _branching_sum,
-                                    _tableau_sum, parity_report, signed_count)
+from shifted_kschur.genfunc import (FAMILIES, FunctionSpec, _branching_sum,
+                                    _one_letter, _tableau_sum, beta_zero,
+                                    compute, parity_report, signed_count,
+                                    special_value)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, strict_partitions_up_to_weight,
                                    strict_subpartitions)
@@ -83,3 +86,68 @@ def test_last_letter_avoids_corners_inside_mu(shape, n, family, want):
     got = _branching_sum(shape, n, family, "set-valued")
     assert got == LaurentPoly.parse(want, n)
     assert got == _tableau_sum(shape, n, family, "set-valued")
+
+
+def test_one_letter_equals_tableau_sum_exhaustive():
+    cases = 0
+    shapes = [SkewShape(nu, rho) for nu in strict_partitions_up_to_weight(12)
+              for rho in strict_subpartitions(nu)]  # the empty nu included
+    for shape in shapes:
+        nu, rho = shape.outer.parts, shape.inner.parts
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                want = _tableau_sum(shape, 1, family, kind)
+                got = LaurentPoly(1, {((x,), b): c for x, b, c
+                                      in _one_letter(nu, rho, family, kind)})
+                assert got == want, (str(shape), family, kind)
+                cases += 1
+    assert cases == 5244
+
+
+@pytest.mark.parametrize("nu, rho, family, want", [
+    # a P diagonal box holds no 1': {1} only
+    ((1,), (), "P", {(1, 0, 1)}),
+    ((1,), (), "Q", {(1, 0, 2), (2, 1, 1)}),
+    # box (1,2) of 2,1 is not first in its row and has (2,2) below
+    ((2, 1), (), "Q", set()),
+    ((4, 2), (1,), "P", set()),
+    # the first box (1,2) has (2,2) below: {1'} only; (2,2) is diagonal
+    ((3, 1), (1,), "P", {(3, 0, 1)}),
+    ((3, 1), (1,), "Q", {(3, 0, 2), (4, 1, 1)}),
+    # the first box (1,2) holds {1'}, {1} or {1',1}
+    ((2,), (1,), "P", {(1, 0, 2), (2, 1, 1)}),
+])
+def test_one_letter_hand_derived(nu, rho, family, want):
+    assert set(_one_letter(nu, rho, family, "set-valued")) == want
+
+
+# Small enough to enumerate; each family sums over several inner shapes.
+NO_ENUMERATION_CASES = [("3,1", 2), ("4,2,1", 2), ("4,2/1", 2),
+                        ("5,3,1/3,1", 2), ("3,2/2", 3), ("2,1/1", 1)]
+
+
+def test_polynomial_path_never_enumerates(monkeypatch):
+    specs = [FunctionSpec(family, SkewShape.parse(shape), n)
+             for shape, n in NO_ENUMERATION_CASES for family in FAMILIES]
+
+    def quantities():
+        out = []
+        for spec in specs:
+            out.append(compute(spec))
+            if spec.family.startswith("G"):
+                out.append(special_value(spec))
+            if spec.family in ("GP", "GQ"):
+                out += [parity_report(spec), signed_count(spec),
+                        beta_zero(spec)]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(genfunc, "_branching_sum", _tableau_sum)
+        want = quantities()
+    _one_letter.cache_clear()  # no factor cached by an earlier call counts
+
+    def refuse(spec):
+        raise AssertionError(f"enumerated {spec} on the polynomial path")
+
+    monkeypatch.setattr(genfunc, "enumerate_fillings", refuse)
+    assert quantities() == want

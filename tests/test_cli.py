@@ -105,6 +105,16 @@ class TestDoubleSkew:
         assert err == ("note: the tableau set of 2,1 is empty; the "
                        "vanishing statement does not apply\n")
 
+    @pytest.mark.parametrize("path", [("--shortcut",),
+                                      ("--family", "GP", "-n", "2")])
+    def test_empty_mu_does_not_apply(self, capsys, path):
+        # with mu empty the value is b^|lambda|, not a failure of vanishing
+        code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
+                             "--mu", "-", *path)
+        assert (code, out) == (2, "b^3\n")
+        assert err == ("note: mu is empty; the vanishing statement does "
+                       "not apply\n")
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):

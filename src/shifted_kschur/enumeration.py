@@ -2,8 +2,12 @@
 
 Boxes are filled row by row, left to right; candidate cell sets for a box
 are tried in lexicographic order of their entry codes, so the emitted
-sequence is canonical and deterministic.  A deliberately naive enumerator
-over all subset assignments is provided for cross-validation.
+sequence is canonical and deterministic.  The walk carries each tableau's
+weight and entry count |T| as it places and removes codes, so ``count`` and
+the generating-function definition (``genfunc._tableau_sum``) read them at
+the leaves without building a ``Filling``; ``enumerate_fillings`` builds
+one per leaf.  A deliberately naive enumerator over all subset assignments
+is provided for cross-validation.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .shapes import SkewShape
-from .tableaux import Filling, _check_family, primed, validate_cells
+from .tableaux import Filling, _check_family, validate_cells
 
 KINDS = ("single", "set-valued")
 
@@ -80,35 +84,52 @@ def _candidate_cells(spec, box, cells, row_primed, col_unprimed):
     return out
 
 
-def enumerate_fillings(spec: EnumSpec) -> Iterator[Filling]:
-    """Every valid filling exactly once, in canonical order."""
+def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
+    """The backtracking walk: ``(cells, counts, size)`` at each leaf.
+
+    ``cells`` maps the boxes to their cells in row-major order;
+    ``counts[k]`` is the number of entries with letter k + 1 (the weight)
+    and ``size`` the number of entries, |T|.  The walk adds a placed code
+    to its letter's count and removes it on backtrack, so ``cells`` and
+    ``counts`` are its own and hold only until the next step.
+    """
     boxes = spec.shape.row_major
     row_primed, col_unprimed = defaultdict(set), defaultdict(set)
     cells: dict = {}
+    counts = [0] * spec.n
 
-    def fill(k: int) -> Iterator[Filling]:
+    def fill(k: int, size: int) -> Iterator[tuple[dict, list, int]]:
         if k == len(boxes):
-            # row-major keys and sorted, in-range candidate cells: canonical
-            yield Filling(spec.shape, spec.n, spec.family, dict(cells),
-                          _trusted=True)
+            yield cells, counts, size
             return
         box = boxes[k]
         i, j = box
         for cell in _candidate_cells(spec, box, cells, row_primed, col_unprimed):
             cells[box] = cell
+            # code 2l - 1 is l' (odd: primed), 2l is l; letter l counts at l - 1
             for code in cell:
-                (row_primed[i] if primed(code) else col_unprimed[j]).add(code)
-            yield from fill(k + 1)
+                (row_primed[i] if code & 1 else col_unprimed[j]).add(code)
+                counts[(code - 1) >> 1] += 1
+            yield from fill(k + 1, size + len(cell))
             for code in cell:
-                (row_primed[i] if primed(code) else col_unprimed[j]).discard(code)
+                (row_primed[i] if code & 1 else col_unprimed[j]).discard(code)
+                counts[(code - 1) >> 1] -= 1
             del cells[box]
 
-    return fill(0)
+    return fill(0, 0)
+
+
+def enumerate_fillings(spec: EnumSpec) -> Iterator[Filling]:
+    """Every valid filling exactly once, in canonical order."""
+    shape, n, family = spec.shape, spec.n, spec.family
+    # row-major keys and sorted, in-range candidate cells: canonical
+    return (Filling(shape, n, family, dict(cells), _trusted=True)
+            for cells, _, _ in _leaves(spec))
 
 
 def count(spec: EnumSpec) -> int:
-    """Number of valid fillings, without materializing them."""
-    return sum(1 for _ in enumerate_fillings(spec))
+    """Number of valid fillings: the walk's leaves, no ``Filling`` built."""
+    return sum(1 for _ in _leaves(spec))
 
 
 def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:

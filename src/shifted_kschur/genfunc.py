@@ -5,10 +5,11 @@ split by the shape nu their letters below k fill, so the sum is a
 recursion over strict shapes mu <= nu <= lam with one-letter factors (the
 coproduct with a single y-variable).  Each one-letter factor comes from a
 per-row rule on the first box of each row, with no tableaux.  Folding the
-enumeration stream into a polynomial (``_tableau_sum``) is kept as the
-definition the engine and the rule are tested against.  The double-skew
-functions additionally sum over inner shapes obtained by deleting subsets
-of removable boxes, and the shortcut path evaluates that sum symbolically
+tableaux into a polynomial (``_tableau_sum``, which reads each weight and
+|T| off the leaves of the backtracking walk) is kept as the definition the
+engine and the rule are tested against.  The double-skew functions
+additionally sum over inner shapes obtained by deleting subsets of
+removable boxes, and the shortcut path evaluates that sum symbolically
 without touching any tableau.
 """
 
@@ -19,7 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .enumeration import EnumSpec, enumerate_fillings
+from .enumeration import EnumSpec, _leaves
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, is_subpartition,
                      remove_subset, removable_subsets, strict_subpartitions)
@@ -52,12 +53,15 @@ class FunctionSpec:
 
 def _tableau_sum(shape: SkewShape, n: int, family: str,
                  kind: str) -> LaurentPoly:
-    """The definition: each tableau adds x^weight * b^(|T| - #boxes)."""
-    spec = EnumSpec(shape, n, family, kind)
+    """The definition: each tableau adds x^weight * b^(|T| - #boxes).
+
+    The backtracking walk carries each tableau's weight and |T| to its
+    leaf, so the sum builds no ``Filling``.
+    """
     terms: dict = {}
     base = shape.size
-    for f in enumerate_fillings(spec):
-        key = (f.weight(), f.size() - base)
+    for _, counts, size in _leaves(EnumSpec(shape, n, family, kind)):
+        key = (tuple(counts), size - base)
         terms[key] = terms.get(key, 0) + 1
     return LaurentPoly(n, terms)
 
@@ -140,12 +144,13 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
         for nu in nus if k < n else [lam]:
             terms: dict = {}
             for rho, poly in level.items():
-                if len(rho) > len(nu) or any(r > v for r, v in zip(rho, nu)):
-                    continue
                 factor = factors.get((nu, rho))
-                if factor is None:
-                    factor = factors[nu, rho] = _letter_factor(
-                        nu, rho, mu, family, kind)
+                if factor is None:  # containment is decided once per pair
+                    contained = (len(rho) <= len(nu)
+                                 and all(r <= v for r, v in zip(rho, nu)))
+                    factor = factors[nu, rho] = (
+                        _letter_factor(nu, rho, mu, family, kind)
+                        if contained else {})
                 for (x, b), c in factor.items():
                     for (xexp, bexp), d in poly.items():
                         key = (xexp + (x,), bexp + b)

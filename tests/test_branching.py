@@ -10,15 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shifted_kschur import genfunc
-from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
+from shifted_kschur import enumeration, genfunc
+from shifted_kschur.enumeration import EnumSpec, count, enumerate_fillings
 from shifted_kschur.genfunc import (FAMILIES, FunctionSpec, _branching_sum,
                                     _one_letter, _tableau_sum, beta_zero,
-                                    compute, parity_report, signed_count,
-                                    special_value)
+                                    compute, coproduct_check, parity_report,
+                                    signed_count, special_value)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (SkewShape, strict_partitions_up_to_weight,
+from shifted_kschur.shapes import (SkewShape, StrictPartition,
+                                   strict_partitions_up_to_weight,
                                    strict_subpartitions)
+from shifted_kschur.tableaux import Filling
 
 KINDS = ("single", "set-valued")
 
@@ -40,6 +42,29 @@ def test_engine_equals_tableau_sum_exhaustive():
                     assert got == want, (str(shape), n, family, kind)
                     cases += 1
     assert cases == 960
+
+
+def test_walk_counts_equal_filling_fold_exhaustive():
+    # _tableau_sum and count read the weight and |T| the walk carries; the
+    # Filling statement of both is the oracle for those running counts.
+    cases = 0
+    for shape in skew_shapes(5):
+        for n in (1, 2, 3):
+            for family in ("P", "Q"):
+                for kind in KINDS:
+                    spec = EnumSpec(shape, n, family, kind)
+                    terms: dict = {}
+                    fillings = 0
+                    for f in enumerate_fillings(spec):
+                        key = (f.weight(), f.size() - shape.size)
+                        terms[key] = terms.get(key, 0) + 1
+                        fillings += 1
+                    case = (str(shape), n, family, kind)
+                    assert _tableau_sum(shape, n, family, kind) == \
+                        LaurentPoly(n, terms), case
+                    assert count(spec) == fillings, case
+                    cases += 1
+    assert cases == 540
 
 
 def test_parity_and_signed_count_equal_enumeration():
@@ -149,5 +174,25 @@ def test_polynomial_path_never_enumerates(monkeypatch):
     def refuse(spec):
         raise AssertionError(f"enumerated {spec} on the polynomial path")
 
-    monkeypatch.setattr(genfunc, "enumerate_fillings", refuse)
+    monkeypatch.setattr(genfunc, "_leaves", refuse)
+    monkeypatch.setattr(enumeration, "_leaves", refuse)  # enumerate_fillings
     assert quantities() == want
+
+
+def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch):
+    shape = SkewShape.parse("4,2/1")
+    want = [_branching_sum(shape, 3, family, kind)
+            for family in ("P", "Q") for kind in KINDS]
+    want_count = parity_report(FunctionSpec("GQ", shape, 3)).count
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Filling")
+
+    monkeypatch.setattr(enumeration, "Filling", refuse)
+    monkeypatch.setattr(Filling, "__init__", refuse)
+    assert [_tableau_sum(shape, 3, family, kind)
+            for family in ("P", "Q") for kind in KINDS] == want
+    assert count(EnumSpec(shape, 3, "Q")) == want_count
+    lam = StrictPartition.parse("3,1")
+    for family in ("P", "Q", "GP", "GQ"):
+        assert coproduct_check(lam, 1, 2, family).ok, family

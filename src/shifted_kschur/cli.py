@@ -20,8 +20,8 @@ from . import enumeration, genfunc, involutions
 from .enumeration import EnumSpec
 from .genfunc import FunctionSpec
 from .polyring import LaurentPoly
-from .shapes import (SkewShape, StrictPartition, strict_subpartitions,
-                     strict_partitions_up_to_weight)
+from .shapes import (SkewShape, StrictPartition, inner_shapes,
+                     strict_subpartitions, strict_partitions_up_to_weight)
 from .tableaux import FAMILIES
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -55,7 +55,7 @@ def _failed(statement: str, family: str, shape: SkewShape, n: int) -> int:
     """FAIL for a special value off its claimed value, or USAGE when a
     tableau set it sums over (lam/mu, or each lam/nu of the double-skew
     expansion) is empty and the statement does not apply."""
-    nus = ([nu for _, nu in genfunc._nu_terms(shape.inner)]
+    nus = ([nu for _, nu in inner_shapes(shape.inner)]
            if family.endswith("double") else [shape.inner])
     for nu in nus:
         skew = SkewShape(shape.outer, nu)
@@ -94,6 +94,7 @@ def cmd_parity(args) -> int:
 def cmd_double_skew(args) -> int:
     lam = StrictPartition.parse(args.lam)
     mu = StrictPartition.parse(args.mu)
+    shape = SkewShape(lam, mu)  # both paths reject mu outside lam
     if args.shortcut:
         result = genfunc.double_skew_shortcut(lam, mu)
         got = result.value
@@ -106,7 +107,6 @@ def cmd_double_skew(args) -> int:
         return USAGE
     else:
         family = "GQdouble" if args.family == "GQ" else "GPdouble"
-        shape = SkewShape(lam, mu)
         got = genfunc.special_value(FunctionSpec(family, shape, args.n))
         print(got)
     if not mu:

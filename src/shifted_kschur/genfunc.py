@@ -8,9 +8,9 @@ per-row rule on the first box of each row, with no tableaux.  Folding the
 tableaux into a polynomial (``_tableau_sum``, which reads each weight and
 |T| off the leaves of the backtracking walk) is kept as the definition the
 engine and the rule are tested against.  The double-skew functions
-additionally sum over inner shapes obtained by deleting subsets of
-removable boxes, and the shortcut path evaluates that sum symbolically
-without touching any tableau.
+additionally sum over the inner shapes of ``shapes.inner_shapes`` (mu minus
+a subset of its removable boxes), and the shortcut path evaluates that sum
+symbolically without touching any tableau.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .enumeration import EnumSpec, _leaves
 from .polyring import LaurentPoly
-from .shapes import (SkewShape, StrictPartition, is_subpartition,
-                     remove_subset, removable_subsets, strict_subpartitions)
+from .shapes import (SkewShape, StrictPartition, _corner_rows,
+                     _minus_corners, inner_shapes, is_subpartition,
+                     strict_subpartitions)
 
 FAMILIES = ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")
 
@@ -107,19 +108,11 @@ def _letter_factor(nu: tuple, rho: tuple, mu: tuple, family: str,
     if not _one_letter(nu, rho, family, kind):
         return out  # a filling of nu/(rho - S) restricts to one of nu/rho
     corners = []
-    if kind == "set-valued":
-        # row r of rho loses its last box and stays strict, outside mu
-        corners = [r for r, p in enumerate(rho)
-                   if (r + 1 == len(rho) or p - 1 > rho[r + 1])
-                   and p > (mu[r] if r < len(mu) else 0)]
-    for mask in range(1 << len(corners)):
-        inner = list(rho)  # rho - S, S the corners whose bit is set
-        for k, r in enumerate(corners):
-            inner[r] -= mask >> k & 1
-        if inner and not inner[-1]:
-            inner.pop()  # only the last row can empty
-        s = mask.bit_count()  # |S|
-        for x, b, c in _one_letter(nu, tuple(inner), family, kind):
+    if kind == "set-valued":  # the corners of rho outside mu
+        corners = [r for r in _corner_rows(rho)
+                   if rho[r] > (mu[r] if r < len(mu) else 0)]
+    for s, inner in _minus_corners(rho, corners):
+        for x, b, c in _one_letter(nu, inner, family, kind):
             key = (x, b + s)
             out[key] = out.get(key, 0) + c
     return out
@@ -167,25 +160,13 @@ def compute(spec: FunctionSpec) -> LaurentPoly:
     if fam in ("P", "Q", "GP", "GQ"):
         return _branching_sum(shape, n, spec.base_family, spec.kind)
     # double-skew: sum over inner shapes nu = mu minus a removable subset
-    lam, mu = shape.outer, shape.inner
-    if not is_subpartition(mu, lam):
-        return LaurentPoly.zero(n)
     terms: dict = {}
-    for b, nu in _nu_terms(mu):
-        skew = _branching_sum(SkewShape(lam, nu), n, spec.base_family,
+    for b, nu in inner_shapes(shape.inner):
+        skew = _branching_sum(SkewShape(shape.outer, nu), n, spec.base_family,
                               spec.kind)
         for (x, e), c in skew.terms.items():
             terms[x, e + b] = terms.get((x, e + b), 0) + c
     return LaurentPoly(n, terms)
-
-
-def _nu_terms(mu: StrictPartition) -> Iterator[tuple[int, StrictPartition]]:
-    """Pairs (|mu/nu|, nu) over all nu = mu minus a subset of Rem(mu)."""
-    if not mu:
-        yield 0, mu
-        return
-    for B in removable_subsets(mu):
-        yield len(B), remove_subset(mu, B)
 
 
 def beta_zero(spec: FunctionSpec) -> LaurentPoly:
@@ -237,9 +218,7 @@ def double_skew_shortcut(lam: StrictPartition,
         return DoubleSkewShortcut(LaurentPoly.zero(1), ())
     if not mu:
         return DoubleSkewShortcut(LaurentPoly.beta(1, lam.weight), ())
-    terms = []
-    for b, nu in _nu_terms(mu):
-        terms.append(NuTerm(nu, b, -1 if b % 2 else 1))
+    terms = [NuTerm(nu, b, -1 if b % 2 else 1) for b, nu in inner_shapes(mu)]
     terms.sort(key=lambda t: (t.removed, t.nu.parts))
     coeff = sum(t.sign for t in terms)  # of b^(|lam| - |mu|)
     value = LaurentPoly(1, {((0,), lam.weight - mu.weight): coeff})

@@ -4,8 +4,9 @@ The involution compares a set-valued tableau against the minimal tableau of
 its shape, finds the first box (in column-major order) where they differ,
 and either deletes the minimal cell's content from that box or inserts it.
 Pairing all non-minimal tableaux this way, and pairing minimal tableaux of
-neighboring inner shapes via the bottom-row toggle, covers the double-skew
-tableau family with no element left over.
+neighboring inner shapes via the bottom-row toggle ``shapes.pi``, covers
+the double-skew tableau family, over the inner shapes of
+``shapes.inner_shapes``, with no element left over.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, parity_report
-from .shapes import (Box, SkewShape, StrictPartition, is_subpartition,
-                     removable_boxes, removable_subsets, remove_subset)
+from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
+                     is_subpartition, pi, removable_boxes)
 from .tableaux import FAMILIES, Filling, filling_from_rows, primed, validate
 
 # a full certificate is built only while |lam/mu| + |Rem(mu)| stays within this
@@ -121,38 +122,6 @@ def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport
     return InvolutionReport(str(shape), family, n, checked, tuple(violations))
 
 
-@dataclass(frozen=True)
-class NuSubsetState:
-    """A subset of the removable boxes of mu, with the shrunk partition."""
-
-    base: StrictPartition
-    chosen: frozenset[Box] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "chosen", frozenset(self.chosen))
-        if not self.chosen <= removable_boxes(self.base):
-            raise ValueError("chosen boxes must be removable")
-
-    @property
-    def nu(self) -> StrictPartition:
-        return remove_subset(self.base, self.chosen)
-
-    @property
-    def b(self) -> int:
-        return len(self.chosen)
-
-
-def bottom_removable_box(mu: StrictPartition) -> Box:
-    """The removable box in the last row of mu (always present)."""
-    return (mu.length, mu.part(mu.length) + mu.length - 1)
-
-
-def pi(state: NuSubsetState) -> NuSubsetState:
-    """Toggle membership of the bottom-row removable box."""
-    corner = bottom_removable_box(state.base)
-    return NuSubsetState(state.base, state.chosen ^ {corner})
-
-
 class Pair(NamedTuple):
     left: dict
     right: dict
@@ -199,22 +168,17 @@ class PairingCertificate:
         return cert
 
 
-def _nu_states(mu: StrictPartition) -> list[NuSubsetState]:
-    """One state per subset of Rem(mu), in ``removable_subsets`` order."""
-    return [NuSubsetState(mu, chosen) for chosen in removable_subsets(mu)]
-
-
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
                         family: str,
                         minimal_only: bool = False) -> PairingCertificate:
     """Match every tableau of the double-skew family with a partner.
 
     Non-minimal tableaux pair with their involution image (tag "iota");
-    the minimal tableau of lam/nu pairs with the minimal tableau of the
-    inner shape reached by toggling the bottom-row removable box (tag
-    "pi").  With minimal_only=True only the pi pairs are produced, which
-    stays feasible for large shapes.  The elements of one nu share one
-    shape object, so treat them as read-only.
+    the minimal tableau of lam/nu pairs with the minimal tableau of
+    lam/pi(mu, nu), nu with mu's bottom removable box toggled (tag "pi").
+    With minimal_only=True only the pi pairs are produced, which stays
+    feasible for large shapes.  The elements of one nu share one shape
+    object, so treat them as read-only.
     """
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
@@ -222,34 +186,32 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     if not minimal_only and boxes > PAIR_MAX_BOXES:
         raise ValueError("infeasible scale; use minimal_only")
     cert = PairingCertificate(lam, mu, n, family, minimal_only)
-    states = _nu_states(mu)
-    shapes = {s.chosen: SkewShape(lam, s.nu) for s in states}
-    shape_json = {key: shape.to_json() for key, shape in shapes.items()}
+    shapes = {nu: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
+    shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
 
-    def element(s: NuSubsetState, T: Filling) -> dict:
-        return {"nu": list(shapes[s.chosen].inner.parts),
-                "tableau": T.to_json(shape_json[s.chosen])}
+    def element(nu: StrictPartition, T: Filling) -> dict:
+        return {"nu": list(nu.parts), "tableau": T.to_json(shape_json[nu])}
 
-    minimal = {key: minimal_tableau(shape, family, n)
-               for key, shape in shapes.items()}
+    minimal = {nu: minimal_tableau(shape, family, n)
+               for nu, shape in shapes.items()}
     done_pi = set()
-    for s in states:
-        if s.chosen in done_pi:
+    for nu in shapes:
+        if nu in done_pi:
             continue
-        t = pi(s)
-        cert.pairs.append(Pair(element(s, minimal[s.chosen]),
-                               element(t, minimal[t.chosen]), "pi"))
-        done_pi.update({s.chosen, t.chosen})
+        other = pi(mu, nu)
+        cert.pairs.append(Pair(element(nu, minimal[nu]),
+                               element(other, minimal[other]), "pi"))
+        done_pi.update({nu, other})
     if minimal_only:
         return cert
 
-    for s in states:
-        tmin = minimal[s.chosen]
-        for T, partner in _iota_pairs(shapes[s.chosen], family, n, tmin):
+    for nu, shape in shapes.items():
+        tmin = minimal[nu]
+        for T, partner in _iota_pairs(shape, family, n, tmin):
             if partner == T or iota(partner, tmin) != T:
-                cert.leftover.append(element(s, T))
+                cert.leftover.append(element(nu, T))
                 continue
-            cert.pairs.append(Pair(element(s, T), element(s, partner),
+            cert.pairs.append(Pair(element(nu, T), element(nu, partner),
                                    "iota"))
     return cert
 
@@ -272,8 +234,8 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
         return False, f"bad header: family={family!r} n={n!r}"
     if not mu or not is_subpartition(mu, lam):
         return False, "need a nonempty mu contained in lam"
-    state_of = {s.nu.parts: s for s in _nu_states(mu)}
-    shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in state_of}
+    removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
+    shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
     minimal: dict[tuple, Filling] = {}
 
@@ -308,7 +270,7 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
             if T in seen:
                 return False, f"pair {k}: element appears twice: {T!r}"
             seen.add(T)
-            signs.append((T.size() - T.shape.size + state_of[nu].b) % 2)
+            signs.append((T.size() - T.shape.size + removed[nu]) % 2)
             sides.append((nu, T))
         (nu_l, _), (nu_r, _) = sides
         if signs[0] == signs[1]:
@@ -316,7 +278,7 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
         if p.tag == "iota" and nu_l != nu_r:
             return False, f"pair {k}: iota pair across two inner shapes"
         if p.tag == "pi":
-            if pi(state_of[nu_l]) != state_of[nu_r]:
+            if pi(mu, shapes[nu_l].inner).parts != nu_r:
                 return False, (f"pair {k}: pi pair of inner shapes that do "
                                f"not differ by the bottom removable box")
             for nu, T in sides:

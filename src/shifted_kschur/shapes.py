@@ -2,6 +2,13 @@
 
 Boxes are (row, col) pairs with 1-based matrix coordinates: row increases
 downward, col increases to the right.  A box (i, j) is *diagonal* iff j == i.
+
+The removable-box rule is stated once, in ``_corner_rows``, and subsets of
+corners are removed in one loop, ``_minus_corners``.  On them rest the
+double-skew inner shapes nu = mu - B for B in Rem(mu) (``inner_shapes``,
+each with its weight exponent |mu/nu|), the toggle ``pi`` of mu's bottom
+removable box that pairs them, and the set-valued letter factors of
+``genfunc``, whose corners are those of a shape outside mu.
 """
 
 from __future__ import annotations
@@ -137,38 +144,51 @@ class SkewShape:
         }
 
 
+def _corner_rows(parts: tuple) -> list[int]:
+    """The 0-based rows whose last box can go and leave a strict partition:
+    a row longer than the next by two or more, or the last row, which may
+    vanish.  This is the one statement of the removable-box rule."""
+    last = len(parts) - 1
+    return [r for r, p in enumerate(parts)
+            if r == last or p - 1 > parts[r + 1]]
+
+
+def _minus_corners(parts: tuple,
+                   rows: list[int]) -> list[tuple[int, tuple]]:
+    """(|S|, parts - S) for every subset S of ``rows``, some of the corner
+    rows of parts: entry k drops the last box of the rows whose bit is set
+    in k, so the entries of each next row go after all earlier ones."""
+    out = [(0, parts)]
+    for r in rows:  # a part of 1 is the last row, which vanishes
+        out += [(s + 1, p[:r] + ((p[r] - 1,) if p[r] > 1 else ()) + p[r + 1:])
+                for s, p in out]
+    return out
+
+
 def removable_boxes(mu: StrictPartition) -> frozenset[Box]:
     """The last boxes of rows whose single removal leaves a strict partition."""
     if not mu:
         raise ValueError("no removable boxes of the empty partition")
-    out = []
-    for i in range(1, mu.length + 1):
-        row = mu.part(i)
-        below = mu.part(i + 1)
-        # shrinking row i by one must keep strictness; the last row may vanish
-        if (i == mu.length and row >= 1) or row - 1 > below:
-            out.append((i, row + i - 1))
-    return frozenset(out)
+    return frozenset((r + 1, mu.parts[r] + r) for r in _corner_rows(mu.parts))
 
 
-def removable_subsets(mu: StrictPartition) -> list[frozenset[Box]]:
-    """Every subset of Rem(mu): subset k holds the boxes of sorted Rem(mu)
-    whose bit is set in k.  Certificates list inner shapes in this order."""
-    rem = sorted(removable_boxes(mu))
-    return [frozenset(box for k, box in enumerate(rem) if mask >> k & 1)
-            for mask in range(1 << len(rem))]
+def inner_shapes(mu: StrictPartition) -> list[tuple[int, StrictPartition]]:
+    """(|mu/nu|, nu) for every nu = mu minus a subset B of Rem(mu): entry k
+    removes the boxes of sorted Rem(mu) whose bit is set in k.  These are
+    the double-skew inner shapes, in the order certificates list them; the
+    empty mu has the one inner shape (0, mu)."""
+    return [(s, StrictPartition(nu))
+            for s, nu in _minus_corners(mu.parts, _corner_rows(mu.parts))]
 
 
-def remove_subset(mu: StrictPartition, B) -> StrictPartition:
-    """Delete one box from each row touched by B, a subset of Rem(mu)."""
-    B = frozenset(B)
-    if not B <= removable_boxes(mu):
-        raise ValueError(f"{sorted(B)} is not a subset of Rem({mu})")
-    rows = {i for (i, _) in B}
-    parts = tuple(
-        p - 1 if i + 1 in rows else p for i, p in enumerate(mu.parts)
-    )
-    return StrictPartition(tuple(p for p in parts if p > 0))
+def pi(mu: StrictPartition, nu: StrictPartition) -> StrictPartition:
+    """The inner shape nu of the nonempty mu with mu's bottom removable box,
+    the last box of its last row, toggled: removed if nu has it, put back
+    if not."""
+    r = mu.length - 1
+    parts = list(nu.parts) + [0] * (mu.length - nu.length)
+    parts[r] += 1 if parts[r] < mu.parts[r] else -1
+    return StrictPartition(tuple(p for p in parts if p))
 
 
 def strict_partitions_of_weight(l: int) -> Iterator[StrictPartition]:

@@ -15,11 +15,11 @@ from shifted_kschur.enumeration import EnumSpec, enumerate_fillings, naive_oracl
 from shifted_kschur.genfunc import (FunctionSpec, beta_zero, compute,
                                     coproduct_check, double_skew_shortcut,
                                     parity_report, signed_count, special_value)
-from shifted_kschur.involutions import (NuSubsetState, iota, minimal_tableau,
-                                        pi, verify_involution)
+from shifted_kschur.involutions import (iota, minimal_tableau,
+                                        verify_involution)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
-                                   strict_partitions_up_to_weight,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
+                                   pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import validate
 from tests.conftest import rows
@@ -248,16 +248,15 @@ def test_criterion_10_worked_example_fixtures(shape_421, skew_6431_42,
         assert tmin_q == rows(off_diag, 5, "Q", "1' 1 | 1' 1 | 1' 2'")
         assert tmin_p.cells == tmin_q.cells
 
-        # the four pi arrows on subsets of the removable boxes of mu
+        # the four pi arrows on the inner shapes mu - B, B in Rem(mu)
         mu = StrictPartition((7, 5, 4, 2))
         corners = {(1, 7), (3, 6), (4, 5)}
+        removed = {nu: b for b, nu in inner_shapes(mu)}
+        assert len(removed) == 1 << len(corners)
         arrows = set()
-        for chosen in map(frozenset, itertools.chain.from_iterable(
-                itertools.combinations(sorted(corners), k)
-                for k in range(4))):
-            st = NuSubsetState(mu, chosen)
-            im = pi(st)
-            assert pi(im) == st and abs(im.b - st.b) == 1
-            arrows.add(frozenset({st.chosen, im.chosen}))
+        for nu, b in removed.items():
+            im = pi(mu, nu)
+            assert pi(mu, im) == nu and abs(removed[im] - b) == 1
+            arrows.add(frozenset({nu, im}))
         assert len(arrows) == 4
-        assert frozenset({frozenset(), frozenset({(4, 5)})}) in arrows
+        assert frozenset({mu, StrictPartition((7, 5, 4, 1))}) in arrows

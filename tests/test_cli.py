@@ -115,6 +115,15 @@ class TestDoubleSkew:
         assert err == ("note: mu is empty; the vanishing statement does "
                        "not apply\n")
 
+    @pytest.mark.parametrize("path", [("--shortcut",),
+                                      ("--family", "GP", "-n", "2")])
+    def test_mu_outside_lambda_is_usage_error(self, capsys, path):
+        # both paths reject the shape before printing a value
+        code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
+                             "--mu", "3", *path)
+        assert (code, out) == (2, "")
+        assert err == "error: 3 is not contained in 2,1\n"
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):

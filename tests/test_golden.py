@@ -82,6 +82,14 @@ EXTRA = {
         "821117b87a643a1813781e68aae350b90704c09fae1c0729119ed28536c56bce"),
     "kschur pair --lambda 4,3,1 --mu 3,1 --family Q -n 2 --check q.json": (
         0, CERT_OK, None),
+    # mu = 7,5,4,2 has three removable boxes: eight inner shapes, four pairs
+    "kschur pair --lambda 9,8,6,4 --mu 7,5,4,2 --family P -n 2 --minimal-only "
+    "--out three.json": (
+        0, OK.format(4),
+        "4eca8b482cac8acaf9fd7bfa639b0be67a6300d33f973211ad2fea4a83b70514"),
+    "kschur pair --lambda 9,8,6,4 --mu 7,5,4,2 --family P -n 2 --minimal-only "
+    "--check three.json": (
+        0, CERT_OK, None),
 }
 
 

@@ -4,13 +4,12 @@ import json
 import pytest
 
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
-from shifted_kschur.involutions import (NuSubsetState, PairingCertificate,
-                                        bottom_removable_box,
+from shifted_kschur.involutions import (PairingCertificate,
                                         check_certificate, iota,
                                         minimal_tableau, pairing_certificate,
-                                        pi, verify_involution)
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
-                                   strict_partitions_up_to_weight,
+                                        verify_involution)
+from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
+                                   pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling, validate
 from tests.conftest import TAMPERS, rows
@@ -231,45 +230,38 @@ class TestFailureDetection:
 
 class TestPi:
     def test_bottom_box(self):
-        assert bottom_removable_box(sp(7, 5, 4, 2)) == (4, 5)
-        assert bottom_removable_box(sp(1)) == (1, 1)
+        # pi of mu itself removes exactly mu's bottom removable box
+        for mu, box in ((sp(7, 5, 4, 2), (4, 5)), (sp(1), (1, 1))):
+            assert SkewShape(mu, pi(mu, mu)).boxes == {box}
 
     def test_involution_without_fixed_points(self):
-        for mu in strict_partitions_up_to_weight(6):
+        # on every inner shape of mu, and pi(mu, nu) is one too
+        for mu in strict_partitions_up_to_weight(8):
             if not mu:
                 continue
-            from shifted_kschur.shapes import removable_boxes
-            rem = sorted(removable_boxes(mu))
-            for k in range(len(rem) + 1):
-                for chosen in itertools.combinations(rem, k):
-                    st = NuSubsetState(mu, frozenset(chosen))
-                    im = pi(st)
-                    assert im != st
-                    assert pi(im) == st
-                    assert abs(im.b - st.b) == 1
+            removed = {nu: b for b, nu in inner_shapes(mu)}
+            for nu, b in removed.items():
+                im = pi(mu, nu)
+                assert im != nu
+                assert pi(mu, im) == nu
+                assert abs(removed[im] - b) == 1
 
     def test_flagship_example(self):
         mu = sp(7, 5, 4, 2)
-        st = NuSubsetState(mu)
-        im = pi(st)
-        assert im.nu == sp(7, 5, 4, 1)
-        assert im.b == 1
+        im = pi(mu, mu)
+        assert im == sp(7, 5, 4, 1)
+        assert mu.weight - im.weight == 1
 
     def test_single_part(self):
-        st = NuSubsetState(sp(1), frozenset({(1, 1)}))
-        assert pi(st).nu == sp(1) and pi(st).b == 0
+        assert pi(sp(1), sp()) == sp(1)
 
 
 def _family_elements(lam, mu, n, family):
-    from shifted_kschur.shapes import removable_boxes, remove_subset
     out = []
-    rem = sorted(removable_boxes(mu))
-    for k in range(len(rem) + 1):
-        for chosen in itertools.combinations(rem, k):
-            nu = remove_subset(mu, frozenset(chosen))
-            spec = EnumSpec(SkewShape(lam, nu), n, family, "set-valued")
-            out.extend({"nu": list(nu.parts), "tableau": T.to_json()}
-                       for T in enumerate_fillings(spec))
+    for _, nu in inner_shapes(mu):
+        spec = EnumSpec(SkewShape(lam, nu), n, family, "set-valued")
+        out.extend({"nu": list(nu.parts), "tableau": T.to_json()}
+                   for T in enumerate_fillings(spec))
     return out
 
 

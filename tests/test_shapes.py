@@ -1,10 +1,7 @@
-import itertools
-
 import pytest
 
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    is_subpartition, removable_boxes,
-                                   removable_subsets, remove_subset,
                                    strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
@@ -145,35 +142,41 @@ class TestRemovableBoxes:
 
 
 class TestRemoveSubset:
+    """``inner_shapes``: mu minus each subset of Rem(mu), with |mu/nu|."""
+
     def test_reference_example(self):
-        got = remove_subset(sp(7, 5, 4, 2), {(1, 7), (4, 5)})
-        assert got == sp(6, 5, 4, 1)
+        # bits 0 and 2 of Rem = (1, 7), (3, 6), (4, 5)
+        assert inner_shapes(sp(7, 5, 4, 2))[0b101] == (2, sp(6, 5, 4, 1))
 
     def test_identity_and_vanishing(self):
-        assert remove_subset(sp(7, 5, 4, 2), set()) == sp(7, 5, 4, 2)
-        assert remove_subset(sp(1), {(1, 1)}) == sp()
-
-    def test_rejects_non_removable(self):
-        with pytest.raises(ValueError):
-            remove_subset(sp(3, 2, 1), {(1, 3)})
+        assert inner_shapes(sp(7, 5, 4, 2))[0] == (0, sp(7, 5, 4, 2))
+        assert inner_shapes(sp(1))[1] == (1, sp())
+        assert inner_shapes(sp()) == [(0, sp())]
 
     def test_all_subsets_stay_strict(self):
+        # equal to deleting each subset of sorted Rem(mu) from the diagram,
+        # in bit-mask order; the constructor raises if a nu is not strict
         for mu in strict_partitions_up_to_weight(8):
             if not mu:
                 continue
             rem = sorted(removable_boxes(mu))
-            for r in range(len(rem) + 1):
-                for B in itertools.combinations(rem, r):
-                    nu = remove_subset(mu, B)  # constructor raises if not strict
-                    assert nu.weight == mu.weight - len(B)
-
+            want = []
+            for mask in range(1 << len(rem)):
+                B = {box for k, box in enumerate(rem) if mask >> k & 1}
+                rows = [sum(1 for (i, _) in SkewShape(mu).boxes - B if i == r)
+                        for r in range(1, mu.length + 1)]
+                want.append((len(B), StrictPartition(
+                    tuple(p for p in rows if p))))
+            assert inner_shapes(mu) == want, mu
 
     def test_removable_subsets_in_bit_mask_order(self):
-        mu = sp(7, 5, 4, 2)  # Rem = (1, 7), (3, 6), (4, 5)
-        a, b, c = (1, 7), (3, 6), (4, 5)
-        assert removable_subsets(mu) == [
-            frozenset(), {a}, {b}, {a, b}, {c}, {a, c}, {b, c}, {a, b, c}]
-        assert removable_subsets(sp(1)) == [frozenset(), {(1, 1)}]
+        # Rem = (1, 7), (3, 6), (4, 5): subset k removes the boxes whose
+        # bit is set in k
+        assert inner_shapes(sp(7, 5, 4, 2)) == [
+            (0, sp(7, 5, 4, 2)), (1, sp(6, 5, 4, 2)), (1, sp(7, 5, 3, 2)),
+            (2, sp(6, 5, 3, 2)), (1, sp(7, 5, 4, 1)), (2, sp(6, 5, 4, 1)),
+            (2, sp(7, 5, 3, 1)), (3, sp(6, 5, 3, 1))]
+        assert inner_shapes(sp(1)) == [(0, sp(1)), (1, sp())]
 
 
 class TestSubpartition:

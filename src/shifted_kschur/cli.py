@@ -59,7 +59,7 @@ def _failed(statement: str, family: str, shape: SkewShape, n: int) -> int:
            if family.endswith("double") else [shape.inner])
     for nu in nus:
         skew = SkewShape(shape.outer, nu)
-        if not genfunc.compute(FunctionSpec(family[:2], skew, n)):
+        if not genfunc.parity_report(FunctionSpec(family[:2], skew, n)).count:
             print(f"note: the tableau set of {skew} is empty; the "
                   f"{statement} statement does not apply", file=sys.stderr)
             return USAGE
@@ -187,12 +187,11 @@ def cmd_identity(args) -> int:
 
 
 def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
-    poly = genfunc.compute(FunctionSpec("G" + fam, shape, n))
-    if not poly:
+    spec = FunctionSpec("G" + fam, shape, n)
+    if not genfunc.parity_report(spec).count:
         return f"shape={shape} family={fam} n={n} empty", None
     rep = involutions.verify_involution(shape, fam, n)
-    # G at x = 1, b = -1 is the signed count, sum of (-1)^(|T| - #boxes)
-    signed = int(poly.eval_integers([1] * n, -1))
+    signed = genfunc.signed_count(spec)  # sum of (-1)^(|T| - #boxes)
     ok = rep.ok and signed == 1
     return (f"shape={shape} family={fam} n={n} checked={rep.checked} "
             f"signed={signed} {'ok' if ok else 'FAIL'}"), ok

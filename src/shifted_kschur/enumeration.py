@@ -2,18 +2,22 @@
 
 Boxes are filled row by row, left to right; candidate cell sets for a box
 are tried in lexicographic order of their entry codes, so the emitted
-sequence is canonical and deterministic.  The walk carries each tableau's
-weight and entry count |T| as it places and removes codes, so ``count`` and
-the generating-function definition (``genfunc._tableau_sum``) read them at
-the leaves without building a ``Filling``; ``enumerate_fillings`` builds
-one per leaf.  A deliberately naive enumerator over all subset assignments
-is provided for cross-validation.
+sequence is canonical and deterministic.  The walk keeps the primed codes
+of each row and the unprimed codes of each column as int bit masks, and
+reads a box's candidate cells, with their code bits and letters, from a
+table cached per (lowest code, step, 2n, taken mask, kind, size budget).
+It carries each tableau's weight and entry count |T| as it places and
+removes cells, so ``count`` and the generating-function definition
+(``genfunc._tableau_sum``) read them at the leaves without building a
+``Filling``; ``enumerate_fillings`` builds one per leaf.  A deliberately
+naive enumerator over all subset assignments is provided for
+cross-validation.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -48,13 +52,16 @@ def _candidate_cells(spec, box, cells, row_primed, col_unprimed):
     """Cell sets admissible at box given the partial filling, lex order.
 
     ``cells`` holds the boxes before box in row-major order;
-    ``row_primed[i]`` and ``col_unprimed[j]`` (defaultdicts of sets) hold
-    the primed codes used in row i and the unprimed codes used in column j.
-    Admissible codes are bounded below by the max of the left and top
-    neighbors (weak; the equal-letter exclusions are exactly the row/column
-    multiplicity rules), exclude primed letters already used in the row and
-    unprimed letters already used in the column, and exclude primed letters
-    on the diagonal for family P.  ``minimal_tableau`` takes the first cell.
+    ``row_primed[i]`` and ``col_unprimed[j]`` are bit masks (bit c for code
+    c) of the primed codes used in row i and the unprimed codes used in
+    column j.  Admissible codes are bounded below by the max of the left
+    and top neighbors (weak; the equal-letter exclusions are exactly the
+    row/column multiplicity rules), exclude primed letters already used in
+    the row and unprimed letters already used in the column, and exclude
+    primed letters on the diagonal for family P; a size cap bounds each
+    cell by what the boxes after it leave.  Each candidate comes from
+    ``_cell_table`` as (cell, primed bits, unprimed bits, letters);
+    ``minimal_tableau`` takes the first.
     """
     i, j = box
     lo = 1
@@ -68,20 +75,37 @@ def _candidate_cells(spec, box, cells, row_primed, col_unprimed):
     if spec.family == "P" and i == j:
         lo += lo & 1  # the even codes, unprimed letters only
         step = 2
-    taken = row_primed[i] | col_unprimed[j]
-    allowed = [c for c in range(lo, 2 * spec.n + 1, step) if c not in taken]
-    if spec.kind == "single":
-        return [(c,) for c in allowed]
-    budget = len(allowed)
-    if spec.size_cap is not None:
+    budget = None
+    if spec.size_cap is not None and spec.kind != "single":
         used = sum(len(c) for c in cells.values())
         remaining_boxes = spec.shape.size - len(cells) - 1
-        budget = min(budget, spec.size_cap - used - remaining_boxes)
+        budget = spec.size_cap - used - remaining_boxes
+    return _cell_table(lo, step, 2 * spec.n, row_primed[i] | col_unprimed[j],
+                       spec.kind, budget)
+
+
+@lru_cache(maxsize=1 << 10)
+def _cell_table(lo: int, step: int, top: int, taken: int, kind: str,
+                budget: int | None) -> tuple:
+    """The cells over codes lo, lo + step, ... <= top outside the bit mask
+    ``taken``: single codes, or nonempty sets of at most ``budget`` codes
+    (None: no bound), in lex order.  Each comes with the bits of its primed
+    (odd) and unprimed (even) codes and its letters, code 2l - 1 being l'
+    and 2l being l, letter l counting at l - 1."""
+    allowed = [c for c in range(lo, top + 1, step) if not taken >> c & 1]
+    if kind == "single":
+        cells = [(c,) for c in allowed]
+    else:
+        most = len(allowed) if budget is None else min(len(allowed), budget)
+        cells = sorted(cell for k in range(1, most + 1)
+                       for cell in combinations(allowed, k))
     out = []
-    for k in range(1, budget + 1):
-        out.extend(combinations(allowed, k))
-    out.sort()
-    return out
+    for cell in cells:
+        bits = [0, 0]  # unprimed, primed
+        for c in cell:
+            bits[c & 1] |= 1 << c
+        out.append((cell, bits[1], bits[0], tuple((c - 1) >> 1 for c in cell)))
+    return tuple(out)
 
 
 def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
@@ -89,12 +113,15 @@ def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
 
     ``cells`` maps the boxes to their cells in row-major order;
     ``counts[k]`` is the number of entries with letter k + 1 (the weight)
-    and ``size`` the number of entries, |T|.  The walk adds a placed code
-    to its letter's count and removes it on backtrack, so ``cells`` and
-    ``counts`` are its own and hold only until the next step.
+    and ``size`` the number of entries, |T|.  The walk adds a placed cell's
+    letters to the counts and its code bits to the row and column masks,
+    and takes them off on backtrack, so ``cells`` and ``counts`` are its
+    own and hold only until the next step.
     """
-    boxes = spec.shape.row_major
-    row_primed, col_unprimed = defaultdict(set), defaultdict(set)
+    shape = spec.shape
+    boxes = shape.row_major
+    row_primed = [0] * (shape.outer.length + 1)
+    col_unprimed = [0] * (shape.outer.part(1) + 1)
     cells: dict = {}
     counts = [0] * spec.n
 
@@ -104,16 +131,19 @@ def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
             return
         box = boxes[k]
         i, j = box
-        for cell in _candidate_cells(spec, box, cells, row_primed, col_unprimed):
+        for cell, primed, unprimed, letters in _candidate_cells(
+                spec, box, cells, row_primed, col_unprimed):
             cells[box] = cell
-            # code 2l - 1 is l' (odd: primed), 2l is l; letter l counts at l - 1
-            for code in cell:
-                (row_primed[i] if code & 1 else col_unprimed[j]).add(code)
-                counts[(code - 1) >> 1] += 1
+            # the cell's codes are outside both masks, so ^ sets and clears
+            row_primed[i] ^= primed
+            col_unprimed[j] ^= unprimed
+            for letter in letters:
+                counts[letter] += 1
             yield from fill(k + 1, size + len(cell))
-            for code in cell:
-                (row_primed[i] if code & 1 else col_unprimed[j]).discard(code)
-                counts[(code - 1) >> 1] -= 1
+            row_primed[i] ^= primed
+            col_unprimed[j] ^= unprimed
+            for letter in letters:
+                counts[letter] -= 1
             del cells[box]
 
     return fill(0, 0)

@@ -3,14 +3,20 @@
 Polynomials are built letter by letter: the tableaux of lam/mu in x1..xk
 split by the shape nu their letters below k fill, so the sum is a
 recursion over strict shapes mu <= nu <= lam with one-letter factors (the
-coproduct with a single y-variable).  Each one-letter factor comes from a
-per-row rule on the first box of each row, with no tableaux.  Folding the
-tableaux into a polynomial (``_tableau_sum``, which reads each weight and
-|T| off the leaves of the backtracking walk) is kept as the definition the
-engine and the rule are tested against.  The double-skew functions
-additionally sum over the inner shapes of ``shapes.inner_shapes`` (mu minus
-a subset of its removable boxes), and the shortcut path evaluates that sum
-symbolically without touching any tableau.
+coproduct with a single y-variable).  A step goes from rho only to the nu
+of ``shapes._strips_above`` (nu/rho a shifted horizontal strip, the only
+pairs with a nonzero factor), and each one-letter factor comes from a
+per-row rule on the first box of each row, with no tableaux.  The same
+recursion reads each factor through a fold: the identity fold builds the
+polynomial, and a point fold evaluates it at x = 1, b = +-1 as an int, so
+the count, the signed count and the special value (b^|lam/mu| times the
+signed count) build no polynomial.  Folding the tableaux into a
+polynomial (``_tableau_sum``, which reads each weight and |T| off the
+leaves of the backtracking walk) is kept as the definition the engine and
+the rule are tested against.  The double-skew functions additionally sum
+over the inner shapes of ``shapes.inner_shapes`` (mu minus a subset of its
+removable boxes), and the shortcut path evaluates that sum symbolically
+without touching any tableau.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from typing import NamedTuple
 from .enumeration import EnumSpec, _leaves
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, _corner_rows,
-                     _minus_corners, inner_shapes, is_subpartition,
-                     strict_subpartitions)
+                     _minus_corners, _strips_above, inner_shapes,
+                     is_subpartition, strict_subpartitions)
 
 FAMILIES = ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")
+K_FAMILIES = FAMILIES[2:]
 
 COPRODUCT_MAX_WEIGHT = 6
 
@@ -64,7 +71,7 @@ def _tableau_sum(shape: SkewShape, n: int, family: str,
     for _, counts, size in _leaves(EnumSpec(shape, n, family, kind)):
         key = (tuple(counts), size - base)
         terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(n, terms)
+    return LaurentPoly._trusted(n, terms)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -105,8 +112,6 @@ def _letter_factor(nu: tuple, rho: tuple, mu: tuple, family: str,
     one-letter sum of nu/(rho - S).  A corner inside mu holds no entries.
     """
     out: dict = {}
-    if not _one_letter(nu, rho, family, kind):
-        return out  # a filling of nu/(rho - S) restricts to one of nu/rho
     corners = []
     if kind == "set-valued":  # the corners of rho outside mu
         corners = [r for r in _corner_rows(rho)
@@ -118,40 +123,80 @@ def _letter_factor(nu: tuple, rho: tuple, mu: tuple, family: str,
     return out
 
 
-def _branching_sum(shape: SkewShape, n: int, family: str,
-                   kind: str) -> LaurentPoly:
+def _terms(terms: dict) -> dict:
+    """The identity fold: the level recursion builds the polynomial."""
+    return terms
+
+
+def _count(terms: dict) -> int:
+    """The point fold x = 1, b = 1 of {(x-exp, b-exp): coeff}: each
+    tableau counts once."""
+    return sum(terms.values())
+
+
+def _signed(terms: dict) -> int:
+    """The point fold x = 1, b = -1 of {(x-exp, b-exp): coeff}: each
+    tableau counts (-1)^(b-exp), that is (-1)^(|T| - #boxes)."""
+    return sum(-c if b & 1 else c for (_, b), c in terms.items())
+
+
+def _branching_sum(shape: SkewShape, n: int, family: str, kind: str,
+                   fold=_terms):
     """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
 
     Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
-    nu/mu in x1..xk: F_k(nu) = sum over mu <= rho <= nu of F_(k-1)(rho)
-    times the letter-k factor f(nu, rho), which is the same at every level
-    and so is computed once per call.
+    nu/mu in x1..xk: F_k(nu) = sum over rho of F_(k-1)(rho) times the
+    letter-k factor f(nu, rho).  The factor is nonzero only for the nu of
+    ``_strips_above(rho, lam)`` and is the same at every level, so each
+    rho's transitions are built once per call, and the last level keeps
+    nu = lam only.  ``fold`` reads each factor once: the identity fold
+    ``_terms`` gives the polynomial, and a point fold (``_count``,
+    ``_signed``) gives F(1,...,1 | b) as an int and builds no polynomial.
     """
     lam, mu = shape.outer.parts, shape.inner.parts
-    nus = [nu.parts for nu in strict_subpartitions(shape.outer)
-           if is_subpartition(shape.inner, nu)]
-    factors: dict = {}
-    level = {mu: {((), 0): 1}}
+    poly = fold is _terms
+    moves: dict = {}  # rho -> [(nu, folded f(nu, rho))], zeros left out
+    level = {mu: {((), 0): 1} if poly else 1}
     for k in range(1, n + 1):
-        nxt = {}
-        for nu in nus if k < n else [lam]:
-            terms: dict = {}
-            for rho, poly in level.items():
-                factor = factors.get((nu, rho))
-                if factor is None:  # containment is decided once per pair
-                    contained = (len(rho) <= len(nu)
-                                 and all(r <= v for r, v in zip(rho, nu)))
-                    factor = factors[nu, rho] = (
-                        _letter_factor(nu, rho, mu, family, kind)
-                        if contained else {})
+        nxt: dict = {}
+        for rho, value in level.items():
+            out = moves.get(rho)
+            if out is None:
+                out = moves[rho] = [
+                    (nu, f) for nu in _strips_above(rho, lam)
+                    if (f := fold(_letter_factor(nu, rho, mu, family, kind)))]
+            for nu, factor in out:
+                if k == n and nu != lam:
+                    continue
+                if not poly:
+                    nxt[nu] = nxt.get(nu, 0) + factor * value
+                    continue
+                terms = nxt.setdefault(nu, {})
                 for (x, b), c in factor.items():
-                    for (xexp, bexp), d in poly.items():
+                    for (xexp, bexp), d in value.items():
                         key = (xexp + (x,), bexp + b)
                         terms[key] = terms.get(key, 0) + c * d
-            if terms:
-                nxt[nu] = terms
-        level = nxt
-    return LaurentPoly(n, level.get(lam, {}))
+        level = {nu: v for nu, v in nxt.items() if v}  # b = -1 may cancel
+    if poly:  # every coefficient counts tableaux, so none is 0
+        return LaurentPoly._trusted(n, level.get(lam, {}))
+    return level.get(lam, 0)
+
+
+def _at(spec: FunctionSpec, fold) -> int:
+    """The family at x = 1 and the point fold's b, with no polynomial built.
+
+    A double-skew family is the sum over nu of b^|mu/nu| times the family
+    of lam/nu; the fold reads b^|mu/nu| as the one-term dict
+    {(0, |mu/nu|): 1}.
+    """
+    shape = spec.shape
+    parts = ([(b, SkewShape(shape.outer, nu))
+              for b, nu in inner_shapes(shape.inner)]
+             if spec.family.endswith("double") else [(0, shape)])
+    return sum(fold({(0, b): 1}) * _branching_sum(skew, spec.n,
+                                                  spec.base_family,
+                                                  spec.kind, fold)
+               for b, skew in parts)
 
 
 def compute(spec: FunctionSpec) -> LaurentPoly:
@@ -166,7 +211,7 @@ def compute(spec: FunctionSpec) -> LaurentPoly:
                               spec.kind)
         for (x, e), c in skew.terms.items():
             terms[x, e + b] = terms.get((x, e + b), 0) + c
-    return LaurentPoly(n, terms)
+    return LaurentPoly._trusted(n, terms)
 
 
 def beta_zero(spec: FunctionSpec) -> LaurentPoly:
@@ -181,18 +226,23 @@ def special_value(spec: FunctionSpec) -> LaurentPoly:
 
     The parameter flip must happen first: each term c*x^a*b^e becomes
     c*(-1)^e*x^a*b^-e and only then do the x's collapse onto b, yielding
-    c*(-1)^e*b^(|a|-e).
+    c*(-1)^e*b^(|a|-e).  Every term has |a| - e = |lam/mu| (an entry past
+    one per box adds one to both; the double-skew shift |mu/nu| cancels
+    against |lam/nu|), so the value is b^|lam/mu| times the signed count,
+    and no polynomial in x is built.
     """
-    if spec.family not in ("GP", "GQ", "GPdouble", "GQdouble"):
+    if spec.family not in K_FAMILIES:
         raise ValueError("special_value applies to the K-theoretic families")
-    return compute(spec).subst_beta_neg_inverse().subst_x_to_beta()
+    return LaurentPoly.beta(spec.n, spec.shape.size).scale(signed_count(spec))
 
 
 def signed_count(spec: FunctionSpec) -> int:
-    """Sum of (-1)^(|T| - #boxes) over all set-valued tableaux."""
-    if spec.family not in ("GP", "GQ"):
-        raise ValueError("signed_count applies to GP and GQ only")
-    return sum(-c if b % 2 else c for (_, b), c in compute(spec).terms.items())
+    """Sum of (-1)^(|T| - #boxes) over all set-valued tableaux, the family
+    at x = 1, b = -1.  In a double-skew family a tableau of lam/nu counts
+    (-1)^(|T| - |lam/nu| + |mu/nu|)."""
+    if spec.family not in K_FAMILIES:
+        raise ValueError("signed_count applies to the K-theoretic families")
+    return _at(spec, _signed)
 
 
 class NuTerm(NamedTuple):
@@ -212,10 +262,11 @@ def double_skew_shortcut(lam: StrictPartition,
 
     Each admissible nu contributes (-1/b)^|mu/nu| * b^|lam/nu|, which is
     (-1)^|mu/nu| * b^(|lam|-|mu|); the signs cancel pairwise whenever mu is
-    nonempty.  Returns 0 outright when mu is not contained in lam.
+    nonempty.  Raises ``ValueError`` when mu is not contained in lam, as
+    ``SkewShape`` does: there is no tableau family to vanish.
     """
     if not is_subpartition(mu, lam):
-        return DoubleSkewShortcut(LaurentPoly.zero(1), ())
+        raise ValueError(f"{mu} is not contained in {lam}")
     if not mu:
         return DoubleSkewShortcut(LaurentPoly.beta(1, lam.weight), ())
     terms = [NuTerm(nu, b, -1 if b % 2 else 1) for b, nu in inner_shapes(mu)]
@@ -266,7 +317,7 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
             for (xb, bb), cb in right.terms.items():
                 key = (xa + xb, ba + bb)
                 rhs[key] = rhs.get(key, 0) + ca * cb
-    rhs = LaurentPoly(total, rhs)
+    rhs = LaurentPoly._trusted(total, rhs)
     residual = lhs - rhs
     return CoproductReport(not residual, residual, lhs, rhs)
 
@@ -280,5 +331,5 @@ def parity_report(spec: FunctionSpec) -> ParityReport:
     """Count of the underlying set-valued tableau set with its parity."""
     if spec.family not in ("GP", "GQ"):
         raise ValueError("parity_report applies to GP and GQ only")
-    c = sum(compute(spec).terms.values())
+    c = _at(spec, _count)
     return ParityReport(c, c % 2 == 1)

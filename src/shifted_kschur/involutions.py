@@ -11,7 +11,6 @@ the double-skew tableau family, over the inner shapes of
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -19,7 +18,7 @@ from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, parity_report
 from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
                      is_subpartition, pi, removable_boxes)
-from .tableaux import FAMILIES, Filling, filling_from_rows, primed, validate
+from .tableaux import FAMILIES, Filling, filling_from_rows, validate
 
 # a full certificate is built only while |lam/mu| + |Rem(mu)| stays within this
 PAIR_MAX_BOXES = 12
@@ -34,7 +33,8 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     yields, and the walk fails exactly when there is none.
     """
     spec = EnumSpec(shape, n, family, "single")
-    row_primed, col_unprimed = defaultdict(set), defaultdict(set)
+    row_primed = [0] * (shape.outer.length + 1)
+    col_unprimed = [0] * (shape.outer.part(1) + 1)
     cells: dict[Box, tuple[int, ...]] = {}
     for box in shape.row_major:
         i, j = box
@@ -42,9 +42,9 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
                                       col_unprimed)
         if not candidates:
             raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")
-        cells[box] = candidates[0]
-        code = candidates[0][0]
-        (row_primed[i] if primed(code) else col_unprimed[j]).add(code)
+        cells[box], primed_bits, unprimed_bits, _ = candidates[0]
+        row_primed[i] |= primed_bits
+        col_unprimed[j] |= unprimed_bits
     return Filling(shape, n, family, cells, _trusted=True)
 
 

@@ -35,6 +35,17 @@ class LaurentPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars: int,
+                 terms: dict[MonomialKey, int]) -> "LaurentPoly":
+        """The polynomial of a term dict taken as is, with no check: the
+        caller guarantees nonzero coefficients and x-exponent tuples of
+        length nvars with no negative entry, and hands the dict over."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
         return cls(nvars)
 

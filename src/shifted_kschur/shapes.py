@@ -8,7 +8,10 @@ corners are removed in one loop, ``_minus_corners``.  On them rest the
 double-skew inner shapes nu = mu - B for B in Rem(mu) (``inner_shapes``,
 each with its weight exponent |mu/nu|), the toggle ``pi`` of mu's bottom
 removable box that pairs them, and the set-valued letter factors of
-``genfunc``, whose corners are those of a shape outside mu.
+``genfunc``, whose corners are those of a shape outside mu.  Beside it the
+interlacing rule, nu_(r+1) <= rho_r <= nu_r, is stated once, in
+``_strips_above``: the shapes nu one more letter can fill rho out to, which
+are the transitions of ``genfunc``'s level recursion.
 """
 
 from __future__ import annotations
@@ -163,6 +166,22 @@ def _minus_corners(parts: tuple,
         out += [(s + 1, p[:r] + ((p[r] - 1,) if p[r] > 1 else ()) + p[r + 1:])
                 for s, p in out]
     return out
+
+
+def _strips_above(rho: tuple, lam: tuple) -> list[tuple]:
+    """Every strict nu inside lam with nu/rho a shifted horizontal strip:
+    nu_(r+1) <= rho_r <= nu_r in every row r, rho zero-padded (rho inside
+    lam).  This is the one statement of the interlacing rule: one letter
+    fills nu/rho only for these nu, so they are the level recursion's
+    transitions.  Row r of nu lies in [rho_r, min(lam_r, rho_(r-1))] and
+    below nu_(r-1); only row len(rho) may be 0, and then nu ends there."""
+    nus = [()]
+    for r in range(min(len(rho) + 1, len(lam))):
+        lo = rho[r] if r < len(rho) else 0
+        top = lam[r] if r == 0 else min(lam[r], rho[r - 1])
+        nus = [nu + (p,) if p else nu for nu in nus
+               for p in range(lo, min(top, nu[r - 1] - 1 if r else top) + 1)]
+    return nus
 
 
 def removable_boxes(mu: StrictPartition) -> frozenset[Box]:

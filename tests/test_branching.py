@@ -10,14 +10,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shifted_kschur import enumeration, genfunc
+from shifted_kschur import cli, enumeration, genfunc, involutions
 from shifted_kschur.enumeration import EnumSpec, count, enumerate_fillings
-from shifted_kschur.genfunc import (FAMILIES, FunctionSpec, _branching_sum,
-                                    _one_letter, _tableau_sum, beta_zero,
-                                    compute, coproduct_check, parity_report,
+from shifted_kschur.genfunc import (FAMILIES, K_FAMILIES, FunctionSpec, _at,
+                                    _branching_sum, _count, _letter_factor,
+                                    _one_letter, _signed, _tableau_sum,
+                                    _terms, beta_zero, compute,
+                                    coproduct_check, parity_report,
                                     signed_count, special_value)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _strips_above,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling
@@ -151,6 +153,17 @@ NO_ENUMERATION_CASES = [("3,1", 2), ("4,2,1", 2), ("4,2/1", 2),
                         ("5,3,1/3,1", 2), ("3,2/2", 3), ("2,1/1", 1)]
 
 
+def _enumerated(shape, n, family, kind, fold=_terms):
+    """``_branching_sum`` from the definition: the enumerated polynomial,
+    read through the fold."""
+    poly = _tableau_sum(shape, n, family, kind)
+    return poly if fold is _terms else fold(poly.terms)
+
+
+def _no_verdict(shape, family, n):
+    return involutions.InvolutionReport(str(shape), family, n, 0, ())
+
+
 def test_polynomial_path_never_enumerates(monkeypatch):
     specs = [FunctionSpec(family, SkewShape.parse(shape), n)
              for shape, n in NO_ENUMERATION_CASES for family in FAMILIES]
@@ -159,15 +172,20 @@ def test_polynomial_path_never_enumerates(monkeypatch):
         out = []
         for spec in specs:
             out.append(compute(spec))
-            if spec.family.startswith("G"):
-                out.append(special_value(spec))
+            if spec.family in K_FAMILIES:
+                out += [special_value(spec), signed_count(spec)]
+                out.append(cli._failed("special-value", spec.family,
+                                       spec.shape, spec.n))
             if spec.family in ("GP", "GQ"):
-                out += [parity_report(spec), signed_count(spec),
-                        beta_zero(spec)]
+                out += [parity_report(spec), beta_zero(spec),
+                        cli._involution(spec.shape, spec.n, spec.family[1])]
         return out
 
+    # the involution check enumerates on purpose; the rest of the line,
+    # the emptiness test and the signed count, must not
+    monkeypatch.setattr(involutions, "verify_involution", _no_verdict)
     with monkeypatch.context() as m:
-        m.setattr(genfunc, "_branching_sum", _tableau_sum)
+        m.setattr(genfunc, "_branching_sum", _enumerated)
         want = quantities()
     _one_letter.cache_clear()  # no factor cached by an earlier call counts
 
@@ -177,6 +195,79 @@ def test_polynomial_path_never_enumerates(monkeypatch):
     monkeypatch.setattr(genfunc, "_leaves", refuse)
     monkeypatch.setattr(enumeration, "_leaves", refuse)  # enumerate_fillings
     assert quantities() == want
+
+
+def test_point_folds_equal_specialised_compute_exhaustive():
+    # every family, empty tableau sets included: the level recursion at
+    # x = 1, b = +-1 against the polynomial evaluated there, and the special
+    # value against b -> -1/b, x_i -> b applied to the polynomial
+    cases = empty = 0
+    for shape in skew_shapes(6):
+        for n in (1, 2, 3):
+            for family in FAMILIES:
+                spec = FunctionSpec(family, shape, n)
+                poly = compute(spec)
+                case = (str(shape), n, family)
+                assert _at(spec, _count) == poly.eval_integers([1] * n, 1), \
+                    case
+                assert _at(spec, _signed) == \
+                    poly.eval_integers([1] * n, -1), case
+                if family in K_FAMILIES:
+                    assert special_value(spec) == \
+                        poly.subst_beta_neg_inverse().subst_x_to_beta(), case
+                cases += 1
+                empty += not poly
+    assert cases == 1440 and empty == 78
+
+
+def test_strips_are_the_pairs_with_a_letter_factor():
+    pairs = 0
+    for lam in strict_partitions_up_to_weight(9):
+        subs = [p.parts for p in strict_subpartitions(lam)]
+        for rho in subs:
+            strips = _strips_above(rho, lam.parts)
+            assert len(set(strips)) == len(strips), (lam, rho)
+            above = [nu for nu in subs if len(rho) <= len(nu)
+                     and all(r <= v for r, v in zip(rho, nu))]
+            for family in ("P", "Q"):
+                for kind in KINDS:
+                    nonzero = {nu for nu in above
+                               if _letter_factor(nu, rho, (), family, kind)}
+                    assert set(strips) == nonzero, (lam, rho, family, kind)
+            pairs += len(above)
+    assert pairs == 2246
+
+
+def test_scalar_paths_build_no_polynomial(monkeypatch):
+    specs = [FunctionSpec(family, SkewShape.parse(shape), n)
+             for shape, n in NO_ENUMERATION_CASES + [("3,2/2", 1)]
+             for family in K_FAMILIES]
+    want = [(compute(spec).eval_integers([1] * spec.n, -1),
+             special_value(spec)) for spec in specs]
+    want_counts = [sum(compute(spec).terms.values()) for spec in specs
+                   if spec.family in ("GP", "GQ")]
+    built = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a polynomial on a scalar path")
+
+    def record(self, nvars, terms=None):
+        built.append(dict(terms))
+        real_init(self, nvars, terms)
+
+    real_init = LaurentPoly.__init__
+    monkeypatch.setattr(LaurentPoly, "_trusted", refuse)
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    assert [signed_count(spec) for spec in specs] == [s for s, _ in want]
+    assert [parity_report(spec).count for spec in specs
+            if spec.family in ("GP", "GQ")] == want_counts
+    # special_value builds b^|lam/mu| and its multiple, nothing more
+    monkeypatch.setattr(LaurentPoly, "__init__", record)
+    for spec, (s, value) in zip(specs, want):
+        built.clear()
+        assert special_value(spec) == value
+        assert built == [{((0,) * spec.n, spec.shape.size): 1},
+                         {((0,) * spec.n, spec.shape.size): s}]
 
 
 def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch):

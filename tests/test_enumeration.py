@@ -1,7 +1,9 @@
 import json
+from itertools import combinations
 
 import pytest
 
+from shifted_kschur import enumeration, involutions
 from shifted_kschur.enumeration import (EnumSpec, count, enumerate_fillings,
                                         naive_oracle)
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
@@ -123,3 +125,69 @@ def test_spec_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be at least 1"):
             spec((2, 1), n, "P")
+
+
+def set_rule(spec, box, cells):
+    """The candidate rule on sets read off the partial filling: lex-ordered
+    cells of codes from the larger of the left and top neighbors' maxima,
+    even codes only on a P diagonal, no primed code used in the row and no
+    unprimed code used in the column, at most what the size cap leaves."""
+    i, j = box
+    lo = max([1] + [cells[b][-1] for b in ((i, j - 1), (i - 1, j))
+                    if b in cells])
+    step = 1
+    if spec.family == "P" and i == j:
+        lo, step = lo + lo % 2, 2
+    taken = {c for (r, col), cell in cells.items() for c in cell
+             if (r == i and c % 2) or (col == j and not c % 2)}
+    allowed = [c for c in range(lo, 2 * spec.n + 1, step) if c not in taken]
+    if spec.kind == "single":
+        return [(c,) for c in allowed]
+    budget = len(allowed)
+    if spec.size_cap is not None:
+        used = sum(len(c) for c in cells.values())
+        budget = min(budget,
+                     spec.size_cap - used - (spec.shape.size - len(cells) - 1))
+    return sorted(cell for k in range(1, budget + 1)
+                  for cell in combinations(allowed, k))
+
+
+def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
+    # every node of both walks: the cached table read through the masks
+    # the walk keeps gives the set rule's cells, each with its code bits
+    # and letters, and the masks match the partial filling
+    nodes = 0
+    real = enumeration._candidate_cells
+
+    def checked(spec, box, cells, row_primed, col_unprimed):
+        nonlocal nodes
+        i, j = box
+        assert row_primed[i] == sum(1 << c for (r, _), cell in cells.items()
+                                    if r == i for c in cell if c % 2)
+        assert col_unprimed[j] == sum(1 << c for (_, k), cell in cells.items()
+                                      if k == j for c in cell if not c % 2)
+        got = real(spec, box, cells, row_primed, col_unprimed)
+        assert [e[0] for e in got] == set_rule(spec, box, cells), (spec, box)
+        for cell, primed, unprimed, letters in got:
+            assert primed == sum(1 << c for c in cell if c % 2)
+            assert unprimed == sum(1 << c for c in cell if not c % 2)
+            assert letters == tuple((c + 1) // 2 - 1 for c in cell)
+        nodes += 1
+        return got
+
+    monkeypatch.setattr(enumeration, "_candidate_cells", checked)
+    monkeypatch.setattr(involutions, "_candidate_cells", checked)
+    for lam in strict_partitions_up_to_weight(5):
+        for mu in strict_subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            for n in (1, 2, 3):
+                for family in ("P", "Q"):
+                    specs = [EnumSpec(shape, n, family, "single"),
+                             EnumSpec(shape, n, family, "set-valued")]
+                    specs += [EnumSpec(shape, n, family, "set-valued", cap)
+                              for cap in (shape.size, shape.size + 1)]
+                    for s in specs:
+                        count(s)
+                    if count(specs[0]):
+                        involutions.minimal_tableau(shape, family, n)
+    assert nodes == 46762

@@ -115,9 +115,11 @@ class TestDoubleSkewShortcut:
         res = double_skew_shortcut(sp(5, 2), sp(1))
         assert not res.value and len(res.terms) == 2
 
-    def test_mu_outside_lambda_is_zero(self):
-        res = double_skew_shortcut(sp(2, 1), sp(5))
-        assert not res.value and not res.terms
+    def test_mu_outside_lambda_raises(self):
+        # no tableau family, so no vanishing to claim; SkewShape says so too
+        for lam, mu in [((2, 1), (5,)), ((2, 1), (3,)), ((3,), (2, 1))]:
+            with pytest.raises(ValueError, match="not contained"):
+                double_skew_shortcut(sp(*lam), sp(*mu))
 
     def test_mu_empty_gives_beta_weight(self):
         res = double_skew_shortcut(sp(3, 1), sp())

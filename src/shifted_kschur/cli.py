@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success (or a verified claim), 1 on a mathematical
-failure, 2 on a usage error, an infeasible-scale guard, or a statement
-that does not apply to an empty tableau set (or, for the double-skew
-vanishing, to an empty mu).  All output is
-deterministic; sweeps emit one line per instance in canonical shape order.
+failure, 2 on a usage error (a file that cannot be read or written
+among them), an infeasible-scale guard, or a statement that does not
+apply to an empty tableau set (or, for the double-skew vanishing, to an
+empty mu).  All output is deterministic; sweeps emit one line per
+instance in canonical shape order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import functools
 import json
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 from . import enumeration, genfunc, involutions
 from .enumeration import EnumSpec
@@ -232,12 +232,8 @@ def cmd_pair(args) -> int:
     lam = StrictPartition.parse(args.lam)
     mu = StrictPartition.parse(args.mu)
     if args.check:
-        try:
-            with open(args.check) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
+        with open(args.check) as fh:
+            data = json.load(fh)
         try:
             cert = involutions.PairingCertificate.from_json(data)
         except (KeyError, TypeError, ValueError) as exc:
@@ -256,107 +252,14 @@ def cmd_pair(args) -> int:
         if not ok:
             print(f"note: {why}", file=sys.stderr)
         return PASS if ok else FAIL
-    try:
-        cert = involutions.pairing_certificate(
-            lam, mu, args.n, args.family, minimal_only=args.minimal_only)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    cert = involutions.pairing_certificate(
+        lam, mu, args.n, args.family, minimal_only=args.minimal_only)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                write_json(cert.to_json(), fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE
+        with open(args.out, "w") as fh:
+            involutions.write_certificate(cert, fh)
     print(f"pairs={len(cert.pairs)} leftover={len(cert.leftover)} "
           f"{'ok' if cert.complete else 'FAIL'}")
     return PASS if cert.complete else FAIL
-
-
-_INDENT = ["\n" + " " * k for k in range(64)]
-
-
-def _encode(o, level: int, memo: dict) -> str:
-    """``json.dumps(o, sort_keys=True, indent=1)`` of o nested level deep.
-
-    ``memo`` maps (id of a dict, level) to None once that dict has been
-    encoded, and to its text from the second time on; so a dict that
-    occurs many times (a shared header) is encoded at most twice, and
-    one that occurs once costs no stored text.
-    """
-    t = type(o)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = level + 1
-        sep = "," + _INDENT[inner]
-        body = None
-        if type(o[0]) is str:
-            try:  # a list of strings (a tableau cell) skips the recursion
-                body = sep.join(map(encode_basestring_ascii, o))
-            except TypeError:  # not all of them are
-                pass
-        if body is None:
-            body = sep.join([_encode(v, inner, memo) for v in o])
-        return "[" + _INDENT[inner] + body + _INDENT[level] + "]"
-    if t is dict:
-        if not o:
-            return "{}"
-        key = id(o) << 6 | level
-        text = memo.get(key, 0)  # 0: not seen yet, None: seen once
-        if text:
-            return text
-        inner = level + 1
-        encoded = ("{" + _INDENT[inner] + ("," + _INDENT[inner]).join(
-            [encode_basestring_ascii(k) + ": " + _encode(v, inner, memo)
-             for k, v in sorted(o.items())]) + _INDENT[level] + "}")
-        memo[key] = None if text == 0 else encoded
-        return encoded
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if t is int:
-        return int.__repr__(o)
-    raise TypeError(f"cannot encode {t.__name__} as JSON")
-
-
-def _chunks(o, level: int, depth: int, memo: dict):
-    """``_encode(o, level, memo)`` in pieces, one per item of the top depth
-    levels."""
-    t = type(o)
-    if depth == 0 or not o or t not in (list, tuple, dict):
-        yield _encode(o, level, memo)
-        return
-    if t is dict:
-        opening, closing = "{", "}"
-        items = [(encode_basestring_ascii(k) + ": ", v)
-                 for k, v in sorted(o.items())]
-    else:
-        opening, closing = "[", "]"
-        items = [("", v) for v in o]
-    yield opening
-    for k, (prefix, v) in enumerate(items):
-        yield ("," if k else "") + _INDENT[level + 1] + prefix
-        yield from _chunks(v, level + 1, depth - 1, memo)
-    yield _INDENT[level] + closing
-
-
-def write_json(payload, fh) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=1)`` to fh.
-
-    Values must be of exactly these types: dict with str keys, list,
-    tuple, str, int, bool and None, nested at most 63 deep.  The top two
-    levels go out item by item, so a large document is never held as one
-    string.  A dict that occurs more than once is encoded at most twice
-    (the memo lives for this call only).
-    """
-    fh.writelines(_chunks(payload, 0, 2, {}))
 
 
 @functools.lru_cache(maxsize=1)
@@ -454,7 +357,7 @@ def main(argv=None) -> int:
         return USAGE if exc.code else PASS
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a file not usable
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

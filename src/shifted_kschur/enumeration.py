@@ -116,7 +116,8 @@ def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
     and ``size`` the number of entries, |T|.  The walk adds a placed cell's
     letters to the counts and its code bits to the row and column masks,
     and takes them off on backtrack, so ``cells`` and ``counts`` are its
-    own and hold only until the next step.
+    own and hold only until the next step.  An explicit stack of one
+    candidate iterator per box on the path hands each leaf out once.
     """
     shape = spec.shape
     boxes = shape.row_major
@@ -124,29 +125,38 @@ def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
     col_unprimed = [0] * (shape.outer.part(1) + 1)
     cells: dict = {}
     counts = [0] * spec.n
-
-    def fill(k: int, size: int) -> Iterator[tuple[dict, list, int]]:
+    choices, placed = [None] * len(boxes), [None] * len(boxes)
+    k = size = 0
+    while k >= 0:
         if k == len(boxes):
             yield cells, counts, size
-            return
-        box = boxes[k]
-        i, j = box
-        for cell, primed, unprimed, letters in _candidate_cells(
-                spec, box, cells, row_primed, col_unprimed):
-            cells[box] = cell
-            # the cell's codes are outside both masks, so ^ sets and clears
-            row_primed[i] ^= primed
-            col_unprimed[j] ^= unprimed
-            for letter in letters:
-                counts[letter] += 1
-            yield from fill(k + 1, size + len(cell))
+            k -= 1
+            continue
+        i, j = box = boxes[k]
+        if choices[k] is None:
+            choices[k] = iter(_candidate_cells(spec, box, cells, row_primed,
+                                               col_unprimed))
+        else:  # take the standing cell off; its bits are in the masks
+            cell, primed, unprimed, letters = placed[k]
             row_primed[i] ^= primed
             col_unprimed[j] ^= unprimed
             for letter in letters:
                 counts[letter] -= 1
-            del cells[box]
-
-    return fill(0, 0)
+            size -= len(cell)
+        placed[k] = next(choices[k], None)
+        if placed[k] is None:  # box k is exhausted: back up
+            choices[k] = None
+            cells.pop(box, None)
+            k -= 1
+            continue
+        # the cell's codes are outside both masks, so ^ sets and clears
+        cells[box], primed, unprimed, letters = placed[k]
+        row_primed[i] ^= primed
+        col_unprimed[j] ^= unprimed
+        for letter in letters:
+            counts[letter] += 1
+        size += len(cells[box])
+        k += 1
 
 
 def enumerate_fillings(spec: EnumSpec) -> Iterator[Filling]:

@@ -6,22 +6,26 @@ and either deletes the minimal cell's content from that box or inserts it.
 Pairing all non-minimal tableaux this way, and pairing minimal tableaux of
 neighboring inner shapes via the bottom-row toggle ``shapes.pi``, covers
 the double-skew tableau family, over the inner shapes of
-``shapes.inner_shapes``, with no element left over.
+``shapes.inner_shapes``, with no element left over.  A certificate is
+written straight from its tableaux, and checked as the raw JSON it reads
+back, each distinct cell parsed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+import json
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, parity_report
 from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
-                     is_subpartition, pi, removable_boxes)
-from .tableaux import FAMILIES, Filling, filling_from_rows, validate
+                     is_subpartition, pi)
+from .tableaux import (FAMILIES, Filling, entry_str, filling_from_rows,
+                       validate)
 
-# a full certificate is built only while |lam/mu| + |Rem(mu)| stays within this
-PAIR_MAX_BOXES = 12
+# the most tableaux a full certificate may pair: 4 times the most written
+PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
 
 
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
@@ -122,9 +126,18 @@ def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport
     return InvolutionReport(str(shape), family, n, checked, tuple(violations))
 
 
+class Element(NamedTuple):
+    """A tableau T of lam/nu in the double-skew family, with its nu."""
+    nu: StrictPartition
+    tableau: Filling
+
+    def to_json(self) -> dict:
+        return {"nu": list(self.nu.parts), "tableau": self.tableau.to_json()}
+
+
 class Pair(NamedTuple):
-    left: dict
-    right: dict
+    left: Element | dict  # a raw dict in a certificate read by from_json
+    right: Element | dict
     tag: str  # "iota" or "pi"
 
 
@@ -136,24 +149,24 @@ class PairingCertificate:
     family: str
     minimal_only: bool
     pairs: list[Pair] = field(default_factory=list)
-    leftover: list[dict] = field(default_factory=list)
+    leftover: list[Element | dict] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
         return not self.leftover
 
     def to_json(self) -> dict:
+        """The document of a certificate built by ``pairing_certificate``."""
         return {
-            "lambda": list(self.lam.parts),
-            "mu": list(self.mu.parts),
-            "n": self.n,
-            "family": self.family,
+            "lambda": list(self.lam.parts), "mu": list(self.mu.parts),
+            "n": self.n, "family": self.family,
             "minimal_only": self.minimal_only,
             "pairs": [
-                {"left": p.left, "right": p.right, "tag": p.tag}
+                {"left": p.left.to_json(), "right": p.right.to_json(),
+                 "tag": p.tag}
                 for p in self.pairs
             ],
-            "leftover": list(self.leftover),
+            "leftover": [e.to_json() for e in self.leftover],
         }
 
     @classmethod
@@ -168,6 +181,82 @@ class PairingCertificate:
         return cert
 
 
+_HOLE = "\0"  # a slot in a document; json writes it as _SLOT
+_SLOT = json.dumps(_HOLE)
+
+
+def _nested(doc, level: int) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=1)`` as it reads ``level``
+    deep in a larger document (JSON strings hold no raw newline)."""
+    return json.dumps(doc, sort_keys=True, indent=1).replace(
+        "\n", "\n" + " " * level)
+
+
+def _format(doc, level: int):
+    """``format`` of ``_nested(doc, level)`` with a field for each hole."""
+    return "{}".join(piece.replace("{", "{{").replace("}", "}}")
+                     for piece in _nested(doc, level).split(_SLOT)).format
+
+
+def _array(texts: Iterable[str], level: int) -> Iterator[str]:
+    """A JSON array ``level`` deep, one piece per item, of item texts."""
+    inner, first = "\n" + " " * (level + 1), True
+    for text in texts:
+        yield ("[" if first else ",") + inner + text
+        first = False
+    yield "[]" if first else "\n" + " " * level + "]"
+
+
+_PAIR_FORMATS = {tag: _format({"left": _HOLE, "right": _HOLE, "tag": tag}, 2)
+                 for tag in ("iota", "pi")}
+
+
+def write_certificate(cert: PairingCertificate, fh) -> None:
+    """Write ``json.dumps(cert.to_json(), sort_keys=True, indent=1)`` to fh
+    for a certificate built by ``pairing_certificate``, one pair at a time.
+
+    An element's text is its nu's template filled with its cells' texts in
+    row-major order; templates and cell texts are made on first use and
+    kept for this call.  A leftover element sits a level less deep than a
+    pair's side: one space less on each line.
+    """
+    formats: dict = {}  # nu -> template of its elements as a pair's side
+    texts: dict = {}  # cell -> its text in a pair's side, seven levels deep
+
+    def cell_text(cell: tuple) -> str:  # an entry string is JSON as it is
+        texts[cell] = text = "".join(
+            _array((f'"{entry_str(c)}"' for c in cell), 7))
+        return text
+
+    def side(e: Element) -> str:
+        fmt = formats.get(e.nu)
+        if fmt is None:
+            doc = e.to_json()
+            doc["tableau"]["rows"] = [[_HOLE] * len(row)
+                                      for row in e.tableau.shape.rows]
+            fmt = formats[e.nu] = _format(doc, 3)
+        return fmt(*[texts.get(cell) or cell_text(cell)
+                     for cell in e.tableau.cells.values()])
+
+    top = replace(cert, pairs=[], leftover=[]).to_json()
+    top["leftover"] = top["pairs"] = _HOLE
+    before, between, after = _nested(top, 0).split(_SLOT)
+    fh.write(before)
+    fh.writelines(_array((side(e).replace("\n ", "\n")
+                          for e in cert.leftover), 1))
+    fh.write(between)
+    fh.writelines(_array((_PAIR_FORMATS[p.tag](side(p.left), side(p.right))
+                          for p in cert.pairs), 1))
+    fh.write(after)
+
+
+def _family_size(shapes: Iterable[SkewShape], family: str, n: int) -> int:
+    """The number of tableaux over the shapes lam/nu: the branching
+    engine's count, with no tableau built."""
+    return sum(parity_report(FunctionSpec("G" + family, shape, n)).count
+               for shape in shapes)
+
+
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
                         family: str,
                         minimal_only: bool = False) -> PairingCertificate:
@@ -177,21 +266,18 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     the minimal tableau of lam/nu pairs with the minimal tableau of
     lam/pi(mu, nu), nu with mu's bottom removable box toggled (tag "pi").
     With minimal_only=True only the pi pairs are produced, which stays
-    feasible for large shapes.  The elements of one nu share one shape
-    object, so treat them as read-only.
+    feasible for large shapes; a full certificate of a family of more
+    than ``PAIR_MAX_ELEMENTS`` tableaux is refused.  The elements of one
+    nu share one shape object, so treat them as read-only.
     """
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
-    boxes = lam.weight - mu.weight + len(removable_boxes(mu))
-    if not minimal_only and boxes > PAIR_MAX_BOXES:
-        raise ValueError("infeasible scale; use minimal_only")
-    cert = PairingCertificate(lam, mu, n, family, minimal_only)
     shapes = {nu: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
-    shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
-
-    def element(nu: StrictPartition, T: Filling) -> dict:
-        return {"nu": list(nu.parts), "tableau": T.to_json(shape_json[nu])}
-
+    size = 0 if minimal_only else _family_size(shapes.values(), family, n)
+    if size > PAIR_MAX_ELEMENTS:
+        raise ValueError(f"infeasible scale: {size} elements, above the "
+                         f"limit of {PAIR_MAX_ELEMENTS}; use minimal_only")
+    cert = PairingCertificate(lam, mu, n, family, minimal_only)
     minimal = {nu: minimal_tableau(shape, family, n)
                for nu, shape in shapes.items()}
     done_pi = set()
@@ -199,8 +285,8 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         if nu in done_pi:
             continue
         other = pi(mu, nu)
-        cert.pairs.append(Pair(element(nu, minimal[nu]),
-                               element(other, minimal[other]), "pi"))
+        cert.pairs.append(Pair(Element(nu, minimal[nu]),
+                               Element(other, minimal[other]), "pi"))
         done_pi.update({nu, other})
     if minimal_only:
         return cert
@@ -209,9 +295,9 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         tmin = minimal[nu]
         for T, partner in _iota_pairs(shape, family, n, tmin):
             if partner == T or iota(partner, tmin) != T:
-                cert.leftover.append(element(nu, T))
+                cert.leftover.append(Element(nu, T))
                 continue
-            cert.pairs.append(Pair(element(nu, T), element(nu, partner),
+            cert.pairs.append(Pair(Element(nu, T), Element(nu, partner),
                                    "iota"))
     return cert
 
@@ -238,6 +324,7 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
     minimal: dict[tuple, Filling] = {}
+    cells: dict = {}  # entry strings -> checked codes, for this call only
 
     def parse(element) -> tuple[tuple, Filling]:
         nu = tuple(element["nu"])
@@ -249,7 +336,7 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
                 or tab["family"] != family:
             raise ValueError(f"tableau header does not match "
                              f"{shapes[nu]}, n={n}, family {family}")
-        T = filling_from_rows(shapes[nu], n, family, tab["rows"])
+        T = filling_from_rows(shapes[nu], n, family, tab["rows"], cells)
         verdict = validate(T)
         if not verdict:
             raise ValueError(f"invalid tableau: {verdict.violation}")
@@ -291,8 +378,7 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     if cert.minimal_only:
         want = len(shapes)
     else:
-        want = sum(parity_report(FunctionSpec("G" + family, shape, n)).count
-                   for shape in shapes.values())
+        want = _family_size(shapes.values(), family, n)
     if len(seen) != want:
         return False, f"{len(seen)} elements, the family has {want}"
     return True, None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .shapes import Box, SkewShape
+from .shapes import Box, SkewShape, StrictPartition
 
 CellSet = tuple[int, ...]  # strictly increasing entry codes, nonempty
 
@@ -135,16 +135,9 @@ class Filling:
         cells[box] = cell
         return Filling(self.shape, self.n, self.family, cells, _trusted=True)
 
-    def to_json(self, shape_json: dict | None = None) -> dict:
-        """The filling as JSON; ``shape_json`` is the shape's ``to_json()``.
-
-        A caller writing many fillings of one shape may pass one
-        ``shape_json`` to share among them; by default each call builds
-        its own.
-        """
+    def to_json(self) -> dict:
         return {
-            "shape": self.shape.to_json() if shape_json is None
-            else shape_json,
+            "shape": self.shape.to_json(),
             "n": self.n,
             "family": self.family,
             "rows": [[[entry_str(c) for c in self.cells[box]]
@@ -153,8 +146,6 @@ class Filling:
 
     @classmethod
     def from_json(cls, data: dict) -> "Filling":
-        from .shapes import StrictPartition
-
         shape = SkewShape(
             StrictPartition(tuple(data["shape"]["outer"])),
             StrictPartition(tuple(data["shape"]["inner"])),
@@ -163,24 +154,33 @@ class Filling:
                                  data["rows"])
 
 
-def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
+def filling_from_rows(shape: SkewShape, n: int, family: str, rows,
+                      memo: dict | None = None) -> Filling:
     """Build a filling from per-row lists of cells given as entry strings.
 
     ``rows`` holds one list per row of the outer shape, with one cell per
     box of that row.  Entry strings parse as ``entry_from_str`` does, and
     the cells get the checks ``Filling`` makes; a fault raises ValueError.
+    Callers parsing many fillings with one n may share a ``memo`` from a
+    cell's entry-string tuple to its checked codes, so each distinct cell
+    is parsed and checked once; a cell that fails is never stored.
     """
     _check_family(family)
     if len(rows) != len(shape.rows):
         raise ValueError(f"{len(rows)} rows, want {len(shape.rows)}")
+    memo = {} if memo is None else memo
     cells = {}
     for i, (boxes, row) in enumerate(zip(shape.rows, rows), start=1):
         if len(boxes) != len(row):
             raise ValueError(f"row {i} needs {len(boxes)} cells, "
                              f"got {len(row)}")
         for box, strs in zip(boxes, row):
-            cell = cell_from_strs(strs)
-            _check_cell(box, cell, n)
+            try:
+                cell = memo[tuple(strs)]
+            except (KeyError, TypeError):  # a new cell, or not hashable
+                cell = cell_from_strs(strs)
+                _check_cell(box, cell, n)
+                memo[tuple(strs)] = cell  # it parsed: its entries are str
             cells[box] = cell
     return Filling(shape, n, family, cells, _trusted=True)
 

@@ -86,6 +86,13 @@ def _tamper_same_sign_pairs(doc):
     first["right"], second["left"] = second["left"], first["right"]
 
 
+def _first_cell_set_to(cell, name):
+    def tamper(doc):
+        doc["pairs"][0]["left"]["tableau"]["rows"][0][0] = cell
+    tamper.__name__ = name
+    return tamper
+
+
 # each with a fragment of the reason check_certificate gives
 TAMPERS = [
     (_tamper_invalid_entry, "invalid tableau"),
@@ -96,4 +103,13 @@ TAMPERS = [
     (_tamper_iota_across_nu, "iota pair across"),
     (_tamper_header_n, "tableau header does not match"),
     (_tamper_same_sign_pairs, "same sign"),
+    # malformed cells, which a cell parsed once per certificate must not hide
+    (_first_cell_set_to(["9"], "_tamper_entry_out_of_range"),
+     "entry out of range 1..4"),
+    (_first_cell_set_to(["1", "1"], "_tamper_repeated_entry"),
+     "duplicate entries"),
+    (_first_cell_set_to([1], "_tamper_non_string_entry"),
+     "'int' object has no attribute"),
+    (_first_cell_set_to([["1"]], "_tamper_nested_list_cell"),
+     "'list' object has no attribute"),
 ]

@@ -2,14 +2,14 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from shifted_kschur import genfunc
-from shifted_kschur.cli import main, write_json
-from shifted_kschur.involutions import pairing_certificate
+from shifted_kschur.cli import main
+from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
+                                        write_certificate)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (strict_partitions_up_to_weight,
+from shifted_kschur.shapes import (StrictPartition,
+                                   strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from tests.conftest import TAMPERS
 
@@ -341,49 +341,71 @@ class TestPair:
             written += 1
         assert written > 100
 
+    def test_scale_guard_names_the_count(self, capsys):
+        # 7 boxes, but 758,368 tableaux: the guard counts tableaux
+        code, out, err = run(capsys, "pair", "--lambda", "6,4,1", "--mu",
+                             "4,2", "--family", "P", "-n", "3")
+        assert code == 2 and not out
+        assert err == ("error: infeasible scale: 758368 elements, above the "
+                       f"limit of {PAIR_MAX_ELEMENTS}; use minimal_only\n")
+
     def test_empty_mu_is_usage_error(self, capsys):
         code, _, err = run(capsys, "pair", "--lambda", "2,1", "--mu", "-",
                            "--family", "P", "-n", "2")
         assert code == 2 and "error" in err
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.tuples(children, children)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4)
-    # one object referenced several times, at one level and at others
-    | children.map(lambda v: [v, v, v, [v, {"k": v}]]),
-    max_leaves=30)
+def _written(cert) -> str:
+    fh = io.StringIO()
+    write_certificate(cert, fh)
+    return fh.getvalue()
 
 
-_HEAD = {"outer": [2, 1], "inner": [1], "boxes": [[1, 2], [2, 2]]}
+def _dumped(cert) -> str:
+    return json.dumps(cert.to_json(), sort_keys=True, indent=1)
 
 
-class TestWriteJson:
-    @pytest.mark.parametrize("value", [
-        {}, [], (), "", "\u00e9\u2028\"\\\n\U0001f600", 0, -7, True, None,
-        {"b": [], "a": {}, "c": [[], {}, [[]]]}, [{"x": ["1'", "2"]}],
-        ["a", 1, ["b"], None, False],
-        # one header shared by many elements, as in a pairing certificate
-        {"pairs": [{"left": {"shape": _HEAD}, "right": {"shape": _HEAD}}] * 3
-         + [_HEAD, [_HEAD]]}])
-    def test_examples(self, value):
-        fh = io.StringIO()
-        write_json(value, fh)
-        assert fh.getvalue() == json.dumps(value, sort_keys=True, indent=1)
+class TestWriteCertificate:
+    def test_small_cases(self):
+        written = 0
+        for lam, mu, family, n in _pair_cases(5, 2):
+            for minimal_only in (False, True):
+                try:
+                    cert = pairing_certificate(lam, mu, n, family,
+                                               minimal_only)
+                except ValueError:  # an empty tableau set
+                    continue
+                assert _written(cert) == _dumped(cert), \
+                    (str(lam), str(mu), family, n, minimal_only)
+                written += 1
+        assert written == 268
 
-    @given(json_values)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps(self, value):
-        fh = io.StringIO()
-        write_json(value, fh)
-        assert fh.getvalue() == json.dumps(value, sort_keys=True, indent=1)
+    def test_leftover(self):
+        # elements of leftover sit one level less deep than paired ones
+        cert = pairing_certificate(StrictPartition((3, 1)),
+                                   StrictPartition((1,)), 2, "P")
+        for p in cert.pairs[-2:]:
+            cert.leftover.extend([p.left, p.right])
+        del cert.pairs[-2:]
+        assert len(cert.leftover) == 4 and _written(cert) == _dumped(cert)
+        cert.leftover.extend(e for p in cert.pairs for e in p[:2])
+        cert.pairs.clear()  # and an empty pair list
+        assert _written(cert) == _dumped(cert)
 
-    @pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {3}}])
-    def test_rejects_other_types(self, value):
-        with pytest.raises(TypeError):
-            write_json(value, io.StringIO())
+    def test_row_inside_nu(self):
+        cert = pairing_certificate(StrictPartition((4, 1)),
+                                   StrictPartition((4,)), 2, "Q")
+        doc = cert.to_json()
+        assert [] in doc["pairs"][0]["left"]["tableau"]["rows"]
+        assert _written(cert) == _dumped(cert)
+
+    @pytest.mark.parametrize("lam,mu,n", [("4,2,1", "2,1", 3),
+                                          ("6,4,1", "4,2", 2)])
+    def test_pool_certificates(self, lam, mu, n):
+        cert = pairing_certificate(StrictPartition.parse(lam),
+                                   StrictPartition.parse(mu), n, "P")
+        text = _written(cert)
+        assert len(text) > 3_000_000 and text == _dumped(cert)
 
 
 class TestUsage:

@@ -1,5 +1,5 @@
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -191,3 +191,22 @@ def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
                     if count(specs[0]):
                         involutions.minimal_tableau(shape, family, n)
     assert nodes == 46762
+
+
+def test_leaves_in_oracle_order():
+    # the walk's leaves are the oracle's tableaux in the oracle's order,
+    # each with its weight and |T|: every skew shape inside a strict
+    # partition of weight at most 5, n <= 2, P/Q, single and set-valued
+    leaves = 0
+    for lam in strict_partitions_up_to_weight(5):
+        for mu in strict_subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            for n, family, kind in product((1, 2), "PQ", enumeration.KINDS):
+                s = EnumSpec(shape, n, family, kind)
+                got = [(dict(cells), tuple(counts), size)
+                       for cells, counts, size in enumeration._leaves(s)]
+                want = [(T.cells, T.weight(), T.size())
+                        for T in naive_oracle(s)]
+                assert got == want, (str(shape), n, family, kind)
+                leaves += len(got)
+    assert leaves == 4657

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
-from shifted_kschur.involutions import (PairingCertificate,
+from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, PairingCertificate,
                                         check_certificate, iota,
                                         minimal_tableau, pairing_certificate,
                                         verify_involution)
@@ -294,13 +294,13 @@ class TestPairingCertificate:
         assert cert.complete
         assert all(p.tag in ("iota", "pi") for p in cert.pairs)
         ok, why = certificate_covers(
-            cert, _family_elements(sp(2, 1), sp(1), 2, "P"))
+            _roundtrip(cert), _family_elements(sp(2, 1), sp(1), 2, "P"))
         assert ok, why
 
     def test_equal_shapes(self):
         cert = pairing_certificate(sp(2), sp(2), 1, "Q")
         ok, why = certificate_covers(
-            cert, _family_elements(sp(2), sp(2), 1, "Q"))
+            _roundtrip(cert), _family_elements(sp(2), sp(2), 1, "Q"))
         assert cert.complete and ok, why
 
     def test_minimal_only_flagship(self):
@@ -314,9 +314,13 @@ class TestPairingCertificate:
             pairing_certificate(sp(2, 1), sp(), 2, "P")
 
     def test_scale_guard(self):
-        # 10 boxes plus 3 removable boxes of mu: one more than PAIR_MAX_BOXES
+        # a family of 124,416 tableaux over the eight inner shapes
         with pytest.raises(ValueError, match="minimal_only"):
             pairing_certificate(sp(10, 8, 6, 4), sp(7, 5, 4, 2), 2, "P")
+
+    def test_scale_guard_admits_every_benchmark_certificate(self):
+        # 4 times the largest family a test or benchmark pool writes in full
+        assert 4 * 4804 <= PAIR_MAX_ELEMENTS < 124_416
 
     def test_json_roundtrippable(self):
         cert = pairing_certificate(sp(2, 1), sp(1), 2, "Q")
@@ -348,7 +352,7 @@ class TestCheckCertificate:
                                    minimal_only=True)
         assert check_certificate(_roundtrip(cert)) == (True, None)
         cert.pairs.pop()
-        assert not check_certificate(cert)[0]
+        assert not check_certificate(_roundtrip(cert))[0]
 
     def test_minimal_only_refuses_iota_pairs(self):
         full = pairing_certificate(sp(2, 1), sp(1), 2, "P")
@@ -356,17 +360,17 @@ class TestCheckCertificate:
                                    minimal_only=True)
         # two iota pairs in place of the pi pair: as many elements as nus
         cert.pairs = [p for p in full.pairs if p.tag == "iota"][:1]
-        assert not check_certificate(cert)[0]
+        assert not check_certificate(_roundtrip(cert))[0]
 
     def test_iota_pair_retagged_pi_fails(self):
-        cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
+        cert = _roundtrip(pairing_certificate(sp(2, 1), sp(1), 2, "P"))
         k = next(k for k, p in enumerate(cert.pairs) if p.tag == "iota")
         cert.pairs[k] = cert.pairs[k]._replace(tag="pi")
         ok, why = check_certificate(cert)
         assert not ok and "pi pair" in why
 
     def test_pi_pair_of_non_minimal_tableaux_fails(self):
-        cert = pairing_certificate(sp(3, 1), sp(2), 2, "Q")
+        cert = _roundtrip(pairing_certificate(sp(3, 1), sp(2), 2, "Q"))
         pi_pair = cert.pairs[0]
         assert pi_pair.tag == "pi"
 
@@ -381,6 +385,17 @@ class TestCheckCertificate:
         cert.pairs[0] = pi_pair._replace(left=other)
         ok, why = check_certificate(cert)
         assert not ok and "not minimal" in why, why
+
+    def test_cell_memo_lives_for_one_call(self):
+        # 2' is a valid entry at n = 2 and out of range at n = 1
+        wide = _roundtrip(pairing_certificate(sp(2, 1), sp(1), 2, "P"))
+        assert ["2'"] in [cell for p in wide.pairs for e in (p.left, p.right)
+                          for row in e["tableau"]["rows"] for cell in row]
+        assert check_certificate(wide) == (True, None)
+        doc = pairing_certificate(sp(2), sp(1), 1, "P").to_json()
+        doc["pairs"][-1]["right"]["tableau"]["rows"][0][-1] = ["2'"]
+        ok, why = check_certificate(PairingCertificate.from_json(doc))
+        assert not ok and "entry out of range 1..2" in why, why
 
     def test_bad_header(self):
         cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
@@ -402,11 +417,12 @@ class TestCheckCertificate:
                         continue
                     elements = _family_elements(lam, mu, n, family)
                     case = (str(lam), str(mu), family, n)
-                    assert check_certificate(cert) == (True, None), case
-                    assert certificate_covers(cert, elements)[0], case
-                    cert.pairs.pop()
-                    assert not check_certificate(cert)[0], case
-                    assert not certificate_covers(cert, elements)[0], case
+                    doc = _roundtrip(cert)
+                    assert check_certificate(doc) == (True, None), case
+                    assert certificate_covers(doc, elements)[0], case
+                    doc.pairs.pop()
+                    assert not check_certificate(doc)[0], case
+                    assert not certificate_covers(doc, elements)[0], case
                     checked += 1
         assert checked > 100
 

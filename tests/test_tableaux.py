@@ -234,22 +234,41 @@ def reference_rows(shape, n, family, rows_):
 SHAPE_21 = SkewShape(StrictPartition((2, 1)))
 
 
+FIRST_CELLS = [
+    [" 1"], ["1 "], ["1 '"], ["+1"], ["01"], ["2'", "1"], ["2", "1'", "1"],
+    ["1", "1"], ["1'", "1'", "2"], ["3"], ["0"], ["0'"], ["-1"], ["x"],
+    ["'"], [], ["2'"], ["1'", "2"]]
+
+
+def _outcome(parse, family, first):
+    try:
+        return parse(SHAPE_21, 2, family, [[first, ["2"]], [["2"]]])._key
+    except ValueError as exc:
+        return repr(exc)
+
+
 class TestRowParsing:
-    @pytest.mark.parametrize("first", [
-        [" 1"], ["1 "], ["1 '"], ["+1"], ["01"], ["2'", "1"], ["2", "1'", "1"],
-        ["1", "1"], ["1'", "1'", "2"], ["3"], ["0"], ["0'"], ["-1"], ["x"],
-        ["'"], [], ["2'"], ["1'", "2"]])
+    @pytest.mark.parametrize("first", FIRST_CELLS)
     @pytest.mark.parametrize("family", ["P", "Q"])
     def test_same_as_reference(self, first, family):
-        rows_ = [[first, ["2"]], [["2"]]]
+        assert _outcome(filling_from_rows, family, first) == \
+            _outcome(reference_rows, family, first)
 
-        def outcome(parse):
-            try:
-                return parse(SHAPE_21, 2, family, rows_)._key
-            except ValueError as exc:
-                return repr(exc)
+    def test_shared_memo_keeps_checked_cells_only(self):
+        # one memo through every case, twice: the reference's outcome each
+        # time, and only the cells that passed their check are kept
+        memo = {}
 
-        assert outcome(filling_from_rows) == outcome(reference_rows)
+        def with_memo(*args):
+            return filling_from_rows(*args, memo)
+
+        for first in FIRST_CELLS * 2:
+            for family in "PQ":
+                assert _outcome(with_memo, family, first) == \
+                    _outcome(reference_rows, family, first)
+        passed = [tuple(first) for first in FIRST_CELLS
+                  if type(_outcome(reference_rows, "Q", first)) is tuple]
+        assert set(memo) == {("2",), *passed} and len(passed) == 9
 
     def test_bad_family(self):
         with pytest.raises(ValueError, match="family"):

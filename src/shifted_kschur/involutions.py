@@ -13,8 +13,8 @@ back, each distinct cell parsed once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
@@ -182,20 +182,48 @@ class PairingCertificate:
 
 
 _HOLE = "\0"  # a slot in a document; json writes it as _SLOT
-_SLOT = json.dumps(_HOLE)
+_SLOT = encode_basestring_ascii(_HOLE)
 
 
-def _nested(doc, level: int) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=1)`` as it reads ``level``
-    deep in a larger document (JSON strings hold no raw newline)."""
-    return json.dumps(doc, sort_keys=True, indent=1).replace(
-        "\n", "\n" + " " * level)
+def json_text(o, level: int = 0) -> str:
+    """``json.dumps(o, sort_keys=True, indent=1)`` as it reads ``level``
+    deep in a larger document.
+
+    Values must be of exactly these types: dict with str keys, list,
+    tuple, str, int, bool and None; any other raises TypeError.  Unlike
+    ``json.dumps`` with an indent, this needs no pure-Python encoder pass
+    and no re-indenting of its result.
+    """
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is int:
+        return int.__repr__(o)
+    if t is list or t is tuple:
+        items = [json_text(v, level + 1) for v in o]
+    elif t is dict:  # a non-str key fails in encode_basestring_ascii
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, level + 1)
+                 for k, v in sorted(o.items())]
+    else:
+        raise TypeError(f"cannot encode {t.__name__} as JSON")
+    opening, closing = "[]" if t is not dict else "{}"
+    if not items:
+        return opening + closing
+    inner = "\n" + " " * (level + 1)
+    return (opening + inner + ("," + inner).join(items)
+            + "\n" + " " * level + closing)
 
 
 def _format(doc, level: int):
-    """``format`` of ``_nested(doc, level)`` with a field for each hole."""
+    """``format`` of ``json_text(doc, level)`` with a field for each hole."""
     return "{}".join(piece.replace("{", "{{").replace("}", "}}")
-                     for piece in _nested(doc, level).split(_SLOT)).format
+                     for piece in json_text(doc, level).split(_SLOT)).format
 
 
 def _array(texts: Iterable[str], level: int) -> Iterator[str]:
@@ -240,7 +268,7 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
 
     top = replace(cert, pairs=[], leftover=[]).to_json()
     top["leftover"] = top["pairs"] = _HOLE
-    before, between, after = _nested(top, 0).split(_SLOT)
+    before, between, after = json_text(top).split(_SLOT)
     fh.write(before)
     fh.writelines(_array((side(e).replace("\n ", "\n")
                           for e in cert.leftover), 1))

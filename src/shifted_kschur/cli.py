@@ -172,6 +172,8 @@ def _coproduct(lam: StrictPartition, nx: int, ny: int,
 
 def cmd_identity(args) -> int:
     if args.check == "coproduct":
+        if args.max_weight > genfunc.COPRODUCT_MAX_WEIGHT:  # before any line
+            raise ValueError("coproduct guard exceeded: |lambda| too large")
         instances = [(lam, args.nx, args.ny, fam)
                      for lam in strict_partitions_up_to_weight(args.max_weight)
                      if lam

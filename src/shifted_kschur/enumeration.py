@@ -159,12 +159,18 @@ def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
         k += 1
 
 
-def enumerate_fillings(spec: EnumSpec) -> Iterator[Filling]:
-    """Every valid filling exactly once, in canonical order."""
+def enumerate_fillings(spec: EnumSpec, keep=None) -> Iterator[Filling]:
+    """Every valid filling exactly once, in canonical order.
+
+    With ``keep``, a leaf's filling is built and yielded only if
+    ``keep(cells)`` is true, ``cells`` being its cells in row-major order
+    as a tuple; it is called as the walk reaches the leaf.
+    """
     shape, n, family = spec.shape, spec.n, spec.family
     # row-major keys and sorted, in-range candidate cells: canonical
     return (Filling(shape, n, family, dict(cells), _trusted=True)
-            for cells, _, _ in _leaves(spec))
+            for cells, _, _ in _leaves(spec)
+            if keep is None or keep(tuple(cells.values())))
 
 
 def count(spec: EnumSpec) -> int:

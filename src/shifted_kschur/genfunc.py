@@ -10,13 +10,15 @@ per-row rule on the first box of each row, with no tableaux.  The same
 recursion reads each factor through a fold: the identity fold builds the
 polynomial, and a point fold evaluates it at x = 1, b = +-1 as an int, so
 the count, the signed count and the special value (b^|lam/mu| times the
-signed count) build no polynomial.  Folding the tableaux into a
-polynomial (``_tableau_sum``, which reads each weight and |T| off the
-leaves of the backtracking walk) is kept as the definition the engine and
-the rule are tested against.  The double-skew functions additionally sum
-over the inner shapes of ``shapes.inner_shapes`` (mu minus a subset of its
-removable boxes), and the shortcut path evaluates that sum symbolically
-without touching any tableau.
+signed count) build no polynomial; a point fold's levels are kept across
+calls, so one recursion to n letters serves every n' <= n.  Folding the
+tableaux into a polynomial (``_tableau_sum``, which reads each weight and
+|T| off the leaves of the backtracking walk, kept per shape and n) is kept
+as the definition the engine and the rule are tested against.  The
+double-skew functions additionally sum over the inner shapes of
+``shapes.inner_shapes`` (mu minus a subset of its removable boxes), and
+the shortcut path evaluates that sum symbolically without touching any
+tableau.
 """
 
 from __future__ import annotations
@@ -64,14 +66,25 @@ def _tableau_sum(shape: SkewShape, n: int, family: str,
     """The definition: each tableau adds x^weight * b^(|T| - #boxes).
 
     The backtracking walk carries each tableau's weight and |T| to its
-    leaf, so the sum builds no ``Filling``.
+    leaf, so the sum builds no ``Filling``.  The terms are kept per
+    (lam, mu, n, family, kind), and each call gets its own polynomial.
     """
+    return LaurentPoly._trusted(n, dict(_tableau_terms(
+        shape.outer.parts, shape.inner.parts, n, family, kind)))
+
+
+@lru_cache(maxsize=256)
+def _tableau_terms(lam: tuple, mu: tuple, n: int, family: str,
+                   kind: str) -> dict:
+    """``_tableau_sum``'s terms, {(x-exps, b-exp): coeff}; read-only, as
+    every caller gets a copy."""
+    shape = SkewShape(StrictPartition(lam), StrictPartition(mu))
     terms: dict = {}
     base = shape.size
     for _, counts, size in _leaves(EnumSpec(shape, n, family, kind)):
         key = (tuple(counts), size - base)
         terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly._trusted(n, terms)
+    return terms
 
 
 @lru_cache(maxsize=1 << 14)
@@ -140,46 +153,84 @@ def _signed(terms: dict) -> int:
     return sum(-c if b & 1 else c for (_, b), c in terms.items())
 
 
+def _level_step(level: dict, lam: tuple, mu: tuple, family: str,
+                kind: str, fold, moves: dict, only=None) -> dict:
+    """F_k from F_(k-1): F_k(nu) = sum over rho of F_(k-1)(rho) times the
+    letter-k factor f(nu, rho), read through ``fold``, zeros dropped.
+
+    The factor is nonzero only for the nu of ``_strips_above(rho, lam)``
+    and is the same at every level, so ``moves`` keeps each rho's
+    transitions for the caller's next step.  ``only`` keeps one nu.
+    """
+    poly = fold is _terms
+    nxt: dict = {}
+    for rho, value in level.items():
+        out = moves.get(rho)
+        if out is None:
+            out = moves[rho] = [
+                (nu, f) for nu in _strips_above(rho, lam)
+                if (f := fold(_letter_factor(nu, rho, mu, family, kind)))]
+        for nu, factor in out:
+            if only is not None and nu != only:
+                continue
+            if not poly:
+                nxt[nu] = nxt.get(nu, 0) + factor * value
+                continue
+            terms = nxt.setdefault(nu, {})
+            for (x, b), c in factor.items():
+                for (xexp, bexp), d in value.items():
+                    key = (xexp + (x,), bexp + b)
+                    terms[key] = terms.get(key, 0) + c * d
+    return {nu: v for nu, v in nxt.items() if v}  # b = -1 may cancel
+
+
+class _Levels:
+    """A point fold's recursion so far: ``at_lam[k]`` is F_k(lam) for each
+    level k reached, and ``last`` the deepest level whole, every nu
+    reached with its F_k(nu), to extend from."""
+
+    __slots__ = ("at_lam", "last")
+
+    def __init__(self, lam: tuple, mu: tuple):
+        self.at_lam = [1 if lam == mu else 0]
+        self.last = {mu: 1}
+
+
+@lru_cache(maxsize=512)
+def _point_levels(lam: tuple, mu: tuple, family: str, kind: str,
+                  fold) -> _Levels:
+    """The levels kept for one point-fold recursion, which
+    ``_branching_sum`` extends in place, so one recursion serves every n."""
+    return _Levels(lam, mu)
+
+
 def _branching_sum(shape: SkewShape, n: int, family: str, kind: str,
                    fold=_terms):
     """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
 
     Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
-    nu/mu in x1..xk: F_k(nu) = sum over rho of F_(k-1)(rho) times the
-    letter-k factor f(nu, rho).  The factor is nonzero only for the nu of
-    ``_strips_above(rho, lam)`` and is the same at every level, so each
-    rho's transitions are built once per call, and the last level keeps
-    nu = lam only.  ``fold`` reads each factor once: the identity fold
-    ``_terms`` gives the polynomial, and a point fold (``_count``,
-    ``_signed``) gives F(1,...,1 | b) as an int and builds no polynomial.
+    nu/mu in x1..xk, one ``_level_step`` from level k - 1.  ``fold`` reads
+    each factor once: the identity fold ``_terms`` gives the polynomial,
+    built afresh per call with the last level keeping nu = lam only, and a
+    point fold (``_count``, ``_signed``) gives F(1,...,1 | b) as an int,
+    with no polynomial built, from levels kept across calls and extended
+    to n on demand.
     """
     lam, mu = shape.outer.parts, shape.inner.parts
-    poly = fold is _terms
     moves: dict = {}  # rho -> [(nu, folded f(nu, rho))], zeros left out
-    level = {mu: {((), 0): 1} if poly else 1}
-    for k in range(1, n + 1):
-        nxt: dict = {}
-        for rho, value in level.items():
-            out = moves.get(rho)
-            if out is None:
-                out = moves[rho] = [
-                    (nu, f) for nu in _strips_above(rho, lam)
-                    if (f := fold(_letter_factor(nu, rho, mu, family, kind)))]
-            for nu, factor in out:
-                if k == n and nu != lam:
-                    continue
-                if not poly:
-                    nxt[nu] = nxt.get(nu, 0) + factor * value
-                    continue
-                terms = nxt.setdefault(nu, {})
-                for (x, b), c in factor.items():
-                    for (xexp, bexp), d in value.items():
-                        key = (xexp + (x,), bexp + b)
-                        terms[key] = terms.get(key, 0) + c * d
-        level = {nu: v for nu, v in nxt.items() if v}  # b = -1 may cancel
-    if poly:  # every coefficient counts tableaux, so none is 0
+    if fold is _terms:
+        level = {mu: {((), 0): 1}}
+        for k in range(1, n + 1):
+            level = _level_step(level, lam, mu, family, kind, fold, moves,
+                                lam if k == n else None)
+        # every coefficient counts tableaux, so none is 0
         return LaurentPoly._trusted(n, level.get(lam, {}))
-    return level.get(lam, 0)
+    levels = _point_levels(lam, mu, family, kind, fold)
+    while len(levels.at_lam) <= n:
+        levels.last = _level_step(levels.last, lam, mu, family, kind, fold,
+                                  moves)
+        levels.at_lam.append(levels.last.get(lam, 0))
+    return levels.at_lam[n]
 
 
 def _at(spec: FunctionSpec, fold) -> int:

@@ -86,16 +86,26 @@ class InvolutionReport(NamedTuple):
 def _iota_pairs(shape: SkewShape, family: str, n: int,
                 tmin: Filling) -> Iterator[tuple[Filling, Filling]]:
     """(T, iota(T)) for the set-valued tableaux T of shape other than
-    ``tmin``, in enumeration order, skipping each T an earlier T mapped to."""
-    images: set[Filling] = set()
-    for T in enumerate_fillings(EnumSpec(shape, n, family, "set-valued")):
-        if T == tmin:
-            continue
-        if T in images:
-            images.discard(T)
-            continue
+    ``tmin``, in enumeration order, skipping each T an earlier T mapped to.
+
+    Leaves are told apart by their row-major cell tuples, so a ``Filling``
+    is built only for a T that is kept.
+    """
+    skip = tuple(tmin.cells.values())
+    images: set[tuple] = set()  # the cell tuples of the images still ahead
+
+    def keep(cells: tuple) -> bool:
+        if cells == skip:
+            return False
+        if cells in images:
+            images.discard(cells)
+            return False
+        return True
+
+    spec = EnumSpec(shape, n, family, "set-valued")
+    for T in enumerate_fillings(spec, keep):
         image = iota(T, tmin)
-        images.add(image)
+        images.add(tuple(image.cells.values()))
         yield T, image
 
 

@@ -1,4 +1,7 @@
-"""Shared fixtures: worked-example tableaux used across the test modules."""
+"""Shared fixtures: worked-example tableaux used across the test modules,
+and the package's caches cleared around a test."""
+
+import sys
 
 import pytest
 
@@ -14,6 +17,32 @@ def shape_421():
 @pytest.fixture(scope="session")
 def skew_6431_42():
     return SkewShape(StrictPartition((6, 4, 3, 1)), StrictPartition((4, 2)))
+
+
+def clear_package_caches() -> None:
+    """Drop every functools cache in the package: each ``cache_clear``
+    among the package modules' globals and their classes' attributes (the
+    loop the benchmark runs before each pass)."""
+    for name, module in list(sys.modules.items()):
+        if name != "shifted_kschur" and not name.startswith("shifted_kschur."):
+            continue
+        for obj in list(vars(module).values()):
+            objs = [obj] + (list(vars(obj).values())
+                            if isinstance(obj, type) else [])
+            for o in objs:
+                clear = getattr(o, "cache_clear", None)
+                if callable(clear):
+                    clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty caches at the start of the test and again at its end, so no
+    answer cached earlier (or under a patch) crosses into or out of it;
+    the test may call the returned function to clear them mid-way."""
+    clear_package_caches()
+    yield clear_package_caches
+    clear_package_caches()
 
 
 def rows(shape, n, family, spec):

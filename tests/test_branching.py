@@ -164,7 +164,7 @@ def _no_verdict(shape, family, n):
     return involutions.InvolutionReport(str(shape), family, n, 0, ())
 
 
-def test_polynomial_path_never_enumerates(monkeypatch):
+def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
     specs = [FunctionSpec(family, SkewShape.parse(shape), n)
              for shape, n in NO_ENUMERATION_CASES for family in FAMILIES]
 
@@ -187,7 +187,7 @@ def test_polynomial_path_never_enumerates(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(genfunc, "_branching_sum", _enumerated)
         want = quantities()
-    _one_letter.cache_clear()  # no factor cached by an earlier call counts
+    fresh_caches()  # nothing cached by the enumerated pass counts
 
     def refuse(spec):
         raise AssertionError(f"enumerated {spec} on the polynomial path")
@@ -238,7 +238,7 @@ def test_strips_are_the_pairs_with_a_letter_factor():
     assert pairs == 2246
 
 
-def test_scalar_paths_build_no_polynomial(monkeypatch):
+def test_scalar_paths_build_no_polynomial(monkeypatch, fresh_caches):
     specs = [FunctionSpec(family, SkewShape.parse(shape), n)
              for shape, n in NO_ENUMERATION_CASES + [("3,2/2", 1)]
              for family in K_FAMILIES]
@@ -246,6 +246,7 @@ def test_scalar_paths_build_no_polynomial(monkeypatch):
              special_value(spec)) for spec in specs]
     want_counts = [sum(compute(spec).terms.values()) for spec in specs
                    if spec.family in ("GP", "GQ")]
+    fresh_caches()  # the scalars below are computed, not read back
     built = []
 
     def refuse(*args, **kwargs):
@@ -270,7 +271,8 @@ def test_scalar_paths_build_no_polynomial(monkeypatch):
                          {((0,) * spec.n, spec.shape.size): s}]
 
 
-def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch):
+def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch,
+                                                        fresh_caches):
     shape = SkewShape.parse("4,2/1")
     want = [_branching_sum(shape, 3, family, kind)
             for family in ("P", "Q") for kind in KINDS]
@@ -287,3 +289,57 @@ def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch):
     lam = StrictPartition.parse("3,1")
     for family in ("P", "Q", "GP", "GQ"):
         assert coproduct_check(lam, 1, 2, family).ok, family
+
+
+def test_point_levels_serve_every_n_in_any_order(fresh_caches):
+    # the levels kept per (lam, mu, family, kind, fold) and extended on
+    # demand give what a recursion from level 0 gives, however n is asked
+    orders = ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3))
+    cases = 0
+    for shape in skew_shapes(6):
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                for fold in (_count, _signed):
+                    want = {}
+                    for n in (1, 2, 3, 4):
+                        genfunc._point_levels.cache_clear()
+                        want[n] = _branching_sum(shape, n, family, kind, fold)
+                    for order in orders:
+                        genfunc._point_levels.cache_clear()
+                        got = {n: _branching_sum(shape, n, family, kind, fold)
+                               for n in order}
+                        assert got == want, (str(shape), family, kind, fold,
+                                             order)
+                    cases += 1
+    assert cases == 640
+
+
+def test_tableau_sum_result_is_the_callers_own(fresh_caches):
+    shape = SkewShape.parse("4,2/1")
+    first = _tableau_sum(shape, 3, "Q", "set-valued")
+    want = dict(first.terms)
+    key = next(iter(first.terms))
+    first.terms[key] += 7
+    first.terms[((9, 9, 9), 9)] = 1
+    assert _tableau_sum(shape, 3, "Q", "set-valued").terms == want
+    assert genfunc._tableau_terms.cache_info().hits == 1
+
+
+def test_coproduct_checks_of_one_total_share_one_walk(fresh_caches):
+    lam = StrictPartition.parse("3,1")
+    for nx, ny in ((1, 2), (2, 1)):
+        assert coproduct_check(lam, nx, ny, "GQ").ok
+    info = genfunc._tableau_terms.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_certificate_check_reuses_the_count_recursion(fresh_caches):
+    lam, mu = StrictPartition.parse("4,2,1"), StrictPartition.parse("2,1")
+    cert = involutions.pairing_certificate(lam, mu, 2, "Q")
+    read_back = involutions.PairingCertificate.from_json(cert.to_json())
+    before = genfunc._point_levels.cache_info()
+    assert before.misses > 0
+    assert involutions.check_certificate(read_back) == (True, None)
+    after = genfunc._point_levels.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits

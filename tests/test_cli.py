@@ -187,6 +187,18 @@ class TestIdentity:
                            "--max-weight", "3", "--nx", "1", "--ny", "1")
         assert code == 0
 
+    def test_coproduct_guard_refuses_before_the_sweep(self, capsys,
+                                                       monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ran an instance past the guard")
+
+        monkeypatch.setattr(genfunc, "coproduct_check", refuse)
+        code, out, err = run(capsys, "identity", "--check", "coproduct",
+                             "--max-weight",
+                             str(genfunc.COPRODUCT_MAX_WEIGHT + 1))
+        assert (code, out) == (2, "")
+        assert err == "error: coproduct guard exceeded: |lambda| too large\n"
+
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run(capsys, "identity", "--check", "nonsense")
         assert code == 2

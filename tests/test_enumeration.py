@@ -210,3 +210,18 @@ def test_leaves_in_oracle_order():
                 assert got == want, (str(shape), n, family, kind)
                 leaves += len(got)
     assert leaves == 4657
+
+
+def test_keep_builds_only_the_leaves_it_accepts():
+    # keep sees each leaf's row-major cells, in walk order, and only the
+    # fillings it accepts are built
+    s = spec((4, 2, 1), 2, "Q", mu=(1,))
+    every = list(enumerate_fillings(s))
+    seen = []
+
+    def keep(cells):
+        seen.append(cells)
+        return len(seen) % 3 == 0
+
+    assert list(enumerate_fillings(s, keep)) == every[2::3]
+    assert seen == [tuple(f.cells.values()) for f in every]

@@ -234,9 +234,10 @@ def cmd_pair(args) -> int:
     lam = StrictPartition.parse(args.lam)
     mu = StrictPartition.parse(args.mu)
     if args.check:
-        with open(args.check) as fh:
-            data = json.load(fh)
-        try:
+        involutions.check_request(lam, mu, args.n)
+        try:  # text that is not UTF-8 JSON is malformed; an OSError is not
+            with open(args.check, encoding="utf-8") as fh:
+                data = json.load(fh)
             cert = involutions.PairingCertificate.from_json(data)
         except (KeyError, TypeError, ValueError) as exc:
             ok, why = False, f"malformed certificate ({exc!r})"

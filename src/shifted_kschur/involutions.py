@@ -13,8 +13,8 @@ back, each distinct cell parsed once.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
@@ -192,48 +192,19 @@ class PairingCertificate:
 
 
 _HOLE = "\0"  # a slot in a document; json writes it as _SLOT
-_SLOT = encode_basestring_ascii(_HOLE)
-
-
-def json_text(o, level: int = 0) -> str:
-    """``json.dumps(o, sort_keys=True, indent=1)`` as it reads ``level``
-    deep in a larger document.
-
-    Values must be of exactly these types: dict with str keys, list,
-    tuple, str, int, bool and None; any other raises TypeError.  Unlike
-    ``json.dumps`` with an indent, this needs no pure-Python encoder pass
-    and no re-indenting of its result.
-    """
-    t = type(o)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if t is int:
-        return int.__repr__(o)
-    if t is list or t is tuple:
-        items = [json_text(v, level + 1) for v in o]
-    elif t is dict:  # a non-str key fails in encode_basestring_ascii
-        items = [encode_basestring_ascii(k) + ": " + json_text(v, level + 1)
-                 for k, v in sorted(o.items())]
-    else:
-        raise TypeError(f"cannot encode {t.__name__} as JSON")
-    opening, closing = "[]" if t is not dict else "{}"
-    if not items:
-        return opening + closing
-    inner = "\n" + " " * (level + 1)
-    return (opening + inner + ("," + inner).join(items)
-            + "\n" + " " * level + closing)
+_SLOT = json.dumps(_HOLE)
 
 
 def _format(doc, level: int):
-    """``format`` of ``json_text(doc, level)`` with a field for each hole."""
+    """``format`` of doc's ``json.dumps(..., sort_keys=True, indent=1)``
+    text as it reads ``level`` deep in a larger document, with a field for
+    each hole.  Re-indenting every line break is exact: a JSON string
+    never holds a raw newline.
+    """
+    text = json.dumps(doc, sort_keys=True, indent=1).replace(
+        "\n", "\n" + " " * level)
     return "{}".join(piece.replace("{", "{{").replace("}", "}}")
-                     for piece in json_text(doc, level).split(_SLOT)).format
+                     for piece in text.split(_SLOT)).format
 
 
 def _array(texts: Iterable[str], level: int) -> Iterator[str]:
@@ -253,10 +224,12 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     """Write ``json.dumps(cert.to_json(), sort_keys=True, indent=1)`` to fh
     for a certificate built by ``pairing_certificate``, one pair at a time.
 
-    An element's text is its nu's template filled with its cells' texts in
-    row-major order; templates and cell texts are made on first use and
-    kept for this call.  A leftover element sits a level less deep than a
-    pair's side: one space less on each line.
+    The header is ``json.dumps`` of the certificate with a hole for each
+    of its two lists.  An element's text is its nu's template, made by
+    ``json.dumps`` of one element with a hole per cell, filled with its
+    cells' texts in row-major order; templates and cell texts are made on
+    first use and kept for this call.  A leftover element sits a level
+    less deep than a pair's side: one space less on each line.
     """
     formats: dict = {}  # nu -> template of its elements as a pair's side
     texts: dict = {}  # cell -> its text in a pair's side, seven levels deep
@@ -278,7 +251,8 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
 
     top = replace(cert, pairs=[], leftover=[]).to_json()
     top["leftover"] = top["pairs"] = _HOLE
-    before, between, after = json_text(top).split(_SLOT)
+    before, between, after = json.dumps(top, sort_keys=True,
+                                        indent=1).split(_SLOT)
     fh.write(before)
     fh.writelines(_array((side(e).replace("\n ", "\n")
                           for e in cert.leftover), 1))
@@ -295,6 +269,15 @@ def _family_size(shapes: Iterable[SkewShape], family: str, n: int) -> int:
                for shape in shapes)
 
 
+def check_request(lam: StrictPartition, mu: StrictPartition, n: int) -> None:
+    """Raise ValueError unless lam // mu at n is a pairing request: a
+    nonempty mu contained in lam, and n at least 1."""
+    if not mu or not is_subpartition(mu, lam):
+        raise ValueError("need a nonempty mu contained in lam")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
                         family: str,
                         minimal_only: bool = False) -> PairingCertificate:
@@ -308,8 +291,7 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     than ``PAIR_MAX_ELEMENTS`` tableaux is refused.  The elements of one
     nu share one shape object, so treat them as read-only.
     """
-    if not mu or not is_subpartition(mu, lam):
-        raise ValueError("need a nonempty mu contained in lam")
+    check_request(lam, mu, n)
     shapes = {nu: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
     size = 0 if minimal_only else _family_size(shapes.values(), family, n)
     if size > PAIR_MAX_ELEMENTS:
@@ -354,10 +336,12 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     family, so the pairs prove that its signed sum is 0.
     """
     lam, mu, n, family = cert.lam, cert.mu, cert.n, cert.family
-    if family not in FAMILIES or type(n) is not int or n < 1:
+    if family not in FAMILIES or type(n) is not int:
         return False, f"bad header: family={family!r} n={n!r}"
-    if not mu or not is_subpartition(mu, lam):
-        return False, "need a nonempty mu contained in lam"
+    try:
+        check_request(lam, mu, n)
+    except ValueError as exc:
+        return False, str(exc)
     removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
     shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}

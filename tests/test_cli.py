@@ -2,13 +2,11 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from shifted_kschur import genfunc
 from shifted_kschur.cli import main
-from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, json_text,
-                                        pairing_certificate, write_certificate)
+from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
+                                        write_certificate)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (StrictPartition,
                                    strict_partitions_up_to_weight,
@@ -325,6 +323,33 @@ class TestPair:
                            str(path))
         assert (code, out) == (0, "certificate ok\n")
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--mu", "-", "need a nonempty mu contained in lam"),
+        ("--mu", "3", "need a nonempty mu contained in lam"),
+        ("-n", "0", "n must be at least 1")],
+        ids=["empty_mu", "mu_outside_lambda", "n_zero"])
+    def test_check_of_bad_command_line_is_usage_error(self, capsys, tmp_path,
+                                                      flag, value, message):
+        # the same exit and message as without --check
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        argv = list(PAIR_21_1)
+        argv[argv.index(flag) + 1] = value
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert run(capsys, *argv, "--check", str(path)) == \
+            (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cut", [lambda data: data[:200],
+                                     lambda data: b"\xff\xff"],
+                             ids=["truncated", "not_utf8"])
+    def test_file_that_is_not_json_fails(self, capsys, tmp_path, cut):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        path.write_bytes(cut(path.read_bytes()))
+        code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
+        assert (code, out) == (1, "certificate FAILED\n")
+        assert err.startswith("note: malformed certificate (")
+
     def test_check_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, *PAIR_21_1, "--check",
                              str(tmp_path / "absent.json"))
@@ -367,53 +392,6 @@ class TestPair:
         code, _, err = run(capsys, "pair", "--lambda", "2,1", "--mu", "-",
                            "--family", "P", "-n", "2")
         assert code == 2 and "error" in err
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda children: st.lists(children, max_size=4)
-    | st.tuples(children, children)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4)
-    # one object referenced several times, at one level and at others
-    | children.map(lambda v: [v, v, v, [v, {"k": v}]]),
-    max_leaves=30)
-
-
-_HEAD = {"outer": [2, 1], "inner": [1], "boxes": [[1, 2], [2, 2]]}
-
-
-def write_json(value, fh) -> None:
-    """The document text that ``write_certificate``'s templates come from."""
-    fh.write(json_text(value))
-
-
-class TestWriteJson:
-    @pytest.mark.parametrize("value", [
-        {}, [], (), "", "\u00e9\u2028\"\\\n\U0001f600", 0, -7, True, None,
-        {"b": [], "a": {}, "c": [[], {}, [[]]]}, [{"x": ["1'", "2"]}],
-        ["a", 1, ["b"], None, False],
-        # one header shared by many elements, as in a pairing certificate
-        {"pairs": [{"left": {"shape": _HEAD}, "right": {"shape": _HEAD}}] * 3
-         + [_HEAD, [_HEAD]]}])
-    def test_examples(self, value):
-        fh = io.StringIO()
-        write_json(value, fh)
-        assert fh.getvalue() == json.dumps(value, sort_keys=True, indent=1)
-
-    @given(json_values, st.integers(0, 9))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps(self, value, level):
-        fh = io.StringIO()
-        write_json(value, fh)
-        assert fh.getvalue() == json.dumps(value, sort_keys=True, indent=1)
-        # level deep: each line after the first indented level more
-        assert json_text(value, level) == fh.getvalue().replace(
-            "\n", "\n" + " " * level)
-
-    @pytest.mark.parametrize("value", [1.5, {1: 2}, {"a": {3}}])
-    def test_rejects_other_types(self, value):
-        with pytest.raises(TypeError):
-            write_json(value, io.StringIO())
 
 
 def _written(cert) -> str:

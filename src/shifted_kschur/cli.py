@@ -235,11 +235,13 @@ def cmd_pair(args) -> int:
     mu = StrictPartition.parse(args.mu)
     if args.check:
         involutions.check_request(lam, mu, args.n)
-        try:  # text that is not UTF-8 JSON is malformed; an OSError is not
+        # text that is not UTF-8 JSON, or nests too deep for the parser, is
+        # malformed; an OSError is not
+        try:
             with open(args.check, encoding="utf-8") as fh:
                 data = json.load(fh)
             cert = involutions.PairingCertificate.from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             ok, why = False, f"malformed certificate ({exc!r})"
         else:
             asked = (lam, mu, args.family, args.n, args.minimal_only)

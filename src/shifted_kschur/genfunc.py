@@ -6,12 +6,12 @@ recursion over strict shapes mu <= nu <= lam with one-letter factors (the
 coproduct with a single y-variable).  A step goes from rho only to the nu
 of ``shapes._strips_above`` (nu/rho a shifted horizontal strip, the only
 pairs with a nonzero factor), and each one-letter factor comes from a
-per-row rule on the first box of each row, with no tableaux.  The same
-recursion reads each factor through a fold: the identity fold builds the
-polynomial, and a point fold evaluates it at x = 1, b = +-1 as an int, so
-the count, the signed count and the special value (b^|lam/mu| times the
-signed count) build no polynomial; a point fold's levels are kept across
-calls, so one recursion to n letters serves every n' <= n.  Folding the
+per-row rule on the first box of each row, with no tableaux.
+``_branching_sum`` builds the polynomial.  ``_point_sum`` runs the same
+recursion on int pairs, the sum at x = 1 and b = 1, -1, so the count, the
+signed count and the special value (b^|lam/mu| times the signed count)
+build no polynomial; its levels are kept across calls, so one recursion
+to n letters serves both scalars at every n' <= n.  Folding the
 tableaux into a polynomial (``_tableau_sum``, which reads each weight and
 |T| off the leaves of the backtracking walk, kept per shape and n) is kept
 as the definition the engine and the rule are tested against.  The
@@ -136,118 +136,111 @@ def _letter_factor(nu: tuple, rho: tuple, mu: tuple, family: str,
     return out
 
 
-def _terms(terms: dict) -> dict:
-    """The identity fold: the level recursion builds the polynomial."""
-    return terms
+def _branching_sum(shape: SkewShape, n: int, family: str,
+                   kind: str) -> LaurentPoly:
+    """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
 
-
-def _count(terms: dict) -> int:
-    """The point fold x = 1, b = 1 of {(x-exp, b-exp): coeff}: each
-    tableau counts once."""
-    return sum(terms.values())
-
-
-def _signed(terms: dict) -> int:
-    """The point fold x = 1, b = -1 of {(x-exp, b-exp): coeff}: each
-    tableau counts (-1)^(b-exp), that is (-1)^(|T| - #boxes)."""
-    return sum(-c if b & 1 else c for (_, b), c in terms.items())
-
-
-def _level_step(level: dict, lam: tuple, mu: tuple, family: str,
-                kind: str, fold, moves: dict, only=None) -> dict:
-    """F_k from F_(k-1): F_k(nu) = sum over rho of F_(k-1)(rho) times the
-    letter-k factor f(nu, rho), read through ``fold``, zeros dropped.
-
-    The factor is nonzero only for the nu of ``_strips_above(rho, lam)``
-    and is the same at every level, so ``moves`` keeps each rho's
-    transitions for the caller's next step.  ``only`` keeps one nu.
+    Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
+    nu/mu in x1..xk: F_k(nu) is the sum over rho of F_(k-1)(rho) times the
+    letter-k factor f(nu, rho).  The factor is nonzero only for the nu of
+    ``_strips_above(rho, lam)`` and is the same at every level, so
+    ``moves`` keeps each rho's transitions for the next level.  The
+    polynomial is built afresh per call, the last level keeping nu = lam
+    only.
     """
-    poly = fold is _terms
-    nxt: dict = {}
-    for rho, value in level.items():
-        out = moves.get(rho)
-        if out is None:
-            out = moves[rho] = [
-                (nu, f) for nu in _strips_above(rho, lam)
-                if (f := fold(_letter_factor(nu, rho, mu, family, kind)))]
-        for nu, factor in out:
-            if only is not None and nu != only:
-                continue
-            if not poly:
-                nxt[nu] = nxt.get(nu, 0) + factor * value
-                continue
-            terms = nxt.setdefault(nu, {})
-            for (x, b), c in factor.items():
-                for (xexp, bexp), d in value.items():
-                    key = (xexp + (x,), bexp + b)
-                    terms[key] = terms.get(key, 0) + c * d
-    return {nu: v for nu, v in nxt.items() if v}  # b = -1 may cancel
+    lam, mu = shape.outer.parts, shape.inner.parts
+    moves: dict = {}  # rho -> [(nu, f(nu, rho))]
+    level = {mu: {((), 0): 1}}
+    for k in range(1, n + 1):
+        only = lam if k == n else None
+        nxt: dict = {}
+        for rho, value in level.items():
+            out = moves.get(rho)
+            if out is None:
+                out = moves[rho] = [
+                    (nu, _letter_factor(nu, rho, mu, family, kind))
+                    for nu in _strips_above(rho, lam)]
+            for nu, factor in out:
+                if only is not None and nu != only:
+                    continue
+                terms = nxt.setdefault(nu, {})
+                for (x, b), c in factor.items():
+                    for (xexp, bexp), d in value.items():
+                        key = (xexp + (x,), bexp + b)
+                        terms[key] = terms.get(key, 0) + c * d
+        level = nxt
+    # every coefficient counts tableaux, so none is 0
+    return LaurentPoly._trusted(n, level.get(lam, {}))
 
 
 class _Levels:
-    """A point fold's recursion so far: ``at_lam[k]`` is F_k(lam) for each
-    level k reached, and ``last`` the deepest level whole, every nu
-    reached with its F_k(nu), to extend from."""
+    """The point recursion so far: ``at_lam[k]`` is the pair F_k(lam) for
+    each level k reached, and ``last`` the deepest level whole, every nu
+    reached with its pair, to extend from."""
 
     __slots__ = ("at_lam", "last")
 
     def __init__(self, lam: tuple, mu: tuple):
-        self.at_lam = [1 if lam == mu else 0]
-        self.last = {mu: 1}
+        self.at_lam = [(1, 1) if lam == mu else (0, 0)]
+        self.last = {mu: (1, 1)}
 
 
 @lru_cache(maxsize=512)
-def _point_levels(lam: tuple, mu: tuple, family: str, kind: str,
-                  fold) -> _Levels:
-    """The levels kept for one point-fold recursion, which
-    ``_branching_sum`` extends in place, so one recursion serves every n."""
+def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
+    """The levels kept for one point recursion, which ``_point_sum``
+    extends in place, so one recursion serves every n and both scalars."""
     return _Levels(lam, mu)
 
 
-def _branching_sum(shape: SkewShape, n: int, family: str, kind: str,
-                   fold=_terms):
-    """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
+def _point_sum(shape: SkewShape, n: int, family: str,
+               kind: str) -> tuple[int, int]:
+    """``_branching_sum`` at x = 1 and b = 1, -1, with no polynomial built.
 
-    Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
-    nu/mu in x1..xk, one ``_level_step`` from level k - 1.  ``fold`` reads
-    each factor once: the identity fold ``_terms`` gives the polynomial,
-    built afresh per call with the last level keeping nu = lam only, and a
-    point fold (``_count``, ``_signed``) gives F(1,...,1 | b) as an int,
-    with no polynomial built, from levels kept across calls and extended
-    to n on demand.
+    The pair is (count, signed count): each tableau counts 1 and
+    (-1)^(|T| - #boxes).  The recursion is ``_branching_sum``'s with int
+    pairs for values, each factor read at the two points, from levels kept
+    across calls and extended to n on demand.  A reached nu has a positive
+    count, so the levels need no zero filter.
     """
     lam, mu = shape.outer.parts, shape.inner.parts
-    moves: dict = {}  # rho -> [(nu, folded f(nu, rho))], zeros left out
-    if fold is _terms:
-        level = {mu: {((), 0): 1}}
-        for k in range(1, n + 1):
-            level = _level_step(level, lam, mu, family, kind, fold, moves,
-                                lam if k == n else None)
-        # every coefficient counts tableaux, so none is 0
-        return LaurentPoly._trusted(n, level.get(lam, {}))
-    levels = _point_levels(lam, mu, family, kind, fold)
+    levels = _point_levels(lam, mu, family, kind)
+    moves: dict = {}  # rho -> [(nu, f(1|1), f(1|-1))]
     while len(levels.at_lam) <= n:
-        levels.last = _level_step(levels.last, lam, mu, family, kind, fold,
-                                  moves)
-        levels.at_lam.append(levels.last.get(lam, 0))
+        nxt: dict = {}
+        for rho, (count, signed) in levels.last.items():
+            out = moves.get(rho)
+            if out is None:
+                out = moves[rho] = []
+                for nu in _strips_above(rho, lam):
+                    f = _letter_factor(nu, rho, mu, family, kind)
+                    out.append((nu, sum(f.values()),
+                                sum(-c if b & 1 else c
+                                    for (_, b), c in f.items())))
+            for nu, c, s in out:
+                was = nxt.get(nu, (0, 0))
+                nxt[nu] = (was[0] + c * count, was[1] + s * signed)
+        levels.last = nxt
+        levels.at_lam.append(nxt.get(lam, (0, 0)))
     return levels.at_lam[n]
 
 
-def _at(spec: FunctionSpec, fold) -> int:
-    """The family at x = 1 and the point fold's b, with no polynomial built.
+def _at(spec: FunctionSpec) -> tuple[int, int]:
+    """The family at x = 1 and b = 1, -1: (count, signed count), with no
+    polynomial built.
 
     A double-skew family is the sum over nu of b^|mu/nu| times the family
-    of lam/nu; the fold reads b^|mu/nu| as the one-term dict
-    {(0, |mu/nu|): 1}.
+    of lam/nu, so on the signed side lam/nu counts (-1)^|mu/nu|.
     """
     shape = spec.shape
     parts = ([(b, SkewShape(shape.outer, nu))
               for b, nu in inner_shapes(shape.inner)]
              if spec.family.endswith("double") else [(0, shape)])
-    return sum(fold({(0, b): 1}) * _branching_sum(skew, spec.n,
-                                                  spec.base_family,
-                                                  spec.kind, fold)
-               for b, skew in parts)
+    count = signed = 0
+    for b, skew in parts:
+        c, s = _point_sum(skew, spec.n, spec.base_family, spec.kind)
+        count += c
+        signed += -s if b & 1 else s
+    return count, signed
 
 
 def compute(spec: FunctionSpec) -> LaurentPoly:
@@ -293,7 +286,7 @@ def signed_count(spec: FunctionSpec) -> int:
     (-1)^(|T| - |lam/nu| + |mu/nu|)."""
     if spec.family not in K_FAMILIES:
         raise ValueError("signed_count applies to the K-theoretic families")
-    return _at(spec, _signed)
+    return _at(spec)[1]
 
 
 class NuTerm(NamedTuple):
@@ -382,5 +375,5 @@ def parity_report(spec: FunctionSpec) -> ParityReport:
     """Count of the underlying set-valued tableau set with its parity."""
     if spec.family not in ("GP", "GQ"):
         raise ValueError("parity_report applies to GP and GQ only")
-    c = _at(spec, _count)
+    c = _at(spec)[0]
     return ParityReport(c, c % 2 == 1)

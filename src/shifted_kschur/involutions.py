@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
-from .genfunc import FunctionSpec, parity_report
+from .genfunc import FunctionSpec, _at
 from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
                      is_subpartition, pi)
 from .tableaux import (FAMILIES, Filling, entry_str, filling_from_rows,
@@ -262,11 +262,12 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     fh.write(after)
 
 
-def _family_size(shapes: Iterable[SkewShape], family: str, n: int) -> int:
-    """The number of tableaux over the shapes lam/nu: the branching
-    engine's count, with no tableau built."""
-    return sum(parity_report(FunctionSpec("G" + family, shape, n)).count
-               for shape in shapes)
+def _family_size(lam: StrictPartition, mu: StrictPartition, family: str,
+                 n: int) -> int:
+    """The number of tableaux of the double-skew family lam // mu: the
+    branching engine's count, with no tableau built."""
+    return _at(FunctionSpec("G" + family + "double", SkewShape(lam, mu),
+                            n))[0]
 
 
 def check_request(lam: StrictPartition, mu: StrictPartition, n: int) -> None:
@@ -293,7 +294,7 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     """
     check_request(lam, mu, n)
     shapes = {nu: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
-    size = 0 if minimal_only else _family_size(shapes.values(), family, n)
+    size = 0 if minimal_only else _family_size(lam, mu, family, n)
     if size > PAIR_MAX_ELEMENTS:
         raise ValueError(f"infeasible scale: {size} elements, above the "
                          f"limit of {PAIR_MAX_ELEMENTS}; use minimal_only")
@@ -400,7 +401,7 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     if cert.minimal_only:
         want = len(shapes)
     else:
-        want = _family_size(shapes.values(), family, n)
+        want = _family_size(lam, mu, family, n)
     if len(seen) != want:
         return False, f"{len(seen)} elements, the family has {want}"
     return True, None

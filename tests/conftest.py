@@ -1,11 +1,16 @@
 """Shared fixtures: worked-example tableaux used across the test modules,
-and the package's caches cleared around a test."""
+the naive oracle's tableaux, and the package's caches cleared around a
+test."""
 
 import sys
+from itertools import product
 
 import pytest
 
-from shifted_kschur.shapes import SkewShape, StrictPartition
+from shifted_kschur.enumeration import KINDS, EnumSpec, naive_oracle
+from shifted_kschur.shapes import (SkewShape, StrictPartition,
+                                   strict_partitions_up_to_weight,
+                                   strict_subpartitions)
 from shifted_kschur.tableaux import filling_from_rows
 
 
@@ -17,6 +22,18 @@ def shape_421():
 @pytest.fixture(scope="session")
 def skew_6431_42():
     return SkewShape(StrictPartition((6, 4, 3, 1)), StrictPartition((4, 2)))
+
+
+@pytest.fixture(scope="session")
+def oracle_tableaux():
+    """``naive_oracle``'s tableaux, in its order, by ``EnumSpec``, computed
+    once per session: every skew shape inside a strict partition of weight
+    at most 5, n <= 2, P/Q, single and set-valued."""
+    return {s: list(naive_oracle(s))
+            for lam in strict_partitions_up_to_weight(5)
+            for mu in strict_subpartitions(lam)
+            for n, family, kind in product((1, 2), "PQ", KINDS)
+            for s in [EnumSpec(SkewShape(lam, mu), n, family, kind)]}
 
 
 def clear_package_caches() -> None:

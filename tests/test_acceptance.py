@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from shifted_kschur.enumeration import EnumSpec, enumerate_fillings, naive_oracle
+from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
 from shifted_kschur.genfunc import (FunctionSpec, beta_zero, compute,
                                     coproduct_check, double_skew_shortcut,
                                     parity_report, signed_count, special_value)
@@ -172,7 +172,7 @@ def test_criterion_8_involution_suite():
                         (shape, fam, n)
 
 
-def test_criterion_9_oracle_equivalence():
+def test_criterion_9_oracle_equivalence(oracle_tableaux):
     with report(9, "backtracker matches the naive oracle"):
         for shape in skew_shapes(5):
             if shape.size > 5:
@@ -182,7 +182,7 @@ def test_criterion_9_oracle_equivalence():
                         "PQ", ("single", "set-valued")):
                     spec = EnumSpec(shape, n, fam, kind)
                     fast = sorted(f._key for f in enumerate_fillings(spec))
-                    slow = sorted(f._key for f in naive_oracle(spec))
+                    slow = sorted(f._key for f in oracle_tableaux[spec])
                     assert fast == slow, (shape, n, fam, kind)
                 for fam in "PQ":
                     if not nonempty(shape, fam, n):

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from shifted_kschur import cli, enumeration, genfunc, involutions
 from shifted_kschur.enumeration import EnumSpec, count, enumerate_fillings
 from shifted_kschur.genfunc import (FAMILIES, K_FAMILIES, FunctionSpec, _at,
-                                    _branching_sum, _count, _letter_factor,
-                                    _one_letter, _signed, _tableau_sum,
-                                    _terms, beta_zero, compute,
-                                    coproduct_check, parity_report,
-                                    signed_count, special_value)
+                                    _branching_sum, _letter_factor,
+                                    _one_letter, _point_sum, _tableau_sum,
+                                    beta_zero, compute, coproduct_check,
+                                    parity_report, signed_count,
+                                    special_value)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _strips_above,
                                    strict_partitions_up_to_weight,
@@ -153,11 +153,11 @@ NO_ENUMERATION_CASES = [("3,1", 2), ("4,2,1", 2), ("4,2/1", 2),
                         ("5,3,1/3,1", 2), ("3,2/2", 3), ("2,1/1", 1)]
 
 
-def _enumerated(shape, n, family, kind, fold=_terms):
-    """``_branching_sum`` from the definition: the enumerated polynomial,
-    read through the fold."""
+def _enumerated_point(shape, n, family, kind):
+    """``_point_sum`` from the definition: the enumerated polynomial at
+    x = 1 and b = 1, -1."""
     poly = _tableau_sum(shape, n, family, kind)
-    return poly if fold is _terms else fold(poly.terms)
+    return poly.eval_integers([1] * n, 1), poly.eval_integers([1] * n, -1)
 
 
 def _no_verdict(shape, family, n):
@@ -185,7 +185,8 @@ def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
     # the emptiness test and the signed count, must not
     monkeypatch.setattr(involutions, "verify_involution", _no_verdict)
     with monkeypatch.context() as m:
-        m.setattr(genfunc, "_branching_sum", _enumerated)
+        m.setattr(genfunc, "_branching_sum", _tableau_sum)
+        m.setattr(genfunc, "_point_sum", _enumerated_point)
         want = quantities()
     fresh_caches()  # nothing cached by the enumerated pass counts
 
@@ -208,10 +209,8 @@ def test_point_folds_equal_specialised_compute_exhaustive():
                 spec = FunctionSpec(family, shape, n)
                 poly = compute(spec)
                 case = (str(shape), n, family)
-                assert _at(spec, _count) == poly.eval_integers([1] * n, 1), \
-                    case
-                assert _at(spec, _signed) == \
-                    poly.eval_integers([1] * n, -1), case
+                assert _at(spec) == (poly.eval_integers([1] * n, 1),
+                                     poly.eval_integers([1] * n, -1)), case
                 if family in K_FAMILIES:
                     assert special_value(spec) == \
                         poly.subst_beta_neg_inverse().subst_x_to_beta(), case
@@ -292,26 +291,33 @@ def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch,
 
 
 def test_point_levels_serve_every_n_in_any_order(fresh_caches):
-    # the levels kept per (lam, mu, family, kind, fold) and extended on
-    # demand give what a recursion from level 0 gives, however n is asked
+    # the levels kept per (lam, mu, family, kind) and extended on demand
+    # give the (count, signed count) pairs a recursion from level 0 gives,
+    # however n is asked
     orders = ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3))
     cases = 0
     for shape in skew_shapes(6):
         for family in ("P", "Q"):
             for kind in KINDS:
-                for fold in (_count, _signed):
-                    want = {}
-                    for n in (1, 2, 3, 4):
-                        genfunc._point_levels.cache_clear()
-                        want[n] = _branching_sum(shape, n, family, kind, fold)
-                    for order in orders:
-                        genfunc._point_levels.cache_clear()
-                        got = {n: _branching_sum(shape, n, family, kind, fold)
-                               for n in order}
-                        assert got == want, (str(shape), family, kind, fold,
-                                             order)
-                    cases += 1
-    assert cases == 640
+                want = {}
+                for n in (1, 2, 3, 4):
+                    genfunc._point_levels.cache_clear()
+                    want[n] = _point_sum(shape, n, family, kind)
+                for order in orders:
+                    genfunc._point_levels.cache_clear()
+                    got = {n: _point_sum(shape, n, family, kind)
+                           for n in order}
+                    assert got == want, (str(shape), family, kind, order)
+                cases += 1
+    assert cases == 320
+
+
+def test_count_and_signed_count_share_one_recursion(fresh_caches):
+    spec = FunctionSpec("GP", SkewShape.parse("4,2,1/1"), 3)
+    parity_report(spec)
+    signed_count(spec)
+    info = genfunc._point_levels.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
 def test_tableau_sum_result_is_the_callers_own(fresh_caches):

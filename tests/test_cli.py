@@ -340,8 +340,9 @@ class TestPair:
             (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("cut", [lambda data: data[:200],
-                                     lambda data: b"\xff\xff"],
-                             ids=["truncated", "not_utf8"])
+                                     lambda data: b"\xff\xff",
+                                     lambda data: b"[" * 100_000],
+                             ids=["truncated", "not_utf8", "deeply_nested"])
     def test_file_that_is_not_json_fails(self, capsys, tmp_path, cut):
         path = tmp_path / "cert.json"
         run(capsys, *PAIR_21_1, "--out", str(path))

@@ -193,7 +193,7 @@ def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
     assert nodes == 46762
 
 
-def test_leaves_in_oracle_order():
+def test_leaves_in_oracle_order(oracle_tableaux):
     # the walk's leaves are the oracle's tableaux in the oracle's order,
     # each with its weight and |T|: every skew shape inside a strict
     # partition of weight at most 5, n <= 2, P/Q, single and set-valued
@@ -206,7 +206,7 @@ def test_leaves_in_oracle_order():
                 got = [(dict(cells), tuple(counts), size)
                        for cells, counts, size in enumeration._leaves(s)]
                 want = [(T.cells, T.weight(), T.size())
-                        for T in naive_oracle(s)]
+                        for T in oracle_tableaux[s]]
                 assert got == want, (str(shape), n, family, kind)
                 leaves += len(got)
     assert leaves == 4657

@@ -129,6 +129,18 @@ def _sweep_shapes(max_weight: int, skew: bool):
             yield SkewShape(lam, mu)
 
 
+def _check_sweep_bounds(max_weight: int, max_n: int,
+                        time_budget: float | None = None) -> None:
+    """Raise ValueError, before any output, for sweep options that leave
+    no instance to check or no time to check one in."""
+    if max_weight < 1:
+        raise ValueError("--max-weight must be at least 1")
+    if max_n < 1:
+        raise ValueError("--max-n must be at least 1")
+    if time_budget is not None and time_budget < 0:
+        raise ValueError("--time-budget must not be negative")
+
+
 def _sweep(instances: list, check, time_budget: float | None = None) -> int:
     """Print the line of ``check(*instance)`` for each instance in order.
 
@@ -171,6 +183,7 @@ def _coproduct(lam: StrictPartition, nx: int, ny: int,
 
 
 def cmd_identity(args) -> int:
+    _check_sweep_bounds(args.max_weight, args.max_n, args.time_budget)
     if args.check == "coproduct":
         if args.max_weight > genfunc.COPRODUCT_MAX_WEIGHT:  # before any line
             raise ValueError("coproduct guard exceeded: |lambda| too large")
@@ -200,6 +213,7 @@ def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
 
 
 def cmd_verify_involution(args) -> int:
+    _check_sweep_bounds(args.max_weight, args.max_n, args.time_budget)
     shapes = ([SkewShape.parse(args.shape)] if args.shape
               else _sweep_shapes(args.max_weight, skew=True))
     instances = [(shape, n, fam)
@@ -220,6 +234,7 @@ def _oracle(shape: SkewShape, n: int, fam: str,
 
 
 def cmd_oracle_check(args) -> int:
+    _check_sweep_bounds(args.max_weight, args.max_n)
     max_n = min(args.max_n, enumeration.ORACLE_MAX_N)
     instances = [(shape, n, fam, kind)
                  for shape in _sweep_shapes(args.max_weight, skew=True)

@@ -201,7 +201,8 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
         if k == len(boxes):
             if (spec.size_cap is None
                     or sum(map(len, cells.values())) <= spec.size_cap) \
-                    and validate_cells(spec.shape, spec.family, cells):
+                    and validate_cells(spec.shape, spec.family,
+                                       tuple(cells.values())):
                 yield Filling(spec.shape, spec.n, spec.family, dict(cells))
             return
         for cell in pool:

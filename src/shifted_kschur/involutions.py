@@ -8,7 +8,9 @@ neighboring inner shapes via the bottom-row toggle ``shapes.pi``, covers
 the double-skew tableau family, over the inner shapes of
 ``shapes.inner_shapes``, with no element left over.  A certificate is
 written straight from its tableaux, and checked as the raw JSON it reads
-back, each distinct cell parsed once.
+back: each element as its nu and row-major cell tuple, each distinct cell
+parsed once, with a ``Filling`` built only for a minimal tableau or to
+show a fault.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
 from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
                      is_subpartition, pi)
-from .tableaux import (FAMILIES, Filling, entry_str, filling_from_rows,
-                       validate)
+from .tableaux import (FAMILIES, Filling, _cells_from_rows, entry_str,
+                       validate, validate_cells)
 
 # the most tableaux a full certificate may pair: 4 times the most written
 PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
@@ -346,44 +348,57 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
     shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
-    minimal: dict[tuple, Filling] = {}
-    cells: dict = {}  # entry strings -> checked codes, for this call only
+    # the sign of an element of nu is (-1)^(|T| - offset[nu])
+    offset = {nu: shape.size - removed[nu] for nu, shape in shapes.items()}
+    minimal: dict[tuple, tuple] = {}  # nu -> its minimal tableau's cells
+    memo: dict = {}  # entry strings -> checked codes, for this call only
 
-    def parse(element) -> tuple[tuple, Filling]:
+    def parse(element) -> tuple[tuple, tuple]:
+        """(nu, the row-major cell tuple) of a valid element."""
         nu = tuple(element["nu"])
-        if nu not in shapes:
+        shape = shapes.get(nu)
+        # each part an int: a float or bool part would pass as equal
+        if shape is None or not {int}.issuperset(map(type, nu)):
             raise ValueError(f"nu={list(nu)} is not mu minus a subset of "
                              f"Rem(mu)")
         tab = element["tableau"]
-        if tab["shape"] != shape_json[nu] or tab["n"] != n \
-                or tab["family"] != family:
+        if tab["shape"] != shape_json[nu] or type(tab["n"]) is not int \
+                or tab["n"] != n or tab["family"] != family:
             raise ValueError(f"tableau header does not match "
-                             f"{shapes[nu]}, n={n}, family {family}")
-        T = filling_from_rows(shapes[nu], n, family, tab["rows"], cells)
-        verdict = validate(T)
-        if not verdict:
-            raise ValueError(f"invalid tableau: {verdict.violation}")
-        return nu, T
+                             f"{shape}, n={n}, family {family}")
+        cells = _cells_from_rows(shape, n, tab["rows"], memo)
+        ok, violation = validate_cells(shape, family, cells)
+        if not ok:
+            raise ValueError(f"invalid tableau: {violation}")
+        return nu, cells
 
-    seen: set[Filling] = set()
+    def shown(nu: tuple, cells: tuple) -> str:
+        """The repr of the element's ``Filling``, built for a fault only."""
+        shape = shapes[nu]
+        return repr(Filling(shape, n, family,
+                            dict(zip(shape.row_major, cells)),
+                            _trusted=True))
+
+    seen: set[tuple] = set()  # (nu, cells) of every element so far
     for k, p in enumerate(cert.pairs):
         if p.tag not in ("iota", "pi") or \
                 (cert.minimal_only and p.tag != "pi"):
             return False, f"pair {k}: tag {p.tag!r} not allowed"
-        signs = []
         sides = []
         for element in (p.left, p.right):
             try:
-                nu, T = parse(element)
+                side = parse(element)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 return False, f"pair {k}: malformed element ({exc})"
-            if T in seen:
-                return False, f"pair {k}: element appears twice: {T!r}"
-            seen.add(T)
-            signs.append((T.size() - T.shape.size + removed[nu]) % 2)
-            sides.append((nu, T))
-        (nu_l, _), (nu_r, _) = sides
-        if signs[0] == signs[1]:
+            known = len(seen)
+            seen.add(side)
+            if len(seen) == known:  # it was there (one hash, not two)
+                return False, f"pair {k}: element appears twice: " \
+                              f"{shown(*side)}"
+            sides.append(side)
+        (nu_l, cells_l), (nu_r, cells_r) = sides
+        size = sum(map(len, cells_l)) + sum(map(len, cells_r))
+        if (size - offset[nu_l] - offset[nu_r]) % 2 == 0:
             return False, f"pair {k}: both sides have the same sign"
         if p.tag == "iota" and nu_l != nu_r:
             return False, f"pair {k}: iota pair across two inner shapes"
@@ -391,11 +406,13 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
             if pi(mu, shapes[nu_l].inner).parts != nu_r:
                 return False, (f"pair {k}: pi pair of inner shapes that do "
                                f"not differ by the bottom removable box")
-            for nu, T in sides:
+            for nu, cells in sides:
                 if nu not in minimal:
-                    minimal[nu] = minimal_tableau(shapes[nu], family, n)
-                if T != minimal[nu]:
-                    return False, f"pair {k}: pi side is not minimal: {T!r}"
+                    minimal[nu] = tuple(minimal_tableau(
+                        shapes[nu], family, n).cells.values())
+                if cells != minimal[nu]:
+                    return False, (f"pair {k}: pi side is not minimal: "
+                                   f"{shown(nu, cells)}")
     if cert.leftover:
         return False, f"{len(cert.leftover)} leftover elements"
     if cert.minimal_only:

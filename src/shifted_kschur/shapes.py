@@ -122,10 +122,6 @@ class SkewShape:
         """Columns occupied by row i (possibly empty)."""
         return range(self.inner.part(i) + i, self.outer.part(i) + i)
 
-    @staticmethod
-    def is_diagonal(box: Box) -> bool:
-        return box[0] == box[1]
-
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
         """Parse "outer/inner" such as "6,4,3,1/4,2"; bare "4,2,1" is straight."""

@@ -8,6 +8,7 @@ e/2 (so k' = k - 1/2 without rational arithmetic).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .shapes import Box, SkewShape, StrictPartition
@@ -62,6 +63,9 @@ class ValidationResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+_VALID = ValidationResult(True, None)
 
 
 class Filling:
@@ -154,91 +158,133 @@ class Filling:
                                  data["rows"])
 
 
-def filling_from_rows(shape: SkewShape, n: int, family: str, rows,
-                      memo: dict | None = None) -> Filling:
-    """Build a filling from per-row lists of cells given as entry strings.
+def _cells_from_rows(shape: SkewShape, n: int, rows, memo: dict) -> tuple:
+    """The row-major cell tuple of per-row lists of cells given as entry
+    strings; ValueError on a fault.
 
     ``rows`` holds one list per row of the outer shape, with one cell per
-    box of that row.  Entry strings parse as ``entry_from_str`` does, and
-    the cells get the checks ``Filling`` makes; a fault raises ValueError.
-    Callers parsing many fillings with one n may share a ``memo`` from a
-    cell's entry-string tuple to its checked codes, so each distinct cell
-    is parsed and checked once; a cell that fails is never stored.
+    box of that row, each cell a list of entry strings.  Entry strings
+    parse as ``entry_from_str`` does, and the cells get the checks
+    ``Filling`` makes.  ``memo`` maps a cell's entry-string tuple to its
+    checked codes at this n, so each distinct cell is parsed and checked
+    once; a cell that fails is never stored.
     """
-    _check_family(family)
     if len(rows) != len(shape.rows):
         raise ValueError(f"{len(rows)} rows, want {len(shape.rows)}")
-    memo = {} if memo is None else memo
-    cells = {}
+    cells = []
     for i, (boxes, row) in enumerate(zip(shape.rows, rows), start=1):
+        if type(row) is not list:
+            raise ValueError(f"row {i} is not a list")
         if len(boxes) != len(row):
             raise ValueError(f"row {i} needs {len(boxes)} cells, "
                              f"got {len(row)}")
         for box, strs in zip(boxes, row):
+            if type(strs) is not list:
+                raise ValueError(f"cell at {box} is not a list")
             try:
                 cell = memo[tuple(strs)]
             except (KeyError, TypeError):  # a new cell, or not hashable
                 cell = cell_from_strs(strs)
                 _check_cell(box, cell, n)
                 memo[tuple(strs)] = cell  # it parsed: its entries are str
-            cells[box] = cell
-    return Filling(shape, n, family, cells, _trusted=True)
+            cells.append(cell)
+    return tuple(cells)
+
+
+def filling_from_rows(shape: SkewShape, n: int, family: str, rows,
+                      memo: dict | None = None) -> Filling:
+    """Build a filling from per-row lists of cells given as entry strings.
+
+    The rows parse and check as in ``_cells_from_rows``; a fault raises
+    ValueError.  Callers parsing many fillings with one n may share a
+    ``memo`` of checked cells, as that function describes it.
+    """
+    _check_family(family)
+    cells = _cells_from_rows(shape, n, rows, {} if memo is None else memo)
+    return Filling(shape, n, family, dict(zip(shape.row_major, cells)),
+                   _trusted=True)
+
+
+@lru_cache(maxsize=256)
+def _rule_table(outer: tuple, inner: tuple, family: str) -> tuple:
+    """The tableau rules of outer/inner and family, by row-major index.
+
+    Returns (boxes, pairs, rows, cols, diagonal): the row-major boxes; the
+    index pairs (a, b) of each box and its right, then its lower,
+    neighbor, box by box, which rule 1 reads; the row and the column of
+    each index; and, for family P, the indices of the diagonal boxes
+    (rule 4), none for Q.
+    """
+    boxes = SkewShape(StrictPartition(outer),
+                      StrictPartition(inner)).row_major
+    index = {box: k for k, box in enumerate(boxes)}
+    pairs = tuple((k, index[nb]) for k, (i, j) in enumerate(boxes)
+                  for nb in ((i, j + 1), (i + 1, j)) if nb in index)
+    diagonal = tuple(k for k, (i, j) in enumerate(boxes)
+                     if family == "P" and i == j)
+    return (boxes, pairs, tuple(i for i, _ in boxes),
+            tuple(j for _, j in boxes), diagonal)
 
 
 def validate(f: Filling) -> ValidationResult:
     """Check the set-valued tableau rules, reporting the first violation."""
-    return validate_cells(f.shape, f.family, f.cells)
+    return validate_cells(f.shape, f.family, tuple(f.cells.values()))
 
 
 def validate_cells(shape: SkewShape, family: str,
-                   cells: dict) -> ValidationResult:
+                   cells: tuple) -> ValidationResult:
     """The set-valued tableau rules on raw cells, first violation reported.
 
-    ``cells`` maps every box of the shape to a nonempty, strictly
-    increasing tuple of entry codes (what ``Filling`` guarantees).
+    ``cells`` holds the cells of the shape's boxes in row-major order,
+    each a nonempty, strictly increasing tuple of entry codes (what
+    ``Filling`` guarantees).
     (1) max of a cell <= min of its right and lower neighbors;
     (2) each unprimed letter appears at most once in each column;
     (3) each primed letter appears at most once in each row;
     (4) family P only: diagonal cells contain unprimed entries only.
+    Rule 1 reads the shape's neighbor pairs from ``_rule_table``.  Rules 2
+    and 3 keep one int bit mask per row and per column: bit e of a row's
+    (column's) mask is set once the primed (unprimed) code e is seen there.
     """
-    boxes = shape.row_major
-    inside = shape.boxes
-    for box in boxes:
-        i, j = box
-        top = cells[box][-1]
-        right = (i, j + 1)
-        if right in inside and top > cells[right][0]:
+    boxes, pairs, rows, cols, diagonal = _rule_table(
+        shape.outer.parts, shape.inner.parts, family)
+    for a, b in pairs:
+        if cells[a][-1] > cells[b][0]:
             return ValidationResult(
-                False, f"max of {box} exceeds min of {right} (rule 1)")
-        below = (i + 1, j)
-        if below in inside and top > cells[below][0]:
-            return ValidationResult(
-                False, f"max of {box} exceeds min of {below} (rule 1)")
-    col_seen: dict[tuple[int, int], Box] = {}
-    row_seen: dict[tuple[int, int], Box] = {}
-    for box in boxes:
-        i, j = box
-        for code in cells[box]:
-            if primed(code):
-                key = (i, code)
-                if key in row_seen:
-                    return ValidationResult(
-                        False,
-                        f"{entry_str(code)} repeats in row {i} "
-                        f"({row_seen[key]} and {box}) (rule 3)")
-                row_seen[key] = box
+                False, f"max of {boxes[a]} exceeds min of {boxes[b]} "
+                       f"(rule 1)")
+    # no row or column number is past the first row's length
+    row_seen = [0] * (shape.outer.part(1) + 1)
+    col_seen = row_seen[:]
+    for k, cell in enumerate(cells):
+        for code in cell:
+            bit = 1 << code
+            if code & 1:  # primed
+                i = rows[k]
+                if row_seen[i] & bit:
+                    return _repeat(boxes, rows, cells, k, code, "row", 3)
+                row_seen[i] |= bit
             else:
-                key = (j, code)
-                if key in col_seen:
-                    return ValidationResult(
-                        False,
-                        f"{entry_str(code)} repeats in column {j} "
-                        f"({col_seen[key]} and {box}) (rule 2)")
-                col_seen[key] = box
-    if family == "P":
-        for box in boxes:
-            if shape.is_diagonal(box) and any(primed(c) for c in cells[box]):
+                j = cols[k]
+                if col_seen[j] & bit:
+                    return _repeat(boxes, cols, cells, k, code, "column", 2)
+                col_seen[j] |= bit
+    for k in diagonal:
+        for code in cells[k]:
+            if code & 1:
                 return ValidationResult(
-                    False, f"primed entry on the diagonal at {box} (rule 4)")
-    return ValidationResult(True, None)
+                    False,
+                    f"primed entry on the diagonal at {boxes[k]} (rule 4)")
+    return _VALID
 
+
+def _repeat(boxes: tuple, lines: tuple, cells: tuple, k: int, code: int,
+            name: str, rule: int) -> ValidationResult:
+    """The violation of ``code`` at index k repeating in the row or column
+    ``lines[k]``: the first repeat, so one earlier index of that line
+    holds the code, and a scan back finds it."""
+    first = next(a for a in range(k)
+                 if lines[a] == lines[k] and code in cells[a])
+    return ValidationResult(
+        False, f"{entry_str(code)} repeats in {name} {lines[k]} "
+               f"({boxes[first]} and {boxes[k]}) (rule {rule})")

@@ -139,23 +139,66 @@ def _first_cell_set_to(cell, name):
     return tamper
 
 
-# each with a fragment of the reason check_certificate gives
+# JSON the writer never writes, each standing for a valid value
+def _tamper_row_as_string(doc):
+    # the row [["1"]] of the diagonal box (2,2)
+    doc["pairs"][0]["left"]["tableau"]["rows"][1] = "1"
+
+
+def _tamper_cell_as_string(doc):
+    # the cell ["1", "2"] at (2,2)
+    doc["pairs"][1]["left"]["tableau"]["rows"][1][0] = "12"
+
+
+def _tamper_float_n(doc):
+    doc["pairs"][0]["left"]["tableau"]["n"] = 2.0
+
+
+def _tamper_float_nu(doc):
+    doc["pairs"][0]["left"]["nu"] = [1.0]
+
+
+def _tamper_bool_nu(doc):
+    doc["pairs"][0]["left"]["nu"] = [True]
+
+
+# each with the whole reason check_certificate gives; pair --check prints
+# it on a "note:" line, except where the file's own header is at fault
 TAMPERS = [
-    (_tamper_invalid_entry, "invalid tableau"),
-    (_tamper_move_to_other_nu, "tableau header does not match"),
+    (_tamper_invalid_entry,
+     "pair 0: malformed element (invalid tableau: primed entry on the "
+     "diagonal at (2, 2) (rule 4))"),
+    (_tamper_move_to_other_nu,
+     "pair 5: malformed element (tableau header does not match 2,1/1, "
+     "n=2, family P)"),
     (_tamper_drop_pair, "10 elements, the family has 12"),
-    (_tamper_duplicate_element, "appears twice"),
-    (_tamper_add_leftover, "leftover"),
-    (_tamper_iota_across_nu, "iota pair across"),
-    (_tamper_header_n, "tableau header does not match"),
-    (_tamper_same_sign_pairs, "same sign"),
+    (_tamper_duplicate_element,
+     "pair 5: element appears twice: Filling(2,1/1; 1' | 1)"),
+    (_tamper_add_leftover, "2 leftover elements"),
+    (_tamper_iota_across_nu, "pair 0: iota pair across two inner shapes"),
+    (_tamper_header_n,
+     "pair 0: malformed element (tableau header does not match 2,1/1, "
+     "n=3, family P)"),
+    (_tamper_same_sign_pairs, "pair 1: both sides have the same sign"),
     # malformed cells, which a cell parsed once per certificate must not hide
     (_first_cell_set_to(["9"], "_tamper_entry_out_of_range"),
-     "entry out of range 1..4"),
+     "pair 0: malformed element (entry out of range 1..4 at (1, 2))"),
     (_first_cell_set_to(["1", "1"], "_tamper_repeated_entry"),
-     "duplicate entries"),
+     "pair 0: malformed element (duplicate entries at (1, 2))"),
     (_first_cell_set_to([1], "_tamper_non_string_entry"),
-     "'int' object has no attribute"),
+     "pair 0: malformed element ('int' object has no attribute 'strip')"),
     (_first_cell_set_to([["1"]], "_tamper_nested_list_cell"),
-     "'list' object has no attribute"),
+     "pair 0: malformed element ('list' object has no attribute 'strip')"),
+    (_tamper_row_as_string, "pair 0: malformed element (row 2 is not a list)"),
+    (_tamper_cell_as_string,
+     "pair 1: malformed element (cell at (2, 2) is not a list)"),
+    (_tamper_float_n,
+     "pair 0: malformed element (tableau header does not match 2,1/1, "
+     "n=2, family P)"),
+    (_tamper_float_nu,
+     "pair 0: malformed element (nu=[1.0] is not mu minus a subset of "
+     "Rem(mu))"),
+    (_tamper_bool_nu,
+     "pair 0: malformed element (nu=[True] is not mu minus a subset of "
+     "Rem(mu))"),
 ]

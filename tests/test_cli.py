@@ -255,6 +255,27 @@ class TestOracleCheck:
         assert out.strip()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify-involution", "--shape", "2,1", "--max-n", "0"),
+     "--max-n must be at least 1"),
+    (("identity", "--check", "beta-zero", "--max-n", "0"),
+     "--max-n must be at least 1"),
+    (("identity", "--check", "pq-factor", "--max-weight", "0"),
+     "--max-weight must be at least 1"),
+    (("identity", "--check", "coproduct", "--max-weight", "-1"),
+     "--max-weight must be at least 1"),
+    (("oracle-check", "--max-n", "0"), "--max-n must be at least 1"),
+    (("oracle-check", "--max-weight", "0"),
+     "--max-weight must be at least 1"),
+    (("verify-involution", "--shape", "3,1/1", "--max-n", "2",
+      "--time-budget", "-1"), "--time-budget must not be negative"),
+    (("identity", "--check", "coproduct", "--time-budget", "-0.5"),
+     "--time-budget must not be negative")])
+def test_sweep_with_nothing_to_check_is_usage_error(capsys, argv, message):
+    # no instance, or no time for one: exit 2 before any line
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 PAIR_21_1 = ("pair", "--lambda", "2,1", "--mu", "1", "--family", "P",
              "-n", "2")
 
@@ -286,16 +307,19 @@ class TestPair:
         code, out, _ = run(capsys, *PAIR_21_1, "--check", str(path))
         assert code == 1 and "FAILED" in out
 
-    @pytest.mark.parametrize("tamper", [t for t, _ in TAMPERS],
-                             ids=lambda t: t.__name__)
-    def test_each_tamper_fails(self, capsys, tmp_path, tamper):
+    @pytest.mark.parametrize("tamper,reason", TAMPERS,
+                             ids=[t.__name__ for t, _ in TAMPERS])
+    def test_each_tamper_fails(self, capsys, tmp_path, tamper, reason):
         path = tmp_path / "cert.json"
         run(capsys, *PAIR_21_1, "--out", str(path))
         doc = json.loads(path.read_text())
         tamper(doc)
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
-        assert (code, out) == (1, "certificate FAILED\n") and err
+        if tamper.__name__ == "_tamper_header_n":  # the file's own header
+            reason = ("certificate is for lambda=2,1 mu=1 family=P n=3 "
+                      "minimal_only=False")
+        assert run(capsys, *PAIR_21_1, "--check", str(path)) == \
+            (1, "certificate FAILED\n", f"note: {reason}\n")
 
     @pytest.mark.parametrize("flag,value", [
         ("--lambda", "3,1"), ("--mu", "2"), ("--family", "Q"), ("-n", "3")])

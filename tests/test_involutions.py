@@ -344,8 +344,8 @@ class TestCheckCertificate:
         doc = pairing_certificate(sp(2, 1), sp(1), 2, "P").to_json()
         doc = json.loads(json.dumps(doc))
         tamper(doc)
-        ok, why = check_certificate(PairingCertificate.from_json(doc))
-        assert not ok and reason in why, why
+        assert check_certificate(PairingCertificate.from_json(doc)) == \
+            (False, reason)
 
     def test_minimal_only(self):
         cert = pairing_certificate(sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P",
@@ -383,8 +383,8 @@ class TestCheckCertificate:
                      if e["nu"] == pi_pair.left["nu"]
                      and (size(e) - size(pi_pair.left)) % 2 == 0)
         cert.pairs[0] = pi_pair._replace(left=other)
-        ok, why = check_certificate(cert)
-        assert not ok and "not minimal" in why, why
+        assert check_certificate(cert) == (
+            False, "pair 0: pi side is not minimal: Filling(3,1/2; 1' | 1)")
 
     def test_cell_memo_lives_for_one_call(self):
         # 2' is a valid entry at n = 2 and out of range at n = 1
@@ -396,6 +396,27 @@ class TestCheckCertificate:
         doc["pairs"][-1]["right"]["tableau"]["rows"][0][-1] = ["2'"]
         ok, why = check_certificate(PairingCertificate.from_json(doc))
         assert not ok and "entry out of range 1..2" in why, why
+
+    def test_builds_no_filling_but_the_minimal_tableaux(self, monkeypatch):
+        # 4,2,1 // 3,1: four inner shapes, so two pi pairs
+        lam, mu = sp(4, 2, 1), sp(3, 1)
+        cert = _roundtrip(pairing_certificate(lam, mu, 2, "P"))
+        built = []
+        real = Filling.__init__
+
+        def counted(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Filling, "__init__", counted)
+        assert check_certificate(cert) == (True, None)
+        monkeypatch.undo()
+        nus = {tuple(e["nu"]) for p in cert.pairs if p.tag == "pi"
+               for e in (p.left, p.right)}
+        assert len(nus) == 4 and len(cert.pairs) == 150
+        assert sorted(built, key=repr) == sorted(
+            (minimal_tableau(SkewShape(lam, StrictPartition(nu)), "P", 2)
+             for nu in nus), key=repr)
 
     def test_bad_header(self):
         cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")

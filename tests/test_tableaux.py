@@ -47,6 +47,27 @@ class TestValidate:
         result = validate(bad)
         assert not result and "rule 3" in result.violation
 
+    @pytest.mark.parametrize("shape,family,cells,violation", [
+        ((4, 2, 1), "Q", "2 1 2 2 | 3 3 | 3",
+         "max of (1, 1) exceeds min of (1, 2) (rule 1)"),
+        ((4, 2, 1), "Q", "1 3 3 3 | 2 3 | 3",
+         "max of (1, 2) exceeds min of (2, 2) (rule 1)"),
+        ((4, 2, 1), "Q", "1 3 2 2 | 2 3 | 3",
+         "max of (1, 2) exceeds min of (1, 3) (rule 1)"),
+        ((4, 2, 1), "Q", "1' 1 2' 2 | 2 3 | 3",
+         "3 repeats in column 3 ((2, 3) and (3, 3)) (rule 2)"),
+        ((5, 3, 1), "Q", "1' 1 1 1 1 | 2' 2 3' | 2",
+         "2 repeats in column 3 ((2, 3) and (3, 3)) (rule 2)"),
+        ((4, 2, 1), "Q", "1 1 2' 3 | 2' 2' | 3",
+         "2' repeats in row 2 ((2, 2) and (2, 3)) (rule 3)"),
+        ((4, 2, 1), "P", "1' 1 1 1 | 2 2 | 3",
+         "primed entry on the diagonal at (1, 1) (rule 4)")],
+        ids=["rule1_right", "rule1_below", "rule1_right_before_below",
+             "rule2", "rule2_box_between", "rule3", "rule4"])
+    def test_violation_text(self, shape, family, cells, violation):
+        f = rows(SkewShape(StrictPartition(shape)), 3, family, cells)
+        assert validate(f) == (False, violation)
+
     def test_primed_on_diagonal_only_bars_family_p(self, shape_421):
         cells = "1' 1 1 1 | 2 2 | 3"
         assert not validate(rows(shape_421, 3, "P", cells)).ok
@@ -114,6 +135,46 @@ def test_single_valued_cross_check():
             for family in ("P", "Q"):
                 g = Filling(shape, 2, family, f.cells)
                 assert bool(validate(g)) == _definition_single_check(g)
+
+
+def _rules_hold(shape, family, cells):
+    """Rules 1-4 read straight off the definition, over pairs of boxes."""
+    at = dict(zip(sorted(shape.boxes), cells))
+    for (i, j), cell in at.items():
+        for other in ((i, j + 1), (i + 1, j)):
+            if other in at and max(cell) > min(at[other]):
+                return False  # rule 1
+        if family == "P" and i == j and any(c % 2 for c in cell):
+            return False  # rule 4
+        for (a, b), cell2 in at.items():
+            if (a, b) == (i, j):
+                continue
+            for c in set(cell) & set(cell2):
+                if (c % 2 == 0 and b == j) or (c % 2 == 1 and a == i):
+                    return False  # rule 2, rule 3
+    return True
+
+
+def test_validate_agrees_with_the_rules_exhaustive():
+    """Every set-valued assignment on each skew shape of at most 3 boxes
+    inside a strict partition of weight at most 6, n <= 2, P and Q."""
+    checked = failed = 0
+    for shape in skew_shapes(6):
+        if shape.size > 3:
+            continue
+        for n in (1, 2):
+            codes = range(1, 2 * n + 1)
+            pool = [c for k in codes
+                    for c in itertools.combinations(codes, k)]
+            for cells in itertools.product(pool, repeat=shape.size):
+                for family in "PQ":
+                    f = Filling(shape, n, family,
+                                dict(zip(shape.row_major, cells)))
+                    want = _rules_hold(shape, family, cells)
+                    assert bool(validate(f)) == want, (str(shape), cells)
+                    checked += 1
+                    failed += not want
+    assert checked > 90_000 and 0 < failed < checked
 
 
 class TestWeightSizeMonomial:

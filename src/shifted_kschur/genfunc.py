@@ -6,16 +6,18 @@ recursion over strict shapes mu <= nu <= lam with one-letter factors (the
 coproduct with a single y-variable).  A step goes from rho only to the nu
 of ``shapes._strips_above`` (nu/rho a shifted horizontal strip, the only
 pairs with a nonzero factor), and each one-letter factor comes from a
-per-row rule on the first box of each row, with no tableaux.
-``_branching_sum`` builds the polynomial.  ``_point_sum`` runs the same
-recursion on int pairs, the sum at x = 1 and b = 1, -1, so the count, the
-signed count and the special value (b^|lam/mu| times the signed count)
-build no polynomial; its levels are kept across calls, so one recursion
-to n letters serves both scalars at every n' <= n.  Folding the
-tableaux into a polynomial (``_tableau_sum``, which reads each weight and
-|T| off the leaves of the backtracking walk, kept per shape and n) is kept
-as the definition the engine and the rule are tested against.  The
-double-skew functions additionally sum over the inner shapes of
+per-row rule on the first box of each row, with no tableaux.  Each rho's
+transitions, the factors with their values at x = 1 and b = 1, -1, are
+made once and kept per (lam, mu, family, kind) in ``_point_levels``.
+``_branching_sum`` builds the polynomial from them.  ``_point_sum`` runs
+the same recursion on int pairs, the sum at x = 1 and b = 1, -1, so the
+count, the signed count and the special value (b^|lam/mu| times the
+signed count) build no polynomial; its levels are kept across calls, so
+one recursion to n letters serves both scalars at every n' <= n.
+Folding the tableaux into a polynomial (``_tableau_sum``, which reads each
+weight and |T| off the leaves of the backtracking walk, kept per shape and
+n) is kept as the definition the engine and the rule are tested against.
+The double-skew functions additionally sum over the inner shapes of
 ``shapes.inner_shapes`` (mu minus a subset of its removable boxes), and
 the shortcut path evaluates that sum symbolically without touching any
 tableau.
@@ -116,24 +118,82 @@ def _one_letter(outer: tuple, inner: tuple, family: str,
 
 
 def _letter_factor(nu: tuple, rho: tuple, mu: tuple, family: str,
-                   kind: str) -> dict:
-    """The last letter's factor f(nu, rho), as {(x-exp, b-exp): coeff}.
+                   kind: str) -> tuple[tuple[int, int, int], ...]:
+    """The last letter's factor f(nu, rho), as ``_one_letter``'s
+    (x-exp, b-exp, coeff) triples.
 
     The boxes of nu/rho hold that letter only.  In set-valued tableaux it
     may also join the boxes of a set S of corners of rho outside mu; each
     such box already counts in rho, so S contributes b^|S| times the
     one-letter sum of nu/(rho - S).  A corner inside mu holds no entries.
+    With no corner of rho outside mu the factor is ``_one_letter``'s own
+    cached tuple; a sum over S is interned, so equal factors share one
+    tuple.
     """
-    out: dict = {}
     corners = []
     if kind == "set-valued":  # the corners of rho outside mu
         corners = [r for r in _corner_rows(rho)
                    if rho[r] > (mu[r] if r < len(mu) else 0)]
+    if not corners:
+        return _one_letter(nu, rho, family, kind)
+    out: dict = {}
     for s, inner in _minus_corners(rho, corners):
         for x, b, c in _one_letter(nu, inner, family, kind):
-            key = (x, b + s)
-            out[key] = out.get(key, 0) + c
-    return out
+            out[x, b + s] = out.get((x, b + s), 0) + c
+    return _interned(tuple((x, b, c) for (x, b), c in out.items()))
+
+
+@lru_cache(maxsize=1 << 12)
+def _interned(value: tuple) -> tuple:
+    """The first tuple seen equal to value, so the kept transition tables
+    hold one object per distinct nu and factor."""
+    return value
+
+
+class _Levels:
+    """One letter-by-letter recursion over the shapes mu <= nu <= lam.
+
+    ``moves`` maps each rho stepped from to its transitions, one flat
+    tuple ``(nu, f(nu, rho), f(1|1), f(1|-1), nu, ...)`` over the nu of
+    ``_strips_above(rho, lam)``, built on first use by ``steps``: the
+    factor for the polynomial and its values at x = 1, b = 1, -1 for the
+    point pairs.  ``at_lam[k]`` is the pair F_k(lam) for each level k the
+    point recursion reached, and ``last`` that deepest level whole, every
+    nu reached with its pair, to extend from.
+    """
+
+    __slots__ = ("key", "moves", "at_lam", "last")
+
+    def __init__(self, lam: tuple, mu: tuple, family: str, kind: str):
+        self.key = (lam, mu, family, kind)
+        self.moves: dict = {}
+        self.at_lam = [(1, 1) if lam == mu else (0, 0)]
+        self.last = {mu: (1, 1)}
+
+    def steps(self, rho: tuple) -> tuple:
+        """rho's transitions, made here the first time rho is stepped
+        from: the one place either recursion builds them."""
+        out = self.moves.get(rho)
+        if out is None:
+            lam, mu, family, kind = self.key
+            flat: list = []
+            for nu in _strips_above(rho, lam):
+                f = _letter_factor(nu, rho, mu, family, kind)
+                count = signed = 0  # f at x = 1 and b = 1, -1
+                for _, b, c in f:
+                    count += c
+                    signed += -c if b & 1 else c
+                flat += (_interned(nu), f, count, signed)
+            out = self.moves[rho] = tuple(flat)
+        return out
+
+
+@lru_cache(maxsize=512)
+def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
+    """The recursion kept per key: ``_branching_sum`` and ``_point_sum``
+    read its transitions, and ``_point_sum`` extends its point levels in
+    place, so one recursion serves every n and both scalars."""
+    return _Levels(lam, mu, family, kind)
 
 
 def _branching_sum(shape: SkewShape, n: int, family: str,
@@ -143,28 +203,24 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
     Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
     nu/mu in x1..xk: F_k(nu) is the sum over rho of F_(k-1)(rho) times the
     letter-k factor f(nu, rho).  The factor is nonzero only for the nu of
-    ``_strips_above(rho, lam)`` and is the same at every level, so
-    ``moves`` keeps each rho's transitions for the next level.  The
-    polynomial is built afresh per call, the last level keeping nu = lam
-    only.
+    ``_strips_above(rho, lam)`` and is the same at every level, so each
+    rho's transitions come from the kept ``_Levels`` of (lam, mu, family,
+    kind), which ``_point_sum`` reads too.  The polynomial is built afresh
+    per call, the last level keeping nu = lam only.
     """
     lam, mu = shape.outer.parts, shape.inner.parts
-    moves: dict = {}  # rho -> [(nu, f(nu, rho))]
+    levels = _point_levels(lam, mu, family, kind)
     level = {mu: {((), 0): 1}}
     for k in range(1, n + 1):
         only = lam if k == n else None
         nxt: dict = {}
         for rho, value in level.items():
-            out = moves.get(rho)
-            if out is None:
-                out = moves[rho] = [
-                    (nu, _letter_factor(nu, rho, mu, family, kind))
-                    for nu in _strips_above(rho, lam)]
-            for nu, factor in out:
+            out = levels.steps(rho)
+            for nu, factor in zip(out[::4], out[1::4]):
                 if only is not None and nu != only:
                     continue
                 terms = nxt.setdefault(nu, {})
-                for (x, b), c in factor.items():
+                for x, b, c in factor:
                     for (xexp, bexp), d in value.items():
                         key = (xexp + (x,), bexp + b)
                         terms[key] = terms.get(key, 0) + c * d
@@ -173,50 +229,23 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
     return LaurentPoly._trusted(n, level.get(lam, {}))
 
 
-class _Levels:
-    """The point recursion so far: ``at_lam[k]`` is the pair F_k(lam) for
-    each level k reached, and ``last`` the deepest level whole, every nu
-    reached with its pair, to extend from."""
-
-    __slots__ = ("at_lam", "last")
-
-    def __init__(self, lam: tuple, mu: tuple):
-        self.at_lam = [(1, 1) if lam == mu else (0, 0)]
-        self.last = {mu: (1, 1)}
-
-
-@lru_cache(maxsize=512)
-def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
-    """The levels kept for one point recursion, which ``_point_sum``
-    extends in place, so one recursion serves every n and both scalars."""
-    return _Levels(lam, mu)
-
-
 def _point_sum(shape: SkewShape, n: int, family: str,
                kind: str) -> tuple[int, int]:
     """``_branching_sum`` at x = 1 and b = 1, -1, with no polynomial built.
 
     The pair is (count, signed count): each tableau counts 1 and
     (-1)^(|T| - #boxes).  The recursion is ``_branching_sum``'s with int
-    pairs for values, each factor read at the two points, from levels kept
-    across calls and extended to n on demand.  A reached nu has a positive
-    count, so the levels need no zero filter.
+    pairs for values and the kept factors read at the two points, from
+    levels kept across calls and extended to n on demand.  A reached nu
+    has a positive count, so the levels need no zero filter.
     """
     lam, mu = shape.outer.parts, shape.inner.parts
     levels = _point_levels(lam, mu, family, kind)
-    moves: dict = {}  # rho -> [(nu, f(1|1), f(1|-1))]
     while len(levels.at_lam) <= n:
         nxt: dict = {}
         for rho, (count, signed) in levels.last.items():
-            out = moves.get(rho)
-            if out is None:
-                out = moves[rho] = []
-                for nu in _strips_above(rho, lam):
-                    f = _letter_factor(nu, rho, mu, family, kind)
-                    out.append((nu, sum(f.values()),
-                                sum(-c if b & 1 else c
-                                    for (_, b), c in f.items())))
-            for nu, c, s in out:
+            out = levels.steps(rho)
+            for nu, c, s in zip(out[::4], out[2::4], out[3::4]):
                 was = nxt.get(nu, (0, 0))
                 nxt[nu] = (was[0] + c * count, was[1] + s * signed)
         levels.last = nxt

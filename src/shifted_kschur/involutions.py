@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
@@ -339,8 +340,13 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     family, so the pairs prove that its signed sum is 0.
     """
     lam, mu, n, family = cert.lam, cert.mu, cert.n, cert.family
-    if family not in FAMILIES or type(n) is not int:
-        return False, f"bad header: family={family!r} n={n!r}"
+    # JSON ints and a JSON bool: 2.0 and true would pass as equal to 2 and 1
+    if family not in FAMILIES or type(n) is not int \
+            or type(cert.minimal_only) is not bool \
+            or not {int}.issuperset(map(type, lam.parts + mu.parts)):
+        return False, (f"bad header: lambda={list(lam.parts)} "
+                       f"mu={list(mu.parts)} n={n!r} family={family!r} "
+                       f"minimal_only={cert.minimal_only!r}")
     try:
         check_request(lam, mu, n)
     except ValueError as exc:
@@ -362,8 +368,11 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
             raise ValueError(f"nu={list(nu)} is not mu minus a subset of "
                              f"Rem(mu)")
         tab = element["tableau"]
-        if tab["shape"] != shape_json[nu] or type(tab["n"]) is not int \
-                or tab["n"] != n or tab["family"] != family:
+        got = tab["shape"]
+        if got != shape_json[nu] or not {int}.issuperset(map(
+                type, chain(got["outer"], got["inner"], *got["boxes"]))) \
+                or type(tab["n"]) is not int or tab["n"] != n \
+                or tab["family"] != family:
             raise ValueError(f"tableau header does not match "
                              f"{shape}, n={n}, family {family}")
         cells = _cells_from_rows(shape, n, tab["rows"], memo)

@@ -162,6 +162,22 @@ def _tamper_bool_nu(doc):
     doc["pairs"][0]["left"]["nu"] = [True]
 
 
+def _tamper_bool_header_mu(doc):
+    doc["mu"] = [True]
+
+
+def _tamper_int_minimal_only(doc):
+    doc["minimal_only"] = 0
+
+
+def _tamper_float_shape_outer(doc):
+    doc["pairs"][0]["left"]["tableau"]["shape"]["outer"][0] = 2.0
+
+
+def _tamper_float_box(doc):
+    doc["pairs"][0]["left"]["tableau"]["shape"]["boxes"][0][0] = 1.0
+
+
 # each with the whole reason check_certificate gives; pair --check prints
 # it on a "note:" line, except where the file's own header is at fault
 TAMPERS = [
@@ -201,4 +217,15 @@ TAMPERS = [
     (_tamper_bool_nu,
      "pair 0: malformed element (nu=[True] is not mu minus a subset of "
      "Rem(mu))"),
+    (_tamper_bool_header_mu,
+     "bad header: lambda=[2, 1] mu=[True] n=2 family='P' "
+     "minimal_only=False"),
+    (_tamper_int_minimal_only,
+     "bad header: lambda=[2, 1] mu=[1] n=2 family='P' minimal_only=0"),
+    (_tamper_float_shape_outer,
+     "pair 0: malformed element (tableau header does not match 2,1/1, "
+     "n=2, family P)"),
+    (_tamper_float_box,
+     "pair 0: malformed element (tableau header does not match 2,1/1, "
+     "n=2, family P)"),
 ]

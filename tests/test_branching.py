@@ -4,6 +4,7 @@
 definition, and the only reference the engine is compared with.
 """
 
+import random
 from itertools import islice
 
 import pytest
@@ -310,6 +311,45 @@ def test_point_levels_serve_every_n_in_any_order(fresh_caches):
                     assert got == want, (str(shape), family, kind, order)
                 cases += 1
     assert cases == 320
+    # the polynomial reads the same entry's transitions: compute,
+    # parity_report and special_value on one key, n shuffled, each as
+    # from cold caches
+    rng = random.Random(18)
+    asks = [(f, n) for f in (compute, parity_report, special_value)
+            for n in (1, 2, 3, 4)]
+    for shape in skew_shapes(6):
+        for family in ("GP", "GQ"):
+            cold = {}
+            for f, n in asks:
+                fresh_caches()
+                cold[f, n] = f(FunctionSpec(family, shape, n))
+            fresh_caches()
+            for f, n in rng.sample(asks, len(asks)):
+                assert f(FunctionSpec(family, shape, n)) == cold[f, n], \
+                    (str(shape), family, f.__name__, n)
+
+
+def test_compute_leaves_every_transition_for_the_scalars(monkeypatch,
+                                                        fresh_caches):
+    # compute at n steps from every level below n, so a compute at n' <= n
+    # and the count on that key build no transition
+    stepped = []
+
+    def counted(rho, lam):
+        stepped.append(rho)
+        return real(rho, lam)
+
+    real = genfunc._strips_above
+    monkeypatch.setattr(genfunc, "_strips_above", counted)
+    shape = SkewShape.parse("5,3,1/2")
+    compute(FunctionSpec("GQ", shape, 4))
+    built = len(stepped)
+    assert built and len(set(stepped)) == built
+    for n in (4, 2, 1, 3):
+        compute(FunctionSpec("GQ", shape, n))
+        parity_report(FunctionSpec("GQ", shape, n))
+    assert len(stepped) == built
+    assert genfunc._point_levels.cache_info().misses == 1
 
 
 def test_count_and_signed_count_share_one_recursion(fresh_caches):

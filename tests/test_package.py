@@ -113,8 +113,10 @@ def _requests():
 def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches():
     reached = _reached()
     assert _cached_defs() == set(reached)
-    # the point levels and the oracle sum among them, both bounded
-    for name in ("genfunc._point_levels", "genfunc._tableau_terms"):
+    # the recursions, their interned tuples and the oracle sum among them,
+    # each bounded
+    for name in ("genfunc._point_levels", "genfunc._interned",
+                 "genfunc._tableau_terms"):
         assert reached[f"shifted_kschur.{name}"].cache_parameters()[
             "maxsize"] is not None, name
     containers = _containers()

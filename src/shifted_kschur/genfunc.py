@@ -11,9 +11,12 @@ transitions, the factors with their values at x = 1 and b = 1, -1, are
 made once and kept per (lam, mu, family, kind) in ``_point_levels``.
 ``_branching_sum`` builds the polynomial from them.  ``_point_sum`` runs
 the same recursion on int pairs, the sum at x = 1 and b = 1, -1, so the
-count, the signed count and the special value (b^|lam/mu| times the
-signed count) build no polynomial; its levels are kept across calls, so
-one recursion to n letters serves both scalars at every n' <= n.
+count and the signed count build no polynomial, and the special value
+(b^|lam/mu| times the signed count) builds only that one monomial; its
+levels are kept across calls, so one recursion to n letters serves both
+scalars at every n' <= n.  The scalars run on part tuples: ``_at`` reads
+lam and mu off the spec once and builds no ``StrictPartition`` or
+``SkewShape``, not even for the inner shapes of a double-skew family.
 Folding the tableaux into a polynomial (``_tableau_sum``, which reads each
 weight and |T| off the leaves of the backtracking walk, kept per shape and
 n) is kept as the definition the engine and the rule are tested against.
@@ -229,17 +232,18 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
     return LaurentPoly._trusted(n, level.get(lam, {}))
 
 
-def _point_sum(shape: SkewShape, n: int, family: str,
+def _point_sum(lam: tuple, mu: tuple, n: int, family: str,
                kind: str) -> tuple[int, int]:
-    """``_branching_sum`` at x = 1 and b = 1, -1, with no polynomial built.
+    """``_branching_sum`` of lam/mu at x = 1 and b = 1, -1, with no
+    polynomial built.
 
-    The pair is (count, signed count): each tableau counts 1 and
+    lam and mu are part tuples, mu inside lam, so the call builds no
+    shape.  The pair is (count, signed count): each tableau counts 1 and
     (-1)^(|T| - #boxes).  The recursion is ``_branching_sum``'s with int
     pairs for values and the kept factors read at the two points, from
     levels kept across calls and extended to n on demand.  A reached nu
     has a positive count, so the levels need no zero filter.
     """
-    lam, mu = shape.outer.parts, shape.inner.parts
     levels = _point_levels(lam, mu, family, kind)
     while len(levels.at_lam) <= n:
         nxt: dict = {}
@@ -255,18 +259,21 @@ def _point_sum(shape: SkewShape, n: int, family: str,
 
 def _at(spec: FunctionSpec) -> tuple[int, int]:
     """The family at x = 1 and b = 1, -1: (count, signed count), with no
-    polynomial built.
+    polynomial and no shape built.
 
-    A double-skew family is the sum over nu of b^|mu/nu| times the family
-    of lam/nu, so on the signed side lam/nu counts (-1)^|mu/nu|.
+    It reads the part tuples of lam and mu once.  A double-skew family is
+    the sum over nu of b^|mu/nu| times the family of lam/nu, so on the
+    signed side lam/nu counts (-1)^|mu/nu|; its nu are the part tuples
+    of ``shapes._minus_corners`` over all of mu's corner rows, the ones
+    ``inner_shapes`` wraps.
     """
-    shape = spec.shape
-    parts = ([(b, SkewShape(shape.outer, nu))
-              for b, nu in inner_shapes(shape.inner)]
-             if spec.family.endswith("double") else [(0, shape)])
+    lam, mu = spec.shape.outer.parts, spec.shape.inner.parts
+    n, family, kind = spec.n, spec.base_family, spec.kind
+    if not spec.family.endswith("double"):
+        return _point_sum(lam, mu, n, family, kind)
     count = signed = 0
-    for b, skew in parts:
-        c, s = _point_sum(skew, spec.n, spec.base_family, spec.kind)
+    for b, nu in _minus_corners(mu, _corner_rows(mu)):
+        c, s = _point_sum(lam, nu, n, family, kind)
         count += c
         signed += -s if b & 1 else s
     return count, signed
@@ -302,11 +309,15 @@ def special_value(spec: FunctionSpec) -> LaurentPoly:
     c*(-1)^e*b^(|a|-e).  Every term has |a| - e = |lam/mu| (an entry past
     one per box adds one to both; the double-skew shift |mu/nu| cancels
     against |lam/nu|), so the value is b^|lam/mu| times the signed count,
-    and no polynomial in x is built.
+    and no polynomial in x is built: the one polynomial made is that
+    monomial, taken as is (``_trusted``), or zero when the count is 0.
     """
     if spec.family not in K_FAMILIES:
         raise ValueError("special_value applies to the K-theoretic families")
-    return LaurentPoly.beta(spec.n, spec.shape.size).scale(signed_count(spec))
+    s = _at(spec)[1]
+    n = spec.n
+    return LaurentPoly._trusted(
+        n, {((0,) * n, spec.shape.size): s} if s else {})
 
 
 def signed_count(spec: FunctionSpec) -> int:

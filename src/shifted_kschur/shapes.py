@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import le
 from typing import Iterator
 
 Box = tuple[int, int]
@@ -30,13 +31,17 @@ class StrictPartition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        for i, p in enumerate(parts):
+        parts = self.parts
+        if type(parts) is not tuple:
+            parts = tuple(parts)
+            object.__setattr__(self, "parts", parts)
+        prev = None  # one pass: a part's type and sign before its order
+        for p in parts:
             if not isinstance(p, int) or p <= 0:
                 raise ValueError(f"parts must be positive integers, got {parts}")
-            if i + 1 < len(parts) and parts[i + 1] >= p:
+            if prev is not None and p >= prev:
                 raise ValueError(f"parts must be strictly decreasing, got {parts}")
+            prev = p
 
     @property
     def length(self) -> int:
@@ -60,7 +65,7 @@ class StrictPartition:
         if text in ("", "0", "-"):
             return cls(())
         try:
-            parts = tuple(int(t) for t in text.split(","))
+            parts = tuple(map(int, text.split(",")))
         except ValueError:
             raise ValueError(f"cannot parse partition {text!r}") from None
         return cls(parts)
@@ -71,9 +76,9 @@ class StrictPartition:
 
 def is_subpartition(mu: StrictPartition, lam: StrictPartition) -> bool:
     """True iff mu fits inside lam row by row (mu zero-padded)."""
-    if mu.length > lam.length:
+    if len(mu.parts) > len(lam.parts):
         return False
-    return all(m <= l for m, l in zip(mu.parts, lam.parts))
+    return all(map(le, mu.parts, lam.parts))
 
 
 @dataclass(frozen=True)

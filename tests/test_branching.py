@@ -21,6 +21,7 @@ from shifted_kschur.genfunc import (FAMILIES, K_FAMILIES, FunctionSpec, _at,
                                     special_value)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _strips_above,
+                                   removable_boxes,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling
@@ -154,9 +155,10 @@ NO_ENUMERATION_CASES = [("3,1", 2), ("4,2,1", 2), ("4,2/1", 2),
                         ("5,3,1/3,1", 2), ("3,2/2", 3), ("2,1/1", 1)]
 
 
-def _enumerated_point(shape, n, family, kind):
-    """``_point_sum`` from the definition: the enumerated polynomial at
-    x = 1 and b = 1, -1."""
+def _enumerated_point(lam, mu, n, family, kind):
+    """``_point_sum`` from the definition: the enumerated polynomial of
+    lam/mu at x = 1 and b = 1, -1."""
+    shape = SkewShape(StrictPartition(lam), StrictPartition(mu))
     poly = _tableau_sum(shape, n, family, kind)
     return poly.eval_integers([1] * n, 1), poly.eval_integers([1] * n, -1)
 
@@ -246,29 +248,62 @@ def test_scalar_paths_build_no_polynomial(monkeypatch, fresh_caches):
              special_value(spec)) for spec in specs]
     want_counts = [sum(compute(spec).terms.values()) for spec in specs
                    if spec.family in ("GP", "GQ")]
+    assert any(s == 0 for s, _ in want)  # the zero value is covered
     fresh_caches()  # the scalars below are computed, not read back
     built = []
 
     def refuse(*args, **kwargs):
         raise AssertionError("built a polynomial on a scalar path")
 
-    def record(self, nvars, terms=None):
-        built.append(dict(terms))
+    def record_init(self, nvars, terms=None):
+        built.append(("__init__", dict(terms or {})))
         real_init(self, nvars, terms)
 
-    real_init = LaurentPoly.__init__
+    def record_trusted(cls, nvars, terms):
+        built.append(("_trusted", dict(terms)))
+        return real_trusted.__func__(cls, nvars, terms)
+
+    real_init, real_trusted = LaurentPoly.__init__, LaurentPoly._trusted
     monkeypatch.setattr(LaurentPoly, "_trusted", refuse)
     monkeypatch.setattr(LaurentPoly, "__init__", refuse)
     assert [signed_count(spec) for spec in specs] == [s for s, _ in want]
     assert [parity_report(spec).count for spec in specs
             if spec.family in ("GP", "GQ")] == want_counts
-    # special_value builds b^|lam/mu| and its multiple, nothing more
-    monkeypatch.setattr(LaurentPoly, "__init__", record)
+    # special_value builds one trusted b^|lam/mu| times s, nothing more
+    monkeypatch.setattr(LaurentPoly, "__init__", record_init)
+    monkeypatch.setattr(LaurentPoly, "_trusted", classmethod(record_trusted))
     for spec, (s, value) in zip(specs, want):
         built.clear()
         assert special_value(spec) == value
-        assert built == [{((0,) * spec.n, spec.shape.size): 1},
-                         {((0,) * spec.n, spec.shape.size): s}]
+        terms = {((0,) * spec.n, spec.shape.size): s} if s else {}
+        assert built == [("_trusted", terms)], (str(spec.shape), spec.family)
+
+
+# mu with 1, 2 and 3 removable boxes
+SHAPE_FREE_CASES = [("4,2/1", 3), ("5,3,1/3,1", 2), ("6,4,2/5,3,1", 2)]
+
+
+def test_scalar_paths_build_no_shape(monkeypatch, fresh_caches):
+    specs = [FunctionSpec(family, SkewShape.parse(shape), n)
+             for shape, n in SHAPE_FREE_CASES for family in K_FAMILIES]
+    assert sorted({len(removable_boxes(spec.shape.inner))
+                   for spec in specs}) == [1, 2, 3]
+
+    def scalars():
+        return [(special_value(spec), signed_count(spec),
+                 parity_report(spec) if spec.family in ("GP", "GQ")
+                 else None) for spec in specs]
+
+    want = scalars()  # and the recursions are warm
+
+    def refuse(self):
+        raise AssertionError(f"built {type(self).__name__} on a scalar path")
+
+    monkeypatch.setattr(StrictPartition, "__post_init__", refuse)
+    monkeypatch.setattr(SkewShape, "__post_init__", refuse)
+    assert scalars() == want
+    fresh_caches()  # nor does a cold recursion
+    assert scalars() == want
 
 
 def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch,
@@ -301,12 +336,13 @@ def test_point_levels_serve_every_n_in_any_order(fresh_caches):
         for family in ("P", "Q"):
             for kind in KINDS:
                 want = {}
+                lam, mu = shape.outer.parts, shape.inner.parts
                 for n in (1, 2, 3, 4):
                     genfunc._point_levels.cache_clear()
-                    want[n] = _point_sum(shape, n, family, kind)
+                    want[n] = _point_sum(lam, mu, n, family, kind)
                 for order in orders:
                     genfunc._point_levels.cache_clear()
-                    got = {n: _point_sum(shape, n, family, kind)
+                    got = {n: _point_sum(lam, mu, n, family, kind)
                            for n in order}
                     assert got == want, (str(shape), family, kind, order)
                 cases += 1

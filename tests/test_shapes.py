@@ -28,6 +28,21 @@ class TestStrictPartition:
         with pytest.raises(ValueError):
             StrictPartition(bad)
 
+    @pytest.mark.parametrize("bad, text", [
+        ((3, "a"), "parts must be positive integers, got (3, 'a')"),
+        ((3, None), "parts must be positive integers, got (3, None)"),
+        ((3, [1]), "parts must be positive integers, got (3, [1])"),
+        ((2.0,), "parts must be positive integers, got (2.0,)"),
+        ((3, 0), "parts must be positive integers, got (3, 0)"),
+        ([-1], "parts must be positive integers, got (-1,)"),
+        ((2, 2), "parts must be strictly decreasing, got (2, 2)"),
+        ([4, 1, 2], "parts must be strictly decreasing, got (4, 1, 2)"),
+    ])
+    def test_rejection_texts(self, bad, text):
+        with pytest.raises(ValueError) as err:
+            StrictPartition(bad)
+        assert str(err.value) == text
+
     def test_parse_roundtrip(self):
         assert StrictPartition.parse("4,2,1") == sp(4, 2, 1)
         assert StrictPartition.parse("") == sp()

@@ -95,6 +95,8 @@ def cmd_double_skew(args) -> int:
     lam = StrictPartition.parse(args.lam)
     mu = StrictPartition.parse(args.mu)
     shape = SkewShape(lam, mu)  # both paths reject mu outside lam
+    if args.n is not None and args.n < 1:  # even where --shortcut ignores it
+        raise ValueError("n must be at least 1")
     if args.shortcut:
         result = genfunc.double_skew_shortcut(lam, mu)
         got = result.value
@@ -191,6 +193,9 @@ def cmd_identity(args) -> int:
                      for lam in strict_partitions_up_to_weight(args.max_weight)
                      if lam
                      for fam in ("P", "Q", "GP", "GQ")]
+        for lam, nx, ny, fam in instances:  # each left side's size, too
+            genfunc._coproduct_guard(FunctionSpec(fam, SkewShape(lam),
+                                                  nx + ny))
         return _sweep(instances, _coproduct, args.time_budget)
     # Q = 2^rows * P is a statement about straight shapes only
     skew = args.skew and args.check == "beta-zero"
@@ -254,20 +259,20 @@ def cmd_pair(args) -> int:
         # malformed; an OSError is not
         try:
             with open(args.check, encoding="utf-8") as fh:
-                data = json.load(fh)
-            cert = involutions.PairingCertificate.from_json(data)
+                doc = json.load(fh)
+            # in check_certificate's order, so a missing key is named alike
+            held = (StrictPartition(tuple(doc["lambda"])),
+                    StrictPartition(tuple(doc["mu"])), doc["n"],
+                    doc["family"], doc["minimal_only"])
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             ok, why = False, f"malformed certificate ({exc!r})"
         else:
-            asked = (lam, mu, args.family, args.n, args.minimal_only)
-            held = (cert.lam, cert.mu, cert.family, cert.n,
-                    cert.minimal_only)
-            if held != asked:
-                ok, why = False, ("certificate is for lambda={} mu={} "
-                                  "family={} n={} minimal_only={}"
+            if held != (lam, mu, args.n, args.family, args.minimal_only):
+                ok, why = False, ("certificate is for lambda={0} mu={1} "
+                                  "family={3} n={2} minimal_only={4}"
                                   .format(*held))
             else:
-                ok, why = involutions.check_certificate(cert)
+                ok, why = involutions.check_certificate(doc)
         print("certificate ok" if ok else "certificate FAILED")
         if not ok:
             print(f"note: {why}", file=sys.stderr)

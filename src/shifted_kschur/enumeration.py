@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from .shapes import SkewShape
@@ -187,27 +187,12 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
     """
     if spec.shape.size > ORACLE_MAX_BOXES or spec.n > ORACLE_MAX_N:
         raise ValueError("oracle scale exceeded")
-    boxes = spec.shape.row_major
+    shape, cap = spec.shape, spec.size_cap
     codes = range(1, 2 * spec.n + 1)
-    if spec.kind == "single":
-        pool = [(c,) for c in codes]
-    else:
-        pool = []
-        for k in range(1, 2 * spec.n + 1):
-            pool.extend(combinations(codes, k))
-        pool.sort()
-
-    def assign(k: int, cells: dict) -> Iterator[Filling]:
-        if k == len(boxes):
-            if (spec.size_cap is None
-                    or sum(map(len, cells.values())) <= spec.size_cap) \
-                    and validate_cells(spec.shape, spec.family,
-                                       tuple(cells.values())):
-                yield Filling(spec.shape, spec.n, spec.family, dict(cells))
-            return
-        for cell in pool:
-            cells[boxes[k]] = cell
-            yield from assign(k + 1, cells)
-            del cells[boxes[k]]
-
-    return assign(0, {})
+    sizes = (1,) if spec.kind == "single" else range(1, len(codes) + 1)
+    pool = sorted(cell for k in sizes for cell in combinations(codes, k))
+    return (Filling(shape, spec.n, spec.family,
+                    dict(zip(shape.row_major, cells)))
+            for cells in product(pool, repeat=shape.size)
+            if (cap is None or sum(map(len, cells)) <= cap)
+            and validate_cells(shape, spec.family, cells))

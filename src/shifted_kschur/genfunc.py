@@ -43,6 +43,8 @@ FAMILIES = ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")
 K_FAMILIES = FAMILIES[2:]
 
 COPRODUCT_MAX_WEIGHT = 6
+# the most tableaux a coproduct check may enumerate on its left side; the
+_COPRODUCT_MAX_TABLEAUX = 500_000  # most at n_x + n_y <= 4 is 465,777
 
 
 @dataclass(frozen=True)
@@ -367,6 +369,16 @@ class CoproductReport(NamedTuple):
     rhs: LaurentPoly
 
 
+def _coproduct_guard(spec: FunctionSpec) -> None:
+    """Raise ValueError if the coproduct check's left side, spec, has more
+    tableaux than it may enumerate, by the engine's count."""
+    size = _at(spec)[0]
+    if size > _COPRODUCT_MAX_TABLEAUX:
+        raise ValueError(f"coproduct guard exceeded: {size} tableaux for "
+                         f"{spec.family} {spec.shape} at n={spec.n}, above "
+                         f"the limit of {_COPRODUCT_MAX_TABLEAUX}")
+
+
 def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
                     family: str) -> CoproductReport:
     """Compare F_lam(x,y) with the sum over nu of F_nu(x) * F_(lam over nu)(y).
@@ -383,6 +395,7 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
     total = n_x + n_y
     # enumerated, so the check does not compare the engine with itself
     spec = FunctionSpec(family, SkewShape(lam), total)
+    _coproduct_guard(spec)
     lhs = _tableau_sum(spec.shape, total, spec.base_family, spec.kind)
     rhs: dict = {}
     if family in ("P", "Q"):

@@ -7,10 +7,10 @@ Pairing all non-minimal tableaux this way, and pairing minimal tableaux of
 neighboring inner shapes via the bottom-row toggle ``shapes.pi``, covers
 the double-skew tableau family, over the inner shapes of
 ``shapes.inner_shapes``, with no element left over.  A certificate is
-written straight from its tableaux, and checked as the raw JSON it reads
-back: each element as its nu and row-major cell tuple, each distinct cell
-parsed once, with a ``Filling`` built only for a minimal tableau or to
-show a fault.
+written straight from its tableaux, and checked as its JSON document: each
+element as its nu and row-major cell tuple, each distinct cell parsed
+once, with a ``Filling`` built only for a minimal tableau or to show a
+fault.
 """
 
 from __future__ import annotations
@@ -139,19 +139,15 @@ def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport
     return InvolutionReport(str(shape), family, n, checked, tuple(violations))
 
 
-class Element(NamedTuple):
-    """A tableau T of lam/nu in the double-skew family, with its nu."""
-    nu: StrictPartition
-    tableau: Filling
-
-    def to_json(self) -> dict:
-        return {"nu": list(self.nu.parts), "tableau": self.tableau.to_json()}
-
-
 class Pair(NamedTuple):
-    left: Element | dict  # a raw dict in a certificate read by from_json
-    right: Element | dict
+    left: Filling  # a tableau of lam/nu, nu being its shape's inner shape
+    right: Filling
     tag: str  # "iota" or "pi"
+
+
+def _element(T: Filling) -> dict:
+    """The document of a tableau T of lam/nu in the double-skew family."""
+    return {"nu": list(T.shape.inner.parts), "tableau": T.to_json()}
 
 
 @dataclass
@@ -162,7 +158,7 @@ class PairingCertificate:
     family: str
     minimal_only: bool
     pairs: list[Pair] = field(default_factory=list)
-    leftover: list[Element | dict] = field(default_factory=list)
+    leftover: list[Filling] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -175,23 +171,12 @@ class PairingCertificate:
             "n": self.n, "family": self.family,
             "minimal_only": self.minimal_only,
             "pairs": [
-                {"left": p.left.to_json(), "right": p.right.to_json(),
+                {"left": _element(p.left), "right": _element(p.right),
                  "tag": p.tag}
                 for p in self.pairs
             ],
-            "leftover": [e.to_json() for e in self.leftover],
+            "leftover": [_element(T) for T in self.leftover],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PairingCertificate":
-        """The certificate as ``to_json`` wrote it; elements stay raw dicts."""
-        cert = cls(StrictPartition(tuple(data["lambda"])),
-                   StrictPartition(tuple(data["mu"])),
-                   data["n"], data["family"], data["minimal_only"])
-        cert.pairs = [Pair(p["left"], p["right"], p["tag"])
-                      for p in data["pairs"]]
-        cert.leftover = list(data["leftover"])
-        return cert
 
 
 _HOLE = "\0"  # a slot in a document; json writes it as _SLOT
@@ -242,23 +227,23 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
             _array((f'"{entry_str(c)}"' for c in cell), 7))
         return text
 
-    def side(e: Element) -> str:
-        fmt = formats.get(e.nu)
+    def side(T: Filling) -> str:
+        fmt = formats.get(nu := T.shape.inner)
         if fmt is None:
-            doc = e.to_json()
+            doc = _element(T)
             doc["tableau"]["rows"] = [[_HOLE] * len(row)
-                                      for row in e.tableau.shape.rows]
-            fmt = formats[e.nu] = _format(doc, 3)
+                                      for row in T.shape.rows]
+            fmt = formats[nu] = _format(doc, 3)
         return fmt(*[texts.get(cell) or cell_text(cell)
-                     for cell in e.tableau.cells.values()])
+                     for cell in T.cells.values()])
 
     top = replace(cert, pairs=[], leftover=[]).to_json()
     top["leftover"] = top["pairs"] = _HOLE
     before, between, after = json.dumps(top, sort_keys=True,
                                         indent=1).split(_SLOT)
     fh.write(before)
-    fh.writelines(_array((side(e).replace("\n ", "\n")
-                          for e in cert.leftover), 1))
+    fh.writelines(_array((side(T).replace("\n ", "\n")
+                          for T in cert.leftover), 1))
     fh.write(between)
     fh.writelines(_array((_PAIR_FORMATS[p.tag](side(p.left), side(p.right))
                           for p in cert.pairs), 1))
@@ -309,8 +294,7 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         if nu in done_pi:
             continue
         other = pi(mu, nu)
-        cert.pairs.append(Pair(Element(nu, minimal[nu]),
-                               Element(other, minimal[other]), "pi"))
+        cert.pairs.append(Pair(minimal[nu], minimal[other], "pi"))
         done_pi.update({nu, other})
     if minimal_only:
         return cert
@@ -319,19 +303,20 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         tmin = minimal[nu]
         for T, partner in _iota_pairs(shape, family, n, tmin):
             if partner == T or iota(partner, tmin) != T:
-                cert.leftover.append(Element(nu, T))
+                cert.leftover.append(T)
                 continue
-            cert.pairs.append(Pair(Element(nu, T), Element(nu, partner),
-                                   "iota"))
+            cert.pairs.append(Pair(T, partner, "iota"))
     return cert
 
 
-def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
-    """Verify a certificate as it stands, without rebuilding it.
+def check_certificate(doc: dict) -> tuple[bool, str | None]:
+    """Verify a certificate document as it stands, without rebuilding it.
 
-    Every element must be a valid tableau of lam/nu, with the header's n
-    and family, for some nu = mu minus a subset of Rem(mu); no element may
-    appear twice; the two sides of each pair must have opposite sign
+    ``doc`` is what ``PairingCertificate.to_json`` returns or what
+    ``json.load`` reads from a written certificate.  Every element must be
+    a valid tableau of lam/nu, with the header's n and family, for some
+    nu = mu minus a subset of Rem(mu); no element may appear twice; the two
+    sides of each pair must have opposite sign
     (-1)^(|T| - |lam/nu| + |mu/nu|); an "iota" pair stays on one nu; a
     "pi" pair joins the minimal tableaux of two nu that differ by mu's
     bottom removable box; nothing is left over.  Distinct valid elements
@@ -339,14 +324,21 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
     count; one minimal tableau per nu with minimal_only) are the whole
     family, so the pairs prove that its signed sum is 0.
     """
-    lam, mu, n, family = cert.lam, cert.mu, cert.n, cert.family
+    try:
+        lam = StrictPartition(tuple(doc["lambda"]))
+        mu = StrictPartition(tuple(doc["mu"]))
+        n, family, minimal_only = doc["n"], doc["family"], doc["minimal_only"]
+        pairs = [(p["left"], p["right"], p["tag"]) for p in doc["pairs"]]
+        leftover = list(doc["leftover"])
+    except (KeyError, TypeError, ValueError) as exc:
+        return False, f"malformed certificate ({exc!r})"
     # JSON ints and a JSON bool: 2.0 and true would pass as equal to 2 and 1
     if family not in FAMILIES or type(n) is not int \
-            or type(cert.minimal_only) is not bool \
+            or type(minimal_only) is not bool \
             or not {int}.issuperset(map(type, lam.parts + mu.parts)):
         return False, (f"bad header: lambda={list(lam.parts)} "
                        f"mu={list(mu.parts)} n={n!r} family={family!r} "
-                       f"minimal_only={cert.minimal_only!r}")
+                       f"minimal_only={minimal_only!r}")
     try:
         check_request(lam, mu, n)
     except ValueError as exc:
@@ -389,12 +381,11 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
                             _trusted=True))
 
     seen: set[tuple] = set()  # (nu, cells) of every element so far
-    for k, p in enumerate(cert.pairs):
-        if p.tag not in ("iota", "pi") or \
-                (cert.minimal_only and p.tag != "pi"):
-            return False, f"pair {k}: tag {p.tag!r} not allowed"
+    for k, (left, right, tag) in enumerate(pairs):
+        if tag not in ("iota", "pi") or (minimal_only and tag != "pi"):
+            return False, f"pair {k}: tag {tag!r} not allowed"
         sides = []
-        for element in (p.left, p.right):
+        for element in (left, right):
             try:
                 side = parse(element)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -409,9 +400,9 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
         size = sum(map(len, cells_l)) + sum(map(len, cells_r))
         if (size - offset[nu_l] - offset[nu_r]) % 2 == 0:
             return False, f"pair {k}: both sides have the same sign"
-        if p.tag == "iota" and nu_l != nu_r:
+        if tag == "iota" and nu_l != nu_r:
             return False, f"pair {k}: iota pair across two inner shapes"
-        if p.tag == "pi":
+        if tag == "pi":
             if pi(mu, shapes[nu_l].inner).parts != nu_r:
                 return False, (f"pair {k}: pi pair of inner shapes that do "
                                f"not differ by the bottom removable box")
@@ -422,9 +413,9 @@ def check_certificate(cert: PairingCertificate) -> tuple[bool, str | None]:
                 if cells != minimal[nu]:
                     return False, (f"pair {k}: pi side is not minimal: "
                                    f"{shown(nu, cells)}")
-    if cert.leftover:
-        return False, f"{len(cert.leftover)} leftover elements"
-    if cert.minimal_only:
+    if leftover:
+        return False, f"{len(leftover)} leftover elements"
+    if minimal_only:
         want = len(shapes)
     else:
         want = _family_size(lam, mu, family, n)

@@ -124,6 +124,13 @@ class TestDoubleSkew:
         assert (code, out) == (2, "")
         assert err == "error: 3 is not contained in 2,1\n"
 
+    @pytest.mark.parametrize("path", [("--shortcut",),
+                                      ("--family", "GP")])
+    def test_n_below_one_is_usage_error(self, capsys, path):
+        # the shortcut does not use n, but a given n is still checked
+        assert run(capsys, "double-skew", "--lambda", "2,1", "--mu", "1",
+                   "-n", "0", *path) == (2, "", "error: n must be at least 1\n")
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -196,6 +203,18 @@ class TestIdentity:
                              str(genfunc.COPRODUCT_MAX_WEIGHT + 1))
         assert (code, out) == (2, "")
         assert err == "error: coproduct guard exceeded: |lambda| too large\n"
+
+    def test_coproduct_count_guard_refuses_before_the_sweep(self, capsys,
+                                                             monkeypatch):
+        # |lambda| <= 6 passes, but 3,1 has 16,437,249 GQ tableaux at n = 6
+        def refuse(*args):
+            raise AssertionError("ran an instance past the guard")
+
+        monkeypatch.setattr(genfunc, "coproduct_check", refuse)
+        assert run(capsys, "identity", "--check", "coproduct",
+                   "--max-weight", "6", "--nx", "3", "--ny", "3") == (
+            2, "", "error: coproduct guard exceeded: 16437249 tableaux for "
+                   "GQ 3,1 at n=6, above the limit of 500000\n")
 
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run(capsys, "identity", "--check", "nonsense")
@@ -374,6 +393,31 @@ class TestPair:
         code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
         assert (code, out) == (1, "certificate FAILED\n")
         assert err.startswith("note: malformed certificate (")
+
+    @pytest.mark.parametrize("key", ["lambda", "mu", "n", "family",
+                                     "minimal_only", "pairs", "leftover"])
+    def test_missing_key_is_named(self, capsys, tmp_path, key):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        assert run(capsys, *PAIR_21_1, "--check", str(path)) == (
+            1, "certificate FAILED\n",
+            f"note: malformed certificate (KeyError({key!r}))\n")
+
+    def test_header_mismatch_comes_before_malformed_pairs(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        doc = json.loads(path.read_text())
+        del doc["pairs"]
+        path.write_text(json.dumps(doc))
+        argv = list(PAIR_21_1)
+        argv[argv.index("-n") + 1] = "3"
+        assert run(capsys, *argv, "--check", str(path)) == (
+            1, "certificate FAILED\n", "note: certificate is for lambda=2,1 "
+            "mu=1 family=P n=2 minimal_only=False\n")
 
     def test_check_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, *PAIR_21_1, "--check",

@@ -1,11 +1,13 @@
 import pytest
 
-from shifted_kschur.genfunc import (FunctionSpec, beta_zero, compute,
+from shifted_kschur.genfunc import (COPRODUCT_MAX_WEIGHT, FunctionSpec,
+                                    _coproduct_guard, beta_zero, compute,
                                     coproduct_check, double_skew_shortcut,
                                     parity_report, signed_count,
                                     special_value)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import SkewShape, StrictPartition
+from shifted_kschur.shapes import (SkewShape, StrictPartition,
+                                   strict_partitions_up_to_weight)
 
 
 def sp(*parts):
@@ -154,6 +156,19 @@ class TestCoproduct:
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
             coproduct_check(sp(7, 5, 4, 2), 2, 2, "GP")
+
+    def test_count_guard(self):
+        # |lambda| = 6 passes the first guard; the left side would be
+        # 358,332,417 tableaux
+        with pytest.raises(ValueError, match="358332417 tableaux for GQ 4,2 "
+                           "at n=6, above the limit"):
+            coproduct_check(sp(4, 2), 3, 3, "GQ")
+
+    def test_count_guard_admits_four_letters(self):
+        # every run at n_x + n_y <= 4 is admitted (at most 465,777 tableaux)
+        for lam in strict_partitions_up_to_weight(COPRODUCT_MAX_WEIGHT):
+            for family in ("P", "Q", "GP", "GQ"):
+                _coproduct_guard(FunctionSpec(family, SkewShape(lam), 4))
 
 
 class TestParity:

@@ -24,7 +24,7 @@ from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
 from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
                      is_subpartition, pi)
-from .tableaux import (FAMILIES, Filling, _cells_from_rows, entry_str,
+from .tableaux import (Filling, _cells_from_rows, _check_family, entry_str,
                        validate, validate_cells)
 
 # the most tableaux a full certificate may pair: 4 times the most written
@@ -258,13 +258,15 @@ def _family_size(lam: StrictPartition, mu: StrictPartition, family: str,
                             n))[0]
 
 
-def check_request(lam: StrictPartition, mu: StrictPartition, n: int) -> None:
-    """Raise ValueError unless lam // mu at n is a pairing request: a
-    nonempty mu contained in lam, and n at least 1."""
+def check_request(lam: StrictPartition, mu: StrictPartition, n: int,
+                  family: str) -> None:
+    """Raise ValueError unless lam // mu at n, family is a pairing request:
+    a nonempty mu contained in lam, n at least 1, and family P or Q."""
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
     if n < 1:
         raise ValueError("n must be at least 1")
+    _check_family(family)
 
 
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
@@ -280,7 +282,7 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     than ``PAIR_MAX_ELEMENTS`` tableaux is refused.  The elements of one
     nu share one shape object, so treat them as read-only.
     """
-    check_request(lam, mu, n)
+    check_request(lam, mu, n, family)
     shapes = {nu: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
     size = 0 if minimal_only else _family_size(lam, mu, family, n)
     if size > PAIR_MAX_ELEMENTS:
@@ -309,40 +311,38 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     return cert
 
 
-def check_certificate(doc: dict) -> tuple[bool, str | None]:
-    """Verify a certificate document as it stands, without rebuilding it.
+_HEADER = ("lambda", "mu", "n", "family", "minimal_only")  # in read order
 
-    ``doc`` is what ``PairingCertificate.to_json`` returns or what
-    ``json.load`` reads from a written certificate.  Every element must be
-    a valid tableau of lam/nu, with the header's n and family, for some
-    nu = mu minus a subset of Rem(mu); no element may appear twice; the two
-    sides of each pair must have opposite sign
-    (-1)^(|T| - |lam/nu| + |mu/nu|); an "iota" pair stays on one nu; a
-    "pi" pair joins the minimal tableaux of two nu that differ by mu's
-    bottom removable box; nothing is left over.  Distinct valid elements
-    that number as many as the tableau sets hold (the branching engine's
-    count; one minimal tableau per nu with minimal_only) are the whole
-    family, so the pairs prove that its signed sum is 0.
+
+def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
+                      n: int, family: str, minimal_only: bool = False
+                      ) -> tuple[bool, str | None]:
+    """Verify that a certificate document proves a request, as it stands.
+
+    The request is ``pairing_certificate``'s; one that function refuses
+    raises ValueError here too.  ``doc`` is what ``to_json`` returns or what
+    ``json.load`` reads from a written certificate.  Its header, read in
+    ``_HEADER`` order, must be the request as JSON text (a true is not a 1,
+    nor a 2.0 a 2), before any pair is read.  Every element must be a valid
+    tableau of lam/nu, with n and family, for some nu = mu minus a subset
+    of Rem(mu); no element may appear twice; the two sides of each pair
+    must have opposite sign (-1)^(|T| - |lam/nu| + |mu/nu|); an "iota" pair
+    stays on one nu; a "pi" pair joins the minimal tableaux of two nu that
+    differ by mu's bottom removable box; nothing is left over.  Distinct
+    valid elements that number as many as the tableau sets hold (the
+    branching engine's count; one minimal tableau per nu with minimal_only)
+    are the whole family, so the pairs prove that its signed sum is 0.
     """
+    check_request(lam, mu, n, family)
+    request = (list(lam.parts), list(mu.parts), n, family, minimal_only)
     try:
-        lam = StrictPartition(tuple(doc["lambda"]))
-        mu = StrictPartition(tuple(doc["mu"]))
-        n, family, minimal_only = doc["n"], doc["family"], doc["minimal_only"]
+        header = json.dumps({key: doc[key] for key in _HEADER})
+        if header != json.dumps(dict(zip(_HEADER, request))):
+            return False, f"certificate is for {header}"
         pairs = [(p["left"], p["right"], p["tag"]) for p in doc["pairs"]]
         leftover = list(doc["leftover"])
     except (KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate ({exc!r})"
-    # JSON ints and a JSON bool: 2.0 and true would pass as equal to 2 and 1
-    if family not in FAMILIES or type(n) is not int \
-            or type(minimal_only) is not bool \
-            or not {int}.issuperset(map(type, lam.parts + mu.parts)):
-        return False, (f"bad header: lambda={list(lam.parts)} "
-                       f"mu={list(mu.parts)} n={n!r} family={family!r} "
-                       f"minimal_only={minimal_only!r}")
-    try:
-        check_request(lam, mu, n)
-    except ValueError as exc:
-        return False, str(exc)
     removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
     shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}

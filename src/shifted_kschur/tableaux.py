@@ -191,16 +191,14 @@ def _cells_from_rows(shape: SkewShape, n: int, rows, memo: dict) -> tuple:
     return tuple(cells)
 
 
-def filling_from_rows(shape: SkewShape, n: int, family: str, rows,
-                      memo: dict | None = None) -> Filling:
+def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
     """Build a filling from per-row lists of cells given as entry strings.
 
     The rows parse and check as in ``_cells_from_rows``; a fault raises
-    ValueError.  Callers parsing many fillings with one n may share a
-    ``memo`` of checked cells, as that function describes it.
+    ValueError.
     """
     _check_family(family)
-    cells = _cells_from_rows(shape, n, rows, {} if memo is None else memo)
+    cells = _cells_from_rows(shape, n, rows, {})
     return Filling(shape, n, family, dict(zip(shape.row_major, cells)),
                    _trusted=True)
 

@@ -8,7 +8,8 @@ from itertools import product
 import pytest
 
 from shifted_kschur.enumeration import KINDS, EnumSpec, naive_oracle
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
+from shifted_kschur.genfunc import FunctionSpec, parity_report
+from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import filling_from_rows
@@ -60,6 +61,19 @@ def fresh_caches():
     clear_package_caches()
     yield clear_package_caches
     clear_package_caches()
+
+
+def engine_count(shape, family, n) -> int:
+    """The branching engine's count of the set-valued tableaux of shape."""
+    return parity_report(FunctionSpec("G" + family, shape, n)).count
+
+
+def has_empty_set(lam, mu, family, n) -> bool:
+    """Whether the engine counts no tableau of some lam/nu, nu being mu
+    minus a subset of Rem(mu): the requests that ``pairing_certificate``
+    refuses as an empty tableau set."""
+    return any(not engine_count(SkewShape(lam, nu), family, n)
+               for _, nu in inner_shapes(mu))
 
 
 def rows(shape, n, family, spec):
@@ -178,8 +192,8 @@ def _tamper_float_box(doc):
     doc["pairs"][0]["left"]["tableau"]["shape"]["boxes"][0][0] = 1.0
 
 
-# each with the whole reason check_certificate gives; pair --check prints
-# it on a "note:" line, except where the file's own header is at fault
+# each with the whole reason check_certificate gives for the request
+# 2,1 // 1, P, n = 2; pair --check prints it on a "note:" line
 TAMPERS = [
     (_tamper_invalid_entry,
      "pair 0: malformed element (invalid tableau: primed entry on the "
@@ -193,8 +207,8 @@ TAMPERS = [
     (_tamper_add_leftover, "2 leftover elements"),
     (_tamper_iota_across_nu, "pair 0: iota pair across two inner shapes"),
     (_tamper_header_n,
-     "pair 0: malformed element (tableau header does not match 2,1/1, "
-     "n=3, family P)"),
+     'certificate is for {"lambda": [2, 1], "mu": [1], "n": 3, '
+     '"family": "P", "minimal_only": false}'),
     (_tamper_same_sign_pairs, "pair 1: both sides have the same sign"),
     # malformed cells, which a cell parsed once per certificate must not hide
     (_first_cell_set_to(["9"], "_tamper_entry_out_of_range"),
@@ -218,10 +232,11 @@ TAMPERS = [
      "pair 0: malformed element (nu=[True] is not mu minus a subset of "
      "Rem(mu))"),
     (_tamper_bool_header_mu,
-     "bad header: lambda=[2, 1] mu=[True] n=2 family='P' "
-     "minimal_only=False"),
+     'certificate is for {"lambda": [2, 1], "mu": [true], "n": 2, '
+     '"family": "P", "minimal_only": false}'),
     (_tamper_int_minimal_only,
-     "bad header: lambda=[2, 1] mu=[1] n=2 family='P' minimal_only=0"),
+     'certificate is for {"lambda": [2, 1], "mu": [1], "n": 2, '
+     '"family": "P", "minimal_only": 0}'),
     (_tamper_float_shape_outer,
      "pair 0: malformed element (tableau header does not match 2,1/1, "
      "n=2, family P)"),

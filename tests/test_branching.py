@@ -420,7 +420,8 @@ def test_certificate_check_reuses_the_count_recursion(fresh_caches):
     cert = involutions.pairing_certificate(lam, mu, 2, "Q")
     before = genfunc._point_levels.cache_info()
     assert before.misses > 0
-    assert involutions.check_certificate(cert.to_json()) == (True, None)
+    assert involutions.check_certificate(cert.to_json(), lam, mu, 2,
+                                         "Q") == (True, None)
     after = genfunc._point_levels.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits

@@ -11,7 +11,7 @@ from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from tests.conftest import TAMPERS
+from tests.conftest import TAMPERS, has_empty_set
 
 
 def run(capsys, *argv):
@@ -289,7 +289,13 @@ class TestOracleCheck:
     (("verify-involution", "--shape", "3,1/1", "--max-n", "2",
       "--time-budget", "-1"), "--time-budget must not be negative"),
     (("identity", "--check", "coproduct", "--time-budget", "-0.5"),
-     "--time-budget must not be negative")])
+     "--time-budget must not be negative"),
+    (("identity", "--check", "coproduct", "--nx", "0"),
+     "--nx must be at least 1"),
+    (("identity", "--check", "coproduct", "--ny", "0"),
+     "--ny must be at least 1"),
+    (("identity", "--check", "coproduct", "--nx", "2", "--ny", "-1"),
+     "--ny must be at least 1")])
 def test_sweep_with_nothing_to_check_is_usage_error(capsys, argv, message):
     # no instance, or no time for one: exit 2 before any line
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -297,6 +303,8 @@ def test_sweep_with_nothing_to_check_is_usage_error(capsys, argv, message):
 
 PAIR_21_1 = ("pair", "--lambda", "2,1", "--mu", "1", "--family", "P",
              "-n", "2")
+HEADER_21_1 = ('certificate is for {"lambda": [2, 1], "mu": [1], "n": 2, '
+               '"family": "P", "minimal_only": false}')
 
 
 def _pair_cases(max_weight, max_n):
@@ -334,9 +342,6 @@ class TestPair:
         doc = json.loads(path.read_text())
         tamper(doc)
         path.write_text(json.dumps(doc))
-        if tamper.__name__ == "_tamper_header_n":  # the file's own header
-            reason = ("certificate is for lambda=2,1 mu=1 family=P n=3 "
-                      "minimal_only=False")
         assert run(capsys, *PAIR_21_1, "--check", str(path)) == \
             (1, "certificate FAILED\n", f"note: {reason}\n")
 
@@ -348,10 +353,8 @@ class TestPair:
         run(capsys, *PAIR_21_1, "--out", str(path))
         argv = list(PAIR_21_1)
         argv[argv.index(flag) + 1] = value
-        code, out, err = run(capsys, *argv, "--check", str(path))
-        assert (code, out) == (1, "certificate FAILED\n")
-        assert "certificate is for lambda=2,1 mu=1 family=P n=2 " \
-            "minimal_only=False" in err
+        assert run(capsys, *argv, "--check", str(path)) == (
+            1, "certificate FAILED\n", f"note: {HEADER_21_1}\n")
 
     def test_check_rejects_other_certificate_kind(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -416,8 +419,27 @@ class TestPair:
         argv = list(PAIR_21_1)
         argv[argv.index("-n") + 1] = "3"
         assert run(capsys, *argv, "--check", str(path)) == (
-            1, "certificate FAILED\n", "note: certificate is for lambda=2,1 "
-            "mu=1 family=P n=2 minimal_only=False\n")
+            1, "certificate FAILED\n", f"note: {HEADER_21_1}\n")
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xff"],
+                             ids=["missing", "not_utf8"])
+    def test_bad_command_line_comes_before_the_file(self, capsys, tmp_path,
+                                                    content):
+        path = tmp_path / "cert.json"
+        if content is not None:
+            path.write_bytes(content)
+        argv = list(PAIR_21_1)
+        argv[argv.index("-n") + 1] = "0"
+        assert run(capsys, *argv, "--check", str(path)) == \
+            (2, "", "error: n must be at least 1\n")
+
+    def test_out_and_check_are_exclusive(self, capsys, tmp_path):
+        good, out = tmp_path / "cert.json", tmp_path / "new.json"
+        run(capsys, *PAIR_21_1, "--out", str(good))
+        code, stdout, err = run(capsys, *PAIR_21_1, "--out", str(out),
+                                "--check", str(good))
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert "not allowed with argument" in err
 
     def test_check_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, *PAIR_21_1, "--check",
@@ -434,10 +456,11 @@ class TestPair:
         path = tmp_path / "cert.json"
         written = 0
         for lam, mu, family, n in _pair_cases(5, 2):
-            try:
-                cert = pairing_certificate(lam, mu, n, family)
-            except ValueError:  # an empty tableau set
+            if has_empty_set(lam, mu, family, n):
+                with pytest.raises(ValueError, match="empty tableau set"):
+                    pairing_certificate(lam, mu, n, family)
                 continue
+            cert = pairing_certificate(lam, mu, n, family)
             if path.exists():
                 path.unlink()
             code, _, _ = run(capsys, "pair", "--lambda", str(lam), "--mu",
@@ -478,11 +501,12 @@ class TestWriteCertificate:
         written = 0
         for lam, mu, family, n in _pair_cases(5, 2):
             for minimal_only in (False, True):
-                try:
-                    cert = pairing_certificate(lam, mu, n, family,
-                                               minimal_only)
-                except ValueError:  # an empty tableau set
+                request = (lam, mu, n, family, minimal_only)
+                if has_empty_set(lam, mu, family, n):
+                    with pytest.raises(ValueError, match="empty tableau set"):
+                        pairing_certificate(*request)
                     continue
+                cert = pairing_certificate(*request)
                 assert _written(cert) == _dumped(cert), \
                     (str(lam), str(mu), family, n, minimal_only)
                 written += 1

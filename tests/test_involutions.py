@@ -12,11 +12,14 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling, validate
-from tests.conftest import TAMPERS, rows
+from tests.conftest import TAMPERS, engine_count, has_empty_set, rows
 
 
 def sp(*parts):
     return StrictPartition(tuple(parts))
+
+
+REQUEST = (sp(2, 1), sp(1), 2, "P")  # the request TAMPERS spoil
 
 
 class TestMinimalTableau:
@@ -155,10 +158,12 @@ class TestVerifyInvolution:
     def test_small_sweep(self):
         for lam in strict_partitions_up_to_weight(4):
             for family, n in itertools.product("PQ", (1, 2)):
-                try:
-                    rep = verify_involution(SkewShape(lam), family, n)
-                except ValueError:
+                shape = SkewShape(lam)
+                if not engine_count(shape, family, n):
+                    with pytest.raises(ValueError, match="empty tableau set"):
+                        verify_involution(shape, family, n)
                     continue
+                rep = verify_involution(shape, family, n)
                 assert rep.ok, rep.violations[:3]
 
     def test_skew(self):
@@ -336,41 +341,67 @@ def _roundtrip(cert):
 
 class TestCheckCertificate:
     def test_good_certificate(self):
-        cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
-        assert check_certificate(_roundtrip(cert)) == (True, None)
+        cert = pairing_certificate(*REQUEST)
+        assert check_certificate(_roundtrip(cert), *REQUEST) == (True, None)
 
     @pytest.mark.parametrize("tamper,reason", TAMPERS,
                              ids=[t.__name__ for t, _ in TAMPERS])
     def test_each_tamper_fails(self, tamper, reason):
-        doc = pairing_certificate(sp(2, 1), sp(1), 2, "P").to_json()
-        doc = json.loads(json.dumps(doc))
+        doc = _roundtrip(pairing_certificate(*REQUEST))
         tamper(doc)
-        assert check_certificate(doc) == (False, reason)
+        assert check_certificate(doc, *REQUEST) == (False, reason)
+
+    def test_certificate_of_another_request_fails(self):
+        # a valid certificate, of 3,1 // 1 Q n=2, does not prove 2,1 // 1
+        doc = _roundtrip(pairing_certificate(sp(3, 1), sp(1), 2, "Q"))
+        assert check_certificate(doc, sp(3, 1), sp(1), 2, "Q") == (True, None)
+        assert check_certificate(doc, *REQUEST) == (
+            False, 'certificate is for {"lambda": [3, 1], "mu": [1], "n": 2, '
+            '"family": "Q", "minimal_only": false}')
+
+    def test_header_mismatch_comes_before_malformed_pairs(self):
+        doc = _roundtrip(pairing_certificate(*REQUEST))
+        del doc["pairs"]
+        assert check_certificate(doc, sp(2, 1), sp(1), 3, "P") == (
+            False, 'certificate is for {"lambda": [2, 1], "mu": [1], "n": 2, '
+            '"family": "P", "minimal_only": false}')
+
+    @pytest.mark.parametrize("bad,message", [
+        ((sp(2, 1), sp(), 2, "P"), "nonempty mu"),
+        ((sp(2, 1), sp(1), 0, "P"), "n must be at least 1"),
+        ((sp(2, 1), sp(1), 2, "R"), "family must be P or Q")],
+        ids=["empty_mu", "n_zero", "family_R"])
+    def test_refused_request_raises(self, bad, message):
+        # as pairing_certificate refuses it
+        doc = _roundtrip(pairing_certificate(*REQUEST))
+        with pytest.raises(ValueError, match=message):
+            pairing_certificate(*bad)
+        with pytest.raises(ValueError, match=message):
+            check_certificate(doc, *bad)
 
     def test_minimal_only(self):
-        cert = pairing_certificate(sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P",
-                                   minimal_only=True)
-        doc = _roundtrip(cert)
-        assert check_certificate(doc) == (True, None)
+        request = (sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P", True)
+        doc = _roundtrip(pairing_certificate(*request))
+        assert check_certificate(doc, *request) == (True, None)
         doc["pairs"].pop()
-        assert not check_certificate(doc)[0]
+        assert not check_certificate(doc, *request)[0]
 
     def test_minimal_only_refuses_iota_pairs(self):
-        full = _roundtrip(pairing_certificate(sp(2, 1), sp(1), 2, "P"))
-        doc = _roundtrip(pairing_certificate(sp(2, 1), sp(1), 2, "P",
-                                             minimal_only=True))
+        full = _roundtrip(pairing_certificate(*REQUEST))
+        doc = _roundtrip(pairing_certificate(*REQUEST, minimal_only=True))
         # two iota pairs in place of the pi pair: as many elements as nus
         doc["pairs"] = [p for p in full["pairs"] if p["tag"] == "iota"][:1]
-        assert not check_certificate(doc)[0]
+        assert not check_certificate(doc, *REQUEST, minimal_only=True)[0]
 
     def test_iota_pair_retagged_pi_fails(self):
-        doc = _roundtrip(pairing_certificate(sp(2, 1), sp(1), 2, "P"))
+        doc = _roundtrip(pairing_certificate(*REQUEST))
         next(p for p in doc["pairs"] if p["tag"] == "iota")["tag"] = "pi"
-        ok, why = check_certificate(doc)
+        ok, why = check_certificate(doc, *REQUEST)
         assert not ok and "pi pair" in why
 
     def test_pi_pair_of_non_minimal_tableaux_fails(self):
-        doc = _roundtrip(pairing_certificate(sp(3, 1), sp(2), 2, "Q"))
+        request = (sp(3, 1), sp(2), 2, "Q")
+        doc = _roundtrip(pairing_certificate(*request))
         pi_pair = doc["pairs"][0]
         assert pi_pair["tag"] == "pi"
 
@@ -383,19 +414,19 @@ class TestCheckCertificate:
                      if e["nu"] == pi_pair["left"]["nu"]
                      and (size(e) - size(pi_pair["left"])) % 2 == 0)
         pi_pair["left"] = other
-        assert check_certificate(doc) == (
+        assert check_certificate(doc, *request) == (
             False, "pair 0: pi side is not minimal: Filling(3,1/2; 1' | 1)")
 
     def test_cell_memo_lives_for_one_call(self):
         # 2' is a valid entry at n = 2 and out of range at n = 1
-        wide = _roundtrip(pairing_certificate(sp(2, 1), sp(1), 2, "P"))
+        wide = _roundtrip(pairing_certificate(*REQUEST))
         assert ["2'"] in [cell for p in wide["pairs"]
                           for e in (p["left"], p["right"])
                           for row in e["tableau"]["rows"] for cell in row]
-        assert check_certificate(wide) == (True, None)
+        assert check_certificate(wide, *REQUEST) == (True, None)
         doc = pairing_certificate(sp(2), sp(1), 1, "P").to_json()
         doc["pairs"][-1]["right"]["tableau"]["rows"][0][-1] = ["2'"]
-        ok, why = check_certificate(doc)
+        ok, why = check_certificate(doc, sp(2), sp(1), 1, "P")
         assert not ok and "entry out of range 1..2" in why, why
 
     def test_builds_no_filling_but_the_minimal_tableaux(self, monkeypatch):
@@ -410,7 +441,7 @@ class TestCheckCertificate:
             built.append(self)
 
         monkeypatch.setattr(Filling, "__init__", counted)
-        assert check_certificate(doc) == (True, None)
+        assert check_certificate(doc, lam, mu, 2, "P") == (True, None)
         monkeypatch.undo()
         nus = {tuple(e["nu"]) for p in doc["pairs"] if p["tag"] == "pi"
                for e in (p["left"], p["right"])}
@@ -422,17 +453,21 @@ class TestCheckCertificate:
     @pytest.mark.parametrize("key", ["lambda", "mu", "n", "family",
                                      "minimal_only", "pairs", "leftover"])
     def test_missing_key_is_malformed(self, key):
-        doc = _roundtrip(pairing_certificate(sp(2, 1), sp(1), 2, "P"))
+        doc = _roundtrip(pairing_certificate(*REQUEST))
         del doc[key]
-        assert check_certificate(doc) == (
+        assert check_certificate(doc, *REQUEST) == (
             False, f"malformed certificate (KeyError({key!r}))")
 
     def test_bad_header(self):
-        cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
-        for field, value in (("family", "GP"), ("n", 0), ("mu", [])):
+        # compared as JSON text: 2.0 is not 2, true is not 1, 0 is not false
+        cert = pairing_certificate(*REQUEST)
+        for field, value in (("family", "GP"), ("n", 0), ("mu", []),
+                             ("lambda", [2.0, 1]), ("n", 2.0), ("n", True),
+                             ("minimal_only", 0), ("family", "Q")):
             bad = _roundtrip(cert)
             bad[field] = value
-            assert not check_certificate(bad)[0], field
+            ok, why = check_certificate(bad, *REQUEST)
+            assert not ok and why.startswith("certificate is for {"), field
 
     def test_agrees_with_covers_oracle(self):
         checked = 0
@@ -441,19 +476,23 @@ class TestCheckCertificate:
                 if not mu:
                     continue
                 for family, n in itertools.product("PQ", (1, 2)):
-                    try:
-                        cert = pairing_certificate(lam, mu, n, family)
-                    except ValueError:  # an empty tableau set
+                    request = (lam, mu, n, family)
+                    if has_empty_set(lam, mu, family, n):
+                        with pytest.raises(ValueError,
+                                           match="empty tableau set"):
+                            pairing_certificate(*request)
                         continue
+                    cert = pairing_certificate(*request)
                     elements = _family_elements(lam, mu, n, family)
                     case = (str(lam), str(mu), family, n)
-                    assert check_certificate(cert.to_json()) == \
+                    assert check_certificate(cert.to_json(), *request) == \
                         (True, None), case
                     doc = _roundtrip(cert)
-                    assert check_certificate(doc) == (True, None), case
+                    assert check_certificate(doc, *request) == (True, None), \
+                        case
                     assert certificate_covers(doc, elements)[0], case
                     doc["pairs"].pop()
-                    assert not check_certificate(doc)[0], case
+                    assert not check_certificate(doc, *request)[0], case
                     assert not certificate_covers(doc, elements)[0], case
                     checked += 1
         assert checked > 100
@@ -466,10 +505,11 @@ def test_trusted_images_equal_checked_rebuild():
         for mu in strict_subpartitions(lam):
             shape = SkewShape(lam, mu)
             for n, family in itertools.product((1, 2), "PQ"):
-                try:
-                    tmin = minimal_tableau(shape, family, n)
-                except ValueError:  # an empty tableau set
+                if not engine_count(shape, family, n):
+                    with pytest.raises(ValueError, match="empty tableau set"):
+                        minimal_tableau(shape, family, n)
                     continue
+                tmin = minimal_tableau(shape, family, n)
                 assert tmin._key == Filling(shape, n, family, tmin.cells)._key
                 spec = EnumSpec(shape, n, family, "set-valued")
                 for T in enumerate_fillings(spec):

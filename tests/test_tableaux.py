@@ -6,7 +6,8 @@ from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import (Filling, cell_from_strs, entry_from_str,
+from shifted_kschur.tableaux import (Filling, _cells_from_rows,
+                                     cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
                                      primed, validate)
 from conftest import rows
@@ -320,8 +321,9 @@ class TestRowParsing:
         # time, and only the cells that passed their check are kept
         memo = {}
 
-        def with_memo(*args):
-            return filling_from_rows(*args, memo)
+        def with_memo(shape, n, family, rows_):
+            cells = _cells_from_rows(shape, n, rows_, memo)
+            return Filling(shape, n, family, dict(zip(shape.row_major, cells)))
 
         for first in FIRST_CELLS * 2:
             for family in "PQ":

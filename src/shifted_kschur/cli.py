@@ -22,7 +22,7 @@ from .genfunc import FunctionSpec
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, inner_shapes,
                      strict_subpartitions, strict_partitions_up_to_weight)
-from .tableaux import FAMILIES
+from .tableaux import FAMILIES, _check_n
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -95,8 +95,8 @@ def cmd_double_skew(args) -> int:
     lam = StrictPartition.parse(args.lam)
     mu = StrictPartition.parse(args.mu)
     shape = SkewShape(lam, mu)  # both paths reject mu outside lam
-    if args.n is not None and args.n < 1:  # even where --shortcut ignores it
-        raise ValueError("n must be at least 1")
+    if args.n is not None:  # even where --shortcut ignores it
+        _check_n(args.n)
     if args.shortcut:
         result = genfunc.double_skew_shortcut(lam, mu)
         got = result.value

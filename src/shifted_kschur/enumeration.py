@@ -22,7 +22,7 @@ from itertools import combinations, product
 from typing import Iterator
 
 from .shapes import SkewShape
-from .tableaux import Filling, _check_family, validate_cells
+from .tableaux import Filling, _check_family, _check_n, validate_cells
 
 KINDS = ("single", "set-valued")
 
@@ -40,8 +40,7 @@ class EnumSpec:
 
     def __post_init__(self):
         _check_family(self.family)
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        _check_n(self.n)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.size_cap is not None and self.size_cap < self.shape.size:

@@ -38,6 +38,7 @@ from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, _corner_rows,
                      _minus_corners, _strips_above, inner_shapes,
                      is_subpartition, strict_subpartitions)
+from .tableaux import _check_n
 
 FAMILIES = ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")
 K_FAMILIES = FAMILIES[2:]
@@ -56,8 +57,7 @@ class FunctionSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        _check_n(self.n)
 
     @property
     def base_family(self) -> str:

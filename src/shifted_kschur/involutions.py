@@ -24,8 +24,8 @@ from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
 from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
                      is_subpartition, pi)
-from .tableaux import (Filling, _cells_from_rows, _check_family, entry_str,
-                       validate, validate_cells)
+from .tableaux import (Filling, _cells_from_rows, _check_family, _check_n,
+                       entry_str, validate, validate_cells)
 
 # the most tableaux a full certificate may pair: 4 times the most written
 PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
@@ -75,9 +75,6 @@ def iota(T: Filling, tmin: Filling | None = None) -> Filling:
 
 
 class InvolutionReport(NamedTuple):
-    shape: str
-    family: str
-    n: int
     checked: int
     violations: tuple[str, ...]
 
@@ -86,57 +83,55 @@ class InvolutionReport(NamedTuple):
         return not self.violations
 
 
-def _iota_pairs(shape: SkewShape, family: str, n: int,
-                tmin: Filling) -> Iterator[tuple[Filling, Filling]]:
-    """(T, iota(T)) for the set-valued tableaux T of shape other than
-    ``tmin``, in enumeration order, skipping each T an earlier T mapped to.
-
-    Leaves are told apart by their row-major cell tuples, so a ``Filling``
-    is built only for a T that is kept.
+def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
+                ) -> Iterator[tuple[Filling, Filling, str | None]]:
+    """(T, iota(T), fault) for the set-valued tableaux T of shape other
+    than ``tmin``, in enumeration order, skipping each T an earlier T
+    mapped to.  ``fault``, the pairing rule, names the first way the image
+    fails to pair T: it is T, is ``tmin``, or does not map back to T; else
+    it is None.  Leaves are told apart by their row-major cell tuples, so a
+    ``Filling`` is built only for a T that is kept.
     """
-    skip = tuple(tmin.cells.values())
-    images: set[tuple] = set()  # the cell tuples of the images still ahead
+    # the cell tuples to skip: tmin's, and those of the images still ahead
+    skip = {tuple(tmin.cells.values())}
 
     def keep(cells: tuple) -> bool:
-        if cells == skip:
-            return False
-        if cells in images:
-            images.discard(cells)
+        if cells in skip:
+            skip.discard(cells)
             return False
         return True
 
     spec = EnumSpec(shape, n, family, "set-valued")
     for T in enumerate_fillings(spec, keep):
         image = iota(T, tmin)
-        images.add(tuple(image.cells.values()))
-        yield T, image
+        skip.add(tuple(image.cells.values()))
+        if image == T:
+            yield T, image, f"iota fixes {T!r}"
+        elif image == tmin:
+            yield T, image, f"iota of {T!r} hits the minimal tableau"
+        elif iota(image, tmin) != T:
+            yield T, image, f"iota is not an involution at {T!r}"
+        else:
+            yield T, image, None
 
 
 def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport:
     """Exhaustively check the involution properties on one tableau set.
 
-    Each pair (T, iota(T)) is checked once, every property on every pair;
-    a pair that passes covers both its tableaux, so on success ``checked``
-    counts every non-minimal tableau.
+    Each pair of ``_iota_pairs`` gets one fault at most: an invalid image,
+    else the pairing rule's fault, else a |T| that moves by other than
+    one.  A pair with no fault counts both its tableaux in ``checked``.
     """
     tmin = minimal_tableau(shape, family, n)
-    violations = []
-    checked = 0
-    for T, image in _iota_pairs(shape, family, n, tmin):
-        before = len(violations)
+    faults = []
+    for T, image, fault in _iota_pairs(shape, family, n, tmin):
         if not validate(image):
-            violations.append(f"iota image of {T!r} is invalid")
-        else:
-            if image == T:
-                violations.append(f"iota fixes {T!r}")
-            if abs(image.size() - T.size()) != 1:
-                violations.append(f"iota of {T!r} changes |T| by != 1")
-            if image == tmin:
-                violations.append(f"iota of {T!r} hits the minimal tableau")
-            elif iota(image, tmin) != T:
-                violations.append(f"iota is not an involution at {T!r}")
-        checked += 1 if len(violations) > before else 2
-    return InvolutionReport(str(shape), family, n, checked, tuple(violations))
+            fault = f"iota image of {T!r} is invalid"
+        elif not fault and abs(image.size() - T.size()) != 1:
+            fault = f"iota of {T!r} changes |T| by != 1"
+        faults.append(fault)
+    violations = tuple(filter(None, faults))
+    return InvolutionReport(2 * len(faults) - len(violations), violations)
 
 
 class Pair(NamedTuple):
@@ -261,11 +256,10 @@ def _family_size(lam: StrictPartition, mu: StrictPartition, family: str,
 def check_request(lam: StrictPartition, mu: StrictPartition, n: int,
                   family: str) -> None:
     """Raise ValueError unless lam // mu at n, family is a pairing request:
-    a nonempty mu contained in lam, n at least 1, and family P or Q."""
+    a nonempty mu contained in lam, an int n at least 1, family P or Q."""
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_n(n)
     _check_family(family)
 
 
@@ -302,12 +296,11 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         return cert
 
     for nu, shape in shapes.items():
-        tmin = minimal[nu]
-        for T, partner in _iota_pairs(shape, family, n, tmin):
-            if partner == T or iota(partner, tmin) != T:
+        for T, partner, fault in _iota_pairs(shape, family, n, minimal[nu]):
+            if fault:
                 cert.leftover.append(T)
-                continue
-            cert.pairs.append(Pair(T, partner, "iota"))
+            else:
+                cert.pairs.append(Pair(T, partner, "iota"))
     return cert
 
 

@@ -46,6 +46,13 @@ def _check_family(family: str) -> None:
         raise ValueError(f"family must be P or Q, got {family!r}")
 
 
+def _check_n(n: int) -> None:
+    if type(n) is not int:  # a bool or a float would pass as a number
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def _check_cell(box: Box, cell: CellSet, n: int) -> None:
     """Raise ValueError unless the sorted cell is nonempty, without
     repeats, with every entry code in 1..2n."""

@@ -125,6 +125,9 @@ def test_spec_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be at least 1"):
             spec((2, 1), n, "P")
+    for n in (2.0, True, "2"):  # a float or bool n failed deep in the walk
+        with pytest.raises(ValueError, match="n must be an int"):
+            spec((2, 1), n, "P")
 
 
 def set_rule(spec, box, cells):

@@ -60,6 +60,18 @@ class TestCompute:
         assert gp.terms[key] >= 1
 
 
+class TestFunctionSpec:
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_n_must_be_an_int(self, n):
+        # a float n failed deep in the recursion with a TypeError
+        with pytest.raises(ValueError, match="n must be an int"):
+            fs("GP", (2, 1), n)
+
+    def test_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            fs("GP", (2, 1), 0)
+
+
 class TestBetaZero:
     def test_one_box(self):
         assert beta_zero(fs("GQ", (1,), 1)) == LaurentPoly.parse("2*x1", 1)

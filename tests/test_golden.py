@@ -5,7 +5,8 @@ Each command of the README's CLI block runs through ``cli.main`` in order
 stdout digest, the exit code and the written certificate's digest are
 pinned; the values were recorded before the certify path was reworked, so
 a change that moves any byte of output fails here.  Two larger
-certificates ride along, since the README's own is six pairs.
+certificates ride along, since the README's own is six pairs, and a larger
+involution sweep, since the README's covers only |lambda| <= 4 and n <= 2.
 """
 
 import contextlib
@@ -92,6 +93,13 @@ EXTRA = {
         0, CERT_OK, None),
 }
 
+# a larger sweep: command -> (exit code, stdout lines, sha256 of stdout)
+SWEEPS = {
+    "kschur verify-involution --max-weight 5 --max-n 3": (
+        0, 270,
+        "73e0c9caf328fdec614ccaca3aed1aa6b96c34e5eddfaceb5663afd5334b934c"),
+}
+
 
 def readme_commands() -> list[str]:
     """The ``kschur`` lines of the README's CLI block, comments stripped."""
@@ -144,3 +152,9 @@ def test_readme_command_output(readme_results, cmd):
 def test_larger_certificates(tmp_path):
     results = run_all(list(EXTRA), tmp_path)
     assert results == EXTRA
+
+
+@pytest.mark.parametrize("cmd", list(SWEEPS))
+def test_larger_sweep(tmp_path, cmd):
+    code, stdout, _ = run_all([cmd], tmp_path)[cmd]
+    assert (code, stdout.count("\n"), sha256(stdout.encode())) == SWEEPS[cmd]

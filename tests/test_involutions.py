@@ -1,8 +1,10 @@
 import itertools
 import json
+import re
 
 import pytest
 
+from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, check_certificate,
                                         iota, minimal_tableau,
@@ -202,13 +204,16 @@ class TestFailureDetection:
         assert tableaux[0] == minimal_tableau(shape, self.FAMILY, self.N)
         return tableaux
 
-    def _violations(self):
+    def _report(self):
         rep = verify_involution(SkewShape(self.LAM, self.MU), self.FAMILY,
                                 self.N)
         assert not rep.ok
         cert = pairing_certificate(self.LAM, self.MU, self.N, self.FAMILY)
         assert cert.leftover and not cert.complete
-        return " ".join(rep.violations)
+        return rep, cert
+
+    def _violations(self):
+        return " ".join(self._report()[0].violations)
 
     def test_fixed_point(self, monkeypatch):
         tableaux = self._break_iota(
@@ -231,6 +236,37 @@ class TestFailureDetection:
                       {box: (2 * self.N,) for box in tableaux[1].cells})
         assert not validate(bad)
         assert "is invalid" in self._violations()
+
+    def test_hits_the_minimal_tableau(self, monkeypatch, capsys):
+        tableaux = self._break_iota(
+            monkeypatch, lambda T: tableaux[0] if T == tableaux[1] else None)
+        rep, cert = self._report()
+        # one fault for the pair; its true partner fails on its own
+        assert [v for v in rep.violations if repr(tableaux[1]) in v] == [
+            f"iota of {tableaux[1]!r} hits the minimal tableau"]
+        assert tableaux[1] in cert.leftover
+        # pair reports a failed pairing, not a usage error
+        code = main(["pair", "--lambda", "3,1", "--mu", "1", "--family",
+                     "P", "-n", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert re.fullmatch(r"pairs=\d+ leftover=[1-9]\d* FAIL\n", out)
+        assert "error:" not in err
+
+    def test_changes_size_by_other_than_one(self, monkeypatch):
+        # iota swaps the second tableau with a later one of the same size
+        tableaux = self._break_iota(monkeypatch, lambda T: (
+            same if T == tableaux[1] else tableaux[1] if T == same else None))
+        same = next(T for T in tableaux[2:]
+                    if T.size() == tableaux[1].size())
+        rep, cert = self._report()
+        assert [v for v in rep.violations if repr(tableaux[1]) in v] == [
+            f"iota of {tableaux[1]!r} changes |T| by != 1"]
+        # the pairing rule takes the swap; the checker's sign rule does not
+        assert (tableaux[1], same, "iota") in cert.pairs
+        ok, why = check_certificate(cert.to_json(), self.LAM, self.MU,
+                                    self.N, self.FAMILY)
+        assert not ok and why.endswith("both sides have the same sign")
 
 
 class TestPi:
@@ -369,8 +405,11 @@ class TestCheckCertificate:
     @pytest.mark.parametrize("bad,message", [
         ((sp(2, 1), sp(), 2, "P"), "nonempty mu"),
         ((sp(2, 1), sp(1), 0, "P"), "n must be at least 1"),
+        ((sp(2, 1), sp(1), 2.0, "P"), "n must be an int, got 2.0"),
+        ((sp(1), sp(1), True, "Q"), "n must be an int, got True"),
+        ((sp(2, 1), sp(1), "2", "P"), "n must be an int, got '2'"),
         ((sp(2, 1), sp(1), 2, "R"), "family must be P or Q")],
-        ids=["empty_mu", "n_zero", "family_R"])
+        ids=["empty_mu", "n_zero", "n_float", "n_bool", "n_str", "family_R"])
     def test_refused_request_raises(self, bad, message):
         # as pairing_certificate refuses it
         doc = _roundtrip(pairing_certificate(*REQUEST))

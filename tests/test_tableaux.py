@@ -6,7 +6,7 @@ from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import (Filling, _cells_from_rows,
+from shifted_kschur.tableaux import (Filling, _cells_from_rows, _check_n,
                                      cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
                                      primed, validate)
@@ -221,6 +221,23 @@ class TestSerialization:
 
     def test_cell_from_strs_sorts(self):
         assert cell_from_strs(["3'", "2"]) == (4, 5)
+
+
+class TestCheckN:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_positive_int_passes(self, n):
+        _check_n(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_below_one(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            _check_n(n)
+
+    @pytest.mark.parametrize("n,shown", [(2.0, "2.0"), (True, "True"),
+                                         ("2", "'2'"), (None, "None")])
+    def test_not_an_int(self, n, shown):
+        with pytest.raises(ValueError, match=f"^n must be an int, got {shown}$"):
+            _check_n(n)
 
 
 class TestFillingConstruction:

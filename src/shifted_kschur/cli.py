@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -20,8 +21,8 @@ from . import enumeration, genfunc, involutions
 from .enumeration import EnumSpec
 from .genfunc import FunctionSpec
 from .polyring import LaurentPoly
-from .shapes import (SkewShape, StrictPartition, inner_shapes,
-                     strict_subpartitions, strict_partitions_up_to_weight)
+from .shapes import (SkewShape, StrictPartition, strict_subpartitions,
+                     strict_partitions_up_to_weight)
 from .tableaux import FAMILIES, _check_n
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -51,15 +52,15 @@ def cmd_poly(args) -> int:
     return PASS
 
 
-def _failed(statement: str, family: str, shape: SkewShape, n: int) -> int:
+def _failed(statement: str, spec: FunctionSpec) -> int:
     """FAIL for a special value off its claimed value, or USAGE when a
-    tableau set it sums over (lam/mu, or each lam/nu of the double-skew
-    expansion) is empty and the statement does not apply."""
-    nus = ([nu for _, nu in inner_shapes(shape.inner)]
-           if family.endswith("double") else [shape.inner])
-    for nu in nus:
-        skew = SkewShape(shape.outer, nu)
-        if not genfunc.parity_report(FunctionSpec(family[:2], skew, n)).count:
+    tableau set it sums over (each lam/nu of ``genfunc._inner``) is empty
+    and the statement does not apply."""
+    lam = spec.shape.outer
+    for _, nu in genfunc._inner(spec):
+        if not genfunc._point_sum(lam.parts, nu, spec.n, spec.base_family,
+                                  spec.kind)[0]:
+            skew = SkewShape(lam, StrictPartition(nu))
             print(f"note: the tableau set of {skew} is empty; the "
                   f"{statement} statement does not apply", file=sys.stderr)
             return USAGE
@@ -68,7 +69,8 @@ def _failed(statement: str, family: str, shape: SkewShape, n: int) -> int:
 
 def cmd_special_value(args) -> int:
     shape = SkewShape.parse(args.shape)
-    got = genfunc.special_value(FunctionSpec(args.family, shape, args.n))
+    spec = FunctionSpec(args.family, shape, args.n)
+    got = genfunc.special_value(spec)
     print(got)
     if args.family in ("GP", "GQ"):
         expected = LaurentPoly.beta(args.n, shape.size)
@@ -77,7 +79,7 @@ def cmd_special_value(args) -> int:
                     else LaurentPoly.beta(args.n, shape.outer.weight))
     if got == expected:
         return PASS
-    return _failed("special-value", args.family, shape, args.n)
+    return _failed("special-value", spec)
 
 
 def cmd_parity(args) -> int:
@@ -108,8 +110,8 @@ def cmd_double_skew(args) -> int:
         print("error: -n is required without --shortcut", file=sys.stderr)
         return USAGE
     else:
-        family = "GQdouble" if args.family == "GQ" else "GPdouble"
-        got = genfunc.special_value(FunctionSpec(family, shape, args.n))
+        spec = FunctionSpec(args.family + "double", shape, args.n)
+        got = genfunc.special_value(spec)
         print(got)
     if not mu:
         print("note: mu is empty; the vanishing statement does not apply",
@@ -119,7 +121,7 @@ def cmd_double_skew(args) -> int:
         return PASS
     if args.shortcut:
         return FAIL
-    return _failed("vanishing", family, shape, args.n)
+    return _failed("vanishing", spec)
 
 
 def _sweep_shapes(max_weight: int, skew: bool):
@@ -134,11 +136,14 @@ def _sweep_shapes(max_weight: int, skew: bool):
 def _check_sweep_bounds(max_weight: int, max_n: int,
                         time_budget: float | None = None) -> None:
     """Raise ValueError, before any output, for sweep options that leave
-    no instance to check or no time to check one in."""
+    no instance to check or no time to check one in, or a NaN time budget,
+    whose deadline would never come."""
     if max_weight < 1:
         raise ValueError("--max-weight must be at least 1")
     if max_n < 1:
         raise ValueError("--max-n must be at least 1")
+    if time_budget is not None and math.isnan(time_budget):
+        raise ValueError("--time-budget must be a number, not nan")
     if time_budget is not None and time_budget < 0:
         raise ValueError("--time-budget must not be negative")
 

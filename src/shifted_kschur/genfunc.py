@@ -14,16 +14,15 @@ the same recursion on int pairs, the sum at x = 1 and b = 1, -1, so the
 count and the signed count build no polynomial, and the special value
 (b^|lam/mu| times the signed count) builds only that one monomial; its
 levels are kept across calls, so one recursion to n letters serves both
-scalars at every n' <= n.  The scalars run on part tuples: ``_at`` reads
-lam and mu off the spec once and builds no ``StrictPartition`` or
-``SkewShape``, not even for the inner shapes of a double-skew family.
-Folding the tableaux into a polynomial (``_tableau_sum``, which reads each
-weight and |T| off the leaves of the backtracking walk, kept per shape and
-n) is kept as the definition the engine and the rule are tested against.
-The double-skew functions additionally sum over the inner shapes of
-``shapes.inner_shapes`` (mu minus a subset of its removable boxes), and
-the shortcut path evaluates that sum symbolically without touching any
-tableau.
+scalars at every n' <= n.  Folding the tableaux into a polynomial
+(``_tableau_sum``, which reads each weight and |T| off the leaves of the
+backtracking walk, kept per shape and n) is kept as the definition the
+engine and the rule are tested against.  The three sums take lam and mu
+as part tuples.  The double-skew functions additionally sum over inner
+shapes nu (mu minus a subset of its removable boxes), listed as part
+tuples by ``_inner``, which ``compute`` and ``_at`` both read, so neither
+builds a ``StrictPartition`` or ``SkewShape``; the shortcut path evaluates
+that sum symbolically without touching any tableau.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class FunctionSpec:
         return "single" if self.family in ("P", "Q") else "set-valued"
 
 
-def _tableau_sum(shape: SkewShape, n: int, family: str,
+def _tableau_sum(lam: tuple, mu: tuple, n: int, family: str,
                  kind: str) -> LaurentPoly:
     """The definition: each tableau adds x^weight * b^(|T| - #boxes).
 
@@ -76,8 +75,8 @@ def _tableau_sum(shape: SkewShape, n: int, family: str,
     leaf, so the sum builds no ``Filling``.  The terms are kept per
     (lam, mu, n, family, kind), and each call gets its own polynomial.
     """
-    return LaurentPoly._trusted(n, dict(_tableau_terms(
-        shape.outer.parts, shape.inner.parts, n, family, kind)))
+    return LaurentPoly._trusted(n, dict(_tableau_terms(lam, mu, n, family,
+                                                       kind)))
 
 
 @lru_cache(maxsize=256)
@@ -201,7 +200,7 @@ def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
     return _Levels(lam, mu, family, kind)
 
 
-def _branching_sum(shape: SkewShape, n: int, family: str,
+def _branching_sum(lam: tuple, mu: tuple, n: int, family: str,
                    kind: str) -> LaurentPoly:
     """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
 
@@ -213,7 +212,6 @@ def _branching_sum(shape: SkewShape, n: int, family: str,
     kind), which ``_point_sum`` reads too.  The polynomial is built afresh
     per call, the last level keeping nu = lam only.
     """
-    lam, mu = shape.outer.parts, shape.inner.parts
     levels = _point_levels(lam, mu, family, kind)
     level = {mu: {((), 0): 1}}
     for k in range(1, n + 1):
@@ -259,22 +257,24 @@ def _point_sum(lam: tuple, mu: tuple, n: int, family: str,
     return levels.at_lam[n]
 
 
+def _inner(spec: FunctionSpec) -> list[tuple[int, tuple]]:
+    """(|mu/nu|, nu) as part tuples for each lam/nu the family is the sum
+    of b^|mu/nu| times: mu alone, or for a double-skew family each nu of
+    ``inner_shapes``.  The one statement of the double-skew expansion."""
+    mu = spec.shape.inner.parts
+    if spec.family.endswith("double"):
+        return _minus_corners(mu, _corner_rows(mu))
+    return [(0, mu)]
+
+
 def _at(spec: FunctionSpec) -> tuple[int, int]:
     """The family at x = 1 and b = 1, -1: (count, signed count), with no
-    polynomial and no shape built.
-
-    It reads the part tuples of lam and mu once.  A double-skew family is
-    the sum over nu of b^|mu/nu| times the family of lam/nu, so on the
-    signed side lam/nu counts (-1)^|mu/nu|; its nu are the part tuples
-    of ``shapes._minus_corners`` over all of mu's corner rows, the ones
-    ``inner_shapes`` wraps.
-    """
-    lam, mu = spec.shape.outer.parts, spec.shape.inner.parts
-    n, family, kind = spec.n, spec.base_family, spec.kind
-    if not spec.family.endswith("double"):
-        return _point_sum(lam, mu, n, family, kind)
+    polynomial and no shape built.  On the signed side lam/nu counts
+    (-1)^|mu/nu|."""
+    lam, n, family, kind = (spec.shape.outer.parts, spec.n,
+                            spec.base_family, spec.kind)
     count = signed = 0
-    for b, nu in _minus_corners(mu, _corner_rows(mu)):
+    for b, nu in _inner(spec):
         c, s = _point_sum(lam, nu, n, family, kind)
         count += c
         signed += -s if b & 1 else s
@@ -282,15 +282,16 @@ def _at(spec: FunctionSpec) -> tuple[int, int]:
 
 
 def compute(spec: FunctionSpec) -> LaurentPoly:
-    """The polynomial of the requested family on the given shape."""
-    fam, shape, n = spec.family, spec.shape, spec.n
-    if fam in ("P", "Q", "GP", "GQ"):
-        return _branching_sum(shape, n, spec.base_family, spec.kind)
-    # double-skew: sum over inner shapes nu = mu minus a removable subset
+    """The polynomial of the requested family on the given shape, with no
+    shape built; a single lam/nu's polynomial is returned as built."""
+    lam, n, family, kind = (spec.shape.outer.parts, spec.n,
+                            spec.base_family, spec.kind)
+    inner = _inner(spec)
+    if len(inner) == 1:
+        return _branching_sum(lam, inner[0][1], n, family, kind)
     terms: dict = {}
-    for b, nu in inner_shapes(shape.inner):
-        skew = _branching_sum(SkewShape(shape.outer, nu), n, spec.base_family,
-                              spec.kind)
+    for b, nu in inner:
+        skew = _branching_sum(lam, nu, n, family, kind)
         for (x, e), c in skew.terms.items():
             terms[x, e + b] = terms.get((x, e + b), 0) + c
     return LaurentPoly._trusted(n, terms)
@@ -396,7 +397,7 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
     # enumerated, so the check does not compare the engine with itself
     spec = FunctionSpec(family, SkewShape(lam), total)
     _coproduct_guard(spec)
-    lhs = _tableau_sum(spec.shape, total, spec.base_family, spec.kind)
+    lhs = _tableau_sum(lam.parts, (), total, spec.base_family, spec.kind)
     rhs: dict = {}
     if family in ("P", "Q"):
         inner_family = family

@@ -245,14 +245,6 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     fh.write(after)
 
 
-def _family_size(lam: StrictPartition, mu: StrictPartition, family: str,
-                 n: int) -> int:
-    """The number of tableaux of the double-skew family lam // mu: the
-    branching engine's count, with no tableau built."""
-    return _at(FunctionSpec("G" + family + "double", SkewShape(lam, mu),
-                            n))[0]
-
-
 def check_request(lam: StrictPartition, mu: StrictPartition, n: int,
                   family: str) -> None:
     """Raise ValueError unless lam // mu at n, family is a pairing request:
@@ -278,7 +270,8 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     """
     check_request(lam, mu, n, family)
     shapes = {nu: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
-    size = 0 if minimal_only else _family_size(lam, mu, family, n)
+    size = 0 if minimal_only else _at(
+        FunctionSpec("G" + family + "double", SkewShape(lam, mu), n))[0]
     if size > PAIR_MAX_ELEMENTS:
         raise ValueError(f"infeasible scale: {size} elements, above the "
                          f"limit of {PAIR_MAX_ELEMENTS}; use minimal_only")
@@ -312,8 +305,9 @@ def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
                       ) -> tuple[bool, str | None]:
     """Verify that a certificate document proves a request, as it stands.
 
-    The request is ``pairing_certificate``'s; one that function refuses
-    raises ValueError here too.  ``doc`` is what ``to_json`` returns or what
+    The request is ``pairing_certificate``'s; one that function refuses,
+    an empty tableau set among them, raises ValueError here too, before
+    ``doc`` is read.  ``doc`` is what ``to_json`` returns or what
     ``json.load`` reads from a written certificate.  Its header, read in
     ``_HEADER`` order, must be the request as JSON text (a true is not a 1,
     nor a 2.0 a 2), before any pair is read.  Every element must be a valid
@@ -327,6 +321,12 @@ def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
     are the whole family, so the pairs prove that its signed sum is 0.
     """
     check_request(lam, mu, n, family)
+    removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
+    shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
+    # nu -> its minimal tableau's cells; an empty lam/nu raises here, with
+    # the text pairing_certificate gives it
+    minimal = {nu: tuple(minimal_tableau(shape, family, n).cells.values())
+               for nu, shape in shapes.items()}
     request = (list(lam.parts), list(mu.parts), n, family, minimal_only)
     try:
         header = json.dumps({key: doc[key] for key in _HEADER})
@@ -336,12 +336,9 @@ def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
         leftover = list(doc["leftover"])
     except (KeyError, TypeError, ValueError) as exc:
         return False, f"malformed certificate ({exc!r})"
-    removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
-    shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
     # the sign of an element of nu is (-1)^(|T| - offset[nu])
     offset = {nu: shape.size - removed[nu] for nu, shape in shapes.items()}
-    minimal: dict[tuple, tuple] = {}  # nu -> its minimal tableau's cells
     memo: dict = {}  # entry strings -> checked codes, for this call only
 
     def parse(element) -> tuple[tuple, tuple]:
@@ -400,18 +397,13 @@ def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
                 return False, (f"pair {k}: pi pair of inner shapes that do "
                                f"not differ by the bottom removable box")
             for nu, cells in sides:
-                if nu not in minimal:
-                    minimal[nu] = tuple(minimal_tableau(
-                        shapes[nu], family, n).cells.values())
                 if cells != minimal[nu]:
                     return False, (f"pair {k}: pi side is not minimal: "
                                    f"{shown(nu, cells)}")
     if leftover:
         return False, f"{len(leftover)} leftover elements"
-    if minimal_only:
-        want = len(shapes)
-    else:
-        want = _family_size(lam, mu, family, n)
+    want = len(shapes) if minimal_only else _at(
+        FunctionSpec("G" + family + "double", SkewShape(lam, mu), n))[0]
     if len(seen) != want:
         return False, f"{len(seen)} elements, the family has {want}"
     return True, None

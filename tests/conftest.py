@@ -12,7 +12,7 @@ from shifted_kschur.genfunc import FunctionSpec, parity_report
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import filling_from_rows
+from shifted_kschur.tableaux import Filling, filling_from_rows, validate_cells
 
 
 @pytest.fixture(scope="session")
@@ -29,12 +29,24 @@ def skew_6431_42():
 def oracle_tableaux():
     """``naive_oracle``'s tableaux, in its order, by ``EnumSpec``, computed
     once per session: every skew shape inside a strict partition of weight
-    at most 5, n <= 2, P/Q, single and set-valued."""
-    return {s: list(naive_oracle(s))
-            for lam in strict_partitions_up_to_weight(5)
-            for mu in strict_subpartitions(lam)
-            for n, family, kind in product((1, 2), "PQ", KINDS)
-            for s in [EnumSpec(SkewShape(lam, mu), n, family, kind)]}
+    at most 5, n <= 2, P/Q, single and set-valued.
+
+    Family P adds rule 4 only (``test_p_valid_implies_q_valid``), so its
+    list is the Q list's tableaux that pass P's rules, in the same order,
+    each built with family P as the oracle builds it; the oracle's own P
+    path is compared in ``TestOracleEquivalence``.
+    """
+    out = {}
+    for lam in strict_partitions_up_to_weight(5):
+        for mu in strict_subpartitions(lam):
+            shape = SkewShape(lam, mu)
+            for n, kind in product((1, 2), KINDS):
+                q = list(naive_oracle(EnumSpec(shape, n, "Q", kind)))
+                out[EnumSpec(shape, n, "P", kind)] = [
+                    Filling(shape, n, "P", T.cells) for T in q
+                    if validate_cells(shape, "P", tuple(T.cells.values()))]
+                out[EnumSpec(shape, n, "Q", kind)] = q
+    return out
 
 
 def clear_package_caches() -> None:

@@ -29,6 +29,11 @@ from shifted_kschur.tableaux import Filling
 KINDS = ("single", "set-valued")
 
 
+def parts(shape):
+    """The part tuples (lam, mu) the polynomial sums take."""
+    return shape.outer.parts, shape.inner.parts
+
+
 def skew_shapes(max_weight):
     return [SkewShape(lam, mu)
             for lam in strict_partitions_up_to_weight(max_weight) if lam
@@ -41,8 +46,8 @@ def test_engine_equals_tableau_sum_exhaustive():
         for n in (1, 2, 3):
             for family in ("P", "Q"):
                 for kind in KINDS:
-                    want = _tableau_sum(shape, n, family, kind)
-                    got = _branching_sum(shape, n, family, kind)
+                    want = _tableau_sum(*parts(shape), n, family, kind)
+                    got = _branching_sum(*parts(shape), n, family, kind)
                     assert got == want, (str(shape), n, family, kind)
                     cases += 1
     assert cases == 960
@@ -64,7 +69,7 @@ def test_walk_counts_equal_filling_fold_exhaustive():
                         terms[key] = terms.get(key, 0) + 1
                         fillings += 1
                     case = (str(shape), n, family, kind)
-                    assert _tableau_sum(shape, n, family, kind) == \
+                    assert _tableau_sum(*parts(shape), n, family, kind) == \
                         LaurentPoly(n, terms), case
                     assert count(spec) == fillings, case
                     cases += 1
@@ -96,8 +101,8 @@ def test_engine_equals_tableau_sum_random(shape, n, family, kind):
     spec = EnumSpec(shape, n, family, kind)
     assume(sum(1 for _ in islice(enumerate_fillings(spec), MAX_TABLEAUX + 1))
            <= MAX_TABLEAUX)
-    assert _branching_sum(shape, n, family, kind) == \
-        _tableau_sum(shape, n, family, kind)
+    assert _branching_sum(*parts(shape), n, family, kind) == \
+        _tableau_sum(*parts(shape), n, family, kind)
 
 
 # A corner of rho inside mu holds no entry, so the last letter may not join
@@ -112,9 +117,9 @@ def test_engine_equals_tableau_sum_random(shape, n, family, kind):
 ])
 def test_last_letter_avoids_corners_inside_mu(shape, n, family, want):
     shape = SkewShape.parse(shape)
-    got = _branching_sum(shape, n, family, "set-valued")
+    got = _branching_sum(*parts(shape), n, family, "set-valued")
     assert got == LaurentPoly.parse(want, n)
-    assert got == _tableau_sum(shape, n, family, "set-valued")
+    assert got == _tableau_sum(*parts(shape), n, family, "set-valued")
 
 
 def test_one_letter_equals_tableau_sum_exhaustive():
@@ -125,7 +130,7 @@ def test_one_letter_equals_tableau_sum_exhaustive():
         nu, rho = shape.outer.parts, shape.inner.parts
         for family in ("P", "Q"):
             for kind in KINDS:
-                want = _tableau_sum(shape, 1, family, kind)
+                want = _tableau_sum(*parts(shape), 1, family, kind)
                 got = LaurentPoly(1, {((x,), b): c for x, b, c
                                       in _one_letter(nu, rho, family, kind)})
                 assert got == want, (str(shape), family, kind)
@@ -158,8 +163,7 @@ NO_ENUMERATION_CASES = [("3,1", 2), ("4,2,1", 2), ("4,2/1", 2),
 def _enumerated_point(lam, mu, n, family, kind):
     """``_point_sum`` from the definition: the enumerated polynomial of
     lam/mu at x = 1 and b = 1, -1."""
-    shape = SkewShape(StrictPartition(lam), StrictPartition(mu))
-    poly = _tableau_sum(shape, n, family, kind)
+    poly = _tableau_sum(lam, mu, n, family, kind)
     return poly.eval_integers([1] * n, 1), poly.eval_integers([1] * n, -1)
 
 
@@ -177,8 +181,7 @@ def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
             out.append(compute(spec))
             if spec.family in K_FAMILIES:
                 out += [special_value(spec), signed_count(spec)]
-                out.append(cli._failed("special-value", spec.family,
-                                       spec.shape, spec.n))
+                out.append(cli._failed("special-value", spec))
             if spec.family in ("GP", "GQ"):
                 out += [parity_report(spec), beta_zero(spec),
                         cli._involution(spec.shape, spec.n, spec.family[1])]
@@ -306,10 +309,28 @@ def test_scalar_paths_build_no_shape(monkeypatch, fresh_caches):
     assert scalars() == want
 
 
+def test_compute_builds_no_shape(monkeypatch, fresh_caches):
+    # the double-skew polynomial reads its inner shapes as part tuples too
+    specs = [FunctionSpec(family, SkewShape.parse(shape), n)
+             for shape, n in SHAPE_FREE_CASES for family in FAMILIES]
+    want = [compute(spec) for spec in specs]
+    assert [len(genfunc._inner(spec)) for spec in specs
+            if spec.family == "GQdouble"] == [2, 4, 8]
+
+    def refuse(self):
+        raise AssertionError(f"compute built {type(self).__name__}")
+
+    monkeypatch.setattr(StrictPartition, "__post_init__", refuse)
+    monkeypatch.setattr(SkewShape, "__post_init__", refuse)
+    assert [compute(spec) for spec in specs] == want
+    fresh_caches()
+    assert [compute(spec) for spec in specs] == want
+
+
 def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch,
                                                         fresh_caches):
     shape = SkewShape.parse("4,2/1")
-    want = [_branching_sum(shape, 3, family, kind)
+    want = [_branching_sum(*parts(shape), 3, family, kind)
             for family in ("P", "Q") for kind in KINDS]
     want_count = parity_report(FunctionSpec("GQ", shape, 3)).count
 
@@ -318,7 +339,7 @@ def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch,
 
     monkeypatch.setattr(enumeration, "Filling", refuse)
     monkeypatch.setattr(Filling, "__init__", refuse)
-    assert [_tableau_sum(shape, 3, family, kind)
+    assert [_tableau_sum(*parts(shape), 3, family, kind)
             for family in ("P", "Q") for kind in KINDS] == want
     assert count(EnumSpec(shape, 3, "Q")) == want_count
     lam = StrictPartition.parse("3,1")
@@ -398,12 +419,12 @@ def test_count_and_signed_count_share_one_recursion(fresh_caches):
 
 def test_tableau_sum_result_is_the_callers_own(fresh_caches):
     shape = SkewShape.parse("4,2/1")
-    first = _tableau_sum(shape, 3, "Q", "set-valued")
+    first = _tableau_sum(*parts(shape), 3, "Q", "set-valued")
     want = dict(first.terms)
     key = next(iter(first.terms))
     first.terms[key] += 7
     first.terms[((9, 9, 9), 9)] = 1
-    assert _tableau_sum(shape, 3, "Q", "set-valued").terms == want
+    assert _tableau_sum(*parts(shape), 3, "Q", "set-valued").terms == want
     assert genfunc._tableau_terms.cache_info().hits == 1
 
 

@@ -295,7 +295,9 @@ class TestOracleCheck:
     (("identity", "--check", "coproduct", "--ny", "0"),
      "--ny must be at least 1"),
     (("identity", "--check", "coproduct", "--nx", "2", "--ny", "-1"),
-     "--ny must be at least 1")])
+     "--ny must be at least 1"),
+    (("identity", "--check", "beta-zero", "--max-weight", "2", "--max-n",
+      "1", "--time-budget", "nan"), "--time-budget must be a number, not nan")])
 def test_sweep_with_nothing_to_check_is_usage_error(capsys, argv, message):
     # no instance, or no time for one: exit 2 before any line
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -384,6 +386,21 @@ class TestPair:
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
         assert run(capsys, *argv, "--check", str(path)) == \
             (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("minimal_only", [False, True])
+    def test_check_of_empty_tableau_set_is_usage_error(self, capsys, tmp_path,
+                                                       minimal_only):
+        # 2,1 has no P tableau at n = 1: the request is refused, with or
+        # without --check, and a certificate of no pairs proves nothing
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "lambda": [2, 1], "mu": [1], "n": 1, "family": "P",
+            "minimal_only": minimal_only, "pairs": [], "leftover": []}))
+        argv = ("pair", "--lambda", "2,1", "--mu", "1", "--family", "P",
+                "-n", "1") + (("--minimal-only",) if minimal_only else ())
+        refusal = (2, "", "error: empty tableau set for 2,1, P, n=1\n")
+        assert run(capsys, *argv) == refusal
+        assert run(capsys, *argv, "--check", str(path)) == refusal
 
     @pytest.mark.parametrize("cut", [lambda data: data[:200],
                                      lambda data: b"\xff\xff",

@@ -418,6 +418,18 @@ class TestCheckCertificate:
         with pytest.raises(ValueError, match=message):
             check_certificate(doc, *bad)
 
+    @pytest.mark.parametrize("minimal_only", [False, True])
+    def test_empty_tableau_set_raises(self, minimal_only):
+        # as pairing_certificate refuses it: 2,1 has no P tableau at n = 1
+        request = (sp(2, 1), sp(1), 1, "P", minimal_only)
+        doc = {"lambda": [2, 1], "mu": [1], "n": 1, "family": "P",
+               "minimal_only": minimal_only, "pairs": [], "leftover": []}
+        message = "empty tableau set for 2,1, P, n=1"
+        with pytest.raises(ValueError, match=message):
+            pairing_certificate(*request)
+        with pytest.raises(ValueError, match=message):
+            check_certificate(doc, *request)
+
     def test_minimal_only(self):
         request = (sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P", True)
         doc = _roundtrip(pairing_certificate(*request))

@@ -262,17 +262,18 @@ def cmd_pair(args) -> int:
     request = (StrictPartition.parse(args.lam), StrictPartition.parse(args.mu),
                args.n, args.family, args.minimal_only)
     if args.check:
-        # a bad command line is a usage error before the file is opened
-        involutions.check_request(*request[:4])
+        # a refused request, an empty tableau set among them, is a usage
+        # error before the file is opened
+        check = involutions.certificate_checker(*request)
         # text that is not UTF-8 JSON, or nests too deep for the parser, is
         # malformed; an OSError is not
         try:
             with open(args.check, encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = involutions.read_certificate(fh.read())
         except (ValueError, RecursionError) as exc:
             ok, why = False, f"malformed certificate ({exc!r})"
         else:
-            ok, why = involutions.check_certificate(doc, *request)
+            ok, why = check(doc)
         print("certificate ok" if ok else "certificate FAILED")
         if not ok:
             print(f"note: {why}", file=sys.stderr)

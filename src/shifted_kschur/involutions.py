@@ -10,15 +10,22 @@ the double-skew tableau family, over the inner shapes of
 written straight from its tableaux, and checked as its JSON document: each
 element as its nu and row-major cell tuple, each distinct cell parsed
 once, with a ``Filling`` built only for a minimal tableau or to show a
-fault.
+fault.  ``read_certificate`` reads a certificate's text one top-level
+member at a time, and its pairs one at a time, so a check holds the text
+and one pair, not the parsed document; ``"pairs"`` must be the last
+member.  The first fault is reported, in this order: a request that
+``pairing_certificate`` refuses; text before ``"pairs"`` that does not
+parse; the header; pair k, its text or its content; text after the last
+pair.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, count
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
@@ -297,28 +304,92 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     return cert
 
 
+# JSON white space, one character (none at the end), JSON white space
+_TOKEN = re.compile(r"[ \t\n\r]*(.?)[ \t\n\r]*", re.DOTALL)
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def read_certificate(text: str) -> dict:
+    """The document of a certificate's JSON text, its pairs read lazily.
+
+    The top-level object is decoded one member at a time, each member
+    whole, up to ``"pairs"``; that member must come last, where
+    ``write_certificate`` and ``json.dumps(..., sort_keys=True)`` put it.
+    Its value is an iterator that decodes one pair per step.  A document
+    with no ``"pairs"`` is read whole.  A syntax error raises
+    ``json.JSONDecodeError`` (a ValueError), and a value nested too deep
+    RecursionError, when the reader reaches it: here for one before
+    ``"pairs"``, else at the step that reads the pair it is in, or, for
+    text after the last pair (a member after ``"pairs"``, text after the
+    closing brace), at the step after the last pair.
+    """
+    def token(i: int, chars: str, what: str) -> re.Match:
+        """The match of ``_TOKEN`` at i, its character one of chars."""
+        m = _TOKEN.match(text, i)
+        if not m[1] or m[1] not in chars:
+            raise json.JSONDecodeError(f"Expecting {what}", text, m.start(1))
+        return m
+
+    def end(m: re.Match) -> None:
+        """Raise unless the text ends with m, the closing brace."""
+        if m.end() != len(text):
+            raise json.JSONDecodeError("Extra data", text, m.end())
+
+    def pairs(i: int) -> Iterator:
+        m = token(i, "[", "'['")
+        if text.startswith("]", m.end()):
+            m = token(m.end(), "]", "']'")
+        while m[1] != "]":
+            pair, i = _DECODE(text, m.end())
+            yield pair
+            m = token(i, ",]", "',' delimiter")
+        end(token(m.end(), "}", "'}': \"pairs\" must be the last member"))
+
+    doc = {}
+    m = token(token(0, "{", "'{'").end(), '"}',
+              "property name enclosed in double quotes")
+    while m[1] == '"':
+        key, i = _DECODE(text, m.start(1))
+        i = token(i, ":", "':' delimiter").end()
+        if key == "pairs":
+            doc[key] = pairs(i)
+            return doc
+        doc[key], i = _DECODE(text, i)
+        m = token(i, ",}", "',' delimiter")
+        if m[1] == ",":
+            m = token(m.end(), '"', "property name enclosed in double quotes")
+    end(m)
+    return doc
+
+
 _HEADER = ("lambda", "mu", "n", "family", "minimal_only")  # in read order
 
 
-def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
-                      n: int, family: str, minimal_only: bool = False
-                      ) -> tuple[bool, str | None]:
-    """Verify that a certificate document proves a request, as it stands.
+def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
+                        family: str, minimal_only: bool = False
+                        ) -> Callable[[dict], tuple[bool, str | None]]:
+    """The check of certificate documents for a request: a function that
+    takes a document and returns (True, None) if it proves the request,
+    else (False, the first fault).
 
     The request is ``pairing_certificate``'s; one that function refuses,
-    an empty tableau set among them, raises ValueError here too, before
-    ``doc`` is read.  ``doc`` is what ``to_json`` returns or what
-    ``json.load`` reads from a written certificate.  Its header, read in
-    ``_HEADER`` order, must be the request as JSON text (a true is not a 1,
-    nor a 2.0 a 2), before any pair is read.  Every element must be a valid
-    tableau of lam/nu, with n and family, for some nu = mu minus a subset
-    of Rem(mu); no element may appear twice; the two sides of each pair
-    must have opposite sign (-1)^(|T| - |lam/nu| + |mu/nu|); an "iota" pair
+    an empty tableau set among them, raises ValueError here, before any
+    document is read.  A document is what ``to_json`` returns, what
+    ``json.load`` reads from a written certificate, or what
+    ``read_certificate`` reads.  Its header, read in ``_HEADER`` order,
+    must be the request as JSON text (a true is not a 1, nor a 2.0 a 2),
+    before any pair is read.  Pair k is read only when it is checked, so a
+    fault in pair k, or text that does not parse there, is found only
+    after pairs 0 to k - 1 passed.  Every element must be a valid tableau
+    of lam/nu, with n and family, for some nu = mu minus a subset of
+    Rem(mu); no element may appear twice; the two sides of each pair must
+    have opposite sign (-1)^(|T| - |lam/nu| + |mu/nu|); an "iota" pair
     stays on one nu; a "pi" pair joins the minimal tableaux of two nu that
     differ by mu's bottom removable box; nothing is left over.  Distinct
     valid elements that number as many as the tableau sets hold (the
-    branching engine's count; one minimal tableau per nu with minimal_only)
-    are the whole family, so the pairs prove that its signed sum is 0.
+    branching engine's count; one minimal tableau per nu with
+    minimal_only) are the whole family, so the pairs prove that its signed
+    sum is 0.
     """
     check_request(lam, mu, n, family)
     removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
@@ -327,22 +398,15 @@ def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
     # the text pairing_certificate gives it
     minimal = {nu: tuple(minimal_tableau(shape, family, n).cells.values())
                for nu, shape in shapes.items()}
-    request = (list(lam.parts), list(mu.parts), n, family, minimal_only)
-    try:
-        header = json.dumps({key: doc[key] for key in _HEADER})
-        if header != json.dumps(dict(zip(_HEADER, request))):
-            return False, f"certificate is for {header}"
-        pairs = [(p["left"], p["right"], p["tag"]) for p in doc["pairs"]]
-        leftover = list(doc["leftover"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, f"malformed certificate ({exc!r})"
+    request = json.dumps(dict(zip(_HEADER, (list(lam.parts), list(mu.parts),
+                                            n, family, minimal_only))))
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
     # the sign of an element of nu is (-1)^(|T| - offset[nu])
     offset = {nu: shape.size - removed[nu] for nu, shape in shapes.items()}
-    memo: dict = {}  # entry strings -> checked codes, for this call only
 
-    def parse(element) -> tuple[tuple, tuple]:
-        """(nu, the row-major cell tuple) of a valid element."""
+    def parse(element, memo: dict) -> tuple[tuple, tuple]:
+        """(nu, the row-major cell tuple) of a valid element; ``memo`` maps
+        entry strings to checked codes."""
         nu = tuple(element["nu"])
         shape = shapes.get(nu)
         # each part an int: a float or bool part would pass as equal
@@ -370,40 +434,68 @@ def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
                             dict(zip(shape.row_major, cells)),
                             _trusted=True))
 
-    seen: set[tuple] = set()  # (nu, cells) of every element so far
-    for k, (left, right, tag) in enumerate(pairs):
-        if tag not in ("iota", "pi") or (minimal_only and tag != "pi"):
-            return False, f"pair {k}: tag {tag!r} not allowed"
-        sides = []
-        for element in (left, right):
+    def check(doc: dict) -> tuple[bool, str | None]:
+        try:
+            header = json.dumps({key: doc[key] for key in _HEADER})
+            if header != request:
+                return False, f"certificate is for {header}"
+            pairs = ((p["left"], p["right"], p["tag"]) for p in doc["pairs"])
+            leftover = list(doc["leftover"])
+        except (KeyError, TypeError, ValueError) as exc:
+            return False, f"malformed certificate ({exc!r})"
+        memo: dict = {}  # entry strings -> checked codes, for this call only
+        seen: set[tuple] = set()  # (nu, cells) of every element so far
+        for k in count():
             try:
-                side = parse(element)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                return False, f"pair {k}: malformed element ({exc})"
-            known = len(seen)
-            seen.add(side)
-            if len(seen) == known:  # it was there (one hash, not two)
-                return False, f"pair {k}: element appears twice: " \
-                              f"{shown(*side)}"
-            sides.append(side)
-        (nu_l, cells_l), (nu_r, cells_r) = sides
-        size = sum(map(len, cells_l)) + sum(map(len, cells_r))
-        if (size - offset[nu_l] - offset[nu_r]) % 2 == 0:
-            return False, f"pair {k}: both sides have the same sign"
-        if tag == "iota" and nu_l != nu_r:
-            return False, f"pair {k}: iota pair across two inner shapes"
-        if tag == "pi":
-            if pi(mu, shapes[nu_l].inner).parts != nu_r:
-                return False, (f"pair {k}: pi pair of inner shapes that do "
-                               f"not differ by the bottom removable box")
-            for nu, cells in sides:
-                if cells != minimal[nu]:
-                    return False, (f"pair {k}: pi side is not minimal: "
-                                   f"{shown(nu, cells)}")
-    if leftover:
-        return False, f"{len(leftover)} leftover elements"
-    want = len(shapes) if minimal_only else _at(
-        FunctionSpec("G" + family + "double", SkewShape(lam, mu), n))[0]
-    if len(seen) != want:
-        return False, f"{len(seen)} elements, the family has {want}"
-    return True, None
+                left, right, tag = next(pairs)
+            except StopIteration:
+                break
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                return False, f"malformed certificate ({exc!r})"
+            if tag not in ("iota", "pi") or (minimal_only and tag != "pi"):
+                return False, f"pair {k}: tag {tag!r} not allowed"
+            sides = []
+            for element in (left, right):
+                try:
+                    side = parse(element, memo)
+                except (KeyError, TypeError, ValueError,
+                        AttributeError) as exc:
+                    return False, f"pair {k}: malformed element ({exc})"
+                known = len(seen)
+                seen.add(side)
+                if len(seen) == known:  # it was there (one hash, not two)
+                    return False, f"pair {k}: element appears twice: " \
+                                  f"{shown(*side)}"
+                sides.append(side)
+            (nu_l, cells_l), (nu_r, cells_r) = sides
+            size = sum(map(len, cells_l)) + sum(map(len, cells_r))
+            if (size - offset[nu_l] - offset[nu_r]) % 2 == 0:
+                return False, f"pair {k}: both sides have the same sign"
+            if tag == "iota" and nu_l != nu_r:
+                return False, f"pair {k}: iota pair across two inner shapes"
+            if tag == "pi":
+                if pi(mu, shapes[nu_l].inner).parts != nu_r:
+                    return False, (f"pair {k}: pi pair of inner shapes that "
+                                   f"do not differ by the bottom removable "
+                                   f"box")
+                for nu, cells in sides:
+                    if cells != minimal[nu]:
+                        return False, (f"pair {k}: pi side is not minimal: "
+                                       f"{shown(nu, cells)}")
+        if leftover:
+            return False, f"{len(leftover)} leftover elements"
+        want = len(shapes) if minimal_only else _at(
+            FunctionSpec("G" + family + "double", SkewShape(lam, mu), n))[0]
+        if len(seen) != want:
+            return False, f"{len(seen)} elements, the family has {want}"
+        return True, None
+
+    return check
+
+
+def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
+                      n: int, family: str, minimal_only: bool = False
+                      ) -> tuple[bool, str | None]:
+    """Verify that a certificate document proves a request, as it stands:
+    ``certificate_checker(lam, mu, n, family, minimal_only)(doc)``."""
+    return certificate_checker(lam, mu, n, family, minimal_only)(doc)

@@ -1,12 +1,15 @@
 """Shared fixtures: worked-example tableaux used across the test modules,
-the naive oracle's tableaux, and the package's caches cleared around a
-test."""
+the naive oracle's tableaux, a large written certificate, and the
+package's caches cleared around a test."""
 
+import contextlib
+import io
 import sys
 from itertools import product
 
 import pytest
 
+from shifted_kschur.cli import main
 from shifted_kschur.enumeration import KINDS, EnumSpec, naive_oracle
 from shifted_kschur.genfunc import FunctionSpec, parity_report
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
@@ -47,6 +50,22 @@ def oracle_tableaux():
                     if validate_cells(shape, "P", tuple(T.cells.values()))]
                 out[EnumSpec(shape, n, "Q", kind)] = q
     return out
+
+
+# 4,2,1 // 2,1, P, n = 3: the benchmark's largest certificate, 2,402 pairs
+LARGE_PAIR = ("pair", "--lambda", "4,2,1", "--mu", "2,1", "--family", "P",
+              "-n", "3")
+
+
+@pytest.fixture(scope="session")
+def large_certificate(tmp_path_factory):
+    """The file ``pair --out`` writes for ``LARGE_PAIR``, written once per
+    session."""
+    path = tmp_path_factory.mktemp("certificates") / "large.json"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([*LARGE_PAIR, "--out", str(path)]) == 0
+    assert out.getvalue() == "pairs=2402 leftover=0 ok\n"
+    return path
 
 
 def clear_package_caches() -> None:

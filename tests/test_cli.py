@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from tests.conftest import TAMPERS, has_empty_set
+from tests.conftest import LARGE_PAIR, TAMPERS, has_empty_set
 
 
 def run(capsys, *argv):
@@ -413,6 +414,67 @@ class TestPair:
         code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
         assert (code, out) == (1, "certificate FAILED\n")
         assert err.startswith("note: malformed certificate (")
+
+    @pytest.mark.parametrize("minimal_only", [False, True])
+    @pytest.mark.parametrize("content", [b'{"lambda": [2', b"\xff\xff"],
+                             ids=["truncated", "not_utf8"])
+    def test_empty_tableau_set_is_refused_before_the_file_is_read(
+            self, capsys, tmp_path, content, minimal_only):
+        path = tmp_path / "cert.json"
+        path.write_bytes(content)
+        argv = ("pair", "--lambda", "2,1", "--mu", "1", "--family", "P",
+                "-n", "1") + (("--minimal-only",) if minimal_only else ())
+        assert run(capsys, *argv, "--check", str(path)) == \
+            (2, "", "error: empty tableau set for 2,1, P, n=1\n")
+
+    @pytest.mark.parametrize("spoil", [
+        lambda text: text[:text.index('"tag"', text.index('"pairs"'))],
+        lambda text: text + " {}",
+        lambda text: text[:-1] + ', "zzz": 0}',
+        lambda text: text.replace("\n  },\n  {", "\n  }\n  {", 1),
+        lambda text: text.replace('"pairs": [',
+                                  '"pairs": [' + "[" * 100_000, 1)],
+        ids=["truncated_in_pairs", "text_after_the_brace",
+             "member_after_pairs", "missing_comma_between_pairs",
+             "deeply_nested_pair"])
+    def test_stream_that_breaks_after_the_header(self, capsys, tmp_path,
+                                                 spoil):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        text = path.read_text()
+        assert text.endswith("}") and spoil(text) != text
+        path.write_text(spoil(text))
+        code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
+        assert (code, out) == (1, "certificate FAILED\n")
+        assert err.startswith("note: malformed certificate (")
+        # a header for another request is reported first
+        argv = list(PAIR_21_1)
+        argv[argv.index("-n") + 1] = "3"
+        assert run(capsys, *argv, "--check", str(path)) == (
+            1, "certificate FAILED\n", f"note: {HEADER_21_1}\n")
+
+    def test_pair_fault_comes_before_a_later_syntax_error(self, capsys,
+                                                          tmp_path):
+        tamper, reason = TAMPERS[0]  # a fault in pair 0
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc, sort_keys=True) + " trailing")
+        assert run(capsys, *PAIR_21_1, "--check", str(path)) == \
+            (1, "certificate FAILED\n", f"note: {reason}\n")
+
+    def test_check_holds_about_one_pair_at_a_time(self, capsys,
+                                                  large_certificate):
+        # the json.load path peaked at 4.5 times the file's size
+        tracemalloc.start()
+        try:
+            code = main([*LARGE_PAIR, "--check", str(large_certificate)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == (0, "certificate ok\n")
+        assert peak < 3 * large_certificate.stat().st_size
 
     @pytest.mark.parametrize("key", ["lambda", "mu", "n", "family",
                                      "minimal_only", "pairs", "leftover"])

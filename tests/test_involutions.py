@@ -1,15 +1,19 @@
+import io
 import itertools
 import json
 import re
+from typing import Iterator
 
 import pytest
 
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
-from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, check_certificate,
-                                        iota, minimal_tableau,
-                                        pairing_certificate,
-                                        verify_involution)
+from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
+                                        certificate_checker,
+                                        check_certificate, iota,
+                                        minimal_tableau, pairing_certificate,
+                                        read_certificate, verify_involution,
+                                        write_certificate)
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
@@ -548,6 +552,51 @@ class TestCheckCertificate:
                     checked += 1
         assert checked > 100
 
+
+
+# the layouts of the differential test, besides the writer's own
+LAYOUTS = [{"indent": k} for k in (None, 0, 1, 2)] + [
+    {"separators": (",", ":")}]
+
+
+def _texts(cert, tampered: bool = False) -> Iterator[str]:
+    """The certificate as written, then its document in each layout; with
+    tampered=True, also each document a TAMPERS edit makes of it."""
+    fh = io.StringIO()
+    write_certificate(cert, fh)
+    yield fh.getvalue()
+    docs = [cert.to_json()]
+    for tamper, _ in TAMPERS if tampered else ():
+        docs.append(json.loads(json.dumps(docs[0])))
+        tamper(docs[-1])
+    for doc in docs:
+        for layout in LAYOUTS:
+            yield json.dumps(doc, sort_keys=True, **layout)
+
+
+def test_reader_agrees_with_json_loads():
+    # the TAMPERS edits are made to the certificate they are written for;
+    # all 21 of them, on every request's certificate, in every layout,
+    # would be 11,500 texts (99 MB) and 13 s of json.dumps
+    checked = 0
+    for lam in strict_partitions_up_to_weight(4):
+        for mu in strict_subpartitions(lam):
+            for family, n, minimal_only in itertools.product(
+                    "PQ", (1, 2), (False, True)):
+                request = (lam, mu, n, family, minimal_only)
+                if not mu or has_empty_set(lam, mu, family, n):
+                    continue
+                check = certificate_checker(*request)
+                tampered = request == REQUEST + (False,)
+                for text in _texts(pairing_certificate(*request), tampered):
+                    case = (str(lam), str(mu), family, n, minimal_only, text)
+                    assert check(read_certificate(text)) == \
+                        check(json.loads(text)), case
+                    doc = read_certificate(text)
+                    doc["pairs"] = list(doc["pairs"])
+                    assert doc == json.loads(text), case
+                    checked += 1
+    assert checked == 136 * 6 + len(TAMPERS) * len(LAYOUTS)
 
 def test_trusted_images_equal_checked_rebuild():
     """minimal_tableau and iota build without checks; rebuild them checked."""

@@ -3,7 +3,9 @@ import contextlib
 import importlib
 import inspect
 import io
+import pathlib
 import pkgutil
+import re
 
 import shifted_kschur
 from shifted_kschur import cli
@@ -129,3 +131,17 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches():
     left = {name: c.cache_info().currsize for name, c in reached.items()
             if c.cache_info().currsize}
     assert not left
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # the grammar of the oldest Python that pyproject.toml admits
+    root = pathlib.Path(shifted_kschur.__file__).parent
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (root.parents[1] / "pyproject.toml").read_text(),
+                      re.MULTILINE)
+    assert floor
+    version = tuple(map(int, floor.groups()))
+    sources = sorted(root.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=version)

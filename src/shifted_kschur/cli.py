@@ -266,14 +266,15 @@ def cmd_pair(args) -> int:
         # error before the file is opened
         check = involutions.certificate_checker(*request)
         # text that is not UTF-8 JSON, or nests too deep for the parser, is
-        # malformed; an OSError is not
-        try:
-            with open(args.check, encoding="utf-8") as fh:
-                doc = involutions.read_certificate(fh.read())
-        except (ValueError, RecursionError) as exc:
-            ok, why = False, f"malformed certificate ({exc!r})"
-        else:
-            ok, why = check(doc)
+        # malformed, here or in a pair that check reads from fh; an OSError
+        # is not
+        with open(args.check, encoding="utf-8") as fh:
+            try:
+                doc = involutions.read_certificate(fh)
+            except (ValueError, RecursionError) as exc:
+                ok, why = False, f"malformed certificate ({exc!r})"
+            else:
+                ok, why = check(doc)
         print("certificate ok" if ok else "certificate FAILED")
         if not ok:
             print(f"note: {why}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 The involution compares a set-valued tableau against the minimal tableau of
 its shape, finds the first box (in column-major order) where they differ,
-and either deletes the minimal cell's content from that box or inserts it.
+and either deletes the minimal cell's content from that box or inserts it;
+it is stated once, on row-major cell tuples, and the pairs are made on
+them, with a ``Filling`` built for an image only when it joins a pair.
 Pairing all non-minimal tableaux this way, and pairing minimal tableaux of
 neighboring inner shapes via the bottom-row toggle ``shapes.pi``, covers
 the double-skew tableau family, over the inner shapes of
@@ -10,13 +12,13 @@ the double-skew tableau family, over the inner shapes of
 written straight from its tableaux, and checked as its JSON document: each
 element as its nu and row-major cell tuple, each distinct cell parsed
 once, with a ``Filling`` built only for a minimal tableau or to show a
-fault.  ``read_certificate`` reads a certificate's text one top-level
-member at a time, and its pairs one at a time, so a check holds the text
-and one pair, not the parsed document; ``"pairs"`` must be the last
-member.  The first fault is reported, in this order: a request that
-``pairing_certificate`` refuses; text before ``"pairs"`` that does not
-parse; the header; pair k, its text or its content; text after the last
-pair.
+fault.  ``read_certificate`` reads a certificate file in chunks, one
+top-level member at a time, and its pairs one at a time, so a check holds
+a window of the file and one pair, not its text or the parsed document;
+``"pairs"`` must be the last member.  The first fault is reported, in
+this order: a request that ``pairing_certificate`` refuses; text before
+``"pairs"`` that does not parse; the header; pair k, its text or its
+content; text after the last pair.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -32,7 +35,7 @@ from .genfunc import FunctionSpec, _at
 from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
                      is_subpartition, pi)
 from .tableaux import (Filling, _cells_from_rows, _check_family, _check_n,
-                       entry_str, validate, validate_cells)
+                       entry_str, validate_cells)
 
 # the most tableaux a full certificate may pair: 4 times the most written
 PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
@@ -62,23 +65,47 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     return Filling(shape, n, family, cells, _trusted=True)
 
 
+@lru_cache(maxsize=256)
+def _col_major_order(outer: tuple, inner: tuple) -> tuple[int, ...]:
+    """The row-major indices of the boxes of outer/inner in column-major
+    order, the order in which iota looks for the first differing box."""
+    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
+    index = {box: k for k, box in enumerate(shape.row_major)}
+    return tuple(index[box] for box in shape.col_major)
+
+
+def _iota_cells(order: tuple, cells: tuple, tmin: tuple) -> tuple:
+    """iota on row-major cell tuples: at the first index of ``order``
+    where ``cells`` differs from ``tmin``, delete tmin's content from that
+    cell if they share an entry, else insert it.
+
+    ``tmin`` is the minimal tableau's cell tuple; it is single-valued, so
+    the new cell is never empty, and its codes are in range.  ValueError
+    if ``cells`` is ``tmin``.
+    """
+    for k in order:
+        if cells[k] != tmin[k]:
+            have, mincell = set(cells[k]), set(tmin[k])
+            new = have - mincell if have & mincell else have | mincell
+            return cells[:k] + (tuple(sorted(new)),) + cells[k + 1:]
+    raise ValueError("iota is undefined on the minimal tableau")
+
+
 def iota(T: Filling, tmin: Filling | None = None) -> Filling:
-    """Toggle the minimal cell content at the first differing box.
+    """Toggle the minimal cell content at the first differing box, in
+    column-major order: ``_iota_cells`` on T's cells, as a ``Filling``.
 
     ``tmin`` is the minimal tableau of T's shape, family and n; callers
     that hold it pass it in, otherwise it is built here.
     """
+    shape = T.shape
     if tmin is None:
-        tmin = minimal_tableau(T.shape, T.family, T.n)
-    for box in T.shape.col_major:
-        if T.cells[box] != tmin.cells[box]:
-            break
-    else:
-        raise ValueError("iota is undefined on the minimal tableau")
-    have = set(T.cells[box])
-    mincell = set(tmin.cells[box])
-    new = have - mincell if have & mincell else have | mincell
-    return T.with_cell(box, new)
+        tmin = minimal_tableau(shape, T.family, T.n)
+    image = _iota_cells(_col_major_order(shape.outer.parts,
+                                         shape.inner.parts),
+                        tuple(T.cells.values()), tuple(tmin.cells.values()))
+    return Filling(shape, T.n, T.family, dict(zip(shape.row_major, image)),
+                   _trusted=True)
 
 
 class InvolutionReport(NamedTuple):
@@ -91,16 +118,19 @@ class InvolutionReport(NamedTuple):
 
 
 def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
-                ) -> Iterator[tuple[Filling, Filling, str | None]]:
-    """(T, iota(T), fault) for the set-valued tableaux T of shape other
-    than ``tmin``, in enumeration order, skipping each T an earlier T
-    mapped to.  ``fault``, the pairing rule, names the first way the image
-    fails to pair T: it is T, is ``tmin``, or does not map back to T; else
-    it is None.  Leaves are told apart by their row-major cell tuples, so a
-    ``Filling`` is built only for a T that is kept.
+                ) -> Iterator[tuple[Filling, tuple, str | None]]:
+    """(T, the cell tuple of iota(T), fault) for the set-valued tableaux T
+    of shape other than ``tmin``, in enumeration order, skipping each T an
+    earlier T mapped to.  ``fault``, the pairing rule, names the first way
+    the image fails to pair T: it is T, is ``tmin``, or does not map back
+    to T; else it is None.  Images and leaves are told apart by their
+    row-major cell tuples, so a ``Filling`` is built only for a T that is
+    kept.
     """
+    order = _col_major_order(shape.outer.parts, shape.inner.parts)
+    mins = tuple(tmin.cells.values())
     # the cell tuples to skip: tmin's, and those of the images still ahead
-    skip = {tuple(tmin.cells.values())}
+    skip = {mins}
 
     def keep(cells: tuple) -> bool:
         if cells in skip:
@@ -110,13 +140,14 @@ def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
 
     spec = EnumSpec(shape, n, family, "set-valued")
     for T in enumerate_fillings(spec, keep):
-        image = iota(T, tmin)
-        skip.add(tuple(image.cells.values()))
-        if image == T:
+        cells = tuple(T.cells.values())
+        image = _iota_cells(order, cells, mins)
+        skip.add(image)
+        if image == cells:
             yield T, image, f"iota fixes {T!r}"
-        elif image == tmin:
+        elif image == mins:
             yield T, image, f"iota of {T!r} hits the minimal tableau"
-        elif iota(image, tmin) != T:
+        elif _iota_cells(order, image, mins) != cells:
             yield T, image, f"iota is not an involution at {T!r}"
         else:
             yield T, image, None
@@ -128,13 +159,14 @@ def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport
     Each pair of ``_iota_pairs`` gets one fault at most: an invalid image,
     else the pairing rule's fault, else a |T| that moves by other than
     one.  A pair with no fault counts both its tableaux in ``checked``.
+    Images are checked as cell tuples; no ``Filling`` is built for them.
     """
     tmin = minimal_tableau(shape, family, n)
     faults = []
     for T, image, fault in _iota_pairs(shape, family, n, tmin):
-        if not validate(image):
+        if not validate_cells(shape, family, image):
             fault = f"iota image of {T!r} is invalid"
-        elif not fault and abs(image.size() - T.size()) != 1:
+        elif not fault and abs(sum(map(len, image)) - T.size()) != 1:
             fault = f"iota of {T!r} changes |T| by != 1"
         faults.append(fault)
     violations = tuple(filter(None, faults))
@@ -210,18 +242,29 @@ _PAIR_FORMATS = {tag: _format({"left": _HOLE, "right": _HOLE, "tag": tag}, 2)
                  for tag in ("iota", "pi")}
 
 
+@lru_cache(maxsize=256)
+def _side_format(outer: tuple, inner: tuple, n: int, family: str):
+    """The template of an element of outer/inner, n and family as a pair's
+    side: ``_format`` of its document three levels deep, with a hole per
+    cell in row-major order."""
+    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
+    doc = _element(Filling(shape, n, family,
+                           dict.fromkeys(shape.row_major, ()), _trusted=True))
+    doc["tableau"]["rows"] = [[_HOLE] * len(row) for row in shape.rows]
+    return _format(doc, 3)
+
+
 def write_certificate(cert: PairingCertificate, fh) -> None:
     """Write ``json.dumps(cert.to_json(), sort_keys=True, indent=1)`` to fh
     for a certificate built by ``pairing_certificate``, one pair at a time.
 
     The header is ``json.dumps`` of the certificate with a hole for each
-    of its two lists.  An element's text is its nu's template, made by
-    ``json.dumps`` of one element with a hole per cell, filled with its
-    cells' texts in row-major order; templates and cell texts are made on
-    first use and kept for this call.  A leftover element sits a level
-    less deep than a pair's side: one space less on each line.
+    of its two lists.  An element's text is its shape's template from
+    ``_side_format``, filled with its cells' texts in row-major order;
+    cell texts are made on first use and kept for this call.  A leftover
+    element sits a level less deep than a pair's side: one space less on
+    each line.
     """
-    formats: dict = {}  # nu -> template of its elements as a pair's side
     texts: dict = {}  # cell -> its text in a pair's side, seven levels deep
 
     def cell_text(cell: tuple) -> str:  # an entry string is JSON as it is
@@ -230,12 +273,9 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
         return text
 
     def side(T: Filling) -> str:
-        fmt = formats.get(nu := T.shape.inner)
-        if fmt is None:
-            doc = _element(T)
-            doc["tableau"]["rows"] = [[_HOLE] * len(row)
-                                      for row in T.shape.rows]
-            fmt = formats[nu] = _format(doc, 3)
+        shape = T.shape
+        fmt = _side_format(shape.outer.parts, shape.inner.parts, T.n,
+                           T.family)
         return fmt(*[texts.get(cell) or cell_text(cell)
                      for cell in T.cells.values()])
 
@@ -296,69 +336,171 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         return cert
 
     for nu, shape in shapes.items():
-        for T, partner, fault in _iota_pairs(shape, family, n, minimal[nu]):
+        boxes = shape.row_major
+        for T, image, fault in _iota_pairs(shape, family, n, minimal[nu]):
             if fault:
                 cert.leftover.append(T)
             else:
-                cert.pairs.append(Pair(T, partner, "iota"))
+                cert.pairs.append(Pair(T, Filling(
+                    shape, n, family, dict(zip(boxes, image)),
+                    _trusted=True), "iota"))
     return cert
 
 
-# JSON white space, one character (none at the end), JSON white space
-_TOKEN = re.compile(r"[ \t\n\r]*(.?)[ \t\n\r]*", re.DOTALL)
+_CHUNK = 1 << 16  # characters read from a certificate file at a time
+_LONG = 1 << 16  # characters of one value past which reads double it
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON white space
 _DECODE = json.JSONDecoder().raw_decode
+# the decoder reads at most this many characters from where it stops: a
+# literal such as -Infinity from its start, a number's ".", "e" and sign
+_LOOKAHEAD = len("-Infinity")
 
 
-def read_certificate(text: str) -> dict:
-    """The document of a certificate's JSON text, its pairs read lazily.
+class _Window:
+    """The text of a file, read ``_CHUNK`` characters at a time, and a
+    cursor ``i`` in it.
 
-    The top-level object is decoded one member at a time, each member
-    whole, up to ``"pairs"``; that member must come last, where
-    ``write_certificate`` and ``json.dumps(..., sort_keys=True)`` put it.
-    Its value is an iterator that decodes one pair per step.  A document
-    with no ``"pairs"`` is read whole.  A syntax error raises
-    ``json.JSONDecodeError`` (a ValueError), and a value nested too deep
-    RecursionError, when the reader reaches it: here for one before
-    ``"pairs"``, else at the step that reads the pair it is in, or, for
-    text after the last pair (a member after ``"pairs"``, text after the
-    closing brace), at the step after the last pair.
+    ``text`` holds the file from character ``base`` on: reading a chunk
+    drops the text before the cursor.  ``lines`` counts the line breaks
+    before ``base`` and ``col`` the characters after the last of them, so
+    an error names its place in the file.
     """
-    def token(i: int, chars: str, what: str) -> re.Match:
-        """The match of ``_TOKEN`` at i, its character one of chars."""
-        m = _TOKEN.match(text, i)
-        if not m[1] or m[1] not in chars:
-            raise json.JSONDecodeError(f"Expecting {what}", text, m.start(1))
-        return m
 
-    def end(m: re.Match) -> None:
-        """Raise unless the text ends with m, the closing brace."""
-        if m.end() != len(text):
-            raise json.JSONDecodeError("Extra data", text, m.end())
+    def __init__(self, fh):
+        self.fh, self.text, self.eof = fh, "", False
+        self.i = self.base = self.lines = self.col = 0
 
-    def pairs(i: int) -> Iterator:
-        m = token(i, "[", "'['")
-        if text.startswith("]", m.end()):
-            m = token(m.end(), "]", "']'")
-        while m[1] != "]":
-            pair, i = _DECODE(text, m.end())
-            yield pair
-            m = token(i, ",]", "',' delimiter")
-        end(token(m.end(), "}", "'}': \"pairs\" must be the last member"))
+    def _read(self) -> None:
+        """Drop the text before the cursor and read a chunk on."""
+        i, text = self.i, self.text
+        last = text.rfind("\n", 0, i)
+        if last < 0:
+            self.col += i
+        else:
+            self.lines += text.count("\n", 0, i)
+            self.col = i - last - 1
+        self.base += i
+        chunk = self.fh.read(_CHUNK)
+        self.eof = not chunk
+        self.text, self.i = text[i:] + chunk, 0
+
+    def placed(self, exc: json.JSONDecodeError) -> json.JSONDecodeError:
+        """exc, raised on ``text``, with its line, column and character
+        counted in the file."""
+        lineno = self.lines + exc.lineno
+        colno = exc.colno + (self.col if exc.lineno == 1 else 0)
+        exc.pos += self.base
+        exc.lineno, exc.colno = lineno, colno
+        exc.args = (f"{exc.msg}: line {lineno} column {colno} "
+                    f"(char {exc.pos})",)
+        return exc
+
+    def error(self, msg: str) -> json.JSONDecodeError:
+        return self.placed(json.JSONDecodeError(msg, self.text, self.i))
+
+    def peek(self) -> str:
+        """Move the cursor past white space; the character there, "" at
+        the end of the file."""
+        while True:
+            self.i = _SPACE.match(self.text, self.i).end()
+            if self.i < len(self.text) or self.eof:
+                return self.text[self.i:self.i + 1]
+            self._read()
+
+    def take(self, chars: str, what: str) -> str:
+        """The character after white space, one of chars; the cursor moves
+        past it."""
+        c = self.peek()
+        if not c or c not in chars:
+            raise self.error(f"Expecting {what}")
+        self.i += 1
+        return c
+
+    def decode(self):
+        """The JSON value after white space; the cursor moves past it.
+
+        The decoder runs on the text in hand.  Where it stops, with a value
+        or an error, at most ``_LOOKAHEAD`` characters before the end of
+        that text, or in a string that runs to it, more text could change
+        the outcome: a chunk is read on, and the decoder runs again.  Past
+        ``_LONG`` characters from the value's start, chunks are read on
+        until that text has doubled, so a long value is decoded a few
+        times, not once a chunk.
+        """
+        self.peek()
+        while True:
+            try:
+                value, end = _DECODE(self.text, self.i)
+            except json.JSONDecodeError as exc:
+                if self.eof or (exc.pos + _LOOKAHEAD < len(self.text) and
+                                not exc.msg.startswith("Unterminated")):
+                    raise self.placed(exc) from None
+            else:
+                if self.eof or end + _LOOKAHEAD < len(self.text):
+                    self.i = end
+                    return value
+            held = len(self.text) - self.i
+            self._read()
+            while not self.eof and _LONG < held and len(self.text) < 2 * held:
+                self._read()
+
+    def end(self) -> None:
+        """Raise unless only white space is left."""
+        if self.peek():
+            raise self.error("Extra data")
+
+
+def read_certificate(fh) -> dict:
+    """The document of the certificate in the text file fh, its pairs read
+    lazily.
+
+    The file is read ``_CHUNK`` characters at a time, and the text the
+    reader is done with is dropped, so a check holds a window of the file
+    and one pair.  The top-level object is decoded one member at a time,
+    each member whole, up to ``"pairs"``; that member must come last,
+    where ``write_certificate`` and ``json.dumps(..., sort_keys=True)``
+    put it.  Its value is an iterator that decodes one pair per step and
+    reads from fh as it goes, so fh must stay open while it is used.  A
+    document with no ``"pairs"`` is read whole.  A syntax error raises
+    ``json.JSONDecodeError`` (a ValueError) with its place in the file, a
+    value nested too deep RecursionError, and text that is not of fh's
+    encoding UnicodeDecodeError (a ValueError), when the reader reaches
+    it: here for one before ``"pairs"``, else at the step that reads the
+    pair it is in, or, for text after the last pair (a member after
+    ``"pairs"``, text after the closing brace), at the step after the last
+    pair.  A string of JSON text is read as ``io.StringIO(text)``.
+    """
+    w = _Window(fh)
+
+    def pairs() -> Iterator:
+        w.take("[", "'['")
+        if w.peek() == "]":
+            w.i += 1
+        else:
+            yield w.decode()
+            while w.take(",]", "',' delimiter") == ",":
+                yield w.decode()
+        w.take("}", "'}': \"pairs\" must be the last member")
+        w.end()
 
     doc = {}
-    m = token(token(0, "{", "'{'").end(), '"}',
-              "property name enclosed in double quotes")
-    while m[1] == '"':
-        key, i = _DECODE(text, m.start(1))
-        i = token(i, ":", "':' delimiter").end()
-        if key == "pairs":
-            doc[key] = pairs(i)
-            return doc
-        doc[key], i = _DECODE(text, i)
-        m = token(i, ",}", "',' delimiter")
-        if m[1] == ",":
-            m = token(m.end(), '"', "property name enclosed in double quotes")
-    end(m)
+    w.take("{", "'{'")
+    if w.peek() == "}":
+        w.i += 1
+    else:
+        while True:
+            if w.peek() != '"':
+                raise w.error("Expecting property name enclosed in double "
+                              "quotes")
+            key = w.decode()
+            w.take(":", "':' delimiter")
+            if key == "pairs":
+                doc[key] = pairs()
+                return doc
+            doc[key] = w.decode()
+            if w.take(",}", "',' delimiter") == "}":
+                break
+    w.end()
     return doc
 
 

@@ -79,10 +79,12 @@ class Filling:
     """An assignment of one nonempty cell set to every box of a shape.
 
     ``cells`` is kept canonical: keys in row-major order, each cell a
-    strictly increasing tuple of entry codes in 1..2n.
+    strictly increasing tuple of entry codes in 1..2n.  Equality and hash
+    read ``_key``, made from the shape's parts, n, family and cells when
+    asked for, so a filling holds no copy of its cells.
     """
 
-    __slots__ = ("shape", "n", "family", "cells", "_key")
+    __slots__ = ("shape", "n", "family", "cells")
 
     def __init__(self, shape: SkewShape, n: int, family: str, cells: dict,
                  *, _trusted: bool = False):
@@ -90,7 +92,8 @@ class Filling:
 
         ``_trusted=True`` skips the checks and the sorting.  It is for the
         package's own constructions whose cells are canonical already
-        (enumerator leaves, minimal tableaux, ``with_cell``, checked rows).
+        (enumerator leaves, minimal tableaux, involution images,
+        ``with_cell``, checked rows).
         """
         if not _trusted:
             _check_family(family)
@@ -107,8 +110,12 @@ class Filling:
         self.n = n
         self.family = family
         self.cells = cells
-        self._key = (shape.outer.parts, shape.inner.parts, n, family,
-                     tuple(cells.items()))
+
+    @property
+    def _key(self) -> tuple:
+        """(outer parts, inner parts, n, family, the (box, cell) items)."""
+        return (self.shape.outer.parts, self.shape.inner.parts, self.n,
+                self.family, tuple(self.cells.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Filling) and self._key == other._key

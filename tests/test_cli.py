@@ -4,10 +4,10 @@ import tracemalloc
 
 import pytest
 
-from shifted_kschur import genfunc
+from shifted_kschur import cli, genfunc, involutions
 from shifted_kschur.cli import main
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
-                                        write_certificate)
+                                        read_certificate, write_certificate)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (StrictPartition,
                                    strict_partitions_up_to_weight,
@@ -310,6 +310,66 @@ HEADER_21_1 = ('certificate is for {"lambda": [2, 1], "mu": [1], "n": 2, '
                '"family": "P", "minimal_only": false}')
 
 
+# certificate files that are not JSON, made from a written one's bytes
+CUTS = {"truncated": lambda data: data[:200],
+        "not_utf8": lambda data: b"\xff\xff",
+        "deeply_nested": lambda data: b"[" * 100_000}
+
+# written certificates that break after the header, made from their text
+SPOILS = {
+    "truncated_in_pairs":
+        lambda text: text[:text.index('"tag"', text.index('"pairs"'))],
+    "text_after_the_brace": lambda text: text + " {}",
+    "member_after_pairs": lambda text: text[:-1] + ', "zzz": 0}',
+    "missing_comma_between_pairs":
+        lambda text: text.replace("\n  },\n  {", "\n  }\n  {", 1),
+    "deeply_nested_pair":
+        lambda text: text.replace('"pairs": [',
+                                  '"pairs": [' + "[" * 100_000, 1)}
+
+
+def _spoiled(spoil):
+    return lambda data: spoil(data.decode()).encode()
+
+
+def _tampered(tamper):
+    def make(data):
+        doc = json.loads(data)
+        tamper(doc)
+        return json.dumps(doc).encode()
+    return make
+
+
+# the files of the chunk-size test, each made from a written certificate;
+# a number in the header that a chunk may cut before its "." or "e", and a
+# syntax error far along a file of one line
+STREAM_CASES = {
+    "as_written": lambda data: data, **CUTS,
+    **{k: _spoiled(spoil) for k, spoil in SPOILS.items()},
+    **{t.__name__: _tampered(t) for t, _ in TAMPERS},
+    "header_n_with_fraction_and_exponent":
+        lambda data: data.replace(b'"n": 2,', b'"n": 2.0e0,', 1),
+    "one_line_truncated":
+        lambda data: json.dumps(json.loads(data)).encode()[:-100]}
+
+
+def _read_outcome(path):
+    """What ``read_certificate`` makes of a file: its document with the
+    pairs listed as far as they read, and the error that stopped it, with
+    a JSONDecodeError's line, column and character."""
+    doc, pairs, error = {}, [], None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = read_certificate(fh)
+            pairs.extend(doc.get("pairs", ()))
+    except (ValueError, RecursionError) as exc:
+        error = (type(exc), str(exc), getattr(exc, "lineno", None),
+                 getattr(exc, "colno", None), getattr(exc, "pos", None))
+    if "pairs" in doc:
+        doc["pairs"] = pairs
+    return doc, error
+
+
 def _pair_cases(max_weight, max_n):
     for lam in strict_partitions_up_to_weight(max_weight):
         for mu in strict_subpartitions(lam):
@@ -403,10 +463,7 @@ class TestPair:
         assert run(capsys, *argv) == refusal
         assert run(capsys, *argv, "--check", str(path)) == refusal
 
-    @pytest.mark.parametrize("cut", [lambda data: data[:200],
-                                     lambda data: b"\xff\xff",
-                                     lambda data: b"[" * 100_000],
-                             ids=["truncated", "not_utf8", "deeply_nested"])
+    @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS)
     def test_file_that_is_not_json_fails(self, capsys, tmp_path, cut):
         path = tmp_path / "cert.json"
         run(capsys, *PAIR_21_1, "--out", str(path))
@@ -427,16 +484,7 @@ class TestPair:
         assert run(capsys, *argv, "--check", str(path)) == \
             (2, "", "error: empty tableau set for 2,1, P, n=1\n")
 
-    @pytest.mark.parametrize("spoil", [
-        lambda text: text[:text.index('"tag"', text.index('"pairs"'))],
-        lambda text: text + " {}",
-        lambda text: text[:-1] + ', "zzz": 0}',
-        lambda text: text.replace("\n  },\n  {", "\n  }\n  {", 1),
-        lambda text: text.replace('"pairs": [',
-                                  '"pairs": [' + "[" * 100_000, 1)],
-        ids=["truncated_in_pairs", "text_after_the_brace",
-             "member_after_pairs", "missing_comma_between_pairs",
-             "deeply_nested_pair"])
+    @pytest.mark.parametrize("spoil", SPOILS.values(), ids=SPOILS)
     def test_stream_that_breaks_after_the_header(self, capsys, tmp_path,
                                                  spoil):
         path = tmp_path / "cert.json"
@@ -464,9 +512,92 @@ class TestPair:
         assert run(capsys, *PAIR_21_1, "--check", str(path)) == \
             (1, "certificate FAILED\n", f"note: {reason}\n")
 
+    @pytest.mark.parametrize("make", STREAM_CASES.values(), ids=STREAM_CASES)
+    def test_chunk_size_changes_nothing(self, capsys, tmp_path, monkeypatch,
+                                        make):
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        data = make(path.read_bytes())
+        path.write_bytes(data)
+
+        def outcome(chunk):
+            monkeypatch.setattr(involutions, "_CHUNK", chunk)
+            return (_read_outcome(path),
+                    run(capsys, *PAIR_21_1, "--check", str(path)))
+
+        chunks = (1, 3, 64, involutions._CHUNK)
+        whole = outcome(len(data) + 1)  # the file in one chunk
+        for chunk in chunks:
+            assert outcome(chunk) == whole, chunk
+        # a JSONDecodeError names its place in the file
+        _, message, lineno, colno, pos = whole[0][1] or (None,) * 5
+        if pos is not None:
+            text = data.decode()
+            assert (lineno, colno) == (text.count("\n", 0, pos) + 1,
+                                       pos - text.rfind("\n", 0, pos))
+            assert message.endswith(
+                f"line {lineno} column {colno} (char {pos})")
+
+    def test_byte_not_utf8_after_the_first_chunk(self, capsys, tmp_path,
+                                                 large_certificate):
+        data = bytearray(large_certificate.read_bytes())
+        at = len(data) // 2
+        assert at > 2 * involutions._CHUNK
+        data[at] = 0xFF
+        path = tmp_path / "cert.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, *LARGE_PAIR, "--check", str(path))
+        assert (code, out) == (1, "certificate FAILED\n")
+        assert err.startswith(
+            "note: malformed certificate (UnicodeDecodeError(")
+
+    def test_pair_fault_comes_before_a_later_byte_not_utf8(self, capsys,
+                                                           tmp_path):
+        tamper, reason = TAMPERS[0]  # a fault in pair 0
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        text = path.read_text()
+        doc = json.loads(text)
+        tamper(doc)
+        # white space, then the byte, past the first chunk
+        after = b" " * (2 * involutions._CHUNK) + b"\xff"
+        for body, note in (
+                (text, "malformed certificate (UnicodeDecodeError("),
+                (json.dumps(doc, sort_keys=True), reason)):
+            path.write_bytes(body.encode() + after)
+            code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
+            assert (code, out) == (1, "certificate FAILED\n")
+            assert err.startswith(f"note: {note}")
+
+    @pytest.mark.parametrize("opening", [True, False],
+                             ids=["opening", "reading"])
+    def test_os_error_is_usage_error(self, capsys, monkeypatch,
+                                     large_certificate, opening):
+        text = large_certificate.read_text()
+
+        class FailsAfterOneRead(io.StringIO):
+            def read(self, size=-1):
+                if self.tell():
+                    raise OSError(5, "Input/output error")
+                return super().read(size)
+
+        def fake_open(path, **kwargs):
+            if opening:
+                raise PermissionError(13, "Permission denied", path)
+            return FailsAfterOneRead(text)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        code, out, err = run(capsys, *LARGE_PAIR, "--check",
+                             str(large_certificate))
+        assert (code, out) == (2, "")
+        assert err == ("error: [Errno 13] Permission denied: "
+                       f"'{large_certificate}'\n" if opening else
+                       "error: [Errno 5] Input/output error\n")
+
     def test_check_holds_about_one_pair_at_a_time(self, capsys,
                                                   large_certificate):
-        # the json.load path peaked at 4.5 times the file's size
+        # the json.load path peaked at 4.5 times the file's size, and a
+        # reader of the whole text at 2.0 times
         tracemalloc.start()
         try:
             code = main([*LARGE_PAIR, "--check", str(large_certificate)])
@@ -474,7 +605,23 @@ class TestPair:
         finally:
             tracemalloc.stop()
         assert (code, capsys.readouterr().out) == (0, "certificate ok\n")
-        assert peak < 3 * large_certificate.stat().st_size
+        assert peak < 0.5 * large_certificate.stat().st_size
+
+    def test_out_holds_no_copy_per_tableau(self, capsys, tmp_path,
+                                           large_certificate):
+        # a Filling that kept a second tuple of its cells, and an iota that
+        # built one per image, peaked at 1.15 times the file's size
+        path = tmp_path / "large.json"
+        tracemalloc.start()
+        try:
+            code = main([*LARGE_PAIR, "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == \
+            (0, "pairs=2402 leftover=0 ok\n")
+        assert path.read_bytes() == large_certificate.read_bytes()
+        assert peak < 0.75 * path.stat().st_size
 
     @pytest.mark.parametrize("key", ["lambda", "mu", "n", "family",
                                      "minimal_only", "pairs", "leftover"])

@@ -6,6 +6,7 @@ from typing import Iterator
 
 import pytest
 
+from shifted_kschur import involutions
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
@@ -184,29 +185,36 @@ class TestVerifyInvolution:
 class TestFailureDetection:
     """A broken iota must show in verify_involution and pairing_certificate.
 
-    Each test breaks iota at the second enumerated tableau of 3,1/1 (P,
-    n=2), or at its partner; the first is the minimal tableau, so the
-    second is never the image of an earlier one and its pair is walked
-    from it.
+    Each test breaks the cell-level iota rule ``_iota_cells``, which both
+    walk, at the second enumerated tableau of 3,1/1 (P, n=2), or at its
+    partner; the first is the minimal tableau, so the second is never the
+    image of an earlier one and its pair is walked from it.
     """
 
     LAM, MU, N, FAMILY = sp(3, 1), sp(1), 2, "P"
 
-    def _break_iota(self, monkeypatch, broken):
-        """Patch iota to return broken(T) where that is not None, else the
-        true image; return the tableaux of lam/mu in enumeration order."""
-        real = iota
-
-        def patched(T, tmin=None):
-            other = broken(T)
-            return real(T, tmin) if other is None else other
-
-        monkeypatch.setattr("shifted_kschur.involutions.iota", patched)
+    def _tableaux(self):
+        """The tableaux of lam/mu in enumeration order."""
         shape = SkewShape(self.LAM, self.MU)
         tableaux = list(enumerate_fillings(
             EnumSpec(shape, self.N, self.FAMILY, "set-valued")))
         assert tableaux[0] == minimal_tableau(shape, self.FAMILY, self.N)
         return tableaux
+
+    def _break_iota(self, monkeypatch, broken):
+        """Patch the iota rule to give the cells of broken(T) where that is
+        not None, else the true image; T is the tableau of the cells."""
+        real = involutions._iota_cells
+        shape = SkewShape(self.LAM, self.MU)
+
+        def patched(order, cells, tmin):
+            other = broken(Filling(shape, self.N, self.FAMILY,
+                                   dict(zip(shape.row_major, cells))))
+            if other is None:
+                return real(order, cells, tmin)
+            return tuple(other.cells.values())
+
+        monkeypatch.setattr(involutions, "_iota_cells", patched)
 
     def _report(self):
         rep = verify_involution(SkewShape(self.LAM, self.MU), self.FAMILY,
@@ -220,30 +228,34 @@ class TestFailureDetection:
         return " ".join(self._report()[0].violations)
 
     def test_fixed_point(self, monkeypatch):
-        tableaux = self._break_iota(
-            monkeypatch, lambda T: T if T == tableaux[1] else None)
+        tableaux = self._tableaux()
+        self._break_iota(monkeypatch,
+                         lambda T: T if T == tableaux[1] else None)
         assert "iota fixes" in self._violations()
 
     def test_not_an_involution(self, monkeypatch):
         # the partner of the second tableau maps on to a third one
-        tableaux = self._break_iota(
-            monkeypatch, lambda T: third if T == partner else None)
+        tableaux = self._tableaux()
         partner = iota(tableaux[1])
         third = next(T for T in tableaux[2:] if T != partner)
+        self._break_iota(monkeypatch,
+                         lambda T: third if T == partner else None)
         assert "not an involution" in self._violations()
 
     def test_invalid_image(self, monkeypatch):
-        tableaux = self._break_iota(
-            monkeypatch, lambda T: bad if T == tableaux[1] else None)
+        tableaux = self._tableaux()
         # every box holds the largest unprimed letter: column 2 repeats it
         bad = Filling(tableaux[1].shape, self.N, self.FAMILY,
                       {box: (2 * self.N,) for box in tableaux[1].cells})
         assert not validate(bad)
+        self._break_iota(monkeypatch,
+                         lambda T: bad if T == tableaux[1] else None)
         assert "is invalid" in self._violations()
 
     def test_hits_the_minimal_tableau(self, monkeypatch, capsys):
-        tableaux = self._break_iota(
-            monkeypatch, lambda T: tableaux[0] if T == tableaux[1] else None)
+        tableaux = self._tableaux()
+        self._break_iota(monkeypatch,
+                         lambda T: tableaux[0] if T == tableaux[1] else None)
         rep, cert = self._report()
         # one fault for the pair; its true partner fails on its own
         assert [v for v in rep.violations if repr(tableaux[1]) in v] == [
@@ -259,10 +271,11 @@ class TestFailureDetection:
 
     def test_changes_size_by_other_than_one(self, monkeypatch):
         # iota swaps the second tableau with a later one of the same size
-        tableaux = self._break_iota(monkeypatch, lambda T: (
-            same if T == tableaux[1] else tableaux[1] if T == same else None))
+        tableaux = self._tableaux()
         same = next(T for T in tableaux[2:]
                     if T.size() == tableaux[1].size())
+        self._break_iota(monkeypatch, lambda T: (
+            same if T == tableaux[1] else tableaux[1] if T == same else None))
         rep, cert = self._report()
         assert [v for v in rep.violations if repr(tableaux[1]) in v] == [
             f"iota of {tableaux[1]!r} changes |T| by != 1"]
@@ -590,13 +603,35 @@ def test_reader_agrees_with_json_loads():
                 tampered = request == REQUEST + (False,)
                 for text in _texts(pairing_certificate(*request), tampered):
                     case = (str(lam), str(mu), family, n, minimal_only, text)
-                    assert check(read_certificate(text)) == \
+                    assert check(read_certificate(io.StringIO(text))) == \
                         check(json.loads(text)), case
-                    doc = read_certificate(text)
+                    doc = read_certificate(io.StringIO(text))
                     doc["pairs"] = list(doc["pairs"])
                     assert doc == json.loads(text), case
                     checked += 1
     assert checked == 136 * 6 + len(TAMPERS) * len(LAYOUTS)
+
+def test_long_value_is_decoded_a_few_times(monkeypatch):
+    # a leftover of 1.5 MB in chunks of 4,096 characters: a decoder run
+    # per chunk would be some 360 runs over an ever longer text
+    doc = pairing_certificate(*REQUEST).to_json()
+    doc["leftover"] = [doc["pairs"][0]["left"]] * 10_000
+    text = json.dumps(doc, sort_keys=True)
+    assert len(text) > 1_000_000
+    runs = []
+    decode = involutions._DECODE
+
+    def counted(s, i):
+        runs.append(i)
+        return decode(s, i)
+
+    monkeypatch.setattr(involutions, "_CHUNK", 4096)
+    monkeypatch.setattr(involutions, "_DECODE", counted)
+    got = read_certificate(io.StringIO(text))
+    got["pairs"] = list(got["pairs"])
+    assert got == json.loads(text)
+    assert len(runs) < 100
+
 
 def test_trusted_images_equal_checked_rebuild():
     """minimal_tableau and iota build without checks; rebuild them checked."""

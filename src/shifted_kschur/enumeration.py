@@ -162,14 +162,14 @@ def enumerate_fillings(spec: EnumSpec, keep=None) -> Iterator[Filling]:
     """Every valid filling exactly once, in canonical order.
 
     With ``keep``, a leaf's filling is built and yielded only if
-    ``keep(cells)`` is true, ``cells`` being its cells in row-major order
-    as a tuple; it is called as the walk reaches the leaf.
+    ``keep(cells)`` is true, ``cells`` being the row-major cell tuple the
+    filling then holds; it is called as the walk reaches the leaf.
     """
     shape, n, family = spec.shape, spec.n, spec.family
-    # row-major keys and sorted, in-range candidate cells: canonical
-    return (Filling(shape, n, family, dict(cells), _trusted=True)
-            for cells, _, _ in _leaves(spec)
-            if keep is None or keep(tuple(cells.values())))
+    # row-major order and sorted, in-range candidate cells: canonical
+    leaves = (tuple(cells.values()) for cells, _, _ in _leaves(spec))
+    return (Filling(shape, n, family, cells, _trusted=True)
+            for cells in leaves if keep is None or keep(cells))
 
 
 def count(spec: EnumSpec) -> int:
@@ -190,8 +190,7 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
     codes = range(1, 2 * spec.n + 1)
     sizes = (1,) if spec.kind == "single" else range(1, len(codes) + 1)
     pool = sorted(cell for k in sizes for cell in combinations(codes, k))
-    return (Filling(shape, spec.n, spec.family,
-                    dict(zip(shape.row_major, cells)))
+    return (Filling(shape, spec.n, spec.family, cells)
             for cells in product(pool, repeat=shape.size)
             if (cap is None or sum(map(len, cells)) <= cap)
             and validate_cells(shape, spec.family, cells))

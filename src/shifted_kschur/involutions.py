@@ -62,7 +62,7 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
         cells[box], primed_bits, unprimed_bits, _ = candidates[0]
         row_primed[i] |= primed_bits
         col_unprimed[j] |= unprimed_bits
-    return Filling(shape, n, family, cells, _trusted=True)
+    return Filling(shape, n, family, tuple(cells.values()), _trusted=True)
 
 
 @lru_cache(maxsize=256)
@@ -101,11 +101,9 @@ def iota(T: Filling, tmin: Filling | None = None) -> Filling:
     shape = T.shape
     if tmin is None:
         tmin = minimal_tableau(shape, T.family, T.n)
-    image = _iota_cells(_col_major_order(shape.outer.parts,
-                                         shape.inner.parts),
-                        tuple(T.cells.values()), tuple(tmin.cells.values()))
-    return Filling(shape, T.n, T.family, dict(zip(shape.row_major, image)),
-                   _trusted=True)
+    order = _col_major_order(shape.outer.parts, shape.inner.parts)
+    return Filling(shape, T.n, T.family,
+                   _iota_cells(order, T.cells, tmin.cells), _trusted=True)
 
 
 class InvolutionReport(NamedTuple):
@@ -128,7 +126,7 @@ def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
     kept.
     """
     order = _col_major_order(shape.outer.parts, shape.inner.parts)
-    mins = tuple(tmin.cells.values())
+    mins = tmin.cells
     # the cell tuples to skip: tmin's, and those of the images still ahead
     skip = {mins}
 
@@ -140,14 +138,13 @@ def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
 
     spec = EnumSpec(shape, n, family, "set-valued")
     for T in enumerate_fillings(spec, keep):
-        cells = tuple(T.cells.values())
-        image = _iota_cells(order, cells, mins)
+        image = _iota_cells(order, T.cells, mins)
         skip.add(image)
-        if image == cells:
+        if image == T.cells:
             yield T, image, f"iota fixes {T!r}"
         elif image == mins:
             yield T, image, f"iota of {T!r} hits the minimal tableau"
-        elif _iota_cells(order, image, mins) != cells:
+        elif _iota_cells(order, image, mins) != T.cells:
             yield T, image, f"iota is not an involution at {T!r}"
         else:
             yield T, image, None
@@ -248,8 +245,8 @@ def _side_format(outer: tuple, inner: tuple, n: int, family: str):
     side: ``_format`` of its document three levels deep, with a hole per
     cell in row-major order."""
     shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    doc = _element(Filling(shape, n, family,
-                           dict.fromkeys(shape.row_major, ()), _trusted=True))
+    doc = _element(Filling(shape, n, family, ((),) * shape.size,
+                           _trusted=True))
     doc["tableau"]["rows"] = [[_HOLE] * len(row) for row in shape.rows]
     return _format(doc, 3)
 
@@ -277,7 +274,7 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
         fmt = _side_format(shape.outer.parts, shape.inner.parts, T.n,
                            T.family)
         return fmt(*[texts.get(cell) or cell_text(cell)
-                     for cell in T.cells.values()])
+                     for cell in T.cells])
 
     top = replace(cert, pairs=[], leftover=[]).to_json()
     top["leftover"] = top["pairs"] = _HOLE
@@ -336,14 +333,12 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
         return cert
 
     for nu, shape in shapes.items():
-        boxes = shape.row_major
         for T, image, fault in _iota_pairs(shape, family, n, minimal[nu]):
             if fault:
                 cert.leftover.append(T)
             else:
-                cert.pairs.append(Pair(T, Filling(
-                    shape, n, family, dict(zip(boxes, image)),
-                    _trusted=True), "iota"))
+                cert.pairs.append(Pair(T, Filling(shape, n, family, image,
+                                                  _trusted=True), "iota"))
     return cert
 
 
@@ -380,7 +375,13 @@ class _Window:
             self.lines += text.count("\n", 0, i)
             self.col = i - last - 1
         self.base += i
-        chunk = self.fh.read(_CHUNK)
+        try:
+            chunk = self.fh.read(_CHUNK)
+        except UnicodeDecodeError as exc:  # its repr holds the whole block
+            at = self.base - i + len(text) + len(
+                exc.object[:exc.start].decode(exc.encoding, "replace"))
+            raise ValueError(f"text that is not {exc.encoding} ({exc.reason})"
+                             f" after character {at} of the file") from None
         self.eof = not chunk
         self.text, self.i = text[i:] + chunk, 0
 
@@ -462,13 +463,14 @@ def read_certificate(fh) -> dict:
     put it.  Its value is an iterator that decodes one pair per step and
     reads from fh as it goes, so fh must stay open while it is used.  A
     document with no ``"pairs"`` is read whole.  A syntax error raises
-    ``json.JSONDecodeError`` (a ValueError) with its place in the file, a
-    value nested too deep RecursionError, and text that is not of fh's
-    encoding UnicodeDecodeError (a ValueError), when the reader reaches
-    it: here for one before ``"pairs"``, else at the step that reads the
-    pair it is in, or, for text after the last pair (a member after
-    ``"pairs"``, text after the closing brace), at the step after the last
-    pair.  A string of JSON text is read as ``io.StringIO(text)``.
+    ``json.JSONDecodeError`` (a ValueError) with its place in the file, a value
+    nested too deep RecursionError, and text that is not of fh's encoding a
+    short ValueError with a count of characters it comes after (all before it,
+    if they are ASCII), when the reader reaches it: here for one before
+    ``"pairs"``, else at the step that reads the pair it is in, or, for text
+    after the last pair (a member after ``"pairs"``, text after the closing
+    brace), at the step after the last pair.  A string of JSON text is read as
+    ``io.StringIO(text)``.
     """
     w = _Window(fh)
 
@@ -538,7 +540,7 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
     shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
     # nu -> its minimal tableau's cells; an empty lam/nu raises here, with
     # the text pairing_certificate gives it
-    minimal = {nu: tuple(minimal_tableau(shape, family, n).cells.values())
+    minimal = {nu: minimal_tableau(shape, family, n).cells
                for nu, shape in shapes.items()}
     request = json.dumps(dict(zip(_HEADER, (list(lam.parts), list(mu.parts),
                                             n, family, minimal_only))))
@@ -571,10 +573,7 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
 
     def shown(nu: tuple, cells: tuple) -> str:
         """The repr of the element's ``Filling``, built for a fault only."""
-        shape = shapes[nu]
-        return repr(Filling(shape, n, family,
-                            dict(zip(shape.row_major, cells)),
-                            _trusted=True))
+        return repr(Filling(shapes[nu], n, family, cells, _trusted=True))
 
     def check(doc: dict) -> tuple[bool, str | None]:
         try:
@@ -600,8 +599,7 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
             for element in (left, right):
                 try:
                     side = parse(element, memo)
-                except (KeyError, TypeError, ValueError,
-                        AttributeError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     return False, f"pair {k}: malformed element ({exc})"
                 known = len(seen)
                 seen.add(side)

@@ -3,11 +3,13 @@
 An entry is encoded as an integer code e in 1..2n: code 2k-1 is the primed
 letter k', code 2k the unprimed letter k.  Integer order on codes realizes
 1' < 1 < 2' < 2 < ... < n' < n, and the numeric value of code e is exactly
-e/2 (so k' = k - 1/2 without rational arithmetic).
+e/2 (so k' = k - 1/2 without rational arithmetic).  A filling holds its
+cells as one row-major tuple, the form the tableau rules read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -78,7 +80,7 @@ _VALID = ValidationResult(True, None)
 class Filling:
     """An assignment of one nonempty cell set to every box of a shape.
 
-    ``cells`` is kept canonical: keys in row-major order, each cell a
+    ``cells`` is a tuple of one cell per box of ``shape.row_major``, each a
     strictly increasing tuple of entry codes in 1..2n.  Equality and hash
     read ``_key``, made from the shape's parts, n, family and cells when
     asked for, so a filling holds no copy of its cells.
@@ -86,26 +88,24 @@ class Filling:
 
     __slots__ = ("shape", "n", "family", "cells")
 
-    def __init__(self, shape: SkewShape, n: int, family: str, cells: dict,
+    def __init__(self, shape: SkewShape, n: int, family: str, cells,
                  *, _trusted: bool = False):
-        """Check and canonicalize ``cells``; ValueError on a fault.
+        """Check and canonicalize ``cells``, one cell per box in row-major
+        order; ValueError on a fault.
 
-        ``_trusted=True`` skips the checks and the sorting.  It is for the
-        package's own constructions whose cells are canonical already
-        (enumerator leaves, minimal tableaux, involution images,
-        ``with_cell``, checked rows).
+        ``_trusted=True`` takes a tuple of canonical cells as given.  It is
+        for the package's own constructions (enumerator leaves, minimal
+        tableaux, involution images, ``with_cell``, checked rows).
         """
         if not _trusted:
             _check_family(family)
-            if set(cells) != shape.boxes:
-                raise ValueError(
-                    "cells must cover exactly the boxes of the shape")
-            canonical = {}
-            for box in shape.row_major:
-                cell = tuple(sorted(cells[box]))
+            if isinstance(cells, Mapping):  # tuple() would read its boxes
+                raise ValueError("cells must be a sequence, not a mapping")
+            cells = tuple(tuple(sorted(cell)) for cell in cells)
+            if len(cells) != shape.size:
+                raise ValueError(f"{len(cells)} cells for {shape.size} boxes")
+            for box, cell in zip(shape.row_major, cells):
                 _check_cell(box, cell, n)
-                canonical[box] = cell
-            cells = canonical
         self.shape = shape
         self.n = n
         self.family = family
@@ -113,9 +113,9 @@ class Filling:
 
     @property
     def _key(self) -> tuple:
-        """(outer parts, inner parts, n, family, the (box, cell) items)."""
+        """(outer parts, inner parts, n, family, cells)."""
         return (self.shape.outer.parts, self.shape.inner.parts, self.n,
-                self.family, tuple(self.cells.items()))
+                self.family, self.cells)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Filling) and self._key == other._key
@@ -124,42 +124,44 @@ class Filling:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        rows = [" ".join(",".join(entry_str(c) for c in self.cells[box])
-                         for box in row) for row in self.shape.rows]
+        cells = iter(self.cells)
+        rows = [" ".join(",".join(entry_str(c) for c in next(cells))
+                         for _ in row) for row in self.shape.rows]
         return f"Filling({self.shape}; " + " | ".join(rows) + ")"
 
     def size(self) -> int:
         """Total number of entries over all boxes, |T|."""
-        return sum(len(cell) for cell in self.cells.values())
+        return sum(map(len, self.cells))
 
     def weight(self) -> tuple[int, ...]:
         """Occurrences of k' plus occurrences of k, for each letter k."""
         counts = [0] * self.n
-        for cell in self.cells.values():
+        for cell in self.cells:
             for code in cell:
                 counts[letter(code) - 1] += 1
         return tuple(counts)
 
     def is_single_valued(self) -> bool:
-        return all(len(cell) == 1 for cell in self.cells.values())
+        return all(len(cell) == 1 for cell in self.cells)
 
     def with_cell(self, box: Box, cell) -> "Filling":
         """This filling with the cell at box replaced (checked)."""
-        if box not in self.cells:
+        if box not in self.shape.boxes:
             raise ValueError(f"{box} is not a box of {self.shape}")
         cell = tuple(sorted(cell))
         _check_cell(box, cell, self.n)
-        cells = dict(self.cells)
-        cells[box] = cell
+        k = self.shape.row_major.index(box)
+        cells = self.cells[:k] + (cell,) + self.cells[k + 1:]
         return Filling(self.shape, self.n, self.family, cells, _trusted=True)
 
     def to_json(self) -> dict:
+        cells = iter(self.cells)
         return {
             "shape": self.shape.to_json(),
             "n": self.n,
             "family": self.family,
-            "rows": [[[entry_str(c) for c in self.cells[box]]
-                      for box in row] for row in self.shape.rows],
+            "rows": [[[entry_str(c) for c in next(cells)] for _ in row]
+                     for row in self.shape.rows],
         }
 
     @classmethod
@@ -178,10 +180,10 @@ def _cells_from_rows(shape: SkewShape, n: int, rows, memo: dict) -> tuple:
 
     ``rows`` holds one list per row of the outer shape, with one cell per
     box of that row, each cell a list of entry strings.  Entry strings
-    parse as ``entry_from_str`` does, and the cells get the checks
-    ``Filling`` makes.  ``memo`` maps a cell's entry-string tuple to its
-    checked codes at this n, so each distinct cell is parsed and checked
-    once; a cell that fails is never stored.
+    parse as ``entry_from_str`` does, an entry of another type is refused,
+    and the cells get the checks ``Filling`` makes.  ``memo`` maps a cell's
+    entry-string tuple to its checked codes at this n, so each distinct
+    cell is parsed and checked once; a cell that fails is never stored.
     """
     if len(rows) != len(shape.rows):
         raise ValueError(f"{len(rows)} rows, want {len(shape.rows)}")
@@ -198,6 +200,8 @@ def _cells_from_rows(shape: SkewShape, n: int, rows, memo: dict) -> tuple:
             try:
                 cell = memo[tuple(strs)]
             except (KeyError, TypeError):  # a new cell, or not hashable
+                if not {str}.issuperset(map(type, strs)):
+                    raise ValueError(f"entry at {box} is not a string")
                 cell = cell_from_strs(strs)
                 _check_cell(box, cell, n)
                 memo[tuple(strs)] = cell  # it parsed: its entries are str
@@ -213,8 +217,7 @@ def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
     """
     _check_family(family)
     cells = _cells_from_rows(shape, n, rows, {})
-    return Filling(shape, n, family, dict(zip(shape.row_major, cells)),
-                   _trusted=True)
+    return Filling(shape, n, family, cells, _trusted=True)
 
 
 @lru_cache(maxsize=256)
@@ -240,7 +243,7 @@ def _rule_table(outer: tuple, inner: tuple, family: str) -> tuple:
 
 def validate(f: Filling) -> ValidationResult:
     """Check the set-valued tableau rules, reporting the first violation."""
-    return validate_cells(f.shape, f.family, tuple(f.cells.values()))
+    return validate_cells(f.shape, f.family, f.cells)
 
 
 def validate_cells(shape: SkewShape, family: str,

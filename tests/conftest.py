@@ -47,7 +47,7 @@ def oracle_tableaux():
                 q = list(naive_oracle(EnumSpec(shape, n, "Q", kind)))
                 out[EnumSpec(shape, n, "P", kind)] = [
                     Filling(shape, n, "P", T.cells) for T in q
-                    if validate_cells(shape, "P", tuple(T.cells.values()))]
+                    if validate_cells(shape, "P", T.cells)]
                 out[EnumSpec(shape, n, "Q", kind)] = q
     return out
 
@@ -247,9 +247,9 @@ TAMPERS = [
     (_first_cell_set_to(["1", "1"], "_tamper_repeated_entry"),
      "pair 0: malformed element (duplicate entries at (1, 2))"),
     (_first_cell_set_to([1], "_tamper_non_string_entry"),
-     "pair 0: malformed element ('int' object has no attribute 'strip')"),
+     "pair 0: malformed element (entry at (1, 2) is not a string)"),
     (_first_cell_set_to([["1"]], "_tamper_nested_list_cell"),
-     "pair 0: malformed element ('list' object has no attribute 'strip')"),
+     "pair 0: malformed element (entry at (1, 2) is not a string)"),
     (_tamper_row_as_string, "pair 0: malformed element (row 2 is not a list)"),
     (_tamper_cell_as_string,
      "pair 1: malformed element (cell at (2, 2) is not a list)"),

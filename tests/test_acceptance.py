@@ -192,7 +192,7 @@ def test_criterion_9_oracle_equivalence(oracle_tableaux):
                     tmin = minimal_tableau(shape, fam, n)
                     def total(t):
                         return sum(sum((e + 1) // 2 for e in c)
-                                   for c in t.cells.values())
+                                   for c in t.cells)
                     singles = list(enumerate_fillings(
                         EnumSpec(shape, n, fam, "single")))
                     assert total(tmin) == min(total(t) for t in singles)

@@ -328,6 +328,12 @@ SPOILS = {
                                   '"pairs": [' + "[" * 100_000, 1)}
 
 
+def not_utf8_after(chars):
+    """The note of a byte that is not UTF-8 after ``chars`` characters."""
+    return ("malformed certificate (ValueError('text that is not utf-8 "
+            f"(invalid start byte) after character {chars} of the file'))")
+
+
 def _spoiled(spoil):
     return lambda data: spoil(data.decode()).encode()
 
@@ -548,8 +554,9 @@ class TestPair:
         path.write_bytes(data)
         code, out, err = run(capsys, *LARGE_PAIR, "--check", str(path))
         assert (code, out) == (1, "certificate FAILED\n")
-        assert err.startswith(
-            "note: malformed certificate (UnicodeDecodeError(")
+        # one short line, counted from the start of the file: the text
+        # before the byte is ASCII, so `at` characters precede it
+        assert err == f"note: {not_utf8_after(at)}\n" and len(err) < 200
 
     def test_pair_fault_comes_before_a_later_byte_not_utf8(self, capsys,
                                                            tmp_path):
@@ -562,12 +569,11 @@ class TestPair:
         # white space, then the byte, past the first chunk
         after = b" " * (2 * involutions._CHUNK) + b"\xff"
         for body, note in (
-                (text, "malformed certificate (UnicodeDecodeError("),
+                (text, not_utf8_after(len(text) + len(after) - 1)),
                 (json.dumps(doc, sort_keys=True), reason)):
             path.write_bytes(body.encode() + after)
-            code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
-            assert (code, out) == (1, "certificate FAILED\n")
-            assert err.startswith(f"note: {note}")
+            assert run(capsys, *PAIR_21_1, "--check", str(path)) == (
+                1, "certificate FAILED\n", f"note: {note}\n")
 
     @pytest.mark.parametrize("opening", [True, False],
                              ids=["opening", "reading"])
@@ -610,7 +616,8 @@ class TestPair:
     def test_out_holds_no_copy_per_tableau(self, capsys, tmp_path,
                                            large_certificate):
         # a Filling that kept a second tuple of its cells, and an iota that
-        # built one per image, peaked at 1.15 times the file's size
+        # built one per image, peaked at 1.15 times the file's size; a
+        # Filling that held its cells in a dict, at 0.54 to 0.69 times
         path = tmp_path / "large.json"
         tracemalloc.start()
         try:
@@ -621,7 +628,7 @@ class TestPair:
         assert (code, capsys.readouterr().out) == \
             (0, "pairs=2402 leftover=0 ok\n")
         assert path.read_bytes() == large_certificate.read_bytes()
-        assert peak < 0.75 * path.stat().st_size
+        assert peak < 0.5 * path.stat().st_size
 
     @pytest.mark.parametrize("key", ["lambda", "mu", "n", "family",
                                      "minimal_only", "pairs", "leftover"])

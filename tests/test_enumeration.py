@@ -22,7 +22,7 @@ def spec(lam, n, family, kind="set-valued", mu=(), cap=None):
 
 def cells_of(f):
     return {box: tuple(entry_str(c) for c in cell)
-            for box, cell in f.cells.items()}
+            for box, cell in zip(f.shape.row_major, f.cells)}
 
 
 class TestSmallCases:
@@ -103,8 +103,7 @@ class TestInvariants:
 
     def test_entries_bounded_by_n(self):
         for f in enumerate_fillings(spec((2, 1), 2, "Q")):
-            assert all(letter(c) <= 2 for cell in f.cells.values()
-                       for c in cell)
+            assert all(letter(c) <= 2 for cell in f.cells for c in cell)
 
     def test_size_cap(self):
         capped = spec((2,), 1, "Q", cap=2)
@@ -206,7 +205,7 @@ def test_leaves_in_oracle_order(oracle_tableaux):
             shape = SkewShape(lam, mu)
             for n, family, kind in product((1, 2), "PQ", enumeration.KINDS):
                 s = EnumSpec(shape, n, family, kind)
-                got = [(dict(cells), tuple(counts), size)
+                got = [(tuple(cells.values()), tuple(counts), size)
                        for cells, counts, size in enumeration._leaves(s)]
                 want = [(T.cells, T.weight(), T.size())
                         for T in oracle_tableaux[s]]
@@ -227,4 +226,4 @@ def test_keep_builds_only_the_leaves_it_accepts():
         return len(seen) % 3 == 0
 
     assert list(enumerate_fillings(s, keep)) == every[2::3]
-    assert seen == [tuple(f.cells.values()) for f in every]
+    assert seen == [f.cells for f in every]

@@ -18,7 +18,7 @@ from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import Filling, validate
+from shifted_kschur.tableaux import Filling, filling_from_rows, validate
 from tests.conftest import TAMPERS, engine_count, has_empty_set, rows
 
 
@@ -87,7 +87,7 @@ class TestMinimalTableau:
                     assert singles, (lam, mu, family, n)
                     def total(t):
                         return sum(sum((e + 1) // 2 for e in cell)
-                                   for cell in t.cells.values())
+                                   for cell in t.cells)
                     assert total(tmin) == min(total(t) for t in singles)
 
     def test_empty_staircase_fails_without_search(self):
@@ -208,11 +208,12 @@ class TestFailureDetection:
         shape = SkewShape(self.LAM, self.MU)
 
         def patched(order, cells, tmin):
-            other = broken(Filling(shape, self.N, self.FAMILY,
-                                   dict(zip(shape.row_major, cells))))
-            if other is None:
+            # the tableaux of a larger lam/nu keep the true rule
+            other = len(cells) == shape.size and broken(
+                Filling(shape, self.N, self.FAMILY, cells))
+            if not other:
                 return real(order, cells, tmin)
-            return tuple(other.cells.values())
+            return other.cells
 
         monkeypatch.setattr(involutions, "_iota_cells", patched)
 
@@ -246,7 +247,7 @@ class TestFailureDetection:
         tableaux = self._tableaux()
         # every box holds the largest unprimed letter: column 2 repeats it
         bad = Filling(tableaux[1].shape, self.N, self.FAMILY,
-                      {box: (2 * self.N,) for box in tableaux[1].cells})
+                      [(2 * self.N,) for _ in tableaux[1].cells])
         assert not validate(bad)
         self._break_iota(monkeypatch,
                          lambda T: bad if T == tableaux[1] else None)
@@ -633,9 +634,20 @@ def test_long_value_is_decoded_a_few_times(monkeypatch):
     assert len(runs) < 100
 
 
+def _equals_checked_rebuild(f):
+    """f holds one cell per box as a tuple, and a checked rebuild of its
+    cells is the same filling."""
+    assert type(f.cells) is tuple and len(f.cells) == f.shape.size
+    rebuilt = Filling(f.shape, f.n, f.family, f.cells)
+    assert f == rebuilt and f._key == rebuilt._key
+    assert hash(f) == hash(rebuilt)
+
+
 def test_trusted_images_equal_checked_rebuild():
-    """minimal_tableau and iota build without checks; rebuild them checked."""
-    images = 0
+    """The constructions that skip the checks, rebuilt checked: the
+    enumerator's leaves, minimal_tableau, iota, filling_from_rows,
+    with_cell, and both sides of every pair of a certificate."""
+    images = sides = 0
     for lam in strict_partitions_up_to_weight(6):
         for mu in strict_subpartitions(lam):
             shape = SkewShape(lam, mu)
@@ -645,14 +657,26 @@ def test_trusted_images_equal_checked_rebuild():
                         minimal_tableau(shape, family, n)
                     continue
                 tmin = minimal_tableau(shape, family, n)
-                assert tmin._key == Filling(shape, n, family, tmin.cells)._key
+                _equals_checked_rebuild(tmin)
                 spec = EnumSpec(shape, n, family, "set-valued")
-                for T in enumerate_fillings(spec):
+                for k, T in enumerate(enumerate_fillings(spec)):
+                    _equals_checked_rebuild(T)
+                    _equals_checked_rebuild(filling_from_rows(
+                        shape, n, family, T.to_json()["rows"]))
+                    if shape.size:  # a box, in turn, takes tmin's cell
+                        k %= shape.size
+                        _equals_checked_rebuild(T.with_cell(
+                            shape.row_major[k], tmin.cells[k]))
                     if T == tmin:
                         continue
                     image = iota(T, tmin)
-                    rebuilt = Filling(shape, n, family, image.cells)
-                    assert image == rebuilt and image._key == rebuilt._key
-                    assert hash(image) == hash(rebuilt) and validate(image)
+                    _equals_checked_rebuild(image)
+                    assert validate(image)
                     images += 1
-    assert images > 4000
+                if mu and not has_empty_set(lam, mu, family, n):
+                    cert = pairing_certificate(lam, mu, n, family)
+                    for pair in cert.pairs:
+                        _equals_checked_rebuild(pair.left)
+                        _equals_checked_rebuild(pair.right)
+                        sides += 2
+    assert images > 4000 and sides > 4000

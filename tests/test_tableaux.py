@@ -85,7 +85,7 @@ class TestValidate:
     def test_prime_toggle_robustness(self, set_valued_examples):
         # flipping any one entry's primed flag must re-validate cleanly
         for f in set_valued_examples.values():
-            for box, cell in f.cells.items():
+            for box, cell in zip(f.shape.row_major, f.cells):
                 for code in cell:
                     flipped = code - 1 if primed(code) else code + 1
                     new = set(cell) ^ {code}
@@ -97,14 +97,13 @@ class TestValidate:
 
 
 def _all_single_fillings(shape, n):
-    boxes = sorted(shape.boxes)
-    for combo in itertools.product(range(1, 2 * n + 1), repeat=len(boxes)):
-        yield Filling(shape, n, "Q", {b: (c,) for b, c in zip(boxes, combo)})
+    for combo in itertools.product(range(1, 2 * n + 1), repeat=shape.size):
+        yield Filling(shape, n, "Q", [(c,) for c in combo])
 
 
 def _definition_single_check(f):
     """Direct reading of the single-valued definition, coded independently."""
-    cells = f.cells
+    cells = dict(zip(sorted(f.shape.boxes), f.cells))
     if any(len(c) != 1 for c in cells.values()):
         return False
     get = {b: c[0] for b, c in cells.items()}
@@ -169,8 +168,7 @@ def test_validate_agrees_with_the_rules_exhaustive():
                     for c in itertools.combinations(codes, k)]
             for cells in itertools.product(pool, repeat=shape.size):
                 for family in "PQ":
-                    f = Filling(shape, n, family,
-                                dict(zip(shape.row_major, cells)))
+                    f = Filling(shape, n, family, cells)
                     want = _rules_hold(shape, family, cells)
                     assert bool(validate(f)) == want, (str(shape), cells)
                     checked += 1
@@ -203,7 +201,7 @@ class TestWeightSizeMonomial:
 
     def test_empty_shape(self):
         empty = Filling(SkewShape(StrictPartition((1,)),
-                                  StrictPartition((1,))), 1, "P", {})
+                                  StrictPartition((1,))), 1, "P", ())
         assert empty.size() == 0 and empty.weight() == (0,)
         assert validate(empty)
 
@@ -242,20 +240,27 @@ class TestCheckN:
 
 class TestFillingConstruction:
     def test_must_cover_shape(self, shape_421):
-        with pytest.raises(ValueError):
-            Filling(shape_421, 3, "P", {(1, 1): (2,)})
+        good = rows(shape_421, 3, "P", "1 1 1 2 | 2 2 | 3")
+        for cells, why in [(((2,),), "^1 cells for 7 boxes$"),
+                           (good.cells[1:], "^6 cells for 7 boxes$"),
+                           (good.cells + ((6,),), "^8 cells for 7 boxes$"),
+                           # tuple() of a mapping reads its boxes as cells
+                           (dict(zip(shape_421.row_major, good.cells)),
+                            "^cells must be a sequence, not a mapping$")]:
+            with pytest.raises(ValueError, match=why):
+                Filling(shape_421, 3, "P", cells)
 
     def test_rejects_empty_cell(self, shape_421):
         good = rows(shape_421, 3, "P", "1 1 1 2 | 2 2 | 3")
-        cells = dict(good.cells)
-        cells[(1, 1)] = ()
+        cells = list(good.cells)
+        cells[0] = ()
         with pytest.raises(ValueError):
             Filling(shape_421, 3, "P", cells)
 
     def test_rejects_out_of_range(self, shape_421):
         good = rows(shape_421, 3, "P", "1 1 1 2 | 2 2 | 3")
-        cells = dict(good.cells)
-        cells[(1, 1)] = (7,)
+        cells = list(good.cells)
+        cells[0] = (7,)
         with pytest.raises(ValueError):
             Filling(shape_421, 3, "P", cells)
 
@@ -283,9 +288,11 @@ class TestTrustedConstruction:
     def test_with_cell_sorts_and_checks(self, shape_421):
         f = rows(shape_421, 3, "P", "1 1 1 2 | 2 2 | 3")
         g = f.with_cell((1, 4), [5, 4])
-        assert g.cells[(1, 4)] == (4, 5)
+        assert g.cells[shape_421.row_major.index((1, 4))] == (4, 5)
         assert same(g, Filling(g.shape, g.n, g.family, g.cells))
-        assert list(g.cells) == list(f.cells)
+        # only the cell of (1, 4), the fourth box, changed
+        assert [k for k, (a, b) in enumerate(zip(f.cells, g.cells))
+                if a != b] == [3]
         for box, cell in [((1, 4), ()), ((1, 4), (4, 4)), ((1, 4), (7,)),
                           ((1, 4), (0,)), ((3, 4), (4,))]:
             with pytest.raises(ValueError):
@@ -300,13 +307,13 @@ class TestTrustedConstruction:
 
 def reference_rows(shape, n, family, rows_):
     """Row parsing entry by entry through cell_from_strs, then Filling."""
-    cells = {}
+    cells = []
     for i, row in enumerate(rows_, start=1):
         cols = list(shape.row_cols(i))
         if len(cols) != len(row):
             raise ValueError(f"row {i} needs {len(cols)} cells, got {len(row)}")
-        for j, cell in zip(cols, row):
-            cells[(i, j)] = cell_from_strs(cell)
+        for cell in row:
+            cells.append(cell_from_strs(cell))
     return Filling(shape, n, family, cells)
 
 
@@ -340,7 +347,7 @@ class TestRowParsing:
 
         def with_memo(shape, n, family, rows_):
             cells = _cells_from_rows(shape, n, rows_, memo)
-            return Filling(shape, n, family, dict(zip(shape.row_major, cells)))
+            return Filling(shape, n, family, cells)
 
         for first in FIRST_CELLS * 2:
             for family in "PQ":
@@ -363,12 +370,16 @@ class TestRowParsing:
         shape = {"outer": [2, 1], "inner": []}
         good = [[["1"], ["1"]], [["2"]]]
         assert Filling.from_json({"shape": shape, "n": 2, "family": "P",
-                                  "rows": good}).cells[(2, 2)] == (4,)
+                                  "rows": good}).cells[2] == (4,)
         extra_cell = [[["1"], ["1"], ["2"]], [["2"]]]
         extra_row = [[["1"], ["1"]], [["2"]], [["1"]]]
+        # an entry that is not a string: JSON's number, null or array
+        not_str = [[[["1"], [entry]], [["2"]]] for entry in (1, None, ["1"])]
         for bad, why in [(extra_cell, "row 1 needs 2 cells, got 3"),
                          (extra_row, "3 rows, want 2"),
-                         (good[:1], "1 rows, want 2")]:
+                         (good[:1], "1 rows, want 2"),
+                         *((rows_, r"^entry at \(1, 2\) is not a string$")
+                           for rows_ in not_str)]:
             with pytest.raises(ValueError, match=why):
                 Filling.from_json({"shape": shape, "n": 2, "family": "P",
                                    "rows": bad})

@@ -1,6 +1,7 @@
 """Backtracking enumeration of shifted (set-valued) tableaux.
 
-Boxes are filled row by row, left to right; candidate cell sets for a box
+Boxes are filled row by row, left to right, onto a list of cells, with
+neighbors read from ``shapes._index_table``; candidate cell sets for a box
 are tried in lexicographic order of their entry codes, so the emitted
 sequence is canonical and deterministic.  The walk keeps the primed codes
 of each row and the unprimed codes of each column as int bit masks, and
@@ -21,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .shapes import SkewShape
+from .shapes import SkewShape, _index_table
 from .tableaux import Filling, _check_family, _check_n, validate_cells
 
 KINDS = ("single", "set-valued")
@@ -47,13 +48,14 @@ class EnumSpec:
             raise ValueError("size_cap smaller than the number of boxes")
 
 
-def _candidate_cells(spec, box, cells, row_primed, col_unprimed):
-    """Cell sets admissible at box given the partial filling, lex order.
+def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
+    """Cell sets admissible at row-major index k, lex order.
 
-    ``cells`` holds the boxes before box in row-major order;
-    ``row_primed[i]`` and ``col_unprimed[j]`` are bit masks (bit c for code
-    c) of the primed codes used in row i and the unprimed codes used in
-    column j.  Admissible codes are bounded below by the max of the left
+    ``cells`` holds the cells of indices 0 to k - 1, ``table`` is the
+    shape's ``shapes._index_table``; ``row_primed[i]`` and
+    ``col_unprimed[j]`` are bit masks (bit c for code c) of the primed
+    codes used in row i and the unprimed codes used in column j.
+    Admissible codes are bounded below by the max of the left
     and top neighbors (weak; the equal-letter exclusions are exactly the
     row/column multiplicity rules), exclude primed letters already used in
     the row and unprimed letters already used in the column, and exclude
@@ -62,22 +64,21 @@ def _candidate_cells(spec, box, cells, row_primed, col_unprimed):
     ``_cell_table`` as (cell, primed bits, unprimed bits, letters);
     ``minimal_tableau`` takes the first.
     """
-    i, j = box
+    i, j = table.boxes[k]
     lo = 1
-    left = cells.get((i, j - 1))
-    if left:
-        lo = left[-1]
-    top = cells.get((i - 1, j))
-    if top and top[-1] > lo:
-        lo = top[-1]
+    left, top = table.left[k], table.top[k]
+    if left >= 0:
+        lo = cells[left][-1]
+    if top >= 0 and cells[top][-1] > lo:
+        lo = cells[top][-1]
     step = 1
     if spec.family == "P" and i == j:
         lo += lo & 1  # the even codes, unprimed letters only
         step = 2
     budget = None
     if spec.size_cap is not None and spec.kind != "single":
-        used = sum(len(c) for c in cells.values())
-        remaining_boxes = spec.shape.size - len(cells) - 1
+        used = sum(map(len, cells))
+        remaining_boxes = spec.shape.size - k - 1
         budget = spec.size_cap - used - remaining_boxes
     return _cell_table(lo, step, 2 * spec.n, row_primed[i] | col_unprimed[j],
                        spec.kind, budget)
@@ -107,22 +108,23 @@ def _cell_table(lo: int, step: int, top: int, taken: int, kind: str,
     return tuple(out)
 
 
-def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
+def _leaves(spec: EnumSpec) -> Iterator[tuple[list, list, int]]:
     """The backtracking walk: ``(cells, counts, size)`` at each leaf.
 
-    ``cells`` maps the boxes to their cells in row-major order;
-    ``counts[k]`` is the number of entries with letter k + 1 (the weight)
-    and ``size`` the number of entries, |T|.  The walk adds a placed cell's
-    letters to the counts and its code bits to the row and column masks,
-    and takes them off on backtrack, so ``cells`` and ``counts`` are its
-    own and hold only until the next step.  An explicit stack of one
+    ``cells`` lists the cells in row-major order; ``counts[k]`` is the
+    number of entries with letter k + 1 (the weight) and ``size`` the
+    number of entries, |T|.  The walk appends a placed cell to ``cells``,
+    its letters to the counts and its code bits to the row and column
+    masks, and takes them off on backtrack, so ``cells`` and ``counts`` are
+    its own and hold only until the next step.  An explicit stack of one
     candidate iterator per box on the path hands each leaf out once.
     """
     shape = spec.shape
-    boxes = shape.row_major
+    table = _index_table(shape.outer.parts, shape.inner.parts)
+    boxes = table.boxes
     row_primed = [0] * (shape.outer.length + 1)
     col_unprimed = [0] * (shape.outer.part(1) + 1)
-    cells: dict = {}
+    cells: list = []
     counts = [0] * spec.n
     choices, placed = [None] * len(boxes), [None] * len(boxes)
     k = size = 0
@@ -131,30 +133,30 @@ def _leaves(spec: EnumSpec) -> Iterator[tuple[dict, list, int]]:
             yield cells, counts, size
             k -= 1
             continue
-        i, j = box = boxes[k]
+        i, j = boxes[k]
         if choices[k] is None:
-            choices[k] = iter(_candidate_cells(spec, box, cells, row_primed,
-                                               col_unprimed))
+            choices[k] = iter(_candidate_cells(spec, k, cells, row_primed,
+                                               col_unprimed, table))
         else:  # take the standing cell off; its bits are in the masks
-            cell, primed, unprimed, letters = placed[k]
+            _, primed, unprimed, letters = placed[k]
             row_primed[i] ^= primed
             col_unprimed[j] ^= unprimed
             for letter in letters:
                 counts[letter] -= 1
-            size -= len(cell)
+            size -= len(cells.pop())
         placed[k] = next(choices[k], None)
         if placed[k] is None:  # box k is exhausted: back up
             choices[k] = None
-            cells.pop(box, None)
             k -= 1
             continue
         # the cell's codes are outside both masks, so ^ sets and clears
-        cells[box], primed, unprimed, letters = placed[k]
+        cell, primed, unprimed, letters = placed[k]
+        cells.append(cell)
         row_primed[i] ^= primed
         col_unprimed[j] ^= unprimed
         for letter in letters:
             counts[letter] += 1
-        size += len(cells[box])
+        size += len(cell)
         k += 1
 
 
@@ -167,7 +169,7 @@ def enumerate_fillings(spec: EnumSpec, keep=None) -> Iterator[Filling]:
     """
     shape, n, family = spec.shape, spec.n, spec.family
     # row-major order and sorted, in-range candidate cells: canonical
-    leaves = (tuple(cells.values()) for cells, _, _ in _leaves(spec))
+    leaves = (tuple(cells) for cells, _, _ in _leaves(spec))
     return (Filling(shape, n, family, cells, _trusted=True)
             for cells in leaves if keep is None or keep(cells))
 

@@ -1,22 +1,22 @@
 """Minimal tableaux, the entry-toggling involution, and pairing certificates.
 
 The involution compares a set-valued tableau against the minimal tableau of
-its shape, finds the first box (in column-major order) where they differ,
-and either deletes the minimal cell's content from that box or inserts it;
-it is stated once, on row-major cell tuples, and the pairs are made on
-them, with a ``Filling`` built for an image only when it joins a pair.
-Pairing all non-minimal tableaux this way, and pairing minimal tableaux of
-neighboring inner shapes via the bottom-row toggle ``shapes.pi``, covers
-the double-skew tableau family, over the inner shapes of
-``shapes.inner_shapes``, with no element left over.  A certificate is
-written straight from its tableaux, and checked as its JSON document: each
-element as its nu and row-major cell tuple, each distinct cell parsed
-once, with a ``Filling`` built only for a minimal tableau or to show a
-fault.  ``read_certificate`` reads a certificate file in chunks, one
-top-level member at a time, and its pairs one at a time, so a check holds
-a window of the file and one pair, not its text or the parsed document;
-``"pairs"`` must be the last member.  The first fault is reported, in
-this order: a request that ``pairing_certificate`` refuses; text before
+its shape, finds the first box (in column-major order, from
+``shapes._index_table``) where they differ, and either deletes the minimal
+cell's content from that box or inserts it; it is stated once, on row-major
+cell tuples, and the pairs are made on them, with a ``Filling`` built for
+an image only when it joins a pair.  Pairing all non-minimal tableaux this
+way, and pairing minimal tableaux of neighboring inner shapes via the
+bottom-row toggle ``shapes.pi``, covers the double-skew tableau family,
+over the inner shapes of ``shapes.inner_shapes``, with no element left
+over.  A certificate is written straight from its tableaux, and checked as
+its JSON document: each element as its nu and row-major cell tuple, each
+distinct cell parsed once, with a ``Filling`` built only for a minimal
+tableau or to show a fault.  ``read_certificate`` reads a certificate file
+in chunks, one top-level member at a time, and its pairs one at a time, so
+a check holds a window of the file and one pair, not its text or the parsed
+document; ``"pairs"`` must be the last member.  The first fault is
+reported, in this order: a refused request (``_setup``); text before
 ``"pairs"`` that does not parse; the header; pair k, its text or its
 content; text after the last pair.
 """
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
-from .shapes import (Box, SkewShape, StrictPartition, inner_shapes,
+from .shapes import (SkewShape, StrictPartition, _index_table, inner_shapes,
                      is_subpartition, pi)
 from .tableaux import (Filling, _cells_from_rows, _check_family, _check_n,
                        entry_str, validate_cells)
@@ -50,34 +50,27 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     yields, and the walk fails exactly when there is none.
     """
     spec = EnumSpec(shape, n, family, "single")
+    table = _index_table(shape.outer.parts, shape.inner.parts)
     row_primed = [0] * (shape.outer.length + 1)
     col_unprimed = [0] * (shape.outer.part(1) + 1)
-    cells: dict[Box, tuple[int, ...]] = {}
-    for box in shape.row_major:
-        i, j = box
-        candidates = _candidate_cells(spec, box, cells, row_primed,
-                                      col_unprimed)
+    cells: list = []
+    for k, (i, j) in enumerate(table.boxes):
+        candidates = _candidate_cells(spec, k, cells, row_primed,
+                                      col_unprimed, table)
         if not candidates:
             raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")
-        cells[box], primed_bits, unprimed_bits, _ = candidates[0]
+        cell, primed_bits, unprimed_bits, _ = candidates[0]
+        cells.append(cell)
         row_primed[i] |= primed_bits
         col_unprimed[j] |= unprimed_bits
-    return Filling(shape, n, family, tuple(cells.values()), _trusted=True)
-
-
-@lru_cache(maxsize=256)
-def _col_major_order(outer: tuple, inner: tuple) -> tuple[int, ...]:
-    """The row-major indices of the boxes of outer/inner in column-major
-    order, the order in which iota looks for the first differing box."""
-    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    index = {box: k for k, box in enumerate(shape.row_major)}
-    return tuple(index[box] for box in shape.col_major)
+    return Filling(shape, n, family, tuple(cells), _trusted=True)
 
 
 def _iota_cells(order: tuple, cells: tuple, tmin: tuple) -> tuple:
     """iota on row-major cell tuples: at the first index of ``order``
-    where ``cells`` differs from ``tmin``, delete tmin's content from that
-    cell if they share an entry, else insert it.
+    (the index table's ``col_order``) where ``cells`` differs from
+    ``tmin``, delete tmin's content from that cell if they share an entry,
+    else insert it.
 
     ``tmin`` is the minimal tableau's cell tuple; it is single-valued, so
     the new cell is never empty, and its codes are in range.  ValueError
@@ -101,7 +94,7 @@ def iota(T: Filling, tmin: Filling | None = None) -> Filling:
     shape = T.shape
     if tmin is None:
         tmin = minimal_tableau(shape, T.family, T.n)
-    order = _col_major_order(shape.outer.parts, shape.inner.parts)
+    order = _index_table(shape.outer.parts, shape.inner.parts).col_order
     return Filling(shape, T.n, T.family,
                    _iota_cells(order, T.cells, tmin.cells), _trusted=True)
 
@@ -125,7 +118,7 @@ def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
     row-major cell tuples, so a ``Filling`` is built only for a T that is
     kept.
     """
-    order = _col_major_order(shape.outer.parts, shape.inner.parts)
+    order = _index_table(shape.outer.parts, shape.inner.parts).col_order
     mins = tmin.cells
     # the cell tuples to skip: tmin's, and those of the images still ahead
     skip = {mins}
@@ -289,14 +282,27 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     fh.write(after)
 
 
-def check_request(lam: StrictPartition, mu: StrictPartition, n: int,
-                  family: str) -> None:
-    """Raise ValueError unless lam // mu at n, family is a pairing request:
-    a nonempty mu contained in lam, an int n at least 1, family P or Q."""
+def _setup(lam: StrictPartition, mu: StrictPartition, n: int, family: str,
+           minimal_only: bool, limit: int | None = None) -> tuple:
+    """(shapes, minimal, size) of the pairing request lam // mu at n,
+    family: lam/nu and its minimal tableau by the parts of nu, in
+    ``inner_shapes(mu)`` order, and the number of elements (one per nu with
+    minimal_only).  ValueError, in this order, unless mu is nonempty and
+    inside lam, n an int at least 1 and family P or Q; for more than
+    ``limit`` elements unless minimal_only; for an empty tableau set."""
     if not mu or not is_subpartition(mu, lam):
         raise ValueError("need a nonempty mu contained in lam")
     _check_n(n)
     _check_family(family)
+    shapes = {nu.parts: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
+    size = len(shapes) if minimal_only else _at(
+        FunctionSpec("G" + family + "double", SkewShape(lam, mu), n))[0]
+    if not minimal_only and limit is not None and size > limit:
+        raise ValueError(f"infeasible scale: {size} elements, above the "
+                         f"limit of {limit}; use minimal_only")
+    minimal = {nu: minimal_tableau(shape, family, n)
+               for nu, shape in shapes.items()}
+    return shapes, minimal, size
 
 
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
@@ -312,21 +318,14 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     than ``PAIR_MAX_ELEMENTS`` tableaux is refused.  The elements of one
     nu share one shape object, so treat them as read-only.
     """
-    check_request(lam, mu, n, family)
-    shapes = {nu: SkewShape(lam, nu) for _, nu in inner_shapes(mu)}
-    size = 0 if minimal_only else _at(
-        FunctionSpec("G" + family + "double", SkewShape(lam, mu), n))[0]
-    if size > PAIR_MAX_ELEMENTS:
-        raise ValueError(f"infeasible scale: {size} elements, above the "
-                         f"limit of {PAIR_MAX_ELEMENTS}; use minimal_only")
+    shapes, minimal, _ = _setup(lam, mu, n, family, minimal_only,
+                                PAIR_MAX_ELEMENTS)
     cert = PairingCertificate(lam, mu, n, family, minimal_only)
-    minimal = {nu: minimal_tableau(shape, family, n)
-               for nu, shape in shapes.items()}
     done_pi = set()
-    for nu in shapes:
+    for nu, shape in shapes.items():
         if nu in done_pi:
             continue
-        other = pi(mu, nu)
+        other = pi(mu, shape.inner).parts
         cert.pairs.append(Pair(minimal[nu], minimal[other], "pi"))
         done_pi.update({nu, other})
     if minimal_only:
@@ -516,10 +515,11 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
     takes a document and returns (True, None) if it proves the request,
     else (False, the first fault).
 
-    The request is ``pairing_certificate``'s; one that function refuses,
+    The request is ``pairing_certificate``'s; one that ``_setup`` refuses,
     an empty tableau set among them, raises ValueError here, before any
-    document is read.  A document is what ``to_json`` returns, what
-    ``json.load`` reads from a written certificate, or what
+    document is read.  ``PAIR_MAX_ELEMENTS`` limits making a
+    certificate, not checking one.  A document is what ``to_json``
+    returns, what ``json.load`` reads from a written certificate, or what
     ``read_certificate`` reads.  Its header, read in ``_HEADER`` order,
     must be the request as JSON text (a true is not a 1, nor a 2.0 a 2),
     before any pair is read.  Pair k is read only when it is checked, so a
@@ -535,18 +535,10 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
     minimal_only) are the whole family, so the pairs prove that its signed
     sum is 0.
     """
-    check_request(lam, mu, n, family)
-    removed = {nu.parts: b for b, nu in inner_shapes(mu)}  # |mu/nu|
-    shapes = {nu: SkewShape(lam, StrictPartition(nu)) for nu in removed}
-    # nu -> its minimal tableau's cells; an empty lam/nu raises here, with
-    # the text pairing_certificate gives it
-    minimal = {nu: minimal_tableau(shape, family, n).cells
-               for nu, shape in shapes.items()}
+    shapes, minimal, want = _setup(lam, mu, n, family, minimal_only)
     request = json.dumps(dict(zip(_HEADER, (list(lam.parts), list(mu.parts),
                                             n, family, minimal_only))))
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
-    # the sign of an element of nu is (-1)^(|T| - offset[nu])
-    offset = {nu: shape.size - removed[nu] for nu, shape in shapes.items()}
 
     def parse(element, memo: dict) -> tuple[tuple, tuple]:
         """(nu, the row-major cell tuple) of a valid element; ``memo`` maps
@@ -608,8 +600,9 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
                                   f"{shown(*side)}"
                 sides.append(side)
             (nu_l, cells_l), (nu_r, cells_r) = sides
-            size = sum(map(len, cells_l)) + sum(map(len, cells_r))
-            if (size - offset[nu_l] - offset[nu_r]) % 2 == 0:
+            # |lam/nu| - |mu/nu| is |lam/mu| for every nu, so the sides'
+            # signs differ iff their sizes add up to an odd number
+            if (sum(map(len, cells_l)) + sum(map(len, cells_r))) % 2 == 0:
                 return False, f"pair {k}: both sides have the same sign"
             if tag == "iota" and nu_l != nu_r:
                 return False, f"pair {k}: iota pair across two inner shapes"
@@ -619,13 +612,11 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
                                    f"do not differ by the bottom removable "
                                    f"box")
                 for nu, cells in sides:
-                    if cells != minimal[nu]:
+                    if cells != minimal[nu].cells:
                         return False, (f"pair {k}: pi side is not minimal: "
                                        f"{shown(nu, cells)}")
         if leftover:
             return False, f"{len(leftover)} leftover elements"
-        want = len(shapes) if minimal_only else _at(
-            FunctionSpec("G" + family + "double", SkewShape(lam, mu), n))[0]
         if len(seen) != want:
             return False, f"{len(seen)} elements, the family has {want}"
         return True, None

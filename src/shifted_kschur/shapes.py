@@ -11,13 +11,14 @@ removable box that pairs them, and the set-valued letter factors of
 ``genfunc``, whose corners are those of a shape outside mu.  Beside it the
 interlacing rule, nu_(r+1) <= rho_r <= nu_r, is stated once, in
 ``_strips_above``: the shapes nu one more letter can fill rho out to, which
-are the transitions of ``genfunc``'s level recursion.
-"""
+are the transitions of ``genfunc``'s level recursion.  ``_index_table``
+holds a shape's facts by row-major index."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import le
 from typing import Iterator
 
@@ -146,6 +147,30 @@ class SkewShape:
             "inner": list(self.inner.parts),
             "boxes": [[i, j] for (i, j) in self.col_major],
         }
+
+
+_IndexTable = namedtuple("_IndexTable", "boxes rows cols left top pairs "
+                         "diagonal col_order")
+
+
+@lru_cache(maxsize=256)
+def _index_table(outer: tuple, inner: tuple) -> _IndexTable:
+    """The facts of outer/inner by row-major index k, which the walk, the
+    tableau rules and iota read: the box at k, its row and its column; the
+    index of its left and of its upper neighbor, or -1; rule 1's pairs
+    (k, right neighbor), then (k, lower neighbor), k by k; the diagonal
+    indices; and the indices in column-major order."""
+    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
+    boxes = shape.row_major
+    index = {box: k for k, box in enumerate(boxes)}
+    return _IndexTable(
+        boxes, tuple(i for i, _ in boxes), tuple(j for _, j in boxes),
+        tuple(index.get((i, j - 1), -1) for i, j in boxes),
+        tuple(index.get((i - 1, j), -1) for i, j in boxes),
+        tuple((k, index[nb]) for k, (i, j) in enumerate(boxes)
+              for nb in ((i, j + 1), (i + 1, j)) if nb in index),
+        tuple(k for k, (i, j) in enumerate(boxes) if i == j),
+        tuple(index[box] for box in shape.col_major))
 
 
 def _corner_rows(parts: tuple) -> list[int]:

@@ -4,16 +4,16 @@ An entry is encoded as an integer code e in 1..2n: code 2k-1 is the primed
 letter k', code 2k the unprimed letter k.  Integer order on codes realizes
 1' < 1 < 2' < 2 < ... < n' < n, and the numeric value of code e is exactly
 e/2 (so k' = k - 1/2 without rational arithmetic).  A filling holds its
-cells as one row-major tuple, the form the tableau rules read.
+cells as one row-major tuple, the form the tableau rules read, with the
+shape's neighbors and diagonal from ``shapes._index_table``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import lru_cache
 from typing import NamedTuple
 
-from .shapes import Box, SkewShape, StrictPartition
+from .shapes import Box, SkewShape, StrictPartition, _index_table
 
 CellSet = tuple[int, ...]  # strictly increasing entry codes, nonempty
 
@@ -220,27 +220,6 @@ def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
     return Filling(shape, n, family, cells, _trusted=True)
 
 
-@lru_cache(maxsize=256)
-def _rule_table(outer: tuple, inner: tuple, family: str) -> tuple:
-    """The tableau rules of outer/inner and family, by row-major index.
-
-    Returns (boxes, pairs, rows, cols, diagonal): the row-major boxes; the
-    index pairs (a, b) of each box and its right, then its lower,
-    neighbor, box by box, which rule 1 reads; the row and the column of
-    each index; and, for family P, the indices of the diagonal boxes
-    (rule 4), none for Q.
-    """
-    boxes = SkewShape(StrictPartition(outer),
-                      StrictPartition(inner)).row_major
-    index = {box: k for k, box in enumerate(boxes)}
-    pairs = tuple((k, index[nb]) for k, (i, j) in enumerate(boxes)
-                  for nb in ((i, j + 1), (i + 1, j)) if nb in index)
-    diagonal = tuple(k for k, (i, j) in enumerate(boxes)
-                     if family == "P" and i == j)
-    return (boxes, pairs, tuple(i for i, _ in boxes),
-            tuple(j for _, j in boxes), diagonal)
-
-
 def validate(f: Filling) -> ValidationResult:
     """Check the set-valued tableau rules, reporting the first violation."""
     return validate_cells(f.shape, f.family, f.cells)
@@ -257,13 +236,14 @@ def validate_cells(shape: SkewShape, family: str,
     (2) each unprimed letter appears at most once in each column;
     (3) each primed letter appears at most once in each row;
     (4) family P only: diagonal cells contain unprimed entries only.
-    Rule 1 reads the shape's neighbor pairs from ``_rule_table``.  Rules 2
-    and 3 keep one int bit mask per row and per column: bit e of a row's
-    (column's) mask is set once the primed (unprimed) code e is seen there.
+    Rules 1 and 4 read the pairs and the diagonal of the shape's
+    ``shapes._index_table``.  Rules 2 and 3 keep one int bit mask per row
+    and per column: bit e of a row's (column's) mask is set once the primed
+    (unprimed) code e is seen there.
     """
-    boxes, pairs, rows, cols, diagonal = _rule_table(
-        shape.outer.parts, shape.inner.parts, family)
-    for a, b in pairs:
+    table = _index_table(shape.outer.parts, shape.inner.parts)
+    boxes, rows, cols = table.boxes, table.rows, table.cols
+    for a, b in table.pairs:
         if cells[a][-1] > cells[b][0]:
             return ValidationResult(
                 False, f"max of {boxes[a]} exceeds min of {boxes[b]} "
@@ -284,7 +264,7 @@ def validate_cells(shape: SkewShape, family: str,
                 if col_seen[j] & bit:
                     return _repeat(boxes, cols, cells, k, code, "column", 2)
                 col_seen[j] |= bit
-    for k in diagonal:
+    for k in table.diagonal if family == "P" else ():
         for code in cells[k]:
             if code & 1:
                 return ValidationResult(

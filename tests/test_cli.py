@@ -469,6 +469,23 @@ class TestPair:
         assert run(capsys, *argv) == refusal
         assert run(capsys, *argv, "--check", str(path)) == refusal
 
+    def test_size_guard_limits_making_not_checking(self, capsys, tmp_path):
+        # 5,3,1 // 2,1 P n=3 is above PAIR_MAX_ELEMENTS: making it is
+        # refused, while a document of no pairs is checked, and fails
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({
+            "lambda": [5, 3, 1], "mu": [2, 1], "n": 3, "family": "P",
+            "minimal_only": False, "pairs": [], "leftover": []},
+            sort_keys=True))
+        argv = ("pair", "--lambda", "5,3,1", "--mu", "2,1", "--family", "P",
+                "-n", "3")
+        assert run(capsys, *argv) == (
+            2, "", "error: infeasible scale: 42444 elements, above the "
+                   "limit of 20000; use minimal_only\n")
+        assert run(capsys, *argv, "--check", str(path)) == (
+            1, "certificate FAILED\n",
+            "note: 0 elements, the family has 42444\n")
+
     @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS)
     def test_file_that_is_not_json_fails(self, capsys, tmp_path, cut):
         path = tmp_path / "cert.json"

@@ -6,7 +6,7 @@ import pytest
 from shifted_kschur import enumeration, involutions
 from shifted_kschur.enumeration import (EnumSpec, count, enumerate_fillings,
                                         naive_oracle)
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import entry_str, letter
@@ -157,18 +157,24 @@ def set_rule(spec, box, cells):
 def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
     # every node of both walks: the cached table read through the masks
     # the walk keeps gives the set rule's cells, each with its code bits
-    # and letters, and the masks match the partial filling
+    # and letters, and the masks match the partial filling, a row-major
+    # list prefix read here as a dict keyed by box
     nodes = 0
     real = enumeration._candidate_cells
 
-    def checked(spec, box, cells, row_primed, col_unprimed):
+    def checked(spec, k, prefix, row_primed, col_unprimed, table):
         nonlocal nodes
+        boxes = spec.shape.row_major
+        assert len(prefix) == k
+        assert table is _index_table(spec.shape.outer.parts,
+                                     spec.shape.inner.parts)
+        box, cells = boxes[k], dict(zip(boxes, prefix))
         i, j = box
         assert row_primed[i] == sum(1 << c for (r, _), cell in cells.items()
                                     if r == i for c in cell if c % 2)
         assert col_unprimed[j] == sum(1 << c for (_, k), cell in cells.items()
                                       if k == j for c in cell if not c % 2)
-        got = real(spec, box, cells, row_primed, col_unprimed)
+        got = real(spec, k, prefix, row_primed, col_unprimed, table)
         assert [e[0] for e in got] == set_rule(spec, box, cells), (spec, box)
         for cell, primed, unprimed, letters in got:
             assert primed == sum(1 << c for c in cell if c % 2)
@@ -205,7 +211,7 @@ def test_leaves_in_oracle_order(oracle_tableaux):
             shape = SkewShape(lam, mu)
             for n, family, kind in product((1, 2), "PQ", enumeration.KINDS):
                 s = EnumSpec(shape, n, family, kind)
-                got = [(tuple(cells.values()), tuple(counts), size)
+                got = [(tuple(cells), tuple(counts), size)
                        for cells, counts, size in enumeration._leaves(s)]
                 want = [(T.cells, T.weight(), T.size())
                         for T in oracle_tableaux[s]]

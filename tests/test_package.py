@@ -91,8 +91,9 @@ def _containers() -> dict:
     return out
 
 
-def _requests():
-    """A few requests of every verb, so each cache fills."""
+def _requests(tmp_path):
+    """A few requests of every verb, so each cache fills; the certificate
+    goes to a file in tmp_path, so the writer's templates fill too."""
     argvs = [
         ["poly", "--shape", "3,1/1", "--family", "GQdouble", "-n", "2"],
         ["special-value", "--shape", "4,2,1", "--family", "GP", "-n", "3"],
@@ -104,7 +105,7 @@ def _requests():
          "--nx", "1", "--ny", "1"],
         ["verify-involution", "--shape", "2,1", "--max-n", "2"],
         ["pair", "--lambda", "3,1", "--mu", "1", "--family", "Q", "-n",
-         "2"],
+         "2", "--out", str(tmp_path / "cert.json")],
     ]
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -112,7 +113,8 @@ def _requests():
             assert cli.main(argv) in (0, 1), argv
 
 
-def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches():
+def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches(
+        tmp_path):
     reached = _reached()
     assert _cached_defs() == set(reached)
     # the recursions, their interned tuples and the oracle sum among them,
@@ -122,7 +124,7 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches():
         assert reached[f"shifted_kschur.{name}"].cache_parameters()[
             "maxsize"] is not None, name
     containers = _containers()
-    _requests()
+    _requests(tmp_path)
     assert all(c.cache_info().currsize for c in reached.values())
     # no module-level container grew into a memo
     for name, (obj, before) in containers.items():
@@ -131,6 +133,39 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches():
     left = {name: c.cache_info().currsize for name, c in reached.items()
             if c.cache_info().currsize}
     assert not left
+
+
+def _unused_imports(source: str) -> list:
+    """The names an import in source binds and no expression reads; a
+    quoted annotation counts as read."""
+    tree = ast.parse(source)
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef,
+                               ast.AsyncFunctionDef)):
+            note = getattr(node, "annotation", None) or \
+                getattr(node, "returns", None)
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(note.value))
+                            if isinstance(n, ast.Name))
+    return sorted(bound - read)
+
+
+def test_no_unused_import_in_src():
+    # __init__ re-exports what it imports
+    root = pathlib.Path(shifted_kschur.__file__).parent
+    sources = sorted(p for p in root.glob("*.py") if p.name != "__init__.py")
+    assert len(sources) > 5
+    unused = {p.name: _unused_imports(p.read_text()) for p in sources}
+    assert not {name: names for name, names in unused.items() if names}
+    assert _unused_imports("from .shapes import Box, SkewShape\n"
+                           "x: 'SkewShape'\n") == ["Box"]
 
 
 def test_every_module_parses_at_the_declared_python_floor():

@@ -1,6 +1,7 @@
 import pytest
 
-from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
+                                   inner_shapes,
                                    is_subpartition, removable_boxes,
                                    strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
@@ -107,6 +108,32 @@ class TestBoxOrder:
                 assert sum(sh.rows, ()) == sh.row_major
                 for i, row in enumerate(sh.rows, start=1):
                     assert row == tuple((i, j) for j in sh.row_cols(i))
+
+    def test_index_table(self):
+        # every entry against the shape's own box orders, |lam| <= 6
+        for lam in strict_partitions_up_to_weight(6):
+            for mu in strict_subpartitions(lam):
+                sh = SkewShape(lam, mu)
+                boxes = sh.row_major
+                t = _index_table(lam.parts, mu.parts)
+                assert t.boxes == boxes
+                assert t.rows == tuple(i for i, _ in boxes)
+                assert t.cols == tuple(j for _, j in boxes)
+                for k, (i, j) in enumerate(boxes):
+                    left = (i, j - 1)
+                    assert t.left[k] == (boxes.index(left)
+                                         if left in sh.boxes else -1)
+                    top = (i - 1, j)
+                    assert t.top[k] == (boxes.index(top)
+                                        if top in sh.boxes else -1)
+                assert t.pairs == tuple(
+                    (boxes.index(a), boxes.index(b)) for a in boxes
+                    for b in ((a[0], a[1] + 1), (a[0] + 1, a[1]))
+                    if b in sh.boxes)
+                assert t.diagonal == tuple(
+                    k for k, (i, j) in enumerate(boxes) if i == j)
+                assert tuple(boxes[k] for k in t.col_order) == sh.col_major
+                assert sorted(t.col_order) == list(range(len(boxes)))
 
     def test_total_order_is_permutation(self):
         for lam in strict_partitions_up_to_weight(8):

@@ -52,15 +52,24 @@ def cmd_poly(args) -> int:
     return PASS
 
 
-def _failed(statement: str, spec: FunctionSpec) -> int:
-    """FAIL for a special value off its claimed value, or USAGE when a
+def _special_value(statement: str, spec: FunctionSpec) -> int:
+    """Print spec's special value: PASS when it is 0 for a double-skew
+    family with mu nonempty, else b^|lam/mu|; otherwise USAGE when a
     tableau set it sums over (each lam/nu of ``genfunc._inner``) is empty
-    and the statement does not apply."""
-    lam = spec.shape.outer
+    and the statement does not apply, else FAIL."""
+    got = genfunc.special_value(spec)
+    print(got)
+    shape = spec.shape
+    if spec.family.endswith("double") and shape.inner:
+        expected = LaurentPoly.zero(spec.n)
+    else:
+        expected = LaurentPoly.beta(spec.n, shape.size)
+    if got == expected:
+        return PASS
     for _, nu in genfunc._inner(spec):
-        if not genfunc._point_sum(lam.parts, nu, spec.n, spec.base_family,
-                                  spec.kind)[0]:
-            skew = SkewShape(lam, StrictPartition(nu))
+        if not genfunc._point_sum(shape.outer.parts, nu, spec.n,
+                                  spec.base_family, spec.kind)[0]:
+            skew = SkewShape(shape.outer, StrictPartition(nu))
             print(f"note: the tableau set of {skew} is empty; the "
                   f"{statement} statement does not apply", file=sys.stderr)
             return USAGE
@@ -68,18 +77,8 @@ def _failed(statement: str, spec: FunctionSpec) -> int:
 
 
 def cmd_special_value(args) -> int:
-    shape = SkewShape.parse(args.shape)
-    spec = FunctionSpec(args.family, shape, args.n)
-    got = genfunc.special_value(spec)
-    print(got)
-    if args.family in ("GP", "GQ"):
-        expected = LaurentPoly.beta(args.n, shape.size)
-    else:
-        expected = (LaurentPoly.zero(args.n) if shape.inner
-                    else LaurentPoly.beta(args.n, shape.outer.weight))
-    if got == expected:
-        return PASS
-    return _failed("special-value", spec)
+    return _special_value("special-value", FunctionSpec(
+        args.family, SkewShape.parse(args.shape), args.n))
 
 
 def cmd_parity(args) -> int:
@@ -111,17 +110,14 @@ def cmd_double_skew(args) -> int:
         return USAGE
     else:
         spec = FunctionSpec(args.family + "double", shape, args.n)
-        got = genfunc.special_value(spec)
-        print(got)
+        if mu:
+            return _special_value("vanishing", spec)
+        print(genfunc.special_value(spec))
     if not mu:
         print("note: mu is empty; the vanishing statement does not apply",
               file=sys.stderr)
         return USAGE
-    if not got:
-        return PASS
-    if args.shortcut:
-        return FAIL
-    return _failed("vanishing", spec)
+    return FAIL if got else PASS
 
 
 def _sweep_shapes(max_weight: int, skew: bool):

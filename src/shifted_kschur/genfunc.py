@@ -384,10 +384,11 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
                     family: str) -> CoproductReport:
     """Compare F_lam(x,y) with the sum over nu of F_nu(x) * F_(lam over nu)(y).
 
-    For P and Q the right factor is the plain skew function over nu inside
-    lam; for GP and GQ it is the double-skew function, summed over all
-    strict nu with at most n_x rows and first part at most lam_1 (terms
-    with nu outside lam vanish).
+    The sum is over the strict nu inside lam with at most n_x rows.  F_nu
+    in n_x letters is 0 when nu has more rows, as the diagonal letters of a
+    shifted tableau increase strictly, and never 0 otherwise: row i may
+    hold the letter i throughout.  For P and Q the right factor is the
+    plain skew function; for GP and GQ it is the double-skew function.
     """
     if family not in ("P", "Q", "GP", "GQ"):
         raise ValueError(f"coproduct families are P, Q, GP, GQ; got {family!r}")
@@ -399,16 +400,11 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
     _coproduct_guard(spec)
     lhs = _tableau_sum(lam.parts, (), total, spec.base_family, spec.kind)
     rhs: dict = {}
-    if family in ("P", "Q"):
-        inner_family = family
-        nus = list(strict_subpartitions(lam))
-    else:
-        inner_family = family + "double"
-        nus = [nu for nu in strict_subpartitions(lam) if nu.length <= n_x]
-    for nu in nus:
-        left = compute(FunctionSpec(family, SkewShape(nu), n_x))
-        if not left:
+    inner_family = family if family in ("P", "Q") else family + "double"
+    for nu in strict_subpartitions(lam):
+        if nu.length > n_x:
             continue
+        left = compute(FunctionSpec(family, SkewShape(nu), n_x))
         right = compute(FunctionSpec(inner_family, SkewShape(lam, nu), n_y))
         # F_nu(x) * F(y): x-exponents side by side, b-exponents added
         for (xa, ba), ca in left.terms.items():

@@ -47,7 +47,11 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     Greedy row-major fill: each box takes the first cell that the
     enumerator's candidate rule allows there, and the walk never backs up.
     The result is the first single-valued tableau ``enumerate_fillings``
-    yields, and the walk fails exactly when there is none.
+    yields, and the walk fails exactly when there is none.  It is its own
+    walk, not the first leaf of ``enumerate_fillings``, because on an empty
+    set the backtracking walk searches the whole dead tree before it
+    yields nothing, and because taking one leaf from that generator ran
+    slower on the certificate path even with the empty set refused first.
     """
     spec = EnumSpec(shape, n, family, "single")
     table = _index_table(shape.outer.parts, shape.inner.parts)
@@ -342,7 +346,6 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
 
 
 _CHUNK = 1 << 16  # characters read from a certificate file at a time
-_LONG = 1 << 16  # characters of one value past which reads double it
 _SPACE = re.compile(r"[ \t\n\r]*")  # JSON white space
 _DECODE = json.JSONDecoder().raw_decode
 # the decoder reads at most this many characters from where it stops: a
@@ -377,10 +380,10 @@ class _Window:
         try:
             chunk = self.fh.read(_CHUNK)
         except UnicodeDecodeError as exc:  # its repr holds the whole block
-            at = self.base - i + len(text) + len(
-                exc.object[:exc.start].decode(exc.encoding, "replace"))
+            # exc.object: the bytes the decoder held over, then those read
+            at = self.fh.buffer.tell() - len(exc.object) + exc.start
             raise ValueError(f"text that is not {exc.encoding} ({exc.reason})"
-                             f" after character {at} of the file") from None
+                             f" at byte {at} of the file") from None
         self.eof = not chunk
         self.text, self.i = text[i:] + chunk, 0
 
@@ -422,10 +425,11 @@ class _Window:
         The decoder runs on the text in hand.  Where it stops, with a value
         or an error, at most ``_LOOKAHEAD`` characters before the end of
         that text, or in a string that runs to it, more text could change
-        the outcome: a chunk is read on, and the decoder runs again.  Past
-        ``_LONG`` characters from the value's start, chunks are read on
-        until that text has doubled, so a long value is decoded a few
-        times, not once a chunk.
+        the outcome: chunks are read on until the text from the value's
+        start has doubled, and the decoder runs again.  So a long value is
+        decoded a few times, not once a chunk; a value shorter than a chunk
+        needs one read, as ``read`` returns a whole chunk unless the file
+        ends.
         """
         self.peek()
         while True:
@@ -441,7 +445,7 @@ class _Window:
                     return value
             held = len(self.text) - self.i
             self._read()
-            while not self.eof and _LONG < held and len(self.text) < 2 * held:
+            while not self.eof and len(self.text) < 2 * held:
                 self._read()
 
     def end(self) -> None:
@@ -464,12 +468,11 @@ def read_certificate(fh) -> dict:
     document with no ``"pairs"`` is read whole.  A syntax error raises
     ``json.JSONDecodeError`` (a ValueError) with its place in the file, a value
     nested too deep RecursionError, and text that is not of fh's encoding a
-    short ValueError with a count of characters it comes after (all before it,
-    if they are ASCII), when the reader reaches it: here for one before
-    ``"pairs"``, else at the step that reads the pair it is in, or, for text
-    after the last pair (a member after ``"pairs"``, text after the closing
-    brace), at the step after the last pair.  A string of JSON text is read as
-    ``io.StringIO(text)``.
+    short ValueError that names its byte offset in the file, when the reader
+    reaches it: here for one before ``"pairs"``, else at the step that reads
+    the pair it is in, or, for text after the last pair (a member after
+    ``"pairs"``, text after the closing brace), at the step after the last
+    pair.  A string of JSON text is read as ``io.StringIO(text)``.
     """
     w = _Window(fh)
 
@@ -622,11 +625,3 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
         return True, None
 
     return check
-
-
-def check_certificate(doc: dict, lam: StrictPartition, mu: StrictPartition,
-                      n: int, family: str, minimal_only: bool = False
-                      ) -> tuple[bool, str | None]:
-    """Verify that a certificate document proves a request, as it stands:
-    ``certificate_checker(lam, mu, n, family, minimal_only)(doc)``."""
-    return certificate_checker(lam, mu, n, family, minimal_only)(doc)

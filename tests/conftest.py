@@ -223,7 +223,7 @@ def _tamper_float_box(doc):
     doc["pairs"][0]["left"]["tableau"]["shape"]["boxes"][0][0] = 1.0
 
 
-# each with the whole reason check_certificate gives for the request
+# each with the whole reason the certificate checker gives for the request
 # 2,1 // 1, P, n = 2; pair --check prints it on a "note:" line
 TAMPERS = [
     (_tamper_invalid_entry,

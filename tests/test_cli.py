@@ -328,10 +328,10 @@ SPOILS = {
                                   '"pairs": [' + "[" * 100_000, 1)}
 
 
-def not_utf8_after(chars):
-    """The note of a byte that is not UTF-8 after ``chars`` characters."""
+def not_utf8_at(offset):
+    """The note of a byte that is not UTF-8 at byte ``offset`` of a file."""
     return ("malformed certificate (ValueError('text that is not utf-8 "
-            f"(invalid start byte) after character {chars} of the file'))")
+            f"(invalid start byte) at byte {offset} of the file'))")
 
 
 def _spoiled(spoil):
@@ -571,9 +571,22 @@ class TestPair:
         path.write_bytes(data)
         code, out, err = run(capsys, *LARGE_PAIR, "--check", str(path))
         assert (code, out) == (1, "certificate FAILED\n")
-        # one short line, counted from the start of the file: the text
-        # before the byte is ASCII, so `at` characters precede it
-        assert err == f"note: {not_utf8_after(at)}\n" and len(err) < 200
+        # one short line, with the byte's offset in the file
+        assert err == f"note: {not_utf8_at(at)}\n" and len(err) < 200
+
+    def test_byte_not_utf8_after_multibyte_text(self, capsys, tmp_path):
+        # characters of 2, 3 and 4 bytes in the header, then white space
+        # and the byte, all in the first chunk
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        text = path.read_text().replace('"family": "P"',
+                                        '"family": "P' + "é€𝔾" * 50 + '"', 1)
+        data = text.encode() + b" " * 20_000 + b"\xff"
+        # 300 bytes more than characters before the byte
+        assert len(data) - 1 == len(text) + 20_300 < involutions._CHUNK
+        path.write_bytes(data)
+        assert run(capsys, *PAIR_21_1, "--check", str(path)) == (
+            1, "certificate FAILED\n", f"note: {not_utf8_at(len(data) - 1)}\n")
 
     def test_pair_fault_comes_before_a_later_byte_not_utf8(self, capsys,
                                                            tmp_path):
@@ -586,7 +599,7 @@ class TestPair:
         # white space, then the byte, past the first chunk
         after = b" " * (2 * involutions._CHUNK) + b"\xff"
         for body, note in (
-                (text, not_utf8_after(len(text) + len(after) - 1)),
+                (text, not_utf8_at(len(text) + len(after) - 1)),
                 (json.dumps(doc, sort_keys=True), reason)):
             path.write_bytes(body.encode() + after)
             assert run(capsys, *PAIR_21_1, "--check", str(path)) == (

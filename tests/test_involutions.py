@@ -10,8 +10,7 @@ from shifted_kschur import involutions
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
-                                        certificate_checker,
-                                        check_certificate, iota,
+                                        certificate_checker, iota,
                                         minimal_tableau, pairing_certificate,
                                         read_certificate, verify_involution,
                                         write_certificate)
@@ -282,8 +281,8 @@ class TestFailureDetection:
             f"iota of {tableaux[1]!r} changes |T| by != 1"]
         # the pairing rule takes the swap; the checker's sign rule does not
         assert (tableaux[1], same, "iota") in cert.pairs
-        ok, why = check_certificate(cert.to_json(), self.LAM, self.MU,
-                                    self.N, self.FAMILY)
+        ok, why = certificate_checker(self.LAM, self.MU, self.N,
+                                      self.FAMILY)(cert.to_json())
         assert not ok and why.endswith("both sides have the same sign")
 
 
@@ -396,27 +395,28 @@ def _roundtrip(cert):
 class TestCheckCertificate:
     def test_good_certificate(self):
         cert = pairing_certificate(*REQUEST)
-        assert check_certificate(_roundtrip(cert), *REQUEST) == (True, None)
+        assert certificate_checker(*REQUEST)(_roundtrip(cert)) == (True, None)
 
     @pytest.mark.parametrize("tamper,reason", TAMPERS,
                              ids=[t.__name__ for t, _ in TAMPERS])
     def test_each_tamper_fails(self, tamper, reason):
         doc = _roundtrip(pairing_certificate(*REQUEST))
         tamper(doc)
-        assert check_certificate(doc, *REQUEST) == (False, reason)
+        assert certificate_checker(*REQUEST)(doc) == (False, reason)
 
     def test_certificate_of_another_request_fails(self):
         # a valid certificate, of 3,1 // 1 Q n=2, does not prove 2,1 // 1
         doc = _roundtrip(pairing_certificate(sp(3, 1), sp(1), 2, "Q"))
-        assert check_certificate(doc, sp(3, 1), sp(1), 2, "Q") == (True, None)
-        assert check_certificate(doc, *REQUEST) == (
+        assert certificate_checker(sp(3, 1), sp(1), 2, "Q")(doc) == (
+            True, None)
+        assert certificate_checker(*REQUEST)(doc) == (
             False, 'certificate is for {"lambda": [3, 1], "mu": [1], "n": 2, '
             '"family": "Q", "minimal_only": false}')
 
     def test_header_mismatch_comes_before_malformed_pairs(self):
         doc = _roundtrip(pairing_certificate(*REQUEST))
         del doc["pairs"]
-        assert check_certificate(doc, sp(2, 1), sp(1), 3, "P") == (
+        assert certificate_checker(sp(2, 1), sp(1), 3, "P")(doc) == (
             False, 'certificate is for {"lambda": [2, 1], "mu": [1], "n": 2, '
             '"family": "P", "minimal_only": false}')
 
@@ -434,7 +434,7 @@ class TestCheckCertificate:
         with pytest.raises(ValueError, match=message):
             pairing_certificate(*bad)
         with pytest.raises(ValueError, match=message):
-            check_certificate(doc, *bad)
+            certificate_checker(*bad)(doc)
 
     @pytest.mark.parametrize("minimal_only", [False, True])
     def test_empty_tableau_set_raises(self, minimal_only):
@@ -446,26 +446,26 @@ class TestCheckCertificate:
         with pytest.raises(ValueError, match=message):
             pairing_certificate(*request)
         with pytest.raises(ValueError, match=message):
-            check_certificate(doc, *request)
+            certificate_checker(*request)(doc)
 
     def test_minimal_only(self):
         request = (sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P", True)
         doc = _roundtrip(pairing_certificate(*request))
-        assert check_certificate(doc, *request) == (True, None)
+        assert certificate_checker(*request)(doc) == (True, None)
         doc["pairs"].pop()
-        assert not check_certificate(doc, *request)[0]
+        assert not certificate_checker(*request)(doc)[0]
 
     def test_minimal_only_refuses_iota_pairs(self):
         full = _roundtrip(pairing_certificate(*REQUEST))
         doc = _roundtrip(pairing_certificate(*REQUEST, minimal_only=True))
         # two iota pairs in place of the pi pair: as many elements as nus
         doc["pairs"] = [p for p in full["pairs"] if p["tag"] == "iota"][:1]
-        assert not check_certificate(doc, *REQUEST, minimal_only=True)[0]
+        assert not certificate_checker(*REQUEST, minimal_only=True)(doc)[0]
 
     def test_iota_pair_retagged_pi_fails(self):
         doc = _roundtrip(pairing_certificate(*REQUEST))
         next(p for p in doc["pairs"] if p["tag"] == "iota")["tag"] = "pi"
-        ok, why = check_certificate(doc, *REQUEST)
+        ok, why = certificate_checker(*REQUEST)(doc)
         assert not ok and "pi pair" in why
 
     def test_pi_pair_of_non_minimal_tableaux_fails(self):
@@ -483,7 +483,7 @@ class TestCheckCertificate:
                      if e["nu"] == pi_pair["left"]["nu"]
                      and (size(e) - size(pi_pair["left"])) % 2 == 0)
         pi_pair["left"] = other
-        assert check_certificate(doc, *request) == (
+        assert certificate_checker(*request)(doc) == (
             False, "pair 0: pi side is not minimal: Filling(3,1/2; 1' | 1)")
 
     def test_cell_memo_lives_for_one_call(self):
@@ -492,10 +492,10 @@ class TestCheckCertificate:
         assert ["2'"] in [cell for p in wide["pairs"]
                           for e in (p["left"], p["right"])
                           for row in e["tableau"]["rows"] for cell in row]
-        assert check_certificate(wide, *REQUEST) == (True, None)
+        assert certificate_checker(*REQUEST)(wide) == (True, None)
         doc = pairing_certificate(sp(2), sp(1), 1, "P").to_json()
         doc["pairs"][-1]["right"]["tableau"]["rows"][0][-1] = ["2'"]
-        ok, why = check_certificate(doc, sp(2), sp(1), 1, "P")
+        ok, why = certificate_checker(sp(2), sp(1), 1, "P")(doc)
         assert not ok and "entry out of range 1..2" in why, why
 
     def test_builds_no_filling_but_the_minimal_tableaux(self, monkeypatch):
@@ -510,7 +510,7 @@ class TestCheckCertificate:
             built.append(self)
 
         monkeypatch.setattr(Filling, "__init__", counted)
-        assert check_certificate(doc, lam, mu, 2, "P") == (True, None)
+        assert certificate_checker(lam, mu, 2, "P")(doc) == (True, None)
         monkeypatch.undo()
         nus = {tuple(e["nu"]) for p in doc["pairs"] if p["tag"] == "pi"
                for e in (p["left"], p["right"])}
@@ -524,7 +524,7 @@ class TestCheckCertificate:
     def test_missing_key_is_malformed(self, key):
         doc = _roundtrip(pairing_certificate(*REQUEST))
         del doc[key]
-        assert check_certificate(doc, *REQUEST) == (
+        assert certificate_checker(*REQUEST)(doc) == (
             False, f"malformed certificate (KeyError({key!r}))")
 
     def test_bad_header(self):
@@ -535,7 +535,7 @@ class TestCheckCertificate:
                              ("minimal_only", 0), ("family", "Q")):
             bad = _roundtrip(cert)
             bad[field] = value
-            ok, why = check_certificate(bad, *REQUEST)
+            ok, why = certificate_checker(*REQUEST)(bad)
             assert not ok and why.startswith("certificate is for {"), field
 
     def test_agrees_with_covers_oracle(self):
@@ -554,14 +554,13 @@ class TestCheckCertificate:
                     cert = pairing_certificate(*request)
                     elements = _family_elements(lam, mu, n, family)
                     case = (str(lam), str(mu), family, n)
-                    assert check_certificate(cert.to_json(), *request) == \
-                        (True, None), case
+                    check = certificate_checker(*request)
+                    assert check(cert.to_json()) == (True, None), case
                     doc = _roundtrip(cert)
-                    assert check_certificate(doc, *request) == (True, None), \
-                        case
+                    assert check(doc) == (True, None), case
                     assert certificate_covers(doc, elements)[0], case
                     doc["pairs"].pop()
-                    assert not check_certificate(doc, *request)[0], case
+                    assert not check(doc)[0], case
                     assert not certificate_covers(doc, elements)[0], case
                     checked += 1
         assert checked > 100

@@ -168,6 +168,48 @@ def test_no_unused_import_in_src():
                            "x: 'SkewShape'\n") == ["Box"]
 
 
+def _private_names(sources: list) -> tuple[set, set]:
+    """(bound, read): the names of one leading underscore that a module
+    of sources binds at module level by def, class or assignment, and
+    every name some expression in sources reads, as a name or an
+    attribute."""
+    bound, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            bound.update(name for name in names if name.startswith("_")
+                         and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return bound, read
+
+
+def test_no_unread_private_name_in_src():
+    root = pathlib.Path(shifted_kschur.__file__).parent
+    sources = [p.read_text() for p in sorted(root.glob("*.py"))]
+    assert len(sources) > 5
+    bound, read = _private_names(sources)
+    assert len(bound) > 20
+    assert not sorted(bound - read)
+    bound, read = _private_names(["_A = 1\n_B, _C = 2, 3\n"
+                                  "def _f(): return _B\n"
+                                  "class _K: pass\n__all__ = ['x']\n",
+                                  "y = m._C\n"])
+    assert sorted(bound - read) == ["_A", "_K", "_f"]
+
+
 def test_every_module_parses_at_the_declared_python_floor():
     # the grammar of the oldest Python that pyproject.toml admits
     root = pathlib.Path(shifted_kschur.__file__).parent

@@ -4,8 +4,11 @@ Exit codes: 0 on success (or a verified claim), 1 on a mathematical
 failure, 2 on a usage error (a file that cannot be read or written
 among them), an infeasible-scale guard, or a statement that does not
 apply to an empty tableau set (or, for the double-skew vanishing, to an
-empty mu).  All output is deterministic; sweeps emit one line per
-instance in canonical shape order.
+empty mu).  Each quantity has one path: counts, special values and
+parity come from the branching engine (``genfunc``), the ``double-skew``
+value from its removable-box expansion, and the tableau walk serves
+listings and the sweeps that check it.  All output is deterministic;
+sweeps emit one line per instance in canonical shape order.
 """
 
 from __future__ import annotations
@@ -23,17 +26,19 @@ from .genfunc import FunctionSpec
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, strict_subpartitions,
                      strict_partitions_up_to_weight)
-from .tableaux import FAMILIES, _check_n
+from .tableaux import FAMILIES
 
 PASS, FAIL, USAGE = 0, 1, 2
 
 
 def cmd_enumerate(args) -> int:
-    spec = EnumSpec(SkewShape.parse(args.shape), args.n, args.family,
-                    args.kind, args.size_cap)
-    if args.count_only:
-        print(enumeration.count(spec))
+    shape = SkewShape.parse(args.shape)
+    if args.count_only:  # the engine's count; the walk is for listings
+        prefix = "G" if args.kind == "set-valued" else ""
+        print(genfunc._at(FunctionSpec(prefix + args.family, shape,
+                                       args.n))[0])
         return PASS
+    spec = EnumSpec(shape, args.n, args.family, args.kind)
     for f in enumeration.enumerate_fillings(spec):
         if args.format == "jsonl":
             print(json.dumps(f.to_json(), sort_keys=True))
@@ -52,7 +57,7 @@ def cmd_poly(args) -> int:
     return PASS
 
 
-def _special_value(statement: str, spec: FunctionSpec) -> int:
+def _special_value(spec: FunctionSpec) -> int:
     """Print spec's special value: PASS when it is 0 for a double-skew
     family with mu nonempty, else b^|lam/mu|; otherwise USAGE when a
     tableau set it sums over (each lam/nu of ``genfunc._inner``) is empty
@@ -71,13 +76,13 @@ def _special_value(statement: str, spec: FunctionSpec) -> int:
                                   spec.base_family, spec.kind)[0]:
             skew = SkewShape(shape.outer, StrictPartition(nu))
             print(f"note: the tableau set of {skew} is empty; the "
-                  f"{statement} statement does not apply", file=sys.stderr)
+                  "special-value statement does not apply", file=sys.stderr)
             return USAGE
     return FAIL
 
 
 def cmd_special_value(args) -> int:
-    return _special_value("special-value", FunctionSpec(
+    return _special_value(FunctionSpec(
         args.family, SkewShape.parse(args.shape), args.n))
 
 
@@ -95,29 +100,16 @@ def cmd_parity(args) -> int:
 def cmd_double_skew(args) -> int:
     lam = StrictPartition.parse(args.lam)
     mu = StrictPartition.parse(args.mu)
-    shape = SkewShape(lam, mu)  # both paths reject mu outside lam
-    if args.n is not None:  # even where --shortcut ignores it
-        _check_n(args.n)
-    if args.shortcut:
-        result = genfunc.double_skew_shortcut(lam, mu)
-        got = result.value
-        print(got)
-        for t in result.terms:
-            sign = "+" if t.sign > 0 else "-"
-            print(f"nu={t.nu} removed={t.removed} sign={sign}1")
-    elif args.n is None:
-        print("error: -n is required without --shortcut", file=sys.stderr)
-        return USAGE
-    else:
-        spec = FunctionSpec(args.family + "double", shape, args.n)
-        if mu:
-            return _special_value("vanishing", spec)
-        print(genfunc.special_value(spec))
+    result = genfunc.double_skew_shortcut(lam, mu)  # rejects mu outside lam
+    print(result.value)
+    for t in result.terms:
+        sign = "+" if t.sign > 0 else "-"
+        print(f"nu={t.nu} removed={t.removed} sign={sign}1")
     if not mu:
         print("note: mu is empty; the vanishing statement does not apply",
               file=sys.stderr)
         return USAGE
-    return FAIL if got else PASS
+    return FAIL if result.value else PASS
 
 
 def _sweep_shapes(max_weight: int, skew: bool):
@@ -306,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, FAMILIES, with_format=True)
     p.add_argument("--kind", choices=("single", "set-valued"),
                    default="set-valued")
-    p.add_argument("--size-cap", type=int, default=None)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -324,12 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parity)
 
     p = sub.add_parser("double-skew",
-                       help="double-skew special value, shortcut or tableaux")
+                       help="double-skew special value by the removable-box "
+                            "expansion")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--family", choices=("GP", "GQ"), default="GP")
-    p.add_argument("--shortcut", action="store_true")
-    p.add_argument("-n", type=int, default=None)
     p.set_defaults(func=cmd_double_skew)
 
     p = sub.add_parser("identity", help="sweep a structural identity")

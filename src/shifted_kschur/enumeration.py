@@ -6,13 +6,14 @@ are tried in lexicographic order of their entry codes, so the emitted
 sequence is canonical and deterministic.  The walk keeps the primed codes
 of each row and the unprimed codes of each column as int bit masks, and
 reads a box's candidate cells, with their code bits and letters, from a
-table cached per (lowest code, step, 2n, taken mask, kind, size budget).
-It carries each tableau's weight and entry count |T| as it places and
-removes cells, so ``count`` and the generating-function definition
+table cached per (lowest code, step, 2n, taken mask, kind).  It carries
+each tableau's weight and entry count |T| as it places and removes cells,
+so ``count`` and the generating-function definition
 (``genfunc._tableau_sum``) read them at the leaves without building a
-``Filling``; ``enumerate_fillings`` builds one per leaf.  A deliberately
-naive enumerator over all subset assignments is provided for
-cross-validation.
+``Filling``; ``enumerate_fillings`` builds one per leaf.  The walk is the
+definition and the oracle the branching engine is tested against, not the
+production path for counts.  A deliberately naive enumerator over all
+subset assignments is provided for cross-validation.
 """
 
 from __future__ import annotations
@@ -37,15 +38,12 @@ class EnumSpec:
     n: int
     family: str  # "P" or "Q"
     kind: str = "set-valued"
-    size_cap: int | None = None
 
     def __post_init__(self):
         _check_family(self.family)
         _check_n(self.n)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.size_cap is not None and self.size_cap < self.shape.size:
-            raise ValueError("size_cap smaller than the number of boxes")
 
 
 def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
@@ -59,8 +57,7 @@ def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
     and top neighbors (weak; the equal-letter exclusions are exactly the
     row/column multiplicity rules), exclude primed letters already used in
     the row and unprimed letters already used in the column, and exclude
-    primed letters on the diagonal for family P; a size cap bounds each
-    cell by what the boxes after it leave.  Each candidate comes from
+    primed letters on the diagonal for family P.  Each candidate comes from
     ``_cell_table`` as (cell, primed bits, unprimed bits, letters);
     ``minimal_tableau`` takes the first.
     """
@@ -75,29 +72,22 @@ def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
     if spec.family == "P" and i == j:
         lo += lo & 1  # the even codes, unprimed letters only
         step = 2
-    budget = None
-    if spec.size_cap is not None and spec.kind != "single":
-        used = sum(map(len, cells))
-        remaining_boxes = spec.shape.size - k - 1
-        budget = spec.size_cap - used - remaining_boxes
     return _cell_table(lo, step, 2 * spec.n, row_primed[i] | col_unprimed[j],
-                       spec.kind, budget)
+                       spec.kind)
 
 
 @lru_cache(maxsize=1 << 10)
-def _cell_table(lo: int, step: int, top: int, taken: int, kind: str,
-                budget: int | None) -> tuple:
+def _cell_table(lo: int, step: int, top: int, taken: int, kind: str) -> tuple:
     """The cells over codes lo, lo + step, ... <= top outside the bit mask
-    ``taken``: single codes, or nonempty sets of at most ``budget`` codes
-    (None: no bound), in lex order.  Each comes with the bits of its primed
-    (odd) and unprimed (even) codes and its letters, code 2l - 1 being l'
-    and 2l being l, letter l counting at l - 1."""
+    ``taken``: single codes, or every nonempty set of them, in lex order.
+    Each comes with the bits of its primed (odd) and unprimed (even) codes
+    and its letters, code 2l - 1 being l' and 2l being l, letter l counting
+    at l - 1."""
     allowed = [c for c in range(lo, top + 1, step) if not taken >> c & 1]
     if kind == "single":
         cells = [(c,) for c in allowed]
     else:
-        most = len(allowed) if budget is None else min(len(allowed), budget)
-        cells = sorted(cell for k in range(1, most + 1)
+        cells = sorted(cell for k in range(1, len(allowed) + 1)
                        for cell in combinations(allowed, k))
     out = []
     for cell in cells:
@@ -188,11 +178,10 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
     """
     if spec.shape.size > ORACLE_MAX_BOXES or spec.n > ORACLE_MAX_N:
         raise ValueError("oracle scale exceeded")
-    shape, cap = spec.shape, spec.size_cap
+    shape = spec.shape
     codes = range(1, 2 * spec.n + 1)
     sizes = (1,) if spec.kind == "single" else range(1, len(codes) + 1)
     pool = sorted(cell for k in sizes for cell in combinations(codes, k))
     return (Filling(shape, spec.n, spec.family, cells)
             for cells in product(pool, repeat=shape.size)
-            if (cap is None or sum(map(len, cells)) <= cap)
-            and validate_cells(shape, spec.family, cells))
+            if validate_cells(shape, spec.family, cells))

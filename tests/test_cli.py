@@ -1,15 +1,17 @@
 import io
 import json
 import tracemalloc
+from itertools import product
 
 import pytest
 
-from shifted_kschur import cli, genfunc, involutions
+from shifted_kschur import cli, enumeration, genfunc, involutions
 from shifted_kschur.cli import main
+from shifted_kschur.enumeration import EnumSpec
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
                                         read_certificate, write_certificate)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (StrictPartition,
+from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from tests.conftest import LARGE_PAIR, TAMPERS, has_empty_set
@@ -35,6 +37,12 @@ class TestSpecialValue:
     def test_double_family_zero(self, capsys):
         code, out, _ = run(capsys, "special-value", "--shape", "2,1/1",
                            "--family", "GPdouble", "-n", "2")
+        assert code == 0 and out.strip() == "0"
+
+    def test_gq_double_family_zero(self, capsys):
+        # the double-skew vanishing at tableau level
+        code, out, _ = run(capsys, "special-value", "--shape", "2,1/1",
+                           "--family", "GQdouble", "-n", "2")
         assert code == 0 and out.strip() == "0"
 
     @pytest.mark.parametrize("shape,family,value", [
@@ -80,7 +88,7 @@ class TestParity:
 class TestDoubleSkew:
     def test_shortcut_flagship(self, capsys):
         code, out, _ = run(capsys, "double-skew", "--lambda", "9,8,6,4",
-                           "--mu", "7,5,4,2", "--shortcut")
+                           "--mu", "7,5,4,2")
         lines = out.strip().splitlines()
         assert code == 0
         assert lines[0] == "0"
@@ -88,49 +96,20 @@ class TestDoubleSkew:
         assert sum(l.endswith("sign=+1") for l in lines[1:]) == 4
         assert sum(l.endswith("sign=-1") for l in lines[1:]) == 4
 
-    def test_tableau_level(self, capsys):
-        code, out, _ = run(capsys, "double-skew", "--lambda", "2,1",
-                           "--mu", "1", "--family", "GQ", "-n", "2")
-        assert code == 0 and out.strip() == "0"
-
-    def test_missing_n_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "double-skew", "--lambda", "2,1",
-                           "--mu", "1")
-        assert code == 2 and "-n" in err
-
-    def test_empty_set_does_not_apply(self, capsys):
-        # lambda/nu for nu = mu minus its box is 2,1, with no tableau in n=1
-        code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
-                             "--mu", "1", "--family", "GP", "-n", "1")
-        assert (code, out) == (2, "b^2\n")
-        assert err == ("note: the tableau set of 2,1 is empty; the "
-                       "vanishing statement does not apply\n")
-
-    @pytest.mark.parametrize("path", [("--shortcut",),
-                                      ("--family", "GP", "-n", "2")])
-    def test_empty_mu_does_not_apply(self, capsys, path):
+    def test_empty_mu_does_not_apply(self, capsys):
         # with mu empty the value is b^|lambda|, not a failure of vanishing
         code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
-                             "--mu", "-", *path)
+                             "--mu", "-")
         assert (code, out) == (2, "b^3\n")
         assert err == ("note: mu is empty; the vanishing statement does "
                        "not apply\n")
 
-    @pytest.mark.parametrize("path", [("--shortcut",),
-                                      ("--family", "GP", "-n", "2")])
-    def test_mu_outside_lambda_is_usage_error(self, capsys, path):
-        # both paths reject the shape before printing a value
+    def test_mu_outside_lambda_is_usage_error(self, capsys):
+        # rejected before a value is printed
         code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
-                             "--mu", "3", *path)
+                             "--mu", "3")
         assert (code, out) == (2, "")
         assert err == "error: 3 is not contained in 2,1\n"
-
-    @pytest.mark.parametrize("path", [("--shortcut",),
-                                      ("--family", "GP")])
-    def test_n_below_one_is_usage_error(self, capsys, path):
-        # the shortcut does not use n, but a given n is still checked
-        assert run(capsys, "double-skew", "--lambda", "2,1", "--mu", "1",
-                   "-n", "0", *path) == (2, "", "error: n must be at least 1\n")
 
 
 class TestEnumerate:
@@ -138,6 +117,35 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--shape", "1",
                            "--family", "Q", "-n", "1", "--count-only")
         assert code == 0 and out.strip() == "3"
+
+    def test_count_only_is_the_walk_count(self, capsys):
+        # the engine's count, as printed, is the walk's: every skew shape
+        # inside a strict partition of weight at most 5, n <= 3, P/Q,
+        # single and set-valued
+        cases = 0
+        for lam in strict_partitions_up_to_weight(5):
+            for mu in strict_subpartitions(lam):
+                shape = SkewShape(lam, mu)
+                for n, family, kind in product((1, 2, 3), "PQ",
+                                               enumeration.KINDS):
+                    walk = enumeration.count(EnumSpec(shape, n, family, kind))
+                    assert run(capsys, "enumerate", "--shape", str(shape),
+                               "--family", family, "-n", str(n), "--kind",
+                               kind, "--count-only") == \
+                        (0, f"{walk}\n", ""), (str(shape), n, family, kind)
+                    cases += 1
+        assert cases == 552
+
+    def test_count_only_never_walks(self, capsys, monkeypatch):
+        # the count the parity of GQ 7,5,3,1 at n=6 reads, with no walk
+        def refuse(spec):
+            raise AssertionError("walked the tableaux")
+
+        monkeypatch.setattr(enumeration, "_leaves", refuse)
+        monkeypatch.setattr(genfunc, "_leaves", refuse)
+        assert run(capsys, "enumerate", "--shape", "7,5,3,1", "--family",
+                   "Q", "-n", "6", "--count-only") == \
+            (0, "64563237071361\n", "")
 
     def test_jsonl(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--shape", "1",

@@ -16,8 +16,8 @@ def sp(*parts):
     return StrictPartition(tuple(parts))
 
 
-def spec(lam, n, family, kind="set-valued", mu=(), cap=None):
-    return EnumSpec(SkewShape(sp(*lam), sp(*mu)), n, family, kind, cap)
+def spec(lam, n, family, kind="set-valued", mu=()):
+    return EnumSpec(SkewShape(sp(*lam), sp(*mu)), n, family, kind)
 
 
 def cells_of(f):
@@ -105,16 +105,6 @@ class TestInvariants:
         for f in enumerate_fillings(spec((2, 1), 2, "Q")):
             assert all(letter(c) <= 2 for cell in f.cells for c in cell)
 
-    def test_size_cap(self):
-        capped = spec((2,), 1, "Q", cap=2)
-        full = spec((2,), 1, "Q")
-        assert {f._key for f in enumerate_fillings(capped)} == \
-            {f._key for f in enumerate_fillings(full) if f.size() <= 2}
-
-    def test_size_cap_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            spec((2, 1), 2, "Q", cap=2)
-
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -133,7 +123,7 @@ def set_rule(spec, box, cells):
     """The candidate rule on sets read off the partial filling: lex-ordered
     cells of codes from the larger of the left and top neighbors' maxima,
     even codes only on a P diagonal, no primed code used in the row and no
-    unprimed code used in the column, at most what the size cap leaves."""
+    unprimed code used in the column."""
     i, j = box
     lo = max([1] + [cells[b][-1] for b in ((i, j - 1), (i - 1, j))
                     if b in cells])
@@ -145,12 +135,7 @@ def set_rule(spec, box, cells):
     allowed = [c for c in range(lo, 2 * spec.n + 1, step) if c not in taken]
     if spec.kind == "single":
         return [(c,) for c in allowed]
-    budget = len(allowed)
-    if spec.size_cap is not None:
-        used = sum(len(c) for c in cells.values())
-        budget = min(budget,
-                     spec.size_cap - used - (spec.shape.size - len(cells) - 1))
-    return sorted(cell for k in range(1, budget + 1)
+    return sorted(cell for k in range(1, len(allowed) + 1)
                   for cell in combinations(allowed, k))
 
 
@@ -190,15 +175,13 @@ def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
             shape = SkewShape(lam, mu)
             for n in (1, 2, 3):
                 for family in ("P", "Q"):
-                    specs = [EnumSpec(shape, n, family, "single"),
-                             EnumSpec(shape, n, family, "set-valued")]
-                    specs += [EnumSpec(shape, n, family, "set-valued", cap)
-                              for cap in (shape.size, shape.size + 1)]
+                    specs = [EnumSpec(shape, n, family, kind)
+                             for kind in enumeration.KINDS]
                     for s in specs:
                         count(s)
                     if count(specs[0]):
                         involutions.minimal_tableau(shape, family, n)
-    assert nodes == 46762
+    assert nodes == 35326
 
 
 def test_leaves_in_oracle_order(oracle_tableaux):

@@ -30,10 +30,10 @@ GOLDEN = {
     "kschur parity --shape 1 --family GQ -n 1": (
         0, "9f8ba67ef24f995313e082b0151df65ecd9d176e8d21d2797678fe499cb9ab0b",
         None),
-    "kschur double-skew --lambda 9,8,6,4 --mu 7,5,4,2 --shortcut": (
+    "kschur double-skew --lambda 9,8,6,4 --mu 7,5,4,2": (
         0, "a9befe0025e7d1a1bd69533e20a95757e5884e05732d628a987fc71b30d9b362",
         None),
-    "kschur double-skew --lambda 2,1 --mu 1 --family GQ -n 2": (
+    "kschur special-value --shape 2,1/1 --family GQdouble -n 2": (
         0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
         None),
     "kschur enumerate --shape 2,1 --family P -n 2": (

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib
@@ -6,6 +7,7 @@ import io
 import pathlib
 import pkgutil
 import re
+import textwrap
 
 import shifted_kschur
 from shifted_kschur import cli
@@ -98,7 +100,7 @@ def _requests(tmp_path):
         ["poly", "--shape", "3,1/1", "--family", "GQdouble", "-n", "2"],
         ["special-value", "--shape", "4,2,1", "--family", "GP", "-n", "3"],
         ["parity", "--shape", "3,1", "--family", "GQ", "-n", "2"],
-        ["double-skew", "--lambda", "3,1", "--mu", "1", "-n", "2"],
+        ["double-skew", "--lambda", "3,1", "--mu", "1"],
         ["enumerate", "--shape", "2,1", "--family", "Q", "-n", "2",
          "--count-only"],
         ["identity", "--check", "coproduct", "--max-weight", "3",
@@ -166,13 +168,21 @@ def test_no_unused_import_in_src():
     assert not {name: names for name, names in unused.items() if names}
     assert _unused_imports("from .shapes import Box, SkewShape\n"
                            "x: 'SkewShape'\n") == ["Box"]
+    # nor a module-level def, class or constant that src/ never reads
+    # and the package does not export
+    bound, read = _module_names([p.read_text()
+                                 for p in sorted(root.glob("*.py"))])
+    assert len(bound) > 100
+    assert not sorted(bound - read - set(shifted_kschur.__all__))
+    bound, read = _module_names(["A = 1\ndef f(): return B\nB = 2\n"
+                                 "class K: pass\n__all__ = ['K']\n"])
+    assert sorted(bound - read) == ["A", "K", "f"]
 
 
-def _private_names(sources: list) -> tuple[set, set]:
-    """(bound, read): the names of one leading underscore that a module
-    of sources binds at module level by def, class or assignment, and
-    every name some expression in sources reads, as a name or an
-    attribute."""
+def _module_names(sources: list) -> tuple[set, set]:
+    """(bound, read): the names, dunders aside, that a module of sources
+    binds at module level by def, class or assignment, and every name
+    some expression in sources reads, as a name or an attribute."""
     bound, read = set(), set()
     for source in sources:
         tree = ast.parse(source)
@@ -186,14 +196,20 @@ def _private_names(sources: list) -> tuple[set, set]:
                          if isinstance(n, ast.Name)]
             else:
                 continue
-            bound.update(name for name in names if name.startswith("_")
-                         and not name.startswith("__"))
+            bound.update(name for name in names if not name.startswith("__"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return bound, read
+
+
+def _private_names(sources: list) -> tuple[set, set]:
+    """``_module_names`` with bound kept to the names of one leading
+    underscore."""
+    bound, read = _module_names(sources)
+    return {name for name in bound if name.startswith("_")}, read
 
 
 def test_no_unread_private_name_in_src():
@@ -208,6 +224,38 @@ def test_no_unread_private_name_in_src():
                                   "class _K: pass\n__all__ = ['x']\n",
                                   "y = m._C\n"])
     assert sorted(bound - read) == ["_A", "_K", "_f"]
+
+
+def _unread_options(parser: argparse.ArgumentParser) -> list:
+    """(verb, dest) for each option of a verb whose ``func`` never reads
+    ``args.<dest>``."""
+    verbs = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    unread = []
+    for verb, p in verbs.items():
+        tree = ast.parse(textwrap.dedent(
+            inspect.getsource(p.get_default("func"))))
+        read = {n.attr for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        unread += [(verb, a.dest) for a in p._actions
+                   if not isinstance(a, argparse._HelpAction)
+                   and a.dest not in read]
+    return unread
+
+
+def _reads_a(args):
+    return args.a
+
+
+def test_every_cli_option_is_read_by_its_verb():
+    assert not _unread_options(cli.build_parser())
+    parser = argparse.ArgumentParser()
+    p = parser.add_subparsers().add_parser("v")
+    p.add_argument("--a")
+    p.add_argument("--b")
+    p.set_defaults(func=_reads_a)
+    assert _unread_options(parser) == [("v", "b")]
 
 
 def test_every_module_parses_at_the_declared_python_floor():

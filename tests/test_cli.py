@@ -96,18 +96,29 @@ class TestDoubleSkew:
         assert sum(l.endswith("sign=+1") for l in lines[1:]) == 4
         assert sum(l.endswith("sign=-1") for l in lines[1:]) == 4
 
-    def test_empty_mu_does_not_apply(self, capsys):
-        # with mu empty the value is b^|lambda|, not a failure of vanishing
-        code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
-                             "--mu", "-")
+    def test_empty_set_does_not_apply(self, capsys):
+        # the engine at n=1 meets the empty tableau set of 2,1 here; the
+        # expansion reads no tableau set, so it proves the vanishing anyway
+        assert run(capsys, "double-skew", "--lambda", "2,1", "--mu", "1") == \
+            (0, "0\nnu=1 removed=0 sign=+1\nnu=- removed=1 sign=-1\n", "")
+
+    @pytest.mark.parametrize("path", [("--mu", "-"), ("--mu", "0")])
+    def test_empty_mu_does_not_apply(self, capsys, path):
+        # with mu empty, in either spelling, the value is b^|lambda|, not a
+        # failure of vanishing
+        code, out, err = run(capsys, "double-skew", "--lambda", "2,1", *path)
         assert (code, out) == (2, "b^3\n")
         assert err == ("note: mu is empty; the vanishing statement does "
                        "not apply\n")
 
-    def test_mu_outside_lambda_is_usage_error(self, capsys):
-        # rejected before a value is printed
-        code, out, err = run(capsys, "double-skew", "--lambda", "2,1",
-                             "--mu", "3")
+    @pytest.mark.parametrize("path", [
+        ("double-skew", "--lambda", "2,1", "--mu", "3"),
+        ("special-value", "--shape", "2,1/3", "--family", "GPdouble",
+         "-n", "2")])
+    def test_mu_outside_lambda_is_usage_error(self, capsys, path):
+        # the expansion and the engine both reject the shape before printing
+        # a value
+        code, out, err = run(capsys, *path)
         assert (code, out) == (2, "")
         assert err == "error: 3 is not contained in 2,1\n"
 

@@ -139,7 +139,7 @@ class LaurentPoly:
 
     def beta_slice(self, k: int) -> "LaurentPoly":
         """Terms with b-exponent exactly k, with the b-power dropped."""
-        return LaurentPoly(
+        return LaurentPoly._trusted(  # a new dict of terms already checked
             self.nvars,
             {(x, 0): c for (x, b), c in self.terms.items() if b == k})
 

@@ -12,7 +12,8 @@ removable box that pairs them, and the set-valued letter factors of
 interlacing rule, nu_(r+1) <= rho_r <= nu_r, is stated once, in
 ``_strips_above``: the shapes nu one more letter can fill rho out to, which
 are the transitions of ``genfunc``'s level recursion.  ``_index_table``
-holds a shape's facts by row-major index."""
+holds a shape's facts by row-major index, and ``_parse_skew`` the one
+shape of each parsed text."""
 
 from __future__ import annotations
 
@@ -61,7 +62,8 @@ class StrictPartition:
 
     @classmethod
     def parse(cls, text: str) -> "StrictPartition":
-        """Parse a comma-separated list such as "4,2,1"; "" or "0" is empty."""
+        """Parse a comma-separated list such as "4,2,1"; "", "0" and "-"
+        (what ``str`` prints for the empty partition) are empty."""
         text = text.strip()
         if text in ("", "0", "-"):
             return cls(())
@@ -130,11 +132,9 @@ class SkewShape:
 
     @classmethod
     def parse(cls, text: str) -> "SkewShape":
-        """Parse "outer/inner" such as "6,4,3,1/4,2"; bare "4,2,1" is straight."""
-        if "/" in text:
-            outer, inner = text.split("/", 1)
-            return cls(StrictPartition.parse(outer), StrictPartition.parse(inner))
-        return cls(StrictPartition.parse(text))
+        """Parse "outer/inner" such as "6,4,3,1/4,2"; bare "4,2,1" is straight.
+        Equal texts give the one shared shape (see ``_parse_skew``)."""
+        return _parse_skew(text)
 
     def __str__(self) -> str:
         if self.inner:
@@ -147,6 +147,19 @@ class SkewShape:
             "inner": list(self.inner.parts),
             "boxes": [[i, j] for (i, j) in self.col_major],
         }
+
+
+@lru_cache(maxsize=256)
+def _parse_skew(text: str) -> SkewShape:
+    """The shape of ``SkewShape.parse``'s text, built once per text: a shape
+    is frozen and its cached boxes and box orders are a frozenset and
+    tuples, so the one object is shared.  A refused text raises on every
+    call and is not kept."""
+    if "/" in text:
+        outer, inner = text.split("/", 1)
+        return SkewShape(StrictPartition.parse(outer),
+                         StrictPartition.parse(inner))
+    return SkewShape(StrictPartition.parse(text))
 
 
 _IndexTable = namedtuple("_IndexTable", "boxes rows cols left top pairs "

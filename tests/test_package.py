@@ -137,6 +137,18 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches(
     assert not left
 
 
+def test_readme_names_every_cache_with_its_bound():
+    # bullets such as "- `genfunc._interned` (4,096), keyed on ..."
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = re.search(r"^## Caches\n(.*?)^## ", readme.read_text(),
+                        re.M | re.S).group(1)
+    listed = {name: int(bound.replace(",", "")) for name, bound in
+              re.findall(r"^- `(\w+\.\w+)` \(([\d,]+)[ )]", section, re.M)}
+    assert listed == {
+        name.removeprefix("shifted_kschur."): c.cache_parameters()["maxsize"]
+        for name, c in _reached().items()}
+
+
 def _unused_imports(source: str) -> list:
     """The names an import in source binds and no expression reads; a
     quoted annotation counts as read."""

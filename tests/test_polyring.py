@@ -92,6 +92,16 @@ class TestSubstitutions:
         p = x(1).scale(2) + b() * x(2)
         assert p.beta_slice(0) == x(1).scale(2)
         assert p.beta_slice(1) == x(2)
+        # negative b-exponents, and a slice with no term: each equal to
+        # the checked constructor's polynomial over the same terms
+        q = LaurentPoly.parse("3*x1^2*x2*b^-1 - 2*x2*b^-1 + x1*b^-3 + 5", 2)
+        for k, want in ((-1, {((2, 1), 0): 3, ((0, 1), 0): -2}),
+                        (-3, {((1, 0), 0): 1}), (0, {((0, 0), 0): 5}),
+                        (-2, {}), (1, {})):
+            got = q.beta_slice(k)
+            assert (got.nvars, got.terms) == (2, LaurentPoly(2, want).terms)
+        q.beta_slice(0).terms.clear()  # a slice holds a dict of its own
+        assert q.terms[((0, 0), 0)] == 5
 
 
 class TestEval:

@@ -1,7 +1,7 @@
 import pytest
 
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
-                                   inner_shapes,
+                                   _parse_skew, inner_shapes,
                                    is_subpartition, removable_boxes,
                                    strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
@@ -69,6 +69,47 @@ class TestSkewShape:
     def test_parse(self):
         sh = SkewShape.parse("6,4,3,1/4,2")
         assert sh.outer == sp(6, 4, 3, 1) and sh.inner == sp(4, 2)
+
+    def test_parse_roundtrip(self):
+        # what str prints parses back, the empty partition's "-" included
+        shapes = [SkewShape(lam, mu)
+                  for lam in strict_partitions_up_to_weight(6)
+                  for mu in strict_subpartitions(lam)]
+        assert SkewShape(sp()) in shapes and len(shapes) == 81
+        for sh in shapes:
+            assert StrictPartition.parse(str(sh.outer)) == sh.outer
+            assert StrictPartition.parse(str(sh.inner)) == sh.inner
+            assert SkewShape.parse(str(sh)) == sh, str(sh)
+
+    def test_parse_builds_each_text_once(self, monkeypatch, fresh_caches):
+        first = SkewShape.parse("4,2,1/1")
+
+        def refuse(self):
+            raise AssertionError(f"built {type(self).__name__}")
+
+        monkeypatch.setattr(StrictPartition, "__post_init__", refuse)
+        monkeypatch.setattr(SkewShape, "__post_init__", refuse)
+        assert SkewShape.parse("4,2,1/1") is first
+        fresh_caches()  # the clearing loop reaches the cache
+        with pytest.raises(AssertionError, match="built StrictPartition"):
+            SkewShape.parse("4,2,1/1")
+        monkeypatch.undo()
+        again = SkewShape.parse("4,2,1/1")
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("text, message", [
+        ("3,1/1/1", "cannot parse partition '1/1'"),
+        ("2,2", "parts must be strictly decreasing, got (2, 2)"),
+        ("2/3", "3 is not contained in 2"),
+    ])
+    def test_refused_text_is_not_kept(self, text, message, fresh_caches):
+        SkewShape.parse("2,1")
+        size = _parse_skew.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError) as err:
+                SkewShape.parse(text)
+            assert str(err.value) == message
+            assert _parse_skew.cache_info().currsize == size
 
     def test_json_boxes_in_column_order(self):
         sh = SkewShape(sp(2, 1))

@@ -166,7 +166,7 @@ def _beta_zero(shape: SkewShape, n: int) -> tuple[str, bool]:
 def _pq_factor(shape: SkewShape, n: int) -> tuple[str, bool]:
     p = genfunc.compute(FunctionSpec("P", shape, n))
     q = genfunc.compute(FunctionSpec("Q", shape, n))
-    ok = q == p.scale(2 ** shape.outer.length)
+    ok = q == p.scale(2 ** (shape.outer.length - shape.inner.length))
     return f"shape={shape} n={n} {'ok' if ok else 'FAIL'}", ok
 
 
@@ -193,21 +193,19 @@ def cmd_identity(args) -> int:
             genfunc._coproduct_guard(FunctionSpec(fam, SkewShape(lam),
                                                   nx + ny))
         return _sweep(instances, _coproduct, args.time_budget)
-    # Q = 2^rows * P is a statement about straight shapes only
-    skew = args.skew and args.check == "beta-zero"
     instances = [(shape, n)
-                 for shape in _sweep_shapes(args.max_weight, skew)
+                 for shape in _sweep_shapes(args.max_weight, args.skew)
                  for n in range(1, args.max_n + 1)]
     check = _beta_zero if args.check == "beta-zero" else _pq_factor
     return _sweep(instances, check, args.time_budget)
 
 
 def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
-    spec = FunctionSpec("G" + fam, shape, n)
-    if not genfunc.parity_report(spec).count:
+    # the count, and the sum of (-1)^(|T| - #boxes)
+    count, signed = genfunc._at(FunctionSpec("G" + fam, shape, n))
+    if not count:
         return f"shape={shape} family={fam} n={n} empty", None
     rep = involutions.verify_involution(shape, fam, n)
-    signed = genfunc.signed_count(spec)  # sum of (-1)^(|T| - #boxes)
     ok = rep.ok and signed == 1
     return (f"shape={shape} family={fam} n={n} checked={rep.checked} "
             f"signed={signed} {'ok' if ok else 'FAIL'}"), ok
@@ -242,7 +240,7 @@ def cmd_oracle_check(args) -> int:
                  if shape.size <= enumeration.ORACLE_MAX_BOXES
                  for n in range(1, max_n + 1)
                  for fam in FAMILIES
-                 for kind in ("single", "set-valued")]
+                 for kind in enumeration.KINDS]
     return _sweep(instances, _oracle)
 
 
@@ -296,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list or count tableaux")
     add_common(p, FAMILIES, with_format=True)
-    p.add_argument("--kind", choices=("single", "set-valued"),
-                   default="set-valued")
+    p.add_argument("--kind", choices=enumeration.KINDS, default="set-valued")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("special-value",
                        help="x_i -> b, b -> -1/b specialization")
-    add_common(p, ("GP", "GQ", "GPdouble", "GQdouble"))
+    add_common(p, genfunc.K_FAMILIES)
     p.set_defaults(func=cmd_special_value)
 
     p = sub.add_parser("parity", help="tableau count and its parity")

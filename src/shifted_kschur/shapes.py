@@ -2,6 +2,9 @@
 
 Boxes are (row, col) pairs with 1-based matrix coordinates: row increases
 downward, col increases to the right.  A box (i, j) is *diagonal* iff j == i.
+A shape's rows (``row_cols``) state its boxes once; the box set and both
+box orders are read off them, and ``strict_subpartitions`` filters the one
+enumerator of strict partitions by weight.
 
 The removable-box rule is stated once, in ``_corner_rows``, and subsets of
 corners are removed in one loop, ``_minus_corners``.  On them rest the
@@ -96,30 +99,25 @@ class SkewShape:
             raise ValueError(f"{self.inner} is not contained in {self.outer}")
 
     @cached_property
-    def boxes(self) -> frozenset[Box]:
-        out = []
-        for i in range(1, self.outer.length + 1):
-            lo = self.inner.part(i) + i
-            hi = self.outer.part(i) + i - 1
-            out.extend((i, j) for j in range(lo, hi + 1))
-        return frozenset(out)
+    def rows(self) -> tuple[tuple[Box, ...], ...]:
+        """The boxes of each row 1..len(outer), left to right (maybe none)."""
+        return tuple(tuple((i, j) for j in self.row_cols(i))
+                     for i in range(1, self.outer.length + 1))
 
     @cached_property
     def row_major(self) -> tuple[Box, ...]:
         """The boxes row by row, left to right (the enumeration fill order)."""
-        return tuple(sorted(self.boxes))
+        return sum(self.rows, ())
+
+    @cached_property
+    def boxes(self) -> frozenset[Box]:
+        return frozenset(self.row_major)
 
     @cached_property
     def col_major(self) -> tuple[Box, ...]:
         """The boxes column by column, top of each column first: (i, j)
         precedes (i~, j~) iff j < j~, or j == j~ and i < i~."""
-        return tuple(sorted(self.boxes, key=lambda b: (b[1], b[0])))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Box, ...], ...]:
-        """The boxes of each row 1..len(outer), left to right (maybe none)."""
-        return tuple(tuple((i, j) for j in self.row_cols(i))
-                     for i in range(1, self.outer.length + 1))
+        return tuple(sorted(self.row_major, key=lambda b: (b[1], b[0])))
 
     @property
     def size(self) -> int:
@@ -271,17 +269,6 @@ def strict_partitions_up_to_weight(l: int) -> Iterator[StrictPartition]:
 
 
 def strict_subpartitions(lam: StrictPartition) -> Iterator[StrictPartition]:
-    """All strict mu contained in lam (including the empty one and lam)."""
-
-    def rec(i: int, prev: int):
-        # rows i.. of mu, each part < prev and <= lam_i; rows may stop anytime
-        if i > lam.length or prev <= 1:
-            yield ()
-            return
-        yield ()
-        for p in range(min(lam.part(i), prev - 1), 0, -1):
-            for rest in rec(i + 1, p):
-                yield (p, *rest)
-
-    for parts in rec(1, lam.part(1) + 1):
-        yield StrictPartition(parts)
+    """Every strict mu inside lam, empty and lam included, lighter first."""
+    return (mu for mu in strict_partitions_up_to_weight(lam.weight)
+            if is_subpartition(mu, lam))

@@ -201,11 +201,14 @@ class TestIdentity:
                            "--max-weight", "4", "--max-n", "2")
         assert code == 0
 
-    def test_pq_factor_skew_skips_skew_shapes(self, capsys):
+    def test_pq_factor_skew_checks_skew_shapes(self, capsys):
+        # Q = 2^(len(lam) - len(mu)) P: lam/mu's diagonal boxes are the
+        # first boxes of rows len(mu)+1 .. len(lam)
         code, out, _ = run(capsys, "identity", "--check", "pq-factor",
                            "--skew", "--max-weight", "2", "--max-n", "1")
         assert code == 0
-        assert out == "shape=1 n=1 ok\nshape=2 n=1 ok\n"
+        assert out == ("shape=1 n=1 ok\nshape=1/1 n=1 ok\nshape=2 n=1 ok\n"
+                       "shape=2/1 n=1 ok\nshape=2/2 n=1 ok\n")
 
     def test_coproduct(self, capsys):
         code, out, _ = run(capsys, "identity", "--check", "coproduct",

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
@@ -140,15 +142,22 @@ class TestBoxOrder:
         assert got[0] == (3, 3)
 
     def test_cached_orders(self):
-        for lam in strict_partitions_up_to_weight(8):
+        # against the definition, the boxes (i, j) with
+        # mu_i + i <= j < lam_i + i, and against sorts of the box set
+        for lam in strict_partitions_up_to_weight(10):
             for mu in strict_subpartitions(lam):
                 sh = SkewShape(lam, mu)
+                explicit = [(i, j) for i in range(1, lam.length + 1)
+                            for j in range(mu.part(i) + i, lam.part(i) + i)]
+                assert sh.boxes == frozenset(explicit)
+                assert sh.row_major == tuple(explicit) \
+                    == tuple(sorted(sh.boxes))
                 assert sh.col_major == tuple(
-                    sorted(sh.boxes, key=lambda b: (b[1], b[0])))
+                    sorted(explicit, key=lambda b: (b[1], b[0]))) \
+                    == tuple(sorted(sh.boxes, key=lambda b: (b[1], b[0])))
                 assert len(sh.rows) == lam.length
-                assert sum(sh.rows, ()) == sh.row_major
                 for i, row in enumerate(sh.rows, start=1):
-                    assert row == tuple((i, j) for j in sh.row_cols(i))
+                    assert row == tuple(b for b in explicit if b[0] == i)
 
     def test_index_table(self):
         # every entry against the shape's own box orders, |lam| <= 6
@@ -289,9 +298,13 @@ def test_partition_generators():
 
 
 def test_strict_subpartitions_are_distinct_and_complete():
-    for lam in strict_partitions_up_to_weight(8):
+    # brute force: every tuple with part i <= lam_i, strictly decreasing
+    # down to its first 0 and 0 from there on
+    for lam in strict_partitions_up_to_weight(12):
         subs = [mu.parts for mu in strict_subpartitions(lam)]
         assert len(subs) == len(set(subs)), lam
-        below = strict_partitions_up_to_weight(lam.weight)
-        assert set(subs) == {mu.parts for mu in below
-                             if is_subpartition(mu, lam)}, lam
+        brute = {tuple(p for p in t if p)
+                 for t in itertools.product(*(range(l + 1)
+                                              for l in lam.parts))
+                 if all(a > b or a == b == 0 for a, b in zip(t, t[1:]))}
+        assert set(subs) == brute, lam

@@ -18,12 +18,11 @@ subset assignments is provided for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .shapes import SkewShape, _index_table
+from .shapes import SkewShape, _index_table, _Record
 from .tableaux import Filling, _check_family, _check_n, validate_cells
 
 KINDS = ("single", "set-valued")
@@ -32,18 +31,18 @@ ORACLE_MAX_BOXES = 5
 ORACLE_MAX_N = 2
 
 
-@dataclass(frozen=True)
-class EnumSpec:
-    shape: SkewShape
-    n: int
-    family: str  # "P" or "Q"
-    kind: str = "set-valued"
+class EnumSpec(_Record):
+    """A walk's request: shape, n, family P or Q and kind."""
 
-    def __post_init__(self):
-        _check_family(self.family)
-        _check_n(self.n)
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+    __slots__ = _fields = ("shape", "n", "family", "kind")
+
+    def __init__(self, shape: SkewShape, n: int, family: str,
+                 kind: str = "set-valued"):
+        _check_family(family)
+        _check_n(n)
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        self.shape, self.n, self.family, self.kind = shape, n, family, kind
 
 
 def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):

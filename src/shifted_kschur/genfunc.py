@@ -20,14 +20,13 @@ backtracking walk, kept per shape and n) is kept as the definition the
 engine and the rule are tested against.  The three sums take lam and mu
 as part tuples.  The double-skew functions additionally sum over inner
 shapes nu (mu minus a subset of its removable boxes), listed as part
-tuples by ``_inner``, which ``compute`` and ``_at`` both read, so neither
-builds a ``StrictPartition`` or ``SkewShape``; the shortcut path evaluates
-that sum symbolically without touching any tableau.
+tuples by ``_inner``, which ``compute`` and a double-skew ``_at`` read, so
+neither builds a ``StrictPartition`` or ``SkewShape``; the shortcut path
+evaluates that sum symbolically without touching any tableau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -35,7 +34,7 @@ from typing import NamedTuple
 from .enumeration import EnumSpec, _leaves
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, _corner_rows,
-                     _minus_corners, _strips_above, inner_shapes,
+                     _minus_corners, _Record, _strips_above, inner_shapes,
                      is_subpartition, strict_subpartitions)
 from .tableaux import _check_n
 
@@ -47,24 +46,26 @@ COPRODUCT_MAX_WEIGHT = 6
 _COPRODUCT_MAX_TABLEAUX = 500_000  # most at n_x + n_y <= 4 is 465,777
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    family: str
-    shape: SkewShape
-    n: int
+# each family's (base family, kind): GQdouble is ("Q", "set-valued")
+_FAMILY_FACTS = {f: (f.removeprefix("G")[0],
+                     "set-valued" if f[0] == "G" else "single")
+                 for f in FAMILIES}
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        _check_n(self.n)
 
-    @property
-    def base_family(self) -> str:
-        return "P" if self.family in ("P", "GP", "GPdouble") else "Q"
+class FunctionSpec(_Record):
+    """A request: family, shape and n, with the family's base family and
+    kind set here, once.  Not frozen, as no cache holds a spec."""
 
-    @property
-    def kind(self) -> str:
-        return "single" if self.family in ("P", "Q") else "set-valued"
+    _fields = ("family", "shape", "n")
+    __slots__ = _fields + ("base_family", "kind")
+
+    def __init__(self, family: str, shape: SkewShape, n: int):
+        facts = _FAMILY_FACTS.get(family) if isinstance(family, str) else None
+        if facts is None:
+            raise ValueError(f"unknown family {family!r}")
+        _check_n(n)
+        self.family, self.shape, self.n = family, shape, n
+        self.base_family, self.kind = facts
 
 
 def _tableau_sum(lam: tuple, mu: tuple, n: int, family: str,
@@ -273,6 +274,8 @@ def _at(spec: FunctionSpec) -> tuple[int, int]:
     (-1)^|mu/nu|."""
     lam, n, family, kind = (spec.shape.outer.parts, spec.n,
                             spec.base_family, spec.kind)
+    if not spec.family.endswith("double"):  # _inner's one lam/mu
+        return _point_sum(lam, spec.shape.inner.parts, n, family, kind)
     count = signed = 0
     for b, nu in _inner(spec):
         c, s = _point_sum(lam, nu, n, family, kind)

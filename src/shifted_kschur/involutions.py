@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
-from .shapes import (SkewShape, StrictPartition, _index_table, inner_shapes,
-                     is_subpartition, pi)
+from .shapes import (SkewShape, StrictPartition, _index_table, _Record,
+                     inner_shapes, is_subpartition, pi)
 from .tableaux import (Filling, _cells_from_rows, _check_family, _check_n,
                        entry_str, validate_cells)
 
@@ -178,15 +177,31 @@ def _element(T: Filling) -> dict:
     return {"nu": list(T.shape.inner.parts), "tableau": T.to_json()}
 
 
-@dataclass
-class PairingCertificate:
-    lam: StrictPartition
-    mu: StrictPartition
-    n: int
-    family: str
-    minimal_only: bool
-    pairs: list[Pair] = field(default_factory=list)
-    leftover: list[Filling] = field(default_factory=list)
+_HEADER = ("lambda", "mu", "n", "family", "minimal_only")  # in read order
+
+
+def _header(lam: StrictPartition, mu: StrictPartition, n: int, family: str,
+            minimal_only: bool) -> dict:
+    """The request as a certificate states it, in ``_HEADER`` order."""
+    return dict(zip(_HEADER, (list(lam.parts), list(mu.parts), n, family,
+                              minimal_only)))
+
+
+class PairingCertificate(_Record):
+    """The pairs and the leftover elements that answer a request."""
+
+    _fields = ("lam", "mu", "n", "family", "minimal_only", "pairs",
+               "leftover")
+    __hash__ = None  # equal by value, and its lists change
+
+    def __init__(self, lam: StrictPartition, mu: StrictPartition, n: int,
+                 family: str, minimal_only: bool,
+                 pairs: list[Pair] | None = None,
+                 leftover: list[Filling] | None = None):
+        self.lam, self.mu, self.n = lam, mu, n
+        self.family, self.minimal_only = family, minimal_only
+        self.pairs = [] if pairs is None else pairs
+        self.leftover = [] if leftover is None else leftover
 
     @property
     def complete(self) -> bool:
@@ -195,9 +210,8 @@ class PairingCertificate:
     def to_json(self) -> dict:
         """The document of a certificate built by ``pairing_certificate``."""
         return {
-            "lambda": list(self.lam.parts), "mu": list(self.mu.parts),
-            "n": self.n, "family": self.family,
-            "minimal_only": self.minimal_only,
+            **_header(self.lam, self.mu, self.n, self.family,
+                      self.minimal_only),
             "pairs": [
                 {"left": _element(p.left), "right": _element(p.right),
                  "tag": p.tag}
@@ -273,7 +287,7 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
         return fmt(*[texts.get(cell) or cell_text(cell)
                      for cell in T.cells])
 
-    top = replace(cert, pairs=[], leftover=[]).to_json()
+    top = _header(cert.lam, cert.mu, cert.n, cert.family, cert.minimal_only)
     top["leftover"] = top["pairs"] = _HOLE
     before, between, after = json.dumps(top, sort_keys=True,
                                         indent=1).split(_SLOT)
@@ -508,9 +522,6 @@ def read_certificate(fh) -> dict:
     return doc
 
 
-_HEADER = ("lambda", "mu", "n", "family", "minimal_only")  # in read order
-
-
 def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
                         family: str, minimal_only: bool = False
                         ) -> Callable[[dict], tuple[bool, str | None]]:
@@ -539,8 +550,7 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
     sum is 0.
     """
     shapes, minimal, want = _setup(lam, mu, n, family, minimal_only)
-    request = json.dumps(dict(zip(_HEADER, (list(lam.parts), list(mu.parts),
-                                            n, family, minimal_only))))
+    request = json.dumps(_header(lam, mu, n, family, minimal_only))
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
 
     def parse(element, memo: dict) -> tuple[tuple, tuple]:

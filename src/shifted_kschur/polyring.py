@@ -9,7 +9,6 @@ then x-exponents lexicographically), and parse back exactly.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterable
 
 MonomialKey = tuple[tuple[int, ...], int]  # (x-exponents, b-exponent)
@@ -145,6 +144,7 @@ class LaurentPoly:
 
     def eval_integers(self, xvals, bval: int) -> Fraction:
         """Exact evaluation at integer points (bval nonzero if b^-k occurs)."""
+        from fractions import Fraction  # the only reader; it loads decimal
         xvals = list(xvals)
         if len(xvals) != self.nvars:
             raise ValueError(f"need {self.nvars} x-values, got {len(xvals)}")

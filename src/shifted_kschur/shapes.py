@@ -16,12 +16,11 @@ interlacing rule, nu_(r+1) <= rho_r <= nu_r, is stated once, in
 ``_strips_above``: the shapes nu one more letter can fill rho out to, which
 are the transitions of ``genfunc``'s level recursion.  ``_index_table``
 holds a shape's facts by row-major index, and ``_parse_skew`` the one
-shape of each parsed text."""
+shape of each parsed text, so a shape is frozen (``_Frozen``)."""
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import le
 from typing import Iterator
@@ -29,24 +28,54 @@ from typing import Iterator
 Box = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StrictPartition:
+class _Record:
+    """Equality, hash and repr by ``_fields``, as a dataclass has them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields, set in ``__init__`` by ``object.__setattr__``,
+    cannot change: one shape serves every parse of its text."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class StrictPartition(_Frozen):
     """A strictly decreasing sequence of positive integers (possibly empty)."""
 
-    parts: tuple[int, ...] = ()
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = self.parts
-        if type(parts) is not tuple:
-            parts = tuple(parts)
-            object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        parts = tuple(parts)
         prev = None  # one pass: a part's type and sign before its order
-        for p in parts:
-            if not isinstance(p, int) or p <= 0:
+        for p in parts:  # a bool or a float would pass as a number
+            if type(p) is not int or p <= 0:
                 raise ValueError(f"parts must be positive integers, got {parts}")
             if prev is not None and p >= prev:
                 raise ValueError(f"parts must be strictly decreasing, got {parts}")
             prev = p
+        object.__setattr__(self, "parts", parts)
 
     @property
     def length(self) -> int:
@@ -87,16 +116,17 @@ def is_subpartition(mu: StrictPartition, lam: StrictPartition) -> bool:
     return all(map(le, mu.parts, lam.parts))
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(_Frozen):
     """A shifted skew diagram lam/mu; mu empty gives the straight shape."""
 
-    outer: StrictPartition
-    inner: StrictPartition = StrictPartition(())
+    _fields = ("outer", "inner")
 
-    def __post_init__(self):
-        if not is_subpartition(self.inner, self.outer):
-            raise ValueError(f"{self.inner} is not contained in {self.outer}")
+    def __init__(self, outer: StrictPartition,
+                 inner: StrictPartition = StrictPartition(())):
+        if not is_subpartition(inner, outer):
+            raise ValueError(f"{inner} is not contained in {outer}")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
 
     @cached_property
     def rows(self) -> tuple[tuple[Box, ...], ...]:
@@ -119,7 +149,7 @@ class SkewShape:
         precedes (i~, j~) iff j < j~, or j == j~ and i < i~."""
         return tuple(sorted(self.row_major, key=lambda b: (b[1], b[0])))
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Number of boxes, |lam| - |mu|."""
         return self.outer.weight - self.inner.weight

@@ -166,10 +166,8 @@ class Filling:
 
     @classmethod
     def from_json(cls, data: dict) -> "Filling":
-        shape = SkewShape(
-            StrictPartition(tuple(data["shape"]["outer"])),
-            StrictPartition(tuple(data["shape"]["inner"])),
-        )
+        shape = SkewShape(StrictPartition(data["shape"]["outer"]),
+                          StrictPartition(data["shape"]["inner"]))
         return filling_from_rows(shape, data["n"], data["family"],
                                  data["rows"])
 

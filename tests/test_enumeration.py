@@ -25,6 +25,16 @@ def cells_of(f):
             for box, cell in zip(f.shape.row_major, f.cells)}
 
 
+def test_spec_equal_and_printed_by_value():
+    a = spec((2, 1), 2, "P")
+    assert a == EnumSpec(SkewShape.parse("2,1"), 2, "P") and \
+        hash(a) == hash(EnumSpec(SkewShape.parse("2,1"), 2, "P"))
+    assert a != spec((2, 1), 2, "P", "single") and a != spec((2, 1), 2, "Q")
+    assert repr(a) == ("EnumSpec(shape=SkewShape(outer=StrictPartition("
+                       "parts=(2, 1)), inner=StrictPartition(parts=())), "
+                       "n=2, family='P', kind='set-valued')")
+
+
 class TestSmallCases:
     def test_single_box_q(self):
         got = [cells_of(f) for f in enumerate_fillings(spec((1,), 1, "Q"))]

@@ -71,6 +71,31 @@ class TestFunctionSpec:
         with pytest.raises(ValueError, match="n must be at least 1"):
             fs("GP", (2, 1), 0)
 
+    @pytest.mark.parametrize("family", ["X", "gp", None, ["GP"]])
+    def test_family_checked_before_n(self, family):
+        with pytest.raises(ValueError) as err:
+            fs(family, (2, 1), 0)
+        assert str(err.value) == f"unknown family {family!r}"
+
+    @pytest.mark.parametrize("family, base, kind", [
+        ("P", "P", "single"), ("Q", "Q", "single"),
+        ("GP", "P", "set-valued"), ("GQ", "Q", "set-valued"),
+        ("GPdouble", "P", "set-valued"), ("GQdouble", "Q", "set-valued"),
+    ])
+    def test_family_facts(self, family, base, kind):
+        spec = fs(family, (2, 1), 2)
+        assert (spec.base_family, spec.kind) == (base, kind)
+
+    def test_equal_and_printed_by_value(self):
+        spec = fs("GQ", (3, 1), 2, (1,))
+        same = FunctionSpec("GQ", SkewShape.parse("3,1/1"), 2)
+        assert same == spec and hash(same) == hash(spec)
+        assert spec not in (fs("GQ", (3, 1), 3, (1,)),
+                            fs("GP", (3, 1), 2, (1,)), fs("GQ", (3, 1), 2))
+        assert repr(spec) == (
+            "FunctionSpec(family='GQ', shape=SkewShape(outer=StrictPartition("
+            "parts=(3, 1)), inner=StrictPartition(parts=(1,))), n=2)")
+
 
 class TestBetaZero:
     def test_one_box(self):

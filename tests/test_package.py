@@ -4,9 +4,12 @@ import contextlib
 import importlib
 import inspect
 import io
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 import textwrap
 
 import shifted_kschur
@@ -18,6 +21,17 @@ def test_every_export_resolves():
     missing = [name for name in shifted_kschur.__all__
                if not hasattr(shifted_kschur, name)]
     assert not missing
+
+
+def test_cli_import_loads_neither_dataclasses_nor_fractions():
+    # each pulls in more modules, which a kschur call pays for at start-up
+    src = pathlib.Path(shifted_kschur.__file__).parents[1]
+    code = ("import sys, shifted_kschur.cli; print(sorted("
+            "{'dataclasses', 'fractions'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def _modules():

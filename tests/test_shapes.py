@@ -40,6 +40,11 @@ class TestStrictPartition:
         ([-1], "parts must be positive integers, got (-1,)"),
         ((2, 2), "parts must be strictly decreasing, got (2, 2)"),
         ([4, 1, 2], "parts must be strictly decreasing, got (4, 1, 2)"),
+        ((3, 2.0), "parts must be positive integers, got (3, 2.0)"),
+        # a bool is an int that prints as a word: 2,True was a partition
+        ((2, True), "parts must be positive integers, got (2, True)"),
+        ((True,), "parts must be positive integers, got (True,)"),
+        ((2, False), "parts must be positive integers, got (2, False)"),
     ])
     def test_rejection_texts(self, bad, text):
         with pytest.raises(ValueError) as err:
@@ -86,11 +91,11 @@ class TestSkewShape:
     def test_parse_builds_each_text_once(self, monkeypatch, fresh_caches):
         first = SkewShape.parse("4,2,1/1")
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError(f"built {type(self).__name__}")
 
-        monkeypatch.setattr(StrictPartition, "__post_init__", refuse)
-        monkeypatch.setattr(SkewShape, "__post_init__", refuse)
+        monkeypatch.setattr(StrictPartition, "__init__", refuse)
+        monkeypatch.setattr(SkewShape, "__init__", refuse)
         assert SkewShape.parse("4,2,1/1") is first
         fresh_caches()  # the clearing loop reaches the cache
         with pytest.raises(AssertionError, match="built StrictPartition"):
@@ -112,6 +117,24 @@ class TestSkewShape:
                 SkewShape.parse(text)
             assert str(err.value) == message
             assert _parse_skew.cache_info().currsize == size
+
+    def test_frozen_equal_and_printed_by_value(self):
+        # one shape is shared by every parse of its text, so none changes
+        sh = SkewShape.parse("4,2/1")
+        for obj, field in ((sh, "outer"), (sh, "inner"), (sh.outer, "parts")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+        assert sh.outer == sp(4, 2) and sh.inner == sp(1)
+        other = SkewShape(sp(4, 2), sp(1))
+        assert other is not sh and other == sh and hash(other) == hash(sh)
+        assert sh != SkewShape(sp(4, 2)) and sh.outer != sh
+        assert sp(4, 2) == StrictPartition([4, 2])
+        assert hash(sp(4, 2)) == hash(StrictPartition([4, 2]))
+        assert repr(sh) == ("SkewShape(outer=StrictPartition(parts=(4, 2)), "
+                            "inner=StrictPartition(parts=(1,)))")
+        assert repr(sp()) == "StrictPartition(parts=())"
 
     def test_json_boxes_in_column_order(self):
         sh = SkewShape(sp(2, 1))

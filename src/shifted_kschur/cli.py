@@ -180,6 +180,8 @@ def _coproduct(lam: StrictPartition, nx: int, ny: int,
 def cmd_identity(args) -> int:
     _check_sweep_bounds(args.max_weight, args.max_n, args.time_budget)
     if args.check == "coproduct":
+        if args.skew:  # the left side F_lam(x, y) is on a straight lam
+            raise ValueError("--skew does not apply to --check coproduct")
         for flag, value in (("--nx", args.nx), ("--ny", args.ny)):
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1")

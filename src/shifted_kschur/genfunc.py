@@ -9,7 +9,9 @@ pairs with a nonzero factor), and each one-letter factor comes from a
 per-row rule on the first box of each row, with no tableaux.  Each rho's
 transitions, the factors with their values at x = 1 and b = 1, -1, are
 made once and kept per (lam, mu, family, kind) in ``_point_levels``.
-``_branching_sum`` builds the polynomial from them.  ``_point_sum`` runs
+``_branching_sum`` builds the polynomial from them; for ``beta_zero`` it
+builds only the b^0 terms, each factor keeping its own, which is exact as
+no factor term has a negative b-exponent.  ``_point_sum`` runs
 the same recursion on int pairs, the sum at x = 1 and b = 1, -1, so the
 count and the signed count build no polynomial, and the special value
 (b^|lam/mu| times the signed count) builds only that one monomial; its
@@ -68,16 +70,20 @@ class FunctionSpec(_Record):
         self.base_family, self.kind = facts
 
 
-def _tableau_sum(lam: tuple, mu: tuple, n: int, family: str,
-                 kind: str) -> LaurentPoly:
+def _tableau_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
+                 b0_only: bool = False) -> LaurentPoly:
     """The definition: each tableau adds x^weight * b^(|T| - #boxes).
 
     The backtracking walk carries each tableau's weight and |T| to its
     leaf, so the sum builds no ``Filling``.  The terms are kept per
-    (lam, mu, n, family, kind), and each call gets its own polynomial.
+    (lam, mu, n, family, kind), and each call gets its own polynomial:
+    with ``b0_only`` its terms with b-exponent 0 only.
     """
-    return LaurentPoly._trusted(n, dict(_tableau_terms(lam, mu, n, family,
-                                                       kind)))
+    terms = _tableau_terms(lam, mu, n, family, kind)
+    if b0_only:
+        return LaurentPoly._trusted(n, {k: c for k, c in terms.items()
+                                        if not k[1]})
+    return LaurentPoly._trusted(n, dict(terms))
 
 
 @lru_cache(maxsize=256)
@@ -201,8 +207,8 @@ def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
     return _Levels(lam, mu, family, kind)
 
 
-def _branching_sum(lam: tuple, mu: tuple, n: int, family: str,
-                   kind: str) -> LaurentPoly:
+def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
+                   b0_only: bool = False) -> LaurentPoly:
     """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
 
     Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
@@ -212,6 +218,12 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str,
     rho's transitions come from the kept ``_Levels`` of (lam, mu, family,
     kind), which ``_point_sum`` reads too.  The polynomial is built afresh
     per call, the last level keeping nu = lam only.
+
+    Precondition of ``b0_only``: every factor term has b-exponent >= 0
+    (``_one_letter``'s j and ``_letter_factor``'s |S| are never negative),
+    so a product of factor terms has b-exponent 0 exactly when each of
+    them has.  With ``b0_only`` each transition's factor keeps its b^0
+    terms only, and the sum is exactly the b^0 terms of the full one.
     """
     levels = _point_levels(lam, mu, family, kind)
     level = {mu: {((), 0): 1}}
@@ -223,6 +235,8 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str,
             for nu, factor in zip(out[::4], out[1::4]):
                 if only is not None and nu != only:
                     continue
+                if b0_only:
+                    factor = [t for t in factor if not t[1]]
                 terms = nxt.setdefault(nu, {})
                 for x, b, c in factor:
                     for (xexp, bexp), d in value.items():
@@ -301,10 +315,18 @@ def compute(spec: FunctionSpec) -> LaurentPoly:
 
 
 def beta_zero(spec: FunctionSpec) -> LaurentPoly:
-    """The b^0 slice of GP/GQ; equals the matching P/Q polynomial."""
+    """The b^0 slice of GP/GQ; equals the matching P/Q polynomial.
+
+    Only the b^0 terms are built: the set-valued recursion keeps each
+    factor's b^0 terms, and since no factor term has a negative
+    b-exponent, these make exactly the b^0 terms of ``compute(spec)``.
+    The factors read are the set-valued ones, not P/Q's, so the check
+    against P/Q compares two recursions.
+    """
     if spec.family not in ("GP", "GQ"):
         raise ValueError("beta_zero applies to GP and GQ only")
-    return compute(spec).beta_slice(0)
+    return _branching_sum(spec.shape.outer.parts, spec.shape.inner.parts,
+                          spec.n, spec.base_family, spec.kind, b0_only=True)
 
 
 def special_value(spec: FunctionSpec) -> LaurentPoly:

@@ -4,6 +4,7 @@
 definition, and the only reference the engine is compared with.
 """
 
+import inspect
 import random
 from itertools import islice
 
@@ -15,13 +16,14 @@ from shifted_kschur import cli, enumeration, genfunc, involutions
 from shifted_kschur.enumeration import EnumSpec, count, enumerate_fillings
 from shifted_kschur.genfunc import (FAMILIES, K_FAMILIES, FunctionSpec, _at,
                                     _branching_sum, _letter_factor,
-                                    _one_letter, _point_sum, _tableau_sum,
+                                    _one_letter, _point_levels, _point_sum,
+                                    _tableau_sum,
                                     beta_zero, compute, coproduct_check,
                                     parity_report, signed_count,
                                     special_value)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _strips_above,
-                                   removable_boxes,
+                                   is_subpartition, removable_boxes,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling
@@ -41,16 +43,54 @@ def skew_shapes(max_weight):
 
 
 def test_engine_equals_tableau_sum_exhaustive():
+    # the whole sum, and its b^0 terms alone (b0_only)
     cases = 0
     for shape in skew_shapes(6):
         for n in (1, 2, 3):
             for family in ("P", "Q"):
                 for kind in KINDS:
-                    want = _tableau_sum(*parts(shape), n, family, kind)
-                    got = _branching_sum(*parts(shape), n, family, kind)
-                    assert got == want, (str(shape), n, family, kind)
-                    cases += 1
-    assert cases == 960
+                    for b0_only in (False, True):
+                        args = (*parts(shape), n, family, kind, b0_only)
+                        assert _branching_sum(*args) == _tableau_sum(*args), \
+                            (str(shape), n, family, kind, b0_only)
+                        cases += 1
+    assert cases == 1920
+
+
+def test_sums_share_one_signature():
+    # test_polynomial_path_never_enumerates swaps one sum for the other
+    assert inspect.signature(_tableau_sum) == \
+        inspect.signature(_branching_sum)
+
+
+def test_factor_terms_have_no_negative_b_exponent(fresh_caches):
+    # b0_only's precondition: a b-exponent never falls along the recursion
+    terms = 0
+    for lam in strict_partitions_up_to_weight(8):
+        subs = list(strict_subpartitions(lam))
+        for mu in subs:
+            interval = [rho.parts for rho in subs if is_subpartition(mu, rho)]
+            for family in ("P", "Q"):
+                for kind in KINDS:
+                    levels = _point_levels(lam.parts, mu.parts, family, kind)
+                    for rho in interval:
+                        for factor in levels.steps(rho)[1::4]:
+                            for _, b, _ in factor:
+                                assert b >= 0, (lam, mu, rho, family, kind)
+                                terms += 1
+    assert terms == 34618
+
+
+def test_beta_zero_is_the_b0_slice_exhaustive():
+    cases = 0
+    for shape in skew_shapes(7):
+        for n in (1, 2, 3, 4):
+            for family in ("GP", "GQ"):
+                spec = FunctionSpec(family, shape, n)
+                assert beta_zero(spec) == compute(spec).beta_slice(0), \
+                    (str(shape), n, family)
+                cases += 1
+    assert cases == 1088
 
 
 def test_walk_counts_equal_filling_fold_exhaustive():
@@ -314,6 +354,8 @@ def test_compute_builds_no_shape(monkeypatch, fresh_caches):
     specs = [FunctionSpec(family, SkewShape.parse(shape), n)
              for shape, n in SHAPE_FREE_CASES for family in FAMILIES]
     want = [compute(spec) for spec in specs]
+    b0_specs = [spec for spec in specs if spec.family in ("GP", "GQ")]
+    want_b0 = [beta_zero(spec) for spec in b0_specs]
     assert [len(genfunc._inner(spec)) for spec in specs
             if spec.family == "GQdouble"] == [2, 4, 8]
 
@@ -323,8 +365,10 @@ def test_compute_builds_no_shape(monkeypatch, fresh_caches):
     monkeypatch.setattr(StrictPartition, "__init__", refuse)
     monkeypatch.setattr(SkewShape, "__init__", refuse)
     assert [compute(spec) for spec in specs] == want
+    assert [beta_zero(spec) for spec in b0_specs] == want_b0
     fresh_caches()
     assert [compute(spec) for spec in specs] == want
+    assert [beta_zero(spec) for spec in b0_specs] == want_b0
 
 
 def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch,

@@ -320,7 +320,9 @@ class TestOracleCheck:
     (("identity", "--check", "coproduct", "--nx", "2", "--ny", "-1"),
      "--ny must be at least 1"),
     (("identity", "--check", "beta-zero", "--max-weight", "2", "--max-n",
-      "1", "--time-budget", "nan"), "--time-budget must be a number, not nan")])
+      "1", "--time-budget", "nan"), "--time-budget must be a number, not nan"),
+    (("identity", "--check", "coproduct", "--skew", "--max-weight", "1",
+      "--nx", "1", "--ny", "1"), "--skew does not apply to --check coproduct")])
 def test_sweep_with_nothing_to_check_is_usage_error(capsys, argv, message):
     # no instance, or no time for one: exit 2 before any line
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

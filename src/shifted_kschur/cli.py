@@ -121,15 +121,17 @@ def _sweep_shapes(max_weight: int, skew: bool):
             yield SkewShape(lam, mu)
 
 
-def _check_sweep_bounds(max_weight: int, max_n: int,
-                        time_budget: float | None = None) -> None:
-    """Raise ValueError, before any output, for sweep options that leave
-    no instance to check or no time to check one in, or a NaN time budget,
-    whose deadline would never come."""
-    if max_weight < 1:
-        raise ValueError("--max-weight must be at least 1")
-    if max_n < 1:
-        raise ValueError("--max-n must be at least 1")
+def _check_sweep_options(counts: dict, time_budget: float | None = None,
+                         unread: tuple = (), where: str = "") -> None:
+    """Raise ValueError, before any output, for an option of ``unread``
+    (flag, value) that was given, not None; a count (flag -> value) below
+    1, which leaves no instance; or a negative or NaN time budget."""
+    for flag, value in unread:
+        if value is not None:
+            raise ValueError(f"{flag} does not apply {where}")
+    for flag, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1")
     if time_budget is not None and math.isnan(time_budget):
         raise ValueError("--time-budget must be a number, not nan")
     if time_budget is not None and time_budget < 0:
@@ -178,26 +180,32 @@ def _coproduct(lam: StrictPartition, nx: int, ny: int,
 
 
 def cmd_identity(args) -> int:
-    _check_sweep_bounds(args.max_weight, args.max_n, args.time_budget)
     if args.check == "coproduct":
-        if args.skew:  # the left side F_lam(x, y) is on a straight lam
-            raise ValueError("--skew does not apply to --check coproduct")
-        for flag, value in (("--nx", args.nx), ("--ny", args.ny)):
-            if value < 1:
-                raise ValueError(f"{flag} must be at least 1")
+        nx, ny = (2 if v is None else v for v in (args.nx, args.ny))
+        # the left side F_lam(x, y) is on a straight lam, in nx + ny letters
+        _check_sweep_options(
+            {"--max-weight": args.max_weight, "--nx": nx, "--ny": ny},
+            args.time_budget,
+            (("--skew", args.skew), ("--max-n", args.max_n)),
+            "to --check coproduct")
         if args.max_weight > genfunc.COPRODUCT_MAX_WEIGHT:  # before any line
             raise ValueError("coproduct guard exceeded: |lambda| too large")
-        instances = [(lam, args.nx, args.ny, fam)
+        instances = [(lam, nx, ny, fam)
                      for lam in strict_partitions_up_to_weight(args.max_weight)
                      if lam
                      for fam in ("P", "Q", "GP", "GQ")]
-        for lam, nx, ny, fam in instances:  # each left side's size, too
+        for lam, _, _, fam in instances:  # each left side's size, too
             genfunc._coproduct_guard(FunctionSpec(fam, SkewShape(lam),
                                                   nx + ny))
         return _sweep(instances, _coproduct, args.time_budget)
+    max_n = 3 if args.max_n is None else args.max_n
+    _check_sweep_options({"--max-weight": args.max_weight, "--max-n": max_n},
+                         args.time_budget,
+                         (("--nx", args.nx), ("--ny", args.ny)),
+                         f"to --check {args.check}")
     instances = [(shape, n)
                  for shape in _sweep_shapes(args.max_weight, args.skew)
-                 for n in range(1, args.max_n + 1)]
+                 for n in range(1, max_n + 1)]
     check = _beta_zero if args.check == "beta-zero" else _pq_factor
     return _sweep(instances, check, args.time_budget)
 
@@ -214,9 +222,13 @@ def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
 
 
 def cmd_verify_involution(args) -> int:
-    _check_sweep_bounds(args.max_weight, args.max_n, args.time_budget)
+    max_weight = 4 if args.max_weight is None else args.max_weight
+    _check_sweep_options(
+        {"--max-weight": max_weight, "--max-n": args.max_n}, args.time_budget,
+        (("--max-weight", args.max_weight),) if args.shape else (),
+        "with --shape")
     shapes = ([SkewShape.parse(args.shape)] if args.shape
-              else _sweep_shapes(args.max_weight, skew=True))
+              else _sweep_shapes(max_weight, skew=True))
     instances = [(shape, n, fam)
                  for shape in shapes
                  for n in range(1, args.max_n + 1)
@@ -235,7 +247,8 @@ def _oracle(shape: SkewShape, n: int, fam: str,
 
 
 def cmd_oracle_check(args) -> int:
-    _check_sweep_bounds(args.max_weight, args.max_n)
+    _check_sweep_options({"--max-weight": args.max_weight,
+                          "--max-n": args.max_n})
     max_n = min(args.max_n, enumeration.ORACLE_MAX_N)
     instances = [(shape, n, fam, kind)
                  for shape in _sweep_shapes(args.max_weight, skew=True)
@@ -324,17 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=("beta-zero", "pq-factor", "coproduct"))
     p.add_argument("--max-weight", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--nx", type=int, default=2)
-    p.add_argument("--ny", type=int, default=2)
-    p.add_argument("--skew", action="store_true")
+    # None: not given; an option the check reads has its default there
+    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--nx", type=int, default=None)
+    p.add_argument("--ny", type=int, default=None)
+    p.add_argument("--skew", action="store_true", default=None)
     p.add_argument("--time-budget", type=float, default=None)
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("verify-involution",
                        help="involution property sweep")
     p.add_argument("--shape", default=None)
-    p.add_argument("--max-weight", type=int, default=4)
+    p.add_argument("--max-weight", type=int, default=None)  # 4 without --shape
     p.add_argument("--max-n", type=int, default=2)
     p.add_argument("--time-budget", type=float, default=None)
     p.set_defaults(func=cmd_verify_involution)

@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
-from .shapes import (SkewShape, StrictPartition, _index_table, _Record,
-                     inner_shapes, is_subpartition, pi)
+from .shapes import (SkewShape, StrictPartition, _index_table, inner_shapes,
+                     is_subpartition, pi)
 from .tableaux import (Filling, _cells_from_rows, _check_family, _check_n,
                        entry_str, validate_cells)
 
@@ -180,28 +180,13 @@ def _element(T: Filling) -> dict:
 _HEADER = ("lambda", "mu", "n", "family", "minimal_only")  # in read order
 
 
-def _header(lam: StrictPartition, mu: StrictPartition, n: int, family: str,
-            minimal_only: bool) -> dict:
-    """The request as a certificate states it, in ``_HEADER`` order."""
-    return dict(zip(_HEADER, (list(lam.parts), list(mu.parts), n, family,
-                              minimal_only)))
+class PairingCertificate:
+    """A request's header, from ``_setup``, and its pairs and leftover."""
 
-
-class PairingCertificate(_Record):
-    """The pairs and the leftover elements that answer a request."""
-
-    _fields = ("lam", "mu", "n", "family", "minimal_only", "pairs",
-               "leftover")
-    __hash__ = None  # equal by value, and its lists change
-
-    def __init__(self, lam: StrictPartition, mu: StrictPartition, n: int,
-                 family: str, minimal_only: bool,
-                 pairs: list[Pair] | None = None,
-                 leftover: list[Filling] | None = None):
-        self.lam, self.mu, self.n = lam, mu, n
-        self.family, self.minimal_only = family, minimal_only
-        self.pairs = [] if pairs is None else pairs
-        self.leftover = [] if leftover is None else leftover
+    def __init__(self, header: dict):
+        self.header = header
+        self.pairs: list[Pair] = []
+        self.leftover: list[Filling] = []
 
     @property
     def complete(self) -> bool:
@@ -209,16 +194,10 @@ class PairingCertificate(_Record):
 
     def to_json(self) -> dict:
         """The document of a certificate built by ``pairing_certificate``."""
-        return {
-            **_header(self.lam, self.mu, self.n, self.family,
-                      self.minimal_only),
-            "pairs": [
-                {"left": _element(p.left), "right": _element(p.right),
-                 "tag": p.tag}
-                for p in self.pairs
-            ],
-            "leftover": [_element(T) for T in self.leftover],
-        }
+        pairs = [{"left": _element(p.left), "right": _element(p.right),
+                  "tag": p.tag} for p in self.pairs]
+        return {**self.header, "pairs": pairs,
+                "leftover": [_element(T) for T in self.leftover]}
 
 
 _HOLE = "\0"  # a slot in a document; json writes it as _SLOT
@@ -287,8 +266,7 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
         return fmt(*[texts.get(cell) or cell_text(cell)
                      for cell in T.cells])
 
-    top = _header(cert.lam, cert.mu, cert.n, cert.family, cert.minimal_only)
-    top["leftover"] = top["pairs"] = _HOLE
+    top = dict(cert.header, leftover=_HOLE, pairs=_HOLE)
     before, between, after = json.dumps(top, sort_keys=True,
                                         indent=1).split(_SLOT)
     fh.write(before)
@@ -302,9 +280,10 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
 
 def _setup(lam: StrictPartition, mu: StrictPartition, n: int, family: str,
            minimal_only: bool, limit: int | None = None) -> tuple:
-    """(shapes, minimal, size) of the pairing request lam // mu at n,
-    family: lam/nu and its minimal tableau by the parts of nu, in
-    ``inner_shapes(mu)`` order, and the number of elements (one per nu with
+    """(header, shapes, minimal, size) of the pairing request lam // mu at
+    n, family: the request as a certificate states it, in ``_HEADER``
+    order; lam/nu and its minimal tableau by the parts of nu, in
+    ``inner_shapes(mu)`` order; and the number of elements (one per nu with
     minimal_only).  ValueError, in this order, unless mu is nonempty and
     inside lam, n an int at least 1 and family P or Q; for more than
     ``limit`` elements unless minimal_only; for an empty tableau set."""
@@ -320,7 +299,9 @@ def _setup(lam: StrictPartition, mu: StrictPartition, n: int, family: str,
                          f"limit of {limit}; use minimal_only")
     minimal = {nu: minimal_tableau(shape, family, n)
                for nu, shape in shapes.items()}
-    return shapes, minimal, size
+    header = dict(zip(_HEADER, (list(lam.parts), list(mu.parts), n, family,
+                                minimal_only)))
+    return header, shapes, minimal, size
 
 
 def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
@@ -336,9 +317,9 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     than ``PAIR_MAX_ELEMENTS`` tableaux is refused.  The elements of one
     nu share one shape object, so treat them as read-only.
     """
-    shapes, minimal, _ = _setup(lam, mu, n, family, minimal_only,
-                                PAIR_MAX_ELEMENTS)
-    cert = PairingCertificate(lam, mu, n, family, minimal_only)
+    header, shapes, minimal, _ = _setup(lam, mu, n, family, minimal_only,
+                                        PAIR_MAX_ELEMENTS)
+    cert = PairingCertificate(header)
     done_pi = set()
     for nu, shape in shapes.items():
         if nu in done_pi:
@@ -531,26 +512,30 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
 
     The request is ``pairing_certificate``'s; one that ``_setup`` refuses,
     an empty tableau set among them, raises ValueError here, before any
-    document is read.  ``PAIR_MAX_ELEMENTS`` limits making a
-    certificate, not checking one.  A document is what ``to_json``
-    returns, what ``json.load`` reads from a written certificate, or what
-    ``read_certificate`` reads.  Its header, read in ``_HEADER`` order,
-    must be the request as JSON text (a true is not a 1, nor a 2.0 a 2),
-    before any pair is read.  Pair k is read only when it is checked, so a
-    fault in pair k, or text that does not parse there, is found only
-    after pairs 0 to k - 1 passed.  Every element must be a valid tableau
-    of lam/nu, with n and family, for some nu = mu minus a subset of
-    Rem(mu); no element may appear twice; the two sides of each pair must
-    have opposite sign (-1)^(|T| - |lam/nu| + |mu/nu|); an "iota" pair
-    stays on one nu; a "pi" pair joins the minimal tableaux of two nu that
-    differ by mu's bottom removable box; nothing is left over.  Distinct
-    valid elements that number as many as the tableau sets hold (the
-    branching engine's count; one minimal tableau per nu with
-    minimal_only) are the whole family, so the pairs prove that its signed
-    sum is 0.
+    document is read.  ``PAIR_MAX_ELEMENTS`` limits making a certificate,
+    not checking one.  A document is what ``to_json`` returns, or what
+    ``json.load`` or ``read_certificate`` reads from a written one.  Its
+    header, read in ``_HEADER`` order, must be the request as JSON text (a
+    true is not a 1, nor a 2.0 a 2), before any pair is read.  Pair k is
+    read only when it is checked, so a fault in pair k, or text that does
+    not parse there, is found only after pairs 0 to k - 1 passed.  Every
+    element must be a valid tableau of lam/nu, with n and family, for some
+    nu = mu minus a subset of Rem(mu); no element may appear twice; the two
+    sides of each pair must have opposite sign (-1)^(|T| - |lam/nu| +
+    |mu/nu|); an "iota" pair stays on one nu; a "pi" pair joins the minimal
+    tableaux of two nu that differ by mu's bottom removable box; nothing is
+    left over; the elements number as many as the family holds.
+
+    The proof that the family's signed sum is 0 needs only distinct,
+    valid, opposite-signed elements of the right number.  For the rest the
+    check trusts the package: the number is the branching engine's count
+    (``_at``; one minimal tableau per nu with minimal_only), and each pi
+    side is compared with ``minimal_tableau``, the enumerator's
+    ``_candidate_cells`` walk, so a valid tableau that the walk wrongly
+    called minimal would pass.
     """
-    shapes, minimal, want = _setup(lam, mu, n, family, minimal_only)
-    request = json.dumps(_header(lam, mu, n, family, minimal_only))
+    header, shapes, minimal, want = _setup(lam, mu, n, family, minimal_only)
+    request = json.dumps(header)
     shape_json = {nu: shape.to_json() for nu, shape in shapes.items()}
 
     def parse(element, memo: dict) -> tuple[tuple, tuple]:
@@ -582,9 +567,9 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
 
     def check(doc: dict) -> tuple[bool, str | None]:
         try:
-            header = json.dumps({key: doc[key] for key in _HEADER})
-            if header != request:
-                return False, f"certificate is for {header}"
+            stated = json.dumps({key: doc[key] for key in _HEADER})
+            if stated != request:
+                return False, f"certificate is for {stated}"
             pairs = ((p["left"], p["right"], p["tag"]) for p in doc["pairs"])
             leftover = list(doc["leftover"])
         except (KeyError, TypeError, ValueError) as exc:

@@ -322,9 +322,23 @@ class TestOracleCheck:
     (("identity", "--check", "beta-zero", "--max-weight", "2", "--max-n",
       "1", "--time-budget", "nan"), "--time-budget must be a number, not nan"),
     (("identity", "--check", "coproduct", "--skew", "--max-weight", "1",
-      "--nx", "1", "--ny", "1"), "--skew does not apply to --check coproduct")])
+      "--nx", "1", "--ny", "1"), "--skew does not apply to --check coproduct"),
+    # an option the check would ignore, whatever its value
+    (("identity", "--check", "beta-zero", "--nx", "0"),
+     "--nx does not apply to --check beta-zero"),
+    (("identity", "--check", "pq-factor", "--max-weight", "1", "--ny", "2"),
+     "--ny does not apply to --check pq-factor"),
+    (("identity", "--check", "coproduct", "--max-n", "0"),
+     "--max-n does not apply to --check coproduct"),
+    (("identity", "--check", "coproduct", "--max-weight", "1", "--max-n",
+      "3"), "--max-n does not apply to --check coproduct"),
+    (("verify-involution", "--shape", "2,1", "--max-weight", "0"),
+     "--max-weight does not apply with --shape"),
+    (("verify-involution", "--shape", "1", "--max-weight", "4", "--max-n",
+      "1"), "--max-weight does not apply with --shape")])
 def test_sweep_with_nothing_to_check_is_usage_error(capsys, argv, message):
-    # no instance, or no time for one: exit 2 before any line
+    # no instance, or no time for one, or an option the sweep does not
+    # read: exit 2 before any line
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -798,6 +812,23 @@ class TestWriteCertificate:
                     (str(lam), str(mu), family, n, minimal_only)
                 written += 1
         assert written == 268
+
+    def test_one_header_per_request(self):
+        # the header _setup makes is the one the file states, and a
+        # certificate holds nothing else but its pairs and leftover
+        built = 0
+        for lam, mu, family, n in _pair_cases(5, 2):
+            if has_empty_set(lam, mu, family, n):
+                continue
+            for minimal_only in (False, True):
+                cert = pairing_certificate(lam, mu, n, family, minimal_only)
+                doc = json.loads(_written(cert))
+                assert cert.header == {key: doc[key]
+                                       for key in involutions._HEADER}
+                assert list(cert.header) == list(involutions._HEADER)
+                assert set(vars(cert)) == {"header", "pairs", "leftover"}
+                built += 1
+        assert built == 268
 
     def test_leftover(self):
         # elements of leftover sit one level less deep than paired ones

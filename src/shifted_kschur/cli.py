@@ -249,11 +249,13 @@ def _oracle(shape: SkewShape, n: int, fam: str,
 def cmd_oracle_check(args) -> int:
     _check_sweep_options({"--max-weight": args.max_weight,
                           "--max-n": args.max_n})
-    max_n = min(args.max_n, enumeration.ORACLE_MAX_N)
+    if args.max_n > enumeration.ORACLE_MAX_N:  # naive_oracle refuses it
+        raise ValueError(f"--max-n must be at most "
+                         f"{enumeration.ORACLE_MAX_N} for the oracle")
     instances = [(shape, n, fam, kind)
                  for shape in _sweep_shapes(args.max_weight, skew=True)
                  if shape.size <= enumeration.ORACLE_MAX_BOXES
-                 for n in range(1, max_n + 1)
+                 for n in range(1, args.max_n + 1)
                  for fam in FAMILIES
                  for kind in enumeration.KINDS]
     return _sweep(instances, _oracle)

@@ -348,15 +348,6 @@ def special_value(spec: FunctionSpec) -> LaurentPoly:
         n, {((0,) * n, spec.shape.size): s} if s else {})
 
 
-def signed_count(spec: FunctionSpec) -> int:
-    """Sum of (-1)^(|T| - #boxes) over all set-valued tableaux, the family
-    at x = 1, b = -1.  In a double-skew family a tableau of lam/nu counts
-    (-1)^(|T| - |lam/nu| + |mu/nu|)."""
-    if spec.family not in K_FAMILIES:
-        raise ValueError("signed_count applies to the K-theoretic families")
-    return _at(spec)[1]
-
-
 class NuTerm(NamedTuple):
     nu: StrictPartition
     removed: int  # |mu/nu|

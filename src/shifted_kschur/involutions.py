@@ -4,21 +4,21 @@ The involution compares a set-valued tableau against the minimal tableau of
 its shape, finds the first box (in column-major order, from
 ``shapes._index_table``) where they differ, and either deletes the minimal
 cell's content from that box or inserts it; it is stated once, on row-major
-cell tuples, and the pairs are made on them, with a ``Filling`` built for
-an image only when it joins a pair.  Pairing all non-minimal tableaux this
-way, and pairing minimal tableaux of neighboring inner shapes via the
-bottom-row toggle ``shapes.pi``, covers the double-skew tableau family,
-over the inner shapes of ``shapes.inner_shapes``, with no element left
-over.  A certificate is written straight from its tableaux, and checked as
-its JSON document: each element as its nu and row-major cell tuple, each
-distinct cell parsed once, with a ``Filling`` built only for a minimal
-tableau or to show a fault.  ``read_certificate`` reads a certificate file
-in chunks, one top-level member at a time, and its pairs one at a time, so
-a check holds a window of the file and one pair, not its text or the parsed
-document; ``"pairs"`` must be the last member.  The first fault is
-reported, in this order: a refused request (``_setup``); text before
-``"pairs"`` that does not parse; the header; pair k, its text or its
-content; text after the last pair.
+cell tuples (``_iota_cells``), and the pairs are made on them, with a
+``Filling`` built for an image only when it joins a pair.  Pairing all
+non-minimal tableaux this way, and pairing minimal tableaux of neighboring
+inner shapes via the bottom-row toggle ``shapes.pi``, covers the
+double-skew tableau family, over the inner shapes of
+``shapes.inner_shapes``, with no element left over.  A certificate is
+written straight from its tableaux, and checked as its JSON document: each
+element as its nu and row-major cell tuple, each distinct cell parsed once,
+with a ``Filling`` built only for a minimal tableau or to show a fault.
+``read_certificate`` reads a certificate file in chunks, one top-level
+member at a time, and its pairs one at a time, so a check holds a window of
+the file and one pair, not its text or the parsed document; ``"pairs"``
+must be the last member.  The first fault is reported, in this order: a
+refused request (``_setup``); text before ``"pairs"`` that does not parse;
+the header; pair k, its text or its content; text after the last pair.
 """
 
 from __future__ import annotations
@@ -85,21 +85,6 @@ def _iota_cells(order: tuple, cells: tuple, tmin: tuple) -> tuple:
             new = have - mincell if have & mincell else have | mincell
             return cells[:k] + (tuple(sorted(new)),) + cells[k + 1:]
     raise ValueError("iota is undefined on the minimal tableau")
-
-
-def iota(T: Filling, tmin: Filling | None = None) -> Filling:
-    """Toggle the minimal cell content at the first differing box, in
-    column-major order: ``_iota_cells`` on T's cells, as a ``Filling``.
-
-    ``tmin`` is the minimal tableau of T's shape, family and n; callers
-    that hold it pass it in, otherwise it is built here.
-    """
-    shape = T.shape
-    if tmin is None:
-        tmin = minimal_tableau(shape, T.family, T.n)
-    order = _index_table(shape.outer.parts, shape.inner.parts).col_order
-    return Filling(shape, T.n, T.family,
-                   _iota_cells(order, T.cells, tmin.cells), _trusted=True)
 
 
 class InvolutionReport(NamedTuple):

@@ -1,4 +1,4 @@
-"""Strict partitions, shifted (skew) Young diagrams and removable boxes.
+"""Strict partitions, shifted (skew) Young diagrams and their corners.
 
 Boxes are (row, col) pairs with 1-based matrix coordinates: row increases
 downward, col increases to the right.  A box (i, j) is *diagonal* iff j == i.
@@ -6,8 +6,9 @@ A shape's rows (``row_cols``) state its boxes once; the box set and both
 box orders are read off them, and ``strict_subpartitions`` filters the one
 enumerator of strict partitions by weight.
 
-The removable-box rule is stated once, in ``_corner_rows``, and subsets of
-corners are removed in one loop, ``_minus_corners``.  On them rest the
+The removable-box rule is stated once, in ``_corner_rows``, as the rows
+whose last box can go, and subsets of corners are removed in one loop,
+``_minus_corners``.  On them rest the
 double-skew inner shapes nu = mu - B for B in Rem(mu) (``inner_shapes``,
 each with its weight exponent |mu/nu|), the toggle ``pi`` of mu's bottom
 removable box that pairs them, and the set-valued letter factors of
@@ -249,13 +250,6 @@ def _strips_above(rho: tuple, lam: tuple) -> list[tuple]:
         nus = [nu + (p,) if p else nu for nu in nus
                for p in range(lo, min(top, nu[r - 1] - 1 if r else top) + 1)]
     return nus
-
-
-def removable_boxes(mu: StrictPartition) -> frozenset[Box]:
-    """The last boxes of rows whose single removal leaves a strict partition."""
-    if not mu:
-        raise ValueError("no removable boxes of the empty partition")
-    return frozenset((r + 1, mu.parts[r] + r) for r in _corner_rows(mu.parts))
 
 
 def inner_shapes(mu: StrictPartition) -> list[tuple[int, StrictPartition]]:

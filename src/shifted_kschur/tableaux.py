@@ -55,15 +55,22 @@ def _check_n(n: int) -> None:
         raise ValueError("n must be at least 1")
 
 
-def _check_cell(box: Box, cell: CellSet, n: int) -> None:
-    """Raise ValueError unless the sorted cell is nonempty, without
-    repeats, with every entry code in 1..2n."""
+def _check_cell(box: Box, cell, n: int) -> CellSet:
+    """The cell, sorted; ValueError unless it is nonempty, without
+    repeats, with every entry code an int in 1..2n.  A bool or a float
+    would sort and compare as a number, so any other type is refused
+    before the sort."""
+    cell = tuple(cell)
+    if not {int}.issuperset(map(type, cell)):
+        raise ValueError(f"entry at {box} is not an int")
+    cell = tuple(sorted(cell))
     if not cell:
         raise ValueError(f"empty cell at {box}")
     if len(set(cell)) != len(cell):
         raise ValueError(f"duplicate entries at {box}")
     if not (1 <= cell[0] and cell[-1] <= 2 * n):
         raise ValueError(f"entry out of range 1..{2 * n} at {box}")
+    return cell
 
 
 class ValidationResult(NamedTuple):
@@ -101,11 +108,11 @@ class Filling:
             _check_family(family)
             if isinstance(cells, Mapping):  # tuple() would read its boxes
                 raise ValueError("cells must be a sequence, not a mapping")
-            cells = tuple(tuple(sorted(cell)) for cell in cells)
+            cells = tuple(cells)
             if len(cells) != shape.size:
                 raise ValueError(f"{len(cells)} cells for {shape.size} boxes")
-            for box, cell in zip(shape.row_major, cells):
-                _check_cell(box, cell, n)
+            cells = tuple([_check_cell(box, cell, n)
+                           for box, cell in zip(shape.row_major, cells)])
         self.shape = shape
         self.n = n
         self.family = family
@@ -148,8 +155,7 @@ class Filling:
         """This filling with the cell at box replaced (checked)."""
         if box not in self.shape.boxes:
             raise ValueError(f"{box} is not a box of {self.shape}")
-        cell = tuple(sorted(cell))
-        _check_cell(box, cell, self.n)
+        cell = _check_cell(box, cell, self.n)
         k = self.shape.row_major.index(box)
         cells = self.cells[:k] + (cell,) + self.cells[k + 1:]
         return Filling(self.shape, self.n, self.family, cells, _trusted=True)
@@ -200,8 +206,7 @@ def _cells_from_rows(shape: SkewShape, n: int, rows, memo: dict) -> tuple:
             except (KeyError, TypeError):  # a new cell, or not hashable
                 if not {str}.issuperset(map(type, strs)):
                     raise ValueError(f"entry at {box} is not a string")
-                cell = cell_from_strs(strs)
-                _check_cell(box, cell, n)
+                cell = _check_cell(box, cell_from_strs(strs), n)
                 memo[tuple(strs)] = cell  # it parsed: its entries are str
             cells.append(cell)
     return tuple(cells)
@@ -216,11 +221,6 @@ def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
     _check_family(family)
     cells = _cells_from_rows(shape, n, rows, {})
     return Filling(shape, n, family, cells, _trusted=True)
-
-
-def validate(f: Filling) -> ValidationResult:
-    """Check the set-valued tableau rules, reporting the first violation."""
-    return validate_cells(f.shape, f.family, f.cells)
 
 
 def validate_cells(shape: SkewShape, family: str,

@@ -12,7 +12,9 @@ import pytest
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import KINDS, EnumSpec, naive_oracle
 from shifted_kschur.genfunc import FunctionSpec, parity_report
-from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
+from shifted_kschur.involutions import _iota_cells, minimal_tableau
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
+                                   inner_shapes,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling, filling_from_rows, validate_cells
@@ -105,6 +107,17 @@ def has_empty_set(lam, mu, family, n) -> bool:
     refuses as an empty tableau set."""
     return any(not engine_count(SkewShape(lam, nu), family, n)
                for _, nu in inner_shapes(mu))
+
+
+def iota(T):
+    """The involution's image of the tableau T as a ``Filling``, built as
+    the package builds a pair's image: ``_iota_cells`` on T's cells, taken
+    as given."""
+    shape = T.shape
+    order = _index_table(shape.outer.parts, shape.inner.parts).col_order
+    tmin = minimal_tableau(shape, T.family, T.n)
+    return Filling(shape, T.n, T.family,
+                   _iota_cells(order, T.cells, tmin.cells), _trusted=True)
 
 
 def rows(shape, n, family, spec):

@@ -12,17 +12,16 @@ from contextlib import contextmanager
 import pytest
 
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
-from shifted_kschur.genfunc import (FunctionSpec, beta_zero, compute,
+from shifted_kschur.genfunc import (FunctionSpec, _at, beta_zero, compute,
                                     coproduct_check, double_skew_shortcut,
-                                    parity_report, signed_count, special_value)
-from shifted_kschur.involutions import (iota, minimal_tableau,
-                                        verify_involution)
+                                    parity_report, special_value)
+from shifted_kschur.involutions import minimal_tableau, verify_involution
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import validate
-from tests.conftest import rows
+from shifted_kschur.tableaux import validate_cells
+from tests.conftest import iota, rows
 
 
 @contextmanager
@@ -169,8 +168,7 @@ def test_criterion_8_involution_suite():
                         continue
                     rep = verify_involution(shape, fam, n)
                     assert rep.ok, (shape, fam, n, rep.violations[:2])
-                    assert signed_count(
-                        FunctionSpec("G" + fam, shape, n)) == 1, \
+                    assert _at(FunctionSpec("G" + fam, shape, n))[1] == 1, \
                         (shape, fam, n)
 
 
@@ -207,13 +205,13 @@ def test_criterion_10_worked_example_fixtures(shape_421, skew_6431_42,
             "T1": (3, 3, 1), "T2": (2, 1, 4), "T3": (3, 3, 1), "T4": (1, 2, 4),
         }
         for key, T in single_valued_examples.items():
-            assert validate(T)
+            assert validate_cells(T.shape, T.family, T.cells)
             assert T.weight() == single_weights[key], key
         set_weights = {
             "T1": (3, 2, 3), "T2": (1, 4, 3), "T3": (4, 2, 2), "T4": (4, 3, 2),
         }
         for key, T in set_valued_examples.items():
-            assert validate(T)
+            assert validate_cells(T.shape, T.family, T.cells)
             assert T.weight() == set_weights[key], key
         assert set_valued_examples["T1"].size() == 8
         assert set_valued_examples["T4"].size() == 9

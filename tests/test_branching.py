@@ -19,11 +19,10 @@ from shifted_kschur.genfunc import (FAMILIES, K_FAMILIES, FunctionSpec, _at,
                                     _one_letter, _point_levels, _point_sum,
                                     _tableau_sum,
                                     beta_zero, compute, coproduct_check,
-                                    parity_report, signed_count,
-                                    special_value)
+                                    parity_report, special_value)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (SkewShape, StrictPartition, _strips_above,
-                                   is_subpartition, removable_boxes,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
+                                   _strips_above, is_subpartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling
@@ -126,7 +125,7 @@ def test_parity_and_signed_count_equal_enumeration():
                     signed += -1 if (f.size() - shape.size) % 2 else 1
                 spec = FunctionSpec("G" + family, shape, n)
                 assert parity_report(spec).count == total, (str(shape), n)
-                assert signed_count(spec) == signed, (str(shape), n)
+                assert _at(spec)[1] == signed, (str(shape), n)
 
 
 # Set-valued tableau sets with |lam| <= 7 and n = 4 reach 10^6 tableaux, too
@@ -220,7 +219,7 @@ def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
         for spec in specs:
             out.append(compute(spec))
             if spec.family in K_FAMILIES:
-                out += [special_value(spec), signed_count(spec)]
+                out += [special_value(spec), _at(spec)[1]]
                 out.append(cli._special_value(spec))
             if spec.family in ("GP", "GQ"):
                 out += [parity_report(spec), beta_zero(spec),
@@ -309,7 +308,7 @@ def test_scalar_paths_build_no_polynomial(monkeypatch, fresh_caches):
     real_init, real_trusted = LaurentPoly.__init__, LaurentPoly._trusted
     monkeypatch.setattr(LaurentPoly, "_trusted", refuse)
     monkeypatch.setattr(LaurentPoly, "__init__", refuse)
-    assert [signed_count(spec) for spec in specs] == [s for s, _ in want]
+    assert [_at(spec)[1] for spec in specs] == [s for s, _ in want]
     assert [parity_report(spec).count for spec in specs
             if spec.family in ("GP", "GQ")] == want_counts
     # special_value builds one trusted b^|lam/mu| times s, nothing more
@@ -329,11 +328,11 @@ SHAPE_FREE_CASES = [("4,2/1", 3), ("5,3,1/3,1", 2), ("6,4,2/5,3,1", 2)]
 def test_scalar_paths_build_no_shape(monkeypatch, fresh_caches):
     specs = [FunctionSpec(family, SkewShape.parse(shape), n)
              for shape, n in SHAPE_FREE_CASES for family in K_FAMILIES]
-    assert sorted({len(removable_boxes(spec.shape.inner))
+    assert sorted({len(_corner_rows(spec.shape.inner.parts))
                    for spec in specs}) == [1, 2, 3]
 
     def scalars():
-        return [(special_value(spec), signed_count(spec),
+        return [(special_value(spec), _at(spec)[1],
                  parity_report(spec) if spec.family in ("GP", "GQ")
                  else None) for spec in specs]
 
@@ -456,7 +455,7 @@ def test_compute_leaves_every_transition_for_the_scalars(monkeypatch,
 def test_count_and_signed_count_share_one_recursion(fresh_caches):
     spec = FunctionSpec("GP", SkewShape.parse("4,2,1/1"), 3)
     parity_report(spec)
-    signed_count(spec)
+    special_value(spec)  # the signed count
     info = genfunc._point_levels.cache_info()
     assert info.misses == 1 and info.hits >= 1
 

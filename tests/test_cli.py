@@ -335,10 +335,12 @@ class TestOracleCheck:
     (("verify-involution", "--shape", "2,1", "--max-weight", "0"),
      "--max-weight does not apply with --shape"),
     (("verify-involution", "--shape", "1", "--max-weight", "4", "--max-n",
-      "1"), "--max-weight does not apply with --shape")])
+      "1"), "--max-weight does not apply with --shape"),
+    (("oracle-check", "--max-n", "3"),
+     "--max-n must be at most 2 for the oracle")])
 def test_sweep_with_nothing_to_check_is_usage_error(capsys, argv, message):
-    # no instance, or no time for one, or an option the sweep does not
-    # read: exit 2 before any line
+    # no instance, or no time for one, an option the sweep does not read,
+    # or a bound it cannot check: exit 2 before any line
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -10,15 +10,16 @@ from shifted_kschur import involutions
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
-                                        certificate_checker, iota,
+                                        certificate_checker,
                                         minimal_tableau, pairing_certificate,
                                         read_certificate, verify_involution,
                                         write_certificate)
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import Filling, filling_from_rows, validate
-from tests.conftest import TAMPERS, engine_count, has_empty_set, rows
+from shifted_kschur.tableaux import (Filling, filling_from_rows,
+                                     validate_cells)
+from tests.conftest import TAMPERS, engine_count, has_empty_set, iota, rows
 
 
 def sp(*parts):
@@ -148,10 +149,12 @@ class TestIota:
             iota(minimal_tableau(shape_421, "P", 3))
 
     def test_given_minimal_tableau_changes_nothing(self, skew_6431_42):
+        # the walk's images, from one minimal tableau, are those of a
+        # minimal tableau built for each T
         tmin = minimal_tableau(skew_6431_42, "Q", 2)
-        spec = EnumSpec(skew_6431_42, 2, "Q", "set-valued")
-        for T in itertools.islice(enumerate_fillings(spec), 1, 300):
-            assert iota(T, tmin) == iota(T)
+        walk = involutions._iota_pairs(skew_6431_42, "Q", 2, tmin)
+        for T, image, _ in itertools.islice(walk, 299):
+            assert image == iota(T).cells
 
     def test_one_box_q_swap(self):
         shape = SkewShape(sp(1))
@@ -247,7 +250,7 @@ class TestFailureDetection:
         # every box holds the largest unprimed letter: column 2 repeats it
         bad = Filling(tableaux[1].shape, self.N, self.FAMILY,
                       [(2 * self.N,) for _ in tableaux[1].cells])
-        assert not validate(bad)
+        assert not validate_cells(bad.shape, bad.family, bad.cells)
         self._break_iota(monkeypatch,
                          lambda T: bad if T == tableaux[1] else None)
         assert "is invalid" in self._violations()
@@ -668,9 +671,9 @@ def test_trusted_images_equal_checked_rebuild():
                             shape.row_major[k], tmin.cells[k]))
                     if T == tmin:
                         continue
-                    image = iota(T, tmin)
+                    image = iota(T)
                     _equals_checked_rebuild(image)
-                    assert validate(image)
+                    assert validate_cells(shape, family, image.cells)
                     images += 1
                 if mu and not has_empty_set(lam, mu, family, n):
                     cert = pairing_certificate(lam, mu, n, family)

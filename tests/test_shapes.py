@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
-                                   _parse_skew, inner_shapes,
-                                   is_subpartition, removable_boxes,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
+                                   _index_table, _parse_skew, inner_shapes,
+                                   is_subpartition,
                                    strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
@@ -220,25 +220,24 @@ class TestBoxOrder:
 
 
 class TestRemovableBoxes:
+    """``_corner_rows``: the 0-based rows whose last box is removable."""
+
     def test_reference_example(self):
-        assert removable_boxes(sp(7, 5, 4, 2)) == {(1, 7), (3, 6), (4, 5)}
+        # the boxes (1, 7), (3, 6) and (4, 5)
+        assert _corner_rows((7, 5, 4, 2)) == [0, 2, 3]
 
     def test_single_box(self):
-        assert removable_boxes(sp(1)) == {(1, 1)}
+        assert _corner_rows((1,)) == [0]
 
     def test_staircase(self):
-        assert removable_boxes(sp(3, 2, 1)) == {(3, 3)}
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            removable_boxes(sp())
+        assert _corner_rows((3, 2, 1)) == [2]
 
     def test_brute_force_oracle(self):
         # a row's last box is removable iff deleting it leaves a strict shape
         for mu in strict_partitions_up_to_weight(8):
             if not mu:
                 continue
-            expected = set()
+            expected = []
             for i in range(1, mu.length + 1):
                 parts = list(mu.parts)
                 parts[i - 1] -= 1
@@ -246,14 +245,13 @@ class TestRemovableBoxes:
                 if all(a > b for a, b in zip(shrunk, shrunk[1:])) and \
                         len(shrunk) in (mu.length, mu.length - 1) and \
                         sorted(shrunk, reverse=True) == shrunk:
-                    expected.add((i, mu.part(i) + i - 1))
-            assert removable_boxes(mu) == expected, mu
+                    expected.append(i - 1)
+            assert _corner_rows(mu.parts) == expected, mu
 
     def test_corner_always_removable(self):
         for mu in strict_partitions_up_to_weight(8):
             if mu:
-                corner = (mu.length, mu.part(mu.length) + mu.length - 1)
-                assert corner in removable_boxes(mu)
+                assert mu.length - 1 in _corner_rows(mu.parts)
 
 
 class TestRemoveSubset:
@@ -274,7 +272,7 @@ class TestRemoveSubset:
         for mu in strict_partitions_up_to_weight(8):
             if not mu:
                 continue
-            rem = sorted(removable_boxes(mu))
+            rem = [(r + 1, mu.parts[r] + r) for r in _corner_rows(mu.parts)]
             want = []
             for mask in range(1 << len(rem)):
                 B = {box for k, box in enumerate(rem) if mask >> k & 1}

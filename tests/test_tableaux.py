@@ -9,7 +9,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition,
 from shifted_kschur.tableaux import (Filling, _cells_from_rows, _check_n,
                                      cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
-                                     primed, validate)
+                                     primed, validate_cells)
 from conftest import rows
 
 
@@ -32,20 +32,20 @@ class TestEntryCodes:
 class TestValidate:
     def test_reference_set_valued_examples_valid(self, set_valued_examples):
         for name, f in set_valued_examples.items():
-            assert validate(f), name
+            assert validate_cells(f.shape, f.family, f.cells), name
 
     def test_reference_single_valued_examples_valid(self, single_valued_examples):
         for name, f in single_valued_examples.items():
-            assert validate(f), name
+            assert validate_cells(f.shape, f.family, f.cells), name
 
     def test_rejected_repeated_unprimed_in_column(self, shape_421):
         bad = rows(shape_421, 3, "Q", "1' 1 2' 2 | 2 3 | 3")
-        result = validate(bad)
+        result = validate_cells(bad.shape, bad.family, bad.cells)
         assert not result and "rule 2" in result.violation
 
     def test_rejected_repeated_primed_in_row(self, shape_421):
         bad = rows(shape_421, 3, "Q", "1 1 2' 3 | 2' 2' | 3")
-        result = validate(bad)
+        result = validate_cells(bad.shape, bad.family, bad.cells)
         assert not result and "rule 3" in result.violation
 
     @pytest.mark.parametrize("shape,family,cells,violation", [
@@ -67,20 +67,18 @@ class TestValidate:
              "rule2", "rule2_box_between", "rule3", "rule4"])
     def test_violation_text(self, shape, family, cells, violation):
         f = rows(SkewShape(StrictPartition(shape)), 3, family, cells)
-        assert validate(f) == (False, violation)
+        assert validate_cells(f.shape, family, f.cells) == (False, violation)
 
     def test_primed_on_diagonal_only_bars_family_p(self, shape_421):
-        cells = "1' 1 1 1 | 2 2 | 3"
-        assert not validate(rows(shape_421, 3, "P", cells)).ok
-        assert "rule 4" in validate(rows(shape_421, 3, "P", cells)).violation
-        assert validate(rows(shape_421, 3, "Q", cells)).ok
+        cells = rows(shape_421, 3, "Q", "1' 1 1 1 | 2 2 | 3").cells
+        assert not validate_cells(shape_421, "P", cells).ok
+        assert "rule 4" in validate_cells(shape_421, "P", cells).violation
+        assert validate_cells(shape_421, "Q", cells).ok
 
     def test_p_valid_implies_q_valid(self, shape_421):
         for f in _all_single_fillings(shape_421, 2):
-            fp = Filling(f.shape, f.n, "P", f.cells)
-            fq = Filling(f.shape, f.n, "Q", f.cells)
-            if validate(fp):
-                assert validate(fq)
+            if validate_cells(shape_421, "P", f.cells):
+                assert validate_cells(shape_421, "Q", f.cells)
 
     def test_prime_toggle_robustness(self, set_valued_examples):
         # flipping any one entry's primed flag must re-validate cleanly
@@ -92,7 +90,8 @@ class TestValidate:
                     if flipped in new or not 1 <= flipped <= 2 * f.n:
                         continue
                     new.add(flipped)
-                    result = validate(f.with_cell(box, tuple(sorted(new))))
+                    g = f.with_cell(box, tuple(sorted(new)))
+                    result = validate_cells(g.shape, g.family, g.cells)
                     assert isinstance(result.ok, bool)
 
 
@@ -134,7 +133,8 @@ def test_single_valued_cross_check():
         for f in _all_single_fillings(shape, 2):
             for family in ("P", "Q"):
                 g = Filling(shape, 2, family, f.cells)
-                assert bool(validate(g)) == _definition_single_check(g)
+                ok = validate_cells(shape, family, g.cells).ok
+                assert ok == _definition_single_check(g)
 
 
 def _rules_hold(shape, family, cells):
@@ -168,9 +168,9 @@ def test_validate_agrees_with_the_rules_exhaustive():
                     for c in itertools.combinations(codes, k)]
             for cells in itertools.product(pool, repeat=shape.size):
                 for family in "PQ":
-                    f = Filling(shape, n, family, cells)
                     want = _rules_hold(shape, family, cells)
-                    assert bool(validate(f)) == want, (str(shape), cells)
+                    assert validate_cells(shape, family, cells).ok == want, \
+                        (str(shape), cells)
                     checked += 1
                     failed += not want
     assert checked > 90_000 and 0 < failed < checked
@@ -203,7 +203,7 @@ class TestWeightSizeMonomial:
         empty = Filling(SkewShape(StrictPartition((1,)),
                                   StrictPartition((1,))), 1, "P", ())
         assert empty.size() == 0 and empty.weight() == (0,)
-        assert validate(empty)
+        assert validate_cells(empty.shape, empty.family, empty.cells)
 
 
 class TestSerialization:
@@ -264,6 +264,13 @@ class TestFillingConstruction:
         with pytest.raises(ValueError):
             Filling(shape_421, 3, "P", cells)
 
+    @pytest.mark.parametrize("code", [2.0, True, "1"])
+    def test_rejects_a_code_that_is_not_an_int(self, code):
+        # a float or a bool would sort and compare as the int it equals
+        with pytest.raises(ValueError,
+                           match=r"^entry at \(1, 1\) is not an int$"):
+            Filling(SkewShape.parse("2"), 1, "Q", [(code,), (2,)])
+
 
 def skew_shapes(max_weight):
     for lam in strict_partitions_up_to_weight(max_weight):
@@ -294,7 +301,8 @@ class TestTrustedConstruction:
         assert [k for k, (a, b) in enumerate(zip(f.cells, g.cells))
                 if a != b] == [3]
         for box, cell in [((1, 4), ()), ((1, 4), (4, 4)), ((1, 4), (7,)),
-                          ((1, 4), (0,)), ((3, 4), (4,))]:
+                          ((1, 4), (0,)), ((3, 4), (4,)), ((1, 4), (4.0,)),
+                          ((1, 4), (True,)), ((1, 4), ("4",))]:
             with pytest.raises(ValueError):
                 f.with_cell(box, cell)
 

@@ -215,9 +215,9 @@ def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
     count, signed = genfunc._at(FunctionSpec("G" + fam, shape, n))
     if not count:
         return f"shape={shape} family={fam} n={n} empty", None
-    rep = involutions.verify_involution(shape, fam, n)
-    ok = rep.ok and signed == 1
-    return (f"shape={shape} family={fam} n={n} checked={rep.checked} "
+    checked, violations = involutions.verify_involution(shape, fam, n)
+    ok = not violations and signed == 1
+    return (f"shape={shape} family={fam} n={n} checked={checked} "
             f"signed={signed} {'ok' if ok else 'FAIL'}"), ok
 
 
@@ -287,8 +287,8 @@ def cmd_pair(args) -> int:
         with open(args.out, "w") as fh:
             involutions.write_certificate(cert, fh)
     print(f"pairs={len(cert.pairs)} leftover={len(cert.leftover)} "
-          f"{'ok' if cert.complete else 'FAIL'}")
-    return PASS if cert.complete else FAIL
+          f"{'FAIL' if cert.leftover else 'ok'}")
+    return FAIL if cert.leftover else PASS
 
 
 @functools.lru_cache(maxsize=1)

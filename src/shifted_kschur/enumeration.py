@@ -12,17 +12,17 @@ so ``count`` and the generating-function definition
 (``genfunc._tableau_sum``) read them at the leaves without building a
 ``Filling``; ``enumerate_fillings`` builds one per leaf.  The walk is the
 definition and the oracle the branching engine is tested against, not the
-production path for counts.  A deliberately naive enumerator over all
-subset assignments is provided for cross-validation.
+production path for counts.  A naive enumerator, judged by ``validate_cells``
+alone, is provided for cross-validation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator
 
-from .shapes import SkewShape, _index_table, _Record
+from .shapes import SkewShape, StrictPartition, _index_table, _Record
 from .tableaux import Filling, _check_family, _check_n, validate_cells
 
 KINDS = ("single", "set-valued")
@@ -169,11 +169,15 @@ def count(spec: EnumSpec) -> int:
 
 
 def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
-    """All subset assignments to boxes, filtered by the tableau rules.
+    """All subset assignments to boxes that ``validate_cells`` accepts, in
+    lex order; at most 5 boxes and n <= 2, for independence, not speed.
 
-    Guarded to at most 5 boxes and n <= 2; the point is independence from
-    the backtracking logic, not speed.  Each assignment is tested as raw
-    cells; a ``Filling`` is built only for the ones that pass.
+    Boxes are filled in row-major order with every cell, and a tuple is
+    kept if ``validate_cells`` accepts the prefix it fills: at box (i, j)
+    the skew shape (lam_1..lam_(i-1), j - i + 1)/(mu_1..mu_i).  Each rule
+    is a condition on one box (rule 4) or two (rules 1-3), and a prefix's
+    boxes and pairs are the whole shape's: the rules are prefix-closed, so
+    the kept tuples are the full product's valid ones, in its order.
     """
     if spec.shape.size > ORACLE_MAX_BOXES or spec.n > ORACLE_MAX_N:
         raise ValueError("oracle scale exceeded")
@@ -181,6 +185,11 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
     codes = range(1, 2 * spec.n + 1)
     sizes = (1,) if spec.kind == "single" else range(1, len(codes) + 1)
     pool = sorted(cell for k in sizes for cell in combinations(codes, k))
-    return (Filling(shape, spec.n, spec.family, cells)
-            for cells in product(pool, repeat=shape.size)
-            if validate_cells(shape, spec.family, cells))
+    lam, mu = shape.outer.parts, shape.inner.parts
+    tuples = [()]
+    for i, j in shape.row_major:
+        prefix = SkewShape(StrictPartition(lam[:i - 1] + (j - i + 1,)),
+                           StrictPartition(mu[:i]))
+        tuples = [cells + (cell,) for cells in tuples for cell in pool
+                  if not validate_cells(prefix, spec.family, cells + (cell,))]
+    return (Filling(shape, spec.n, spec.family, cells) for cells in tuples)

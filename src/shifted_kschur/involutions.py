@@ -9,7 +9,8 @@ cell tuples (``_iota_cells``), and the pairs are made on them, with a
 non-minimal tableaux this way, and pairing minimal tableaux of neighboring
 inner shapes via the bottom-row toggle ``shapes.pi``, covers the
 double-skew tableau family, over the inner shapes of
-``shapes.inner_shapes``, with no element left over.  A certificate is
+``shapes.inner_shapes``, with no element left over (``verify_involution``
+returns (checked, violations) on one shape).  A certificate is
 written straight from its tableaux, and checked as its JSON document: each
 element as its nu and row-major cell tuple, each distinct cell parsed once,
 with a ``Filling`` built only for a minimal tableau or to show a fault.
@@ -87,15 +88,6 @@ def _iota_cells(order: tuple, cells: tuple, tmin: tuple) -> tuple:
     raise ValueError("iota is undefined on the minimal tableau")
 
 
-class InvolutionReport(NamedTuple):
-    checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
                 ) -> Iterator[tuple[Filling, tuple, str | None]]:
     """(T, the cell tuple of iota(T), fault) for the set-valued tableaux T
@@ -131,10 +123,10 @@ def _iota_pairs(shape: SkewShape, family: str, n: int, tmin: Filling
             yield T, image, None
 
 
-def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport:
-    """Exhaustively check the involution properties on one tableau set.
+def verify_involution(shape: SkewShape, family: str, n: int) -> tuple:
+    """(checked, violations): the involution checked on one tableau set.
 
-    Each pair of ``_iota_pairs`` gets one fault at most: an invalid image,
+    Each pair of ``_iota_pairs`` gets one violation at most: an invalid image,
     else the pairing rule's fault, else a |T| that moves by other than
     one.  A pair with no fault counts both its tableaux in ``checked``.
     Images are checked as cell tuples; no ``Filling`` is built for them.
@@ -142,13 +134,13 @@ def verify_involution(shape: SkewShape, family: str, n: int) -> InvolutionReport
     tmin = minimal_tableau(shape, family, n)
     faults = []
     for T, image, fault in _iota_pairs(shape, family, n, tmin):
-        if not validate_cells(shape, family, image):
+        if validate_cells(shape, family, image):
             fault = f"iota image of {T!r} is invalid"
         elif not fault and abs(sum(map(len, image)) - T.size()) != 1:
             fault = f"iota of {T!r} changes |T| by != 1"
         faults.append(fault)
     violations = tuple(filter(None, faults))
-    return InvolutionReport(2 * len(faults) - len(violations), violations)
+    return 2 * len(faults) - len(violations), violations
 
 
 class Pair(NamedTuple):
@@ -172,10 +164,6 @@ class PairingCertificate:
         self.header = header
         self.pairs: list[Pair] = []
         self.leftover: list[Filling] = []
-
-    @property
-    def complete(self) -> bool:
-        return not self.leftover
 
     def to_json(self) -> dict:
         """The document of a certificate built by ``pairing_certificate``."""
@@ -541,8 +529,7 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
             raise ValueError(f"tableau header does not match "
                              f"{shape}, n={n}, family {family}")
         cells = _cells_from_rows(shape, n, tab["rows"], memo)
-        ok, violation = validate_cells(shape, family, cells)
-        if not ok:
+        if violation := validate_cells(shape, family, cells):
             raise ValueError(f"invalid tableau: {violation}")
         return nu, cells
 

@@ -241,8 +241,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict, nvars: int) -> "LaurentPoly":
+        """ValueError unless exponents are ints and coefficients strings."""
         terms = {}
         for t in data["terms"]:
             key = (tuple(t["x"]), t["b"])
+            if not {int}.issuperset(map(type, (*key[0], key[1]))) \
+                    or type(t["c"]) is not str:
+                raise ValueError(f"bad term {t!r}")
             terms[key] = terms.get(key, 0) + int(t["c"])
         return cls(nvars, terms)

@@ -5,13 +5,13 @@ letter k', code 2k the unprimed letter k.  Integer order on codes realizes
 1' < 1 < 2' < 2 < ... < n' < n, and the numeric value of code e is exactly
 e/2 (so k' = k - 1/2 without rational arithmetic).  A filling holds its
 cells as one row-major tuple, the form the tableau rules read, with the
-shape's neighbors and diagonal from ``shapes._index_table``.
+shape's neighbors and diagonal from ``shapes._index_table``; the text of
+the first rule a tuple breaks, or None, is ``validate_cells``'s verdict.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import NamedTuple
 
 from .shapes import Box, SkewShape, StrictPartition, _index_table
 
@@ -73,17 +73,6 @@ def _check_cell(box: Box, cell, n: int) -> CellSet:
     return cell
 
 
-class ValidationResult(NamedTuple):
-    ok: bool
-    violation: str | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-_VALID = ValidationResult(True, None)
-
-
 class Filling:
     """An assignment of one nonempty cell set to every box of a shape.
 
@@ -106,6 +95,7 @@ class Filling:
         """
         if not _trusted:
             _check_family(family)
+            _check_n(n)
             if isinstance(cells, Mapping):  # tuple() would read its boxes
                 raise ValueError("cells must be a sequence, not a mapping")
             cells = tuple(cells)
@@ -219,13 +209,13 @@ def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
     ValueError.
     """
     _check_family(family)
+    _check_n(n)
     cells = _cells_from_rows(shape, n, rows, {})
     return Filling(shape, n, family, cells, _trusted=True)
 
 
-def validate_cells(shape: SkewShape, family: str,
-                   cells: tuple) -> ValidationResult:
-    """The set-valued tableau rules on raw cells, first violation reported.
+def validate_cells(shape: SkewShape, family: str, cells: tuple) -> str | None:
+    """The text of the first tableau-rule violation in raw cells, or None.
 
     ``cells`` holds the cells of the shape's boxes in row-major order,
     each a nonempty, strictly increasing tuple of entry codes (what
@@ -243,9 +233,7 @@ def validate_cells(shape: SkewShape, family: str,
     boxes, rows, cols = table.boxes, table.rows, table.cols
     for a, b in table.pairs:
         if cells[a][-1] > cells[b][0]:
-            return ValidationResult(
-                False, f"max of {boxes[a]} exceeds min of {boxes[b]} "
-                       f"(rule 1)")
+            return f"max of {boxes[a]} exceeds min of {boxes[b]} (rule 1)"
     # no row or column number is past the first row's length
     row_seen = [0] * (shape.outer.part(1) + 1)
     col_seen = row_seen[:]
@@ -265,19 +253,16 @@ def validate_cells(shape: SkewShape, family: str,
     for k in table.diagonal if family == "P" else ():
         for code in cells[k]:
             if code & 1:
-                return ValidationResult(
-                    False,
-                    f"primed entry on the diagonal at {boxes[k]} (rule 4)")
-    return _VALID
+                return f"primed entry on the diagonal at {boxes[k]} (rule 4)"
+    return None
 
 
 def _repeat(boxes: tuple, lines: tuple, cells: tuple, k: int, code: int,
-            name: str, rule: int) -> ValidationResult:
+            name: str, rule: int) -> str:
     """The violation of ``code`` at index k repeating in the row or column
     ``lines[k]``: the first repeat, so one earlier index of that line
     holds the code, and a scan back finds it."""
     first = next(a for a in range(k)
                  if lines[a] == lines[k] and code in cells[a])
-    return ValidationResult(
-        False, f"{entry_str(code)} repeats in {name} {lines[k]} "
-               f"({boxes[first]} and {boxes[k]}) (rule {rule})")
+    return (f"{entry_str(code)} repeats in {name} {lines[k]} "
+            f"({boxes[first]} and {boxes[k]}) (rule {rule})")

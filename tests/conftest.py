@@ -17,7 +17,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
                                    inner_shapes,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import Filling, filling_from_rows, validate_cells
+from shifted_kschur.tableaux import Filling, filling_from_rows
 
 
 @pytest.fixture(scope="session")
@@ -34,24 +34,12 @@ def skew_6431_42():
 def oracle_tableaux():
     """``naive_oracle``'s tableaux, in its order, by ``EnumSpec``, computed
     once per session: every skew shape inside a strict partition of weight
-    at most 5, n <= 2, P/Q, single and set-valued.
-
-    Family P adds rule 4 only (``test_p_valid_implies_q_valid``), so its
-    list is the Q list's tableaux that pass P's rules, in the same order,
-    each built with family P as the oracle builds it; the oracle's own P
-    path is compared in ``TestOracleEquivalence``.
-    """
-    out = {}
-    for lam in strict_partitions_up_to_weight(5):
-        for mu in strict_subpartitions(lam):
-            shape = SkewShape(lam, mu)
-            for n, kind in product((1, 2), KINDS):
-                q = list(naive_oracle(EnumSpec(shape, n, "Q", kind)))
-                out[EnumSpec(shape, n, "P", kind)] = [
-                    Filling(shape, n, "P", T.cells) for T in q
-                    if validate_cells(shape, "P", T.cells)]
-                out[EnumSpec(shape, n, "Q", kind)] = q
-    return out
+    at most 5, n <= 2, P/Q, single and set-valued."""
+    specs = (EnumSpec(SkewShape(lam, mu), n, family, kind)
+             for lam in strict_partitions_up_to_weight(5)
+             for mu in strict_subpartitions(lam)
+             for n, family, kind in product((1, 2), "PQ", KINDS))
+    return {spec: list(naive_oracle(spec)) for spec in specs}
 
 
 # 4,2,1 // 2,1, P, n = 3: the benchmark's largest certificate, 2,402 pairs

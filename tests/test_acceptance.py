@@ -166,8 +166,8 @@ def test_criterion_8_involution_suite():
                 for fam in ("P", "Q"):
                     if not nonempty(shape, fam, n):
                         continue
-                    rep = verify_involution(shape, fam, n)
-                    assert rep.ok, (shape, fam, n, rep.violations[:2])
+                    _, violations = verify_involution(shape, fam, n)
+                    assert not violations, (shape, fam, n, violations[:2])
                     assert _at(FunctionSpec("G" + fam, shape, n))[1] == 1, \
                         (shape, fam, n)
 
@@ -205,13 +205,13 @@ def test_criterion_10_worked_example_fixtures(shape_421, skew_6431_42,
             "T1": (3, 3, 1), "T2": (2, 1, 4), "T3": (3, 3, 1), "T4": (1, 2, 4),
         }
         for key, T in single_valued_examples.items():
-            assert validate_cells(T.shape, T.family, T.cells)
+            assert validate_cells(T.shape, T.family, T.cells) is None
             assert T.weight() == single_weights[key], key
         set_weights = {
             "T1": (3, 2, 3), "T2": (1, 4, 3), "T3": (4, 2, 2), "T4": (4, 3, 2),
         }
         for key, T in set_valued_examples.items():
-            assert validate_cells(T.shape, T.family, T.cells)
+            assert validate_cells(T.shape, T.family, T.cells) is None
             assert T.weight() == set_weights[key], key
         assert set_valued_examples["T1"].size() == 8
         assert set_valued_examples["T4"].size() == 9

@@ -207,7 +207,7 @@ def _enumerated_point(lam, mu, n, family, kind):
 
 
 def _no_verdict(shape, family, n):
-    return involutions.InvolutionReport(0, ())
+    return 0, ()
 
 
 def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):

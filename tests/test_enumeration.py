@@ -9,7 +9,7 @@ from shifted_kschur.enumeration import (EnumSpec, count, enumerate_fillings,
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import entry_str, letter
+from shifted_kschur.tableaux import entry_str, letter, validate_cells
 
 
 def sp(*parts):
@@ -77,6 +77,32 @@ class TestOracleEquivalence:
         s = spec((3, 1), 2, "Q", mu=(1,))
         assert sorted(f._key for f in enumerate_fillings(s)) == \
             sorted(f._key for f in naive_oracle(s))
+
+    def test_prefix_oracle_equals_the_full_product(self):
+        # the rules are prefix-closed: filtering box by box keeps exactly
+        # the tuples of the full product that pass, in the product's order,
+        # on every shape of at most 4 boxes inside a strict partition of
+        # weight at most 5
+        shapes = 0
+        for lam in strict_partitions_up_to_weight(5):
+            for mu in strict_subpartitions(lam):
+                shape = SkewShape(lam, mu)
+                if shape.size > 4:
+                    continue
+                shapes += 1
+                for n, family, kind in product((1, 2), "PQ",
+                                               enumeration.KINDS):
+                    codes = range(1, 2 * n + 1)
+                    sizes = (1,) if kind == "single" else codes
+                    pool = sorted(c for k in sizes
+                                  for c in combinations(codes, k))
+                    want = [cells for cells in product(pool,
+                                                       repeat=shape.size)
+                            if validate_cells(shape, family, cells) is None]
+                    got = naive_oracle(EnumSpec(shape, n, family, kind))
+                    assert [T.cells for T in got] == want, \
+                        (str(shape), n, family, kind)
+        assert shapes == 43
 
     def test_oracle_guard(self):
         with pytest.raises(ValueError, match="oracle scale"):

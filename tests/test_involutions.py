@@ -172,16 +172,16 @@ class TestVerifyInvolution:
                     with pytest.raises(ValueError, match="empty tableau set"):
                         verify_involution(shape, family, n)
                     continue
-                rep = verify_involution(shape, family, n)
-                assert rep.ok, rep.violations[:3]
+                _, violations = verify_involution(shape, family, n)
+                assert not violations, violations[:3]
 
     def test_skew(self):
-        rep = verify_involution(SkewShape.parse("3,1/1"), "Q", 2)
-        assert rep.ok and rep.checked > 0
+        checked, violations = verify_involution(SkewShape.parse("3,1/1"),
+                                                "Q", 2)
+        assert not violations and checked > 0
 
     def test_empty_shape_is_vacuous(self):
-        rep = verify_involution(SkewShape(sp()), "P", 1)
-        assert rep.ok and rep.checked == 0
+        assert verify_involution(SkewShape(sp()), "P", 1) == (0, ())
 
 
 class TestFailureDetection:
@@ -220,15 +220,15 @@ class TestFailureDetection:
         monkeypatch.setattr(involutions, "_iota_cells", patched)
 
     def _report(self):
-        rep = verify_involution(SkewShape(self.LAM, self.MU), self.FAMILY,
-                                self.N)
-        assert not rep.ok
+        _, violations = verify_involution(SkewShape(self.LAM, self.MU),
+                                          self.FAMILY, self.N)
+        assert violations
         cert = pairing_certificate(self.LAM, self.MU, self.N, self.FAMILY)
-        assert cert.leftover and not cert.complete
-        return rep, cert
+        assert cert.leftover
+        return violations, cert
 
     def _violations(self):
-        return " ".join(self._report()[0].violations)
+        return " ".join(self._report()[0])
 
     def test_fixed_point(self, monkeypatch):
         tableaux = self._tableaux()
@@ -250,7 +250,8 @@ class TestFailureDetection:
         # every box holds the largest unprimed letter: column 2 repeats it
         bad = Filling(tableaux[1].shape, self.N, self.FAMILY,
                       [(2 * self.N,) for _ in tableaux[1].cells])
-        assert not validate_cells(bad.shape, bad.family, bad.cells)
+        assert "repeats in column 2" in validate_cells(bad.shape, bad.family,
+                                                       bad.cells)
         self._break_iota(monkeypatch,
                          lambda T: bad if T == tableaux[1] else None)
         assert "is invalid" in self._violations()
@@ -259,9 +260,9 @@ class TestFailureDetection:
         tableaux = self._tableaux()
         self._break_iota(monkeypatch,
                          lambda T: tableaux[0] if T == tableaux[1] else None)
-        rep, cert = self._report()
+        violations, cert = self._report()
         # one fault for the pair; its true partner fails on its own
-        assert [v for v in rep.violations if repr(tableaux[1]) in v] == [
+        assert [v for v in violations if repr(tableaux[1]) in v] == [
             f"iota of {tableaux[1]!r} hits the minimal tableau"]
         assert tableaux[1] in cert.leftover
         # pair reports a failed pairing, not a usage error
@@ -279,8 +280,8 @@ class TestFailureDetection:
                     if T.size() == tableaux[1].size())
         self._break_iota(monkeypatch, lambda T: (
             same if T == tableaux[1] else tableaux[1] if T == same else None))
-        rep, cert = self._report()
-        assert [v for v in rep.violations if repr(tableaux[1]) in v] == [
+        violations, cert = self._report()
+        assert [v for v in violations if repr(tableaux[1]) in v] == [
             f"iota of {tableaux[1]!r} changes |T| by != 1"]
         # the pairing rule takes the swap; the checker's sign rule does not
         assert (tableaux[1], same, "iota") in cert.pairs
@@ -353,7 +354,7 @@ def certificate_covers(doc, elements):
 class TestPairingCertificate:
     def test_small_complete(self):
         cert = pairing_certificate(sp(2, 1), sp(1), 2, "P")
-        assert cert.complete
+        assert not cert.leftover
         assert all(p.tag in ("iota", "pi") for p in cert.pairs)
         ok, why = certificate_covers(
             _roundtrip(cert), _family_elements(sp(2, 1), sp(1), 2, "P"))
@@ -363,7 +364,7 @@ class TestPairingCertificate:
         cert = pairing_certificate(sp(2), sp(2), 1, "Q")
         ok, why = certificate_covers(
             _roundtrip(cert), _family_elements(sp(2), sp(2), 1, "Q"))
-        assert cert.complete and ok, why
+        assert not cert.leftover and ok, why
 
     def test_minimal_only_flagship(self):
         cert = pairing_certificate(sp(9, 8, 6, 4), sp(7, 5, 4, 2), 2, "P",
@@ -673,7 +674,7 @@ def test_trusted_images_equal_checked_rebuild():
                         continue
                     image = iota(T)
                     _equals_checked_rebuild(image)
-                    assert validate_cells(shape, family, image.cells)
+                    assert validate_cells(shape, family, image.cells) is None
                     images += 1
                 if mu and not has_empty_set(lam, mu, family, n):
                     cert = pairing_certificate(lam, mu, n, family)

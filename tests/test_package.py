@@ -13,7 +13,7 @@ import sys
 import textwrap
 
 import shifted_kschur
-from shifted_kschur import cli
+from shifted_kschur import cli, enumeration
 from tests.conftest import clear_package_caches
 
 
@@ -209,6 +209,22 @@ def test_no_unused_import_in_src():
                                  "class K: pass\n__all__ = ['K']\n",
                                  "y = m._C\n"])
     assert sorted(bound - read) == ["A", "K", "_D", "f", "y"]
+
+
+def test_naive_oracle_shares_no_code_with_the_walk():
+    # validate_cells is the oracle's only judge, so the oracle stays
+    # independent of the backtracking walk it checks
+    tree = ast.parse(textwrap.dedent(
+        inspect.getsource(enumeration.naive_oracle)))
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "validate_cells" in called
+    assert not named & {"_candidate_cells", "_cell_table", "_leaves",
+                        "enumerate_fillings"}
 
 
 def _module_names(sources: list) -> tuple[set, set]:

@@ -170,3 +170,17 @@ class TestJson:
     def test_coefficients_are_decimal_strings(self):
         p = LaurentPoly.monomial(2, (3, 1), -1, coeff=7)
         assert p.to_json() == {"terms": [{"x": [3, 1], "b": -1, "c": "7"}]}
+
+    @pytest.mark.parametrize("term", [
+        {"x": [1.0], "b": 1, "c": "2"}, {"x": [True], "b": 1, "c": "2"},
+        {"x": [1], "b": True, "c": "2"}, {"x": [1], "b": 1.0, "c": "2"},
+        {"x": [1.0], "b": True, "c": "2"}, {"x": [1], "b": 1, "c": 2.7},
+        {"x": [1], "b": 1, "c": 2}, {"x": [1], "b": 1, "c": None}],
+        ids=["float_x", "bool_x", "bool_b", "float_b", "float_x_bool_b",
+             "float_c", "int_c", "null_c"])
+    def test_from_json_refuses_what_to_json_never_writes(self, term):
+        # to_json writes int exponents and a decimal string; a bool or a
+        # float exponent would key its term as the int it equals, and a
+        # number coefficient would be truncated
+        with pytest.raises(ValueError, match="^bad term "):
+            LaurentPoly.from_json({"terms": [term]}, 1)

@@ -268,9 +268,8 @@ def cmd_pair(args) -> int:
         # a refused request, an empty tableau set among them, is a usage
         # error before the file is opened
         check = involutions.certificate_checker(*request)
-        # text that is not UTF-8 JSON, or nests too deep for the parser, is
-        # malformed, here or in a pair that check reads from fh; an OSError
-        # is not
+        # text not UTF-8, not in pair --out's layout, not JSON or nested too
+        # deep is malformed, here or in a pair check reads; an OSError is not
         with open(args.check, encoding="utf-8") as fh:
             try:
                 doc = involutions.read_certificate(fh)

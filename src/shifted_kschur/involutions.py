@@ -14,18 +14,16 @@ returns (checked, violations) on one shape).  A certificate is
 written straight from its tableaux, and checked as its JSON document: each
 element as its nu and row-major cell tuple, each distinct cell parsed once,
 with a ``Filling`` built only for a minimal tableau or to show a fault.
-``read_certificate`` reads a certificate file in chunks, one top-level
-member at a time, and its pairs one at a time, so a check holds a window of
-the file and one pair, not its text or the parsed document; ``"pairs"``
-must be the last member.  The first fault is reported, in this order: a
-refused request (``_setup``); text before ``"pairs"`` that does not parse;
-the header; pair k, its text or its content; text after the last pair.
+``read_certificate`` reads only the layout ``write_certificate`` writes,
+``json.dumps(doc, sort_keys=True, indent=1)``, holding its header and one
+pair at a time.  The first fault is reported, in this order: a refused
+request (``_setup``); the header's layout or text; the header; pair k, its
+layout, text or content; the end of the file.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from functools import lru_cache
 from itertools import chain, count
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -313,167 +311,77 @@ def pairing_certificate(lam: StrictPartition, mu: StrictPartition, n: int,
     return cert
 
 
-_CHUNK = 1 << 16  # characters read from a certificate file at a time
-_SPACE = re.compile(r"[ \t\n\r]*")  # JSON white space
-_DECODE = json.JSONDecoder().raw_decode
-# the decoder reads at most this many characters from where it stops: a
-# literal such as -Infinity from its start, a number's ".", "e" and sign
-_LOOKAHEAD = len("-Infinity")
-
-
-class _Window:
-    """The text of a file, read ``_CHUNK`` characters at a time, and a
-    cursor ``i`` in it.
-
-    ``text`` holds the file from character ``base`` on: reading a chunk
-    drops the text before the cursor.  ``lines`` counts the line breaks
-    before ``base`` and ``col`` the characters after the last of them, so
-    an error names its place in the file.
-    """
-
-    def __init__(self, fh):
-        self.fh, self.text, self.eof = fh, "", False
-        self.i = self.base = self.lines = self.col = 0
-
-    def _read(self) -> None:
-        """Drop the text before the cursor and read a chunk on."""
-        i, text = self.i, self.text
-        last = text.rfind("\n", 0, i)
-        if last < 0:
-            self.col += i
-        else:
-            self.lines += text.count("\n", 0, i)
-            self.col = i - last - 1
-        self.base += i
-        try:
-            chunk = self.fh.read(_CHUNK)
-        except UnicodeDecodeError as exc:  # its repr holds the whole block
-            # exc.object: the bytes the decoder held over, then those read
-            at = self.fh.buffer.tell() - len(exc.object) + exc.start
-            raise ValueError(f"text that is not {exc.encoding} ({exc.reason})"
-                             f" at byte {at} of the file") from None
-        self.eof = not chunk
-        self.text, self.i = text[i:] + chunk, 0
-
-    def placed(self, exc: json.JSONDecodeError) -> json.JSONDecodeError:
-        """exc, raised on ``text``, with its line, column and character
-        counted in the file."""
-        lineno = self.lines + exc.lineno
-        colno = exc.colno + (self.col if exc.lineno == 1 else 0)
-        exc.pos += self.base
-        exc.lineno, exc.colno = lineno, colno
-        exc.args = (f"{exc.msg}: line {lineno} column {colno} "
-                    f"(char {exc.pos})",)
-        return exc
-
-    def error(self, msg: str) -> json.JSONDecodeError:
-        return self.placed(json.JSONDecodeError(msg, self.text, self.i))
-
-    def peek(self) -> str:
-        """Move the cursor past white space; the character there, "" at
-        the end of the file."""
-        while True:
-            self.i = _SPACE.match(self.text, self.i).end()
-            if self.i < len(self.text) or self.eof:
-                return self.text[self.i:self.i + 1]
-            self._read()
-
-    def take(self, chars: str, what: str) -> str:
-        """The character after white space, one of chars; the cursor moves
-        past it."""
-        c = self.peek()
-        if not c or c not in chars:
-            raise self.error(f"Expecting {what}")
-        self.i += 1
-        return c
-
-    def decode(self):
-        """The JSON value after white space; the cursor moves past it.
-
-        The decoder runs on the text in hand.  Where it stops, with a value
-        or an error, at most ``_LOOKAHEAD`` characters before the end of
-        that text, or in a string that runs to it, more text could change
-        the outcome: chunks are read on until the text from the value's
-        start has doubled, and the decoder runs again.  So a long value is
-        decoded a few times, not once a chunk; a value shorter than a chunk
-        needs one read, as ``read`` returns a whole chunk unless the file
-        ends.
-        """
-        self.peek()
-        while True:
-            try:
-                value, end = _DECODE(self.text, self.i)
-            except json.JSONDecodeError as exc:
-                if self.eof or (exc.pos + _LOOKAHEAD < len(self.text) and
-                                not exc.msg.startswith("Unterminated")):
-                    raise self.placed(exc) from None
-            else:
-                if self.eof or end + _LOOKAHEAD < len(self.text):
-                    self.i = end
-                    return value
-            held = len(self.text) - self.i
-            self._read()
-            while not self.eof and len(self.text) < 2 * held:
-                self._read()
-
-    def end(self) -> None:
-        """Raise unless only white space is left."""
-        if self.peek():
-            raise self.error("Extra data")
+_CHUNK = 1 << 16  # the fewest characters read from a certificate file at once
+# in the layout pair --out writes, only a top-level key is indented one
+# space and only a pair closes at two; no JSON string holds a raw newline
+_PAIRS, _PAIR_END = '\n "pairs": [', "\n  }"
+_LAYOUT = "Expecting the layout pair --out writes"
 
 
 def read_certificate(fh) -> dict:
-    """The document of the certificate in the text file fh, its pairs read
-    lazily.
-
-    The file is read ``_CHUNK`` characters at a time, and the text the
-    reader is done with is dropped, so a check holds a window of the file
-    and one pair.  The top-level object is decoded one member at a time,
-    each member whole, up to ``"pairs"``; that member must come last,
-    where ``write_certificate`` and ``json.dumps(..., sort_keys=True)``
-    put it.  Its value is an iterator that decodes one pair per step and
-    reads from fh as it goes, so fh must stay open while it is used.  A
-    document with no ``"pairs"`` is read whole.  A syntax error raises
-    ``json.JSONDecodeError`` (a ValueError) with its place in the file, a value
-    nested too deep RecursionError, and text that is not of fh's encoding a
-    short ValueError that names its byte offset in the file, when the reader
-    reaches it: here for one before ``"pairs"``, else at the step that reads
-    the pair it is in, or, for text after the last pair (a member after
-    ``"pairs"``, text after the closing brace), at the step after the last
-    pair.  A string of JSON text is read as ``io.StringIO(text)``.
+    """The document of the certificate in the text file fh, in the layout
+    ``write_certificate`` writes: the header decoded whole, and ``"pairs"``
+    an iterator that decodes one pair per step as it reads fh, ``_CHUNK``
+    characters at a time or as many as are held; fh must stay open while it
+    is used.  Text that leaves the layout (``_LAYOUT``) or does not parse
+    raises json.JSONDecodeError with its place in the file, a value nested
+    too deep RecursionError, and text not of fh's encoding a ValueError that
+    names its byte offset, each when the reader reaches it.
     """
-    w = _Window(fh)
+    text, i, base, lines = "", 0, 0, 0  # text: from char base, a line start
+
+    def more() -> bool:  # drop the lines before i's, read on; False at end
+        nonlocal text, i, base, lines
+        cut = text.rfind("\n", 0, i) + 1
+        base, lines = base + cut, lines + text.count("\n", 0, cut)
+        try:
+            chunk = fh.read(max(_CHUNK, len(text) - cut))
+        except UnicodeDecodeError as exc:  # its repr holds the whole block
+            # exc.object: the bytes the decoder held over, then those read
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise ValueError(f"text that is not {exc.encoding} ({exc.reason})"
+                             f" at byte {at} of the file") from None
+        text, i = text[cut:] + chunk, i - cut
+        return bool(chunk)
+
+    def fill(size: int) -> str:  # the next size characters, or the rest
+        while len(text) - i < size and more():
+            pass
+        return text[i:i + size]
+
+    def find(s: str) -> int:  # where s is next, else the end of the file
+        while (k := text.find(s, i)) < 0 and more():
+            pass
+        return len(text) if k < 0 else k
+
+    def error(msg: str, p: int) -> json.JSONDecodeError:  # at text[p]
+        exc = json.JSONDecodeError(msg, text, p)
+        exc.pos, exc.lineno = base + p, lines + exc.lineno
+        exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} "
+                    f"(char {exc.pos})",)
+        return exc
+
+    def loads(j: int, k: int, close: str = ""):
+        try:
+            return json.loads(text[j:k] + close)
+        except json.JSONDecodeError as exc:
+            raise error(exc.msg, min(j + exc.pos, k)) from None
 
     def pairs() -> Iterator:
-        w.take("[", "'['")
-        if w.peek() == "]":
-            w.i += 1
-        else:
-            yield w.decode()
-            while w.take(",]", "',' delimiter") == ",":
-                yield w.decode()
-        w.take("}", "'}': \"pairs\" must be the last member")
-        w.end()
+        nonlocal i
+        opener, tail = "\n  {", "]\n}"
+        while fill(len(opener)) == opener:
+            end = min(find(_PAIR_END) + len(_PAIR_END), len(text))
+            yield loads(i + len(opener) - 1, end)  # from the pair's "{"
+            i, opener, tail = end, ",\n  {", "\n ]\n}"
+        if fill(len(tail) + 1) != tail:
+            raise error(_LAYOUT, i)
 
-    doc = {}
-    w.take("{", "'{'")
-    if w.peek() == "}":
-        w.i += 1
-    else:
-        while True:
-            if w.peek() != '"':
-                raise w.error("Expecting property name enclosed in double "
-                              "quotes")
-            key = w.decode()
-            w.take(":", "':' delimiter")
-            if key == "pairs":
-                doc[key] = pairs()
-                return doc
-            doc[key] = w.decode()
-            if w.take(",}", "',' delimiter") == "}":
-                break
-    w.end()
-    return doc
+    if fill(4) != '{\n "':
+        raise error(_LAYOUT, 0)
+    if (i := find(_PAIRS) + len(_PAIRS)) > len(text):  # no "pairs" line
+        raise error(_LAYOUT, len(text))
+    return {**loads(0, i, "]}"), "pairs": pairs()}
 
 
 def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,

@@ -241,12 +241,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict, nvars: int) -> "LaurentPoly":
-        """ValueError unless exponents are ints and coefficients strings."""
+        """ValueError unless each term is as ``to_json`` writes it."""
         terms = {}
         for t in data["terms"]:
-            key = (tuple(t["x"]), t["b"])
+            key, c = (tuple(t["x"]), t["b"]), t["c"]
             if not {int}.issuperset(map(type, (*key[0], key[1]))) \
-                    or type(t["c"]) is not str:
+                    or type(c) is not str \
+                    or not c.removeprefix("-").isdecimal() or str(int(c)) != c:
                 raise ValueError(f"bad term {t!r}")
-            terms[key] = terms.get(key, 0) + int(t["c"])
+            terms[key] = terms.get(key, 0) + int(c)
         return cls(nvars, terms)

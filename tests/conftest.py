@@ -4,6 +4,7 @@ package's caches cleared around a test."""
 
 import contextlib
 import io
+import json
 import sys
 from itertools import product
 
@@ -56,6 +57,12 @@ def large_certificate(tmp_path_factory):
         assert main([*LARGE_PAIR, "--out", str(path)]) == 0
     assert out.getvalue() == "pairs=2402 leftover=0 ok\n"
     return path
+
+
+def as_written(doc) -> str:
+    """doc in the layout ``pair --out`` writes, the one layout
+    ``pair --check`` reads."""
+    return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def clear_package_caches() -> None:

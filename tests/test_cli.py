@@ -14,7 +14,7 @@ from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from tests.conftest import LARGE_PAIR, TAMPERS, has_empty_set
+from tests.conftest import LARGE_PAIR, TAMPERS, as_written, has_empty_set
 
 
 def run(capsys, *argv):
@@ -353,7 +353,8 @@ HEADER_21_1 = ('certificate is for {"lambda": [2, 1], "mu": [1], "n": 2, '
 # certificate files that are not JSON, made from a written one's bytes
 CUTS = {"truncated": lambda data: data[:200],
         "not_utf8": lambda data: b"\xff\xff",
-        "deeply_nested": lambda data: b"[" * 100_000}
+        "deeply_nested": lambda data: data.replace(
+            b'"leftover": ', b'"leftover": ' + b"[" * 100_000, 1)}
 
 # written certificates that break after the header, made from their text
 SPOILS = {
@@ -364,14 +365,21 @@ SPOILS = {
     "missing_comma_between_pairs":
         lambda text: text.replace("\n  },\n  {", "\n  }\n  {", 1),
     "deeply_nested_pair":
-        lambda text: text.replace('"pairs": [',
-                                  '"pairs": [' + "[" * 100_000, 1)}
+        lambda text: text.replace('"left": ', '"left": ' + "[" * 100_000, 1)}
 
 
 def not_utf8_at(offset):
     """The note of a byte that is not UTF-8 at byte ``offset`` of a file."""
     return ("malformed certificate (ValueError('text that is not utf-8 "
             f"(invalid start byte) at byte {offset} of the file'))")
+
+
+def layout_at(text, pos):
+    """The note of a file that leaves pair --out's layout at char pos of
+    its text."""
+    line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    return ("malformed certificate (JSONDecodeError('Expecting the layout "
+            f"pair --out writes: line {line} column {col} (char {pos})'))")
 
 
 def _spoiled(spoil):
@@ -382,19 +390,20 @@ def _tampered(tamper):
     def make(data):
         doc = json.loads(data)
         tamper(doc)
-        return json.dumps(doc).encode()
+        return as_written(doc).encode()
     return make
 
 
 # the files of the chunk-size test, each made from a written certificate;
-# a number in the header that a chunk may cut before its "." or "e", and a
-# syntax error far along a file of one line
+# a number in the header that a chunk may cut before its "." or "e", a
+# syntax error far along the file, and a file of one line
 STREAM_CASES = {
     "as_written": lambda data: data, **CUTS,
     **{k: _spoiled(spoil) for k, spoil in SPOILS.items()},
     **{t.__name__: _tampered(t) for t, _ in TAMPERS},
     "header_n_with_fraction_and_exponent":
         lambda data: data.replace(b'"n": 2,', b'"n": 2.0e0,', 1),
+    "truncated_far_along": lambda data: data[:-100],
     "one_line_truncated":
         lambda data: json.dumps(json.loads(data)).encode()[:-100]}
 
@@ -414,6 +423,13 @@ def _read_outcome(path):
     if "pairs" in doc:
         doc["pairs"] = pairs
     return doc, error
+
+
+# json.dumps layouts of a certificate that pair --check refuses: each
+# besides the writer's own (sort_keys=True, indent=1), and the writer's
+# indent with the keys in the order to_json makes them
+LAYOUTS = [{"indent": k, "sort_keys": True} for k in (None, 0, 2)] + [
+    {"separators": (",", ":"), "sort_keys": True}, {"indent": 1}]
 
 
 def _pair_cases(max_weight, max_n):
@@ -439,7 +455,7 @@ class TestPair:
         run(capsys, *PAIR_21_1, "--out", str(path))
         doc = json.loads(path.read_text())
         doc["pairs"] = doc["pairs"][:-1]
-        path.write_text(json.dumps(doc))
+        path.write_text(as_written(doc))
         code, out, _ = run(capsys, *PAIR_21_1, "--check", str(path))
         assert code == 1 and "FAILED" in out
 
@@ -450,7 +466,7 @@ class TestPair:
         run(capsys, *PAIR_21_1, "--out", str(path))
         doc = json.loads(path.read_text())
         tamper(doc)
-        path.write_text(json.dumps(doc))
+        path.write_text(as_written(doc))
         assert run(capsys, *PAIR_21_1, "--check", str(path)) == \
             (1, "certificate FAILED\n", f"note: {reason}\n")
 
@@ -513,10 +529,9 @@ class TestPair:
         # 5,3,1 // 2,1 P n=3 is above PAIR_MAX_ELEMENTS: making it is
         # refused, while a document of no pairs is checked, and fails
         path = tmp_path / "cert.json"
-        path.write_text(json.dumps({
+        path.write_text(as_written({
             "lambda": [5, 3, 1], "mu": [2, 1], "n": 3, "family": "P",
-            "minimal_only": False, "pairs": [], "leftover": []},
-            sort_keys=True))
+            "minimal_only": False, "pairs": [], "leftover": []}))
         argv = ("pair", "--lambda", "5,3,1", "--mu", "2,1", "--family", "P",
                 "-n", "3")
         assert run(capsys, *argv) == (
@@ -571,7 +586,7 @@ class TestPair:
         run(capsys, *PAIR_21_1, "--out", str(path))
         doc = json.loads(path.read_text())
         tamper(doc)
-        path.write_text(json.dumps(doc, sort_keys=True) + " trailing")
+        path.write_text(as_written(doc) + " trailing")
         assert run(capsys, *PAIR_21_1, "--check", str(path)) == \
             (1, "certificate FAILED\n", f"note: {reason}\n")
 
@@ -636,12 +651,12 @@ class TestPair:
         text = path.read_text()
         doc = json.loads(text)
         tamper(doc)
-        # white space, then the byte, past the first chunk
+        # white space, then the byte, past the first chunk, in the last pair
         after = b" " * (2 * involutions._CHUNK) + b"\xff"
-        for body, note in (
-                (text, not_utf8_at(len(text) + len(after) - 1)),
-                (json.dumps(doc, sort_keys=True), reason)):
-            path.write_bytes(body.encode() + after)
+        for body, note in ((text, None), (as_written(doc), reason)):
+            at = body.rindex(",\n  {") + len(",\n  {")
+            path.write_bytes(body[:at].encode() + after + body[at:].encode())
+            note = note or not_utf8_at(at + len(after) - 1)
             assert run(capsys, *PAIR_21_1, "--check", str(path)) == (
                 1, "certificate FAILED\n", f"note: {note}\n")
 
@@ -669,6 +684,33 @@ class TestPair:
         assert err == ("error: [Errno 13] Permission denied: "
                        f"'{large_certificate}'\n" if opening else
                        "error: [Errno 5] Input/output error\n")
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=[
+        "indent_none", "indent_0", "indent_2", "compact", "unsorted_keys"])
+    def test_other_layout_fails(self, capsys, tmp_path, layout):
+        path = tmp_path / "cert.json"
+        doc = pairing_certificate(StrictPartition((2, 1)),
+                                  StrictPartition((1,)), 2, "P").to_json()
+        path.write_text(json.dumps(doc, **layout))
+        code, out, err = run(capsys, *PAIR_21_1, "--check", str(path))
+        assert (code, out) == (1, "certificate FAILED\n")
+        assert err.startswith("note: malformed certificate (")
+
+    def test_one_line_copy_is_refused_at_its_start(self, capsys, tmp_path,
+                                                   large_certificate):
+        path = tmp_path / "large.json"
+        text = json.dumps(json.loads(large_certificate.read_text()),
+                          sort_keys=True)
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            result = run(capsys, *LARGE_PAIR, "--check", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "certificate FAILED\n",
+                          f"note: {layout_at(text, 0)}\n")
+        assert peak < 0.5 * path.stat().st_size
 
     def test_check_holds_about_one_pair_at_a_time(self, capsys,
                                                   large_certificate):
@@ -707,18 +749,21 @@ class TestPair:
         run(capsys, *PAIR_21_1, "--out", str(path))
         doc = json.loads(path.read_text())
         del doc[key]
-        path.write_text(json.dumps(doc))
+        text = as_written(doc)
+        path.write_text(text)
+        # with no "pairs" line the file leaves the layout at its end
+        note = (layout_at(text, len(text)) if key == "pairs" else
+                f"malformed certificate (KeyError({key!r}))")
         assert run(capsys, *PAIR_21_1, "--check", str(path)) == (
-            1, "certificate FAILED\n",
-            f"note: malformed certificate (KeyError({key!r}))\n")
+            1, "certificate FAILED\n", f"note: {note}\n")
 
     def test_header_mismatch_comes_before_malformed_pairs(self, capsys,
                                                           tmp_path):
         path = tmp_path / "cert.json"
         run(capsys, *PAIR_21_1, "--out", str(path))
         doc = json.loads(path.read_text())
-        del doc["pairs"]
-        path.write_text(json.dumps(doc))
+        doc["pairs"] = [0]
+        path.write_text(as_written(doc))
         argv = list(PAIR_21_1)
         argv[argv.index("-n") + 1] = "3"
         assert run(capsys, *argv, "--check", str(path)) == (

@@ -175,12 +175,17 @@ class TestJson:
         {"x": [1.0], "b": 1, "c": "2"}, {"x": [True], "b": 1, "c": "2"},
         {"x": [1], "b": True, "c": "2"}, {"x": [1], "b": 1.0, "c": "2"},
         {"x": [1.0], "b": True, "c": "2"}, {"x": [1], "b": 1, "c": 2.7},
-        {"x": [1], "b": 1, "c": 2}, {"x": [1], "b": 1, "c": None}],
+        {"x": [1], "b": 1, "c": 2}, {"x": [1], "b": 1, "c": None},
+        *({"x": [1], "b": 1, "c": c} for c in (
+            "1_0", " 7", "+7", "07", "\u0663", "\u00b2", "-0", "7\n", "",
+            "x"))],
         ids=["float_x", "bool_x", "bool_b", "float_b", "float_x_bool_b",
-             "float_c", "int_c", "null_c"])
+             "float_c", "int_c", "null_c", "underscore_c", "space_c",
+             "plus_c", "leading_zero_c", "arabic_indic_c", "superscript_c",
+             "minus_zero_c", "newline_c", "empty_c", "word_c"])
     def test_from_json_refuses_what_to_json_never_writes(self, term):
-        # to_json writes int exponents and a decimal string; a bool or a
-        # float exponent would key its term as the int it equals, and a
-        # number coefficient would be truncated
+        # to_json writes int exponents and str(c) of an int c; a bool or a
+        # float exponent would key its term as the int it equals, a number
+        # coefficient would be truncated, and int() reads other texts too
         with pytest.raises(ValueError, match="^bad term "):
             LaurentPoly.from_json({"terms": [term]}, 1)

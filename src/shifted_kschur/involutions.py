@@ -10,23 +10,24 @@ non-minimal tableaux this way, and pairing minimal tableaux of neighboring
 inner shapes via the bottom-row toggle ``shapes.pi``, covers the
 double-skew tableau family, over the inner shapes of
 ``shapes.inner_shapes``, with no element left over (``verify_involution``
-returns (checked, violations) on one shape).  A certificate is
-written straight from its tableaux, and checked as its JSON document: each
-element as its nu and row-major cell tuple, each distinct cell parsed once,
-with a ``Filling`` built only for a minimal tableau or to show a fault.
-``read_certificate`` reads only the layout ``write_certificate`` writes,
-``json.dumps(doc, sort_keys=True, indent=1)``, holding its header and one
-pair at a time.  The first fault is reported, in this order: a refused
-request (``_setup``); the header's layout or text; the header; pair k, its
-layout, text or content; the end of the file.
+returns (checked, violations) on one shape).  A certificate is written
+straight from its tableaux, as ``json.dumps`` texts of documents with
+holes, split at the holes (``_pieces``) and joined with what goes in them,
+and checked as its JSON document: each element as its nu and row-major
+cell tuple, each distinct cell parsed once, with a ``Filling`` built only
+for a minimal tableau or to show a fault.  ``read_certificate`` reads only
+the layout ``write_certificate`` writes, ``json.dumps(doc, sort_keys=True,
+indent=1)``, of short lines, holding its header and one pair at a time.
+The first fault is reported, in this order: a refused request
+(``_setup``); the header's layout or text; the header; pair k, its layout,
+text or content; the end of the file.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
@@ -175,78 +176,62 @@ _HOLE = "\0"  # a slot in a document; json writes it as _SLOT
 _SLOT = json.dumps(_HOLE)
 
 
-def _format(doc, level: int):
-    """``format`` of doc's ``json.dumps(..., sort_keys=True, indent=1)``
-    text as it reads ``level`` deep in a larger document, with a field for
-    each hole.  Re-indenting every line break is exact: a JSON string
-    never holds a raw newline.
+def _pieces(doc, level: int) -> list[str]:
+    """doc's ``json.dumps(..., sort_keys=True, indent=1)`` text as it reads
+    ``level`` deep in a larger document, split at each hole.  Re-indenting
+    every line break is exact: a JSON string never holds a raw newline.
     """
-    text = json.dumps(doc, sort_keys=True, indent=1).replace(
-        "\n", "\n" + " " * level)
-    return "{}".join(piece.replace("{", "{{").replace("}", "}}")
-                     for piece in text.split(_SLOT)).format
+    return json.dumps(doc, sort_keys=True, indent=1).replace(
+        "\n", "\n" + " " * level).split(_SLOT)
 
 
-def _array(texts: Iterable[str], level: int) -> Iterator[str]:
-    """A JSON array ``level`` deep, one piece per item, of item texts."""
-    inner, first = "\n" + " " * (level + 1), True
-    for text in texts:
-        yield ("[" if first else ",") + inner + text
-        first = False
-    yield "[]" if first else "\n" + " " * level + "]"
-
-
-_PAIR_FORMATS = {tag: _format({"left": _HOLE, "right": _HOLE, "tag": tag}, 2)
-                 for tag in ("iota", "pi")}
-
-
-@lru_cache(maxsize=256)
-def _side_format(outer: tuple, inner: tuple, n: int, family: str):
-    """The template of an element of outer/inner, n and family as a pair's
-    side: ``_format`` of its document three levels deep, with a hole per
-    cell in row-major order."""
-    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    doc = _element(Filling(shape, n, family, ((),) * shape.size,
-                           _trusted=True))
-    doc["tableau"]["rows"] = [[_HOLE] * len(row) for row in shape.rows]
-    return _format(doc, 3)
+def _filled(pieces: list[str], texts: list[str]) -> str:
+    """The pieces joined with texts[k] in hole k."""
+    parts = pieces + texts
+    parts[::2], parts[1::2] = pieces, texts
+    return "".join(parts)
 
 
 def write_certificate(cert: PairingCertificate, fh) -> None:
     """Write ``json.dumps(cert.to_json(), sort_keys=True, indent=1)`` to fh
     for a certificate built by ``pairing_certificate``, one pair at a time.
 
-    The header is ``json.dumps`` of the certificate with a hole for each
-    of its two lists.  An element's text is its shape's template from
-    ``_side_format``, filled with its cells' texts in row-major order;
-    cell texts are made on first use and kept for this call.  A leftover
-    element sits a level less deep than a pair's side: one space less on
-    each line.
+    The header and the leftover are one ``json.dumps`` of the certificate
+    with a hole for its pairs; the leftover is dumped whole, as it is
+    nonempty only when iota fails.  A pair's text is the pieces of its
+    tag's pair document, filled with its two sides.  A side is the pieces
+    of its nu's element, three levels deep with a hole per cell in
+    row-major order, filled with its cells' texts.  Both are made on first
+    use and kept for this call, by nu and by cell.
     """
+    sides: dict = {}  # nu -> the pieces of its element as a pair's side
     texts: dict = {}  # cell -> its text in a pair's side, seven levels deep
 
-    def cell_text(cell: tuple) -> str:  # an entry string is JSON as it is
-        texts[cell] = text = "".join(
-            _array((f'"{entry_str(c)}"' for c in cell), 7))
+    def cell_text(cell: tuple) -> str:  # a cell's text has no hole
+        texts[cell] = text = _pieces(list(map(entry_str, cell)), 7)[0]
         return text
 
     def side(T: Filling) -> str:
-        shape = T.shape
-        fmt = _side_format(shape.outer.parts, shape.inner.parts, T.n,
-                           T.family)
-        return fmt(*[texts.get(cell) or cell_text(cell)
-                     for cell in T.cells])
+        nu = T.shape.inner.parts
+        if (pieces := sides.get(nu)) is None:
+            doc = _element(T)
+            doc["tableau"]["rows"] = [[_HOLE] * len(row)
+                                      for row in T.shape.rows]
+            sides[nu] = pieces = _pieces(doc, 3)
+        return _filled(pieces, [texts.get(cell) or cell_text(cell)
+                                for cell in T.cells])
 
-    top = dict(cert.header, leftover=_HOLE, pairs=_HOLE)
-    before, between, after = json.dumps(top, sort_keys=True,
-                                        indent=1).split(_SLOT)
-    fh.write(before)
-    fh.writelines(_array((side(T).replace("\n ", "\n")
-                          for T in cert.leftover), 1))
-    fh.write(between)
-    fh.writelines(_array((_PAIR_FORMATS[p.tag](side(p.left), side(p.right))
-                          for p in cert.pairs), 1))
-    fh.write(after)
+    pair = {tag: _pieces({"left": _HOLE, "right": _HOLE, "tag": tag}, 2)
+            for tag in ("iota", "pi")}
+    top = dict(cert.header, pairs=[_HOLE] if cert.pairs else [],
+               leftover=[_element(T) for T in cert.leftover])
+    head, *tail = _pieces(top, 0)
+    fh.write(head)
+    sep = ""
+    for p in cert.pairs:
+        fh.write(sep + _filled(pair[p.tag], [side(p.left), side(p.right)]))
+        sep = ",\n  "
+    fh.writelines(tail)
 
 
 def _setup(lam: StrictPartition, mu: StrictPartition, n: int, family: str,
@@ -316,6 +301,7 @@ _CHUNK = 1 << 16  # the fewest characters read from a certificate file at once
 # space and only a pair closes at two; no JSON string holds a raw newline
 _PAIRS, _PAIR_END = '\n "pairs": [', "\n  }"
 _LAYOUT = "Expecting the layout pair --out writes"
+_LINE = 80  # longer than any line written: 23, or 12 more than n's digits
 
 
 def read_certificate(fh) -> dict:
@@ -323,7 +309,8 @@ def read_certificate(fh) -> dict:
     ``write_certificate`` writes: the header decoded whole, and ``"pairs"``
     an iterator that decodes one pair per step as it reads fh, ``_CHUNK``
     characters at a time or as many as are held; fh must stay open while it
-    is used.  Text that leaves the layout (``_LAYOUT``) or does not parse
+    is used.  Text that leaves the layout (``_LAYOUT``), a line held
+    unfinished at more than ``_LINE`` characters among it, or does not parse
     raises json.JSONDecodeError with its place in the file, a value nested
     too deep RecursionError, and text not of fh's encoding a ValueError that
     names its byte offset, each when the reader reaches it.
@@ -342,6 +329,8 @@ def read_certificate(fh) -> dict:
             raise ValueError(f"text that is not {exc.encoding} ({exc.reason})"
                              f" at byte {at} of the file") from None
         text, i = text[cut:] + chunk, i - cut
+        if len(text) - (start := text.rfind("\n") + 1) > _LINE:
+            raise error(_LAYOUT, start)
         return bool(chunk)
 
     def fill(size: int) -> str:  # the next size characters, or the rest

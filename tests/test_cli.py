@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import tracemalloc
@@ -354,7 +355,7 @@ HEADER_21_1 = ('certificate is for {"lambda": [2, 1], "mu": [1], "n": 2, '
 CUTS = {"truncated": lambda data: data[:200],
         "not_utf8": lambda data: b"\xff\xff",
         "deeply_nested": lambda data: data.replace(
-            b'"leftover": ', b'"leftover": ' + b"[" * 100_000, 1)}
+            b'"leftover": ', b'"leftover": ' + b"[\n" * 100_000, 1)}
 
 # written certificates that break after the header, made from their text
 SPOILS = {
@@ -365,7 +366,8 @@ SPOILS = {
     "missing_comma_between_pairs":
         lambda text: text.replace("\n  },\n  {", "\n  }\n  {", 1),
     "deeply_nested_pair":
-        lambda text: text.replace('"left": ', '"left": ' + "[" * 100_000, 1)}
+        lambda text: text.replace('"left": ', '"left": ' + "[\n" * 100_000,
+                                  1)}
 
 
 def not_utf8_at(offset):
@@ -651,8 +653,9 @@ class TestPair:
         text = path.read_text()
         doc = json.loads(text)
         tamper(doc)
-        # white space, then the byte, past the first chunk, in the last pair
-        after = b" " * (2 * involutions._CHUNK) + b"\xff"
+        # short lines of white space, then the byte, past the first chunk,
+        # in the last pair
+        after = b" \n" * involutions._CHUNK + b"\xff"
         for body, note in ((text, None), (as_written(doc), reason)):
             at = body.rindex(",\n  {") + len(",\n  {")
             path.write_bytes(body[:at].encode() + after + body[at:].encode())
@@ -712,18 +715,46 @@ class TestPair:
                           f"note: {layout_at(text, 0)}\n")
         assert peak < 0.5 * path.stat().st_size
 
-    def test_check_holds_about_one_pair_at_a_time(self, capsys,
-                                                  large_certificate):
-        # the json.load path peaked at 4.5 times the file's size, and a
-        # reader of the whole text at 2.0 times
+    def test_long_line_is_refused_within_a_read(self, capsys, tmp_path,
+                                                large_certificate):
+        # the first line as written, then the rest on one line, with no
+        # line ' "pairs": [': the search for that line read on to the end,
+        # and peaked at 2.92 times the file's size
+        path = tmp_path / "large.json"
+        text = "{\n " + json.dumps(json.loads(large_certificate.read_text()),
+                                   sort_keys=True)[1:]
+        assert text.startswith('{\n "family": "P", "lambda": ')
+        path.write_text(text)
         tracemalloc.start()
         try:
-            code = main([*LARGE_PAIR, "--check", str(large_certificate)])
+            result = run(capsys, *LARGE_PAIR, "--check", str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (code, capsys.readouterr().out) == (0, "certificate ok\n")
-        assert peak < 0.5 * large_certificate.stat().st_size
+        assert result == (1, "certificate FAILED\n",
+                          f"note: {layout_at(text, 2)}\n")
+        assert peak < 0.5 * path.stat().st_size
+
+    def test_check_holds_about_one_pair_at_a_time(self, capsys,
+                                                  large_certificate):
+        # the json.load path peaked at 4.5 times the file's size, and a
+        # reader of the whole text at 2.0 times.  A first call in a process
+        # also fills _setup's caches; a second one shows what the check
+        # holds itself, its set of every element (about 0.3 times) among
+        # it.  A full collection first empties the interpreter's free
+        # lists, so that every tuple it makes is counted: with the first
+        # call's tuples to reuse, it read 0.25 to 0.33 times
+        for warm, bound in ((False, 0.5), (True, 0.45)):
+            if warm:
+                gc.collect()
+            tracemalloc.start()
+            try:
+                code = main([*LARGE_PAIR, "--check", str(large_certificate)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, capsys.readouterr().out) == (0, "certificate ok\n")
+            assert peak < bound * large_certificate.stat().st_size, warm
 
     def test_out_holds_no_copy_per_tableau(self, capsys, tmp_path,
                                            large_certificate):
@@ -895,6 +926,22 @@ class TestWriteCertificate:
         doc = cert.to_json()
         assert [] in doc["pairs"][0]["left"]["tableau"]["rows"]
         assert _written(cert) == _dumped(cert)
+
+    def test_writes_a_pair_at_a_time(self, large_certificate):
+        # the file's bytes, in writes of at most 64 KB, at least one a pair
+        writes = []
+
+        class Recorded(io.StringIO):
+            def write(self, s):
+                writes.append(s)
+                return super().write(s)
+
+        cert = pairing_certificate(StrictPartition((4, 2, 1)),
+                                   StrictPartition((2, 1)), 3, "P")
+        write_certificate(cert, Recorded())
+        assert "".join(writes) == large_certificate.read_text()
+        assert max(map(len, writes)) <= 1 << 16
+        assert len(writes) > len(cert.pairs) == 2402
 
     @pytest.mark.parametrize("lam,mu,n", [("4,2,1", "2,1", 3),
                                           ("6,4,1", "4,2", 2)])

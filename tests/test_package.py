@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import functools
 import importlib
 import inspect
 import io
@@ -114,7 +115,7 @@ def _containers() -> dict:
 
 def _requests(tmp_path):
     """A few requests of every verb, so each cache fills; the certificate
-    goes to a file in tmp_path, so the writer's templates fill too."""
+    goes to a file in tmp_path, so the writer runs too."""
     argvs = [
         ["poly", "--shape", "3,1/1", "--family", "GQdouble", "-n", "2"],
         ["special-value", "--shape", "4,2,1", "--family", "GP", "-n", "3"],
@@ -166,6 +167,26 @@ def test_readme_names_every_cache_with_its_bound():
     assert listed == {
         name.removeprefix("shifted_kschur."): c.cache_parameters()["maxsize"]
         for name, c in _reached().items()}
+
+
+def test_readme_names_only_what_the_modules_bind():
+    # a backticked module.name or module.Class.attr, such as
+    # "`involutions.read_certificate(fh)`", is an attribute of that module
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    modules = ("shapes", "tableaux", "enumeration", "genfunc", "polyring",
+               "involutions", "cli")
+    named = set(re.findall(rf"`((?:{'|'.join(modules)})(?:\.\w+)+)",
+                           readme.read_text()))
+    assert len(named) > 15
+    unbound = []
+    for name in sorted(named):
+        module, *path = name.split(".")
+        try:
+            functools.reduce(getattr, path, importlib.import_module(
+                f"shifted_kschur.{module}"))
+        except AttributeError:
+            unbound.append(name)
+    assert not unbound
 
 
 def _unused_imports(source: str) -> list:

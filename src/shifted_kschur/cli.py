@@ -51,7 +51,7 @@ def cmd_poly(args) -> int:
     p = genfunc.compute(
         FunctionSpec(args.family, SkewShape.parse(args.shape), args.n))
     if args.format == "jsonl":
-        print(json.dumps(p.to_json(), sort_keys=True))
+        print(p.to_json())
     else:
         print(p)
     return PASS

@@ -9,7 +9,10 @@ pairs with a nonzero factor), and each one-letter factor comes from a
 per-row rule on the first box of each row, with no tableaux.  Each rho's
 transitions, the factors with their values at x = 1 and b = 1, -1, are
 made once and kept per (lam, mu, family, kind) in ``_point_levels``.
-``_branching_sum`` builds the polynomial from them; for ``beta_zero`` it
+``_branching_sum`` builds the polynomial from them; from ``_ORBIT_MIN_N``
+letters on it keeps one term per x-orbit, those with nonincreasing
+x-exponents, as the skew functions are symmetric in x, and expands each
+to its orbit (``_orbit``) at the end.  For ``beta_zero`` it
 builds only the b^0 terms, each factor keeping its own, which is exact as
 no factor term has a negative b-exponent.  ``_point_sum`` runs
 the same recursion on int pairs, the sum at x = 1 and b = 1, -1, so the
@@ -29,7 +32,9 @@ evaluates that sum symbolically without touching any tableau.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from functools import lru_cache
+from itertools import permutations
 from math import comb
 from typing import NamedTuple
 
@@ -207,6 +212,10 @@ def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
     return _Levels(lam, mu, family, kind)
 
 
+# From this many letters on, ``_branching_sum`` keeps one term per x-orbit.
+_ORBIT_MIN_N = 4
+
+
 def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                    b0_only: bool = False) -> LaurentPoly:
     """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
@@ -219,6 +228,19 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     kind), which ``_point_sum`` reads too.  The polynomial is built afresh
     per call, the last level keeping nu = lam only.
 
+    From ``_ORBIT_MIN_N`` letters on, level k keeps only the terms with
+    x1 >= ... >= xk, one per x-orbit.  Such a term of F_k(nu) comes only
+    from such a term of F_(k-1)(rho) times xk^a with a <= x(k-1), so the
+    kept coefficients are exact.  F_k(nu) is the skew function of nu/mu in
+    k letters, which is symmetric in x (Ikeda-Naruse 2013, Adv. Math. 243;
+    Lam-Pylyavskyy 2007), so these terms determine it: each is expanded
+    once, at the end, to its orbit (``_orbit``), and the caller gets the
+    full polynomial.  The gate sits at 4 letters by measurement: at 2 and
+    3 letters the expansion costs what the pruning saves (over 10
+    alternated runs of the benchmark's sweep, whose requests all have
+    n <= 3, a gate at 2 read 18% slower in p90 and one at 3 7% slower),
+    so below it the loop keeps every term and tests no exponent.
+
     Precondition of ``b0_only``: every factor term has b-exponent >= 0
     (``_one_letter``'s j and ``_letter_factor``'s |S| are never negative),
     so a product of factor terms has b-exponent 0 exactly when each of
@@ -226,6 +248,7 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     terms only, and the sum is exactly the b^0 terms of the full one.
     """
     levels = _point_levels(lam, mu, family, kind)
+    orbits = n >= _ORBIT_MIN_N
     level = {mu: {((), 0): 1}}
     for k in range(1, n + 1):
         only = lam if k == n else None
@@ -238,13 +261,56 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                 if b0_only:
                     factor = [t for t in factor if not t[1]]
                 terms = nxt.setdefault(nu, {})
-                for x, b, c in factor:
-                    for (xexp, bexp), d in value.items():
-                        key = (xexp + (x,), bexp + b)
-                        terms[key] = terms.get(key, 0) + c * d
+                if not orbits or k == 1:
+                    for x, b, c in factor:
+                        for (xexp, bexp), d in value.items():
+                            key = (xexp + (x,), bexp + b)
+                            terms[key] = terms.get(key, 0) + c * d
+                    continue
+                for (xexp, bexp), d in value.items():
+                    top = xexp[-1]  # x(k-1): xk may not exceed it
+                    for x, b, c in factor:
+                        if x <= top:
+                            key = (xexp + (x,), bexp + b)
+                            terms[key] = terms.get(key, 0) + c * d
         level = nxt
     # every coefficient counts tableaux, so none is 0
-    return LaurentPoly._trusted(n, level.get(lam, {}))
+    terms = level.get(lam, {})
+    if not orbits:
+        return LaurentPoly._trusted(n, terms)
+    full: dict = {}
+    for (rep, b), c in terms.items():
+        for x in _orbit(rep):
+            full[x, b] = c
+    return LaurentPoly._trusted(n, full)
+
+
+def _orbit(rep: tuple) -> Collection[tuple]:
+    """Every distinct rearrangement of the exponent tuple rep, once each;
+    rep is nonincreasing.
+
+    ``set(permutations(rep))`` runs in C but makes all n! tuples, which is
+    fast up to n = 6 (720) and not beyond.  Above that the arrangements
+    are built per distinct value, with the arrangements of each
+    sub-multiset made once, so the cost follows the distinct
+    rearrangements rather than n!.
+    """
+    if len(rep) <= 6:
+        return set(permutations(rep))
+    memo: dict = {(): [()]}
+
+    def arrange(rest: tuple) -> list:
+        got = memo.get(rest)
+        if got is None:
+            got = []
+            for i, v in enumerate(rest):
+                if i and v == rest[i - 1]:  # rest is sorted: one per value
+                    continue
+                got += [(v,) + t for t in arrange(rest[:i] + rest[i + 1:])]
+            memo[rest] = got
+        return got
+
+    return arrange(rep)
 
 
 def _point_sum(lam: tuple, mu: tuple, n: int, family: str,

@@ -3,12 +3,19 @@
 x-exponents are nonnegative; the b-exponent may be negative.  Coefficients
 are Python ints, so arithmetic never overflows.  Terms print in a canonical
 ASCII grammar such as "2*x1^3*x2*b^-1 + b^7" (terms sorted by b-exponent,
-then x-exponents lexicographically), and parse back exactly.
+then x-exponents lexicographically), and parse back exactly.  The text and
+the one-line JSON document (``to_json``, which ``from_json`` reads back)
+are both written from one sort of plain (b, x, c) triples
+(``sorted_terms``), the one statement of the term order; the text reads
+each factor from a table of power names per variable.  Ring operations
+on two valid operands build their result unchecked, dropping zero
+coefficients; the public constructor checks every term.
 """
 
 from __future__ import annotations
 
 import re
+from operator import getitem, itemgetter
 from typing import Iterable
 
 MonomialKey = tuple[tuple[int, ...], int]  # (x-exponents, b-exponent)
@@ -78,15 +85,19 @@ class LaurentPoly:
             raise ValueError(
                 f"mixed variable counts {self.nvars} and {other.nvars}")
 
+    # Two valid operands with equal nvars make valid keys, so the results
+    # below go in unchecked once their zero coefficients are dropped.
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
             terms[key] = terms.get(key, 0) + c
-        return LaurentPoly(self.nvars, terms)
+        return LaurentPoly._trusted(self.nvars, _nonzero(terms))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {k: -c for k, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -98,10 +109,11 @@ class LaurentPoly:
             for (xb, bb), cb in other.terms.items():
                 key = (tuple(a + b for a, b in zip(xa, xb)), ba + bb)
                 terms[key] = terms.get(key, 0) + ca * cb
-        return LaurentPoly(self.nvars, terms)
+        return LaurentPoly._trusted(self.nvars, _nonzero(terms))
 
     def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {k: c * v for k, v in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.nvars, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def scalar_beta_power(self, k: int) -> "LaurentPoly":
         """Multiply by b^k."""
@@ -164,33 +176,35 @@ class LaurentPoly:
 
     # -- canonical text -------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[MonomialKey, int]]:
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    def sorted_terms(self) -> list[tuple[int, tuple[int, ...], int]]:
+        """The terms as (b-exponent, x-exponents, coefficient) triples in
+        print order: by b-exponent, then x-exponents.  Two terms never
+        share both exponents, so the sort never compares coefficients."""
+        return sorted([(b, x, c) for (x, b), c in self.terms.items()])
 
     def __str__(self) -> str:
-        if not self.terms:
+        triples = self.sorted_terms()
+        if not triples:
             return "0"
+        top = max(map(max, map(itemgetter(1), triples))) if self.nvars else 0
+        # powers[i][e] is "*x(i+1)^e" as printed, and "" for e = 0
+        powers = [["", f"*x{i}"] + [f"*x{i}^{e}" for e in range(2, top + 1)]
+                  for i in range(1, self.nvars + 1)]
         chunks = []
-        for idx, ((xexp, bexp), c) in enumerate(self.sorted_terms()):
-            factors = []
-            for i, e in enumerate(xexp, start=1):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e:
-                    factors.append(f"x{i}^{e}")
-            if bexp == 1:
-                factors.append("b")
-            elif bexp:
-                factors.append(f"b^{bexp}")
-            mag = abs(c)
-            body = "*".join(factors) if factors else str(mag)
-            if factors and mag != 1:
-                body = f"{mag}*{body}"
-            if idx == 0:
-                chunks.append(body if c > 0 else f"-{body}")
+        for b, x, c in triples:
+            body = "".join(map(getitem, powers, x))
+            if b:
+                body += "*b" if b == 1 else f"*b^{b}"
+            if c < 0:
+                sign, c = " - ", -c
             else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
+                sign = " + "
+            if c != 1:
+                chunks.append(f"{sign}{c}{body}")
+            else:
+                chunks.append(sign + (body[1:] or "1"))
+        text = "".join(chunks)  # the first term's sign is " + " or " - "
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     __repr__ = __str__
 
@@ -233,17 +247,21 @@ class LaurentPoly:
 
     # -- JSON -------------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {"terms": [
-            {"x": list(x), "b": b, "c": str(c)}
-            for (x, b), c in self.sorted_terms()
-        ]}
+    def to_json(self) -> str:
+        """The JSON text {"terms": [{"b": b, "c": "c", "x": [x1, ...]},
+        ...]} on one line, terms in print order, keys sorted, as
+        ``json.dumps(..., sort_keys=True)`` writes it; c is the decimal
+        text of the coefficient."""
+        terms = ", ".join([f'{{"b": {b}, "c": "{c}", "x": {list(x)}}}'
+                           for b, x, c in self.sorted_terms()])
+        return f'{{"terms": [{terms}]}}'
 
     @classmethod
-    def from_json(cls, data: dict, nvars: int) -> "LaurentPoly":
+    def from_json(cls, text: str, nvars: int) -> "LaurentPoly":
         """ValueError unless each term is as ``to_json`` writes it."""
+        import json  # the only reader
         terms = {}
-        for t in data["terms"]:
+        for t in json.loads(text)["terms"]:
             key, c = (tuple(t["x"]), t["b"]), t["c"]
             if not {int}.issuperset(map(type, (*key[0], key[1]))) \
                     or type(c) is not str \
@@ -251,3 +269,8 @@ class LaurentPoly:
                 raise ValueError(f"bad term {t!r}")
             terms[key] = terms.get(key, 0) + int(c)
         return cls(nvars, terms)
+
+
+def _nonzero(terms: dict[MonomialKey, int]) -> dict[MonomialKey, int]:
+    """terms without its zero coefficients."""
+    return {k: c for k, c in terms.items() if c}

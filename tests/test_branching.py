@@ -6,7 +6,7 @@ definition, and the only reference the engine is compared with.
 
 import inspect
 import random
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from shifted_kschur import cli, enumeration, genfunc, involutions
 from shifted_kschur.enumeration import EnumSpec, count, enumerate_fillings
-from shifted_kschur.genfunc import (FAMILIES, K_FAMILIES, FunctionSpec, _at,
+from shifted_kschur.genfunc import (_ORBIT_MIN_N, FAMILIES, K_FAMILIES,
+                                    FunctionSpec, _at,
                                     _branching_sum, _letter_factor,
                                     _one_letter, _point_levels, _point_sum,
                                     _tableau_sum,
@@ -54,6 +55,84 @@ def test_engine_equals_tableau_sum_exhaustive():
                             (str(shape), n, family, kind, b0_only)
                         cases += 1
     assert cases == 1920
+
+
+def test_orbit_path_equals_tableau_sum_exhaustive():
+    # from _ORBIT_MIN_N letters on the engine keeps one term per x-orbit and
+    # expands them at the end; every skew shape, the empty one included
+    cases = 0
+    for n, max_weight in ((4, 5), (5, 3)):
+        for lam in strict_partitions_up_to_weight(max_weight):
+            for mu in strict_subpartitions(lam):
+                for family in ("P", "Q"):
+                    for kind in KINDS:
+                        args = (lam.parts, mu.parts, n, family, kind)
+                        assert _branching_sum(*args) == _tableau_sum(*args), \
+                            (lam, mu, *args[2:])
+                        cases += 1
+    assert cases == 184 + 56
+
+
+def test_orbit_path_double_skew_and_beta_zero():
+    # double-skew: the sum over nu of b^|mu/nu| times the tableau sum of
+    # lam/nu; beta_zero: the b^0 terms, which are P and Q
+    n = _ORBIT_MIN_N
+    for shape in skew_shapes(5):
+        lam, mu = parts(shape)
+        for family in ("P", "Q"):
+            want: dict = {}
+            for removed, nu in genfunc._minus_corners(mu, _corner_rows(mu)):
+                for (x, b), c in _tableau_sum(lam, nu, n, family,
+                                              "set-valued").terms.items():
+                    want[x, b + removed] = want.get((x, b + removed), 0) + c
+            got = compute(FunctionSpec(f"G{family}double", shape, n))
+            assert got == LaurentPoly(n, want), (str(shape), family)
+            assert beta_zero(FunctionSpec("G" + family, shape, n)) == \
+                compute(FunctionSpec(family, shape, n)), (str(shape), family)
+
+
+def test_orbits_start_at_orbit_min_n(monkeypatch):
+    # below _ORBIT_MIN_N letters no term is pruned or expanded; from it on
+    # each kept term is a nonincreasing x-exponent tuple, expanded once
+    reps = []
+
+    def recorded(rep):
+        reps.append(rep)
+        return real(rep)
+
+    real = genfunc._orbit
+    monkeypatch.setattr(genfunc, "_orbit", recorded)
+    lam, mu = (3, 1), ()
+    for n in (_ORBIT_MIN_N - 1, _ORBIT_MIN_N):
+        reps.clear()
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                args = (lam, mu, n, family, kind)
+                assert _branching_sum(*args) == _tableau_sum(*args), args
+        if n < _ORBIT_MIN_N:
+            assert reps == []
+        else:
+            assert reps and all(list(r) == sorted(r, reverse=True)
+                                for r in reps)
+
+
+def test_orbit_equals_distinct_permutations():
+    # both branches: set(permutations) up to 6 letters, arrangements above
+    rng = random.Random(40)
+    for n in range(1, 8):
+        for _ in range(20):
+            rep = tuple(sorted((rng.randint(0, 3) for _ in range(n)),
+                               reverse=True))
+            got = list(genfunc._orbit(rep))
+            assert len(got) == len(set(got)), rep
+            assert set(got) == set(permutations(rep)), rep
+
+
+def test_orbit_cost_follows_distinct_arrangements():
+    # 10!/8! = 90 arrangements, not 10! permutations
+    got = list(genfunc._orbit((3, 1) + (0,) * 8))
+    assert len(got) == len(set(got)) == 90
+    assert all(sorted(x, reverse=True) == [3, 1] + [0] * 8 for x in got)
 
 
 def test_sums_share_one_signature():

@@ -5,13 +5,16 @@ Each command of the README's CLI block runs through ``cli.main`` in order
 stdout digest, the exit code and the written certificate's digest are
 pinned; the values were recorded before the certify path was reworked, so
 a change that moves any byte of output fails here.  Two larger
-certificates ride along, since the README's own is six pairs, and a larger
-involution sweep, since the README's covers only |lambda| <= 4 and n <= 2.
+certificates ride along, since the README's own is six pairs, a larger
+involution sweep, since the README's covers only |lambda| <= 4 and n <= 2,
+three polynomials in 5 to 10 letters, and every request of the benchmark's
+big-poly pool against the digests the pool froze.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -21,6 +24,7 @@ import pytest
 from shifted_kschur.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+POOL = README.parent / "perfbench" / "pools" / "big-poly.json"
 
 # command -> (exit code, sha256 of stdout, sha256 of the --out file or None)
 GOLDEN = {
@@ -100,6 +104,17 @@ SWEEPS = {
         "73e0c9caf328fdec614ccaca3aed1aa6b96c34e5eddfaceb5663afd5334b934c"),
 }
 
+# larger polynomials, with n from 5 to 10, as the branching engine printed
+# them before it kept one term per x-orbit: command -> (exit code, sha256)
+POLYS = {
+    "kschur poly --shape 2 --family GP -n 10": (
+        0, "fffa8cb337e4fa76c012c5326fec96d2650e9a751ead5e411cd911d945cee00a"),
+    "kschur poly --shape 6,4,1 --family GQ -n 5 --format jsonl": (
+        0, "602ef55e54e1c1a0980ad714f73c08256cd53a257182ee07ba1fc12171cf50a7"),
+    "kschur poly --shape 4,2,1 --family GP -n 6": (
+        0, "ef2d986783485e87bf83538a091f18d1c735c2afaae54e47ba590dee32490a8b"),
+}
+
 
 def readme_commands() -> list[str]:
     """The ``kschur`` lines of the README's CLI block, comments stripped."""
@@ -158,3 +173,26 @@ def test_larger_certificates(tmp_path):
 def test_larger_sweep(tmp_path, cmd):
     code, stdout, _ = run_all([cmd], tmp_path)[cmd]
     assert (code, stdout.count("\n"), sha256(stdout.encode())) == SWEEPS[cmd]
+
+
+@pytest.mark.parametrize("cmd", list(POLYS))
+def test_larger_polynomials(tmp_path, cmd):
+    code, stdout, _ = run_all([cmd], tmp_path)[cmd]
+    assert (code, sha256(stdout.encode())) == POLYS[cmd]
+
+
+def test_big_poly_pool_bytes():
+    # every request of the benchmark's big-poly pool, read-only: its exit
+    # code 0 and the stdout digest the pool froze
+    pool = json.loads(POOL.read_text())["requests"]
+    assert len(pool) == 108
+    for req in pool:
+        a = req["args"]
+        argv = ["poly", "--shape", a["shape"], "--family", a["family"],
+                "-n", str(a["n"]), "--format", a["format"]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        data = out.getvalue().encode()
+        assert (code, len(data), sha256(data)) == \
+            (0, req["expect"]["bytes"], req["expect"]["sha256"]), req["id"]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,13 @@ class TestRingOps:
     @given(polys, st.integers(-4, 4))
     def test_beta_power_shift(self, p, k):
         assert p.scalar_beta_power(k).scalar_beta_power(-k) == p
+
+    @given(polys, polys, st.integers(-3, 3))
+    def test_results_hold_no_zero_coefficient(self, p, q, k):
+        assert (p - p).terms == {} and p.scale(0).terms == {}
+        for r in (p + q, p - q, p * q, -p, p.scale(k)):
+            assert 0 not in r.terms.values()
+            assert r == LaurentPoly(NVARS, r.terms)
 
     def test_no_overflow(self):
         big = LaurentPoly.const(NVARS, 10 ** 30)
@@ -169,15 +177,15 @@ class TestJson:
 
     def test_coefficients_are_decimal_strings(self):
         p = LaurentPoly.monomial(2, (3, 1), -1, coeff=7)
-        assert p.to_json() == {"terms": [{"x": [3, 1], "b": -1, "c": "7"}]}
+        assert p.to_json() == '{"terms": [{"b": -1, "c": "7", "x": [3, 1]}]}'
 
     @pytest.mark.parametrize("term", [
-        {"x": [1.0], "b": 1, "c": "2"}, {"x": [True], "b": 1, "c": "2"},
-        {"x": [1], "b": True, "c": "2"}, {"x": [1], "b": 1.0, "c": "2"},
-        {"x": [1.0], "b": True, "c": "2"}, {"x": [1], "b": 1, "c": 2.7},
-        {"x": [1], "b": 1, "c": 2}, {"x": [1], "b": 1, "c": None},
-        *({"x": [1], "b": 1, "c": c} for c in (
-            "1_0", " 7", "+7", "07", "\u0663", "\u00b2", "-0", "7\n", "",
+        '{"x": [1.0], "b": 1, "c": "2"}', '{"x": [true], "b": 1, "c": "2"}',
+        '{"x": [1], "b": true, "c": "2"}', '{"x": [1], "b": 1.0, "c": "2"}',
+        '{"x": [1.0], "b": true, "c": "2"}', '{"x": [1], "b": 1, "c": 2.7}',
+        '{"x": [1], "b": 1, "c": 2}', '{"x": [1], "b": 1, "c": null}',
+        *('{"x": [1], "b": 1, "c": "%s"}' % c for c in (
+            "1_0", " 7", "+7", "07", "\\u0663", "\\u00b2", "-0", "7\\n", "",
             "x"))],
         ids=["float_x", "bool_x", "bool_b", "float_b", "float_x_bool_b",
              "float_c", "int_c", "null_c", "underscore_c", "space_c",
@@ -188,4 +196,72 @@ class TestJson:
         # float exponent would key its term as the int it equals, a number
         # coefficient would be truncated, and int() reads other texts too
         with pytest.raises(ValueError, match="^bad term "):
-            LaurentPoly.from_json({"terms": [term]}, 1)
+            LaurentPoly.from_json('{"terms": [%s]}' % term, 1)
+
+
+# Any number of variables, coefficients 1, -1 and larger of both signs,
+# b-exponents of every sign and x-exponent tuples with zeros.
+@st.composite
+def any_polys(draw):
+    nvars = draw(st.integers(1, 5))
+    key = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
+                    st.integers(-3, 3))
+    coeff = st.one_of(st.sampled_from([1, -1]),
+                      st.integers(-10 ** 20, 10 ** 20))
+    return LaurentPoly(nvars, draw(st.dictionaries(key, coeff, max_size=8)))
+
+
+def reference_terms(p):
+    """The print order the canonical text was first stated with."""
+    return sorted(p.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+
+
+def reference_str(p):
+    """The canonical text, term by term, as first stated."""
+    if not p.terms:
+        return "0"
+    chunks = []
+    for idx, ((xexp, bexp), c) in enumerate(reference_terms(p)):
+        factors = []
+        for i, e in enumerate(xexp, start=1):
+            if e == 1:
+                factors.append(f"x{i}")
+            elif e:
+                factors.append(f"x{i}^{e}")
+        if bexp == 1:
+            factors.append("b")
+        elif bexp:
+            factors.append(f"b^{bexp}")
+        mag = abs(c)
+        body = "*".join(factors) if factors else str(mag)
+        if factors and mag != 1:
+            body = f"{mag}*{body}"
+        if idx == 0:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+def reference_json(p):
+    return json.dumps({"terms": [{"x": list(x), "b": b, "c": str(c)}
+                                 for (x, b), c in reference_terms(p)]},
+                      sort_keys=True)
+
+
+class TestRenderReference:
+    @given(any_polys())
+    def test_text_json_and_roundtrip(self, p):
+        assert str(p) == reference_str(p)
+        assert p.to_json() == reference_json(p)
+        assert LaurentPoly.from_json(p.to_json(), p.nvars) == p
+        assert LaurentPoly.parse(str(p), p.nvars) == p
+
+    def test_edge_terms(self):
+        # the constant alone, coefficient 1 and -1 with no x and no b
+        for terms in ({((0, 0), 0): 1}, {((0, 0), 0): -1},
+                      {((0, 0), 1): -1, ((1, 0), 0): 1},
+                      {((0, 0), -2): 5, ((0, 3), 0): -7}, {}):
+            p = LaurentPoly(2, terms)
+            assert (str(p), p.to_json()) == \
+                (reference_str(p), reference_json(p)), terms

@@ -93,7 +93,7 @@ def test_orbit_path_double_skew_and_beta_zero():
 
 def test_orbits_start_at_orbit_min_n(monkeypatch):
     # below _ORBIT_MIN_N letters no term is pruned or expanded; from it on
-    # each kept term is a nonincreasing x-exponent tuple, expanded once
+    # every term kept to the end has nonincreasing x-exponents
     reps = []
 
     def recorded(rep):

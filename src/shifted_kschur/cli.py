@@ -21,7 +21,6 @@ import sys
 import time
 
 from . import enumeration, genfunc, involutions
-from .enumeration import EnumSpec
 from .genfunc import FunctionSpec
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, strict_subpartitions,
@@ -32,13 +31,11 @@ PASS, FAIL, USAGE = 0, 1, 2
 
 
 def cmd_enumerate(args) -> int:
-    shape = SkewShape.parse(args.shape)
+    spec = enumeration.EnumSpec(SkewShape.parse(args.shape), args.n,
+                                args.family, args.kind)
     if args.count_only:  # the engine's count; the walk is for listings
-        prefix = "G" if args.kind == "set-valued" else ""
-        print(genfunc._at(FunctionSpec(prefix + args.family, shape,
-                                       args.n))[0])
+        print(genfunc._at(spec)[0])
         return PASS
-    spec = EnumSpec(shape, args.n, args.family, args.kind)
     for f in enumeration.enumerate_fillings(spec):
         if args.format == "jsonl":
             print(json.dumps(f.to_json(), sort_keys=True))
@@ -188,13 +185,11 @@ def cmd_identity(args) -> int:
             args.time_budget,
             (("--skew", args.skew), ("--max-n", args.max_n)),
             "to --check coproduct")
-        if args.max_weight > genfunc.COPRODUCT_MAX_WEIGHT:  # before any line
-            raise ValueError("coproduct guard exceeded: |lambda| too large")
         instances = [(lam, nx, ny, fam)
                      for lam in strict_partitions_up_to_weight(args.max_weight)
                      if lam
                      for fam in ("P", "Q", "GP", "GQ")]
-        for lam, _, _, fam in instances:  # each left side's size, too
+        for lam, _, _, fam in instances:  # each left side's size, first
             genfunc._coproduct_guard(FunctionSpec(fam, SkewShape(lam),
                                                   nx + ny))
         return _sweep(instances, _coproduct, args.time_budget)
@@ -238,7 +233,7 @@ def cmd_verify_involution(args) -> int:
 
 def _oracle(shape: SkewShape, n: int, fam: str,
             kind: str) -> tuple[str, bool]:
-    spec = EnumSpec(shape, n, fam, kind)
+    spec = enumeration.EnumSpec(shape, n, fam, kind)
     fast = list(enumeration.enumerate_fillings(spec))
     slow = list(enumeration.naive_oracle(spec))
     ok = fast == slow

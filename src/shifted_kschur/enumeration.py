@@ -12,8 +12,9 @@ so ``count`` and the generating-function definition
 (``genfunc._tableau_sum``) read them at the leaves without building a
 ``Filling``; ``enumerate_fillings`` builds one per leaf.  The walk is the
 definition and the oracle the branching engine is tested against, not the
-production path for counts.  A naive enumerator, judged by ``validate_cells``
-alone, is provided for cross-validation.
+production path for counts; ``naive_oracle``, judged by ``validate_cells``
+alone, cross-checks it.  A request is the ``FunctionSpec`` of the family
+walked, as ``EnumSpec`` builds it from P or Q and a kind.
 """
 
 from __future__ import annotations
@@ -22,27 +23,23 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .shapes import SkewShape, StrictPartition, _index_table, _Record
-from .tableaux import Filling, _check_family, _check_n, validate_cells
+from .shapes import SkewShape, StrictPartition, _index_table
+from .tableaux import Filling, FunctionSpec, _check_family, validate_cells
 
 KINDS = ("single", "set-valued")
 
-ORACLE_MAX_BOXES = 5
+ORACLE_MAX_BOXES = 7
 ORACLE_MAX_N = 2
 
 
-class EnumSpec(_Record):
-    """A walk's request: shape, n, family P or Q and kind."""
-
-    __slots__ = _fields = ("shape", "n", "family", "kind")
-
-    def __init__(self, shape: SkewShape, n: int, family: str,
-                 kind: str = "set-valued"):
-        _check_family(family)
-        _check_n(n)
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        self.shape, self.n, self.family, self.kind = shape, n, family, kind
+def EnumSpec(shape: SkewShape, n: int, family: str,
+             kind: str = "set-valued") -> FunctionSpec:
+    """The walk's request for family P or Q and a kind: the engine's
+    request of the family whose tableaux it walks."""
+    _check_family(family)
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return FunctionSpec(family if kind == "single" else "G" + family, shape, n)
 
 
 def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
@@ -68,7 +65,7 @@ def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
     if top >= 0 and cells[top][-1] > lo:
         lo = cells[top][-1]
     step = 1
-    if spec.family == "P" and i == j:
+    if spec.base_family == "P" and i == j:
         lo += lo & 1  # the even codes, unprimed letters only
         step = 2
     return _cell_table(lo, step, 2 * spec.n, row_primed[i] | col_unprimed[j],
@@ -97,7 +94,7 @@ def _cell_table(lo: int, step: int, top: int, taken: int, kind: str) -> tuple:
     return tuple(out)
 
 
-def _leaves(spec: EnumSpec) -> Iterator[tuple[list, list, int]]:
+def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
     """The backtracking walk: ``(cells, counts, size)`` at each leaf.
 
     ``cells`` lists the cells in row-major order; ``counts[k]`` is the
@@ -149,28 +146,28 @@ def _leaves(spec: EnumSpec) -> Iterator[tuple[list, list, int]]:
         k += 1
 
 
-def enumerate_fillings(spec: EnumSpec, keep=None) -> Iterator[Filling]:
+def enumerate_fillings(spec: FunctionSpec, keep=None) -> Iterator[Filling]:
     """Every valid filling exactly once, in canonical order.
 
     With ``keep``, a leaf's filling is built and yielded only if
     ``keep(cells)`` is true, ``cells`` being the row-major cell tuple the
     filling then holds; it is called as the walk reaches the leaf.
     """
-    shape, n, family = spec.shape, spec.n, spec.family
+    shape, n, family = spec.shape, spec.n, spec.base_family
     # row-major order and sorted, in-range candidate cells: canonical
     leaves = (tuple(cells) for cells, _, _ in _leaves(spec))
     return (Filling(shape, n, family, cells, _trusted=True)
             for cells in leaves if keep is None or keep(cells))
 
 
-def count(spec: EnumSpec) -> int:
+def count(spec: FunctionSpec) -> int:
     """Number of valid fillings: the walk's leaves, no ``Filling`` built."""
     return sum(1 for _ in _leaves(spec))
 
 
-def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
+def naive_oracle(spec: FunctionSpec) -> Iterator[Filling]:
     """All subset assignments to boxes that ``validate_cells`` accepts, in
-    lex order; at most 5 boxes and n <= 2, for independence, not speed.
+    lex order; at most 7 boxes and n <= 2, for independence, not speed.
 
     Boxes are filled in row-major order with every cell, and a tuple is
     kept if ``validate_cells`` accepts the prefix it fills: at box (i, j)
@@ -181,7 +178,7 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
     """
     if spec.shape.size > ORACLE_MAX_BOXES or spec.n > ORACLE_MAX_N:
         raise ValueError("oracle scale exceeded")
-    shape = spec.shape
+    shape, family = spec.shape, spec.base_family
     codes = range(1, 2 * spec.n + 1)
     sizes = (1,) if spec.kind == "single" else range(1, len(codes) + 1)
     pool = sorted(cell for k in sizes for cell in combinations(codes, k))
@@ -191,5 +188,5 @@ def naive_oracle(spec: EnumSpec) -> Iterator[Filling]:
         prefix = SkewShape(StrictPartition(lam[:i - 1] + (j - i + 1,)),
                            StrictPartition(mu[:i]))
         tuples = [cells + (cell,) for cells in tuples for cell in pool
-                  if not validate_cells(prefix, spec.family, cells + (cell,))]
-    return (Filling(shape, spec.n, spec.family, cells) for cells in tuples)
+                  if not validate_cells(prefix, family, cells + (cell,))]
+    return (Filling(shape, spec.n, family, cells) for cells in tuples)

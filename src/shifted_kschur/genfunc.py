@@ -23,11 +23,12 @@ scalars at every n' <= n.  Folding the tableaux into a polynomial
 (``_tableau_sum``, which reads each weight and |T| off the leaves of the
 backtracking walk, kept per shape and n) is kept as the definition the
 engine and the rule are tested against.  The three sums take lam and mu
-as part tuples.  The double-skew functions additionally sum over inner
-shapes nu (mu minus a subset of its removable boxes), listed as part
-tuples by ``_inner``, which ``compute`` and a double-skew ``_at`` read, so
-neither builds a ``StrictPartition`` or ``SkewShape``; the shortcut path
-evaluates that sum symbolically without touching any tableau.
+as part tuples, the public functions a ``tableaux.FunctionSpec``.  The
+double-skew functions additionally sum over inner shapes nu (mu minus a
+subset of its removable boxes), listed as part tuples by ``_inner``,
+which ``compute`` and a double-skew ``_at`` read, so neither builds a
+``StrictPartition`` or ``SkewShape``; the shortcut path evaluates that
+sum symbolically without touching any tableau.
 """
 
 from __future__ import annotations
@@ -41,38 +42,15 @@ from typing import NamedTuple
 from .enumeration import EnumSpec, _leaves
 from .polyring import LaurentPoly
 from .shapes import (SkewShape, StrictPartition, _corner_rows,
-                     _minus_corners, _Record, _strips_above, inner_shapes,
+                     _minus_corners, _strips_above, inner_shapes,
                      is_subpartition, strict_subpartitions)
-from .tableaux import _check_n
+from .tableaux import _FAMILY_FACTS, FunctionSpec
 
-FAMILIES = ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")
+FAMILIES = tuple(_FAMILY_FACTS)  # P, Q, GP, GQ, GPdouble, GQdouble
 K_FAMILIES = FAMILIES[2:]
 
-COPRODUCT_MAX_WEIGHT = 6
 # the most tableaux a coproduct check may enumerate on its left side; the
 _COPRODUCT_MAX_TABLEAUX = 500_000  # most at n_x + n_y <= 4 is 465,777
-
-
-# each family's (base family, kind): GQdouble is ("Q", "set-valued")
-_FAMILY_FACTS = {f: (f.removeprefix("G")[0],
-                     "set-valued" if f[0] == "G" else "single")
-                 for f in FAMILIES}
-
-
-class FunctionSpec(_Record):
-    """A request: family, shape and n, with the family's base family and
-    kind set here, once.  Not frozen, as no cache holds a spec."""
-
-    _fields = ("family", "shape", "n")
-    __slots__ = _fields + ("base_family", "kind")
-
-    def __init__(self, family: str, shape: SkewShape, n: int):
-        facts = _FAMILY_FACTS.get(family) if isinstance(family, str) else None
-        if facts is None:
-            raise ValueError(f"unknown family {family!r}")
-        _check_n(n)
-        self.family, self.shape, self.n = family, shape, n
-        self.base_family, self.kind = facts
 
 
 def _tableau_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
@@ -474,8 +452,6 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
     """
     if family not in ("P", "Q", "GP", "GQ"):
         raise ValueError(f"coproduct families are P, Q, GP, GQ; got {family!r}")
-    if lam.weight > COPRODUCT_MAX_WEIGHT:
-        raise ValueError("coproduct guard exceeded: |lambda| too large")
     total = n_x + n_y
     # enumerated, so the check does not compare the engine with itself
     spec = FunctionSpec(family, SkewShape(lam), total)

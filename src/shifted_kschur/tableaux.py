@@ -1,4 +1,4 @@
-"""Primed alphabet, cell sets, fillings and their validity rules.
+"""Primed alphabet, cell sets, fillings, their validity rules and requests.
 
 An entry is encoded as an integer code e in 1..2n: code 2k-1 is the primed
 letter k', code 2k the unprimed letter k.  Integer order on codes realizes
@@ -7,13 +7,15 @@ e/2 (so k' = k - 1/2 without rational arithmetic).  A filling holds its
 cells as one row-major tuple, the form the tableau rules read, with the
 shape's neighbors and diagonal from ``shapes._index_table``; the text of
 the first rule a tuple breaks, or None, is ``validate_cells``'s verdict.
+A request, ``FunctionSpec``, is a family, a shape and n, with the family's
+base family and kind: the walk and the branching engine both read it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .shapes import Box, SkewShape, StrictPartition, _index_table
+from .shapes import Box, SkewShape, StrictPartition, _index_table, _Record
 
 CellSet = tuple[int, ...]  # strictly increasing entry codes, nonempty
 
@@ -53,6 +55,28 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
+
+
+# each request family's (base family, kind): GQdouble is ("Q", "set-valued")
+_FAMILY_FACTS = {f: (f.removeprefix("G")[0],
+                     "set-valued" if f[0] == "G" else "single")
+                 for f in ("P", "Q", "GP", "GQ", "GPdouble", "GQdouble")}
+
+
+class FunctionSpec(_Record):
+    """A request: family, shape and n, with the family's base family and
+    kind set here, once.  Not frozen, as no cache holds a spec."""
+
+    _fields = ("family", "shape", "n")
+    __slots__ = _fields + ("base_family", "kind")
+
+    def __init__(self, family: str, shape: SkewShape, n: int):
+        facts = _FAMILY_FACTS.get(family) if isinstance(family, str) else None
+        if facts is None:
+            raise ValueError(f"unknown family {family!r}")
+        _check_n(n)
+        self.family, self.shape, self.n = family, shape, n
+        self.base_family, self.kind = facts
 
 
 def _check_cell(box: Box, cell, n: int) -> CellSet:

@@ -35,9 +35,9 @@ def skew_6431_42():
 def oracle_tableaux():
     """``naive_oracle``'s tableaux, in its order, by ``EnumSpec``, computed
     once per session: every skew shape inside a strict partition of weight
-    at most 5, n <= 2, P/Q, single and set-valued."""
+    at most 7, n <= 2, P/Q, single and set-valued."""
     specs = (EnumSpec(SkewShape(lam, mu), n, family, kind)
-             for lam in strict_partitions_up_to_weight(5)
+             for lam in strict_partitions_up_to_weight(7)
              for mu in strict_subpartitions(lam)
              for n, family, kind in product((1, 2), "PQ", KINDS))
     return {spec: list(naive_oracle(spec)) for spec in specs}

@@ -174,8 +174,8 @@ def test_criterion_8_involution_suite():
 
 def test_criterion_9_oracle_equivalence(oracle_tableaux):
     with report(9, "backtracker matches the naive oracle"):
-        for shape in skew_shapes(5):
-            if shape.size > 5:
+        for shape in skew_shapes(7):
+            if shape.size > 7:
                 continue
             for n in range(1, 3):
                 for fam, kind in itertools.product(

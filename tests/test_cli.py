@@ -216,17 +216,27 @@ class TestIdentity:
                            "--max-weight", "3", "--nx", "1", "--ny", "1")
         assert code == 0
 
+    def test_coproduct_sweeps_past_weight_six(self, capsys):
+        # in 1 + 1 letters no left side nears the count guard: every
+        # lambda of weight at most 7 is checked
+        code, out, _ = run(capsys, "identity", "--check", "coproduct",
+                           "--max-weight", "7", "--nx", "1", "--ny", "1")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 72
+        assert all(line.endswith(" ok") for line in lines)
+        assert "lambda=4,2,1 family=GQ ok" in lines
+
     def test_coproduct_guard_refuses_before_the_sweep(self, capsys,
                                                        monkeypatch):
+        # at the default 2 + 2 letters, 6,1 has 904,527 GQ tableaux
         def refuse(*args):
             raise AssertionError("ran an instance past the guard")
 
         monkeypatch.setattr(genfunc, "coproduct_check", refuse)
-        code, out, err = run(capsys, "identity", "--check", "coproduct",
-                             "--max-weight",
-                             str(genfunc.COPRODUCT_MAX_WEIGHT + 1))
-        assert (code, out) == (2, "")
-        assert err == "error: coproduct guard exceeded: |lambda| too large\n"
+        assert run(capsys, "identity", "--check", "coproduct",
+                   "--max-weight", "7") == (
+            2, "", "error: coproduct guard exceeded: 904527 tableaux for "
+                   "GQ 6,1 at n=4, above the limit of 500000\n")
 
     def test_coproduct_count_guard_refuses_before_the_sweep(self, capsys,
                                                              monkeypatch):
@@ -705,6 +715,7 @@ class TestPair:
         text = json.dumps(json.loads(large_certificate.read_text()),
                           sort_keys=True)
         path.write_text(text)
+        gc.collect()
         tracemalloc.start()
         try:
             result = run(capsys, *LARGE_PAIR, "--check", str(path))
@@ -725,6 +736,7 @@ class TestPair:
                                    sort_keys=True)[1:]
         assert text.startswith('{\n "family": "P", "lambda": ')
         path.write_text(text)
+        gc.collect()
         tracemalloc.start()
         try:
             result = run(capsys, *LARGE_PAIR, "--check", str(path))
@@ -742,11 +754,11 @@ class TestPair:
         # also fills _setup's caches; a second one shows what the check
         # holds itself, its set of every element (about 0.3 times) among
         # it.  A full collection first empties the interpreter's free
-        # lists, so that every tuple it makes is counted: with the first
-        # call's tuples to reuse, it read 0.25 to 0.33 times
+        # lists, so that every tuple it makes is counted, whatever ran
+        # before: with the first call's tuples to reuse, the second read
+        # 0.25 to 0.33 times
         for warm, bound in ((False, 0.5), (True, 0.45)):
-            if warm:
-                gc.collect()
+            gc.collect()
             tracemalloc.start()
             try:
                 code = main([*LARGE_PAIR, "--check", str(large_certificate)])
@@ -762,6 +774,7 @@ class TestPair:
         # built one per image, peaked at 1.15 times the file's size; a
         # Filling that held its cells in a dict, at 0.54 to 0.69 times
         path = tmp_path / "large.json"
+        gc.collect()
         tracemalloc.start()
         try:
             code = main([*LARGE_PAIR, "--out", str(path)])

@@ -6,6 +6,7 @@ import pytest
 from shifted_kschur import enumeration, involutions
 from shifted_kschur.enumeration import (EnumSpec, count, enumerate_fillings,
                                         naive_oracle)
+from shifted_kschur.genfunc import FunctionSpec
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
@@ -26,13 +27,26 @@ def cells_of(f):
 
 
 def test_spec_equal_and_printed_by_value():
+    # a walk's request is the FunctionSpec of its family name
     a = spec((2, 1), 2, "P")
     assert a == EnumSpec(SkewShape.parse("2,1"), 2, "P") and \
         hash(a) == hash(EnumSpec(SkewShape.parse("2,1"), 2, "P"))
     assert a != spec((2, 1), 2, "P", "single") and a != spec((2, 1), 2, "Q")
-    assert repr(a) == ("EnumSpec(shape=SkewShape(outer=StrictPartition("
-                       "parts=(2, 1)), inner=StrictPartition(parts=())), "
-                       "n=2, family='P', kind='set-valued')")
+    assert repr(a) == ("FunctionSpec(family='GP', shape=SkewShape(outer="
+                       "StrictPartition(parts=(2, 1)), inner=StrictPartition("
+                       "parts=())), n=2)")
+
+
+@pytest.mark.parametrize("family, kind, name", [
+    ("P", "single", "P"), ("Q", "single", "Q"),
+    ("P", "set-valued", "GP"), ("Q", "set-valued", "GQ")])
+def test_spec_is_the_engine_request_of_its_family(family, kind, name):
+    # the walk, the definition and the engine read one request type
+    shape = SkewShape.parse("2,1")
+    got = EnumSpec(shape, 2, family, kind)
+    assert not isinstance(EnumSpec, type)
+    assert type(got) is FunctionSpec and got == FunctionSpec(name, shape, 2)
+    assert (got.base_family, got.kind) == (family, kind)
 
 
 class TestSmallCases:
@@ -106,7 +120,8 @@ class TestOracleEquivalence:
 
     def test_oracle_guard(self):
         with pytest.raises(ValueError, match="oracle scale"):
-            list(naive_oracle(spec((6,), 2, "P")))
+            list(naive_oracle(spec((enumeration.ORACLE_MAX_BOXES + 1,), 2,
+                                   "P")))
         with pytest.raises(ValueError, match="oracle scale"):
             list(naive_oracle(spec((2,), 3, "P")))
 
@@ -164,7 +179,7 @@ def set_rule(spec, box, cells):
     lo = max([1] + [cells[b][-1] for b in ((i, j - 1), (i - 1, j))
                     if b in cells])
     step = 1
-    if spec.family == "P" and i == j:
+    if spec.family in ("P", "GP") and i == j:
         lo, step = lo + lo % 2, 2
     taken = {c for (r, col), cell in cells.items() for c in cell
              if (r == i and c % 2) or (col == j and not c % 2)}
@@ -223,9 +238,9 @@ def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
 def test_leaves_in_oracle_order(oracle_tableaux):
     # the walk's leaves are the oracle's tableaux in the oracle's order,
     # each with its weight and |T|: every skew shape inside a strict
-    # partition of weight at most 5, n <= 2, P/Q, single and set-valued
+    # partition of weight at most 7, n <= 2, P/Q, single and set-valued
     leaves = 0
-    for lam in strict_partitions_up_to_weight(5):
+    for lam in strict_partitions_up_to_weight(7):
         for mu in strict_subpartitions(lam):
             shape = SkewShape(lam, mu)
             for n, family, kind in product((1, 2), "PQ", enumeration.KINDS):
@@ -236,7 +251,7 @@ def test_leaves_in_oracle_order(oracle_tableaux):
                         for T in oracle_tableaux[s]]
                 assert got == want, (str(shape), n, family, kind)
                 leaves += len(got)
-    assert leaves == 4657
+    assert leaves == 29537
 
 
 def test_keep_builds_only_the_leaves_it_accepts():

@@ -1,9 +1,9 @@
 import pytest
 
-from shifted_kschur.genfunc import (COPRODUCT_MAX_WEIGHT, FunctionSpec, _at,
-                                    _coproduct_guard, beta_zero, compute,
-                                    coproduct_check, double_skew_shortcut,
-                                    parity_report, special_value)
+from shifted_kschur.genfunc import (FunctionSpec, _at, _coproduct_guard,
+                                    beta_zero, compute, coproduct_check,
+                                    double_skew_shortcut, parity_report,
+                                    special_value)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
                                    strict_partitions_up_to_weight)
@@ -190,19 +190,21 @@ class TestCoproduct:
         assert rep.ok and not rep.residual
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="guard"):
-            coproduct_check(sp(7, 5, 4, 2), 2, 2, "GP")
+        # the guard is the left side's count: 7,5,4,2 has 64,881 GP
+        # tableaux at n = 4, which pass, and 238,425,253,569 at n = 6
+        with pytest.raises(ValueError, match="guard exceeded: 238425253569 "
+                           "tableaux for GP 7,5,4,2 at n=6"):
+            coproduct_check(sp(7, 5, 4, 2), 3, 3, "GP")
 
     def test_count_guard(self):
-        # |lambda| = 6 passes the first guard; the left side would be
-        # 358,332,417 tableaux
+        # the left side would be 358,332,417 tableaux
         with pytest.raises(ValueError, match="358332417 tableaux for GQ 4,2 "
                            "at n=6, above the limit"):
             coproduct_check(sp(4, 2), 3, 3, "GQ")
 
     def test_count_guard_admits_four_letters(self):
         # every run at n_x + n_y <= 4 is admitted (at most 465,777 tableaux)
-        for lam in strict_partitions_up_to_weight(COPRODUCT_MAX_WEIGHT):
+        for lam in strict_partitions_up_to_weight(6):
             for family in ("P", "Q", "GP", "GQ"):
                 _coproduct_guard(FunctionSpec(family, SkewShape(lam), 4))
 

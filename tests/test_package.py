@@ -318,3 +318,87 @@ def test_every_module_parses_at_the_declared_python_floor():
     assert len(sources) > 5
     for path in sources:
         ast.parse(path.read_text(), str(path), feature_version=version)
+
+
+def _package_names(sources: dict) -> set:
+    """The dotted ``shifted_kschur`` names that ``sources`` (module name ->
+    text) import, or read as attributes of a package module or class.
+
+    A chain ``a.b.c`` is followed from a name its module bound by an
+    import, or from one of ``sources`` imported by name and one of the
+    names that module bound, through every package module or class; each
+    prefix that must exist is a name.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    binds = {}  # module -> {local name: dotted package name}
+    for name, tree in trees.items():
+        local = binds[name] = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "shifted_kschur"):
+                for a in node.names:
+                    local[a.asname or a.name] = f"{node.module}.{a.name}"
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "shifted_kschur":
+                        local[a.asname or "shifted_kschur"] = (
+                            a.name if a.asname else "shifted_kschur")
+                    elif a.name in trees:
+                        local[a.asname or a.name] = a.name
+    names = set()
+    for name, tree in trees.items():
+        names.update(v for v in binds[name].values() if v not in trees)
+        for node in ast.walk(tree):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.insert(0, node.attr)
+                node = node.value
+            if not attrs or not isinstance(node, ast.Name):
+                continue
+            path = binds[name].get(node.id)
+            if path in trees:  # a perfbench module: the names it bound
+                path = binds[path].get(attrs.pop(0))
+            if path is None:
+                continue
+            obj = _lookup(path)
+            for attr in attrs:
+                if not (inspect.ismodule(obj) or isinstance(obj, type)):
+                    break
+                path += "." + attr
+                names.add(path)
+                obj = _lookup(path)
+    return names
+
+
+def _lookup(path: str):
+    """The object at a dotted package path, or None if there is none."""
+    module, _, attr = path.rpartition(".")
+    try:
+        return importlib.import_module(path)
+    except ImportError:
+        pass
+    try:
+        return getattr(_lookup(module), attr)
+    except AttributeError:
+        return None
+
+
+def test_names_the_benchmark_reads_exist():
+    # perfbench is read only here; a name of src/ that it reads and that
+    # is renamed or removed would break the benchmark, not Tier-1
+    bench = pathlib.Path(shifted_kschur.__file__).parents[2] / "perfbench"
+    paths = sorted(bench.glob("*.py")) + sorted(bench.glob("selftest/*.py"))
+    names = _package_names({p.stem: p.read_text() for p in paths})
+    assert {"shifted_kschur.enumeration.EnumSpec",
+            "shifted_kschur.enumeration.count",
+            "shifted_kschur.involutions.minimal_tableau",
+            "shifted_kschur.genfunc.double_skew_shortcut",
+            "shifted_kschur.genfunc.FunctionSpec",
+            "shifted_kschur.cli.USAGE"} <= names
+    assert [n for n in sorted(names) if _lookup(n) is None] == []
+    fake = _package_names({
+        "a": "from shifted_kschur import genfunc\ngenfunc.gone\n",
+        "b": "import a\na.genfunc.FunctionSpec.nothing\n"})
+    assert sorted(n for n in fake if _lookup(n) is None) == [
+        "shifted_kschur.genfunc.FunctionSpec.nothing",
+        "shifted_kschur.genfunc.gone"]

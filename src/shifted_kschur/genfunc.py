@@ -5,8 +5,10 @@ split by the shape nu their letters below k fill, so the sum is a
 recursion over strict shapes mu <= nu <= lam with one-letter factors (the
 coproduct with a single y-variable).  A step goes from rho only to the nu
 of ``shapes._strips_above`` (nu/rho a shifted horizontal strip, the only
-pairs with a nonzero factor), and each one-letter factor comes from a
-per-row rule on the first box of each row, with no tableaux.  Each rho's
+pairs with a nonzero factor), and each one-letter factor is one product
+over rows, of a rule on each row's first box and, for set-valued
+tableaux, on its corner of rho outside mu, with no tableaux
+(``_letter_factor``, kept per nu, rho and corner rows).  Each rho's
 transitions, the factors with their values at x = 1 and b = 1, -1, are
 made once and kept per (lam, mu, family, kind) in ``_point_levels``.
 ``_branching_sum`` builds the polynomial from them; from ``_ORBIT_MIN_N``
@@ -36,7 +38,6 @@ from __future__ import annotations
 from collections.abc import Collection
 from functools import lru_cache
 from itertools import permutations
-from math import comb
 from typing import NamedTuple
 
 from .enumeration import EnumSpec, _leaves
@@ -84,64 +85,49 @@ def _tableau_terms(lam: tuple, mu: tuple, n: int, family: str,
 
 
 @lru_cache(maxsize=1 << 14)
-def _one_letter(outer: tuple, inner: tuple, family: str,
-                kind: str) -> tuple[tuple[int, int, int], ...]:
-    """The tableau sum of outer/inner in one letter: (x-exp, b-exp, coeff).
-
-    Rows increase weakly and hold 1' at most once, so 1' sits only in the
-    first box of a row; 1 appears at most once per column and a cell's max
-    is at most the min of the cell below, so a box holding 1 has no box below.
-    Hence every other box of a row holds {1}, and the sum is 0 if one of them
-    has a box below.  A row's first box holds {1'} unless it is diagonal and
-    the family is P, {1} if no box is below it, and {1',1} (set-valued only,
-    one more entry: x*b) when both hold.  The sum is x^|outer/inner| times the
-    product of these first-box polynomials.
-    """
-    rho = inner + (0,) * (len(outer) - len(inner))
-    free = 0  # rows whose first box may hold {1'} or {1}
-    for v, p, w in zip(outer, rho, outer[1:] + (0,)):
-        if w > p:
-            return ()  # a non-first box of this row has a box below
-        if v > p and (w < p or (p == 0 and family == "Q")):
-            free += 1
-    size = sum(outer) - sum(inner)
-    if kind == "single":
-        return ((size, 0, 1 << free),)
-    return tuple((size + j, j, comb(free, j) << (free - j))
-                 for j in range(free + 1))
-
-
-def _letter_factor(nu: tuple, rho: tuple, mu: tuple, family: str,
+def _letter_factor(nu: tuple, rho: tuple, corners: tuple, family: str,
                    kind: str) -> tuple[tuple[int, int, int], ...]:
-    """The last letter's factor f(nu, rho), as ``_one_letter``'s
-    (x-exp, b-exp, coeff) triples.
+    """The last letter's factor f(nu, rho) = x^|nu/rho| * prod_r g_r(t),
+    t = x*b, as (x-exp, b-exp, coeff) triples; corners are the rows of
+    rho's corners outside mu (none for single tableaux).
 
-    The boxes of nu/rho hold that letter only.  In set-valued tableaux it
-    may also join the boxes of a set S of corners of rho outside mu; each
-    such box already counts in rho, so S contributes b^|S| times the
-    one-letter sum of nu/(rho - S).  A corner inside mu holds no entries.
-    With no corner of rho outside mu the factor is ``_one_letter``'s own
-    cached tuple; a sum over S is interned, so equal factors share one
-    tuple.
+    One letter: rows increase weakly and hold 1' at most once, so 1' sits
+    only in the first box of a row; 1 appears at most once per column and
+    a cell's max is at most the min of the cell below, so a box holding 1
+    has no box below.  Hence every box of a row but its first holds {1},
+    and the sum is 0 if one of them has a box below.  A row's first box
+    holds {1'} unless it is diagonal and the family is P, {1} if no box is
+    below it, and {1',1} (set-valued only, one more entry: t) when both
+    hold.  So row r, with v = nu_r, p = rho_r and w = nu_(r+1), gives
+    h(p) = 0 when w > p; 2 + t (set-valued) or 2 (single) when v > p and
+    (w < p, or p = 0 in family Q); and 1 otherwise.
+
+    In set-valued tableaux the letter may also join the boxes of a set S
+    of rho's corners outside mu (a corner inside mu holds no entries);
+    each such box already counts in rho, so S adds x^|S| b^|S| = t^|S|
+    times the one-letter sum of nu/(rho - S).  Row r's rule reads rho_r
+    only, and removing any set of corners leaves rho - S strict, so the
+    sum over S factors row by row: g_r = h(p), or h(p) + t*h(p - 1) on a
+    corner row.
     """
-    corners = []
-    if kind == "set-valued":  # the corners of rho outside mu
-        corners = [r for r in _corner_rows(rho)
-                   if rho[r] > (mu[r] if r < len(mu) else 0)]
-    if not corners:
-        return _one_letter(nu, rho, family, kind)
-    out: dict = {}
-    for s, inner in _minus_corners(rho, corners):
-        for x, b, c in _one_letter(nu, inner, family, kind):
-            out[x, b + s] = out.get((x, b + s), 0) + c
-    return _interned(tuple((x, b, c) for (x, b), c in out.items()))
-
-
-@lru_cache(maxsize=1 << 12)
-def _interned(value: tuple) -> tuple:
-    """The first tuple seen equal to value, so the kept transition tables
-    hold one object per distinct nu and factor."""
-    return value
+    poly = [1]  # the product so far, by power of t
+    for r, (v, p, w) in enumerate(zip(nu, rho + (0,) * (len(nu) - len(rho)),
+                                      nu[1:] + (0,))):
+        if w > p:
+            return ()  # a box but the row's first has a box below
+        g = [0, 0, 0]  # h(p), then t*h(p - 1) on a corner row
+        for j, q in enumerate((p, p - 1) if r in corners else (p,)):
+            if w <= q:
+                free = v > q and (w < q or (q == 0 and family == "Q"))
+                g[j] += 2 if free else 1
+                g[j + 1] += free and kind == "set-valued"
+        out = [0] * (len(poly) + 2)
+        for i, c in enumerate(poly):
+            for j, d in enumerate(g):
+                out[i + j] += c * d
+        poly = out
+    size = sum(nu) - sum(rho)
+    return tuple((size + j, j, c) for j, c in enumerate(poly) if c)
 
 
 class _Levels:
@@ -170,14 +156,18 @@ class _Levels:
         out = self.moves.get(rho)
         if out is None:
             lam, mu, family, kind = self.key
+            corners = ()
+            if kind == "set-valued":  # the corners of rho outside mu
+                corners = tuple(r for r in _corner_rows(rho)
+                                if rho[r] > (mu[r] if r < len(mu) else 0))
             flat: list = []
             for nu in _strips_above(rho, lam):
-                f = _letter_factor(nu, rho, mu, family, kind)
+                f = _letter_factor(nu, rho, corners, family, kind)
                 count = signed = 0  # f at x = 1 and b = 1, -1
                 for _, b, c in f:
                     count += c
                     signed += -c if b & 1 else c
-                flat += (_interned(nu), f, count, signed)
+                flat += (nu, f, count, signed)
             out = self.moves[rho] = tuple(flat)
         return out
 
@@ -220,7 +210,7 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     so below it the loop keeps every term and tests no exponent.
 
     Precondition of ``b0_only``: every factor term has b-exponent >= 0
-    (``_one_letter``'s j and ``_letter_factor``'s |S| are never negative),
+    (``_letter_factor``'s power of t = x*b is never negative),
     so a product of factor terms has b-exponent 0 exactly when each of
     them has.  With ``b0_only`` each transition's factor keeps its b^0
     terms only, and the sum is exactly the b^0 terms of the full one.
@@ -432,7 +422,11 @@ class CoproductReport(NamedTuple):
 
 def _coproduct_guard(spec: FunctionSpec) -> None:
     """Raise ValueError if the coproduct check's left side, spec, has more
-    tableaux than it may enumerate, by the engine's count."""
+    tableaux than it may enumerate, by the engine's count.  A straight lam
+    with more rows than letters passes uncounted: its count is 0, as the
+    diagonal letters of a shifted tableau increase strictly."""
+    if spec.shape.outer.length > spec.n:
+        return
     size = _at(spec)[0]
     if size > _COPRODUCT_MAX_TABLEAUX:
         raise ValueError(f"coproduct guard exceeded: {size} tableaux for "

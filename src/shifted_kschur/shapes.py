@@ -10,9 +10,9 @@ The removable-box rule is stated once, in ``_corner_rows``, as the rows
 whose last box can go, and subsets of corners are removed in one loop,
 ``_minus_corners``.  On them rest the
 double-skew inner shapes nu = mu - B for B in Rem(mu) (``inner_shapes``,
-each with its weight exponent |mu/nu|), the toggle ``pi`` of mu's bottom
-removable box that pairs them, and the set-valued letter factors of
-``genfunc``, whose corners are those of a shape outside mu.  Beside it the
+each with its weight exponent |mu/nu|) and the toggle ``pi`` of mu's
+bottom removable box that pairs them; the set-valued letter factors of
+``genfunc`` read the corner rows of a shape outside mu.  Beside it the
 interlacing rule, nu_(r+1) <= rho_r <= nu_r, is stated once, in
 ``_strips_above``: the shapes nu one more letter can fill rho out to, which
 are the transitions of ``genfunc``'s level recursion.  ``_index_table``

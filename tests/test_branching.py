@@ -17,13 +17,14 @@ from shifted_kschur.enumeration import EnumSpec, count, enumerate_fillings
 from shifted_kschur.genfunc import (_ORBIT_MIN_N, FAMILIES, K_FAMILIES,
                                     FunctionSpec, _at,
                                     _branching_sum, _letter_factor,
-                                    _one_letter, _point_levels, _point_sum,
+                                    _point_levels, _point_sum,
                                     _tableau_sum,
                                     beta_zero, compute, coproduct_check,
                                     parity_report, special_value)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
-                                   _strips_above, is_subpartition,
+                                   _minus_corners, _strips_above,
+                                   is_subpartition,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling
@@ -250,7 +251,8 @@ def test_one_letter_equals_tableau_sum_exhaustive():
             for kind in KINDS:
                 want = _tableau_sum(*parts(shape), 1, family, kind)
                 got = LaurentPoly(1, {((x,), b): c for x, b, c
-                                      in _one_letter(nu, rho, family, kind)})
+                                      in _letter_factor(nu, rho, (), family,
+                                                        kind)})
                 assert got == want, (str(shape), family, kind)
                 cases += 1
     assert cases == 5244
@@ -270,7 +272,69 @@ def test_one_letter_equals_tableau_sum_exhaustive():
     ((2,), (1,), "P", {(1, 0, 2), (2, 1, 1)}),
 ])
 def test_one_letter_hand_derived(nu, rho, family, want):
-    assert set(_one_letter(nu, rho, family, "set-valued")) == want
+    assert set(_letter_factor(nu, rho, (), family, "set-valued")) == want
+
+
+def _intervals(max_weight):
+    """(lam, mu, rho) as part tuples for every rho with mu <= rho <= lam,
+    |lam| <= max_weight."""
+    for lam in strict_partitions_up_to_weight(max_weight):
+        subs = [p.parts for p in strict_subpartitions(lam)]
+        for mu in subs:
+            for rho in subs:
+                if len(mu) <= len(rho) and all(map(int.__le__, mu, rho)):
+                    yield lam.parts, mu, rho
+
+
+def test_letter_factor_equals_corner_subset_sum_exhaustive():
+    # the sum the per-row product replaces: the letter joins a subset S of
+    # rho's corners outside mu, each adding b, and fills nu/(rho - S)
+    reference: dict = {}
+    transitions = 0
+    for lam, mu, rho in _intervals(9):
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                corners = []
+                if kind == "set-valued":
+                    corners = [r for r in _corner_rows(rho)
+                               if rho[r] > (mu[r] if r < len(mu) else 0)]
+                out = genfunc._Levels(lam, mu, family, kind).steps(rho)
+                for nu, f, count, signed in zip(*[iter(out)] * 4):
+                    key = (nu, rho, tuple(corners), family, kind)
+                    want = reference.get(key)
+                    if want is None:
+                        terms: dict = {}
+                        for s, inner in _minus_corners(rho, corners):
+                            for (x, b), c in _tableau_sum(
+                                    nu, inner, 1, family, kind).terms.items():
+                                terms[x, b + s] = terms.get((x, b + s), 0) + c
+                        want = reference[key] = LaurentPoly(1, terms)
+                    got = LaurentPoly(1, {((x,), b): c for x, b, c in f})
+                    assert got == want, key
+                    assert (count, signed) == (want.eval_integers([1], 1),
+                                               want.eval_integers([1], -1))
+                    transitions += 1
+    assert transitions == 37860
+
+
+def test_self_loops_count_a_power_of_two_and_sign_only_at_mu():
+    """The premise of an all-n verdict: f(rho, rho) at b = -1 is 1 at
+    rho = mu and 0 at every other rho of the interval.
+
+    rho -> rho fills no box, so each row gives h(p) = 1, and a corner row of
+    rho outside mu h(p) + t*h(p - 1), which is 1 - 1 at t = -1 and 2 or 4
+    at t = 1; rho != mu has such a corner.
+    """
+    loops = 0
+    for lam, mu, rho in _intervals(10):
+        for family in ("P", "Q"):
+            out = genfunc._Levels(lam, mu, family, "set-valued").steps(rho)
+            count, signed = next((c, s) for nu, _, c, s
+                                 in zip(*[iter(out)] * 4) if nu == rho)
+            assert signed == (rho == mu), (lam, mu, rho, family)
+            assert count & (count - 1) == 0 < count, (lam, mu, rho, family)
+            loops += 1
+    assert loops == 8274
 
 
 # Small enough to enumerate; each family sums over several inner shapes.
@@ -354,8 +418,10 @@ def test_strips_are_the_pairs_with_a_letter_factor():
                      and all(r <= v for r, v in zip(rho, nu))]
             for family in ("P", "Q"):
                 for kind in KINDS:
-                    nonzero = {nu for nu in above
-                               if _letter_factor(nu, rho, (), family, kind)}
+                    corners = tuple(_corner_rows(rho)) \
+                        if kind == "set-valued" else ()
+                    nonzero = {nu for nu in above if _letter_factor(
+                        nu, rho, corners, family, kind)}
                     assert set(strips) == nonzero, (lam, rho, family, kind)
             pairs += len(above)
     assert pairs == 2246

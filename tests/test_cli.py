@@ -238,6 +238,24 @@ class TestIdentity:
             2, "", "error: coproduct guard exceeded: 904527 tableaux for "
                    "GQ 6,1 at n=4, above the limit of 500000\n")
 
+    def test_coproduct_guard_counts_no_lambda_longer_than_n(self, capsys,
+                                                            monkeypatch):
+        # a lambda with more rows than nx + ny letters has no tableau, so
+        # the guard passes it without the engine's count
+        argv = ("identity", "--check", "coproduct", "--max-weight", "8",
+                "--nx", "1", "--ny", "1")
+        want = run(capsys, *argv)
+        real = genfunc._at
+
+        def at(spec):
+            if spec.shape.outer.length > spec.n:
+                raise AssertionError(f"counted {spec.shape} at n={spec.n}")
+            return real(spec)
+
+        monkeypatch.setattr(genfunc, "_at", at)
+        assert run(capsys, *argv) == want
+        assert want[0] == 0 and len(want[1].splitlines()) == 96
+
     def test_coproduct_count_guard_refuses_before_the_sweep(self, capsys,
                                                              monkeypatch):
         # |lambda| <= 6 passes, but 3,1 has 16,437,249 GQ tableaux at n = 6

@@ -139,9 +139,9 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches(
         tmp_path):
     reached = _reached()
     assert _cached_defs() == set(reached)
-    # the recursions, their interned tuples and the oracle sum among them,
+    # the recursions, their letter factors and the oracle sum among them,
     # each bounded
-    for name in ("genfunc._point_levels", "genfunc._interned",
+    for name in ("genfunc._point_levels", "genfunc._letter_factor",
                  "genfunc._tableau_terms"):
         assert reached[f"shifted_kschur.{name}"].cache_parameters()[
             "maxsize"] is not None, name
@@ -158,7 +158,7 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches(
 
 
 def test_readme_names_every_cache_with_its_bound():
-    # bullets such as "- `genfunc._interned` (4,096), keyed on ..."
+    # bullets such as "- `genfunc._letter_factor` (16,384), keyed on ..."
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     section = re.search(r"^## Caches\n(.*?)^## ", readme.read_text(),
                         re.M | re.S).group(1)

@@ -13,15 +13,17 @@ transitions, the factors with their values at x = 1 and b = 1, -1, are
 made once and kept per (lam, mu, family, kind) in ``_point_levels``.
 ``_branching_sum`` builds the polynomial from them; from ``_ORBIT_MIN_N``
 letters on it keeps one term per x-orbit, those with nonincreasing
-x-exponents, as the skew functions are symmetric in x, and expands each
-to its orbit (``_orbit``) at the end.  For ``beta_zero`` it
-builds only the b^0 terms, each factor keeping its own, which is exact as
-no factor term has a negative b-exponent.  ``_point_sum`` runs
-the same recursion on int pairs, the sum at x = 1 and b = 1, -1, so the
-count and the signed count build no polynomial, and the special value
-(b^|lam/mu| times the signed count) builds only that one monomial; its
-levels are kept across calls, so one recursion to n letters serves both
-scalars at every n' <= n.  Folding the tableaux into a polynomial
+x-exponents, as the skew functions are symmetric in x, drops the terms
+whose remaining letters cannot add the boxes still missing from lam, and
+expands each kept term to its orbit (``_orbit``) at the end.  Each
+``_Levels`` keeps one tuple per shape its tables name.  For
+``beta_zero`` it builds only the b^0 terms, each factor keeping its own,
+which is exact as no factor term has a negative b-exponent.
+``_point_sum`` runs the same recursion on int pairs, the sum at x = 1 and
+b = 1, -1, so the count and the signed count build no polynomial, and the
+special value (b^|lam/mu| times the signed count) builds only that one
+monomial; its levels are kept across calls, so one recursion to n letters
+serves both scalars at every n' <= n.  Folding the tableaux into a polynomial
 (``_tableau_sum``, which reads each weight and |T| off the leaves of the
 backtracking walk, kept per shape and n) is kept as the definition the
 engine and the rule are tested against.  The three sums take lam and mu
@@ -38,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from functools import lru_cache
 from itertools import permutations
+from math import inf
 from typing import NamedTuple
 
 from .enumeration import EnumSpec, _leaves
@@ -139,14 +142,17 @@ class _Levels:
     factor for the polynomial and its values at x = 1, b = 1, -1 for the
     point pairs.  ``at_lam[k]`` is the pair F_k(lam) for each level k the
     point recursion reached, and ``last`` that deepest level whole, every
-    nu reached with its pair, to extend from.
+    nu reached with its pair, to extend from.  ``shapes`` maps each nu
+    seen to the one tuple the tables keep for it, so a shape reached from
+    many rho is held once.
     """
 
-    __slots__ = ("key", "moves", "at_lam", "last")
+    __slots__ = ("key", "moves", "shapes", "at_lam", "last")
 
     def __init__(self, lam: tuple, mu: tuple, family: str, kind: str):
         self.key = (lam, mu, family, kind)
         self.moves: dict = {}
+        self.shapes: dict = {}
         self.at_lam = [(1, 1) if lam == mu else (0, 0)]
         self.last = {mu: (1, 1)}
 
@@ -162,6 +168,7 @@ class _Levels:
                                 if rho[r] > (mu[r] if r < len(mu) else 0))
             flat: list = []
             for nu in _strips_above(rho, lam):
+                nu = self.shapes.setdefault(nu, nu)
                 f = _letter_factor(nu, rho, corners, family, kind)
                 count = signed = 0  # f at x = 1 and b = 1, -1
                 for _, b, c in f:
@@ -209,6 +216,15 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     n <= 3, a gate at 2 read 18% slower in p90 and one at 3 7% slower),
     so below it the loop keeps every term and tests no exponent.
 
+    From the gate on, a term that cannot reach lam is dropped too: a term
+    of F_k(nu) with (n - k) * x(k) < |lam/nu| is dead.  Letter j's factor
+    is x^|nu/rho| * t^e (``_letter_factor``), so its x-exponent x(j) is
+    at least the |nu/rho| boxes the letter adds, and a kept term has
+    x(j) <= x(k) for every later j; the n - k letters left add at most
+    (n - k) * x(k) boxes.  At nu = lam the bound is 0 and never drops a
+    term.  A nu none of whose terms live is left out of the level, so it
+    is not stepped from and ``_Levels.steps`` builds no table for it.
+
     Precondition of ``b0_only``: every factor term has b-exponent >= 0
     (``_letter_factor``'s power of t = x*b is never negative),
     so a product of factor terms has b-exponent 0 exactly when each of
@@ -217,9 +233,11 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     """
     levels = _point_levels(lam, mu, family, kind)
     orbits = n >= _ORBIT_MIN_N
+    size = sum(lam)
     level = {mu: {((), 0): 1}}
     for k in range(1, n + 1):
         only = lam if k == n else None
+        left = n - k  # letters still to come
         nxt: dict = {}
         for rho, value in level.items():
             out = levels.steps(rho)
@@ -228,19 +246,24 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                     continue
                 if b0_only:
                     factor = [t for t in factor if not t[1]]
-                terms = nxt.setdefault(nu, {})
-                if not orbits or k == 1:
+                if not orbits:
+                    terms = nxt.setdefault(nu, {})
                     for x, b, c in factor:
                         for (xexp, bexp), d in value.items():
                             key = (xexp + (x,), bexp + b)
                             terms[key] = terms.get(key, 0) + c * d
                     continue
+                # xk >= low, or the later letters cannot fill lam/nu
+                low = -((sum(nu) - size) // left) if left else 0
+                terms = nxt.get(nu, {})
                 for (xexp, bexp), d in value.items():
-                    top = xexp[-1]  # x(k-1): xk may not exceed it
+                    top = xexp[-1] if xexp else inf  # x(k-1) bounds xk
                     for x, b, c in factor:
-                        if x <= top:
+                        if low <= x <= top:
                             key = (xexp + (x,), bexp + b)
                             terms[key] = terms.get(key, 0) + c * d
+                if terms:  # a nu with no live term is not stepped from
+                    nxt[nu] = terms
         level = nxt
     # every coefficient counts tableaux, so none is 0
     terms = level.get(lam, {})

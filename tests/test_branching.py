@@ -93,8 +93,9 @@ def test_orbit_path_double_skew_and_beta_zero():
 
 
 def test_orbits_start_at_orbit_min_n(monkeypatch):
-    # below _ORBIT_MIN_N letters no term is pruned or expanded; from it on
-    # every term kept to the end has nonincreasing x-exponents
+    # below _ORBIT_MIN_N letters no term is expanded to an orbit; from it
+    # on every term expanded at the end, one per x-orbit, has nonincreasing
+    # x-exponents (the cut of dead terms is tested on its own below)
     reps = []
 
     def recorded(rep):
@@ -115,6 +116,31 @@ def test_orbits_start_at_orbit_min_n(monkeypatch):
         else:
             assert reps and all(list(r) == sorted(r, reverse=True)
                                 for r in reps)
+
+
+def test_dead_terms_are_dropped_from_the_gate(fresh_caches):
+    # from _ORBIT_MIN_N letters on a shape none of whose terms can still
+    # reach lam is not stepped from; the point recursion, which prunes
+    # nothing, then steps from every shape reached before the last letter
+    lam, mu = (9, 7, 5, 3, 1), ()
+    levels = _point_levels(lam, mu, "Q", "set-valued")
+    compute(FunctionSpec("GQ", SkewShape(StrictPartition(lam)), 5))
+    pruned = set(levels.moves)
+    _point_sum(lam, mu, 5, "Q", "set-valued")
+    assert pruned < set(levels.moves)
+    assert (len(pruned), len(levels.moves)) == (148, 210)
+    # below the gate every reached shape is stepped from
+    shape = SkewShape.parse("5,3,1/2")
+    lam, mu = parts(shape)
+    n = _ORBIT_MIN_N - 1
+    for family in ("P", "Q"):
+        for kind in KINDS:
+            genfunc._point_levels.cache_clear()
+            levels = _point_levels(lam, mu, family, kind)
+            _branching_sum(lam, mu, n, family, kind)
+            stepped = set(levels.moves)
+            _point_sum(lam, mu, n, family, kind)
+            assert stepped == set(levels.moves), (family, kind)
 
 
 def test_orbit_equals_distinct_permutations():

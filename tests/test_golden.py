@@ -7,7 +7,7 @@ pinned; the values were recorded before the certify path was reworked, so
 a change that moves any byte of output fails here.  Two larger
 certificates ride along, since the README's own is six pairs, a larger
 involution sweep, since the README's covers only |lambda| <= 4 and n <= 2,
-three polynomials in 5 to 10 letters, and every request of the benchmark's
+four polynomials in 5 to 10 letters, and every request of the benchmark's
 big-poly pool against the digests the pool froze.
 """
 
@@ -105,7 +105,8 @@ SWEEPS = {
 }
 
 # larger polynomials, with n from 5 to 10, as the branching engine printed
-# them before it kept one term per x-orbit: command -> (exit code, sha256)
+# them before it kept one term per x-orbit (GQ 9,7,5,3,1: before it dropped
+# dead terms): command -> (exit code, sha256)
 POLYS = {
     "kschur poly --shape 2 --family GP -n 10": (
         0, "fffa8cb337e4fa76c012c5326fec96d2650e9a751ead5e411cd911d945cee00a"),
@@ -113,6 +114,8 @@ POLYS = {
         0, "602ef55e54e1c1a0980ad714f73c08256cd53a257182ee07ba1fc12171cf50a7"),
     "kschur poly --shape 4,2,1 --family GP -n 6": (
         0, "ef2d986783485e87bf83538a091f18d1c735c2afaae54e47ba590dee32490a8b"),
+    "kschur poly --shape 9,7,5,3,1 --family GQ -n 5": (
+        0, "fe71ff8762ffdbd56b3e597d52e819ac2f49f6e7e2b939124940bcc1d8591a1d"),
 }
 
 

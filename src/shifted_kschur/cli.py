@@ -135,18 +135,26 @@ def _check_sweep_options(counts: dict, time_budget: float | None = None,
         raise ValueError("--time-budget must not be negative")
 
 
-def _sweep(instances: list, check, time_budget: float | None = None) -> int:
+def _deadline(time_budget: float | None) -> float | None:
+    """The ``time.monotonic()`` reading a time budget in seconds ends at."""
+    return None if time_budget is None else time.monotonic() + time_budget
+
+
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() >= deadline
+
+
+def _sweep(instances: list, check, deadline: float | None = None) -> int:
     """Print the line of ``check(*instance)`` for each instance in order.
 
     ``check`` returns (line, verdict); a False verdict is a failure, and
-    None (an empty tableau set) is not.  With a time budget in seconds the
-    deadline is checked before each instance, and the sweep stops at the
-    cut with a line saying how many instances it covered.
+    None (an empty tableau set) is not.  With a deadline (``_deadline``)
+    it is checked before each instance, and the sweep stops at the cut
+    with a line saying how many instances it covered.
     """
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     failures = 0
     for done, instance in enumerate(instances):
-        if deadline is not None and time.monotonic() >= deadline:
+        if _past(deadline):
             print(f"partial sweep: covered {done}/{len(instances)} instances")
             break
         line, verdict = check(*instance)
@@ -189,10 +197,15 @@ def cmd_identity(args) -> int:
                      for lam in strict_partitions_up_to_weight(args.max_weight)
                      if lam
                      for fam in ("P", "Q", "GP", "GQ")]
-        for lam, _, _, fam in instances:  # each left side's size, first
+        # each left side's size, first, by the sweep's deadline: a guard
+        # pass cut short leaves no time for an unguarded instance
+        deadline = _deadline(args.time_budget)
+        for lam, _, _, fam in instances:
+            if _past(deadline):
+                break
             genfunc._coproduct_guard(FunctionSpec(fam, SkewShape(lam),
                                                   nx + ny))
-        return _sweep(instances, _coproduct, args.time_budget)
+        return _sweep(instances, _coproduct, deadline)
     max_n = 3 if args.max_n is None else args.max_n
     _check_sweep_options({"--max-weight": args.max_weight, "--max-n": max_n},
                          args.time_budget,
@@ -202,7 +215,7 @@ def cmd_identity(args) -> int:
                  for shape in _sweep_shapes(args.max_weight, args.skew)
                  for n in range(1, max_n + 1)]
     check = _beta_zero if args.check == "beta-zero" else _pq_factor
-    return _sweep(instances, check, args.time_budget)
+    return _sweep(instances, check, _deadline(args.time_budget))
 
 
 def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
@@ -228,7 +241,7 @@ def cmd_verify_involution(args) -> int:
                  for shape in shapes
                  for n in range(1, args.max_n + 1)
                  for fam in FAMILIES]
-    return _sweep(instances, _involution, args.time_budget)
+    return _sweep(instances, _involution, _deadline(args.time_budget))
 
 
 def _oracle(shape: SkewShape, n: int, fam: str,

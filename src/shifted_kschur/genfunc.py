@@ -11,10 +11,10 @@ tableaux, on its corner of rho outside mu, with no tableaux
 (``_letter_factor``, kept per nu, rho and corner rows).  Each rho's
 transitions, the factors with their values at x = 1 and b = 1, -1, are
 made once and kept per (lam, mu, family, kind) in ``_point_levels``.
-``_branching_sum`` builds the polynomial from them; from ``_ORBIT_MIN_N``
-letters on it keeps one term per x-orbit, those with nonincreasing
-x-exponents, as the skew functions are symmetric in x, drops the terms
-whose remaining letters cannot add the boxes still missing from lam, and
+``_branching_sum`` builds the polynomial from them in one loop at every
+n: it keeps one term per x-orbit, those with nonincreasing x-exponents,
+as the skew functions are symmetric in x, drops the terms whose
+remaining letters cannot add the boxes still missing from lam, and
 expands each kept term to its orbit (``_orbit``) at the end.  Each
 ``_Levels`` keeps one tuple per shape its tables name.  For
 ``beta_zero`` it builds only the b^0 terms, each factor keeping its own,
@@ -187,10 +187,6 @@ def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
     return _Levels(lam, mu, family, kind)
 
 
-# From this many letters on, ``_branching_sum`` keeps one term per x-orbit.
-_ORBIT_MIN_N = 4
-
-
 def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                    b0_only: bool = False) -> LaurentPoly:
     """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
@@ -201,29 +197,29 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     ``_strips_above(rho, lam)`` and is the same at every level, so each
     rho's transitions come from the kept ``_Levels`` of (lam, mu, family,
     kind), which ``_point_sum`` reads too.  The polynomial is built afresh
-    per call, the last level keeping nu = lam only.
+    per call.
 
-    From ``_ORBIT_MIN_N`` letters on, level k keeps only the terms with
-    x1 >= ... >= xk, one per x-orbit.  Such a term of F_k(nu) comes only
-    from such a term of F_(k-1)(rho) times xk^a with a <= x(k-1), so the
-    kept coefficients are exact.  F_k(nu) is the skew function of nu/mu in
-    k letters, which is symmetric in x (Ikeda-Naruse 2013, Adv. Math. 243;
-    Lam-Pylyavskyy 2007), so these terms determine it: each is expanded
-    once, at the end, to its orbit (``_orbit``), and the caller gets the
-    full polynomial.  The gate sits at 4 letters by measurement: at 2 and
-    3 letters the expansion costs what the pruning saves (over 10
-    alternated runs of the benchmark's sweep, whose requests all have
-    n <= 3, a gate at 2 read 18% slower in p90 and one at 3 7% slower),
-    so below it the loop keeps every term and tests no exponent.
+    Level k keeps only the terms with x1 >= ... >= xk, one per x-orbit.
+    Such a term of F_k(nu) comes only from such a term of F_(k-1)(rho)
+    times xk^a with a <= x(k-1), so the kept coefficients are exact.
+    F_k(nu) is the skew function of nu/mu in k letters, which is symmetric
+    in x (Ikeda-Naruse 2013, Adv. Math. 243; Lam-Pylyavskyy 2007), so these
+    terms determine it: each is expanded once, at the end, to its orbit
+    (``_orbit``), and the caller gets the full polynomial.  The argument
+    holds at every k, so one loop serves every n: at one or two letters
+    the expansion costs about 2 microseconds a call, too little for a
+    second loop that keeps every term to pay for itself (the benchmark's
+    sweep, whose requests all have n <= 3, stays within its bounds).
 
-    From the gate on, a term that cannot reach lam is dropped too: a term
-    of F_k(nu) with (n - k) * x(k) < |lam/nu| is dead.  Letter j's factor
-    is x^|nu/rho| * t^e (``_letter_factor``), so its x-exponent x(j) is
-    at least the |nu/rho| boxes the letter adds, and a kept term has
+    A term that cannot reach lam is dropped too: a term of F_k(nu) with
+    (n - k) * x(k) < |lam/nu| is dead.  Letter j's factor is
+    x^|nu/rho| * t^e (``_letter_factor``), so its x-exponent x(j) is at
+    least the |nu/rho| boxes the letter adds, and a kept term has
     x(j) <= x(k) for every later j; the n - k letters left add at most
     (n - k) * x(k) boxes.  At nu = lam the bound is 0 and never drops a
-    term.  A nu none of whose terms live is left out of the level, so it
-    is not stepped from and ``_Levels.steps`` builds no table for it.
+    term; after the last letter it drops every nu but lam.  A nu none of
+    whose terms live is left out of the level, so it is not stepped from
+    and ``_Levels.steps`` builds no table for it.
 
     Precondition of ``b0_only``: every factor term has b-exponent >= 0
     (``_letter_factor``'s power of t = x*b is never negative),
@@ -232,29 +228,21 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     terms only, and the sum is exactly the b^0 terms of the full one.
     """
     levels = _point_levels(lam, mu, family, kind)
-    orbits = n >= _ORBIT_MIN_N
     size = sum(lam)
     level = {mu: {((), 0): 1}}
     for k in range(1, n + 1):
-        only = lam if k == n else None
         left = n - k  # letters still to come
         nxt: dict = {}
         for rho, value in level.items():
             out = levels.steps(rho)
             for nu, factor in zip(out[::4], out[1::4]):
-                if only is not None and nu != only:
-                    continue
+                missing = size - sum(nu)  # the boxes of lam/nu
+                if missing and not left:
+                    continue  # no letter is left to fill lam/nu
                 if b0_only:
                     factor = [t for t in factor if not t[1]]
-                if not orbits:
-                    terms = nxt.setdefault(nu, {})
-                    for x, b, c in factor:
-                        for (xexp, bexp), d in value.items():
-                            key = (xexp + (x,), bexp + b)
-                            terms[key] = terms.get(key, 0) + c * d
-                    continue
                 # xk >= low, or the later letters cannot fill lam/nu
-                low = -((sum(nu) - size) // left) if left else 0
+                low = -(-missing // left) if missing else 0
                 terms = nxt.get(nu, {})
                 for (xexp, bexp), d in value.items():
                     top = xexp[-1] if xexp else inf  # x(k-1) bounds xk
@@ -266,11 +254,8 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                     nxt[nu] = terms
         level = nxt
     # every coefficient counts tableaux, so none is 0
-    terms = level.get(lam, {})
-    if not orbits:
-        return LaurentPoly._trusted(n, terms)
     full: dict = {}
-    for (rep, b), c in terms.items():
+    for (rep, b), c in level.get(lam, {}).items():
         for x in _orbit(rep):
             full[x, b] = c
     return LaurentPoly._trusted(n, full)

@@ -6,7 +6,7 @@ definition, and the only reference the engine is compared with.
 
 import inspect
 import random
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from shifted_kschur import cli, enumeration, genfunc, involutions
 from shifted_kschur.enumeration import EnumSpec, count, enumerate_fillings
-from shifted_kschur.genfunc import (_ORBIT_MIN_N, FAMILIES, K_FAMILIES,
+from shifted_kschur.genfunc import (FAMILIES, K_FAMILIES,
                                     FunctionSpec, _at,
                                     _branching_sum, _letter_factor,
                                     _point_levels, _point_sum,
@@ -59,8 +59,8 @@ def test_engine_equals_tableau_sum_exhaustive():
 
 
 def test_orbit_path_equals_tableau_sum_exhaustive():
-    # from _ORBIT_MIN_N letters on the engine keeps one term per x-orbit and
-    # expands them at the end; every skew shape, the empty one included
+    # the engine keeps one term per x-orbit and expands them at the end;
+    # every skew shape, the empty one included
     cases = 0
     for n, max_weight in ((4, 5), (5, 3)):
         for lam in strict_partitions_up_to_weight(max_weight):
@@ -77,8 +77,7 @@ def test_orbit_path_equals_tableau_sum_exhaustive():
 def test_orbit_path_double_skew_and_beta_zero():
     # double-skew: the sum over nu of b^|mu/nu| times the tableau sum of
     # lam/nu; beta_zero: the b^0 terms, which are P and Q
-    n = _ORBIT_MIN_N
-    for shape in skew_shapes(5):
+    for shape, n in product(skew_shapes(5), (1, 2, 3, 4)):
         lam, mu = parts(shape)
         for family in ("P", "Q"):
             want: dict = {}
@@ -87,15 +86,16 @@ def test_orbit_path_double_skew_and_beta_zero():
                                               "set-valued").terms.items():
                     want[x, b + removed] = want.get((x, b + removed), 0) + c
             got = compute(FunctionSpec(f"G{family}double", shape, n))
-            assert got == LaurentPoly(n, want), (str(shape), family)
+            assert got == LaurentPoly(n, want), (str(shape), n, family)
             assert beta_zero(FunctionSpec("G" + family, shape, n)) == \
-                compute(FunctionSpec(family, shape, n)), (str(shape), family)
+                compute(FunctionSpec(family, shape, n)), (str(shape), n,
+                                                          family)
 
 
-def test_orbits_start_at_orbit_min_n(monkeypatch):
-    # below _ORBIT_MIN_N letters no term is expanded to an orbit; from it
-    # on every term expanded at the end, one per x-orbit, has nonincreasing
-    # x-exponents (the cut of dead terms is tested on its own below)
+def test_orbits_at_every_n(monkeypatch):
+    # at every n, from one letter on, the polynomial is expanded from its
+    # orbit representatives, each with nonincreasing x-exponents (the cut
+    # of dead terms is tested on its own below)
     reps = []
 
     def recorded(rep):
@@ -104,43 +104,31 @@ def test_orbits_start_at_orbit_min_n(monkeypatch):
 
     real = genfunc._orbit
     monkeypatch.setattr(genfunc, "_orbit", recorded)
-    lam, mu = (3, 1), ()
-    for n in (_ORBIT_MIN_N - 1, _ORBIT_MIN_N):
+    lam, mu = (3, 1), (1,)
+    for n in (1, 2, 3, 4):
         reps.clear()
         for family in ("P", "Q"):
             for kind in KINDS:
                 args = (lam, mu, n, family, kind)
                 assert _branching_sum(*args) == _tableau_sum(*args), args
-        if n < _ORBIT_MIN_N:
-            assert reps == []
-        else:
-            assert reps and all(list(r) == sorted(r, reverse=True)
-                                for r in reps)
+        assert reps and all(list(r) == sorted(r, reverse=True)
+                            for r in reps), n
 
 
-def test_dead_terms_are_dropped_from_the_gate(fresh_caches):
-    # from _ORBIT_MIN_N letters on a shape none of whose terms can still
-    # reach lam is not stepped from; the point recursion, which prunes
-    # nothing, then steps from every shape reached before the last letter
-    lam, mu = (9, 7, 5, 3, 1), ()
-    levels = _point_levels(lam, mu, "Q", "set-valued")
-    compute(FunctionSpec("GQ", SkewShape(StrictPartition(lam)), 5))
-    pruned = set(levels.moves)
-    _point_sum(lam, mu, 5, "Q", "set-valued")
-    assert pruned < set(levels.moves)
-    assert (len(pruned), len(levels.moves)) == (148, 210)
-    # below the gate every reached shape is stepped from
-    shape = SkewShape.parse("5,3,1/2")
-    lam, mu = parts(shape)
-    n = _ORBIT_MIN_N - 1
-    for family in ("P", "Q"):
-        for kind in KINDS:
-            genfunc._point_levels.cache_clear()
-            levels = _point_levels(lam, mu, family, kind)
-            _branching_sum(lam, mu, n, family, kind)
-            stepped = set(levels.moves)
-            _point_sum(lam, mu, n, family, kind)
-            assert stepped == set(levels.moves), (family, kind)
+def test_dead_terms_are_dropped_at_every_n(fresh_caches):
+    # a shape none of whose terms can still reach lam is not stepped from;
+    # the point recursion, which prunes nothing, steps from every shape it
+    # reaches before the last letter
+    for lam, mu, n, family, pruned_to, reached in (
+            ((9, 7, 5, 3, 1), (), 5, "Q", 148, 210),
+            ((5, 3, 1), (2,), 3, "P", 16, 18)):
+        genfunc._point_levels.cache_clear()
+        levels = _point_levels(lam, mu, family, "set-valued")
+        _branching_sum(lam, mu, n, family, "set-valued")
+        pruned = set(levels.moves)
+        _point_sum(lam, mu, n, family, "set-valued")
+        assert pruned < set(levels.moves)
+        assert (len(pruned), len(levels.moves)) == (pruned_to, reached)
 
 
 def test_orbit_equals_distinct_permutations():

@@ -238,6 +238,20 @@ class TestIdentity:
             2, "", "error: coproduct guard exceeded: 904527 tableaux for "
                    "GQ 6,1 at n=4, above the limit of 500000\n")
 
+    def test_coproduct_guard_pass_keeps_the_time_budget(self, capsys,
+                                                         monkeypatch):
+        # the guard pass reads the sweep's deadline: with no time left it
+        # counts no left side, and the sweep then runs no instance
+        def refuse(*args):
+            raise AssertionError("ran past the time budget")
+
+        monkeypatch.setattr(genfunc, "_coproduct_guard", refuse)
+        monkeypatch.setattr(genfunc, "coproduct_check", refuse)
+        assert run(capsys, "identity", "--check", "coproduct",
+                   "--max-weight", "40", "--nx", "1", "--ny", "1",
+                   "--time-budget", "0") == (
+            0, "partial sweep: covered 0/34784 instances\n", "")
+
     def test_coproduct_guard_counts_no_lambda_longer_than_n(self, capsys,
                                                             monkeypatch):
         # a lambda with more rows than nx + ny letters has no tableau, so

@@ -57,20 +57,16 @@ K_FAMILIES = FAMILIES[2:]
 _COPRODUCT_MAX_TABLEAUX = 500_000  # most at n_x + n_y <= 4 is 465,777
 
 
-def _tableau_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
-                 b0_only: bool = False) -> LaurentPoly:
+def _tableau_sum(lam: tuple, mu: tuple, n: int, family: str,
+                 kind: str) -> LaurentPoly:
     """The definition: each tableau adds x^weight * b^(|T| - #boxes).
 
     The backtracking walk carries each tableau's weight and |T| to its
     leaf, so the sum builds no ``Filling``.  The terms are kept per
-    (lam, mu, n, family, kind), and each call gets its own polynomial:
-    with ``b0_only`` its terms with b-exponent 0 only.
+    (lam, mu, n, family, kind), and each call gets its own polynomial.
     """
-    terms = _tableau_terms(lam, mu, n, family, kind)
-    if b0_only:
-        return LaurentPoly._trusted(n, {k: c for k, c in terms.items()
-                                        if not k[1]})
-    return LaurentPoly._trusted(n, dict(terms))
+    return LaurentPoly._trusted(
+        n, dict(_tableau_terms(lam, mu, n, family, kind)))
 
 
 @lru_cache(maxsize=256)

@@ -115,6 +115,19 @@ def iota(T):
                    _iota_cells(order, T.cells, tmin.cells), _trusted=True)
 
 
+def sp(*parts):
+    return StrictPartition(tuple(parts))
+
+
+def skew_shapes(max_weight, with_empty=False):
+    """Every skew shape lam/mu with |lam| <= max_weight, mu strict inside
+    lam; the empty lam only if with_empty."""
+    return [SkewShape(lam, mu)
+            for lam in strict_partitions_up_to_weight(max_weight)
+            if lam or with_empty
+            for mu in strict_subpartitions(lam)]
+
+
 def rows(shape, n, family, spec):
     """Build a filling from strings like "1 1 3' | 2 2,3' | 3"."""
     cells = [[cell.split(",") for cell in row.split()]

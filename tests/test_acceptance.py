@@ -21,7 +21,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
                                    pi, strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import validate_cells
-from tests.conftest import iota, rows
+from tests.conftest import iota, rows, skew_shapes
 
 
 @contextmanager
@@ -47,16 +47,6 @@ def nonempty(shape, family, n):
 def straight_shapes(max_weight):
     return [SkewShape(lam)
             for lam in strict_partitions_up_to_weight(max_weight) if lam]
-
-
-def skew_shapes(max_weight):
-    out = []
-    for lam in strict_partitions_up_to_weight(max_weight):
-        if not lam:
-            continue
-        for mu in strict_subpartitions(lam):
-            out.append(SkewShape(lam, mu))
-    return out
 
 
 def test_criterion_1_special_values_straight():

@@ -4,9 +4,8 @@
 definition, and the only reference the engine is compared with.
 """
 
-import inspect
 import random
-from itertools import islice, permutations, product
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,6 +28,8 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling
 
+from conftest import skew_shapes
+
 KINDS = ("single", "set-valued")
 
 
@@ -37,59 +38,81 @@ def parts(shape):
     return shape.outer.parts, shape.inner.parts
 
 
-def skew_shapes(max_weight):
-    return [SkewShape(lam, mu)
-            for lam in strict_partitions_up_to_weight(max_weight) if lam
-            for mu in strict_subpartitions(lam)]
+def definition_sweep(n, family, shapes):
+    """Every engine path at n letters, base family P or Q, against the
+    walked tableau sum on each shape, walking each (lam, mu, kind) once.
 
+    Both kinds: ``_branching_sum``, whole and its b^0 terms, and
+    ``_point_sum``.  The three families over the base: ``_at`` and
+    ``special_value``, and ``compute`` of the double-skew one, which is
+    the sum over nu of b^|mu/nu| times the walk of lam/nu; and
+    ``parity_report`` and ``beta_zero``, which is the single-valued walk.
+    The engine is read through ``genfunc``'s attributes, so a function
+    swapped there is the one checked.  Returns the number of family
+    cases and of those with no tableau.
+    """
+    walks: dict = {}
 
-def test_engine_equals_tableau_sum_exhaustive():
-    # the whole sum, and its b^0 terms alone (b0_only)
-    cases = 0
-    for shape in skew_shapes(6):
-        for n in (1, 2, 3):
-            for family in ("P", "Q"):
-                for kind in KINDS:
-                    for b0_only in (False, True):
-                        args = (*parts(shape), n, family, kind, b0_only)
-                        assert _branching_sum(*args) == _tableau_sum(*args), \
-                            (str(shape), n, family, kind, b0_only)
-                        cases += 1
-    assert cases == 1920
+    def walk(lam, mu, kind):
+        key = (lam, mu, kind)
+        if key not in walks:
+            walks[key] = genfunc._tableau_sum(lam, mu, n, family, kind)
+        return walks[key]
 
+    def at_one(poly):  # x = 1, b = 1 and -1: the count and signed count
+        return (poly.eval_integers([1] * n, 1),
+                poly.eval_integers([1] * n, -1))
 
-def test_orbit_path_equals_tableau_sum_exhaustive():
-    # the engine keeps one term per x-orbit and expands them at the end;
-    # every skew shape, the empty one included
-    cases = 0
-    for n, max_weight in ((4, 5), (5, 3)):
-        for lam in strict_partitions_up_to_weight(max_weight):
-            for mu in strict_subpartitions(lam):
-                for family in ("P", "Q"):
-                    for kind in KINDS:
-                        args = (lam.parts, mu.parts, n, family, kind)
-                        assert _branching_sum(*args) == _tableau_sum(*args), \
-                            (lam, mu, *args[2:])
-                        cases += 1
-    assert cases == 184 + 56
-
-
-def test_orbit_path_double_skew_and_beta_zero():
-    # double-skew: the sum over nu of b^|mu/nu| times the tableau sum of
-    # lam/nu; beta_zero: the b^0 terms, which are P and Q
-    for shape, n in product(skew_shapes(5), (1, 2, 3, 4)):
+    cases = empty = 0
+    for shape in shapes:
         lam, mu = parts(shape)
-        for family in ("P", "Q"):
-            want: dict = {}
-            for removed, nu in genfunc._minus_corners(mu, _corner_rows(mu)):
-                for (x, b), c in _tableau_sum(lam, nu, n, family,
-                                              "set-valued").terms.items():
-                    want[x, b + removed] = want.get((x, b + removed), 0) + c
-            got = compute(FunctionSpec(f"G{family}double", shape, n))
-            assert got == LaurentPoly(n, want), (str(shape), n, family)
-            assert beta_zero(FunctionSpec("G" + family, shape, n)) == \
-                compute(FunctionSpec(family, shape, n)), (str(shape), n,
-                                                          family)
+        for kind in KINDS:
+            want = walk(lam, mu, kind)
+            args = (lam, mu, n, family, kind)
+            case = (str(shape), n, family, kind)
+            assert genfunc._branching_sum(*args) == want, case
+            assert genfunc._branching_sum(*args, b0_only=True) == \
+                want.beta_slice(0), case
+            assert genfunc._point_sum(*args) == at_one(want), case
+        double: dict = {}
+        for removed, nu in _minus_corners(mu, _corner_rows(mu)):
+            for (x, b), c in walk(lam, nu, "set-valued").terms.items():
+                double[x, b + removed] = double.get((x, b + removed), 0) + c
+        wants = {family: walk(lam, mu, "single"),
+                 "G" + family: walk(lam, mu, "set-valued"),
+                 f"G{family}double": LaurentPoly(n, double)}
+        for fam, want in wants.items():
+            spec = FunctionSpec(fam, shape, n)
+            case = (str(shape), n, fam)
+            if fam.endswith("double"):
+                assert genfunc.compute(spec) == want, case
+            assert genfunc._at(spec) == at_one(want), case
+            if fam in K_FAMILIES:
+                assert genfunc.special_value(spec) == \
+                    want.subst_beta_neg_inverse().subst_x_to_beta(), case
+            cases += 1
+            empty += not want
+        spec = FunctionSpec("G" + family, shape, n)
+        case = (str(shape), n, spec.family)
+        total = sum(wants[spec.family].terms.values())
+        assert genfunc.parity_report(spec) == (total, total % 2 == 1), case
+        assert genfunc.beta_zero(spec) == wants[family], case
+    return cases, empty
+
+
+# n, the shapes at n, and the family cases and empty ones per base family:
+# up to three letters every lam/mu with 0 < |lam| <= 6, at four and five
+# letters |lam| <= 5 and 3, the empty shape included
+@pytest.mark.parametrize("family", ("P", "Q"))
+@pytest.mark.parametrize("n, shapes, want", [
+    (1, skew_shapes(6), (240, 36)),
+    (2, skew_shapes(6), (240, 3)),
+    (3, skew_shapes(6), (240, 0)),
+    (4, skew_shapes(5, with_empty=True), (138, 0)),
+    (5, skew_shapes(3, with_empty=True), (42, 0)),
+], ids=("n1", "n2", "n3", "n4", "n5"))
+def test_engine_equals_tableau_sum_sweep(n, shapes, want, family):
+    assert definition_sweep(n, family, shapes) == want
 
 
 def test_orbits_at_every_n(monkeypatch):
@@ -150,12 +173,6 @@ def test_orbit_cost_follows_distinct_arrangements():
     assert all(sorted(x, reverse=True) == [3, 1] + [0] * 8 for x in got)
 
 
-def test_sums_share_one_signature():
-    # test_polynomial_path_never_enumerates swaps one sum for the other
-    assert inspect.signature(_tableau_sum) == \
-        inspect.signature(_branching_sum)
-
-
 def test_factor_terms_have_no_negative_b_exponent(fresh_caches):
     # b0_only's precondition: a b-exponent never falls along the recursion
     terms = 0
@@ -207,19 +224,6 @@ def test_walk_counts_equal_filling_fold_exhaustive():
                     assert count(spec) == fillings, case
                     cases += 1
     assert cases == 540
-
-
-def test_parity_and_signed_count_equal_enumeration():
-    for shape in skew_shapes(6):
-        for n in (1, 2, 3):
-            for family in ("P", "Q"):
-                total = signed = 0
-                for f in enumerate_fillings(EnumSpec(shape, n, family)):
-                    total += 1
-                    signed += -1 if (f.size() - shape.size) % 2 else 1
-                spec = FunctionSpec("G" + family, shape, n)
-                assert parity_report(spec).count == total, (str(shape), n)
-                assert _at(spec)[1] == signed, (str(shape), n)
 
 
 # Set-valued tableau sets with |lam| <= 7 and n = 4 reach 10^6 tableaux, too
@@ -387,7 +391,9 @@ def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
     # the emptiness test and the signed count, must not
     monkeypatch.setattr(involutions, "verify_involution", _no_verdict)
     with monkeypatch.context() as m:
-        m.setattr(genfunc, "_branching_sum", _tableau_sum)
+        m.setattr(genfunc, "_branching_sum",
+                  lambda *key, b0_only=False: _tableau_sum(*key).beta_slice(0)
+                  if b0_only else _tableau_sum(*key))
         m.setattr(genfunc, "_point_sum", _enumerated_point)
         want = quantities()
     fresh_caches()  # nothing cached by the enumerated pass counts
@@ -398,27 +404,6 @@ def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
     monkeypatch.setattr(genfunc, "_leaves", refuse)
     monkeypatch.setattr(enumeration, "_leaves", refuse)  # enumerate_fillings
     assert quantities() == want
-
-
-def test_point_folds_equal_specialised_compute_exhaustive():
-    # every family, empty tableau sets included: the level recursion at
-    # x = 1, b = +-1 against the polynomial evaluated there, and the special
-    # value against b -> -1/b, x_i -> b applied to the polynomial
-    cases = empty = 0
-    for shape in skew_shapes(6):
-        for n in (1, 2, 3):
-            for family in FAMILIES:
-                spec = FunctionSpec(family, shape, n)
-                poly = compute(spec)
-                case = (str(shape), n, family)
-                assert _at(spec) == (poly.eval_integers([1] * n, 1),
-                                     poly.eval_integers([1] * n, -1)), case
-                if family in K_FAMILIES:
-                    assert special_value(spec) == \
-                        poly.subst_beta_neg_inverse().subst_x_to_beta(), case
-                cases += 1
-                empty += not poly
-    assert cases == 1440 and empty == 78
 
 
 def test_strips_are_the_pairs_with_a_letter_factor():

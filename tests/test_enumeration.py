@@ -7,14 +7,12 @@ from shifted_kschur import enumeration, involutions
 from shifted_kschur.enumeration import (EnumSpec, count, enumerate_fillings,
                                         naive_oracle)
 from shifted_kschur.genfunc import FunctionSpec
-from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
+from shifted_kschur.shapes import (SkewShape, _index_table,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import entry_str, letter, validate_cells
 
-
-def sp(*parts):
-    return StrictPartition(tuple(parts))
+from conftest import sp
 
 
 def spec(lam, n, family, kind="set-valued", mu=()):

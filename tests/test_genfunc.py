@@ -5,12 +5,9 @@ from shifted_kschur.genfunc import (FunctionSpec, _at, _coproduct_guard,
                                     double_skew_shortcut, parity_report,
                                     special_value)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
-                                   strict_partitions_up_to_weight)
+from shifted_kschur.shapes import SkewShape, strict_partitions_up_to_weight
 
-
-def sp(*parts):
-    return StrictPartition(tuple(parts))
+from conftest import sp
 
 
 def fs(family, lam, n, mu=()):

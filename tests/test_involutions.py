@@ -20,12 +20,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
 from shifted_kschur.tableaux import (Filling, filling_from_rows,
                                      validate_cells)
 from tests.conftest import (TAMPERS, as_written, engine_count, has_empty_set,
-                            iota, rows)
-
-
-def sp(*parts):
-    return StrictPartition(tuple(parts))
-
+                            iota, rows, sp)
 
 REQUEST = (sp(2, 1), sp(1), 2, "P")  # the request TAMPERS spoil
 

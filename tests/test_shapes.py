@@ -9,9 +9,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 
-
-def sp(*parts):
-    return StrictPartition(tuple(parts))
+from conftest import sp
 
 
 class TestStrictPartition:

@@ -4,13 +4,12 @@ import pytest
 
 from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
 from shifted_kschur.shapes import (SkewShape, StrictPartition,
-                                   strict_partitions_up_to_weight,
-                                   strict_subpartitions)
+                                   strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import (Filling, _cells_from_rows, _check_n,
                                      cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
                                      primed, validate_cells)
-from conftest import rows
+from conftest import rows, skew_shapes
 
 
 class TestEntryCodes:
@@ -156,7 +155,7 @@ def test_validate_agrees_with_the_rules_exhaustive():
     """Every set-valued assignment on each skew shape of at most 3 boxes
     inside a strict partition of weight at most 6, n <= 2, P and Q."""
     checked = failed = 0
-    for shape in skew_shapes(6):
+    for shape in skew_shapes(6, with_empty=True):
         if shape.size > 3:
             continue
         for n in (1, 2):
@@ -283,12 +282,6 @@ class TestFillingConstruction:
             build()
 
 
-def skew_shapes(max_weight):
-    for lam in strict_partitions_up_to_weight(max_weight):
-        for mu in strict_subpartitions(lam):
-            yield SkewShape(lam, mu)
-
-
 def same(f, g):
     return f == g and f._key == g._key and hash(f) == hash(g)
 
@@ -296,7 +289,7 @@ def same(f, g):
 class TestTrustedConstruction:
     def test_enumerated_fillings_equal_checked_rebuild(self):
         built = 0
-        for shape in skew_shapes(6):
+        for shape in skew_shapes(6, with_empty=True):
             for n, family, kind in itertools.product((1, 2), "PQ", KINDS):
                 for f in enumerate_fillings(EnumSpec(shape, n, family, kind)):
                     assert same(f, Filling(f.shape, f.n, f.family, f.cells))

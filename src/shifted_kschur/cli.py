@@ -19,11 +19,12 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 
 from . import enumeration, genfunc, involutions
 from .genfunc import FunctionSpec
 from .polyring import LaurentPoly
-from .shapes import (SkewShape, StrictPartition, strict_subpartitions,
+from .shapes import (SkewShape, StrictPartition, skew_shapes,
                      strict_partitions_up_to_weight)
 from .tableaux import FAMILIES
 
@@ -109,15 +110,6 @@ def cmd_double_skew(args) -> int:
     return FAIL if result.value else PASS
 
 
-def _sweep_shapes(max_weight: int, skew: bool):
-    for lam in strict_partitions_up_to_weight(max_weight):
-        if not lam:
-            continue
-        inners = strict_subpartitions(lam) if skew else [StrictPartition(())]
-        for mu in sorted(inners, key=lambda m: m.parts):
-            yield SkewShape(lam, mu)
-
-
 def _check_sweep_options(counts: dict, time_budget: float | None = None,
                          unread: tuple = (), where: str = "") -> None:
     """Raise ValueError, before any output, for an option of ``unread``
@@ -144,18 +136,21 @@ def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _sweep(instances: list, check, deadline: float | None = None) -> int:
+def _sweep(instances: Iterable, check, deadline: float | None = None) -> int:
     """Print the line of ``check(*instance)`` for each instance in order.
 
     ``check`` returns (line, verdict); a False verdict is a failure, and
     None (an empty tableau set) is not.  With a deadline (``_deadline``)
     it is checked before each instance, and the sweep stops at the cut
-    with a line saying how many instances it covered.
+    with a line saying how many instances it covered, of all it would
+    have run: the rest of ``instances`` is counted there, and only there.
     """
     failures = 0
+    instances = iter(instances)
     for done, instance in enumerate(instances):
         if _past(deadline):
-            print(f"partial sweep: covered {done}/{len(instances)} instances")
+            total = done + 1 + sum(1 for _ in instances)
+            print(f"partial sweep: covered {done}/{total} instances")
             break
         line, verdict = check(*instance)
         print(line)
@@ -193,13 +188,14 @@ def cmd_identity(args) -> int:
             args.time_budget,
             (("--skew", args.skew), ("--max-n", args.max_n)),
             "to --check coproduct")
+        deadline = _deadline(args.time_budget)
+        # a list, as the guard pass reads it before the sweep does
         instances = [(lam, nx, ny, fam)
                      for lam in strict_partitions_up_to_weight(args.max_weight)
                      if lam
                      for fam in ("P", "Q", "GP", "GQ")]
         # each left side's size, first, by the sweep's deadline: a guard
         # pass cut short leaves no time for an unguarded instance
-        deadline = _deadline(args.time_budget)
         for lam, _, _, fam in instances:
             if _past(deadline):
                 break
@@ -211,9 +207,9 @@ def cmd_identity(args) -> int:
                          args.time_budget,
                          (("--nx", args.nx), ("--ny", args.ny)),
                          f"to --check {args.check}")
-    instances = [(shape, n)
-                 for shape in _sweep_shapes(args.max_weight, args.skew)
-                 for n in range(1, max_n + 1)]
+    instances = ((shape, n)
+                 for shape in skew_shapes(args.max_weight, args.skew)
+                 for n in range(1, max_n + 1))
     check = _beta_zero if args.check == "beta-zero" else _pq_factor
     return _sweep(instances, check, _deadline(args.time_budget))
 
@@ -236,11 +232,11 @@ def cmd_verify_involution(args) -> int:
         (("--max-weight", args.max_weight),) if args.shape else (),
         "with --shape")
     shapes = ([SkewShape.parse(args.shape)] if args.shape
-              else _sweep_shapes(max_weight, skew=True))
-    instances = [(shape, n, fam)
+              else skew_shapes(max_weight))
+    instances = ((shape, n, fam)
                  for shape in shapes
                  for n in range(1, args.max_n + 1)
-                 for fam in FAMILIES]
+                 for fam in FAMILIES)
     return _sweep(instances, _involution, _deadline(args.time_budget))
 
 
@@ -260,12 +256,12 @@ def cmd_oracle_check(args) -> int:
     if args.max_n > enumeration.ORACLE_MAX_N:  # naive_oracle refuses it
         raise ValueError(f"--max-n must be at most "
                          f"{enumeration.ORACLE_MAX_N} for the oracle")
-    instances = [(shape, n, fam, kind)
-                 for shape in _sweep_shapes(args.max_weight, skew=True)
+    instances = ((shape, n, fam, kind)
+                 for shape in skew_shapes(args.max_weight)
                  if shape.size <= enumeration.ORACLE_MAX_BOXES
                  for n in range(1, args.max_n + 1)
                  for fam in FAMILIES
-                 for kind in enumeration.KINDS]
+                 for kind in enumeration.KINDS)
     return _sweep(instances, _oracle)
 
 

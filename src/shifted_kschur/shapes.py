@@ -3,8 +3,9 @@
 Boxes are (row, col) pairs with 1-based matrix coordinates: row increases
 downward, col increases to the right.  A box (i, j) is *diagonal* iff j == i.
 A shape's rows (``row_cols``) state its boxes once; the box set and both
-box orders are read off them, and ``strict_subpartitions`` filters the one
-enumerator of strict partitions by weight.
+box orders are read off them.  ``strict_subpartitions`` walks a partition's
+rows for the strict partitions inside it, and ``skew_shapes``, the one
+statement of the sweeps' domain, reads it per outer shape.
 
 The removable-box rule is stated once, in ``_corner_rows``, as the rows
 whose last box can go, and subsets of corners are removed in one loop,
@@ -293,6 +294,26 @@ def strict_partitions_up_to_weight(l: int) -> Iterator[StrictPartition]:
 
 
 def strict_subpartitions(lam: StrictPartition) -> Iterator[StrictPartition]:
-    """Every strict mu inside lam, empty and lam included, lighter first."""
-    return (mu for mu in strict_partitions_up_to_weight(lam.weight)
-            if is_subpartition(mu, lam))
+    """Every strict mu inside lam, empty and lam included, in order of
+    parts.  The walk goes up lam's rows from the last: a mu's rows from r
+    on are none, or a part p <= lam_r ahead of rows from r + 1 whose first
+    part is below p, so each mu is made once, and in order."""
+    tails = [()]
+    for cap in reversed(lam.parts):
+        tails = [()] + [(p, *t) for p in range(1, cap + 1)
+                        for t in tails if not t or t[0] < p]
+    return map(StrictPartition, tails)
+
+
+def skew_shapes(max_weight: int, skew: bool = True,
+                with_empty: bool = False) -> Iterator[SkewShape]:
+    """Every lam/mu with 0 < |lam| <= max_weight, lam in
+    ``strict_partitions_up_to_weight``'s order and then mu in order of
+    parts: every strict mu inside lam, or only the empty mu unless skew.
+    The empty lam comes first if with_empty.  The one statement of the
+    sweeps' domain, made as it is read."""
+    for lam in strict_partitions_up_to_weight(max_weight):
+        if lam or with_empty:
+            inners = strict_subpartitions(lam) if skew else [StrictPartition()]
+            for mu in inners:
+                yield SkewShape(lam, mu)

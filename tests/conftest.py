@@ -15,9 +15,7 @@ from shifted_kschur.enumeration import KINDS, EnumSpec, naive_oracle
 from shifted_kschur.genfunc import FunctionSpec, parity_report
 from shifted_kschur.involutions import _iota_cells, minimal_tableau
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
-                                   inner_shapes,
-                                   strict_partitions_up_to_weight,
-                                   strict_subpartitions)
+                                   inner_shapes, skew_shapes)
 from shifted_kschur.tableaux import Filling, filling_from_rows
 
 
@@ -36,9 +34,8 @@ def oracle_tableaux():
     """``naive_oracle``'s tableaux, in its order, by ``EnumSpec``, computed
     once per session: every skew shape inside a strict partition of weight
     at most 7, n <= 2, P/Q, single and set-valued."""
-    specs = (EnumSpec(SkewShape(lam, mu), n, family, kind)
-             for lam in strict_partitions_up_to_weight(7)
-             for mu in strict_subpartitions(lam)
+    specs = (EnumSpec(shape, n, family, kind)
+             for shape in skew_shapes(7, with_empty=True)
              for n, family, kind in product((1, 2), "PQ", KINDS))
     return {spec: list(naive_oracle(spec)) for spec in specs}
 
@@ -117,15 +114,6 @@ def iota(T):
 
 def sp(*parts):
     return StrictPartition(tuple(parts))
-
-
-def skew_shapes(max_weight, with_empty=False):
-    """Every skew shape lam/mu with |lam| <= max_weight, mu strict inside
-    lam; the empty lam only if with_empty."""
-    return [SkewShape(lam, mu)
-            for lam in strict_partitions_up_to_weight(max_weight)
-            if lam or with_empty
-            for mu in strict_subpartitions(lam)]
 
 
 def rows(shape, n, family, spec):

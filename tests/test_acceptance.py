@@ -18,10 +18,10 @@ from shifted_kschur.genfunc import (FunctionSpec, _at, beta_zero, compute,
 from shifted_kschur.involutions import minimal_tableau, verify_involution
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
-                                   pi, strict_partitions_up_to_weight,
-                                   strict_subpartitions)
+                                   pi, skew_shapes,
+                                   strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import validate_cells
-from tests.conftest import iota, rows, skew_shapes
+from tests.conftest import iota, rows
 
 
 @contextmanager
@@ -44,14 +44,9 @@ def nonempty(shape, family, n):
     return True
 
 
-def straight_shapes(max_weight):
-    return [SkewShape(lam)
-            for lam in strict_partitions_up_to_weight(max_weight) if lam]
-
-
 def test_criterion_1_special_values_straight():
     with report(1, "straight special values"):
-        for shape in straight_shapes(6):
+        for shape in skew_shapes(6, skew=False):
             for n in range(1, 5):
                 want = LaurentPoly.beta(n, shape.size)
                 for fam in ("GP", "GQ"):
@@ -86,13 +81,9 @@ def test_criterion_3_parity():
 
 def test_criterion_4_double_skew_vanishing():
     with report(4, "shortcut vanishing and the 8-term expansion"):
-        for mu in strict_partitions_up_to_weight(8):
-            if not mu:
-                continue
-            for lam_w in range(mu.weight, 9):
-                for lam in strict_partitions_up_to_weight(lam_w):
-                    if lam and mu in strict_subpartitions(lam):
-                        assert not double_skew_shortcut(lam, mu).value
+        for shape in skew_shapes(8):
+            if shape.inner:
+                assert not double_skew_shortcut(shape.outer, shape.inner).value
         res = double_skew_shortcut(StrictPartition((9, 8, 6, 4)),
                                    StrictPartition((7, 5, 4, 2)))
         assert not res.value and len(res.terms) == 8
@@ -106,30 +97,27 @@ def test_criterion_4_double_skew_vanishing():
 
 def test_criterion_5_full_vs_shortcut():
     with report(5, "tableau-level double-skew agrees with shortcut"):
-        for lam in strict_partitions_up_to_weight(5):
-            if not lam:
+        for shape in skew_shapes(5):
+            lam, mu = shape.outer, shape.inner
+            if not mu:
                 continue
-            for mu in strict_subpartitions(lam):
-                if not mu:
+            res = double_skew_shortcut(lam, mu)
+            assert not res.value
+            nus = [t.nu for t in res.terms]
+            for n, fam in itertools.product(range(1, 4),
+                                            ("GPdouble", "GQdouble")):
+                # cancellation needs every shape in the expansion to
+                # carry at least one tableau
+                if not all(nonempty(SkewShape(lam, nu), fam[1], n)
+                           for nu in nus):
                     continue
-                res = double_skew_shortcut(lam, mu)
-                assert not res.value
-                nus = [t.nu for t in res.terms]
-                for n, fam in itertools.product(range(1, 4),
-                                                ("GPdouble", "GQdouble")):
-                    # cancellation needs every shape in the expansion to
-                    # carry at least one tableau
-                    if not all(nonempty(SkewShape(lam, nu), fam[1], n)
-                               for nu in nus):
-                        continue
-                    shape = SkewShape(lam, mu)
-                    got = special_value(FunctionSpec(fam, shape, n))
-                    assert not got, (lam, mu, fam, n)
+                got = special_value(FunctionSpec(fam, shape, n))
+                assert not got, (lam, mu, fam, n)
 
 
 def test_criterion_6_structural_identities():
     with report(6, "beta=0 reduction and the 2^length factor"):
-        for shape in straight_shapes(6):
+        for shape in skew_shapes(6, skew=False):
             for n in range(1, 5):
                 p = compute(FunctionSpec("P", shape, n))
                 q = compute(FunctionSpec("Q", shape, n))

@@ -12,9 +12,7 @@ from shifted_kschur.enumeration import EnumSpec
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
                                         read_certificate, write_certificate)
 from shifted_kschur.polyring import LaurentPoly
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
-                                   strict_partitions_up_to_weight,
-                                   strict_subpartitions)
+from shifted_kschur.shapes import StrictPartition, skew_shapes
 from tests.conftest import LARGE_PAIR, TAMPERS, as_written, has_empty_set
 
 
@@ -135,17 +133,15 @@ class TestEnumerate:
         # inside a strict partition of weight at most 5, n <= 3, P/Q,
         # single and set-valued
         cases = 0
-        for lam in strict_partitions_up_to_weight(5):
-            for mu in strict_subpartitions(lam):
-                shape = SkewShape(lam, mu)
-                for n, family, kind in product((1, 2, 3), "PQ",
-                                               enumeration.KINDS):
-                    walk = enumeration.count(EnumSpec(shape, n, family, kind))
-                    assert run(capsys, "enumerate", "--shape", str(shape),
-                               "--family", family, "-n", str(n), "--kind",
-                               kind, "--count-only") == \
-                        (0, f"{walk}\n", ""), (str(shape), n, family, kind)
-                    cases += 1
+        for shape in skew_shapes(5, with_empty=True):
+            for n, family, kind in product((1, 2, 3), "PQ",
+                                           enumeration.KINDS):
+                walk = enumeration.count(EnumSpec(shape, n, family, kind))
+                assert run(capsys, "enumerate", "--shape", str(shape),
+                           "--family", family, "-n", str(n), "--kind",
+                           kind, "--count-only") == \
+                    (0, f"{walk}\n", ""), (str(shape), n, family, kind)
+                cases += 1
         assert cases == 552
 
     def test_count_only_never_walks(self, capsys, monkeypatch):
@@ -286,13 +282,21 @@ class TestIdentity:
         code, _, _ = run(capsys, "identity", "--check", "nonsense")
         assert code == 2
 
-    @pytest.mark.parametrize("check,total", [
-        ("beta-zero", 18), ("coproduct", 24)])
-    def test_budget_cut_reported(self, capsys, check, total):
-        code, out, _ = run(capsys, "identity", "--check", check,
-                           "--time-budget", "0")
+    # N in "covered 0/N" is the number of lines the sweep prints uncut
+    @pytest.mark.parametrize("options,total", [
+        (("--check", "beta-zero"), 18),
+        (("--check", "coproduct"), 24),
+        (("--check", "pq-factor", "--skew", "--max-n", "2"), 48),
+        (("--check", "beta-zero", "--skew", "--max-weight", "5"), 135),
+        (("--check", "coproduct", "--max-weight", "5", "--nx", "1"), 36),
+    ], ids=("beta-zero-18", "coproduct-24", "pq-factor-skew",
+            "beta-zero-skew", "coproduct-nx1"))
+    def test_budget_cut_reported(self, capsys, options, total):
+        code, out, _ = run(capsys, "identity", *options, "--time-budget", "0")
         assert (code, out) == (
             0, f"partial sweep: covered 0/{total} instances\n")
+        code, out, _ = run(capsys, "identity", *options)
+        assert code == 0 and len(out.splitlines()) == total
 
     def test_failing_check_fails_the_sweep(self, capsys, monkeypatch):
         monkeypatch.setattr(genfunc, "beta_zero",
@@ -327,9 +331,33 @@ class TestVerifyInvolution:
             "shape=2,1 family=P n=1 empty", "shape=2,1 family=Q n=1 empty"]
 
     def test_budget_cut_reported(self, capsys):
-        code, out, _ = run(capsys, "verify-involution", "--max-weight", "3",
-                           "--max-n", "1", "--time-budget", "0")
-        assert code == 0 and out == "partial sweep: covered 0/26 instances\n"
+        # N in "covered 0/N" is the number of lines the sweep prints uncut
+        argv = ("verify-involution", "--max-weight", "3", "--max-n", "2")
+        code, out, _ = run(capsys, *argv, "--time-budget", "0")
+        assert code == 0 and out == "partial sweep: covered 0/52 instances\n"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == 52
+
+
+@pytest.mark.parametrize("argv", [
+    ("identity", "--check", "beta-zero", "--skew"), ("verify-involution",)],
+    ids=("beta-zero-skew", "verify-involution"))
+def test_zero_budget_sweep_holds_no_instance_list(capsys, argv):
+    # instances are made as the sweep reads them, and a cut counts the
+    # rest without keeping them: at weight 16 (18,357 and 24,476
+    # instances) the peak was about 20 KB on CPython 3.11, where the lists
+    # of them took 2.6 and 3.2 MB
+    run(capsys, *argv, "--max-weight", "3", "--time-budget", "0")  # warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv, "--max-weight", "16",
+                           "--time-budget", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("partial sweep: covered 0/")
+    assert peak < 64_000
 
 
 class TestOracleCheck:
@@ -477,13 +505,12 @@ LAYOUTS = [{"indent": k, "sort_keys": True} for k in (None, 0, 2)] + [
 
 
 def _pair_cases(max_weight, max_n):
-    for lam in strict_partitions_up_to_weight(max_weight):
-        for mu in strict_subpartitions(lam):
-            if not mu:
-                continue
-            for family in ("P", "Q"):
-                for n in range(1, max_n + 1):
-                    yield lam, mu, family, n
+    for shape in skew_shapes(max_weight):
+        if not shape.inner:
+            continue
+        for family in ("P", "Q"):
+            for n in range(1, max_n + 1):
+                yield shape.outer, shape.inner, family, n
 
 
 class TestPair:

@@ -7,9 +7,8 @@ from shifted_kschur import enumeration, involutions
 from shifted_kschur.enumeration import (EnumSpec, count, enumerate_fillings,
                                         naive_oracle)
 from shifted_kschur.genfunc import FunctionSpec
-from shifted_kschur.shapes import (SkewShape, _index_table,
-                                   strict_partitions_up_to_weight,
-                                   strict_subpartitions)
+from shifted_kschur.shapes import (SkewShape, _index_table, skew_shapes,
+                                   strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import entry_str, letter, validate_cells
 
 from conftest import sp
@@ -96,24 +95,22 @@ class TestOracleEquivalence:
         # on every shape of at most 4 boxes inside a strict partition of
         # weight at most 5
         shapes = 0
-        for lam in strict_partitions_up_to_weight(5):
-            for mu in strict_subpartitions(lam):
-                shape = SkewShape(lam, mu)
-                if shape.size > 4:
-                    continue
-                shapes += 1
-                for n, family, kind in product((1, 2), "PQ",
-                                               enumeration.KINDS):
-                    codes = range(1, 2 * n + 1)
-                    sizes = (1,) if kind == "single" else codes
-                    pool = sorted(c for k in sizes
-                                  for c in combinations(codes, k))
-                    want = [cells for cells in product(pool,
-                                                       repeat=shape.size)
-                            if validate_cells(shape, family, cells) is None]
-                    got = naive_oracle(EnumSpec(shape, n, family, kind))
-                    assert [T.cells for T in got] == want, \
-                        (str(shape), n, family, kind)
+        for shape in skew_shapes(5, with_empty=True):
+            if shape.size > 4:
+                continue
+            shapes += 1
+            for n, family, kind in product((1, 2), "PQ",
+                                           enumeration.KINDS):
+                codes = range(1, 2 * n + 1)
+                sizes = (1,) if kind == "single" else codes
+                pool = sorted(c for k in sizes
+                              for c in combinations(codes, k))
+                want = [cells for cells in product(pool,
+                                                   repeat=shape.size)
+                        if validate_cells(shape, family, cells) is None]
+                got = naive_oracle(EnumSpec(shape, n, family, kind))
+                assert [T.cells for T in got] == want, \
+                    (str(shape), n, family, kind)
         assert shapes == 43
 
     def test_oracle_guard(self):
@@ -128,18 +125,14 @@ class TestInvariants:
     def test_single_valued_is_minimum_size_slice(self):
         # Every |T| = #boxes set-valued filling is single-valued and the
         # single-valued enumeration is exactly that slice.
-        for lam in strict_partitions_up_to_weight(5):
-            if not lam:
-                continue
-            for mu in strict_subpartitions(lam):
-                shape = SkewShape(lam, mu)
-                for family in ("P", "Q"):
-                    full = EnumSpec(shape, 2, family, "set-valued")
-                    single = EnumSpec(shape, 2, family, "single")
-                    slice_ = {f._key for f in enumerate_fillings(full)
-                              if f.size() == shape.size}
-                    assert slice_ == \
-                        {f._key for f in enumerate_fillings(single)}
+        for shape in skew_shapes(5):
+            for family in ("P", "Q"):
+                full = EnumSpec(shape, 2, family, "set-valued")
+                single = EnumSpec(shape, 2, family, "single")
+                slice_ = {f._key for f in enumerate_fillings(full)
+                          if f.size() == shape.size}
+                assert slice_ == \
+                    {f._key for f in enumerate_fillings(single)}
 
     def test_deterministic_byte_identical(self):
         s = spec((3, 1), 2, "Q")
@@ -219,17 +212,15 @@ def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_candidate_cells", checked)
     monkeypatch.setattr(involutions, "_candidate_cells", checked)
-    for lam in strict_partitions_up_to_weight(5):
-        for mu in strict_subpartitions(lam):
-            shape = SkewShape(lam, mu)
-            for n in (1, 2, 3):
-                for family in ("P", "Q"):
-                    specs = [EnumSpec(shape, n, family, kind)
-                             for kind in enumeration.KINDS]
-                    for s in specs:
-                        count(s)
-                    if count(specs[0]):
-                        involutions.minimal_tableau(shape, family, n)
+    for shape in skew_shapes(5, with_empty=True):
+        for n in (1, 2, 3):
+            for family in ("P", "Q"):
+                specs = [EnumSpec(shape, n, family, kind)
+                         for kind in enumeration.KINDS]
+                for s in specs:
+                    count(s)
+                if count(specs[0]):
+                    involutions.minimal_tableau(shape, family, n)
     assert nodes == 35326
 
 
@@ -238,17 +229,15 @@ def test_leaves_in_oracle_order(oracle_tableaux):
     # each with its weight and |T|: every skew shape inside a strict
     # partition of weight at most 7, n <= 2, P/Q, single and set-valued
     leaves = 0
-    for lam in strict_partitions_up_to_weight(7):
-        for mu in strict_subpartitions(lam):
-            shape = SkewShape(lam, mu)
-            for n, family, kind in product((1, 2), "PQ", enumeration.KINDS):
-                s = EnumSpec(shape, n, family, kind)
-                got = [(tuple(cells), tuple(counts), size)
-                       for cells, counts, size in enumeration._leaves(s)]
-                want = [(T.cells, T.weight(), T.size())
-                        for T in oracle_tableaux[s]]
-                assert got == want, (str(shape), n, family, kind)
-                leaves += len(got)
+    for shape in skew_shapes(7, with_empty=True):
+        for n, family, kind in product((1, 2), "PQ", enumeration.KINDS):
+            s = EnumSpec(shape, n, family, kind)
+            got = [(tuple(cells), tuple(counts), size)
+                   for cells, counts, size in enumeration._leaves(s)]
+            want = [(T.cells, T.weight(), T.size())
+                    for T in oracle_tableaux[s]]
+            assert got == want, (str(shape), n, family, kind)
+            leaves += len(got)
     assert leaves == 29537
 
 

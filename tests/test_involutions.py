@@ -15,8 +15,8 @@ from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
                                         read_certificate, verify_involution,
                                         write_certificate)
 from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
-                                   pi, strict_partitions_up_to_weight,
-                                   strict_subpartitions)
+                                   pi, skew_shapes,
+                                   strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import (Filling, filling_from_rows,
                                      validate_cells)
 from tests.conftest import (TAMPERS, as_written, engine_count, has_empty_set,
@@ -54,37 +54,33 @@ class TestMinimalTableau:
         # the greedy fill is the first enumerated single-valued tableau,
         # and it fails exactly when there is none
         cases = 0
-        for lam in strict_partitions_up_to_weight(7):
-            for mu in strict_subpartitions(lam):
-                shape = SkewShape(lam, mu)
-                for family, n in itertools.product("PQ", (1, 2, 3)):
-                    spec = EnumSpec(shape, n, family, "single")
-                    first = next(iter(enumerate_fillings(spec)), None)
-                    try:
-                        tmin = minimal_tableau(shape, family, n)
-                    except ValueError:
-                        assert first is None, (lam, mu, family, n)
-                        continue
-                    assert tmin == first, (lam, mu, family, n)
-                    cases += 1
+        for shape in skew_shapes(7, with_empty=True):
+            for family, n in itertools.product("PQ", (1, 2, 3)):
+                spec = EnumSpec(shape, n, family, "single")
+                first = next(iter(enumerate_fillings(spec)), None)
+                try:
+                    tmin = minimal_tableau(shape, family, n)
+                except ValueError:
+                    assert first is None, (str(shape), family, n)
+                    continue
+                assert tmin == first, (str(shape), family, n)
+                cases += 1
         assert cases > 700
         # it also achieves the minimum total entry value among all of them
-        for lam in strict_partitions_up_to_weight(5):
-            for mu in strict_subpartitions(lam):
-                shape = SkewShape(lam, mu)
-                for family, n in itertools.product("PQ", (1, 2)):
-                    spec = EnumSpec(shape, n, family, "single")
-                    singles = list(enumerate_fillings(spec))
-                    try:
-                        tmin = minimal_tableau(shape, family, n)
-                    except ValueError:
-                        assert not singles, (lam, mu, family, n)
-                        continue
-                    assert singles, (lam, mu, family, n)
-                    def total(t):
-                        return sum(sum((e + 1) // 2 for e in cell)
-                                   for cell in t.cells)
-                    assert total(tmin) == min(total(t) for t in singles)
+        for shape in skew_shapes(5, with_empty=True):
+            for family, n in itertools.product("PQ", (1, 2)):
+                spec = EnumSpec(shape, n, family, "single")
+                singles = list(enumerate_fillings(spec))
+                try:
+                    tmin = minimal_tableau(shape, family, n)
+                except ValueError:
+                    assert not singles, (str(shape), family, n)
+                    continue
+                assert singles, (str(shape), family, n)
+                def total(t):
+                    return sum(sum((e + 1) // 2 for e in cell)
+                               for cell in t.cells)
+                assert total(tmin) == min(total(t) for t in singles)
 
     def test_empty_staircase_fails_without_search(self):
         # ten diagonal boxes need ten unprimed letters; the greedy walk
@@ -540,29 +536,29 @@ class TestCheckCertificate:
 
     def test_agrees_with_covers_oracle(self):
         checked = 0
-        for lam in strict_partitions_up_to_weight(5):
-            for mu in strict_subpartitions(lam):
-                if not mu:
+        for shape in skew_shapes(5):
+            lam, mu = shape.outer, shape.inner
+            if not mu:
+                continue
+            for family, n in itertools.product("PQ", (1, 2)):
+                request = (lam, mu, n, family)
+                if has_empty_set(lam, mu, family, n):
+                    with pytest.raises(ValueError,
+                                       match="empty tableau set"):
+                        pairing_certificate(*request)
                     continue
-                for family, n in itertools.product("PQ", (1, 2)):
-                    request = (lam, mu, n, family)
-                    if has_empty_set(lam, mu, family, n):
-                        with pytest.raises(ValueError,
-                                           match="empty tableau set"):
-                            pairing_certificate(*request)
-                        continue
-                    cert = pairing_certificate(*request)
-                    elements = _family_elements(lam, mu, n, family)
-                    case = (str(lam), str(mu), family, n)
-                    check = certificate_checker(*request)
-                    assert check(cert.to_json()) == (True, None), case
-                    doc = _roundtrip(cert)
-                    assert check(doc) == (True, None), case
-                    assert certificate_covers(doc, elements)[0], case
-                    doc["pairs"].pop()
-                    assert not check(doc)[0], case
-                    assert not certificate_covers(doc, elements)[0], case
-                    checked += 1
+                cert = pairing_certificate(*request)
+                elements = _family_elements(lam, mu, n, family)
+                case = (str(lam), str(mu), family, n)
+                check = certificate_checker(*request)
+                assert check(cert.to_json()) == (True, None), case
+                doc = _roundtrip(cert)
+                assert check(doc) == (True, None), case
+                assert certificate_covers(doc, elements)[0], case
+                doc["pairs"].pop()
+                assert not check(doc)[0], case
+                assert not certificate_covers(doc, elements)[0], case
+                checked += 1
         assert checked > 100
 
 
@@ -582,23 +578,23 @@ def _texts(cert, tampered: bool = False) -> Iterator[str]:
 def test_reader_agrees_with_json_loads():
     # the TAMPERS edits are made to the certificate they are written for
     checked = 0
-    for lam in strict_partitions_up_to_weight(4):
-        for mu in strict_subpartitions(lam):
-            for family, n, minimal_only in itertools.product(
-                    "PQ", (1, 2), (False, True)):
-                request = (lam, mu, n, family, minimal_only)
-                if not mu or has_empty_set(lam, mu, family, n):
-                    continue
-                check = certificate_checker(*request)
-                tampered = request == REQUEST + (False,)
-                for text in _texts(pairing_certificate(*request), tampered):
-                    case = (str(lam), str(mu), family, n, minimal_only, text)
-                    assert check(read_certificate(io.StringIO(text))) == \
-                        check(json.loads(text)), case
-                    doc = read_certificate(io.StringIO(text))
-                    doc["pairs"] = list(doc["pairs"])
-                    assert doc == json.loads(text), case
-                    checked += 1
+    for shape in skew_shapes(4):
+        lam, mu = shape.outer, shape.inner
+        for family, n, minimal_only in itertools.product(
+                "PQ", (1, 2), (False, True)):
+            request = (lam, mu, n, family, minimal_only)
+            if not mu or has_empty_set(lam, mu, family, n):
+                continue
+            check = certificate_checker(*request)
+            tampered = request == REQUEST + (False,)
+            for text in _texts(pairing_certificate(*request), tampered):
+                case = (str(lam), str(mu), family, n, minimal_only, text)
+                assert check(read_certificate(io.StringIO(text))) == \
+                    check(json.loads(text)), case
+                doc = read_certificate(io.StringIO(text))
+                doc["pairs"] = list(doc["pairs"])
+                assert doc == json.loads(text), case
+                checked += 1
     assert checked == 136 + len(TAMPERS)
 
 
@@ -644,35 +640,34 @@ def test_trusted_images_equal_checked_rebuild():
     enumerator's leaves, minimal_tableau, iota, filling_from_rows,
     with_cell, and both sides of every pair of a certificate."""
     images = sides = 0
-    for lam in strict_partitions_up_to_weight(6):
-        for mu in strict_subpartitions(lam):
-            shape = SkewShape(lam, mu)
-            for n, family in itertools.product((1, 2), "PQ"):
-                if not engine_count(shape, family, n):
-                    with pytest.raises(ValueError, match="empty tableau set"):
-                        minimal_tableau(shape, family, n)
+    for shape in skew_shapes(6, with_empty=True):
+        lam, mu = shape.outer, shape.inner
+        for n, family in itertools.product((1, 2), "PQ"):
+            if not engine_count(shape, family, n):
+                with pytest.raises(ValueError, match="empty tableau set"):
+                    minimal_tableau(shape, family, n)
+                continue
+            tmin = minimal_tableau(shape, family, n)
+            _equals_checked_rebuild(tmin)
+            spec = EnumSpec(shape, n, family, "set-valued")
+            for k, T in enumerate(enumerate_fillings(spec)):
+                _equals_checked_rebuild(T)
+                _equals_checked_rebuild(filling_from_rows(
+                    shape, n, family, T.to_json()["rows"]))
+                if shape.size:  # a box, in turn, takes tmin's cell
+                    k %= shape.size
+                    _equals_checked_rebuild(T.with_cell(
+                        shape.row_major[k], tmin.cells[k]))
+                if T == tmin:
                     continue
-                tmin = minimal_tableau(shape, family, n)
-                _equals_checked_rebuild(tmin)
-                spec = EnumSpec(shape, n, family, "set-valued")
-                for k, T in enumerate(enumerate_fillings(spec)):
-                    _equals_checked_rebuild(T)
-                    _equals_checked_rebuild(filling_from_rows(
-                        shape, n, family, T.to_json()["rows"]))
-                    if shape.size:  # a box, in turn, takes tmin's cell
-                        k %= shape.size
-                        _equals_checked_rebuild(T.with_cell(
-                            shape.row_major[k], tmin.cells[k]))
-                    if T == tmin:
-                        continue
-                    image = iota(T)
-                    _equals_checked_rebuild(image)
-                    assert validate_cells(shape, family, image.cells) is None
-                    images += 1
-                if mu and not has_empty_set(lam, mu, family, n):
-                    cert = pairing_certificate(lam, mu, n, family)
-                    for pair in cert.pairs:
-                        _equals_checked_rebuild(pair.left)
-                        _equals_checked_rebuild(pair.right)
-                        sides += 2
+                image = iota(T)
+                _equals_checked_rebuild(image)
+                assert validate_cells(shape, family, image.cells) is None
+                images += 1
+            if mu and not has_empty_set(lam, mu, family, n):
+                cert = pairing_certificate(lam, mu, n, family)
+                for pair in cert.pairs:
+                    _equals_checked_rebuild(pair.left)
+                    _equals_checked_rebuild(pair.right)
+                    sides += 2
     assert images > 4000 and sides > 4000

@@ -4,31 +4,47 @@ and the row's check must fail against the copy.
 This is mutation testing (DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978) with the stdlib.  A row names the
 module, an exact text of its source, the text's replacement and the one
-function taken from the edited copy.  The text must occur exactly once, so a
-refactor that moves the rule fails here and must update the row.  An
-equivalent mutant, one that changes no result, is listed with its reason,
-and its check must pass.
+function taken from the edited copy, which is swapped in wherever the
+package binds it.  The text must occur exactly once, so a refactor that
+moves the rule fails here and must update the row.  A mutant whose check
+passes is listed with the reason it survives, and its check must pass: an
+equivalent mutant, which changes no result, or one that only bytes catch.
 """
 
 import inspect
+import sys
 import types
 from typing import Callable, NamedTuple
 
 import pytest
 
-from shifted_kschur import genfunc
+from shifted_kschur import genfunc, involutions, shapes
+from shifted_kschur.shapes import skew_shapes
 
-from conftest import skew_shapes
-from test_branching import definition_sweep
+from conftest import engine_count
+from test_branching import definition_sweep, strips_against_letter_factor
+from test_shapes import subpartitions_against_brute_force
 
 
 def engine_against_walk():
     """The definition sweep on every lam/mu with 0 < |lam| <= 5, n <= 3, P
     and Q; it stops at its first mismatch."""
-    shapes = skew_shapes(5)
+    domain = list(skew_shapes(5))
     for n in (1, 2, 3):
         for family in ("P", "Q"):
-            definition_sweep(n, family, shapes)
+            definition_sweep(n, family, domain)
+
+
+def involution_holds():
+    """``verify_involution`` on every nonempty tableau set of a lam/mu with
+    0 < |lam| <= 5, n <= 2, P and Q: no violation.  It stops at its first
+    violation."""
+    for shape in skew_shapes(5):
+        for n in (1, 2):
+            for family in ("P", "Q"):
+                if engine_count(shape, family, n):
+                    _, faults = involutions.verify_involution(shape, family, n)
+                    assert not faults, (str(shape), family, n, faults[:1])
 
 
 class Mutant(NamedTuple):
@@ -38,7 +54,7 @@ class Mutant(NamedTuple):
     text: str
     replacement: str
     check: Callable[[], None]
-    equivalent: str = ""  # why the mutant changes no result
+    survives: str = ""  # why the check passes against the mutant
 
 
 MUTANTS = [
@@ -63,8 +79,41 @@ MUTANTS = [
            "                if not left:\n"
            "                    missing = 0  # the bound's division guarded",
            engine_against_walk,
-           equivalent="only lam is read from the last level, so the terms "
-                      "kept at a nu one box short of it are never read"),
+           survives="equivalent: only lam is read from the last level, so "
+                    "the terms kept at a nu one box short of it are never "
+                    "read"),
+    # the walk's bounds: mu_r <= lam_r, parts strictly decreasing, and the
+    # order of parts (t[0] <= p makes (1, 1), which StrictPartition refuses
+    # with a ValueError before any check reads it)
+    Mutant("subpartition-rows-short-of-lam", shapes, "strict_subpartitions",
+           "range(1, cap + 1)", "range(1, cap)",
+           subpartitions_against_brute_force),
+    Mutant("subpartition-parts-two-apart", shapes, "strict_subpartitions",
+           "t[0] < p", "t[0] < p - 1", subpartitions_against_brute_force),
+    Mutant("subpartitions-longest-row-first", shapes, "strict_subpartitions",
+           "range(1, cap + 1)", "range(cap, 0, -1)",
+           subpartitions_against_brute_force),
+    Mutant("strips-grow-every-row", shapes, "_strips_above",
+           "lo = rho[r] if", "lo = rho[r] + 1 if", engine_against_walk),
+    # nu_r <= rho_(r-1) dropped: the extra nu have row r - 1 with w > p,
+    # where _letter_factor is 0, so the engine's results do not change; the
+    # strips against the nonzero factors catch it
+    Mutant("strips-past-the-row-above", shapes, "_strips_above",
+           "min(lam[r], rho[r - 1])", "lam[r]",
+           strips_against_letter_factor),
+    Mutant("corner-rows-two-longer", shapes, "_corner_rows",
+           "p - 1 > parts[r + 1]", "p - 2 > parts[r + 1]",
+           engine_against_walk),
+    Mutant("iota-in-row-major-order", involutions, "_iota_pairs",
+           "order = _index_table(shape.outer.parts, shape.inner.parts)"
+           ".col_order", "order = range(len(tmin.cells))",
+           involution_holds,
+           survives="caught only by bytes: iota taking the first difference "
+                    "in row-major order also pairs every tableau (all 770 "
+                    "instances with |lam| <= 7, n <= 3), and only the "
+                    "certificate digests pin col_order; whether the pairing "
+                    "holds for either order in general is a question for "
+                    "the paper's proof"),
 ]
 
 
@@ -76,10 +125,14 @@ def test_mutant(mutant, monkeypatch, fresh_caches):
     copy.__package__ = mutant.module.__package__
     exec(compile(source.replace(mutant.text, mutant.replacement),
                  mutant.module.__file__, "exec"), vars(copy))
-    monkeypatch.setattr(mutant.module, mutant.function,
-                        getattr(copy, mutant.function))
+    original = getattr(mutant.module, mutant.function)
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "shifted_kschur"
+                and vars(module).get(mutant.function) is original):
+            monkeypatch.setattr(module, mutant.function,
+                                getattr(copy, mutant.function))
     fresh_caches()  # nothing the unbroken module cached is read back
-    if mutant.equivalent:
+    if mutant.survives:
         mutant.check()
     else:
         with pytest.raises(AssertionError):

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+from shifted_kschur import shapes
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
                                    _index_table, _parse_skew, inner_shapes,
-                                   is_subpartition,
+                                   is_subpartition, skew_shapes,
                                    strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
@@ -77,9 +78,7 @@ class TestSkewShape:
 
     def test_parse_roundtrip(self):
         # what str prints parses back, the empty partition's "-" included
-        shapes = [SkewShape(lam, mu)
-                  for lam in strict_partitions_up_to_weight(6)
-                  for mu in strict_subpartitions(lam)]
+        shapes = list(skew_shapes(6, with_empty=True))
         assert SkewShape(sp()) in shapes and len(shapes) == 81
         for sh in shapes:
             assert StrictPartition.parse(str(sh.outer)) == sh.outer
@@ -165,46 +164,43 @@ class TestBoxOrder:
     def test_cached_orders(self):
         # against the definition, the boxes (i, j) with
         # mu_i + i <= j < lam_i + i, and against sorts of the box set
-        for lam in strict_partitions_up_to_weight(10):
-            for mu in strict_subpartitions(lam):
-                sh = SkewShape(lam, mu)
-                explicit = [(i, j) for i in range(1, lam.length + 1)
-                            for j in range(mu.part(i) + i, lam.part(i) + i)]
-                assert sh.boxes == frozenset(explicit)
-                assert sh.row_major == tuple(explicit) \
-                    == tuple(sorted(sh.boxes))
-                assert sh.col_major == tuple(
-                    sorted(explicit, key=lambda b: (b[1], b[0]))) \
-                    == tuple(sorted(sh.boxes, key=lambda b: (b[1], b[0])))
-                assert len(sh.rows) == lam.length
-                for i, row in enumerate(sh.rows, start=1):
-                    assert row == tuple(b for b in explicit if b[0] == i)
+        for sh in skew_shapes(10, with_empty=True):
+            lam, mu = sh.outer, sh.inner
+            explicit = [(i, j) for i in range(1, lam.length + 1)
+                        for j in range(mu.part(i) + i, lam.part(i) + i)]
+            assert sh.boxes == frozenset(explicit)
+            assert sh.row_major == tuple(explicit) \
+                == tuple(sorted(sh.boxes))
+            assert sh.col_major == tuple(
+                sorted(explicit, key=lambda b: (b[1], b[0]))) \
+                == tuple(sorted(sh.boxes, key=lambda b: (b[1], b[0])))
+            assert len(sh.rows) == lam.length
+            for i, row in enumerate(sh.rows, start=1):
+                assert row == tuple(b for b in explicit if b[0] == i)
 
     def test_index_table(self):
         # every entry against the shape's own box orders, |lam| <= 6
-        for lam in strict_partitions_up_to_weight(6):
-            for mu in strict_subpartitions(lam):
-                sh = SkewShape(lam, mu)
-                boxes = sh.row_major
-                t = _index_table(lam.parts, mu.parts)
-                assert t.boxes == boxes
-                assert t.rows == tuple(i for i, _ in boxes)
-                assert t.cols == tuple(j for _, j in boxes)
-                for k, (i, j) in enumerate(boxes):
-                    left = (i, j - 1)
-                    assert t.left[k] == (boxes.index(left)
-                                         if left in sh.boxes else -1)
-                    top = (i - 1, j)
-                    assert t.top[k] == (boxes.index(top)
-                                        if top in sh.boxes else -1)
-                assert t.pairs == tuple(
-                    (boxes.index(a), boxes.index(b)) for a in boxes
-                    for b in ((a[0], a[1] + 1), (a[0] + 1, a[1]))
-                    if b in sh.boxes)
-                assert t.diagonal == tuple(
-                    k for k, (i, j) in enumerate(boxes) if i == j)
-                assert tuple(boxes[k] for k in t.col_order) == sh.col_major
-                assert sorted(t.col_order) == list(range(len(boxes)))
+        for sh in skew_shapes(6, with_empty=True):
+            boxes = sh.row_major
+            t = _index_table(sh.outer.parts, sh.inner.parts)
+            assert t.boxes == boxes
+            assert t.rows == tuple(i for i, _ in boxes)
+            assert t.cols == tuple(j for _, j in boxes)
+            for k, (i, j) in enumerate(boxes):
+                left = (i, j - 1)
+                assert t.left[k] == (boxes.index(left)
+                                     if left in sh.boxes else -1)
+                top = (i - 1, j)
+                assert t.top[k] == (boxes.index(top)
+                                    if top in sh.boxes else -1)
+            assert t.pairs == tuple(
+                (boxes.index(a), boxes.index(b)) for a in boxes
+                for b in ((a[0], a[1] + 1), (a[0] + 1, a[1]))
+                if b in sh.boxes)
+            assert t.diagonal == tuple(
+                k for k, (i, j) in enumerate(boxes) if i == j)
+            assert tuple(boxes[k] for k in t.col_order) == sh.col_major
+            assert sorted(t.col_order) == list(range(len(boxes)))
 
     def test_total_order_is_permutation(self):
         for lam in strict_partitions_up_to_weight(8):
@@ -297,12 +293,10 @@ class TestSubpartition:
         assert not is_subpartition(sp(5), sp(4, 2, 1))
 
     def test_box_set_difference(self):
-        for lam in strict_partitions_up_to_weight(8):
-            for mu in strict_subpartitions(lam):
-                skew = SkewShape(lam, mu)
-                assert skew.boxes == \
-                    SkewShape(lam).boxes - SkewShape(mu).boxes
-                assert skew.size == lam.weight - mu.weight
+        for skew in skew_shapes(8, with_empty=True):
+            assert skew.boxes == \
+                SkewShape(skew.outer).boxes - SkewShape(skew.inner).boxes
+            assert skew.size == skew.outer.weight - skew.inner.weight
 
     def test_box_count_equals_weight(self):
         for lam in strict_partitions_up_to_weight(8):
@@ -316,14 +310,21 @@ def test_partition_generators():
     assert subs == {(), (1,), (2,), (3,), (2, 1), (3, 1)}
 
 
+def subpartitions_against_brute_force(max_weight=12):
+    """``strict_subpartitions`` on every |lam| <= max_weight against brute
+    force: every tuple with part i <= lam_i, strictly decreasing down to
+    its first 0 and 0 from there on, each once and in order of parts.  It
+    is read through ``shapes``, so a function swapped there is the one
+    checked; it stops at its first mismatch."""
+    for lam in strict_partitions_up_to_weight(max_weight):
+        subs = [mu.parts for mu in shapes.strict_subpartitions(lam)]
+        brute = sorted({tuple(p for p in t if p)
+                        for t in itertools.product(*(range(l + 1)
+                                                     for l in lam.parts))
+                        if all(a > b or a == b == 0
+                               for a, b in zip(t, t[1:]))})
+        assert subs == brute, lam
+
+
 def test_strict_subpartitions_are_distinct_and_complete():
-    # brute force: every tuple with part i <= lam_i, strictly decreasing
-    # down to its first 0 and 0 from there on
-    for lam in strict_partitions_up_to_weight(12):
-        subs = [mu.parts for mu in strict_subpartitions(lam)]
-        assert len(subs) == len(set(subs)), lam
-        brute = {tuple(p for p in t if p)
-                 for t in itertools.product(*(range(l + 1)
-                                              for l in lam.parts))
-                 if all(a > b or a == b == 0 for a, b in zip(t, t[1:]))}
-        assert set(subs) == brute, lam
+    subpartitions_against_brute_force()

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
-from shifted_kschur.shapes import (SkewShape, StrictPartition,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, skew_shapes,
                                    strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import (Filling, _cells_from_rows, _check_n,
                                      cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
                                      primed, validate_cells)
-from conftest import rows, skew_shapes
+from conftest import rows
 
 
 class TestEntryCodes:

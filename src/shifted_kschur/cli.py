@@ -159,16 +159,17 @@ def _sweep(instances: Iterable, check, deadline: float | None = None) -> int:
 
 
 def _beta_zero(shape: SkewShape, n: int) -> tuple[str, bool]:
-    ok = all(genfunc.beta_zero(FunctionSpec(fam, shape, n))
-             == genfunc.compute(FunctionSpec(fam[1], shape, n))
-             for fam in ("GP", "GQ"))
+    # representatives, equal exactly when their polynomials are
+    lam, mu = shape.outer.parts, shape.inner.parts
+    ok = all(genfunc._branching_sum(lam, mu, n, f, "set-valued", b0_only=True)
+             == genfunc._branching_sum(lam, mu, n, f, "single") for f in "PQ")
     return f"shape={shape} n={n} {'ok' if ok else 'FAIL'}", ok
 
 
 def _pq_factor(shape: SkewShape, n: int) -> tuple[str, bool]:
-    p = genfunc.compute(FunctionSpec("P", shape, n))
-    q = genfunc.compute(FunctionSpec("Q", shape, n))
-    ok = q == p.scale(2 ** (shape.outer.length - shape.inner.length))
+    lam, mu = shape.outer.parts, shape.inner.parts
+    p, q = (genfunc._branching_sum(lam, mu, n, f, "single") for f in "PQ")
+    ok = q == {t: c * 2 ** (len(lam) - len(mu)) for t, c in p.items()}
     return f"shape={shape} n={n} {'ok' if ok else 'FAIL'}", ok
 
 
@@ -189,19 +190,19 @@ def cmd_identity(args) -> int:
             (("--skew", args.skew), ("--max-n", args.max_n)),
             "to --check coproduct")
         deadline = _deadline(args.time_budget)
-        # a list, as the guard pass reads it before the sweep does
-        instances = [(lam, nx, ny, fam)
-                     for lam in strict_partitions_up_to_weight(args.max_weight)
-                     if lam
-                     for fam in ("P", "Q", "GP", "GQ")]
+
+        def instances():  # made as read, once by each pass
+            return ((lam, nx, ny, fam)
+                    for lam in strict_partitions_up_to_weight(args.max_weight)
+                    if lam for fam in ("P", "Q", "GP", "GQ"))
         # each left side's size, first, by the sweep's deadline: a guard
         # pass cut short leaves no time for an unguarded instance
-        for lam, _, _, fam in instances:
+        for lam, _, _, fam in instances():
             if _past(deadline):
                 break
             genfunc._coproduct_guard(FunctionSpec(fam, SkewShape(lam),
                                                   nx + ny))
-        return _sweep(instances, _coproduct, deadline)
+        return _sweep(instances(), _coproduct, deadline)
     max_n = 3 if args.max_n is None else args.max_n
     _check_sweep_options({"--max-weight": args.max_weight, "--max-n": max_n},
                          args.time_budget,

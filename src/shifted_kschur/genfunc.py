@@ -11,11 +11,11 @@ tableaux, on its corner of rho outside mu, with no tableaux
 (``_letter_factor``, kept per nu, rho and corner rows).  Each rho's
 transitions, the factors with their values at x = 1 and b = 1, -1, are
 made once and kept per (lam, mu, family, kind) in ``_point_levels``.
-``_branching_sum`` builds the polynomial from them in one loop at every
-n: it keeps one term per x-orbit, those with nonincreasing x-exponents,
-as the skew functions are symmetric in x, drops the terms whose
-remaining letters cannot add the boxes still missing from lam, and
-expands each kept term to its orbit (``_orbit``) at the end.  Each
+``_branching_sum`` sums them in one loop at every n: it keeps the terms
+with nonincreasing x-exponents, one per x-orbit, as the skew functions
+are symmetric in x, less those whose remaining letters cannot add the
+boxes still missing from lam, and returns these representatives; only
+``compute`` and ``beta_zero`` expand them (``_expand``).  Each
 ``_Levels`` keeps one tuple per shape its tables name.  For
 ``beta_zero`` it builds only the b^0 terms, each factor keeping its own,
 which is exact as no factor term has a negative b-exponent.
@@ -184,28 +184,26 @@ def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
 
 
 def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
-                   b0_only: bool = False) -> LaurentPoly:
-    """``_tableau_sum`` by recursion over strict shapes, with no tableaux.
+                   b0_only: bool = False) -> dict:
+    """``_tableau_sum``'s representatives, its terms {(x-exps, b): coeff}
+    with x1 >= ... >= xn, by recursion over strict shapes, no tableaux.
 
     Level k maps each strict nu with mu <= nu <= lam to the tableau sum of
     nu/mu in x1..xk: F_k(nu) is the sum over rho of F_(k-1)(rho) times the
     letter-k factor f(nu, rho).  The factor is nonzero only for the nu of
     ``_strips_above(rho, lam)`` and is the same at every level, so each
     rho's transitions come from the kept ``_Levels`` of (lam, mu, family,
-    kind), which ``_point_sum`` reads too.  The polynomial is built afresh
-    per call.
+    kind), which ``_point_sum`` reads too.
 
     Level k keeps only the terms with x1 >= ... >= xk, one per x-orbit.
     Such a term of F_k(nu) comes only from such a term of F_(k-1)(rho)
     times xk^a with a <= x(k-1), so the kept coefficients are exact.
     F_k(nu) is the skew function of nu/mu in k letters, which is symmetric
     in x (Ikeda-Naruse 2013, Adv. Math. 243; Lam-Pylyavskyy 2007), so these
-    terms determine it: each is expanded once, at the end, to its orbit
-    (``_orbit``), and the caller gets the full polynomial.  The argument
-    holds at every k, so one loop serves every n: at one or two letters
-    the expansion costs about 2 microseconds a call, too little for a
-    second loop that keeps every term to pay for itself (the benchmark's
-    sweep, whose requests all have n <= 3, stays within its bounds).
+    terms determine it: ``_expand`` turns them into the polynomial, and
+    two results are equal exactly when their polynomials are, as the
+    orbits of distinct nonincreasing tuples are disjoint.  The argument
+    holds at every k, so one loop serves every n.
 
     A term that cannot reach lam is dropped too: a term of F_k(nu) with
     (n - k) * x(k) < |lam/nu| is dead.  Letter j's factor is
@@ -249,12 +247,14 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                 if terms:  # a nu with no live term is not stepped from
                     nxt[nu] = terms
         level = nxt
-    # every coefficient counts tableaux, so none is 0
-    full: dict = {}
-    for (rep, b), c in level.get(lam, {}).items():
-        for x in _orbit(rep):
-            full[x, b] = c
-    return LaurentPoly._trusted(n, full)
+    return level.get(lam, {})
+
+
+def _expand(n: int, reps: dict) -> LaurentPoly:
+    """The polynomial in n letters of representatives reps: each term once
+    per arrangement of its x-exponents (``_orbit``), none of them 0."""
+    return LaurentPoly._trusted(n, {(x, b): c for (rep, b), c in reps.items()
+                                    for x in _orbit(rep)})
 
 
 def _orbit(rep: tuple) -> Collection[tuple]:
@@ -338,18 +338,15 @@ def _at(spec: FunctionSpec) -> tuple[int, int]:
 
 def compute(spec: FunctionSpec) -> LaurentPoly:
     """The polynomial of the requested family on the given shape, with no
-    shape built; a single lam/nu's polynomial is returned as built."""
+    shape built: the representatives of each lam/nu of ``_inner`` times
+    b^|mu/nu|, summed, then expanded once."""
     lam, n, family, kind = (spec.shape.outer.parts, spec.n,
                             spec.base_family, spec.kind)
-    inner = _inner(spec)
-    if len(inner) == 1:
-        return _branching_sum(lam, inner[0][1], n, family, kind)
-    terms: dict = {}
-    for b, nu in inner:
-        skew = _branching_sum(lam, nu, n, family, kind)
-        for (x, e), c in skew.terms.items():
-            terms[x, e + b] = terms.get((x, e + b), 0) + c
-    return LaurentPoly._trusted(n, terms)
+    reps: dict = {}
+    for b, nu in _inner(spec):
+        for (x, e), c in _branching_sum(lam, nu, n, family, kind).items():
+            reps[x, e + b] = reps.get((x, e + b), 0) + c
+    return _expand(n, reps)
 
 
 def beta_zero(spec: FunctionSpec) -> LaurentPoly:
@@ -363,8 +360,9 @@ def beta_zero(spec: FunctionSpec) -> LaurentPoly:
     """
     if spec.family not in ("GP", "GQ"):
         raise ValueError("beta_zero applies to GP and GQ only")
-    return _branching_sum(spec.shape.outer.parts, spec.shape.inner.parts,
-                          spec.n, spec.base_family, spec.kind, b0_only=True)
+    return _expand(spec.n, _branching_sum(
+        spec.shape.outer.parts, spec.shape.inner.parts, spec.n,
+        spec.base_family, spec.kind, b0_only=True))
 
 
 def special_value(spec: FunctionSpec) -> LaurentPoly:

@@ -36,14 +36,22 @@ def parts(shape):
     return shape.outer.parts, shape.inner.parts
 
 
+def nonincreasing(poly):
+    """poly's terms with nonincreasing x-exponents, one per x-orbit: the
+    representatives ``_branching_sum`` returns for a symmetric poly."""
+    return {(x, b): c for (x, b), c in poly.terms.items()
+            if all(u >= v for u, v in zip(x, x[1:]))}
+
+
 def definition_sweep(n, family, shapes):
     """Every engine path at n letters, base family P or Q, against the
     walked tableau sum on each shape, walking each (lam, mu, kind) once.
 
-    Both kinds: ``_branching_sum``, whole and its b^0 terms, and
-    ``_point_sum``.  The three families over the base: ``_at`` and
-    ``special_value``, and ``compute`` of the double-skew one, which is
-    the sum over nu of b^|mu/nu| times the walk of lam/nu; and
+    Both kinds: ``_branching_sum``, whole and its b^0 terms, against the
+    walk's nonincreasing terms, and ``_point_sum``.  The three families
+    over the base: ``compute``, the representatives expanded, against the
+    whole walk, which for the double-skew one is the sum over nu of
+    b^|mu/nu| times the walk of lam/nu; ``_at`` and ``special_value``; and
     ``parity_report`` and ``beta_zero``, which is the single-valued walk.
     The engine is read through ``genfunc``'s attributes, so a function
     swapped there is the one checked.  Returns the number of family
@@ -68,9 +76,9 @@ def definition_sweep(n, family, shapes):
             want = walk(lam, mu, kind)
             args = (lam, mu, n, family, kind)
             case = (str(shape), n, family, kind)
-            assert genfunc._branching_sum(*args) == want, case
+            assert genfunc._branching_sum(*args) == nonincreasing(want), case
             assert genfunc._branching_sum(*args, b0_only=True) == \
-                want.beta_slice(0), case
+                nonincreasing(want.beta_slice(0)), case
             assert genfunc._point_sum(*args) == at_one(want), case
         double: dict = {}
         for removed, nu in _minus_corners(mu, _corner_rows(mu)):
@@ -82,8 +90,7 @@ def definition_sweep(n, family, shapes):
         for fam, want in wants.items():
             spec = FunctionSpec(fam, shape, n)
             case = (str(shape), n, fam)
-            if fam.endswith("double"):
-                assert genfunc.compute(spec) == want, case
+            assert genfunc.compute(spec) == want, case
             assert genfunc._at(spec) == at_one(want), case
             if fam in K_FAMILIES:
                 assert genfunc.special_value(spec) == \
@@ -113,27 +120,36 @@ def test_engine_equals_tableau_sum_sweep(n, shapes, want, family):
     assert definition_sweep(n, family, shapes) == want
 
 
-def test_orbits_at_every_n(monkeypatch):
-    # at every n, from one letter on, the polynomial is expanded from its
-    # orbit representatives, each with nonincreasing x-exponents (the cut
-    # of dead terms is tested on its own below)
-    reps = []
-
-    def recorded(rep):
-        reps.append(rep)
-        return real(rep)
-
-    real = genfunc._orbit
-    monkeypatch.setattr(genfunc, "_orbit", recorded)
+def test_orbits_at_every_n():
+    # at every n, from one letter on, the engine's result is its orbit
+    # representatives: every key has nonincreasing x-exponents, and they
+    # are the walk's such terms (the cut of dead terms is tested on its
+    # own below)
     lam, mu = (3, 1), (1,)
     for n in (1, 2, 3, 4):
-        reps.clear()
         for family in ("P", "Q"):
             for kind in KINDS:
                 args = (lam, mu, n, family, kind)
-                assert _branching_sum(*args) == _tableau_sum(*args), args
-        assert reps and all(list(r) == sorted(r, reverse=True)
-                            for r in reps), n
+                reps = _branching_sum(*args)
+                assert reps and all(list(x) == sorted(x, reverse=True)
+                                    for x, _ in reps), args
+                assert reps == nonincreasing(_tableau_sum(*args)), args
+
+
+def test_representatives_are_stable_in_n():
+    # the representatives at n are those at 5 whose x-exponents end in
+    # 5 - n zeros, with the zeros cut: every lam/mu with |lam| <= 5
+    cases = 0
+    for shape in skew_shapes(5, with_empty=True):
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                at5 = _branching_sum(*parts(shape), 5, family, kind)
+                for n in (1, 2, 3, 4):
+                    assert _branching_sum(*parts(shape), n, family, kind) == {
+                        (x[:n], b): c for (x, b), c in at5.items()
+                        if not any(x[n:])}, (str(shape), family, kind, n)
+                    cases += 1
+    assert cases == 736
 
 
 def test_dead_terms_are_dropped_at_every_n(fresh_caches):
@@ -152,8 +168,10 @@ def test_dead_terms_are_dropped_at_every_n(fresh_caches):
         assert (len(pruned), len(levels.moves)) == (pruned_to, reached)
 
 
-def test_orbit_equals_distinct_permutations():
-    # both branches: set(permutations) up to 6 letters, arrangements above
+def orbit_against_permutations():
+    """``genfunc._orbit`` on random nonincreasing tuples of 1 to 7
+    entries, both its branches (set(permutations) up to 6 entries,
+    arrangements above): every distinct permutation, each once."""
     rng = random.Random(40)
     for n in range(1, 8):
         for _ in range(20):
@@ -162,6 +180,10 @@ def test_orbit_equals_distinct_permutations():
             got = list(genfunc._orbit(rep))
             assert len(got) == len(set(got)), rep
             assert set(got) == set(permutations(rep)), rep
+
+
+def test_orbit_equals_distinct_permutations():
+    orbit_against_permutations()
 
 
 def test_orbit_cost_follows_distinct_arrangements():
@@ -237,7 +259,7 @@ def test_engine_equals_tableau_sum_random(shape, n, family, kind):
     assume(sum(1 for _ in islice(enumerate_fillings(spec), MAX_TABLEAUX + 1))
            <= MAX_TABLEAUX)
     assert _branching_sum(*parts(shape), n, family, kind) == \
-        _tableau_sum(*parts(shape), n, family, kind)
+        nonincreasing(_tableau_sum(*parts(shape), n, family, kind))
 
 
 # A corner of rho inside mu holds no entry, so the last letter may not join
@@ -253,8 +275,9 @@ def test_engine_equals_tableau_sum_random(shape, n, family, kind):
 def test_last_letter_avoids_corners_inside_mu(shape, n, family, want):
     shape = SkewShape.parse(shape)
     got = _branching_sum(*parts(shape), n, family, "set-valued")
-    assert got == LaurentPoly.parse(want, n)
-    assert got == _tableau_sum(*parts(shape), n, family, "set-valued")
+    assert got == nonincreasing(LaurentPoly.parse(want, n))
+    assert got == nonincreasing(
+        _tableau_sum(*parts(shape), n, family, "set-valued"))
 
 
 def test_one_letter_equals_tableau_sum_exhaustive():
@@ -388,8 +411,9 @@ def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
     monkeypatch.setattr(involutions, "verify_involution", _no_verdict)
     with monkeypatch.context() as m:
         m.setattr(genfunc, "_branching_sum",
-                  lambda *key, b0_only=False: _tableau_sum(*key).beta_slice(0)
-                  if b0_only else _tableau_sum(*key))
+                  lambda *key, b0_only=False: nonincreasing(
+                      _tableau_sum(*key).beta_slice(0) if b0_only
+                      else _tableau_sum(*key)))
         m.setattr(genfunc, "_point_sum", _enumerated_point)
         want = quantities()
     fresh_caches()  # nothing cached by the enumerated pass counts
@@ -532,7 +556,7 @@ def test_oracle_sum_count_and_coproduct_build_no_filling(monkeypatch,
 
     monkeypatch.setattr(enumeration, "Filling", refuse)
     monkeypatch.setattr(Filling, "__init__", refuse)
-    assert [_tableau_sum(*parts(shape), 3, family, kind)
+    assert [nonincreasing(_tableau_sum(*parts(shape), 3, family, kind))
             for family in ("P", "Q") for kind in KINDS] == want
     assert count(EnumSpec(shape, 3, "Q")) == want_count
     lam = StrictPartition.parse("3,1")

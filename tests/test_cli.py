@@ -299,11 +299,29 @@ class TestIdentity:
         assert code == 0 and len(out.splitlines()) == total
 
     def test_failing_check_fails_the_sweep(self, capsys, monkeypatch):
-        monkeypatch.setattr(genfunc, "beta_zero",
-                            lambda spec: LaurentPoly.zero(spec.n))
+        # the b^0 terms of GP and GQ lost: none is P's or Q's
+        real = genfunc._branching_sum
+        monkeypatch.setattr(genfunc, "_branching_sum",
+                            lambda *key, b0_only=False:
+                            {} if b0_only else real(*key))
         code, out, _ = run(capsys, "identity", "--check", "beta-zero",
                            "--max-weight", "2", "--max-n", "1")
         assert (code, out) == (1, "shape=1 n=1 FAIL\nshape=2 n=1 FAIL\n")
+
+    @pytest.mark.parametrize("check", ("beta-zero", "pq-factor"))
+    def test_compares_representatives_unexpanded(self, capsys, monkeypatch,
+                                                 check):
+        # both sides' representatives are compared as they are, so no
+        # polynomial is expanded
+        def refuse(rep):
+            raise AssertionError(f"expanded {rep}")
+
+        monkeypatch.setattr(genfunc, "_orbit", refuse)
+        code, out, _ = run(capsys, "identity", "--check", check, "--skew",
+                           "--max-weight", "4", "--max-n", "3")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 72
+        assert all(line.endswith(" ok") for line in lines)
 
 
 class TestVerifyInvolution:
@@ -340,13 +358,15 @@ class TestVerifyInvolution:
 
 
 @pytest.mark.parametrize("argv", [
-    ("identity", "--check", "beta-zero", "--skew"), ("verify-involution",)],
-    ids=("beta-zero-skew", "verify-involution"))
+    ("identity", "--check", "beta-zero", "--skew"), ("verify-involution",),
+    ("identity", "--check", "coproduct")],
+    ids=("beta-zero-skew", "verify-involution", "coproduct"))
 def test_zero_budget_sweep_holds_no_instance_list(capsys, argv):
     # instances are made as the sweep reads them, and a cut counts the
-    # rest without keeping them: at weight 16 (18,357 and 24,476
-    # instances) the peak was about 20 KB on CPython 3.11, where the lists
-    # of them took 2.6 and 3.2 MB
+    # rest without keeping them: at weight 16 (18,357, 24,476 and 672
+    # instances) the peak was at most 20 KB on CPython 3.11, where the
+    # lists of them took 2.6 MB, 3.2 MB and 86 KB; the coproduct sweep's
+    # guard pass walks a stream of its own
     run(capsys, *argv, "--max-weight", "3", "--time-budget", "0")  # warm
     gc.collect()
     tracemalloc.start()

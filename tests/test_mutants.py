@@ -22,7 +22,9 @@ from shifted_kschur import genfunc, involutions, shapes
 from shifted_kschur.shapes import skew_shapes
 
 from conftest import engine_count
-from test_branching import definition_sweep, strips_against_letter_factor
+from test_branching import (definition_sweep, orbit_against_permutations,
+                            strips_against_letter_factor)
+from test_genfunc import double_skew_against_engine
 from test_shapes import subpartitions_against_brute_force
 
 
@@ -82,6 +84,22 @@ MUTANTS = [
            survives="equivalent: only lam is read from the last level, so "
                     "the terms kept at a nu one box short of it are never "
                     "read"),
+    Mutant("terms-kept-past-their-orbit", genfunc, "_branching_sum",
+           "if low <= x <= top:", "if low <= x:", engine_against_walk),
+    # the engine cannot see a repeated arrangement: the expansion writes
+    # each into a dict
+    Mutant("orbit-repeats-arrangements", genfunc, "_orbit",
+           "if i and v == rest[i - 1]:  # rest is sorted: one per value\n"
+           "                    continue", "", orbit_against_permutations),
+    Mutant("orbit-threshold-moved", genfunc, "_orbit",
+           "if len(rep) <= 6:", "if len(rep) <= 2:",
+           orbit_against_permutations,
+           survives="equivalent: both branches give every distinct "
+                    "arrangement once, so the threshold moves only the "
+                    "cost"),
+    # every sign flipped leaves the sum 0, so the row drops the signs
+    Mutant("double-skew-terms-unsigned", genfunc, "double_skew_shortcut",
+           "-1 if b % 2 else 1", "1", double_skew_against_engine),
     # the walk's bounds: mu_r <= lam_r, parts strictly decreasing, and the
     # order of parts (t[0] <= p makes (1, 1), which StrictPartition refuses
     # with a ValueError before any check reads it)
@@ -101,6 +119,9 @@ MUTANTS = [
     Mutant("strips-past-the-row-above", shapes, "_strips_above",
            "min(lam[r], rho[r - 1])", "lam[r]",
            strips_against_letter_factor),
+    # the double-skew polynomial's b-shift |mu/nu|, read by compute
+    Mutant("minus-corners-drops-no-box", shapes, "_minus_corners",
+           "(s + 1, p[:r]", "(s, p[:r]", engine_against_walk),
     Mutant("corner-rows-two-longer", shapes, "_corner_rows",
            "p - 1 > parts[r + 1]", "p - 2 > parts[r + 1]",
            engine_against_walk),

@@ -13,9 +13,12 @@ double-skew tableau family, over the inner shapes of
 returns (checked, violations) on one shape).  A certificate is written
 straight from its tableaux, as ``json.dumps`` texts of documents with
 holes, split at the holes (``_pieces``) and joined with what goes in them,
-and checked as its JSON document: each element as its nu and row-major
-cell tuple, each distinct cell parsed once, with a ``Filling`` built only
-for a minimal tableau or to show a fault.  ``read_certificate`` reads only
+and checked as its JSON document.  What a shape or a cell needs, its
+minimal tableau's cells, its element's pieces and a cell's text, is made
+once and kept in caches keyed on part tuples, ints and strings.  The
+check reads each element as its nu and row-major cell tuple, each distinct
+cell parsed once, with a ``Filling`` built only for a minimal tableau or
+to show a fault.  ``read_certificate`` reads only
 the layout ``write_certificate`` writes, ``json.dumps(doc, sort_keys=True,
 indent=1)``, of short lines, holding its header and one pair at a time.
 The first fault is reported, in this order: a refused request
@@ -26,6 +29,7 @@ text or content; the end of the file.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple
 
@@ -41,7 +45,21 @@ PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
 
 
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
-    """The single-valued tableau minimizing the total numeric entry value.
+    """The single-valued tableau minimizing the total numeric entry value,
+    on the caller's shape, from ``_minimal_cells``: ValueError on an empty
+    tableau set."""
+    cells = _minimal_cells(shape.outer.parts, shape.inner.parts, family, n)
+    if cells is None:
+        raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")
+    return Filling(shape, n, family, cells, _trusted=True)
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _minimal_cells(outer: tuple, inner: tuple, family: str,
+                   n: int) -> tuple | None:
+    """The row-major cells of outer/inner's minimal tableau, or None if it
+    has no single-valued tableau; kept per key, typed so that a float or
+    bool n is its own key and is refused on its own miss.
 
     Greedy row-major fill: each box takes the first cell that the
     enumerator's candidate rule allows there, and the walk never backs up.
@@ -52,8 +70,9 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     yields nothing, and because taking one leaf from that generator ran
     slower on the certificate path even with the empty set refused first.
     """
+    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
     spec = EnumSpec(shape, n, family, "single")
-    table = _index_table(shape.outer.parts, shape.inner.parts)
+    table = _index_table(outer, inner)
     row_primed = [0] * (shape.outer.length + 1)
     col_unprimed = [0] * (shape.outer.part(1) + 1)
     cells: list = []
@@ -61,12 +80,12 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
         candidates = _candidate_cells(spec, k, cells, row_primed,
                                       col_unprimed, table)
         if not candidates:
-            raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")
+            return None
         cell, primed_bits, unprimed_bits, _ = candidates[0]
         cells.append(cell)
         row_primed[i] |= primed_bits
         col_unprimed[j] |= unprimed_bits
-    return Filling(shape, n, family, tuple(cells), _trusted=True)
+    return tuple(cells)
 
 
 def _iota_cells(order: tuple, cells: tuple, tmin: tuple) -> tuple:
@@ -176,20 +195,44 @@ _HOLE = "\0"  # a slot in a document; json writes it as _SLOT
 _SLOT = json.dumps(_HOLE)
 
 
-def _pieces(doc, level: int) -> list[str]:
+def _pieces(doc, level: int) -> tuple[str, ...]:
     """doc's ``json.dumps(..., sort_keys=True, indent=1)`` text as it reads
     ``level`` deep in a larger document, split at each hole.  Re-indenting
     every line break is exact: a JSON string never holds a raw newline.
     """
-    return json.dumps(doc, sort_keys=True, indent=1).replace(
-        "\n", "\n" + " " * level).split(_SLOT)
+    return tuple(json.dumps(doc, sort_keys=True, indent=1).replace(
+        "\n", "\n" + " " * level).split(_SLOT))
 
 
-def _filled(pieces: list[str], texts: list[str]) -> str:
+def _filled(pieces: tuple[str, ...], texts: list[str]) -> str:
     """The pieces joined with texts[k] in hole k."""
-    parts = pieces + texts
+    parts = [*pieces, *texts]
     parts[::2], parts[1::2] = pieces, texts
     return "".join(parts)
+
+
+# the pieces of each tag's pair document, two levels deep, a hole per side
+_PAIR_PIECES = {tag: _pieces({"left": _HOLE, "right": _HOLE, "tag": tag}, 2)
+                for tag in ("iota", "pi")}
+
+
+@lru_cache(maxsize=512)
+def _side_pieces(outer: tuple, inner: tuple, n: int,
+                 family: str) -> tuple[str, ...]:
+    """The pieces of an element of outer/inner, n and family as a pair's
+    side: its document three levels deep, with a hole per cell in
+    row-major order."""
+    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
+    doc = _element(Filling(shape, n, family, ((),) * shape.size,
+                           _trusted=True))
+    doc["tableau"]["rows"] = [[_HOLE] * len(row) for row in shape.rows]
+    return _pieces(doc, 3)
+
+
+@lru_cache(maxsize=1024)
+def _cell_text(cell: tuple) -> str:
+    """A cell's text in a pair's side, seven levels deep (it has no hole)."""
+    return _pieces(list(map(entry_str, cell)), 7)[0]
 
 
 def write_certificate(cert: PairingCertificate, fh) -> None:
@@ -199,37 +242,34 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     The header and the leftover are one ``json.dumps`` of the certificate
     with a hole for its pairs; the leftover is dumped whole, as it is
     nonempty only when iota fails.  A pair's text is the pieces of its
-    tag's pair document, filled with its two sides.  A side is the pieces
-    of its nu's element, three levels deep with a hole per cell in
-    row-major order, filled with its cells' texts.  Both are made on first
-    use and kept for this call, by nu and by cell.
+    tag's pair document (``_PAIR_PIECES``), filled with its two sides.  A
+    side is the pieces of its nu's element (``_side_pieces``), filled with
+    its cells' texts (``_cell_text``).  Both are kept across calls, and
+    read through dicts kept for this call, by nu and by cell.
     """
     sides: dict = {}  # nu -> the pieces of its element as a pair's side
-    texts: dict = {}  # cell -> its text in a pair's side, seven levels deep
+    texts: dict = {}  # cell -> its text in a pair's side
 
-    def cell_text(cell: tuple) -> str:  # a cell's text has no hole
-        texts[cell] = text = _pieces(list(map(entry_str, cell)), 7)[0]
+    def cell_text(cell: tuple) -> str:
+        texts[cell] = text = _cell_text(cell)
         return text
 
     def side(T: Filling) -> str:
         nu = T.shape.inner.parts
         if (pieces := sides.get(nu)) is None:
-            doc = _element(T)
-            doc["tableau"]["rows"] = [[_HOLE] * len(row)
-                                      for row in T.shape.rows]
-            sides[nu] = pieces = _pieces(doc, 3)
+            sides[nu] = pieces = _side_pieces(T.shape.outer.parts, nu, T.n,
+                                              T.family)
         return _filled(pieces, [texts.get(cell) or cell_text(cell)
                                 for cell in T.cells])
 
-    pair = {tag: _pieces({"left": _HOLE, "right": _HOLE, "tag": tag}, 2)
-            for tag in ("iota", "pi")}
     top = dict(cert.header, pairs=[_HOLE] if cert.pairs else [],
                leftover=[_element(T) for T in cert.leftover])
     head, *tail = _pieces(top, 0)
     fh.write(head)
     sep = ""
     for p in cert.pairs:
-        fh.write(sep + _filled(pair[p.tag], [side(p.left), side(p.right)]))
+        fh.write(sep + _filled(_PAIR_PIECES[p.tag],
+                               [side(p.left), side(p.right)]))
         sep = ",\n  "
     fh.writelines(tail)
 

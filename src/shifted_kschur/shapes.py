@@ -172,10 +172,14 @@ class SkewShape(_Frozen):
         return str(self.outer)
 
     def to_json(self) -> dict:
+        """Its parts and its boxes in column-major order, read off the
+        shape's index table."""
+        table = _index_table(self.outer.parts, self.inner.parts)
+        boxes = table.boxes
         return {
             "outer": list(self.outer.parts),
             "inner": list(self.inner.parts),
-            "boxes": [[i, j] for (i, j) in self.col_major],
+            "boxes": [list(boxes[k]) for k in table.col_order],
         }
 
 

@@ -13,7 +13,8 @@ from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
                                         read_certificate, write_certificate)
 from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import StrictPartition, skew_shapes
-from tests.conftest import LARGE_PAIR, TAMPERS, as_written, has_empty_set
+from tests.conftest import (LARGE_PAIR, TAMPERS, as_written, has_empty_set,
+                            sp)
 
 
 def run(capsys, *argv):
@@ -1018,6 +1019,42 @@ class TestWriteCertificate:
         doc = cert.to_json()
         assert [] in doc["pairs"][0]["left"]["tableau"]["rows"]
         assert _written(cert) == _dumped(cert)
+
+    def test_kept_pieces_write_the_same_bytes(self, fresh_caches):
+        # each request written cold, from cleared caches, and warm, after
+        # every request was written, in both orders: among them requests
+        # that differ only in n or only in family
+        requests = [(sp(3, 1), sp(2), n, family) for family in "QP"
+                    for n in (1, 2)]
+        requests += [(sp(2, 1), sp(1), 2, family) for family in "PQ"]
+        certs = [pairing_certificate(*request) for request in requests]
+        cold = []
+        for cert in certs:
+            fresh_caches()
+            cold.append(_written(cert))
+        assert cold == [_dumped(cert) for cert in certs]
+        for order in (certs, certs[::-1]):
+            for cert in order:
+                _written(cert)
+            assert [_written(cert) for cert in certs] == cold
+
+    def test_second_write_makes_no_side_or_cell_pieces(
+            self, capsys, tmp_path, monkeypatch, fresh_caches):
+        # _pieces's level: 0 for the header, 3 for a side, 7 for a cell
+        levels = []
+        real = involutions._pieces
+
+        def counted(doc, level):
+            levels.append(level)
+            return real(doc, level)
+
+        monkeypatch.setattr(involutions, "_pieces", counted)
+        argv = ("pair", "--lambda", "3,1", "--mu", "2", "--family", "Q",
+                "-n", "2", "--out", str(tmp_path / "cert.json"))
+        assert run(capsys, *argv) == (0, "pairs=192 leftover=0 ok\n", "")
+        first, levels[:] = sorted(set(levels)), []
+        assert run(capsys, *argv) == (0, "pairs=192 leftover=0 ok\n", "")
+        assert first == [0, 3, 7] and levels == [0]
 
     def test_writes_a_pair_at_a_time(self, large_certificate):
         # the file's bytes, in writes of at most 64 KB, at least one a pair

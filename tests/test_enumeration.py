@@ -181,11 +181,13 @@ def set_rule(spec, box, cells):
                   for cell in combinations(allowed, k))
 
 
-def test_cell_table_equals_set_rule_at_every_node(monkeypatch):
+def test_cell_table_equals_set_rule_at_every_node(monkeypatch,
+                                                  fresh_caches):
     # every node of both walks: the cached table read through the masks
     # the walk keeps gives the set rule's cells, each with its code bits
     # and letters, and the masks match the partial filling, a row-major
-    # list prefix read here as a dict keyed by box
+    # list prefix read here as a dict keyed by box; the caches start
+    # empty, so no minimal tableau kept earlier skips its walk
     nodes = 0
     real = enumeration._candidate_cells
 

@@ -12,6 +12,7 @@ equivalent mutant, which changes no result, or one that only bytes catch.
 """
 
 import inspect
+import io
 import sys
 import types
 from typing import Callable, NamedTuple
@@ -21,7 +22,7 @@ import pytest
 from shifted_kschur import genfunc, involutions, shapes
 from shifted_kschur.shapes import skew_shapes
 
-from conftest import engine_count
+from conftest import engine_count, sp
 from test_branching import (definition_sweep, orbit_against_permutations,
                             strips_against_letter_factor)
 from test_genfunc import double_skew_against_engine
@@ -47,6 +48,36 @@ def involution_holds():
                 if engine_count(shape, family, n):
                     _, faults = involutions.verify_involution(shape, family, n)
                     assert not faults, (str(shape), family, n, faults[:1])
+
+
+# requests that differ only in n or only in family, made in this order: Q
+# first, as Q's minimal tableau primes the diagonal box, so it is no P
+# tableau (P's minimal tableau is a Q tableau, and pairs the rest as well)
+KEPT_REQUESTS = [(sp(3, 1), sp(2), n, family) for family in "QP"
+                 for n in (1, 2)]
+
+
+def certificates_prove_their_requests():
+    """Each of ``KEPT_REQUESTS`` in turn, in one process, made, written by
+    ``write_certificate`` and read back by ``pair --check``'s reader: its
+    checker proves it.  It stops at the first that is not proved."""
+    for request in KEPT_REQUESTS:
+        fh = io.StringIO()
+        involutions.write_certificate(
+            involutions.pairing_certificate(*request), fh)
+        fh.seek(0)
+        verdict = involutions.certificate_checker(*request)(
+            involutions.read_certificate(fh))
+        assert verdict == (True, None), (request, verdict)
+
+
+def keyed_without(key: str) -> str:
+    """A decorator's text in place of an ``lru_cache``: a memo keyed on
+    ``key``, an expression in the call's arguments ``a``, so the first
+    call's result serves every call that differs from it only in what the
+    key leaves out."""
+    return (f"@lambda make, kept={{}}: "
+            f"lambda *a: kept.setdefault({key}, make(*a))\n")
 
 
 class Mutant(NamedTuple):
@@ -125,6 +156,20 @@ MUTANTS = [
     Mutant("corner-rows-two-longer", shapes, "_corner_rows",
            "p - 1 > parts[r + 1]", "p - 2 > parts[r + 1]",
            engine_against_walk),
+    # a kept per-shape piece must be keyed on every field of the request
+    # it states: the maker, the writer and the checker share the caches,
+    # and the checker finds the fault
+    # (outer, inner, n, family) without n
+    Mutant("side-pieces-keyed-without-n", involutions, "_side_pieces",
+           "@lru_cache(maxsize=512)\ndef _side_pieces(",
+           keyed_without("(a[0], a[1], a[3])") + "def _side_pieces(",
+           certificates_prove_their_requests),
+    # (outer, inner, family, n) without family
+    Mutant("minimal-cells-keyed-without-family", involutions,
+           "_minimal_cells",
+           "@lru_cache(maxsize=1024, typed=True)\ndef _minimal_cells(",
+           keyed_without("(a[0], a[1], a[3])") + "def _minimal_cells(",
+           certificates_prove_their_requests),
     Mutant("iota-in-row-major-order", involutions, "_iota_pairs",
            "order = _index_table(shape.outer.parts, shape.inner.parts)"
            ".col_order", "order = range(len(tmin.cells))",

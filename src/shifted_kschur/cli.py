@@ -19,13 +19,13 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from . import enumeration, genfunc, involutions
 from .genfunc import FunctionSpec
 from .polyring import LaurentPoly
-from .shapes import (SkewShape, StrictPartition, skew_shapes,
-                     strict_partitions_up_to_weight)
+from .shapes import (SkewShape, StrictPartition, skew_shape_count,
+                     skew_shapes, strict_partitions_up_to_weight)
 from .tableaux import FAMILIES
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -136,21 +136,21 @@ def _past(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _sweep(instances: Iterable, check, deadline: float | None = None) -> int:
+def _sweep(instances: Iterable, check, deadline: float | None = None,
+           total: Callable[[], int] | None = None) -> int:
     """Print the line of ``check(*instance)`` for each instance in order.
 
     ``check`` returns (line, verdict); a False verdict is a failure, and
     None (an empty tableau set) is not.  With a deadline (``_deadline``)
     it is checked before each instance, and the sweep stops at the cut
     with a line saying how many instances it covered, of all it would
-    have run: the rest of ``instances`` is counted there, and only there.
+    have run: ``total()``, called there and only there, counts them, so
+    a shape stream need not make the rest to count it.
     """
     failures = 0
-    instances = iter(instances)
     for done, instance in enumerate(instances):
         if _past(deadline):
-            total = done + 1 + sum(1 for _ in instances)
-            print(f"partial sweep: covered {done}/{total} instances")
+            print(f"partial sweep: covered {done}/{total()} instances")
             break
         line, verdict = check(*instance)
         print(line)
@@ -158,18 +158,28 @@ def _sweep(instances: Iterable, check, deadline: float | None = None) -> int:
     return FAIL if failures else PASS
 
 
-def _beta_zero(shape: SkewShape, n: int) -> tuple[str, bool]:
-    # representatives, equal exactly when their polynomials are
+def _reps(shape: SkewShape, n: int, top: int, family: str, kind: str,
+          b0_only: bool = False) -> dict:
+    """The engine's representatives of shape at n letters.  On a shape's
+    first n the engine runs at top, the sweep's last n, first, so this n
+    and every later one up to top is a cut of that one run."""
     lam, mu = shape.outer.parts, shape.inner.parts
-    ok = all(genfunc._branching_sum(lam, mu, n, f, "set-valued", b0_only=True)
-             == genfunc._branching_sum(lam, mu, n, f, "single") for f in "PQ")
+    if n == 1:
+        genfunc._branching_sum(lam, mu, top, family, kind, b0_only=b0_only)
+    return genfunc._branching_sum(lam, mu, n, family, kind, b0_only=b0_only)
+
+
+def _beta_zero(shape: SkewShape, n: int, top: int) -> tuple[str, bool]:
+    # representatives, equal exactly when their polynomials are
+    ok = all(_reps(shape, n, top, f, "set-valued", b0_only=True)
+             == _reps(shape, n, top, f, "single") for f in "PQ")
     return f"shape={shape} n={n} {'ok' if ok else 'FAIL'}", ok
 
 
-def _pq_factor(shape: SkewShape, n: int) -> tuple[str, bool]:
-    lam, mu = shape.outer.parts, shape.inner.parts
-    p, q = (genfunc._branching_sum(lam, mu, n, f, "single") for f in "PQ")
-    ok = q == {t: c * 2 ** (len(lam) - len(mu)) for t, c in p.items()}
+def _pq_factor(shape: SkewShape, n: int, top: int) -> tuple[str, bool]:
+    p, q = (_reps(shape, n, top, f, "single") for f in "PQ")
+    scale = 2 ** (shape.outer.length - shape.inner.length)
+    ok = q == {t: c * scale for t, c in p.items()}
     return f"shape={shape} n={n} {'ok' if ok else 'FAIL'}", ok
 
 
@@ -202,17 +212,19 @@ def cmd_identity(args) -> int:
                 break
             genfunc._coproduct_guard(FunctionSpec(fam, SkewShape(lam),
                                                   nx + ny))
-        return _sweep(instances(), _coproduct, deadline)
+        return _sweep(instances(), _coproduct, deadline,
+                      lambda: sum(1 for _ in instances()))
     max_n = 3 if args.max_n is None else args.max_n
     _check_sweep_options({"--max-weight": args.max_weight, "--max-n": max_n},
                          args.time_budget,
                          (("--nx", args.nx), ("--ny", args.ny)),
                          f"to --check {args.check}")
-    instances = ((shape, n)
+    instances = ((shape, n, max_n)
                  for shape in skew_shapes(args.max_weight, args.skew)
                  for n in range(1, max_n + 1))
     check = _beta_zero if args.check == "beta-zero" else _pq_factor
-    return _sweep(instances, check, _deadline(args.time_budget))
+    return _sweep(instances, check, _deadline(args.time_budget),
+                  lambda: max_n * skew_shape_count(args.max_weight, args.skew))
 
 
 def _involution(shape: SkewShape, n: int, fam: str) -> tuple[str, bool | None]:
@@ -238,7 +250,10 @@ def cmd_verify_involution(args) -> int:
                  for shape in shapes
                  for n in range(1, args.max_n + 1)
                  for fam in FAMILIES)
-    return _sweep(instances, _involution, _deadline(args.time_budget))
+    per_shape = args.max_n * len(FAMILIES)
+    return _sweep(instances, _involution, _deadline(args.time_budget),
+                  lambda: per_shape * (1 if args.shape
+                                       else skew_shape_count(max_weight)))
 
 
 def _oracle(shape: SkewShape, n: int, fam: str,

@@ -14,11 +14,14 @@ made once and kept per (lam, mu, family, kind) in ``_point_levels``.
 ``_branching_sum`` sums them in one loop at every n: it keeps the terms
 with nonincreasing x-exponents, one per x-orbit, as the skew functions
 are symmetric in x, less those whose remaining letters cannot add the
-boxes still missing from lam, and returns these representatives; only
-``compute`` and ``beta_zero`` expand them (``_expand``).  Each
-``_Levels`` keeps one tuple per shape its tables name.  For
-``beta_zero`` it builds only the b^0 terms, each factor keeping its own,
-which is exact as no factor term has a negative b-exponent.
+boxes still missing from lam, and returns these representatives.  Its
+deepest run is kept per key, so a smaller n is a cut of it, not a run.
+Only ``compute`` and ``beta_zero`` expand them (``_expand``), and
+``_orbit`` keeps each orbit's arrangements, so an orbit shared by many
+polynomials is arranged once.  Each ``_Levels`` keeps one tuple per
+shape its tables name.  For ``beta_zero`` ``_branching_sum`` builds only
+the b^0 terms, each factor keeping its own, which is exact as no factor
+term has a negative b-exponent.
 ``_point_sum`` runs the same recursion on int pairs, the sum at x = 1 and
 b = 1, -1, so the count and the signed count build no polynomial, and the
 special value (b^|lam/mu| times the signed count) builds only that one
@@ -37,7 +40,6 @@ sum symbolically without touching any tableau.
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from functools import lru_cache
 from itertools import permutations
 from math import inf
@@ -138,12 +140,14 @@ class _Levels:
     factor for the polynomial and its values at x = 1, b = 1, -1 for the
     point pairs.  ``at_lam[k]`` is the pair F_k(lam) for each level k the
     point recursion reached, and ``last`` that deepest level whole, every
-    nu reached with its pair, to extend from.  ``shapes`` maps each nu
-    seen to the one tuple the tables keep for it, so a shape reached from
-    many rho is held once.
+    nu reached with its pair, to extend from.  ``kept[b0_only]`` is the
+    pair (N, representatives at N) of the deepest polynomial recursion
+    ``_branching_sum`` ran with that ``b0_only``, which every n <= N cuts.
+    ``shapes`` maps each nu seen to the one tuple the tables keep for it,
+    so a shape reached from many rho is held once.
     """
 
-    __slots__ = ("key", "moves", "shapes", "at_lam", "last")
+    __slots__ = ("key", "moves", "shapes", "at_lam", "last", "kept")
 
     def __init__(self, lam: tuple, mu: tuple, family: str, kind: str):
         self.key = (lam, mu, family, kind)
@@ -151,6 +155,7 @@ class _Levels:
         self.shapes: dict = {}
         self.at_lam = [(1, 1) if lam == mu else (0, 0)]
         self.last = {mu: (1, 1)}
+        self.kept = [(-1, None)] * 2  # no polynomial recursion yet
 
     def steps(self, rho: tuple) -> tuple:
         """rho's transitions, made here the first time rho is stepped
@@ -178,8 +183,9 @@ class _Levels:
 @lru_cache(maxsize=512)
 def _point_levels(lam: tuple, mu: tuple, family: str, kind: str) -> _Levels:
     """The recursion kept per key: ``_branching_sum`` and ``_point_sum``
-    read its transitions, and ``_point_sum`` extends its point levels in
-    place, so one recursion serves every n and both scalars."""
+    read its transitions, ``_point_sum`` extends its point levels in place
+    and ``_branching_sum`` keeps its deepest result, so one recursion of
+    each serves every n, and one point recursion both scalars."""
     return _Levels(lam, mu, family, kind)
 
 
@@ -205,6 +211,16 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     orbits of distinct nonincreasing tuples are disjoint.  The argument
     holds at every k, so one loop serves every n.
 
+    One run serves every smaller n too.  The tableaux in n letters are
+    those in N >= n letters with no letter past n, so the representatives
+    at n are those at N whose x-exponents are 0 past n, cut there.  The
+    kept pair (N, representatives) of the deepest run so far
+    (``_Levels.kept``, per ``b0_only``) gives that cut for n <= N, and a
+    call past N runs the recursion and keeps its result instead.  The cut
+    is read off the whole result at N, as the prune below drops only dead
+    terms; it agrees with the prune at n too, as (N - k) * x(k) >=
+    (n - k) * x(k).  Each call gets its own dict.
+
     A term that cannot reach lam is dropped too: a term of F_k(nu) with
     (n - k) * x(k) < |lam/nu| is dead.  Letter j's factor is
     x^|nu/rho| * t^e (``_letter_factor``), so its x-exponent x(j) is at
@@ -222,6 +238,11 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     terms only, and the sum is exactly the b^0 terms of the full one.
     """
     levels = _point_levels(lam, mu, family, kind)
+    depth, reps = levels.kept[b0_only]
+    if n == depth:
+        return dict(reps)
+    if n < depth:  # the terms in the first n letters, cut there
+        return {(x[:n], b): c for (x, b), c in reps.items() if not any(x[n:])}
     size = sum(lam)
     level = {mu: {((), 0): 1}}
     for k in range(1, n + 1):
@@ -247,7 +268,9 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                 if terms:  # a nu with no live term is not stepped from
                     nxt[nu] = terms
         level = nxt
-    return level.get(lam, {})
+    reps = level.get(lam, {})
+    levels.kept[b0_only] = (n, reps)
+    return dict(reps)
 
 
 def _expand(n: int, reps: dict) -> LaurentPoly:
@@ -257,9 +280,11 @@ def _expand(n: int, reps: dict) -> LaurentPoly:
                                     for x in _orbit(rep)})
 
 
-def _orbit(rep: tuple) -> Collection[tuple]:
+@lru_cache(maxsize=1024)
+def _orbit(rep: tuple) -> tuple[tuple, ...]:
     """Every distinct rearrangement of the exponent tuple rep, once each;
-    rep is nonincreasing.
+    rep is nonincreasing.  Kept per rep, so an orbit is arranged once for
+    every polynomial whose representatives share it.
 
     ``set(permutations(rep))`` runs in C but makes all n! tuples, which is
     fast up to n = 6 (720) and not beyond.  Above that the arrangements
@@ -268,7 +293,7 @@ def _orbit(rep: tuple) -> Collection[tuple]:
     rearrangements rather than n!.
     """
     if len(rep) <= 6:
-        return set(permutations(rep))
+        return tuple(set(permutations(rep)))
     memo: dict = {(): [()]}
 
     def arrange(rest: tuple) -> list:
@@ -282,7 +307,7 @@ def _orbit(rep: tuple) -> Collection[tuple]:
             memo[rest] = got
         return got
 
-    return arrange(rep)
+    return tuple(arrange(rep))
 
 
 def _point_sum(lam: tuple, mu: tuple, n: int, family: str,

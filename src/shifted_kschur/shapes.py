@@ -5,7 +5,8 @@ downward, col increases to the right.  A box (i, j) is *diagonal* iff j == i.
 A shape's rows (``row_cols``) state its boxes once; the box set and both
 box orders are read off them.  ``strict_subpartitions`` walks a partition's
 rows for the strict partitions inside it, and ``skew_shapes``, the one
-statement of the sweeps' domain, reads it per outer shape.
+statement of the sweeps' domain, reads it per outer shape;
+``skew_shape_count`` counts that domain with no shape built.
 
 The removable-box rule is stated once, in ``_corner_rows``, as the rows
 whose last box can go, and subsets of corners are removed in one loop,
@@ -299,14 +300,20 @@ def strict_partitions_up_to_weight(l: int) -> Iterator[StrictPartition]:
 
 def strict_subpartitions(lam: StrictPartition) -> Iterator[StrictPartition]:
     """Every strict mu inside lam, empty and lam included, in order of
-    parts.  The walk goes up lam's rows from the last: a mu's rows from r
-    on are none, or a part p <= lam_r ahead of rows from r + 1 whose first
-    part is below p, so each mu is made once, and in order."""
+    parts (``_subpartition_parts``)."""
+    return map(StrictPartition, _subpartition_parts(lam.parts))
+
+
+def _subpartition_parts(lam: tuple) -> list[tuple]:
+    """The parts of every strict mu inside the strict parts lam, in order.
+    The walk goes up lam's rows from the last: a mu's rows from r on are
+    none, or a part p <= lam_r ahead of rows from r + 1 whose first part
+    is below p, so each mu is made once, and in order."""
     tails = [()]
-    for cap in reversed(lam.parts):
+    for cap in reversed(lam):
         tails = [()] + [(p, *t) for p in range(1, cap + 1)
                         for t in tails if not t or t[0] < p]
-    return map(StrictPartition, tails)
+    return tails
 
 
 def skew_shapes(max_weight: int, skew: bool = True,
@@ -321,3 +328,10 @@ def skew_shapes(max_weight: int, skew: bool = True,
             inners = strict_subpartitions(lam) if skew else [StrictPartition()]
             for mu in inners:
                 yield SkewShape(lam, mu)
+
+
+def skew_shape_count(max_weight: int, skew: bool = True) -> int:
+    """How many shapes ``skew_shapes(max_weight, skew)`` yields, with no
+    shape built: the inner parts of each lam are only counted."""
+    return sum(len(_subpartition_parts(lam.parts)) if skew else 1
+               for lam in strict_partitions_up_to_weight(max_weight) if lam)

@@ -136,20 +136,73 @@ def test_orbits_at_every_n():
                 assert reps == nonincreasing(_tableau_sum(*args)), args
 
 
-def test_representatives_are_stable_in_n():
+def test_representatives_are_stable_in_n(fresh_caches):
     # the representatives at n are those at 5 whose x-exponents end in
-    # 5 - n zeros, with the zeros cut: every lam/mu with |lam| <= 5
+    # 5 - n zeros, with the zeros cut: every lam/mu with |lam| <= 5.  Each
+    # n runs its own recursion from cleared levels, so the kept run at 5
+    # is not the cut the test compares with
     cases = 0
     for shape in skew_shapes(5, with_empty=True):
         for family in ("P", "Q"):
             for kind in KINDS:
+                genfunc._point_levels.cache_clear()
                 at5 = _branching_sum(*parts(shape), 5, family, kind)
                 for n in (1, 2, 3, 4):
+                    genfunc._point_levels.cache_clear()
                     assert _branching_sum(*parts(shape), n, family, kind) == {
                         (x[:n], b): c for (x, b), c in at5.items()
                         if not any(x[n:])}, (str(shape), family, kind, n)
                     cases += 1
     assert cases == 736
+
+
+def test_branching_sum_serves_every_n_in_any_order(fresh_caches):
+    # the deepest run kept per (lam, mu, family, kind) and b0_only answers
+    # a smaller n with its cut and is replaced by a larger n's run: either
+    # way the representatives a recursion from cleared levels gives,
+    # however n is asked
+    orders = ((1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3))
+    cases = 0
+    for shape in skew_shapes(6):
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                want = {}
+                for n in (1, 2, 3, 4):
+                    for b0 in (False, True):
+                        genfunc._point_levels.cache_clear()
+                        want[n, b0] = _branching_sum(*parts(shape), n, family,
+                                                     kind, b0_only=b0)
+                for order in orders:
+                    genfunc._point_levels.cache_clear()
+                    got = {(n, b0): _branching_sum(*parts(shape), n, family,
+                                                   kind, b0_only=b0)
+                           for n in order for b0 in (False, True)}
+                    assert got == want, (str(shape), family, kind, order)
+                cases += 1
+    assert cases == 320
+
+
+def test_branching_sum_result_is_the_callers_own(fresh_caches):
+    # a dict the engine returned, changed, changes no later answer at the
+    # same n (a copy of the kept run) or a smaller one (its cut)
+    def reps(n, b0):
+        return _branching_sum((5, 3, 1), (2,), n, "Q", "set-valued",
+                              b0_only=b0)
+
+    for b0 in (False, True):
+        want = {}
+        for n in (3, 2):
+            genfunc._point_levels.cache_clear()
+            want[n] = reps(n, b0)
+        assert want[3] and want[2]
+        genfunc._point_levels.cache_clear()
+        for n in (3, 3, 2, 2, 3):
+            got = reps(n, b0)
+            assert got == want[n], (b0, n)
+            key = next(iter(got))
+            got[key] += 7
+            del got[next(iter(got))]
+            got[(9,) * n, 9] = 1
 
 
 def test_dead_terms_are_dropped_at_every_n(fresh_caches):

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from shifted_kschur import cli, enumeration, genfunc, involutions
+from shifted_kschur import cli, enumeration, genfunc, involutions, shapes
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
@@ -310,6 +310,42 @@ class TestIdentity:
         assert (code, out) == (1, "shape=1 n=1 FAIL\nshape=2 n=1 FAIL\n")
 
     @pytest.mark.parametrize("check", ("beta-zero", "pq-factor"))
+    def test_engine_runs_once_per_shape_at_max_n(self, capsys, monkeypatch,
+                                                 fresh_caches, check):
+        # each shape's first ask is at --max-n, so every n is a cut of that
+        # run and no key's recursion runs twice; the lines are those of
+        # each n asked from cold levels
+        asked, ran = [], []
+        real = genfunc._branching_sum
+        levels = genfunc._point_levels
+
+        def counted(lam, mu, n, family, kind, b0_only=False):
+            kept = levels(lam, mu, family, kind).kept[b0_only][0]
+            asked.append((lam, mu, n))
+            if n > kept:
+                ran.append((lam, mu, family, kind, b0_only))
+            return real(lam, mu, n, family, kind, b0_only=b0_only)
+
+        monkeypatch.setattr(genfunc, "_branching_sum", counted)
+        argv = ("identity", "--check", check, "--skew", "--max-weight", "4",
+                "--max-n", "3")
+        code, out, _ = run(capsys, *argv)
+        domain = [(s.outer.parts, s.inner.parts) for s in skew_shapes(4)]
+        assert code == 0 and len(out.splitlines()) == 3 * len(domain)
+        firsts = {}
+        for lam, mu, n in asked:
+            firsts.setdefault((lam, mu), n)
+        assert firsts == {shape: 3 for shape in domain}
+        # beta-zero reads four keys a shape, pq-factor two
+        keys = 4 if check == "beta-zero" else 2
+        assert len(ran) == len(set(ran)) == keys * len(domain)
+        for line, (shape, n) in zip(out.splitlines(),
+                                    product(skew_shapes(4), (1, 2, 3))):
+            fresh_caches()
+            assert line == getattr(cli, "_" + check.replace("-", "_"))(
+                shape, n, n)[0]
+
+    @pytest.mark.parametrize("check", ("beta-zero", "pq-factor"))
     def test_compares_representatives_unexpanded(self, capsys, monkeypatch,
                                                  check):
         # both sides' representatives are compared as they are, so no
@@ -379,6 +415,29 @@ def test_zero_budget_sweep_holds_no_instance_list(capsys, argv):
         tracemalloc.stop()
     assert code == 0 and out.startswith("partial sweep: covered 0/")
     assert peak < 64_000
+
+
+@pytest.mark.parametrize("argv", [
+    ("identity", "--check", "beta-zero", "--skew", "--max-n", "4"),
+    ("identity", "--check", "pq-factor"), ("verify-involution",)],
+    ids=("beta-zero-skew", "pq-factor", "verify-involution"))
+def test_cut_sweep_counts_the_rest_with_no_shape(capsys, monkeypatch, argv):
+    # the one shape made is the first instance's, drawn before the cut;
+    # the rest are counted, and the count is the lines of the uncut sweep
+    made = []
+    real = shapes.SkewShape.__init__
+
+    def init(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(shapes.SkewShape, "__init__", init)
+    code, out, _ = run(capsys, *argv, "--max-weight", "6",
+                       "--time-budget", "0")
+    assert code == 0 and len(made) == 1
+    monkeypatch.undo()
+    lines = len(run(capsys, *argv, "--max-weight", "6")[1].splitlines())
+    assert out == f"partial sweep: covered 0/{lines} instances\n"
 
 
 class TestOracleCheck:

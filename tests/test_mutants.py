@@ -31,9 +31,11 @@ from test_shapes import subpartitions_against_brute_force
 
 def engine_against_walk():
     """The definition sweep on every lam/mu with 0 < |lam| <= 5, n <= 3, P
-    and Q; it stops at its first mismatch."""
+    and Q; it stops at its first mismatch.  n = 3 comes after 2, past the
+    run kept on each key, and 1 after 3, a cut of it; at each n the whole
+    sum comes before its b^0 terms."""
     domain = list(skew_shapes(5))
-    for n in (1, 2, 3):
+    for n in (2, 3, 1):
         for family in ("P", "Q"):
             definition_sweep(n, family, domain)
 
@@ -117,6 +119,15 @@ MUTANTS = [
                     "read"),
     Mutant("terms-kept-past-their-orbit", genfunc, "_branching_sum",
            "if low <= x <= top:", "if low <= x:", engine_against_walk),
+    # the kept run (n, representatives) serves only its own b0_only, only
+    # the n it is not below, and only through the cut at n
+    Mutant("kept-run-keyed-without-b0-only", genfunc, "_branching_sum",
+           "levels.kept[b0_only] = (n, reps)",
+           "levels.kept[:] = [(n, reps)] * 2", engine_against_walk),
+    Mutant("cut-keeps-nonzero-tails", genfunc, "_branching_sum",
+           "if not any(x[n:])}", "}", engine_against_walk),
+    Mutant("kept-run-read-past-its-n", genfunc, "_branching_sum",
+           "if n == depth:", "if n >= depth >= 0:", engine_against_walk),
     # the engine cannot see a repeated arrangement: the expansion writes
     # each into a dict
     Mutant("orbit-repeats-arrangements", genfunc, "_orbit",
@@ -134,12 +145,12 @@ MUTANTS = [
     # the walk's bounds: mu_r <= lam_r, parts strictly decreasing, and the
     # order of parts (t[0] <= p makes (1, 1), which StrictPartition refuses
     # with a ValueError before any check reads it)
-    Mutant("subpartition-rows-short-of-lam", shapes, "strict_subpartitions",
+    Mutant("subpartition-rows-short-of-lam", shapes, "_subpartition_parts",
            "range(1, cap + 1)", "range(1, cap)",
            subpartitions_against_brute_force),
-    Mutant("subpartition-parts-two-apart", shapes, "strict_subpartitions",
+    Mutant("subpartition-parts-two-apart", shapes, "_subpartition_parts",
            "t[0] < p", "t[0] < p - 1", subpartitions_against_brute_force),
-    Mutant("subpartitions-longest-row-first", shapes, "strict_subpartitions",
+    Mutant("subpartitions-longest-row-first", shapes, "_subpartition_parts",
            "range(1, cap + 1)", "range(cap, 0, -1)",
            subpartitions_against_brute_force),
     Mutant("strips-grow-every-row", shapes, "_strips_above",

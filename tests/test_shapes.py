@@ -5,8 +5,8 @@ import pytest
 from shifted_kschur import shapes
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
                                    _index_table, _parse_skew, inner_shapes,
-                                   is_subpartition, skew_shapes,
-                                   strict_partitions_of_weight,
+                                   is_subpartition, skew_shape_count,
+                                   skew_shapes, strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 
@@ -328,3 +328,10 @@ def subpartitions_against_brute_force(max_weight=12):
 
 def test_strict_subpartitions_are_distinct_and_complete():
     subpartitions_against_brute_force()
+
+
+def test_skew_shape_count_is_the_streams_length():
+    for w in range(1, 11):
+        for skew in (True, None):
+            assert skew_shape_count(w, skew) == \
+                sum(1 for _ in skew_shapes(w, skew)), (w, skew)

@@ -6,7 +6,9 @@ are tried in lexicographic order of their entry codes, so the emitted
 sequence is canonical and deterministic.  The walk keeps the primed codes
 of each row and the unprimed codes of each column as int bit masks, and
 reads a box's candidate cells, with their code bits and letters, from a
-table cached per (lowest code, step, 2n, taken mask, kind).  It carries
+table cached per (lowest code, step, highest code, taken mask, kind); the
+highest code is the box's ceiling (``_ceilings``), so the walk enters no
+box whose later boxes cannot be filled.  It carries
 each tableau's weight and entry count |T| as it places and removes cells,
 so ``count`` and the generating-function definition
 (``genfunc._tableau_sum``) read them at the leaves without building a
@@ -42,20 +44,22 @@ def EnumSpec(shape: SkewShape, n: int, family: str,
     return FunctionSpec(family if kind == "single" else "G" + family, shape, n)
 
 
-def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
+def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table,
+                     tops):
     """Cell sets admissible at row-major index k, lex order.
 
     ``cells`` holds the cells of indices 0 to k - 1, ``table`` is the
-    shape's ``shapes._index_table``; ``row_primed[i]`` and
-    ``col_unprimed[j]`` are bit masks (bit c for code c) of the primed
-    codes used in row i and the unprimed codes used in column j.
-    Admissible codes are bounded below by the max of the left
-    and top neighbors (weak; the equal-letter exclusions are exactly the
-    row/column multiplicity rules), exclude primed letters already used in
-    the row and unprimed letters already used in the column, and exclude
-    primed letters on the diagonal for family P.  Each candidate comes from
-    ``_cell_table`` as (cell, primed bits, unprimed bits, letters);
-    ``minimal_tableau`` takes the first.
+    shape's ``shapes._index_table`` and ``tops`` its ``_ceilings`` at 2n;
+    ``row_primed[i]`` and ``col_unprimed[j]`` are bit masks (bit c for
+    code c) of the primed codes used in row i and the unprimed codes used
+    in column j.  Admissible codes are bounded below by the max of the
+    left and top neighbors (weak; the equal-letter exclusions are exactly
+    the row/column multiplicity rules) and above by the box's ceiling,
+    exclude primed letters already used in the row and unprimed letters
+    already used in the column, and exclude primed letters on the diagonal
+    for family P.  Each candidate comes from ``_cell_table`` as (cell,
+    primed bits, unprimed bits, letters); ``minimal_tableau`` takes the
+    first.
     """
     i, j = table.boxes[k]
     lo = 1
@@ -68,8 +72,38 @@ def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table):
     if spec.base_family == "P" and i == j:
         lo += lo & 1  # the even codes, unprimed letters only
         step = 2
-    return _cell_table(lo, step, 2 * spec.n, row_primed[i] | col_unprimed[j],
+    return _cell_table(lo, step, tops[k], row_primed[i] | col_unprimed[j],
                        spec.kind)
+
+
+@lru_cache(maxsize=256)
+def _ceilings(outer: tuple, inner: tuple, top: int) -> tuple:
+    """The highest code each box of outer/inner can hold in a tableau of
+    codes at most top, by row-major index: a code past it leaves some
+    later box no cell, so the walk would enter a dead end there.
+
+    A box's codes are at most the lowest code of its right neighbour, and
+    equal to it only if that code is unprimed (even), as a primed code
+    may not repeat along a row; they are at most the lowest code of the
+    box below, and equal to it only if it is primed (odd), as an unprimed
+    code may not repeat down a column.  That lowest code is at most the
+    neighbour's own ceiling c, so the bound is c if c is even, else c - 1,
+    from the right, and c if c is odd, else c - 1, from below.  Both
+    neighbours come later in row-major order, so one backward pass over
+    the boxes gives every ceiling.  Family P's rule that a diagonal box
+    holds even codes only lowers no ceiling: a diagonal box has no box
+    below, so its ceiling, top or a bound from the right, is even already.
+    """
+    table = _index_table(outer, inner)
+    tops = [top] * len(table.boxes)
+    for k in range(len(tops) - 1, -1, -1):
+        c = tops[k]
+        left, above = table.left[k], table.top[k]
+        if left >= 0:
+            tops[left] = min(tops[left], c - (c & 1))
+        if above >= 0:
+            tops[above] = min(tops[above], c - 1 + (c & 1))
+    return tuple(tops)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -106,7 +140,9 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
     candidate iterator per box on the path hands each leaf out once.
     """
     shape = spec.shape
-    table = _index_table(shape.outer.parts, shape.inner.parts)
+    outer, inner = shape.outer.parts, shape.inner.parts
+    table = _index_table(outer, inner)
+    tops = _ceilings(outer, inner, 2 * spec.n)
     boxes = table.boxes
     row_primed = [0] * (shape.outer.length + 1)
     col_unprimed = [0] * (shape.outer.part(1) + 1)
@@ -122,7 +158,7 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
         i, j = boxes[k]
         if choices[k] is None:
             choices[k] = iter(_candidate_cells(spec, k, cells, row_primed,
-                                               col_unprimed, table))
+                                               col_unprimed, table, tops))
         else:  # take the standing cell off; its bits are in the masks
             _, primed, unprimed, letters = placed[k]
             row_primed[i] ^= primed

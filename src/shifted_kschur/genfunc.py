@@ -16,9 +16,12 @@ with nonincreasing x-exponents, one per x-orbit, as the skew functions
 are symmetric in x, less those whose remaining letters cannot add the
 boxes still missing from lam, and returns these representatives.  Its
 deepest run is kept per key, so a smaller n is a cut of it, not a run.
-Only ``compute`` and ``beta_zero`` expand them (``_expand``), and
-``_orbit`` keeps each orbit's arrangements, so an orbit shared by many
-polynomials is arranged once.  Each ``_Levels`` keeps one tuple per
+``_representatives`` sums them over the lam/nu of a request.  Only
+``compute`` and ``beta_zero`` expand them (``_expand``), reading each
+orbit's arrangements from ``polyring._orbit``, which keeps them, so an
+orbit shared by many polynomials is arranged once; ``by_orbit`` holds
+them as they are (``polyring.OrbitTerms``), and ``kschur poly`` prints
+that polynomial with no expansion.  Each ``_Levels`` keeps one tuple per
 shape its tables name.  For ``beta_zero`` ``_branching_sum`` builds only
 the b^0 terms, each factor keeping its own, which is exact as no factor
 term has a negative b-exponent.
@@ -41,12 +44,11 @@ sum symbolically without touching any tableau.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from math import inf
 from typing import NamedTuple
 
 from .enumeration import EnumSpec, _leaves
-from .polyring import LaurentPoly
+from .polyring import LaurentPoly, OrbitTerms, _orbit
 from .shapes import (SkewShape, StrictPartition, _corner_rows,
                      _minus_corners, _strips_above, inner_shapes,
                      is_subpartition, strict_subpartitions)
@@ -280,36 +282,6 @@ def _expand(n: int, reps: dict) -> LaurentPoly:
                                     for x in _orbit(rep)})
 
 
-@lru_cache(maxsize=1024)
-def _orbit(rep: tuple) -> tuple[tuple, ...]:
-    """Every distinct rearrangement of the exponent tuple rep, once each;
-    rep is nonincreasing.  Kept per rep, so an orbit is arranged once for
-    every polynomial whose representatives share it.
-
-    ``set(permutations(rep))`` runs in C but makes all n! tuples, which is
-    fast up to n = 6 (720) and not beyond.  Above that the arrangements
-    are built per distinct value, with the arrangements of each
-    sub-multiset made once, so the cost follows the distinct
-    rearrangements rather than n!.
-    """
-    if len(rep) <= 6:
-        return tuple(set(permutations(rep)))
-    memo: dict = {(): [()]}
-
-    def arrange(rest: tuple) -> list:
-        got = memo.get(rest)
-        if got is None:
-            got = []
-            for i, v in enumerate(rest):
-                if i and v == rest[i - 1]:  # rest is sorted: one per value
-                    continue
-                got += [(v,) + t for t in arrange(rest[:i] + rest[i + 1:])]
-            memo[rest] = got
-        return got
-
-    return tuple(arrange(rep))
-
-
 def _point_sum(lam: tuple, mu: tuple, n: int, family: str,
                kind: str) -> tuple[int, int]:
     """``_branching_sum`` of lam/mu at x = 1 and b = 1, -1, with no
@@ -361,17 +333,33 @@ def _at(spec: FunctionSpec) -> tuple[int, int]:
     return count, signed
 
 
-def compute(spec: FunctionSpec) -> LaurentPoly:
-    """The polynomial of the requested family on the given shape, with no
-    shape built: the representatives of each lam/nu of ``_inner`` times
-    b^|mu/nu|, summed, then expanded once."""
+def _representatives(spec: FunctionSpec) -> dict:
+    """The representatives of the requested family on the given shape, with
+    no shape built: those of each lam/nu of ``_inner`` times b^|mu/nu|,
+    summed.  ``_inner``'s first entry is (0, mu), and ``_branching_sum``
+    hands each call a dict of its own, so the other nu are added into
+    lam/mu's, and a request with one lam/nu is returned as it came."""
     lam, n, family, kind = (spec.shape.outer.parts, spec.n,
                             spec.base_family, spec.kind)
-    reps: dict = {}
-    for b, nu in _inner(spec):
+    (_, mu), *rest = _inner(spec)
+    reps = _branching_sum(lam, mu, n, family, kind)
+    for b, nu in rest:
         for (x, e), c in _branching_sum(lam, nu, n, family, kind).items():
             reps[x, e + b] = reps.get((x, e + b), 0) + c
-    return _expand(n, reps)
+    return reps
+
+
+def compute(spec: FunctionSpec) -> LaurentPoly:
+    """The polynomial of the requested family on the given shape: its
+    representatives, expanded once."""
+    return _expand(spec.n, _representatives(spec))
+
+
+def by_orbit(spec: FunctionSpec) -> LaurentPoly:
+    """``compute(spec)`` with its terms held by x-orbit, the
+    representatives unexpanded (``polyring.OrbitTerms``): it prints the
+    same text and JSON, each orbit written as one sorted run."""
+    return LaurentPoly._trusted(spec.n, OrbitTerms(_representatives(spec)))
 
 
 def beta_zero(spec: FunctionSpec) -> LaurentPoly:

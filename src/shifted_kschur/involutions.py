@@ -33,7 +33,8 @@ from functools import lru_cache
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple
 
-from .enumeration import EnumSpec, _candidate_cells, enumerate_fillings
+from .enumeration import (EnumSpec, _candidate_cells, _ceilings,
+                          enumerate_fillings)
 from .genfunc import FunctionSpec, _at
 from .shapes import (SkewShape, StrictPartition, _index_table, inner_shapes,
                      is_subpartition, pi)
@@ -73,12 +74,13 @@ def _minimal_cells(outer: tuple, inner: tuple, family: str,
     shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
     spec = EnumSpec(shape, n, family, "single")
     table = _index_table(outer, inner)
+    tops = _ceilings(outer, inner, 2 * n)
     row_primed = [0] * (shape.outer.length + 1)
     col_unprimed = [0] * (shape.outer.part(1) + 1)
     cells: list = []
     for k, (i, j) in enumerate(table.boxes):
         candidates = _candidate_cells(spec, k, cells, row_primed,
-                                      col_unprimed, table)
+                                      col_unprimed, table, tops)
         if not candidates:
             return None
         cell, primed_bits, unprimed_bits, _ = candidates[0]

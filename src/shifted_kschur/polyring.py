@@ -5,16 +5,26 @@ are Python ints, so arithmetic never overflows.  Terms print in a canonical
 ASCII grammar such as "2*x1^3*x2*b^-1 + b^7" (terms sorted by b-exponent,
 then x-exponents lexicographically), and parse back exactly.  The text and
 the one-line JSON document (``to_json``, which ``from_json`` reads back)
-are both written from one sort of plain (b, x, c) triples
-(``sorted_terms``), the one statement of the term order; the text reads
-each factor from a table of power names per variable.  Ring operations
-on two valid operands build their result unchecked, dropping zero
-coefficients; the public constructor checks every term.
+are both written by ``_render``, the one statement of the print format
+and of the term order, from runs of terms that share b and a
+coefficient, each run sorted by x: per b it sorts the runs' terms once,
+which merges the runs.  A polynomial hands it one run per term, or, when
+its terms are held by x-orbit (``OrbitTerms``, a polynomial symmetric in
+x kept as one representative per orbit), one run per orbit: the orbit's
+sorted arrangements (``_orbit``) and their text (``_orbit_text``), both
+kept per orbit, so such a polynomial prints with no expansion.  The text
+of an x-exponent tuple is read from a table of power names per variable
+(``_x_texts``).  Ring operations on two valid operands build their result
+unchecked, dropping zero coefficients; the public constructor checks
+every term.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
+from functools import lru_cache
+from itertools import permutations
 from operator import getitem, itemgetter
 from typing import Iterable
 
@@ -182,29 +192,17 @@ class LaurentPoly:
         share both exponents, so the sort never compares coefficients."""
         return sorted([(b, x, c) for (x, b), c in self.terms.items()])
 
+    def _runs(self, as_json: bool) -> list:
+        """The terms as ``_render``'s runs: one per orbit when they are
+        held by x-orbit (``OrbitTerms``), else one per term."""
+        if isinstance(self.terms, OrbitTerms):
+            return self.terms.runs(as_json)
+        texts = _x_texts([x for x, _ in self.terms], as_json)
+        return [(b, c, (x,), t)
+                for ((x, b), c), t in zip(self.terms.items(), texts)]
+
     def __str__(self) -> str:
-        triples = self.sorted_terms()
-        if not triples:
-            return "0"
-        top = max(map(max, map(itemgetter(1), triples))) if self.nvars else 0
-        # powers[i][e] is "*x(i+1)^e" as printed, and "" for e = 0
-        powers = [["", f"*x{i}"] + [f"*x{i}^{e}" for e in range(2, top + 1)]
-                  for i in range(1, self.nvars + 1)]
-        chunks = []
-        for b, x, c in triples:
-            body = "".join(map(getitem, powers, x))
-            if b:
-                body += "*b" if b == 1 else f"*b^{b}"
-            if c < 0:
-                sign, c = " - ", -c
-            else:
-                sign = " + "
-            if c != 1:
-                chunks.append(f"{sign}{c}{body}")
-            else:
-                chunks.append(sign + (body[1:] or "1"))
-        text = "".join(chunks)  # the first term's sign is " + " or " - "
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        return _render(self._runs(False))
 
     __repr__ = __str__
 
@@ -249,12 +247,8 @@ class LaurentPoly:
 
     def to_json(self) -> str:
         """The JSON text {"terms": [{"b": b, "c": "c", "x": [x1, ...]},
-        ...]} on one line, terms in print order, keys sorted, as
-        ``json.dumps(..., sort_keys=True)`` writes it; c is the decimal
-        text of the coefficient."""
-        terms = ", ".join([f'{{"b": {b}, "c": "{c}", "x": {list(x)}}}'
-                           for b, x, c in self.sorted_terms()])
-        return f'{{"terms": [{terms}]}}'
+        ...]} on one line (``_render``)."""
+        return _render(self._runs(True), as_json=True)
 
     @classmethod
     def from_json(cls, text: str, nvars: int) -> "LaurentPoly":
@@ -269,6 +263,140 @@ class LaurentPoly:
                 raise ValueError(f"bad term {t!r}")
             terms[key] = terms.get(key, 0) + int(c)
         return cls(nvars, terms)
+
+
+@lru_cache(maxsize=1024)
+def _orbit(rep: tuple) -> tuple[tuple, ...]:
+    """Every distinct rearrangement of the exponent tuple rep, once each,
+    sorted, so an orbit is one sorted run of ``_render``'s; rep is
+    nonincreasing.  Kept per rep, so an orbit is arranged once for every
+    polynomial whose representatives share it.
+
+    ``set(permutations(rep))`` runs in C but makes all n! tuples, which is
+    fast up to n = 6 (720) and not beyond.  Above that the arrangements
+    are built per distinct value, with the arrangements of each
+    sub-multiset made once, so the cost follows the distinct
+    rearrangements rather than n!.
+    """
+    if len(rep) <= 6:
+        return tuple(sorted(set(permutations(rep))))
+    memo: dict = {(): [()]}
+
+    def arrange(rest: tuple) -> list:
+        got = memo.get(rest)
+        if got is None:
+            got = []
+            for i, v in enumerate(rest):
+                if i and v == rest[i - 1]:  # rest is sorted: one per value
+                    continue
+                got += [(v,) + t for t in arrange(rest[:i] + rest[i + 1:])]
+            memo[rest] = got
+        return got
+
+    return tuple(reversed(arrange(rep)))  # arrange lists rep first
+
+
+@lru_cache(maxsize=1024)
+def _orbit_text(rep: tuple, as_json: bool) -> str:
+    """The text of each arrangement of ``_orbit(rep)``, in its order, as
+    ``_render`` prints it, one line each: kept beside the arrangements, so
+    an orbit's terms are written once for every polynomial that prints
+    it, and kept as one string, which holds them in about a fifth of the
+    memory of one string each."""
+    return "\n".join(_x_texts(_orbit(rep), as_json))
+
+
+class OrbitTerms(Mapping):
+    """The terms of a polynomial symmetric in x, read from one
+    representative per x-orbit: reps maps (rep, b), rep nonincreasing, to
+    the coefficient every arrangement of rep carries.  A read-only view,
+    so a ``LaurentPoly`` over it is a whole polynomial; it prints from the
+    representatives (``runs``), and nothing else expands them: a key is
+    looked up by its sorted x, and ``len`` and iteration read the kept
+    arrangements (``_orbit``)."""
+
+    __slots__ = ("reps",)
+
+    def __init__(self, reps: dict[MonomialKey, int]):
+        self.reps = reps
+
+    def __getitem__(self, key: MonomialKey) -> int:
+        x, b = key
+        return self.reps[tuple(sorted(x, reverse=True)), b]
+
+    def __iter__(self):
+        return ((x, b) for rep, b in self.reps for x in _orbit(rep))
+
+    def __len__(self) -> int:
+        return sum(len(_orbit(rep)) for rep, _ in self.reps)
+
+    def runs(self, as_json: bool) -> list:
+        """``_render``'s runs, one per orbit: its sorted arrangements with
+        their text, both kept per orbit."""
+        return [(b, c, _orbit(rep), _orbit_text(rep, as_json))
+                for (rep, b), c in self.reps.items()]
+
+
+def _x_texts(xs: Sequence[tuple], as_json: bool) -> list[str]:
+    """The text of each x-exponent tuple of xs as ``_render`` prints it:
+    its factors, each after a "*" ("*x1^3*x2", and "" for no x), or its
+    JSON list ("[3, 1]")."""
+    if as_json:
+        return list(map(str, map(list, xs)))
+    nvars = len(xs[0]) if xs else 0
+    top = max(map(max, xs)) if nvars else 0
+    # powers[i][e] is "*x(i+1)^e" as printed, and "" for e = 0
+    powers = [["", f"*x{i}"] + [f"*x{i}^{e}" for e in range(2, top + 1)]
+              for i in range(1, nvars + 1)]
+    return ["".join(map(getitem, powers, x)) for x in xs]
+
+
+def _render(runs: Iterable[tuple], as_json: bool = False) -> str:
+    """The canonical text of a polynomial, or with ``as_json`` its JSON
+    text, from runs (b, c, xs, lines): the terms c * x^xs[i] * b^b, in
+    any order of runs, each run's xs sorted and no x in two runs with
+    the same b, line i of lines being ``_x_texts`` of xs[i].  A run's
+    lines are split only when its b is written, so one b's term texts
+    are held at a time.
+
+    The one statement of the print format.  Terms go by b-exponent, then
+    x-exponents; per b the runs' terms are concatenated and sorted once,
+    by x alone, so the sort merges the sorted runs.  A term prints its
+    sign, then its coefficient unless that is 1 (and ``1`` for a term with
+    no factor), its x factors and ``*b^e`` (``*b`` for e = 1); the first
+    term drops the spaces of its sign, and the zero polynomial prints
+    ``0``.  The JSON text is {"terms": [{"b": b, "c": "c", "x": [x1,
+    ...]}, ...]} on one line, terms in the same order, keys sorted, as
+    ``json.dumps(..., sort_keys=True)`` writes it, c being the decimal
+    text of the coefficient.
+    """
+    by_b: dict = {}
+    for run in runs:
+        by_b.setdefault(run[0], []).append(run)
+    out: list = []
+    for b in sorted(by_b):
+        tail = "}" if as_json else "*b" if b == 1 else f"*b^{b}" if b else ""
+        terms: list = []
+        for _, c, xs, lines in by_b[b]:
+            texts = lines.split("\n")
+            sign = " - " if c < 0 else " + "
+            if as_json:
+                head = f'{{"b": {b}, "c": "{c}", "x": '
+            elif c != 1 and c != -1:
+                head = f"{sign}{abs(c)}"
+            else:  # the 1 elided with the body's first "*", or the body "1"
+                terms += zip(xs, [sign + ((t + tail)[1:] or "1")
+                                  for t in texts])
+                continue
+            terms += zip(xs, [head + t + tail for t in texts])
+        terms.sort(key=itemgetter(0))
+        out += map(itemgetter(1), terms)
+    if as_json:
+        return '{"terms": [' + ", ".join(out) + "]}"
+    text = "".join(out)  # the first term's sign is " + " or " - "
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _nonzero(terms: dict[MonomialKey, int]) -> dict[MonomialKey, int]:

@@ -1,14 +1,18 @@
+import contextlib
 import gc
 import io
 import json
+import re
 import tracemalloc
 from itertools import product
 
 import pytest
 
-from shifted_kschur import cli, enumeration, genfunc, involutions, shapes
+from shifted_kschur import (cli, enumeration, genfunc, involutions, polyring,
+                            shapes)
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec
+from shifted_kschur.genfunc import FunctionSpec
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS, pairing_certificate,
                                         read_certificate, write_certificate)
 from shifted_kschur.polyring import LaurentPoly
@@ -179,11 +183,90 @@ class TestEnumerate:
         assert code == 2 and not out and "n must be at least 1" in err
 
 
+def printed_keys(argv: list) -> list:
+    """The (b, x) of each term ``poly`` prints for argv, in printed order,
+    read back term by term from the text, or from the JSON with
+    ``--format jsonl``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    text, n = out.getvalue().strip(), int(argv[argv.index("-n") + 1])
+    if "jsonl" in argv:
+        return [(t["b"], tuple(t["x"])) for t in json.loads(text)["terms"]]
+    if text == "0":
+        return []
+    keys = []
+    for body in re.split(r" [+-] ", text.removeprefix("-")):
+        (x, b), = LaurentPoly.parse(body, n).terms
+        keys.append((b, x))
+    return keys
+
+
+def print_order_holds():
+    """``poly`` on every lam/mu with |lam| <= 4, n <= 3, every family, both
+    formats: the printed terms increase strictly in (b, x), the print
+    order.  It stops at the first request out of order."""
+    for shape in skew_shapes(4):
+        for n, family, fmt in product((1, 2, 3), genfunc.FAMILIES,
+                                      ("text", "jsonl")):
+            argv = ["poly", "--shape", str(shape), "--family", family,
+                    "-n", str(n), "--format", fmt]
+            keys = printed_keys(argv)
+            assert all(a < b for a, b in zip(keys, keys[1:])), argv
+
+
 class TestPoly:
     def test_gq_one_box(self, capsys):
         code, out, _ = run(capsys, "poly", "--shape", "1",
                            "--family", "GQ", "-n", "1")
         assert code == 0 and out.strip() == "2*x1 + x1^2*b"
+
+    def test_prints_the_expanded_polynomial(self, capsys):
+        # printed from the orbit representatives, the bytes are those of
+        # the expanded polynomial, and they read back to it, for every
+        # lam/mu with |lam| <= 6 (the empty one too), n <= 4, every family
+        cases = 0
+        for shape in skew_shapes(6, with_empty=True):
+            for n, family in product(range(1, 5), genfunc.FAMILIES):
+                p = genfunc.compute(FunctionSpec(family, shape, n))
+                argv = ("poly", "--shape", str(shape), "--family", family,
+                        "-n", str(n))
+                text = run(capsys, *argv)[1]
+                jsonl = run(capsys, *argv, "--format", "jsonl")[1]
+                assert (text, jsonl) == (f"{p}\n", f"{p.to_json()}\n"), argv
+                assert LaurentPoly.parse(text, n) == p, argv
+                assert LaurentPoly.from_json(jsonl, n) == p, argv
+                cases += 1
+        assert cases == 81 * 4 * 6
+
+    @pytest.mark.parametrize("shape, family", [("3,2,1", "P"),
+                                               ("3,2,1", "GQdouble")])
+    def test_empty_set_prints_zero(self, capsys, shape, family):
+        argv = ("poly", "--shape", shape, "--family", family, "-n", "2")
+        assert run(capsys, *argv) == (0, "0\n", "")
+        assert run(capsys, *argv, "--format", "jsonl") == (
+            0, '{"terms": []}\n', "")
+
+    def test_prints_in_order(self):
+        print_order_holds()
+
+    def test_expands_nothing(self, capsys, monkeypatch, fresh_caches):
+        # neither the engine's expansion nor the orbit terms' iteration
+        # runs: each orbit prints from its kept arrangements and text
+        argvs = [("poly", "--shape", shape, "--family", family, "-n", "3",
+                  "--format", fmt)
+                 for shape in ("4,2,1", "5,3/2", "3,1/1")
+                 for family in genfunc.FAMILIES for fmt in ("text", "jsonl")]
+        want = [run(capsys, *argv) for argv in argvs]
+
+        def refuse(*args):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(genfunc, "_expand", refuse)
+        monkeypatch.setattr(polyring.OrbitTerms, "__iter__", refuse)
+        fresh_caches()
+        assert [run(capsys, *argv) for argv in argvs] == want
+        assert sum(len(out) for _, out, _ in want) > 10_000
 
 
 class TestIdentity:
@@ -353,7 +436,8 @@ class TestIdentity:
         def refuse(rep):
             raise AssertionError(f"expanded {rep}")
 
-        monkeypatch.setattr(genfunc, "_orbit", refuse)
+        for module in (genfunc, polyring):
+            monkeypatch.setattr(module, "_orbit", refuse)
         code, out, _ = run(capsys, "identity", "--check", check, "--skew",
                            "--max-weight", "4", "--max-n", "3")
         lines = out.splitlines()

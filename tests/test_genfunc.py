@@ -5,7 +5,7 @@ from shifted_kschur.genfunc import (FunctionSpec, _at, _coproduct_guard,
                                     beta_zero, compute, coproduct_check,
                                     double_skew_shortcut, parity_report,
                                     special_value)
-from shifted_kschur.polyring import LaurentPoly
+from shifted_kschur.polyring import LaurentPoly, OrbitTerms
 from shifted_kschur.shapes import (SkewShape, skew_shapes,
                                    strict_partitions_up_to_weight)
 
@@ -77,6 +77,28 @@ class TestCompute:
         t1 = set_valued_examples["T1"]
         key = (t1.weight(), t1.size() - 7)
         assert gp.terms[key] >= 1
+
+
+class TestByOrbit:
+    def test_is_compute_held_by_orbit(self):
+        # the same polynomial, read through the representatives: equal both
+        # ways, the same hash, every term and no other, each looked up
+        cases = 0
+        for shape in skew_shapes(4, with_empty=True):
+            for n in (1, 2, 3):
+                for family in genfunc.FAMILIES:
+                    spec = FunctionSpec(family, shape, n)
+                    held, p = genfunc.by_orbit(spec), compute(spec)
+                    assert isinstance(held.terms, OrbitTerms)
+                    assert held == p and p == held and hash(held) == hash(p)
+                    assert len(held.terms) == len(p.terms)
+                    assert sorted(held.terms) == sorted(p.terms)
+                    assert all(held.terms[k] == c for k, c in p.terms.items())
+                    cases += bool(p)
+        assert cases > 300
+        held = genfunc.by_orbit(fs("GQ", (2, 1), 2))
+        for key in (((1, 1), 0), ((2, 1), 5), ((0, 3), 0), ((1, 2, 0), 1)):
+            assert key not in held.terms
 
 
 class TestFunctionSpec:

@@ -19,12 +19,13 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from shifted_kschur import genfunc, involutions, shapes
+from shifted_kschur import enumeration, genfunc, involutions, polyring, shapes
 from shifted_kschur.shapes import skew_shapes
 
 from conftest import engine_count, sp
 from test_branching import (definition_sweep, orbit_against_permutations,
                             strips_against_letter_factor)
+from test_cli import print_order_holds
 from test_genfunc import double_skew_against_engine
 from test_shapes import subpartitions_against_brute_force
 
@@ -130,15 +131,27 @@ MUTANTS = [
            "if n == depth:", "if n >= depth >= 0:", engine_against_walk),
     # the engine cannot see a repeated arrangement: the expansion writes
     # each into a dict
-    Mutant("orbit-repeats-arrangements", genfunc, "_orbit",
+    Mutant("orbit-repeats-arrangements", polyring, "_orbit",
            "if i and v == rest[i - 1]:  # rest is sorted: one per value\n"
            "                    continue", "", orbit_against_permutations),
-    Mutant("orbit-threshold-moved", genfunc, "_orbit",
+    Mutant("orbit-threshold-moved", polyring, "_orbit",
            "if len(rep) <= 6:", "if len(rep) <= 2:",
            orbit_against_permutations,
            survives="equivalent: both branches give every distinct "
                     "arrangement once, so the threshold moves only the "
                     "cost"),
+    # the printer's order: x within one b (poly's runs are orbits, whose
+    # text order is not their x order), and b across runs
+    Mutant("print-sorted-by-text", polyring, "_render",
+           "terms.sort(key=itemgetter(0))", "terms.sort(key=itemgetter(1))",
+           print_order_holds),
+    Mutant("print-b-groups-unsorted", polyring, "_render",
+           "for b in sorted(by_b):", "for b in by_b:", print_order_holds),
+    # the walk's ceilings bound every code it tries, so one too low loses
+    # tableaux (the last box's code 2n, say) the engine counts
+    Mutant("walk-ceiling-one-code-low", enumeration, "_ceilings",
+           "tops = [top] * len(table.boxes)",
+           "tops = [top - 1] * len(table.boxes)", engine_against_walk),
     # every sign flipped leaves the sum 0, so the row drops the signs
     Mutant("double-skew-terms-unsigned", genfunc, "double_skew_shortcut",
            "-1 if b % 2 else 1", "1", double_skew_against_engine),

@@ -3,12 +3,12 @@
 Boxes are filled row by row, left to right, onto a list of cells, with
 neighbors read from ``shapes._index_table``; candidate cell sets for a box
 are tried in lexicographic order of their entry codes, so the emitted
-sequence is canonical and deterministic.  The walk keeps the primed codes
-of each row and the unprimed codes of each column as int bit masks, and
-reads a box's candidate cells, with their code bits and letters, from a
-table cached per (lowest code, step, highest code, taken mask, kind); the
-highest code is the box's ceiling (``_ceilings``), so the walk enters no
-box whose later boxes cannot be filled.  It carries
+sequence is canonical and deterministic.  A box's candidate codes are
+bounded below by its left and upper neighbors' cells alone (fact A, in
+``validate_cells``), and the walk reads its candidate cells, with their
+letters, from a table cached per (lowest code, step, highest code, kind);
+the highest code is the box's ceiling (``_ceilings``), so the walk enters
+no box whose later boxes cannot be filled.  It carries
 each tableau's weight and entry count |T| as it places and removes cells,
 so ``count`` and the generating-function definition
 (``genfunc._tableau_sum``) read them at the leaves without building a
@@ -44,36 +44,32 @@ def EnumSpec(shape: SkewShape, n: int, family: str,
     return FunctionSpec(family if kind == "single" else "G" + family, shape, n)
 
 
-def _candidate_cells(spec, k, cells, row_primed, col_unprimed, table,
-                     tops):
+def _candidate_cells(spec, k, cells, table, tops):
     """Cell sets admissible at row-major index k, lex order.
 
     ``cells`` holds the cells of indices 0 to k - 1, ``table`` is the
-    shape's ``shapes._index_table`` and ``tops`` its ``_ceilings`` at 2n;
-    ``row_primed[i]`` and ``col_unprimed[j]`` are bit masks (bit c for
-    code c) of the primed codes used in row i and the unprimed codes used
-    in column j.  Admissible codes are bounded below by the max of the
-    left and top neighbors (weak; the equal-letter exclusions are exactly
-    the row/column multiplicity rules) and above by the box's ceiling,
-    exclude primed letters already used in the row and unprimed letters
-    already used in the column, and exclude primed letters on the diagonal
-    for family P.  Each candidate comes from ``_cell_table`` as (cell,
-    primed bits, unprimed bits, letters); ``minimal_tableau`` takes the
+    shape's ``shapes._index_table`` and ``tops`` its ``_ceilings`` at 2n.
+    Admissible codes are bounded below by the max of the left and top
+    neighbors (weak) and above by the box's ceiling, and are even on the
+    diagonal for family P.  The lowest code is dropped if it is primed and
+    the left neighbor's max, or unprimed and the top neighbor's max: the
+    earlier codes of the row (column) are at most that neighbor's max, so
+    no other code can repeat there.  Each candidate comes from
+    ``_cell_table`` as (cell, letters); ``minimal_tableau`` takes the
     first.
     """
     i, j = table.boxes[k]
-    lo = 1
     left, top = table.left[k], table.top[k]
-    if left >= 0:
-        lo = cells[left][-1]
-    if top >= 0 and cells[top][-1] > lo:
-        lo = cells[top][-1]
+    left_max = cells[left][-1] if left >= 0 else 0
+    top_max = cells[top][-1] if top >= 0 else 0
+    lo = max(left_max, top_max, 1)
     step = 1
     if spec.base_family == "P" and i == j:
         lo += lo & 1  # the even codes, unprimed letters only
         step = 2
-    return _cell_table(lo, step, tops[k], row_primed[i] | col_unprimed[j],
-                       spec.kind)
+    if lo == (left_max if lo & 1 else top_max):  # a repeat in row or column
+        lo += step
+    return _cell_table(lo, step, tops[k], spec.kind)
 
 
 @lru_cache(maxsize=256)
@@ -107,25 +103,17 @@ def _ceilings(outer: tuple, inner: tuple, top: int) -> tuple:
 
 
 @lru_cache(maxsize=1 << 10)
-def _cell_table(lo: int, step: int, top: int, taken: int, kind: str) -> tuple:
-    """The cells over codes lo, lo + step, ... <= top outside the bit mask
-    ``taken``: single codes, or every nonempty set of them, in lex order.
-    Each comes with the bits of its primed (odd) and unprimed (even) codes
-    and its letters, code 2l - 1 being l' and 2l being l, letter l counting
-    at l - 1."""
-    allowed = [c for c in range(lo, top + 1, step) if not taken >> c & 1]
+def _cell_table(lo: int, step: int, top: int, kind: str) -> tuple:
+    """The cells over codes lo, lo + step, ... <= top: single codes, or
+    every nonempty set of them, in lex order.  Each comes with its letters,
+    code 2l - 1 being l' and 2l being l, letter l counting at l - 1."""
+    allowed = range(lo, top + 1, step)
     if kind == "single":
         cells = [(c,) for c in allowed]
     else:
         cells = sorted(cell for k in range(1, len(allowed) + 1)
                        for cell in combinations(allowed, k))
-    out = []
-    for cell in cells:
-        bits = [0, 0]  # unprimed, primed
-        for c in cell:
-            bits[c & 1] |= 1 << c
-        out.append((cell, bits[1], bits[0], tuple((c - 1) >> 1 for c in cell)))
-    return tuple(out)
+    return tuple((cell, tuple((c - 1) >> 1 for c in cell)) for cell in cells)
 
 
 def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
@@ -133,37 +121,30 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
 
     ``cells`` lists the cells in row-major order; ``counts[k]`` is the
     number of entries with letter k + 1 (the weight) and ``size`` the
-    number of entries, |T|.  The walk appends a placed cell to ``cells``,
-    its letters to the counts and its code bits to the row and column
-    masks, and takes them off on backtrack, so ``cells`` and ``counts`` are
-    its own and hold only until the next step.  An explicit stack of one
-    candidate iterator per box on the path hands each leaf out once.
+    number of entries, |T|.  The walk appends a placed cell to ``cells``
+    and its letters to the counts, and takes them off on backtrack, so
+    ``cells`` and ``counts`` are its own and hold only until the next
+    step.  An explicit stack of one candidate iterator per box on the path
+    hands each leaf out once.
     """
     shape = spec.shape
     outer, inner = shape.outer.parts, shape.inner.parts
     table = _index_table(outer, inner)
     tops = _ceilings(outer, inner, 2 * spec.n)
-    boxes = table.boxes
-    row_primed = [0] * (shape.outer.length + 1)
-    col_unprimed = [0] * (shape.outer.part(1) + 1)
+    end = len(table.boxes)
     cells: list = []
     counts = [0] * spec.n
-    choices, placed = [None] * len(boxes), [None] * len(boxes)
+    choices, placed = [None] * end, [None] * end
     k = size = 0
     while k >= 0:
-        if k == len(boxes):
+        if k == end:
             yield cells, counts, size
             k -= 1
             continue
-        i, j = boxes[k]
         if choices[k] is None:
-            choices[k] = iter(_candidate_cells(spec, k, cells, row_primed,
-                                               col_unprimed, table, tops))
-        else:  # take the standing cell off; its bits are in the masks
-            _, primed, unprimed, letters = placed[k]
-            row_primed[i] ^= primed
-            col_unprimed[j] ^= unprimed
-            for letter in letters:
+            choices[k] = iter(_candidate_cells(spec, k, cells, table, tops))
+        else:  # take the standing cell off
+            for letter in placed[k][1]:
                 counts[letter] -= 1
             size -= len(cells.pop())
         placed[k] = next(choices[k], None)
@@ -171,11 +152,8 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
             choices[k] = None
             k -= 1
             continue
-        # the cell's codes are outside both masks, so ^ sets and clears
-        cell, primed, unprimed, letters = placed[k]
+        cell, letters = placed[k]
         cells.append(cell)
-        row_primed[i] ^= primed
-        col_unprimed[j] ^= unprimed
         for letter in letters:
             counts[letter] += 1
         size += len(cell)

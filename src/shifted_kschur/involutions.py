@@ -75,18 +75,12 @@ def _minimal_cells(outer: tuple, inner: tuple, family: str,
     spec = EnumSpec(shape, n, family, "single")
     table = _index_table(outer, inner)
     tops = _ceilings(outer, inner, 2 * n)
-    row_primed = [0] * (shape.outer.length + 1)
-    col_unprimed = [0] * (shape.outer.part(1) + 1)
     cells: list = []
-    for k, (i, j) in enumerate(table.boxes):
-        candidates = _candidate_cells(spec, k, cells, row_primed,
-                                      col_unprimed, table, tops)
+    for k in range(len(table.boxes)):
+        candidates = _candidate_cells(spec, k, cells, table, tops)
         if not candidates:
             return None
-        cell, primed_bits, unprimed_bits, _ = candidates[0]
-        cells.append(cell)
-        row_primed[i] |= primed_bits
-        col_unprimed[j] |= unprimed_bits
+        cells.append(candidates[0][0])
     return tuple(cells)
 
 

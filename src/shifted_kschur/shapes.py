@@ -197,23 +197,22 @@ def _parse_skew(text: str) -> SkewShape:
     return SkewShape(StrictPartition.parse(text))
 
 
-_IndexTable = namedtuple("_IndexTable", "boxes rows cols left top pairs "
-                         "diagonal col_order")
+_IndexTable = namedtuple("_IndexTable", "boxes left top pairs diagonal "
+                         "col_order")
 
 
 @lru_cache(maxsize=256)
 def _index_table(outer: tuple, inner: tuple) -> _IndexTable:
     """The facts of outer/inner by row-major index k, which the walk, the
-    tableau rules and iota read: the box at k, its row and its column; the
-    index of its left and of its upper neighbor, or -1; rule 1's pairs
-    (k, right neighbor), then (k, lower neighbor), k by k; the diagonal
-    indices; and the indices in column-major order."""
+    tableau rules and iota read: the box at k; the index of its left and
+    of its upper neighbor, or -1; rule 1's pairs (k, right neighbor), then
+    (k, lower neighbor), k by k; the diagonal indices; and the indices in
+    column-major order."""
     shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
     boxes = shape.row_major
     index = {box: k for k, box in enumerate(boxes)}
     return _IndexTable(
-        boxes, tuple(i for i, _ in boxes), tuple(j for _, j in boxes),
-        tuple(index.get((i, j - 1), -1) for i, j in boxes),
+        boxes, tuple(index.get((i, j - 1), -1) for i, j in boxes),
         tuple(index.get((i - 1, j), -1) for i, j in boxes),
         tuple((k, index[nb]) for k, (i, j) in enumerate(boxes)
               for nb in ((i, j + 1), (i + 1, j)) if nb in index),

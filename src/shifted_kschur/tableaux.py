@@ -249,44 +249,33 @@ def validate_cells(shape: SkewShape, family: str, cells: tuple) -> str | None:
     (3) each primed letter appears at most once in each row;
     (4) family P only: diagonal cells contain unprimed entries only.
     Rules 1 and 4 read the pairs and the diagonal of the shape's
-    ``shapes._index_table``.  Rules 2 and 3 keep one int bit mask per row
-    and per column: bit e of a row's (column's) mask is set once the primed
-    (unprimed) code e is seen there.
+    ``shapes._index_table``.  Rules 2 and 3 read neighbors only, by fact
+    A: the rows and columns of a shifted skew shape have no gaps, so once
+    rule 1 holds, the codes of the boxes before a box in its row (column)
+    are at most its left (upper) neighbor's max, which is at most its own
+    min.  A code can then repeat in a row or column only as one box's min
+    equal to its left or upper neighbor's max, and the first repeat's
+    earlier holder is that neighbor.
     """
     table = _index_table(shape.outer.parts, shape.inner.parts)
-    boxes, rows, cols = table.boxes, table.rows, table.cols
+    boxes = table.boxes
     for a, b in table.pairs:
         if cells[a][-1] > cells[b][0]:
             return f"max of {boxes[a]} exceeds min of {boxes[b]} (rule 1)"
-    # no row or column number is past the first row's length
-    row_seen = [0] * (shape.outer.part(1) + 1)
-    col_seen = row_seen[:]
     for k, cell in enumerate(cells):
-        for code in cell:
-            bit = 1 << code
-            if code & 1:  # primed
-                i = rows[k]
-                if row_seen[i] & bit:
-                    return _repeat(boxes, rows, cells, k, code, "row", 3)
-                row_seen[i] |= bit
-            else:
-                j = cols[k]
-                if col_seen[j] & bit:
-                    return _repeat(boxes, cols, cells, k, code, "column", 2)
-                col_seen[j] |= bit
+        c = cell[0]
+        if c & 1:  # primed
+            a = table.left[k]
+            if a >= 0 and cells[a][-1] == c:
+                return (f"{entry_str(c)} repeats in row {boxes[k][0]} "
+                        f"({boxes[a]} and {boxes[k]}) (rule 3)")
+        else:
+            a = table.top[k]
+            if a >= 0 and cells[a][-1] == c:
+                return (f"{entry_str(c)} repeats in column {boxes[k][1]} "
+                        f"({boxes[a]} and {boxes[k]}) (rule 2)")
     for k in table.diagonal if family == "P" else ():
         for code in cells[k]:
             if code & 1:
                 return f"primed entry on the diagonal at {boxes[k]} (rule 4)"
     return None
-
-
-def _repeat(boxes: tuple, lines: tuple, cells: tuple, k: int, code: int,
-            name: str, rule: int) -> str:
-    """The violation of ``code`` at index k repeating in the row or column
-    ``lines[k]``: the first repeat, so one earlier index of that line
-    holds the code, and a scan back finds it."""
-    first = next(a for a in range(k)
-                 if lines[a] == lines[k] and code in cells[a])
-    return (f"{entry_str(code)} repeats in {name} {lines[k]} "
-            f"({boxes[first]} and {boxes[k]}) (rule {rule})")

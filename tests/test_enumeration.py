@@ -199,31 +199,25 @@ def set_rule(spec, box, cells):
 
 def test_cell_table_equals_set_rule_at_every_node(monkeypatch,
                                                   fresh_caches):
-    # every node of both walks: the cached table read through the masks
-    # the walk keeps gives the set rule's cells, each with its code bits
-    # and letters, and the masks match the partial filling, a row-major
-    # list prefix read here as a dict keyed by box; the caches start
-    # empty, so no minimal tableau kept earlier skips its walk
+    # every node of both walks: the cached table, read from the left and
+    # top neighbors alone, gives the set rule's cells, which exclude every
+    # code used in the row or column, each with its letters; the partial
+    # filling, a row-major list prefix, is read here as a dict keyed by
+    # box; the caches start empty, so no minimal tableau kept earlier
+    # skips its walk
     nodes = 0
     real = enumeration._candidate_cells
 
-    def checked(spec, k, prefix, row_primed, col_unprimed, table, tops):
+    def checked(spec, k, prefix, table, tops):
         nonlocal nodes
         boxes = spec.shape.row_major
         assert len(prefix) == k
         assert table is _index_table(spec.shape.outer.parts,
                                      spec.shape.inner.parts)
         box, cells = boxes[k], dict(zip(boxes, prefix))
-        i, j = box
-        assert row_primed[i] == sum(1 << c for (r, _), cell in cells.items()
-                                    if r == i for c in cell if c % 2)
-        assert col_unprimed[j] == sum(1 << c for (_, k), cell in cells.items()
-                                      if k == j for c in cell if not c % 2)
-        got = real(spec, k, prefix, row_primed, col_unprimed, table, tops)
+        got = real(spec, k, prefix, table, tops)
         assert [e[0] for e in got] == set_rule(spec, box, cells), (spec, box)
-        for cell, primed, unprimed, letters in got:
-            assert primed == sum(1 << c for c in cell if c % 2)
-            assert unprimed == sum(1 << c for c in cell if not c % 2)
+        for cell, letters in got:
             assert letters == tuple((c + 1) // 2 - 1 for c in cell)
         nodes += 1
         return got

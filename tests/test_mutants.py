@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from shifted_kschur import enumeration, genfunc, involutions, polyring, shapes
+from shifted_kschur import (enumeration, genfunc, involutions, polyring,
+                            shapes, tableaux)
 from shifted_kschur.shapes import skew_shapes
 
 from conftest import engine_count, sp
@@ -28,6 +29,7 @@ from test_branching import (definition_sweep, orbit_against_permutations,
 from test_cli import print_order_holds
 from test_genfunc import double_skew_against_engine
 from test_shapes import subpartitions_against_brute_force
+from test_tableaux import neighbor_rules_against_whole_lines
 
 
 def engine_against_walk():
@@ -194,16 +196,34 @@ MUTANTS = [
            "@lru_cache(maxsize=1024, typed=True)\ndef _minimal_cells(",
            keyed_without("(a[0], a[1], a[3])") + "def _minimal_cells(",
            certificates_prove_their_requests),
+    # rules 2 and 3 read one neighbor each (fact A): either read dropped
+    # lets a repeat through
+    Mutant("row-repeat-unchecked", tableaux, "validate_cells",
+           "a = table.left[k]", "a = -1",
+           neighbor_rules_against_whole_lines),
+    Mutant("column-repeat-unchecked", tableaux, "validate_cells",
+           "a = table.top[k]", "a = -1",
+           neighbor_rules_against_whole_lines),
+    Mutant("walk-admits-a-repeat", enumeration, "_candidate_cells",
+           "lo += step", "pass", engine_against_walk),
+    # iota pairs every tableau in any box order that puts each box's left
+    # and top neighbors first, from a minimal tableau whose every cell is
+    # the least its neighbors allow; breaking either premise breaks it
+    Mutant("minimal-cells-take-a-later-candidate", involutions,
+           "_minimal_cells", "cells.append(candidates[0][0])",
+           "cells.append(candidates[-1][0])", involution_holds),
+    Mutant("iota-in-reversed-column-order", involutions, "_iota_pairs",
+           "order = _index_table(shape.outer.parts, shape.inner.parts)"
+           ".col_order", "order = _index_table(shape.outer.parts, "
+           "shape.inner.parts).col_order[::-1]", involution_holds),
     Mutant("iota-in-row-major-order", involutions, "_iota_pairs",
            "order = _index_table(shape.outer.parts, shape.inner.parts)"
            ".col_order", "order = range(len(tmin.cells))",
            involution_holds,
-           survives="caught only by bytes: iota taking the first difference "
-                    "in row-major order also pairs every tableau (all 770 "
-                    "instances with |lam| <= 7, n <= 3), and only the "
-                    "certificate digests pin col_order; whether the pairing "
-                    "holds for either order in general is a question for "
-                    "the paper's proof"),
+           survives="equivalent, by the argument of ROADMAP item 24: "
+                    "row-major order also puts each box's left and top "
+                    "neighbors first, so iota still pairs every tableau; "
+                    "only the certificate digests pin col_order"),
 ]
 
 

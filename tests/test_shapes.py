@@ -184,8 +184,6 @@ class TestBoxOrder:
             boxes = sh.row_major
             t = _index_table(sh.outer.parts, sh.inner.parts)
             assert t.boxes == boxes
-            assert t.rows == tuple(i for i, _ in boxes)
-            assert t.cols == tuple(j for _, j in boxes)
             for k, (i, j) in enumerate(boxes):
                 left = (i, j - 1)
                 assert t.left[k] == (boxes.index(left)

@@ -1,10 +1,12 @@
+import collections
 import itertools
 
 import pytest
 
+from shifted_kschur import tableaux
 from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
-from shifted_kschur.shapes import (SkewShape, StrictPartition, skew_shapes,
-                                   strict_partitions_up_to_weight)
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
+                                   skew_shapes, strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import (Filling, _cells_from_rows, _check_n,
                                      cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
@@ -170,6 +172,79 @@ def test_validate_agrees_with_the_rules_exhaustive():
                     checked += 1
                     failed += not want
     assert checked > 90_000 and 0 < failed < checked
+
+
+def _whole_line_verdict(shape, family, cells):
+    """``validate_cells`` as stated over whole rows and columns, the
+    reference for fact A: rules 2 and 3 keep one int bit mask per row and
+    per column, bit e set once the primed (unprimed) code e is seen there,
+    and a repeat's earlier holder is found by a scan back along its line."""
+    table = _index_table(shape.outer.parts, shape.inner.parts)
+    boxes = table.boxes
+    for a, b in table.pairs:
+        if cells[a][-1] > cells[b][0]:
+            return f"max of {boxes[a]} exceeds min of {boxes[b]} (rule 1)"
+    rows, cols = [i for i, _ in boxes], [j for _, j in boxes]
+    row_seen = [0] * (shape.outer.part(1) + 1)
+    col_seen = row_seen[:]
+    for k, cell in enumerate(cells):
+        for code in cell:
+            bit = 1 << code
+            if code & 1:  # primed
+                i = rows[k]
+                if row_seen[i] & bit:
+                    return _repeat(boxes, rows, cells, k, code, "row", 3)
+                row_seen[i] |= bit
+            else:
+                j = cols[k]
+                if col_seen[j] & bit:
+                    return _repeat(boxes, cols, cells, k, code, "column", 2)
+                col_seen[j] |= bit
+    for k in table.diagonal if family == "P" else ():
+        for code in cells[k]:
+            if code & 1:
+                return f"primed entry on the diagonal at {boxes[k]} (rule 4)"
+    return None
+
+
+def _repeat(boxes, lines, cells, k, code, name, rule):
+    """The violation of ``code`` at index k repeating in the row or column
+    ``lines[k]``: the first repeat, so one earlier index of that line
+    holds the code, and a scan back finds it."""
+    first = next(a for a in range(k)
+                 if lines[a] == lines[k] and code in cells[a])
+    return (f"{entry_str(code)} repeats in {name} {lines[k]} "
+            f"({boxes[first]} and {boxes[k]}) (rule {rule})")
+
+
+def neighbor_rules_against_whole_lines():
+    """Fact A: on every filling of each skew shape of at most 4 boxes
+    inside a strict partition of weight at most 5, with cells of one or
+    two codes in 1..4 (n = 2), P and Q, ``validate_cells`` gives the text
+    of the whole row and column statement, ``_whole_line_verdict``.  It is
+    read through ``tableaux``, so a function swapped there is the one
+    checked; it stops at its first mismatch.  Returns the number of cases
+    and a count of the verdicts by their last seven characters."""
+    codes = range(1, 5)
+    pool = [c for k in (1, 2) for c in itertools.combinations(codes, k)]
+    checked, verdicts = 0, collections.Counter()
+    for shape in skew_shapes(5, with_empty=True):
+        if shape.size > 4:
+            continue
+        for cells in itertools.product(pool, repeat=shape.size):
+            for family in "PQ":
+                want = _whole_line_verdict(shape, family, cells)
+                got = tableaux.validate_cells(shape, family, cells)
+                assert got == want, (str(shape), family, cells)
+                checked += 1
+                verdicts[want and want[-7:]] += 1
+    return checked, verdicts
+
+
+def test_neighbor_rules_equal_whole_line_rules():
+    checked, verdicts = neighbor_rules_against_whole_lines()
+    assert checked == 116_240
+    assert verdicts["rule 2)"] and verdicts["rule 3)"], verdicts
 
 
 class TestWeightSizeMonomial:

@@ -46,7 +46,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    p = genfunc.by_orbit(
+    p = genfunc.compute(
         FunctionSpec(args.family, SkewShape.parse(args.shape), args.n))
     if args.format == "jsonl":
         print(p.to_json())

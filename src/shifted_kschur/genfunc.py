@@ -16,15 +16,14 @@ with nonincreasing x-exponents, one per x-orbit, as the skew functions
 are symmetric in x, less those whose remaining letters cannot add the
 boxes still missing from lam, and returns these representatives.  Its
 deepest run is kept per key, so a smaller n is a cut of it, not a run.
-``_representatives`` sums them over the lam/nu of a request.  Only
-``compute`` and ``beta_zero`` expand them (``_expand``), reading each
-orbit's arrangements from ``polyring._orbit``, which keeps them, so an
-orbit shared by many polynomials is arranged once; ``by_orbit`` holds
-them as they are (``polyring.OrbitTerms``), and ``kschur poly`` prints
-that polynomial with no expansion.  Each ``_Levels`` keeps one tuple per
-shape its tables name.  For ``beta_zero`` ``_branching_sum`` builds only
-the b^0 terms, each factor keeping its own, which is exact as no factor
-term has a negative b-exponent.
+``_representatives`` sums them over the lam/nu of a request, and
+``compute`` and ``beta_zero`` hold them as they are
+(``polyring.OrbitTerms``), the one form of the polynomial: it reads as
+the whole polynomial, and ``kschur poly`` prints it with no expansion.
+Each ``_Levels`` keeps one tuple per shape its tables name.  For
+``beta_zero`` ``_branching_sum`` builds only the b^0 terms, each factor
+keeping its own, which is exact as no factor term has a negative
+b-exponent.
 ``_point_sum`` runs the same recursion on int pairs, the sum at x = 1 and
 b = 1, -1, so the count and the signed count build no polynomial, and the
 special value (b^|lam/mu| times the signed count) builds only that one
@@ -48,7 +47,7 @@ from math import inf
 from typing import NamedTuple
 
 from .enumeration import EnumSpec, _leaves
-from .polyring import LaurentPoly, OrbitTerms, _orbit
+from .polyring import LaurentPoly, OrbitTerms
 from .shapes import (SkewShape, StrictPartition, _corner_rows,
                      _minus_corners, _strips_above, inner_shapes,
                      is_subpartition, strict_subpartitions)
@@ -208,10 +207,10 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     times xk^a with a <= x(k-1), so the kept coefficients are exact.
     F_k(nu) is the skew function of nu/mu in k letters, which is symmetric
     in x (Ikeda-Naruse 2013, Adv. Math. 243; Lam-Pylyavskyy 2007), so these
-    terms determine it: ``_expand`` turns them into the polynomial, and
-    two results are equal exactly when their polynomials are, as the
-    orbits of distinct nonincreasing tuples are disjoint.  The argument
-    holds at every k, so one loop serves every n.
+    terms determine it: ``polyring.OrbitTerms`` reads them as the
+    polynomial, and two results are equal exactly when their polynomials
+    are, as the orbits of distinct nonincreasing tuples are disjoint.
+    The argument holds at every k, so one loop serves every n.
 
     One run serves every smaller n too.  The tableaux in n letters are
     those in N >= n letters with no letter past n, so the representatives
@@ -273,13 +272,6 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     reps = level.get(lam, {})
     levels.kept[b0_only] = (n, reps)
     return dict(reps)
-
-
-def _expand(n: int, reps: dict) -> LaurentPoly:
-    """The polynomial in n letters of representatives reps: each term once
-    per arrangement of its x-exponents (``_orbit``), none of them 0."""
-    return LaurentPoly._trusted(n, {(x, b): c for (rep, b), c in reps.items()
-                                    for x in _orbit(rep)})
 
 
 def _point_sum(lam: tuple, mu: tuple, n: int, family: str,
@@ -350,15 +342,9 @@ def _representatives(spec: FunctionSpec) -> dict:
 
 
 def compute(spec: FunctionSpec) -> LaurentPoly:
-    """The polynomial of the requested family on the given shape: its
-    representatives, expanded once."""
-    return _expand(spec.n, _representatives(spec))
-
-
-def by_orbit(spec: FunctionSpec) -> LaurentPoly:
-    """``compute(spec)`` with its terms held by x-orbit, the
-    representatives unexpanded (``polyring.OrbitTerms``): it prints the
-    same text and JSON, each orbit written as one sorted run."""
+    """The polynomial of the requested family on the given shape, its terms
+    held by x-orbit (``polyring.OrbitTerms``): the representatives, with
+    no expansion."""
     return LaurentPoly._trusted(spec.n, OrbitTerms(_representatives(spec)))
 
 
@@ -369,13 +355,13 @@ def beta_zero(spec: FunctionSpec) -> LaurentPoly:
     factor's b^0 terms, and since no factor term has a negative
     b-exponent, these make exactly the b^0 terms of ``compute(spec)``.
     The factors read are the set-valued ones, not P/Q's, so the check
-    against P/Q compares two recursions.
+    against P/Q compares two recursions.  Held by x-orbit, as ``compute``.
     """
     if spec.family not in ("GP", "GQ"):
         raise ValueError("beta_zero applies to GP and GQ only")
-    return _expand(spec.n, _branching_sum(
+    return LaurentPoly._trusted(spec.n, OrbitTerms(_branching_sum(
         spec.shape.outer.parts, spec.shape.inner.parts, spec.n,
-        spec.base_family, spec.kind, b0_only=True))
+        spec.base_family, spec.kind, b0_only=True)))
 
 
 def special_value(spec: FunctionSpec) -> LaurentPoly:
@@ -471,11 +457,12 @@ def coproduct_check(lam: StrictPartition, n_x: int, n_y: int,
     for nu in strict_subpartitions(lam):
         if nu.length > n_x:
             continue
-        left = compute(FunctionSpec(family, SkewShape(nu), n_x))
-        right = compute(FunctionSpec(inner_family, SkewShape(lam, nu), n_y))
+        left = compute(FunctionSpec(family, SkewShape(nu), n_x)).terms
+        right = list(compute(FunctionSpec(inner_family, SkewShape(lam, nu),
+                                          n_y)).terms.items())
         # F_nu(x) * F(y): x-exponents side by side, b-exponents added
-        for (xa, ba), ca in left.terms.items():
-            for (xb, bb), cb in right.terms.items():
+        for (xa, ba), ca in left.items():
+            for (xb, bb), cb in right:
                 key = (xa + xb, ba + bb)
                 rhs[key] = rhs.get(key, 0) + ca * cb
     rhs = LaurentPoly._trusted(total, rhs)

@@ -40,12 +40,14 @@ class LaurentPoly:
         self.nvars = nvars
         clean: dict[MonomialKey, int] = {}
         for (xexp, bexp), coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
             xexp = tuple(xexp)
+            # a bool or a float would pass as a number and print wrong
+            if not {int}.issuperset(map(type, (*xexp, bexp, coeff))):
+                raise ValueError(f"non-int term {(xexp, bexp)!r}: {coeff!r}")
             if len(xexp) != nvars or any(e < 0 for e in xexp):
                 raise ValueError(f"bad x-exponents {xexp} for {nvars} variables")
-            clean[(xexp, bexp)] = coeff
+            if coeff:
+                clean[(xexp, bexp)] = coeff
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -310,10 +312,11 @@ class OrbitTerms(Mapping):
     """The terms of a polynomial symmetric in x, read from one
     representative per x-orbit: reps maps (rep, b), rep nonincreasing, to
     the coefficient every arrangement of rep carries.  A read-only view,
-    so a ``LaurentPoly`` over it is a whole polynomial; it prints from the
-    representatives (``runs``), and nothing else expands them: a key is
-    looked up by its sorted x, and ``len`` and iteration read the kept
-    arrangements (``_orbit``)."""
+    so a ``LaurentPoly`` over it is a whole polynomial, and equality,
+    hashing and the ring operations read it as a ``Mapping``; it prints
+    from the representatives (``runs``), with no expansion: a key is
+    looked up by its sorted x, and ``len``, iteration and ``items`` read
+    the kept arrangements (``_orbit``)."""
 
     __slots__ = ("reps",)
 
@@ -329,6 +332,13 @@ class OrbitTerms(Mapping):
 
     def __len__(self) -> int:
         return sum(len(_orbit(rep)) for rep, _ in self.reps)
+
+    def items(self):
+        """Every (key, coefficient) pair once, as an iterator: each
+        orbit's arrangements read from ``_orbit`` with the orbit's
+        coefficient, no lookup per term."""
+        return (((x, b), c) for (rep, b), c in self.reps.items()
+                for x in _orbit(rep))
 
     def runs(self, as_json: bool) -> list:
         """``_render``'s runs, one per orbit: its sorted arrangements with

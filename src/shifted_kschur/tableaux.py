@@ -74,6 +74,8 @@ class FunctionSpec(_Record):
         facts = _FAMILY_FACTS.get(family) if isinstance(family, str) else None
         if facts is None:
             raise ValueError(f"unknown family {family!r}")
+        if not isinstance(shape, SkewShape):
+            raise ValueError(f"shape must be a SkewShape, got {shape!r}")
         _check_n(n)
         self.family, self.shape, self.n = family, shape, n
         self.base_family, self.kind = facts

@@ -49,7 +49,7 @@ def definition_sweep(n, family, shapes):
 
     Both kinds: ``_branching_sum``, whole and its b^0 terms, against the
     walk's nonincreasing terms, and ``_point_sum``.  The three families
-    over the base: ``compute``, the representatives expanded, against the
+    over the base: ``compute``, its terms held by orbit, against the
     whole walk, which for the double-skew one is the sum over nu of
     b^|mu/nu| times the walk of lam/nu; ``_at`` and ``special_value``; and
     ``parity_report`` and ``beta_zero``, which is the single-valued walk.

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from shifted_kschur import genfunc
@@ -79,24 +81,41 @@ class TestCompute:
         assert gp.terms[key] >= 1
 
 
+def expanded(poly):
+    """poly, held by x-orbit, as a dict-held polynomial: each
+    representative once per distinct permutation of its x-exponents,
+    arranged here rather than by ``polyring._orbit``."""
+    return LaurentPoly(poly.nvars, {
+        (x, b): c for (rep, b), c in poly.terms.reps.items()
+        for x in set(permutations(rep))})
+
+
 class TestByOrbit:
     def test_is_compute_held_by_orbit(self):
-        # the same polynomial, read through the representatives: equal both
-        # ways, the same hash, every term and no other, each looked up
+        # compute's terms are held by orbit and read as the expanded
+        # polynomial: equal both ways, the same hash, every term and no
+        # other, each looked up, and the same items; beta_zero's too
         cases = 0
         for shape in skew_shapes(4, with_empty=True):
             for n in (1, 2, 3):
                 for family in genfunc.FAMILIES:
                     spec = FunctionSpec(family, shape, n)
-                    held, p = genfunc.by_orbit(spec), compute(spec)
-                    assert isinstance(held.terms, OrbitTerms)
-                    assert held == p and p == held and hash(held) == hash(p)
-                    assert len(held.terms) == len(p.terms)
-                    assert sorted(held.terms) == sorted(p.terms)
-                    assert all(held.terms[k] == c for k, c in p.terms.items())
-                    cases += bool(p)
+                    held = [compute(spec)]
+                    if family in ("GP", "GQ"):
+                        held.append(beta_zero(spec))
+                    for h in held:
+                        p = expanded(h)
+                        assert isinstance(h.terms, OrbitTerms)
+                        assert h == p and p == h and hash(h) == hash(p)
+                        assert len(h.terms) == len(p.terms)
+                        assert sorted(h.terms) == sorted(p.terms)
+                        assert sorted(h.terms.items()) == \
+                            sorted(p.terms.items())
+                        assert all(h.terms[k] == c
+                                   for k, c in p.terms.items())
+                    cases += bool(held[0])
         assert cases > 300
-        held = genfunc.by_orbit(fs("GQ", (2, 1), 2))
+        held = compute(fs("GQ", (2, 1), 2))
         for key in (((1, 1), 0), ((2, 1), 5), ((0, 3), 0), ((1, 2, 0), 1)):
             assert key not in held.terms
 
@@ -117,6 +136,13 @@ class TestFunctionSpec:
         with pytest.raises(ValueError) as err:
             fs(family, (2, 1), 0)
         assert str(err.value) == f"unknown family {family!r}"
+
+    @pytest.mark.parametrize("shape", ["3,1", (3, 1), sp(3, 1), None])
+    def test_shape_must_be_a_skew_shape(self, shape):
+        # a text shape was kept, and compute then failed deep in the
+        # engine with an AttributeError
+        with pytest.raises(ValueError, match="^shape must be a SkewShape"):
+            FunctionSpec("GP", shape, 2)
 
     @pytest.mark.parametrize("family, base, kind", [
         ("P", "P", "single"), ("Q", "Q", "single"),

@@ -131,8 +131,8 @@ MUTANTS = [
            "if not any(x[n:])}", "}", engine_against_walk),
     Mutant("kept-run-read-past-its-n", genfunc, "_branching_sum",
            "if n == depth:", "if n >= depth >= 0:", engine_against_walk),
-    # the engine cannot see a repeated arrangement: the expansion writes
-    # each into a dict
+    # the definition sweep cannot see a repeated arrangement: equality
+    # reads the orbit terms' items into a dict
     Mutant("orbit-repeats-arrangements", polyring, "_orbit",
            "if i and v == rest[i - 1]:  # rest is sorted: one per value\n"
            "                    continue", "", orbit_against_permutations),
@@ -142,6 +142,12 @@ MUTANTS = [
            survives="equivalent: both branches give every distinct "
                     "arrangement once, so the threshold moves only the "
                     "cost"),
+    # compute and beta_zero hold their terms by orbit, and compare with
+    # the walk's dict through the orbit terms' items
+    Mutant("orbit-items-drop-an-arrangement", polyring, "OrbitTerms",
+           "self.reps.items()\n                for x in _orbit(rep))",
+           "self.reps.items()\n                for x in _orbit(rep)[1:])",
+           engine_against_walk),
     # the printer's order: x within one b (poly's runs are orbits, whose
     # text order is not their x order), and b across runs
     Mutant("print-sorted-by-text", polyring, "_render",

@@ -44,6 +44,21 @@ class TestRingOps:
         with pytest.raises(ValueError):
             x(1, 2) * x(1, 3)
 
+    @pytest.mark.parametrize("key, coeff", [
+        (((1.5,), 0), 1), (((True,), 0), 1), (((1,), 0.5), 2),
+        (((1,), False), 2), (((1,), 0), 2.5), (((1,), 0), True),
+        (((1,), 0), 0.0), (((1,), 0), Fraction(2)), (((1,), 0), "2"),
+    ])
+    def test_constructor_refuses_non_int(self, key, coeff):
+        # a float exponent or coefficient was kept, and then printed as
+        # "2*x1*b^0.5" or "2.5*x1", or failed to print at all
+        with pytest.raises(ValueError, match="^non-int term "):
+            LaurentPoly(1, {key: coeff})
+
+    def test_constructor_keeps_int_terms(self):
+        p = LaurentPoly(1, {((1,), -2): -3, ((0,), 0): 0})
+        assert p.terms == {((1,), -2): -3} and str(p) == "-3*x1*b^-2"
+
     @given(polys, polys, polys)
     @settings(max_examples=150)
     def test_ring_laws(self, p, q, r):

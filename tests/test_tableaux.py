@@ -6,7 +6,7 @@ import pytest
 from shifted_kschur import tableaux
 from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
-                                   skew_shapes)
+                                   skew_shapes, strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import (Filling, _cells_from_rows, _check_n,
                                      cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
@@ -74,10 +74,9 @@ class TestValidate:
         assert validate_cells(shape_421, "Q", cells) is None
 
     def test_p_valid_implies_q_valid(self, shape_421):
-        for combo in itertools.product(range(1, 5), repeat=shape_421.size):
-            cells = tuple((c,) for c in combo)
-            if validate_cells(shape_421, "P", cells) is None:
-                assert validate_cells(shape_421, "Q", cells) is None
+        for f in _all_single_fillings(shape_421, 2):
+            if validate_cells(shape_421, "P", f.cells) is None:
+                assert validate_cells(shape_421, "Q", f.cells) is None
 
     def test_prime_toggle_robustness(self, set_valued_examples):
         # flipping any one entry's primed flag must re-validate cleanly
@@ -92,6 +91,48 @@ class TestValidate:
                     g = f.with_cell(box, tuple(sorted(new)))
                     result = validate_cells(g.shape, g.family, g.cells)
                     assert result is None or "(rule " in result
+
+
+def _all_single_fillings(shape, n):
+    for combo in itertools.product(range(1, 2 * n + 1), repeat=shape.size):
+        yield Filling(shape, n, "Q", [(c,) for c in combo])
+
+
+def _definition_single_check(f):
+    """Direct reading of the single-valued definition, coded independently."""
+    cells = dict(zip(sorted(f.shape.boxes), f.cells))
+    if any(len(c) != 1 for c in cells.values()):
+        return False
+    get = {b: c[0] for b, c in cells.items()}
+    for (i, j), e in get.items():
+        if (i, j + 1) in get and e > get[(i, j + 1)]:
+            return False
+        if (i + 1, j) in get and e > get[(i + 1, j)]:
+            return False
+        if f.family == "P" and i == j and primed(e):
+            return False
+    for (i, j), e in get.items():
+        for (a, b), other in get.items():
+            if (a, b) == (i, j) or other != e:
+                continue
+            if not primed(e) and b == j:
+                return False
+            if primed(e) and a == i:
+                return False
+    return True
+
+
+def test_single_valued_cross_check():
+    # exhaustive agreement with a separately coded checker, <= 4 boxes, n <= 2
+    for lam in strict_partitions_up_to_weight(4):
+        if not lam:
+            continue
+        shape = SkewShape(lam)
+        for f in _all_single_fillings(shape, 2):
+            for family in ("P", "Q"):
+                g = Filling(shape, 2, family, f.cells)
+                ok = validate_cells(shape, family, g.cells) is None
+                assert ok == _definition_single_check(g)
 
 
 def _rules_hold(shape, family, cells):
@@ -114,28 +155,22 @@ def _rules_hold(shape, family, cells):
 
 def test_validate_agrees_with_the_rules_exhaustive():
     """Every set-valued assignment on each skew shape of at most 3 boxes
-    inside a strict partition of weight at most 6, n <= 2, and every
-    single-valued one on the 4-box straight shapes 4 and 3,1, n = 2; P
-    and Q."""
-    cases = []  # (shape, the cells a box may hold)
+    inside a strict partition of weight at most 6, n <= 2, P and Q."""
+    checked = failed = 0
     for shape in skew_shapes(6, with_empty=True):
         if shape.size > 3:
             continue
         for n in (1, 2):
             codes = range(1, 2 * n + 1)
-            cases.append((shape, [c for k in codes
-                                  for c in itertools.combinations(codes, k)]))
-    cases += [(SkewShape.parse(lam), [(c,) for c in range(1, 5)])
-              for lam in ("4", "3,1")]
-    checked = failed = 0
-    for shape, pool in cases:
-        for cells in itertools.product(pool, repeat=shape.size):
-            for family in "PQ":
-                want = _rules_hold(shape, family, cells)
-                got = validate_cells(shape, family, cells) is None
-                assert got == want, (str(shape), cells)
-                checked += 1
-                failed += not want
+            pool = [c for k in codes
+                    for c in itertools.combinations(codes, k)]
+            for cells in itertools.product(pool, repeat=shape.size):
+                for family in "PQ":
+                    want = _rules_hold(shape, family, cells)
+                    got = validate_cells(shape, family, cells) is None
+                    assert got == want, (str(shape), cells)
+                    checked += 1
+                    failed += not want
     assert checked > 90_000 and 0 < failed < checked
 
 

@@ -14,11 +14,11 @@ returns (checked, violations) on one shape).  A certificate is written
 straight from its tableaux, as ``json.dumps`` texts of documents with
 holes, split at the holes (``_pieces``) and joined with what goes in them,
 and checked as its JSON document.  What a shape or a cell needs, its
-minimal tableau's cells, its element's pieces and a cell's text, is made
-once and kept in caches keyed on part tuples, ints and strings.  The
-check reads each element as its nu and row-major cell tuple, each distinct
-cell parsed once, with a ``Filling`` built only for a minimal tableau or
-to show a fault.  ``read_certificate`` reads only
+minimal tableau's cells (from ``enumeration``), its element's pieces and
+a cell's text, is made once and kept in caches keyed on part tuples, ints
+and strings.  The check reads each element as its nu and row-major cell
+tuple, each distinct cell parsed once, with a ``Filling`` built only for
+a minimal tableau or to show a fault.  ``read_certificate`` reads only
 the layout ``write_certificate`` writes, ``json.dumps(doc, sort_keys=True,
 indent=1)``, of short lines, holding its header and one pair at a time.
 The first fault is reported, in this order: a refused request
@@ -33,8 +33,7 @@ from functools import lru_cache
 from itertools import chain, count
 from typing import Callable, Iterator, NamedTuple
 
-from .enumeration import (EnumSpec, _candidate_cells, _ceilings,
-                          enumerate_fillings)
+from .enumeration import EnumSpec, _minimal_cells, enumerate_fillings
 from .genfunc import FunctionSpec, _at
 from .shapes import (SkewShape, StrictPartition, _index_table, inner_shapes,
                      is_subpartition, pi)
@@ -47,41 +46,12 @@ PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
 
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     """The single-valued tableau minimizing the total numeric entry value,
-    on the caller's shape, from ``_minimal_cells``: ValueError on an empty
-    tableau set."""
+    on the caller's shape, from ``enumeration._minimal_cells``: ValueError
+    on an empty tableau set."""
     cells = _minimal_cells(shape.outer.parts, shape.inner.parts, family, n)
     if cells is None:
         raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")
     return Filling(shape, n, family, cells, _trusted=True)
-
-
-@lru_cache(maxsize=1024, typed=True)
-def _minimal_cells(outer: tuple, inner: tuple, family: str,
-                   n: int) -> tuple | None:
-    """The row-major cells of outer/inner's minimal tableau, or None if it
-    has no single-valued tableau; kept per key, typed so that a float or
-    bool n is its own key and is refused on its own miss.
-
-    Greedy row-major fill: each box takes the first cell that the
-    enumerator's candidate rule allows there, and the walk never backs up.
-    The result is the first single-valued tableau ``enumerate_fillings``
-    yields, and the walk fails exactly when there is none.  It is its own
-    walk, not the first leaf of ``enumerate_fillings``, because on an empty
-    set the backtracking walk searches the whole dead tree before it
-    yields nothing, and because taking one leaf from that generator ran
-    slower on the certificate path even with the empty set refused first.
-    """
-    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    spec = EnumSpec(shape, n, family, "single")
-    table = _index_table(outer, inner)
-    tops = _ceilings(outer, inner, 2 * n)
-    cells: list = []
-    for k in range(len(table.boxes)):
-        candidates = _candidate_cells(spec, k, cells, table, tops)
-        if not candidates:
-            return None
-        cells.append(candidates[0][0])
-    return tuple(cells)
 
 
 def _iota_cells(order: tuple, cells: tuple, tmin: tuple) -> tuple:
@@ -436,9 +406,9 @@ def certificate_checker(lam: StrictPartition, mu: StrictPartition, n: int,
     valid, opposite-signed elements of the right number.  For the rest the
     check trusts the package: the number is the branching engine's count
     (``_at``; one minimal tableau per nu with minimal_only), and each pi
-    side is compared with ``minimal_tableau``, the enumerator's
-    ``_candidate_cells`` walk, so a valid tableau that the walk wrongly
-    called minimal would pass.
+    side is compared with ``minimal_tableau``, the enumerator's greedy fill
+    (``enumeration._minimal_cells``), so a valid tableau that the fill
+    wrongly called minimal would pass.
     """
     header, shapes, minimal, want = _setup(lam, mu, n, family, minimal_only)
     request = json.dumps(header)

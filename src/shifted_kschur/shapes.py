@@ -113,7 +113,11 @@ class StrictPartition(_Frozen):
 
 
 def is_subpartition(mu: StrictPartition, lam: StrictPartition) -> bool:
-    """True iff mu fits inside lam row by row (mu zero-padded)."""
+    """True iff mu fits inside lam row by row (mu zero-padded); ValueError
+    unless both are strict partitions (a text or a tuple is not)."""
+    for p in (mu, lam):
+        if not isinstance(p, StrictPartition):
+            raise ValueError(f"partition must be a StrictPartition, got {p!r}")
     if len(mu.parts) > len(lam.parts):
         return False
     return all(map(le, mu.parts, lam.parts))

@@ -120,6 +120,8 @@ class Filling:
         tableaux, involution images, ``with_cell``, checked rows).
         """
         if not _trusted:
+            if not isinstance(shape, SkewShape):
+                raise ValueError(f"shape must be a SkewShape, got {shape!r}")
             _check_family(family)
             _check_n(n)
             if isinstance(cells, Mapping):  # tuple() would read its boxes

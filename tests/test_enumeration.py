@@ -223,7 +223,6 @@ def test_cell_table_equals_set_rule_at_every_node(monkeypatch,
         return got
 
     monkeypatch.setattr(enumeration, "_candidate_cells", checked)
-    monkeypatch.setattr(involutions, "_candidate_cells", checked)
     for shape in skew_shapes(5, with_empty=True):
         for n in (1, 2, 3):
             for family in ("P", "Q"):

@@ -192,6 +192,12 @@ class TestSpecialValue:
         assert not special_value(fs("GPdouble", (2, 1), 2, mu=(1,)))
         assert not special_value(fs("GQdouble", (2,), 1, mu=(2,)))
 
+    @pytest.mark.parametrize("family", ["P", "Q"])
+    def test_refuses_a_family_that_is_not_k_theoretic(self, family):
+        with pytest.raises(ValueError, match="^special_value applies to the "
+                                             "K-theoretic families$"):
+            special_value(fs(family, (2, 1), 2))
+
 
 class TestSignedCount:
     def test_examples(self):
@@ -265,6 +271,12 @@ class TestCoproduct:
                            "at n=6, above the limit"):
             coproduct_check(sp(4, 2), 3, 3, "GQ")
 
+    @pytest.mark.parametrize("family", ["GPdouble", "GQdouble", "X"])
+    def test_refuses_other_families(self, family):
+        with pytest.raises(ValueError, match="^coproduct families are P, Q, "
+                                             f"GP, GQ; got '{family}'$"):
+            coproduct_check(sp(2, 1), 1, 1, family)
+
     def test_count_guard_admits_four_letters(self):
         # every run at n_x + n_y <= 4 is admitted (at most 465,777 tableaux)
         for lam in strict_partitions_up_to_weight(6):
@@ -279,6 +291,12 @@ class TestParity:
     def test_421(self):
         rep = parity_report(fs("GP", (4, 2, 1), 3))
         assert rep.is_odd
+
+    @pytest.mark.parametrize("family", ["P", "Q", "GPdouble", "GQdouble"])
+    def test_refuses_other_families(self, family):
+        with pytest.raises(ValueError, match="^parity_report applies to GP "
+                                             "and GQ only$"):
+            parity_report(fs(family, (2, 1), 2))
 
     def test_skew(self):
         assert parity_report(fs("GP", (3, 1), 2, mu=(1,))) == (39, True)

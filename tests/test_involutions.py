@@ -6,7 +6,7 @@ from typing import Iterator
 
 import pytest
 
-from shifted_kschur import involutions
+from shifted_kschur import enumeration, involutions
 from shifted_kschur.cli import main
 from shifted_kschur.enumeration import EnumSpec, enumerate_fillings
 from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
@@ -83,12 +83,34 @@ class TestMinimalTableau:
                 assert total(tmin) == min(total(t) for t in singles)
 
     def test_empty_staircase_fails_without_search(self):
-        # ten diagonal boxes need ten unprimed letters; the greedy walk
-        # stops at the first box with no candidate, where a backtracking
-        # search would walk the whole dead tree (minutes)
+        # ten diagonal boxes need ten unprimed letters; the greedy fill
+        # stops at the first box, which has no candidate: its ceiling is
+        # below its lowest code, so the walk's first leaf stops there too
+        # (test_empty_set_fill_stops_where_the_walk_searches tells the
+        # two apart)
         staircase = SkewShape(sp(*range(10, 0, -1)))
         with pytest.raises(ValueError, match="empty tableau set"):
             minimal_tableau(staircase, "P", 5)
+
+    def test_empty_set_fill_stops_where_the_walk_searches(
+            self, monkeypatch, fresh_caches):
+        # Q 16,5,4,3,2,1/5 at n = 4 has no tableau, yet its first boxes
+        # have candidates: the greedy fill stops at the first box with
+        # none, after 12 candidate tables (one per box at most), while
+        # the walk's first leaf reads 11,958 searching the dead tree
+        calls = 0
+        real = enumeration._candidate_cells
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, "_candidate_cells", counted)
+        shape = SkewShape.parse("16,5,4,3,2,1/5")
+        with pytest.raises(ValueError, match="empty tableau set"):
+            minimal_tableau(shape, "Q", 4)
+        assert 0 < calls <= shape.size == 26
 
     def test_greedy_fails_iff_empty(self):
         for lam in strict_partitions_up_to_weight(4):

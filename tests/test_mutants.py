@@ -197,7 +197,7 @@ MUTANTS = [
            keyed_without("(a[0], a[1], a[3])") + "def _side_pieces(",
            certificates_prove_their_requests),
     # (outer, inner, family, n) without family
-    Mutant("minimal-cells-keyed-without-family", involutions,
+    Mutant("minimal-cells-keyed-without-family", enumeration,
            "_minimal_cells",
            "@lru_cache(maxsize=1024, typed=True)\ndef _minimal_cells(",
            keyed_without("(a[0], a[1], a[3])") + "def _minimal_cells(",
@@ -215,7 +215,7 @@ MUTANTS = [
     # iota pairs every tableau in any box order that puts each box's left
     # and top neighbors first, from a minimal tableau whose every cell is
     # the least its neighbors allow; breaking either premise breaks it
-    Mutant("minimal-cells-take-a-later-candidate", involutions,
+    Mutant("minimal-cells-take-a-later-candidate", enumeration,
            "_minimal_cells", "cells.append(candidates[0][0])",
            "cells.append(candidates[-1][0])", involution_holds),
     Mutant("iota-in-reversed-column-order", involutions, "_iota_pairs",

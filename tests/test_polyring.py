@@ -55,6 +55,13 @@ class TestRingOps:
         with pytest.raises(ValueError, match="^non-int term "):
             LaurentPoly(1, {key: coeff})
 
+    @pytest.mark.parametrize("xexp", [(1,), (1, 0, 0), (1, -1), ()])
+    def test_constructor_refuses_bad_x_exponents(self, xexp):
+        # a tuple of the wrong length, or with a negative exponent
+        with pytest.raises(ValueError, match=r"^bad x-exponents .* for 2 "
+                                             r"variables$"):
+            LaurentPoly(2, {(xexp, 0): 1})
+
     def test_constructor_keeps_int_terms(self):
         p = LaurentPoly(1, {((1,), -2): -3, ((0,), 0): 0})
         assert p.terms == {((1,), -2): -3} and str(p) == "-3*x1*b^-2"
@@ -148,6 +155,12 @@ class TestEval:
                        for (x, e), c in p.terms.items())
             got = p.eval_integers(xs, b)
             assert got == want and type(got) is Fraction, (xs, b)
+
+    @pytest.mark.parametrize("xs", [[], [1], [1, 2, 3]])
+    def test_needs_one_value_per_variable(self, xs):
+        with pytest.raises(ValueError, match=f"^need 2 x-values, got "
+                                             f"{len(xs)}$"):
+            LaurentPoly.parse("x1 + x2", 2).eval_integers(xs, 1)
 
     def test_negative_beta_exponent_needs_nonzero(self):
         p = LaurentPoly.beta(1, -2)

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from shifted_kschur import shapes
+from shifted_kschur import genfunc, involutions, shapes
 from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
                                    _index_table, _parse_skew, inner_shapes,
                                    is_subpartition, skew_shape_count,
                                    skew_shapes, strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
+from shifted_kschur.tableaux import Filling
 
 from conftest import sp
 
@@ -289,6 +290,32 @@ class TestSubpartition:
         assert is_subpartition(sp(4, 2), sp(6, 4, 3, 1))
         assert is_subpartition(sp(), sp(4, 2, 1))
         assert not is_subpartition(sp(5), sp(4, 2, 1))
+
+    @pytest.mark.parametrize("call, wrong", [
+        (lambda: SkewShape("3,1"), "partition must be a StrictPartition, "
+                                   "got '3,1'"),
+        (lambda: SkewShape((3, 1)), "partition must be a StrictPartition, "
+                                    "got (3, 1)"),
+        (lambda: SkewShape(sp(3, 1), "1"), "partition must be a "
+                                           "StrictPartition, got '1'"),
+        (lambda: Filling("3,1", 2, "P", [(1,), (1,), (1,), (3,)]),
+         "shape must be a SkewShape, got '3,1'"),
+        (lambda: genfunc.double_skew_shortcut("3,1", "1"),
+         "partition must be a StrictPartition, got '1'"),
+        (lambda: genfunc.coproduct_check("3,1", 1, 1, "P"),
+         "partition must be a StrictPartition, got '3,1'"),
+        (lambda: involutions.pairing_certificate("2,1", "1", 2, "P"),
+         "partition must be a StrictPartition, got '1'"),
+    ], ids=["skew-shape-text", "skew-shape-tuple", "skew-shape-inner-text",
+            "filling", "double-skew-shortcut", "coproduct-check",
+            "pairing-certificate"])
+    def test_wrong_type_refused(self, call, wrong):
+        # each raised an AttributeError from inside: is_subpartition, the
+        # gate SkewShape, double_skew_shortcut and involutions._setup read,
+        # and Filling's checked path refuse a text or a tuple up front
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == wrong
 
     def test_box_set_difference(self):
         for skew in skew_shapes(8, with_empty=True):

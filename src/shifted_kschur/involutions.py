@@ -38,7 +38,7 @@ from .genfunc import FunctionSpec, _at
 from .shapes import (SkewShape, StrictPartition, _index_table, inner_shapes,
                      is_subpartition, pi)
 from .tableaux import (Filling, _cells_from_rows, _check_family, _check_n,
-                       entry_str, validate_cells)
+                       _check_shape, entry_str, validate_cells)
 
 # the most tableaux a full certificate may pair: 4 times the most written
 PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
@@ -48,6 +48,7 @@ def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     """The single-valued tableau minimizing the total numeric entry value,
     on the caller's shape, from ``enumeration._minimal_cells``: ValueError
     on an empty tableau set."""
+    _check_shape(shape)
     cells = _minimal_cells(shape.outer.parts, shape.inner.parts, family, n)
     if cells is None:
         raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")

@@ -50,6 +50,11 @@ def _check_family(family: str) -> None:
         raise ValueError(f"family must be P or Q, got {family!r}")
 
 
+def _check_shape(shape: SkewShape) -> None:
+    if not isinstance(shape, SkewShape):
+        raise ValueError(f"shape must be a SkewShape, got {shape!r}")
+
+
 def _check_n(n: int) -> None:
     if type(n) is not int:  # a bool or a float would pass as a number
         raise ValueError(f"n must be an int, got {n!r}")
@@ -74,8 +79,7 @@ class FunctionSpec(_Record):
         facts = _FAMILY_FACTS.get(family) if isinstance(family, str) else None
         if facts is None:
             raise ValueError(f"unknown family {family!r}")
-        if not isinstance(shape, SkewShape):
-            raise ValueError(f"shape must be a SkewShape, got {shape!r}")
+        _check_shape(shape)
         _check_n(n)
         self.family, self.shape, self.n = family, shape, n
         self.base_family, self.kind = facts
@@ -120,8 +124,7 @@ class Filling:
         tableaux, involution images, ``with_cell``, checked rows).
         """
         if not _trusted:
-            if not isinstance(shape, SkewShape):
-                raise ValueError(f"shape must be a SkewShape, got {shape!r}")
+            _check_shape(shape)
             _check_family(family)
             _check_n(n)
             if isinstance(cells, Mapping):  # tuple() would read its boxes
@@ -236,6 +239,7 @@ def filling_from_rows(shape: SkewShape, n: int, family: str, rows) -> Filling:
     The rows parse and check as in ``_cells_from_rows``; a fault raises
     ValueError.
     """
+    _check_shape(shape)
     _check_family(family)
     _check_n(n)
     cells = _cells_from_rows(shape, n, rows, {})

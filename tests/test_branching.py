@@ -5,7 +5,7 @@ definition, and the only reference the engine is compared with.
 """
 
 import random
-from itertools import islice, permutations
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +27,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
 from shifted_kschur.tableaux import Filling
+from reference import orbit
 
 KINDS = ("single", "set-valued")
 
@@ -41,6 +42,12 @@ def nonincreasing(poly):
     representatives ``_branching_sum`` returns for a symmetric poly."""
     return {(x, b): c for (x, b), c in poly.terms.items()
             if all(u >= v for u, v in zip(x, x[1:]))}
+
+
+def at_one(poly):
+    """poly at x = 1, b = 1 and -1: its count and signed count."""
+    ones = [1] * poly.nvars
+    return poly.eval_integers(ones, 1), poly.eval_integers(ones, -1)
 
 
 def definition_sweep(n, family, shapes):
@@ -64,10 +71,6 @@ def definition_sweep(n, family, shapes):
         if key not in walks:
             walks[key] = genfunc._tableau_sum(lam, mu, n, family, kind)
         return walks[key]
-
-    def at_one(poly):  # x = 1, b = 1 and -1: the count and signed count
-        return (poly.eval_integers([1] * n, 1),
-                poly.eval_integers([1] * n, -1))
 
     cases = empty = 0
     for shape in shapes:
@@ -224,15 +227,16 @@ def test_dead_terms_are_dropped_at_every_n(fresh_caches):
 def orbit_against_permutations():
     """``polyring._orbit`` on random nonincreasing tuples of 1 to 7
     entries, both its branches (set(permutations) up to 6 entries,
-    arrangements above): every distinct permutation, each once, in
-    increasing order, so an orbit is one sorted run of the printer's."""
+    arrangements above): ``reference.orbit``, every distinct permutation,
+    each once, in increasing order, so an orbit is one sorted run of the
+    printer's."""
     rng = random.Random(40)
     for n in range(1, 8):
         for _ in range(20):
             rep = tuple(sorted((rng.randint(0, 3) for _ in range(n)),
                                reverse=True))
             got = list(polyring._orbit(rep))
-            assert got == sorted(set(permutations(rep))), rep
+            assert got == orbit(rep), rep
 
 
 def test_orbit_equals_distinct_permutations():
@@ -401,8 +405,7 @@ def test_letter_factor_equals_corner_subset_sum_exhaustive():
                         want = reference[key] = LaurentPoly(1, terms)
                     got = LaurentPoly(1, {((x,), b): c for x, b, c in f})
                     assert got == want, key
-                    assert (count, signed) == (want.eval_integers([1], 1),
-                                               want.eval_integers([1], -1))
+                    assert (count, signed) == at_one(want)
                     transitions += 1
     assert transitions == 37860
 
@@ -430,13 +433,6 @@ def test_self_loops_count_a_power_of_two_and_sign_only_at_mu():
 # Small enough to enumerate; each family sums over several inner shapes.
 NO_ENUMERATION_CASES = [("3,1", 2), ("4,2,1", 2), ("4,2/1", 2),
                         ("5,3,1/3,1", 2), ("3,2/2", 3), ("2,1/1", 1)]
-
-
-def _enumerated_point(lam, mu, n, family, kind):
-    """``_point_sum`` from the definition: the enumerated polynomial of
-    lam/mu at x = 1 and b = 1, -1."""
-    poly = _tableau_sum(lam, mu, n, family, kind)
-    return poly.eval_integers([1] * n, 1), poly.eval_integers([1] * n, -1)
 
 
 def _no_verdict(shape, family, n):
@@ -467,7 +463,8 @@ def test_polynomial_path_never_enumerates(monkeypatch, fresh_caches):
                   lambda *key, b0_only=False: nonincreasing(
                       _tableau_sum(*key).beta_slice(0) if b0_only
                       else _tableau_sum(*key)))
-        m.setattr(genfunc, "_point_sum", _enumerated_point)
+        m.setattr(genfunc, "_point_sum",
+                  lambda *key: at_one(_tableau_sum(*key)))
         want = quantities()
     fresh_caches()  # nothing cached by the enumerated pass counts
 

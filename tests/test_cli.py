@@ -19,6 +19,7 @@ from shifted_kschur.polyring import LaurentPoly
 from shifted_kschur.shapes import StrictPartition, skew_shapes
 from tests.conftest import (LARGE_PAIR, TAMPERS, as_written, has_empty_set,
                             sp)
+from tests.reference import expanded
 
 
 def run(capsys, *argv):
@@ -223,14 +224,15 @@ class TestPoly:
 
     def test_prints_the_expanded_polynomial(self, capsys):
         # printed from the orbit representatives, the bytes are those of
-        # the expanded polynomial, held as a dict and printed term by
-        # term, and they read back to it, for every lam/mu with |lam| <= 6
-        # (the empty one too), n <= 4, every family
+        # the expanded polynomial, arranged by the reference rather than
+        # by ``_orbit``, held as a dict and printed term by term, and they
+        # read back to it, for every lam/mu with |lam| <= 6 (the empty one
+        # too), n <= 4, every family
         cases = 0
         for shape in skew_shapes(6, with_empty=True):
             for n, family in product(range(1, 5), genfunc.FAMILIES):
                 held = genfunc.compute(FunctionSpec(family, shape, n))
-                p = LaurentPoly(n, dict(held.terms.items()))
+                p = LaurentPoly(n, expanded(held))
                 argv = ("poly", "--shape", str(shape), "--family", family,
                         "-n", str(n))
                 text = run(capsys, *argv)[1]

@@ -1,5 +1,3 @@
-from itertools import permutations
-
 import pytest
 
 from shifted_kschur import genfunc
@@ -12,6 +10,7 @@ from shifted_kschur.shapes import (SkewShape, skew_shapes,
                                    strict_partitions_up_to_weight)
 
 from conftest import sp
+from reference import expanded
 
 
 def fs(family, lam, n, mu=()):
@@ -81,15 +80,6 @@ class TestCompute:
         assert gp.terms[key] >= 1
 
 
-def expanded(poly):
-    """poly, held by x-orbit, as a dict-held polynomial: each
-    representative once per distinct permutation of its x-exponents,
-    arranged here rather than by ``polyring._orbit``."""
-    return LaurentPoly(poly.nvars, {
-        (x, b): c for (rep, b), c in poly.terms.reps.items()
-        for x in set(permutations(rep))})
-
-
 class TestByOrbit:
     def test_is_compute_held_by_orbit(self):
         # compute's terms are held by orbit and read as the expanded
@@ -104,7 +94,7 @@ class TestByOrbit:
                     if family in ("GP", "GQ"):
                         held.append(beta_zero(spec))
                     for h in held:
-                        p = expanded(h)
+                        p = LaurentPoly(h.nvars, expanded(h))
                         assert isinstance(h.terms, OrbitTerms)
                         assert h == p and p == h and hash(h) == hash(p)
                         assert len(h.terms) == len(p.terms)

@@ -210,6 +210,14 @@ MUTANTS = [
     Mutant("column-repeat-unchecked", tableaux, "validate_cells",
            "a = table.top[k]", "a = -1",
            neighbor_rules_against_whole_lines),
+    # rule 1 compares a cell's max with its neighbor's min, and rule 4
+    # reads every code of a diagonal cell
+    Mutant("rule-1-max-against-max", tableaux, "validate_cells",
+           "if cells[a][-1] > cells[b][0]:", "if cells[a][-1] > cells[b][-1]:",
+           neighbor_rules_against_whole_lines),
+    Mutant("rule-4-first-code-only", tableaux, "validate_cells",
+           "for code in cells[k]:", "for code in cells[k][:1]:",
+           neighbor_rules_against_whole_lines),
     Mutant("walk-admits-a-repeat", enumeration, "_candidate_cells",
            "lo += step", "pass", engine_against_walk),
     # iota pairs every tableau in any box order that puts each box's left

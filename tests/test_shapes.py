@@ -9,7 +9,7 @@ from shifted_kschur.shapes import (SkewShape, StrictPartition, _corner_rows,
                                    skew_shapes, strict_partitions_of_weight,
                                    strict_partitions_up_to_weight,
                                    strict_subpartitions)
-from shifted_kschur.tableaux import Filling
+from shifted_kschur.tableaux import Filling, filling_from_rows
 
 from conftest import sp
 
@@ -306,13 +306,20 @@ class TestSubpartition:
          "partition must be a StrictPartition, got '3,1'"),
         (lambda: involutions.pairing_certificate("2,1", "1", 2, "P"),
          "partition must be a StrictPartition, got '1'"),
+        (lambda: filling_from_rows("2,1", 2, "P", [[["1"], ["1"]], [["2"]]]),
+         "shape must be a SkewShape, got '2,1'"),
+        (lambda: involutions.minimal_tableau((2, 1), "P", 2),
+         "shape must be a SkewShape, got (2, 1)"),
+        (lambda: involutions.verify_involution("2,1", "P", 2),
+         "shape must be a SkewShape, got '2,1'"),
     ], ids=["skew-shape-text", "skew-shape-tuple", "skew-shape-inner-text",
             "filling", "double-skew-shortcut", "coproduct-check",
-            "pairing-certificate"])
+            "pairing-certificate", "filling-from-rows", "minimal-tableau",
+            "verify-involution"])
     def test_wrong_type_refused(self, call, wrong):
         # each raised an AttributeError from inside: is_subpartition, the
         # gate SkewShape, double_skew_shortcut and involutions._setup read,
-        # and Filling's checked path refuse a text or a tuple up front
+        # and tableaux._check_shape refuse a text or a tuple up front
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == wrong

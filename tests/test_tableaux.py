@@ -5,13 +5,14 @@ import pytest
 
 from shifted_kschur import tableaux
 from shifted_kschur.enumeration import KINDS, EnumSpec, enumerate_fillings
-from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
-                                   skew_shapes, strict_partitions_up_to_weight)
+from shifted_kschur.shapes import (SkewShape, StrictPartition, skew_shapes,
+                                   strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import (Filling, _cells_from_rows, _check_n,
                                      cell_from_strs, entry_from_str,
                                      entry_str, filling_from_rows, letter,
                                      primed, validate_cells)
 from conftest import rows
+from reference import violation
 
 
 class TestEntryCodes:
@@ -98,59 +99,27 @@ def _all_single_fillings(shape, n):
         yield Filling(shape, n, "Q", [(c,) for c in combo])
 
 
-def _definition_single_check(f):
-    """Direct reading of the single-valued definition, coded independently."""
-    cells = dict(zip(sorted(f.shape.boxes), f.cells))
-    if any(len(c) != 1 for c in cells.values()):
-        return False
-    get = {b: c[0] for b, c in cells.items()}
-    for (i, j), e in get.items():
-        if (i, j + 1) in get and e > get[(i, j + 1)]:
-            return False
-        if (i + 1, j) in get and e > get[(i + 1, j)]:
-            return False
-        if f.family == "P" and i == j and primed(e):
-            return False
-    for (i, j), e in get.items():
-        for (a, b), other in get.items():
-            if (a, b) == (i, j) or other != e:
-                continue
-            if not primed(e) and b == j:
-                return False
-            if primed(e) and a == i:
-                return False
-    return True
+def _agrees(shape, family, cells):
+    """``validate_cells``, read through ``tableaux`` so that a function
+    swapped there is the one checked, gives the reference's text."""
+    want = violation(shape.row_major, family, cells)
+    assert tableaux.validate_cells(shape, family, cells) == want, \
+        (str(shape), family, cells)
+    return want
 
 
 def test_single_valued_cross_check():
-    # exhaustive agreement with a separately coded checker, <= 4 boxes, n <= 2
+    # every single-valued filling of a strict partition of weight <= 4,
+    # n = 2, P and Q
+    checked = 0
     for lam in strict_partitions_up_to_weight(4):
-        if not lam:
-            continue
-        shape = SkewShape(lam)
-        for f in _all_single_fillings(shape, 2):
-            for family in ("P", "Q"):
-                g = Filling(shape, 2, family, f.cells)
-                ok = validate_cells(shape, family, g.cells) is None
-                assert ok == _definition_single_check(g)
-
-
-def _rules_hold(shape, family, cells):
-    """Rules 1-4 read straight off the definition, over pairs of boxes."""
-    at = dict(zip(sorted(shape.boxes), cells))
-    for (i, j), cell in at.items():
-        for other in ((i, j + 1), (i + 1, j)):
-            if other in at and max(cell) > min(at[other]):
-                return False  # rule 1
-        if family == "P" and i == j and any(c % 2 for c in cell):
-            return False  # rule 4
-        for (a, b), cell2 in at.items():
-            if (a, b) == (i, j):
-                continue
-            for c in set(cell) & set(cell2):
-                if (c % 2 == 0 and b == j) or (c % 2 == 1 and a == i):
-                    return False  # rule 2, rule 3
-    return True
+        if lam:
+            shape = SkewShape(lam)
+            for f in _all_single_fillings(shape, 2):
+                for family in "PQ":
+                    _agrees(shape, family, f.cells)
+                    checked += 1
+    assert checked == 1_320
 
 
 def test_validate_agrees_with_the_rules_exhaustive():
@@ -166,65 +135,19 @@ def test_validate_agrees_with_the_rules_exhaustive():
                     for c in itertools.combinations(codes, k)]
             for cells in itertools.product(pool, repeat=shape.size):
                 for family in "PQ":
-                    want = _rules_hold(shape, family, cells)
-                    got = validate_cells(shape, family, cells) is None
-                    assert got == want, (str(shape), cells)
+                    failed += _agrees(shape, family, cells) is not None
                     checked += 1
-                    failed += not want
-    assert checked > 90_000 and 0 < failed < checked
-
-
-def _whole_line_verdict(shape, family, cells):
-    """``validate_cells`` as stated over whole rows and columns, the
-    reference for fact A: rules 2 and 3 keep one int bit mask per row and
-    per column, bit e set once the primed (unprimed) code e is seen there,
-    and a repeat's earlier holder is found by a scan back along its line."""
-    table = _index_table(shape.outer.parts, shape.inner.parts)
-    boxes = table.boxes
-    for a, b in table.pairs:
-        if cells[a][-1] > cells[b][0]:
-            return f"max of {boxes[a]} exceeds min of {boxes[b]} (rule 1)"
-    rows, cols = [i for i, _ in boxes], [j for _, j in boxes]
-    row_seen = [0] * (shape.outer.part(1) + 1)
-    col_seen = row_seen[:]
-    for k, cell in enumerate(cells):
-        for code in cell:
-            bit = 1 << code
-            if code & 1:  # primed
-                i = rows[k]
-                if row_seen[i] & bit:
-                    return _repeat(boxes, rows, cells, k, code, "row", 3)
-                row_seen[i] |= bit
-            else:
-                j = cols[k]
-                if col_seen[j] & bit:
-                    return _repeat(boxes, cols, cells, k, code, "column", 2)
-                col_seen[j] |= bit
-    for k in table.diagonal if family == "P" else ():
-        for code in cells[k]:
-            if code & 1:
-                return f"primed entry on the diagonal at {boxes[k]} (rule 4)"
-    return None
-
-
-def _repeat(boxes, lines, cells, k, code, name, rule):
-    """The violation of ``code`` at index k repeating in the row or column
-    ``lines[k]``: the first repeat, so one earlier index of that line
-    holds the code, and a scan back finds it."""
-    first = next(a for a in range(k)
-                 if lines[a] == lines[k] and code in cells[a])
-    return (f"{entry_str(code)} repeats in {name} {lines[k]} "
-            f"({boxes[first]} and {boxes[k]}) (rule {rule})")
+    assert checked == 103_412 and 0 < failed < checked
 
 
 def neighbor_rules_against_whole_lines():
     """Fact A: on every filling of each skew shape of at most 4 boxes
     inside a strict partition of weight at most 5, with cells of one or
-    two codes in 1..4 (n = 2), P and Q, ``validate_cells`` gives the text
-    of the whole row and column statement, ``_whole_line_verdict``.  It is
-    read through ``tableaux``, so a function swapped there is the one
-    checked; it stops at its first mismatch.  Returns the number of cases
-    and a count of the verdicts by their last seven characters."""
+    two codes in 1..4 (n = 2), P and Q, ``validate_cells``, which reads
+    rules 2 and 3 off neighbors, gives the text of the whole row and
+    column statement, ``reference.violation``.  It stops at its first
+    mismatch.  Returns the number of cases and a count of the verdicts by
+    their last seven characters."""
     codes = range(1, 5)
     pool = [c for k in (1, 2) for c in itertools.combinations(codes, k)]
     checked, verdicts = 0, collections.Counter()
@@ -233,9 +156,7 @@ def neighbor_rules_against_whole_lines():
             continue
         for cells in itertools.product(pool, repeat=shape.size):
             for family in "PQ":
-                want = _whole_line_verdict(shape, family, cells)
-                got = tableaux.validate_cells(shape, family, cells)
-                assert got == want, (str(shape), family, cells)
+                want = _agrees(shape, family, cells)
                 checked += 1
                 verdicts[want and want[-7:]] += 1
     return checked, verdicts

@@ -312,12 +312,14 @@ def cmd_pair(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The ``kschur`` parser, built on first use and then reused."""
+    """The ``kschur`` parser, built on first use and then reused; its
+    ``verbs`` maps each verb to the verb's own parser."""
     parser = argparse.ArgumentParser(
         prog="kschur",
         description="Shifted set-valued tableaux and their generating "
                     "polynomials, with built-in verification sweeps.")
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices
 
     def add_common(p, family_choices, with_format=False):
         p.add_argument("--shape", required=True,
@@ -397,8 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in parser.verbs:
+            # the verb's parser reads the rest, as the subparsers action
+            # does inside parse_args, with no parse of the whole argv first
+            args, rest = parser.verbs[argv[0]].parse_known_args(argv[1:])
+            if rest:
+                parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:

@@ -14,11 +14,14 @@ returns (checked, violations) on one shape).  A certificate is written
 straight from its tableaux, as ``json.dumps`` texts of documents with
 holes, split at the holes (``_pieces``) and joined with what goes in them,
 and checked as its JSON document.  What a shape or a cell needs, its
-minimal tableau's cells (from ``enumeration``), its element's pieces and
-a cell's text, is made once and kept in caches keyed on part tuples, ints
-and strings.  The check reads each element as its nu and row-major cell
-tuple, each distinct cell parsed once, with a ``Filling`` built only for
-a minimal tableau or to show a fault.  ``read_certificate`` reads only
+minimal tableau's cells (from ``enumeration``), its element's pieces, the
+header's pieces of each lam // mu and a cell's text, is made once and
+kept in caches keyed on part tuples, ints and strings; a request's
+family and n are holes in the kept pieces, which each write fills, so
+every request on one lam // mu shares them.  The check reads each
+element as its nu and row-major cell tuple, each distinct cell parsed
+once, with a ``Filling`` built only for a minimal tableau or to show a
+fault.  ``read_certificate`` reads only
 the layout ``write_certificate`` writes, ``json.dumps(doc, sort_keys=True,
 indent=1)``, of short lines, holding its header and one pair at a time.
 The first fault is reported, in this order: a refused request
@@ -184,16 +187,25 @@ _PAIR_PIECES = {tag: _pieces({"left": _HOLE, "right": _HOLE, "tag": tag}, 2)
 
 
 @lru_cache(maxsize=512)
-def _side_pieces(outer: tuple, inner: tuple, n: int,
-                 family: str) -> tuple[str, ...]:
-    """The pieces of an element of outer/inner, n and family as a pair's
-    side: its document three levels deep, with a hole per cell in
-    row-major order."""
+def _side_pieces(outer: tuple, inner: tuple) -> tuple[str, ...]:
+    """The pieces of an element of outer/inner as a pair's side: its
+    document three levels deep, with a hole for its family, one for its
+    n, and then one per cell in row-major order."""
     shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    doc = _element(Filling(shape, n, family, ((),) * shape.size,
+    doc = _element(Filling(shape, _HOLE, _HOLE, ((),) * shape.size,
                            _trusted=True))
     doc["tableau"]["rows"] = [[_HOLE] * len(row) for row in shape.rows]
     return _pieces(doc, 3)
+
+
+@lru_cache(maxsize=512)
+def _header_pieces(lam: tuple, mu: tuple, paired: bool) -> tuple[str, ...]:
+    """The pieces of a certificate of lam // mu with a hole for each of
+    its family, leftover, minimal_only and n, in that order, and then,
+    if it is ``paired``, one for its pairs."""
+    doc = dict(zip(_HEADER, (list(lam), list(mu), _HOLE, _HOLE, _HOLE)),
+               pairs=[_HOLE] if paired else [], leftover=_HOLE)
+    return _pieces(doc, 0)
 
 
 @lru_cache(maxsize=1024)
@@ -206,15 +218,16 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     """Write ``json.dumps(cert.to_json(), sort_keys=True, indent=1)`` to fh
     for a certificate built by ``pairing_certificate``, one pair at a time.
 
-    The header and the leftover are one ``json.dumps`` of the certificate
-    with a hole for its pairs; the leftover is dumped whole, as it is
+    The header is its lam // mu's pieces (``_header_pieces``) filled with
+    the request's values and the leftover, which is dumped whole, as it is
     nonempty only when iota fails.  A pair's text is the pieces of its
     tag's pair document (``_PAIR_PIECES``), filled with its two sides.  A
-    side is the pieces of its nu's element (``_side_pieces``), filled with
-    its cells' texts (``_cell_text``).  Both are kept across calls, and
-    read through dicts kept for this call, by nu and by cell.
+    side is the pieces of its nu's element (``_side_pieces``), with its
+    family and n filled in once per nu in this call, then filled with its
+    cells' texts (``_cell_text``).  The pieces and texts are kept across
+    calls, and read through dicts kept for this call, by nu and by cell.
     """
-    sides: dict = {}  # nu -> the pieces of its element as a pair's side
+    sides: dict = {}  # nu -> its element's pieces, family and n filled in
     texts: dict = {}  # cell -> its text in a pair's side
 
     def cell_text(cell: tuple) -> str:
@@ -224,21 +237,27 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     def side(T: Filling) -> str:
         nu = T.shape.inner.parts
         if (pieces := sides.get(nu)) is None:
-            sides[nu] = pieces = _side_pieces(T.shape.outer.parts, nu, T.n,
-                                              T.family)
+            pieces = _side_pieces(T.shape.outer.parts, nu)
+            sides[nu] = pieces = (_filled(pieces[:3], [json.dumps(T.family),
+                                                       json.dumps(T.n)]),
+                                  *pieces[3:])
         return _filled(pieces, [texts.get(cell) or cell_text(cell)
                                 for cell in T.cells])
 
-    top = dict(cert.header, pairs=[_HOLE] if cert.pairs else [],
-               leftover=[_element(T) for T in cert.leftover])
-    head, *tail = _pieces(top, 0)
-    fh.write(head)
+    h = cert.header
+    top = _header_pieces(tuple(h["lambda"]), tuple(h["mu"]),
+                         bool(cert.pairs))
+    leftover = (_pieces([_element(T) for T in cert.leftover], 1)[0]
+                if cert.leftover else "[]")
+    fh.write(_filled(top[:5], [json.dumps(h["family"]), leftover,
+                               json.dumps(h["minimal_only"]),
+                               json.dumps(h["n"])]))
     sep = ""
     for p in cert.pairs:
         fh.write(sep + _filled(_PAIR_PIECES[p.tag],
                                [side(p.left), side(p.right)]))
         sep = ",\n  "
-    fh.writelines(tail)
+    fh.writelines(top[5:])
 
 
 def _setup(lam: StrictPartition, mu: StrictPartition, n: int, family: str,
@@ -309,6 +328,7 @@ _CHUNK = 1 << 16  # the fewest characters read from a certificate file at once
 _PAIRS, _PAIR_END = '\n "pairs": [', "\n  }"
 _LAYOUT = "Expecting the layout pair --out writes"
 _LINE = 80  # longer than any line written: 23, or 12 more than n's digits
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def read_certificate(fh) -> dict:
@@ -368,7 +388,12 @@ def read_certificate(fh) -> dict:
         opener, tail = "\n  {", "]\n}"
         while fill(len(opener)) == opener:
             end = min(find(_PAIR_END) + len(_PAIR_END), len(text))
-            yield loads(i + len(opener) - 1, end)  # from the pair's "{"
+            j = i + len(opener) - 1  # the pair's "{"
+            try:  # decoded in place; sliced only to report a fault
+                pair, stop = _DECODE(text, j)
+            except (ValueError, RecursionError):
+                stop = -1
+            yield pair if stop == end else loads(j, end)
             i, opener, tail = end, ",\n  {", "\n ]\n}"
         if fill(len(tail) + 1) != tail:
             raise error(_LAYOUT, i)

@@ -312,11 +312,12 @@ class OrbitTerms(Mapping):
     """The terms of a polynomial symmetric in x, read from one
     representative per x-orbit: reps maps (rep, b), rep nonincreasing, to
     the coefficient every arrangement of rep carries.  A read-only view,
-    so a ``LaurentPoly`` over it is a whole polynomial, and equality,
-    hashing and the ring operations read it as a ``Mapping``; it prints
-    from the representatives (``runs``), with no expansion: a key is
-    looked up by its sorted x, and ``len``, iteration and ``items`` read
-    the kept arrangements (``_orbit``)."""
+    so a ``LaurentPoly`` over it is a whole polynomial.  Two such views
+    compare by their representatives; otherwise equality, hashing and the
+    ring operations read it as a ``Mapping``.  It prints from the
+    representatives (``runs``), with no expansion: a key is looked up by
+    its sorted x, and ``len``, iteration and ``items`` read the kept
+    arrangements (``_orbit``)."""
 
     __slots__ = ("reps",)
 
@@ -326,6 +327,13 @@ class OrbitTerms(Mapping):
     def __getitem__(self, key: MonomialKey) -> int:
         x, b = key
         return self.reps[tuple(sorted(x, reverse=True)), b]
+
+    def __eq__(self, other) -> bool:
+        # distinct orbits are disjoint and no coefficient is 0, so two
+        # such views are equal exactly when their representatives are
+        if isinstance(other, OrbitTerms):
+            return self.reps == other.reps
+        return super().__eq__(other)
 
     def __iter__(self):
         return ((x, b) for rep, b in self.reps for x in _orbit(rep))

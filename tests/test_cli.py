@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import re
+import sys
 import tracemalloc
 from itertools import product
 
@@ -604,7 +605,14 @@ SPOILS = {
         lambda text: text.replace("\n  },\n  {", "\n  }\n  {", 1),
     "deeply_nested_pair":
         lambda text: text.replace('"left": ', '"left": ' + "[\n" * 100_000,
-                                  1)}
+                                  1),
+    # a pair's object that closes before its closing line, and one that
+    # runs on past it
+    "pair_closes_early":
+        lambda text: text.replace('"tag": "pi"\n  }', '"tag": "pi"}\n  }', 1),
+    "pair_runs_past_its_closing_line":
+        lambda text: text.replace('"tag": "pi"\n  }',
+                                  '"tag": "pi", "z": {\n  }\n  }', 1)}
 
 
 def not_utf8_at(offset):
@@ -853,6 +861,39 @@ class TestPair:
                                        pos - text.rfind("\n", 0, pos))
             assert message.endswith(
                 f"line {lineno} column {colno} (char {pos})")
+
+    @pytest.mark.parametrize("make", STREAM_CASES.values(), ids=STREAM_CASES)
+    def test_in_place_decode_reads_as_the_slice(self, capsys, tmp_path,
+                                                monkeypatch, make):
+        # each pair decoded from a copy of its text, up to its closing
+        # line: the same pairs, and the same error at the same place
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        path.write_bytes(make(path.read_bytes()))
+        in_place = _read_outcome(path)
+
+        def refuse(text, at):
+            raise ValueError("no in-place decode")
+
+        monkeypatch.setattr(involutions, "_DECODE", refuse)
+        assert _read_outcome(path) == in_place
+
+    @pytest.mark.parametrize("spoil,error", [
+        ("pair_closes_early",
+         "JSONDecodeError('Extra data: line 99 column 3 (char 1038)')"),
+        ("pair_runs_past_its_closing_line",
+         "JSONDecodeError(\"Expecting ',' delimiter: line 99 column 4 "
+         "(char 1046)\")")])
+    def test_pair_that_leaves_its_lines(self, capsys, tmp_path, spoil,
+                                        error):
+        # the error of the pair's text up to its closing line, at its
+        # place in the file
+        path = tmp_path / "cert.json"
+        run(capsys, *PAIR_21_1, "--out", str(path))
+        path.write_text(SPOILS[spoil](path.read_text()))
+        assert run(capsys, *PAIR_21_1, "--check", str(path)) == (
+            1, "certificate FAILED\n",
+            f"note: malformed certificate ({error})\n")
 
     def test_byte_not_utf8_after_the_first_chunk(self, capsys, tmp_path,
                                                  large_certificate):
@@ -1114,6 +1155,20 @@ def _dumped(cert) -> str:
     return json.dumps(cert.to_json(), sort_keys=True, indent=1)
 
 
+def _counted_pieces(monkeypatch) -> list:
+    """The level of each ``involutions._pieces`` call from now on: 0 for
+    the header, 3 for a side, 7 for a cell."""
+    levels = []
+    real = involutions._pieces
+
+    def counted(doc, level):
+        levels.append(level)
+        return real(doc, level)
+
+    monkeypatch.setattr(involutions, "_pieces", counted)
+    return levels
+
+
 class TestWriteCertificate:
     def test_small_cases(self):
         written = 0
@@ -1186,21 +1241,29 @@ class TestWriteCertificate:
 
     def test_second_write_makes_no_side_or_cell_pieces(
             self, capsys, tmp_path, monkeypatch, fresh_caches):
-        # _pieces's level: 0 for the header, 3 for a side, 7 for a cell
-        levels = []
-        real = involutions._pieces
-
-        def counted(doc, level):
-            levels.append(level)
-            return real(doc, level)
-
-        monkeypatch.setattr(involutions, "_pieces", counted)
+        levels = _counted_pieces(monkeypatch)
         argv = ("pair", "--lambda", "3,1", "--mu", "2", "--family", "Q",
                 "-n", "2", "--out", str(tmp_path / "cert.json"))
         assert run(capsys, *argv) == (0, "pairs=192 leftover=0 ok\n", "")
         first, levels[:] = sorted(set(levels)), []
         assert run(capsys, *argv) == (0, "pairs=192 leftover=0 ok\n", "")
-        assert first == [0, 3, 7] and levels == [0]
+        # the header's pieces are kept too
+        assert first == [0, 3, 7] and levels == []
+
+    def test_other_n_or_family_makes_no_header_or_side_pieces(
+            self, monkeypatch, fresh_caches):
+        # family and n are holes in the kept header and side pieces, so
+        # one lam // mu shares them across requests
+        levels = _counted_pieces(monkeypatch)
+        certs = [pairing_certificate(sp(3, 1), sp(2), n, family, minimal)
+                 for family in "QP" for n in (2, 1)
+                 for minimal in (False, True)]
+        assert _written(certs[0]) == _dumped(certs[0])
+        assert 0 in levels and 3 in levels
+        levels.clear()
+        for cert in certs[1:]:
+            assert _written(cert) == _dumped(cert)
+        assert not {0, 3} & set(levels)
 
     def test_writes_a_pair_at_a_time(self, large_certificate):
         # the file's bytes, in writes of at most 64 KB, at least one a pair
@@ -1239,3 +1302,74 @@ class TestUsage:
     def test_bad_family(self, capsys):
         assert run(capsys, "poly", "--shape", "1", "--family", "XX",
                    "-n", "1")[0] == 2
+
+
+def _parsed_whole(argv) -> int:
+    """``main``'s exit code by the two parses of ``parse_args``: the whole
+    argv, then the verb's options inside it, before the verb's handler."""
+    parser = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return cli.USAGE if exc.code else cli.PASS
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.USAGE
+
+
+POLY_21 = ("poly", "--shape", "2,1", "--family", "GP", "-n", "2")
+
+# argv that main parses once, through the verb's parser, and argv it
+# hands to parse_args: help, usage errors of every kind, and runs
+DISPATCH_ARGV = {
+    "no_argv": (),
+    "help": ("-h",),
+    "long_help": ("--help",),
+    "help_after_verb": ("pair", "-h"),
+    "help_after_options": (*POLY_21, "-h"),
+    "unknown_verb": ("nosuchverb",),
+    "verb_prefix": ("pai", "--lambda", "2,1", "--mu", "1"),
+    "unknown_top_option": ("-x", "poly"),
+    "option_abbreviations": ("poly", "--sha", "2,1", "--fam", "GP", "-n", "2"),
+    "flag_abbreviation": (*PAIR_21_1, "--min"),
+    "options_with_equals": ("poly", "--shape=2,1", "--family=GP", "-n2"),
+    "missing_options": ("poly", "--shape", "3"),
+    "missing_value": (*PAIR_21_1, "--out"),
+    "extra_argument": (*POLY_21, "extra"),
+    "extra_arguments": (*POLY_21, "a", "b"),
+    "unknown_option": (*POLY_21, "--bogus", "1"),
+    "bad_choice": ("poly", "--shape", "2,1", "--family", "XX", "-n", "2"),
+    "bad_int": ("poly", "--shape", "2,1", "--family", "GP", "-n", "two"),
+    "double_dash_after_verb": ("poly", "--", "--shape", "2,1"),
+    "double_dash_first": ("--", *POLY_21),
+    "out_with_check": (*PAIR_21_1, "--out", "a.json", "--check", "b.json"),
+    "repeated_option": (*POLY_21, "--shape", "1"),
+    "runs": POLY_21,
+    "pair_runs": PAIR_21_1,
+    "handler_refuses": ("poly", "--shape", "1,2", "--family", "P", "-n", "1"),
+}
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV.values(),
+                             ids=DISPATCH_ARGV)
+    def test_one_parse_reads_as_parse_args(self, capsys, tmp_path,
+                                           monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # a file an argv names lands here
+        got = run(capsys, *argv)
+        want = _parsed_whole(list(argv))
+        assert got == (want, *capsys.readouterr())
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,code,start", [
+        (POLY_21, 0, "x1*x2^2 + "),
+        (("poly", "--shape", "3"), 2, "usage: kschur poly")])
+    def test_main_reads_sys_argv(self, capsys, monkeypatch, argv, code,
+                                 start):
+        monkeypatch.setattr(sys, "argv", ["kschur", *argv])
+        assert main() == code
+        out, err = capsys.readouterr()
+        assert (out or err).startswith(start)
+        assert (code, out, err) == run(capsys, *argv)

@@ -1,6 +1,6 @@
 import pytest
 
-from shifted_kschur import genfunc
+from shifted_kschur import genfunc, polyring
 from shifted_kschur.genfunc import (FunctionSpec, _at, _coproduct_guard,
                                     beta_zero, compute, coproduct_check,
                                     double_skew_shortcut, parity_report,
@@ -108,6 +108,36 @@ class TestByOrbit:
         held = compute(fs("GQ", (2, 1), 2))
         for key in (((1, 1), 0), ((2, 1), 5), ((0, 3), 0), ((1, 2, 0), 1)):
             assert key not in held.terms
+
+    def test_equality_reads_the_representatives(self, monkeypatch):
+        # two polynomials held by orbit are equal exactly when their
+        # expansions are, with no arrangement read; one held by orbit
+        # and one held as a dict compare as their expansions, both ways
+        held = [compute(FunctionSpec(family, shape, n))
+                for shape in skew_shapes(3, with_empty=True) for n in (1, 2)
+                for family in genfunc.FAMILIES]
+        flat = [expanded(h) for h in held]
+        dict_held = [LaurentPoly(h.nvars, f) for h, f in zip(held, flat)]
+
+        def unread(rep):
+            raise AssertionError("an orbit was expanded")
+
+        monkeypatch.setattr(polyring, "_orbit", unread)
+        equal = 0
+        for h, e in zip(held, flat):
+            for g, f in zip(held, flat):
+                same = h.nvars == g.nvars and e == f
+                assert (h == g) == same == (g == h)
+                assert (h.terms == g.terms) == (e == f) == (g.terms == h.terms)
+                equal += same
+        monkeypatch.undo()
+        assert len(held) < equal < len(held) ** 2
+        for h, e in zip(held, flat):
+            for d in dict_held:
+                same = h.nvars == d.nvars and e == d.terms
+                assert (h == d) == same == (d == h)
+                assert (h.terms == d.terms) == (e == d.terms) == \
+                    (d.terms == h.terms)
 
 
 class TestFunctionSpec:

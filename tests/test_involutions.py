@@ -250,6 +250,20 @@ class TestFailureDetection:
                          lambda T: T if T == tableaux[1] else None)
         assert "iota fixes" in self._violations()
 
+    def test_written_with_its_leftover(self, monkeypatch):
+        # the request written whole first, so its header pieces are kept,
+        # then with the leftover of a failed iota: both are json.dumps
+        intact = pairing_certificate(self.LAM, self.MU, self.N, self.FAMILY)
+        tableaux = self._tableaux()
+        self._break_iota(monkeypatch,
+                         lambda T: T if T == tableaux[1] else None)
+        _, cert = self._report()
+        for c in (intact, cert):
+            fh = io.StringIO()
+            write_certificate(c, fh)
+            assert fh.getvalue() == json.dumps(c.to_json(), sort_keys=True,
+                                               indent=1)
+
     def test_not_an_involution(self, monkeypatch):
         # the partner of the second tableau maps on to a third one
         tableaux = self._tableaux()
@@ -636,16 +650,25 @@ def test_long_header_is_read_in_a_few_steps_and_decoded_once(monkeypatch):
             return super().read(size)
 
     def counted(s):
-        decodes.append(len(s))
+        decodes.append(("loads", len(s)))
         return loads(s)
 
+    def counted_in_place(s, at):
+        decodes.append(("in place", at))
+        return decode(s, at)
+
+    decode = involutions._DECODE
     monkeypatch.setattr(involutions, "_CHUNK", 4096)
     monkeypatch.setattr(json, "loads", counted)
+    monkeypatch.setattr(involutions, "_DECODE", counted_in_place)
     got = read_certificate(Counted(text))
     got["pairs"] = list(got["pairs"])
     monkeypatch.undo()
     assert got == json.loads(text)
-    assert len(reads) < 20 and len(decodes) == 1 + len(got["pairs"])
+    # the header by json.loads, and each pair in place, with no fallback
+    kinds = [kind for kind, _ in decodes]
+    assert len(reads) < 20
+    assert kinds == ["loads"] + ["in place"] * len(got["pairs"])
 
 
 def _equals_checked_rebuild(f):

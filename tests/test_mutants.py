@@ -189,12 +189,18 @@ MUTANTS = [
            "p - 1 > parts[r + 1]", "p - 2 > parts[r + 1]",
            engine_against_walk),
     # a kept per-shape piece must be keyed on every field of the request
-    # it states: the maker, the writer and the checker share the caches,
-    # and the checker finds the fault
-    # (outer, inner, n, family) without n
-    Mutant("side-pieces-keyed-without-n", involutions, "_side_pieces",
-           "@lru_cache(maxsize=512)\ndef _side_pieces(",
-           keyed_without("(a[0], a[1], a[3])") + "def _side_pieces(",
+    # it states, or leave it a hole that each request fills: the maker,
+    # the writer and the checker share the caches, and the checker finds
+    # the fault.  A nu's side, and the header, with their holes filled
+    # by the first request written and kept for the next
+    Mutant("side-holes-filled-from-the-first-write", involutions,
+           "write_certificate", "sides: dict = {}",
+           'sides = write_certificate.__dict__.setdefault("sides", {})',
+           certificates_prove_their_requests),
+    Mutant("header-holes-filled-from-the-first-write", involutions,
+           "write_certificate", "fh.write(_filled(top[:5], [",
+           "(lambda head: fh.write(write_certificate.__dict__.setdefault("
+           "top, head)))(_filled(top[:5], [",
            certificates_prove_their_requests),
     # (outer, inner, family, n) without family
     Mutant("minimal-cells-keyed-without-family", enumeration,

@@ -8,21 +8,24 @@ of ``shapes._strips_above`` (nu/rho a shifted horizontal strip, the only
 pairs with a nonzero factor), and each one-letter factor is one product
 over rows, of a rule on each row's first box and, for set-valued
 tableaux, on its corner of rho outside mu, with no tableaux
-(``_letter_factor``, kept per nu, rho and corner rows).  Each rho's
-transitions, the factors with their values at x = 1 and b = 1, -1, are
-made once and kept per (lam, mu, family, kind) in ``_point_levels``.
-``_branching_sum`` sums them in one loop at every n: it keeps the terms
-with nonincreasing x-exponents, one per x-orbit, as the skew functions
-are symmetric in x, less those whose remaining letters cannot add the
-boxes still missing from lam, and returns these representatives.  Its
-deepest run is kept per key, so a smaller n is a cut of it, not a run.
-``_representatives`` sums them over the lam/nu of a request, and
-``compute`` and ``beta_zero`` hold them as they are
+(``_letter_factor``).  Each step rho -> nu is one record
+(``_transition``): nu, |nu|, the factor, its b^0 terms and its values at
+x = 1 and b = 1, -1, kept per (nu, rho, corner rows, family, kind) and so
+shared by every key that steps through it, as are the strips, kept per
+(rho, lam), and rho's corners outside mu, kept per (rho, mu)
+(``_free_corners``).  Each key (lam, mu, family, kind) keeps, in
+``_point_levels``, a tuple of references to the records of each rho it
+stepped from.  ``_branching_sum`` sums them in one loop at every n: it
+keeps the terms with nonincreasing x-exponents, one per x-orbit, as the
+skew functions are symmetric in x, less those whose remaining letters
+cannot add the boxes still missing from lam, and returns these
+representatives.  Its deepest run is kept per key, so a smaller n is a
+cut of it, not a run.  ``_representatives`` sums them over the lam/nu of
+a request, and ``compute`` and ``beta_zero`` hold them as they are
 (``polyring.OrbitTerms``), the one form of the polynomial: it reads as
 the whole polynomial, and ``kschur poly`` prints it with no expansion.
-Each ``_Levels`` keeps one tuple per shape its tables name.  For
-``beta_zero`` ``_branching_sum`` builds only the b^0 terms, each factor
-keeping its own, which is exact as no factor term has a negative
+For ``beta_zero`` ``_branching_sum`` builds only the b^0 terms, from each
+record's b^0 part, which is exact as no factor term has a negative
 b-exponent.
 ``_point_sum`` runs the same recursion on int pairs, the sum at x = 1 and
 b = 1, -1, so the count and the signed count build no polynomial, and the
@@ -86,7 +89,6 @@ def _tableau_terms(lam: tuple, mu: tuple, n: int, family: str,
     return terms
 
 
-@lru_cache(maxsize=1 << 14)
 def _letter_factor(nu: tuple, rho: tuple, corners: tuple, family: str,
                    kind: str) -> tuple[tuple[int, int, int], ...]:
     """The last letter's factor f(nu, rho) = x^|nu/rho| * prod_r g_r(t),
@@ -132,52 +134,75 @@ def _letter_factor(nu: tuple, rho: tuple, corners: tuple, family: str,
     return tuple((size + j, j, c) for j, c in enumerate(poly) if c)
 
 
+class _Transition(NamedTuple):
+    """One step rho -> nu of the letter recursion, with what both
+    recursions read of it."""
+    nu: tuple
+    size: int      # |nu|
+    factor: tuple  # f(nu, rho), as ``_letter_factor`` gives it
+    b0: tuple      # its b^0 terms, f[:1]
+    count: int     # f at x = 1, b = 1
+    signed: int    # f at x = 1, b = -1
+
+
+@lru_cache(maxsize=1 << 14)
+def _transition(nu: tuple, rho: tuple, corners: tuple, family: str,
+                kind: str) -> _Transition:
+    """The step rho -> nu, kept per (nu, rho, corners, family, kind), so
+    every key whose rho has these corners outside its mu shares one record.
+
+    Its b^0 terms are its first: ``_letter_factor`` lists f by power of t
+    from t^0, whose coefficient is the product of every row's h(p), each
+    at least 1 when f is not 0."""
+    f = _letter_factor(nu, rho, corners, family, kind)
+    count = signed = 0
+    for _, b, c in f:
+        count += c
+        signed += -c if b & 1 else c
+    return _Transition(nu, sum(nu), f, f[:1], count, signed)
+
+
+@lru_cache(maxsize=4096)
+def _free_corners(rho: tuple, mu: tuple) -> tuple[int, ...]:
+    """The rows of rho's corners outside mu, which a set-valued letter may
+    join (a corner inside mu holds no entries)."""
+    return tuple(r for r in _corner_rows(rho)
+                 if rho[r] > (mu[r] if r < len(mu) else 0))
+
+
 class _Levels:
     """One letter-by-letter recursion over the shapes mu <= nu <= lam.
 
-    ``moves`` maps each rho stepped from to its transitions, one flat
-    tuple ``(nu, f(nu, rho), f(1|1), f(1|-1), nu, ...)`` over the nu of
-    ``_strips_above(rho, lam)``, built on first use by ``steps``: the
-    factor for the polynomial and its values at x = 1, b = 1, -1 for the
-    point pairs.  ``at_lam[k]`` is the pair F_k(lam) for each level k the
-    point recursion reached, and ``last`` that deepest level whole, every
-    nu reached with its pair, to extend from.  ``kept[b0_only]`` is the
-    pair (N, representatives at N) of the deepest polynomial recursion
+    ``moves`` maps each rho stepped from to its transitions, a tuple of
+    the shared ``_Transition`` records of the nu of ``_strips_above(rho,
+    lam)``, built on first use by ``steps``: the factor and its b^0 terms
+    for the polynomial, and its values at x = 1, b = 1, -1 for the point
+    pairs.  ``at_lam[k]`` is the pair F_k(lam) for each level k the point
+    recursion reached, and ``last`` that deepest level whole, every nu
+    reached with its pair, to extend from.  ``kept[b0_only]`` is the pair
+    (N, representatives at N) of the deepest polynomial recursion
     ``_branching_sum`` ran with that ``b0_only``, which every n <= N cuts.
-    ``shapes`` maps each nu seen to the one tuple the tables keep for it,
-    so a shape reached from many rho is held once.
     """
 
-    __slots__ = ("key", "moves", "shapes", "at_lam", "last", "kept")
+    __slots__ = ("key", "moves", "at_lam", "last", "kept")
 
     def __init__(self, lam: tuple, mu: tuple, family: str, kind: str):
         self.key = (lam, mu, family, kind)
         self.moves: dict = {}
-        self.shapes: dict = {}
         self.at_lam = [(1, 1) if lam == mu else (0, 0)]
         self.last = {mu: (1, 1)}
         self.kept = [(-1, None)] * 2  # no polynomial recursion yet
 
-    def steps(self, rho: tuple) -> tuple:
-        """rho's transitions, made here the first time rho is stepped
-        from: the one place either recursion builds them."""
+    def steps(self, rho: tuple) -> tuple[_Transition, ...]:
+        """rho's transitions, gathered here the first time rho is stepped
+        from: the one place either recursion reads them from."""
         out = self.moves.get(rho)
         if out is None:
             lam, mu, family, kind = self.key
-            corners = ()
-            if kind == "set-valued":  # the corners of rho outside mu
-                corners = tuple(r for r in _corner_rows(rho)
-                                if rho[r] > (mu[r] if r < len(mu) else 0))
-            flat: list = []
-            for nu in _strips_above(rho, lam):
-                nu = self.shapes.setdefault(nu, nu)
-                f = _letter_factor(nu, rho, corners, family, kind)
-                count = signed = 0  # f at x = 1 and b = 1, -1
-                for _, b, c in f:
-                    count += c
-                    signed += -c if b & 1 else c
-                flat += (nu, f, count, signed)
-            out = self.moves[rho] = tuple(flat)
+            corners = _free_corners(rho, mu) if kind == "set-valued" else ()
+            out = self.moves[rho] = tuple([
+                _transition(nu, rho, corners, family, kind)
+                for nu in _strips_above(rho, lam)])
         return out
 
 
@@ -235,8 +260,9 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     Precondition of ``b0_only``: every factor term has b-exponent >= 0
     (``_letter_factor``'s power of t = x*b is never negative),
     so a product of factor terms has b-exponent 0 exactly when each of
-    them has.  With ``b0_only`` each transition's factor keeps its b^0
-    terms only, and the sum is exactly the b^0 terms of the full one.
+    them has.  With ``b0_only`` each transition's factor is its b^0 part
+    (``_Transition.b0``), and the sum is exactly the b^0 terms of the full
+    one.
     """
     levels = _point_levels(lam, mu, family, kind)
     depth, reps = levels.kept[b0_only]
@@ -250,13 +276,12 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
         left = n - k  # letters still to come
         nxt: dict = {}
         for rho, value in level.items():
-            out = levels.steps(rho)
-            for nu, factor in zip(out[::4], out[1::4]):
-                missing = size - sum(nu)  # the boxes of lam/nu
+            for nu, nu_size, factor, b0, _, _ in levels.steps(rho):
+                missing = size - nu_size  # the boxes of lam/nu
                 if missing and not left:
                     continue  # no letter is left to fill lam/nu
                 if b0_only:
-                    factor = [t for t in factor if not t[1]]
+                    factor = b0
                 # xk >= low, or the later letters cannot fill lam/nu
                 low = -(-missing // left) if missing else 0
                 terms = nxt.get(nu, {})
@@ -290,8 +315,7 @@ def _point_sum(lam: tuple, mu: tuple, n: int, family: str,
     while len(levels.at_lam) <= n:
         nxt: dict = {}
         for rho, (count, signed) in levels.last.items():
-            out = levels.steps(rho)
-            for nu, c, s in zip(out[::4], out[2::4], out[3::4]):
+            for nu, _, _, _, c, s in levels.steps(rho):
                 was = nxt.get(nu, (0, 0))
                 nxt[nu] = (was[0] + c * count, was[1] + s * signed)
         levels.last = nxt

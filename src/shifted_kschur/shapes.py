@@ -17,9 +17,10 @@ bottom removable box that pairs them; the set-valued letter factors of
 ``genfunc`` read the corner rows of a shape outside mu.  Beside it the
 interlacing rule, nu_(r+1) <= rho_r <= nu_r, is stated once, in
 ``_strips_above``: the shapes nu one more letter can fill rho out to, which
-are the transitions of ``genfunc``'s level recursion.  ``_index_table``
-holds a shape's facts by row-major index, and ``_parse_skew`` the one
-shape of each parsed text, so a shape is frozen (``_Frozen``)."""
+are the transitions of ``genfunc``'s level recursion, kept per
+(rho, lam).  ``_index_table`` holds a shape's facts by row-major index,
+and ``_parse_skew`` the one shape of each parsed text, so a shape is
+frozen (``_Frozen``)."""
 
 from __future__ import annotations
 
@@ -245,20 +246,23 @@ def _minus_corners(parts: tuple,
     return out
 
 
-def _strips_above(rho: tuple, lam: tuple) -> list[tuple]:
+@lru_cache(maxsize=4096)
+def _strips_above(rho: tuple, lam: tuple) -> tuple[tuple, ...]:
     """Every strict nu inside lam with nu/rho a shifted horizontal strip:
     nu_(r+1) <= rho_r <= nu_r in every row r, rho zero-padded (rho inside
     lam).  This is the one statement of the interlacing rule: one letter
     fills nu/rho only for these nu, so they are the level recursion's
     transitions.  Row r of nu lies in [rho_r, min(lam_r, rho_(r-1))] and
-    below nu_(r-1); only row len(rho) may be 0, and then nu ends there."""
+    below nu_(r-1); only row len(rho) may be 0, and then nu ends there.
+    Kept per (rho, lam), as every key of the recursion with that lam steps
+    from rho through the same strips, whatever its mu, family and kind."""
     nus = [()]
     for r in range(min(len(rho) + 1, len(lam))):
         lo = rho[r] if r < len(rho) else 0
         top = lam[r] if r == 0 else min(lam[r], rho[r - 1])
         nus = [nu + (p,) if p else nu for nu in nus
                for p in range(lo, min(top, nu[r - 1] - 1 if r else top) + 1)]
-    return nus
+    return tuple(nus)
 
 
 def inner_shapes(mu: StrictPartition) -> list[tuple[int, StrictPartition]]:

@@ -261,8 +261,8 @@ def test_factor_terms_have_no_negative_b_exponent(fresh_caches):
                 for kind in KINDS:
                     levels = _point_levels(lam.parts, mu.parts, family, kind)
                     for rho in interval:
-                        for factor in levels.steps(rho)[1::4]:
-                            for _, b, _ in factor:
+                        for step in levels.steps(rho):
+                            for _, b, _ in step.factor:
                                 assert b >= 0, (lam, mu, rho, family, kind)
                                 terms += 1
     assert terms == 34618
@@ -392,8 +392,8 @@ def test_letter_factor_equals_corner_subset_sum_exhaustive():
                 if kind == "set-valued":
                     corners = [r for r in _corner_rows(rho)
                                if rho[r] > (mu[r] if r < len(mu) else 0)]
-                out = genfunc._Levels(lam, mu, family, kind).steps(rho)
-                for nu, f, count, signed in zip(*[iter(out)] * 4):
+                steps = genfunc._Levels(lam, mu, family, kind).steps(rho)
+                for nu, _, f, _, count, signed in steps:
                     key = (nu, rho, tuple(corners), family, kind)
                     want = reference.get(key)
                     if want is None:
@@ -421,13 +421,34 @@ def test_self_loops_count_a_power_of_two_and_sign_only_at_mu():
     loops = 0
     for lam, mu, rho in _intervals(10):
         for family in ("P", "Q"):
-            out = genfunc._Levels(lam, mu, family, "set-valued").steps(rho)
-            count, signed = next((c, s) for nu, _, c, s
-                                 in zip(*[iter(out)] * 4) if nu == rho)
+            steps = genfunc._Levels(lam, mu, family, "set-valued").steps(rho)
+            count, signed = next((step.count, step.signed)
+                                 for step in steps if step.nu == rho)
             assert signed == (rho == mu), (lam, mu, rho, family)
             assert count & (count - 1) == 0 < count, (lam, mu, rho, family)
             loops += 1
     assert loops == 8274
+
+
+def test_keys_that_differ_only_in_lam_share_their_records(fresh_caches):
+    # a transition record is kept per (nu, rho, corners, family, kind), so
+    # every key with the same mu, family and kind holds the one record of
+    # each (rho, nu) it steps through; its b^0 part is f's first term, as
+    # every row's h(p) is at least 1
+    first: dict = {}
+    transitions = shared = 0
+    for lam, mu, rho in _intervals(9):
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                for step in genfunc._Levels(lam, mu, family, kind).steps(rho):
+                    key = (mu, rho, step.nu, family, kind)
+                    shared += key in first  # held by an earlier lam
+                    assert first.setdefault(key, step) is step, (lam, key)
+                    assert step.b0 == step.factor[:1] == tuple(
+                        t for t in step.factor if not t[1]), (lam, key)
+                    transitions += 1
+    assert (transitions, shared) == (37860, 29796)
+    assert len({id(step) for step in first.values()}) == 2086
 
 
 # Small enough to enumerate; each family sums over several inner shapes.

@@ -182,6 +182,22 @@ MUTANTS = [
     Mutant("strips-past-the-row-above", shapes, "_strips_above",
            "min(lam[r], rho[r - 1])", "lam[r]",
            strips_against_letter_factor),
+    # the transitions are shared across keys through three caches, each
+    # keyed on all it reads: the strips on (rho, lam), rho's corners
+    # outside mu on (rho, mu), and a record on (nu, rho, corners, family,
+    # kind)
+    Mutant("strips-keyed-without-lam", shapes, "_strips_above",
+           "@lru_cache(maxsize=4096)\ndef _strips_above(",
+           keyed_without("a[0]") + "def _strips_above(",
+           strips_against_letter_factor),
+    Mutant("free-corners-keyed-without-mu", genfunc, "_free_corners",
+           "@lru_cache(maxsize=4096)\ndef _free_corners(",
+           keyed_without("a[0]") + "def _free_corners(",
+           engine_against_walk),
+    Mutant("transition-keyed-without-corners", genfunc, "_transition",
+           "@lru_cache(maxsize=1 << 14)\ndef _transition(",
+           keyed_without("(a[0], a[1], a[3], a[4])") + "def _transition(",
+           engine_against_walk),
     # the double-skew polynomial's b-shift |mu/nu|, read by compute
     Mutant("minus-corners-drops-no-box", shapes, "_minus_corners",
            "(s + 1, p[:r]", "(s, p[:r]", engine_against_walk),

@@ -13,17 +13,23 @@ tableaux, on its corner of rho outside mu, with no tableaux
 x = 1 and b = 1, -1, kept per (nu, rho, corner rows, family, kind) and so
 shared by every key that steps through it, as are the strips, kept per
 (rho, lam), and rho's corners outside mu, kept per (rho, mu)
-(``_free_corners``).  Each key (lam, mu, family, kind) keeps, in
-``_point_levels``, a tuple of references to the records of each rho it
-stepped from.  ``_branching_sum`` sums them in one loop at every n: it
-keeps the terms with nonincreasing x-exponents, one per x-orbit, as the
-skew functions are symmetric in x, less those whose remaining letters
-cannot add the boxes still missing from lam, and returns these
-representatives.  Its deepest run is kept per key, so a smaller n is a
-cut of it, not a run.  ``_representatives`` sums them over the lam/nu of
-a request, and ``compute`` and ``beta_zero`` hold them as they are
-(``polyring.OrbitTerms``), the one form of the polynomial: it reads as
-the whole polynomial, and ``kschur poly`` prints it with no expansion.
+(``_free_corners``).  rho's table, the tuple of its records toward lam,
+is kept per (rho, lam, corner rows, family, kind) (``_steps``), so the
+keys (lam, mu, family, kind) with one lam, family and kind share it
+wherever their mu leave rho the same corners, and single tableaux, which
+have none, always.  Each key keeps, in ``_point_levels``, a reference to
+the table of each rho it stepped from.  ``_branching_sum`` sums them in
+one loop at every n: it keeps the terms with nonincreasing x-exponents,
+one per x-orbit, as the skew functions are symmetric in x, less those
+whose remaining letters cannot add the boxes still missing from lam, and
+returns these representatives.  A step whose factor's largest x-exponent,
+its last term's, is below what its letter must add to leave lam reachable
+is skipped whole, which is exact as no term of it could be kept.  The
+deepest run is kept per key, so a smaller n is a cut of it, not a run.  ``_representatives`` sums them over
+the lam/nu of a request, and ``compute`` and ``beta_zero`` hold them as
+they are (``polyring.OrbitTerms``), the one form of the polynomial: it
+reads as the whole polynomial, and ``kschur poly`` prints it with no
+expansion.
 For ``beta_zero`` ``_branching_sum`` builds only the b^0 terms, from each
 record's b^0 part, which is exact as no factor term has a negative
 b-exponent.
@@ -170,14 +176,29 @@ def _free_corners(rho: tuple, mu: tuple) -> tuple[int, ...]:
                  if rho[r] > (mu[r] if r < len(mu) else 0))
 
 
+@lru_cache(maxsize=2048)
+def _steps(rho: tuple, lam: tuple, corners: tuple, family: str,
+           kind: str) -> tuple[_Transition, ...]:
+    """rho's table toward lam: the shared records of the nu of
+    ``_strips_above(rho, lam)``, kept per (rho, lam, corners, family,
+    kind), so every key with this lam, family and kind whose mu leaves rho
+    these corners (every such key, for single tableaux) holds this one
+    tuple."""
+    return tuple([_transition(nu, rho, corners, family, kind)
+                  for nu in _strips_above(rho, lam)])
+
+
 class _Levels:
     """One letter-by-letter recursion over the shapes mu <= nu <= lam.
 
     ``moves`` maps each rho stepped from to its transitions, a tuple of
     the shared ``_Transition`` records of the nu of ``_strips_above(rho,
-    lam)``, built on first use by ``steps``: the factor and its b^0 terms
+    lam)``, read on first use by ``steps``: the factor and its b^0 terms
     for the polynomial, and its values at x = 1, b = 1, -1 for the point
-    pairs.  ``at_lam[k]`` is the pair F_k(lam) for each level k the point
+    pairs.  The tuple is ``_steps``' own, shared with every key of this
+    lam, family and kind whose mu leaves rho the same corners, so a key
+    new to the process builds only the tables no such key has built.
+    ``at_lam[k]`` is the pair F_k(lam) for each level k the point
     recursion reached, and ``last`` that deepest level whole, every nu
     reached with its pair, to extend from.  ``kept[b0_only]`` is the pair
     (N, representatives at N) of the deepest polynomial recursion
@@ -194,15 +215,13 @@ class _Levels:
         self.kept = [(-1, None)] * 2  # no polynomial recursion yet
 
     def steps(self, rho: tuple) -> tuple[_Transition, ...]:
-        """rho's transitions, gathered here the first time rho is stepped
-        from: the one place either recursion reads them from."""
+        """rho's transitions, read from ``_steps`` the first time rho is
+        stepped from: the one place either recursion reads them from."""
         out = self.moves.get(rho)
         if out is None:
             lam, mu, family, kind = self.key
             corners = _free_corners(rho, mu) if kind == "set-valued" else ()
-            out = self.moves[rho] = tuple([
-                _transition(nu, rho, corners, family, kind)
-                for nu in _strips_above(rho, lam)])
+            out = self.moves[rho] = _steps(rho, lam, corners, family, kind)
         return out
 
 
@@ -255,7 +274,12 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     (n - k) * x(k) boxes.  At nu = lam the bound is 0 and never drops a
     term; after the last letter it drops every nu but lam.  A nu none of
     whose terms live is left out of the level, so it is not stepped from
-    and ``_Levels.steps`` builds no table for it.
+    and ``_Levels.steps`` reads no table for it.  A step whose factor's
+    largest x-exponent is below the bound on xk adds nothing and is
+    skipped before its terms are read, which is exact: a factor lists its
+    terms by ascending x (``_letter_factor``, by power of t), so its last
+    has the largest, and a strip's factor is never empty, as
+    ``_strips_above`` gives only the nu with a nonzero factor.
 
     Precondition of ``b0_only``: every factor term has b-exponent >= 0
     (``_letter_factor``'s power of t = x*b is never negative),
@@ -284,6 +308,8 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
                     factor = b0
                 # xk >= low, or the later letters cannot fill lam/nu
                 low = -(-missing // left) if missing else 0
+                if factor[-1][0] < low:
+                    continue  # no term of the factor reaches low
                 terms = nxt.get(nu, {})
                 for (xexp, bexp), d in value.items():
                     top = xexp[-1] if xexp else inf  # x(k-1) bounds xk

@@ -380,6 +380,12 @@ def _intervals(max_weight):
                     yield lam.parts, mu, rho
 
 
+def _free(rho, mu):
+    """The rows of rho's corners outside mu."""
+    return tuple(r for r in _corner_rows(rho)
+                 if rho[r] > (mu[r] if r < len(mu) else 0))
+
+
 def test_letter_factor_equals_corner_subset_sum_exhaustive():
     # the sum the per-row product replaces: the letter joins a subset S of
     # rho's corners outside mu, each adding b, and fills nu/(rho - S)
@@ -388,13 +394,10 @@ def test_letter_factor_equals_corner_subset_sum_exhaustive():
     for lam, mu, rho in _intervals(9):
         for family in ("P", "Q"):
             for kind in KINDS:
-                corners = []
-                if kind == "set-valued":
-                    corners = [r for r in _corner_rows(rho)
-                               if rho[r] > (mu[r] if r < len(mu) else 0)]
+                corners = _free(rho, mu) if kind == "set-valued" else ()
                 steps = genfunc._Levels(lam, mu, family, kind).steps(rho)
                 for nu, _, f, _, count, signed in steps:
-                    key = (nu, rho, tuple(corners), family, kind)
+                    key = (nu, rho, corners, family, kind)
                     want = reference.get(key)
                     if want is None:
                         terms: dict = {}
@@ -449,6 +452,46 @@ def test_keys_that_differ_only_in_lam_share_their_records(fresh_caches):
                     transitions += 1
     assert (transitions, shared) == (37860, 29796)
     assert len({id(step) for step in first.values()}) == 2086
+
+
+def test_keys_with_one_lam_share_their_tables(fresh_caches):
+    # a table is kept per (rho, lam, corners, family, kind), so two keys
+    # with the same lam, family and kind hold one table object for a rho
+    # both step from whenever rho's corners outside their mu agree, which
+    # for single tableaux is always
+    first: dict = {}
+    tables = shared = 0
+    for lam, mu, rho in _intervals(8):
+        for family in ("P", "Q"):
+            for kind in KINDS:
+                corners = _free(rho, mu) if kind == "set-valued" else ()
+                table = _point_levels(lam, mu, family, kind).steps(rho)
+                key = (lam, rho, corners, family, kind)
+                shared += key in first  # held by an earlier mu
+                assert first.setdefault(key, table) is table, (mu, key)
+                tables += 1
+    assert (tables, shared) == (4744, 3240)
+
+
+def test_shared_tables_change_no_value(fresh_caches):
+    # every key with |lam| <= 8 reads the tables earlier keys built, and
+    # then again from its own, the table cache cleared before it
+    keys = [(lam.parts, mu.parts, family, kind)
+            for lam in strict_partitions_up_to_weight(8)
+            for mu in strict_subpartitions(lam)
+            for family in ("P", "Q") for kind in KINDS]
+
+    def values(lam, mu, family, kind):
+        return ([_point_sum(lam, mu, n, family, kind) for n in (1, 2, 3, 4)],
+                [_branching_sum(lam, mu, n, family, kind, b0_only=b0)
+                 for n in (1, 2, 3) for b0 in (False, True)])
+
+    shared = [values(*key) for key in keys]
+    fresh_caches()
+    for key, want in zip(keys, shared):
+        genfunc._steps.cache_clear()
+        assert values(*key) == want, key
+    assert len(keys) == 884
 
 
 # Small enough to enumerate; each family sums over several inner shapes.

@@ -122,6 +122,14 @@ MUTANTS = [
                     "read"),
     Mutant("terms-kept-past-their-orbit", genfunc, "_branching_sum",
            "if low <= x <= top:", "if low <= x:", engine_against_walk),
+    # a step is skipped only when the factor's last, largest x-exponent
+    # is below low
+    Mutant("dead-step-reads-the-first-term", genfunc, "_branching_sum",
+           "if factor[-1][0] < low:", "if factor[0][0] < low:",
+           engine_against_walk),
+    Mutant("dead-step-skips-at-low", genfunc, "_branching_sum",
+           "if factor[-1][0] < low:", "if factor[-1][0] <= low:",
+           engine_against_walk),
     # the kept run (n, representatives) serves only its own b0_only, only
     # the n it is not below, and only through the cut at n
     Mutant("kept-run-keyed-without-b0-only", genfunc, "_branching_sum",
@@ -182,10 +190,10 @@ MUTANTS = [
     Mutant("strips-past-the-row-above", shapes, "_strips_above",
            "min(lam[r], rho[r - 1])", "lam[r]",
            strips_against_letter_factor),
-    # the transitions are shared across keys through three caches, each
+    # the transitions are shared across keys through four caches, each
     # keyed on all it reads: the strips on (rho, lam), rho's corners
-    # outside mu on (rho, mu), and a record on (nu, rho, corners, family,
-    # kind)
+    # outside mu on (rho, mu), a record on (nu, rho, corners, family,
+    # kind) and a table on (rho, lam, corners, family, kind)
     Mutant("strips-keyed-without-lam", shapes, "_strips_above",
            "@lru_cache(maxsize=4096)\ndef _strips_above(",
            keyed_without("a[0]") + "def _strips_above(",
@@ -197,6 +205,14 @@ MUTANTS = [
     Mutant("transition-keyed-without-corners", genfunc, "_transition",
            "@lru_cache(maxsize=1 << 14)\ndef _transition(",
            keyed_without("(a[0], a[1], a[3], a[4])") + "def _transition(",
+           engine_against_walk),
+    Mutant("steps-keyed-without-corners", genfunc, "_steps",
+           "@lru_cache(maxsize=2048)\ndef _steps(",
+           keyed_without("(a[0], a[1], a[3], a[4])") + "def _steps(",
+           engine_against_walk),
+    Mutant("steps-keyed-without-lam", genfunc, "_steps",
+           "@lru_cache(maxsize=2048)\ndef _steps(",
+           keyed_without("(a[0], a[2], a[3], a[4])") + "def _steps(",
            engine_against_walk),
     # the double-skew polynomial's b-shift |mu/nu|, read by compute
     Mutant("minus-corners-drops-no-box", shapes, "_minus_corners",

@@ -141,9 +141,9 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches(
     assert _cached_defs() == set(reached)
     # the recursions, their shared transitions and the oracle sum among
     # them, each bounded
-    for name in ("genfunc._point_levels", "genfunc._transition",
-                 "genfunc._free_corners", "shapes._strips_above",
-                 "genfunc._tableau_terms"):
+    for name in ("genfunc._point_levels", "genfunc._steps",
+                 "genfunc._transition", "genfunc._free_corners",
+                 "shapes._strips_above", "genfunc._tableau_terms"):
         assert reached[f"shifted_kschur.{name}"].cache_parameters()[
             "maxsize"] is not None, name
     containers = _containers()

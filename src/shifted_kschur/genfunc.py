@@ -9,7 +9,7 @@ pairs with a nonzero factor), and each one-letter factor is one product
 over rows, of a rule on each row's first box and, for set-valued
 tableaux, on its corner of rho outside mu, with no tableaux
 (``_letter_factor``).  Each step rho -> nu is one record
-(``_transition``): nu, |nu|, the factor, its b^0 terms and its values at
+(``_transition``): nu, |nu|, the factor and its values at
 x = 1 and b = 1, -1, kept per (nu, rho, corner rows, family, kind) and so
 shared by every key that steps through it, as are the strips, kept per
 (rho, lam), and rho's corners outside mu, kept per (rho, mu)
@@ -31,8 +31,8 @@ they are (``polyring.OrbitTerms``), the one form of the polynomial: it
 reads as the whole polynomial, and ``kschur poly`` prints it with no
 expansion.
 For ``beta_zero`` ``_branching_sum`` builds only the b^0 terms, from each
-record's b^0 part, which is exact as no factor term has a negative
-b-exponent.
+factor's b^0 part, its first term, which is exact as no factor term has a
+negative b-exponent.
 ``_point_sum`` runs the same recursion on int pairs, the sum at x = 1 and
 b = 1, -1, so the count and the signed count build no polynomial, and the
 special value (b^|lam/mu| times the signed count) builds only that one
@@ -146,7 +146,6 @@ class _Transition(NamedTuple):
     nu: tuple
     size: int      # |nu|
     factor: tuple  # f(nu, rho), as ``_letter_factor`` gives it
-    b0: tuple      # its b^0 terms, f[:1]
     count: int     # f at x = 1, b = 1
     signed: int    # f at x = 1, b = -1
 
@@ -157,15 +156,15 @@ def _transition(nu: tuple, rho: tuple, corners: tuple, family: str,
     """The step rho -> nu, kept per (nu, rho, corners, family, kind), so
     every key whose rho has these corners outside its mu shares one record.
 
-    Its b^0 terms are its first: ``_letter_factor`` lists f by power of t
-    from t^0, whose coefficient is the product of every row's h(p), each
-    at least 1 when f is not 0."""
+    Its b^0 terms are its first, ``f[:1]``, all that ``b0_only`` reads:
+    ``_letter_factor`` lists f by power of t from t^0, whose coefficient
+    is the product of every row's h(p), each at least 1 when f is not 0."""
     f = _letter_factor(nu, rho, corners, family, kind)
     count = signed = 0
     for _, b, c in f:
         count += c
         signed += -c if b & 1 else c
-    return _Transition(nu, sum(nu), f, f[:1], count, signed)
+    return _Transition(nu, sum(nu), f, count, signed)
 
 
 @lru_cache(maxsize=4096)
@@ -284,9 +283,9 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
     Precondition of ``b0_only``: every factor term has b-exponent >= 0
     (``_letter_factor``'s power of t = x*b is never negative),
     so a product of factor terms has b-exponent 0 exactly when each of
-    them has.  With ``b0_only`` each transition's factor is its b^0 part
-    (``_Transition.b0``), and the sum is exactly the b^0 terms of the full
-    one.
+    them has.  With ``b0_only`` each transition's factor is its b^0 part,
+    its first term (``_transition``), and the sum is exactly the b^0 terms
+    of the full one.
     """
     levels = _point_levels(lam, mu, family, kind)
     depth, reps = levels.kept[b0_only]
@@ -300,12 +299,12 @@ def _branching_sum(lam: tuple, mu: tuple, n: int, family: str, kind: str,
         left = n - k  # letters still to come
         nxt: dict = {}
         for rho, value in level.items():
-            for nu, nu_size, factor, b0, _, _ in levels.steps(rho):
+            for nu, nu_size, factor, _, _ in levels.steps(rho):
                 missing = size - nu_size  # the boxes of lam/nu
                 if missing and not left:
                     continue  # no letter is left to fill lam/nu
                 if b0_only:
-                    factor = b0
+                    factor = factor[:1]  # its b^0 terms (``_transition``)
                 # xk >= low, or the later letters cannot fill lam/nu
                 low = -(-missing // left) if missing else 0
                 if factor[-1][0] < low:
@@ -341,7 +340,7 @@ def _point_sum(lam: tuple, mu: tuple, n: int, family: str,
     while len(levels.at_lam) <= n:
         nxt: dict = {}
         for rho, (count, signed) in levels.last.items():
-            for nu, _, _, _, c, s in levels.steps(rho):
+            for nu, _, _, c, s in levels.steps(rho):
                 was = nxt.get(nu, (0, 0))
                 nxt[nu] = (was[0] + c * count, was[1] + s * signed)
         levels.last = nxt

@@ -14,11 +14,11 @@ returns (checked, violations) on one shape).  A certificate is written
 straight from its tableaux, as ``json.dumps`` texts of documents with
 holes, split at the holes (``_pieces``) and joined with what goes in them,
 and checked as its JSON document.  What a shape or a cell needs, its
-minimal tableau's cells (from ``enumeration``), its element's pieces, the
-header's pieces of each lam // mu and a cell's text, is made once and
-kept in caches keyed on part tuples, ints and strings; a request's
-family and n are holes in the kept pieces, which each write fills, so
-every request on one lam // mu shares them.  The check reads each
+minimal tableau's cells (from ``enumeration``), its element's pieces and
+a cell's text, is made once and kept in caches keyed on part tuples,
+ints and strings; a request's family and n are holes in the kept side
+pieces, which each write fills, so every request on one lam // mu shares
+them.  The header is encoded once per write.  The check reads each
 element as its nu and row-major cell tuple, each distinct cell parsed
 once, with a ``Filling`` built only for a minimal tableau or to show a
 fault.  ``read_certificate`` reads only
@@ -198,16 +198,6 @@ def _side_pieces(outer: tuple, inner: tuple) -> tuple[str, ...]:
     return _pieces(doc, 3)
 
 
-@lru_cache(maxsize=512)
-def _header_pieces(lam: tuple, mu: tuple, paired: bool) -> tuple[str, ...]:
-    """The pieces of a certificate of lam // mu with a hole for each of
-    its family, leftover, minimal_only and n, in that order, and then,
-    if it is ``paired``, one for its pairs."""
-    doc = dict(zip(_HEADER, (list(lam), list(mu), _HOLE, _HOLE, _HOLE)),
-               pairs=[_HOLE] if paired else [], leftover=_HOLE)
-    return _pieces(doc, 0)
-
-
 @lru_cache(maxsize=1024)
 def _cell_text(cell: tuple) -> str:
     """A cell's text in a pair's side, seven levels deep (it has no hole)."""
@@ -218,14 +208,15 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
     """Write ``json.dumps(cert.to_json(), sort_keys=True, indent=1)`` to fh
     for a certificate built by ``pairing_certificate``, one pair at a time.
 
-    The header is its lam // mu's pieces (``_header_pieces``) filled with
-    the request's values and the leftover, which is dumped whole, as it is
-    nonempty only when iota fails.  A pair's text is the pieces of its
-    tag's pair document (``_PAIR_PIECES``), filled with its two sides.  A
-    side is the pieces of its nu's element (``_side_pieces``), with its
-    family and n filled in once per nu in this call, then filled with its
-    cells' texts (``_cell_text``).  The pieces and texts are kept across
-    calls, and read through dicts kept for this call, by nu and by cell.
+    The header and the leftover are one document, encoded once per call
+    with a hole for the pairs, so every header key is written as it is
+    set; the leftover is nonempty only when iota fails.  A pair's text is
+    the pieces of its tag's pair document (``_PAIR_PIECES``), filled with
+    its two sides.  A side is the pieces of its nu's element
+    (``_side_pieces``), with its family and n filled in once per nu in
+    this call, then filled with its cells' texts (``_cell_text``).  The
+    side pieces and cell texts are kept across calls, and read through
+    dicts kept for this call, by nu and by cell.
     """
     sides: dict = {}  # nu -> its element's pieces, family and n filled in
     texts: dict = {}  # cell -> its text in a pair's side
@@ -244,20 +235,15 @@ def write_certificate(cert: PairingCertificate, fh) -> None:
         return _filled(pieces, [texts.get(cell) or cell_text(cell)
                                 for cell in T.cells])
 
-    h = cert.header
-    top = _header_pieces(tuple(h["lambda"]), tuple(h["mu"]),
-                         bool(cert.pairs))
-    leftover = (_pieces([_element(T) for T in cert.leftover], 1)[0]
-                if cert.leftover else "[]")
-    fh.write(_filled(top[:5], [json.dumps(h["family"]), leftover,
-                               json.dumps(h["minimal_only"]),
-                               json.dumps(h["n"])]))
+    top = _pieces({**cert.header, "pairs": [_HOLE] if cert.pairs else [],
+                   "leftover": [_element(T) for T in cert.leftover]}, 0)
+    fh.write(top[0])
     sep = ""
     for p in cert.pairs:
         fh.write(sep + _filled(_PAIR_PIECES[p.tag],
                                [side(p.left), side(p.right)]))
         sep = ",\n  "
-    fh.writelines(top[5:])
+    fh.writelines(top[1:])
 
 
 def _setup(lam: StrictPartition, mu: StrictPartition, n: int, family: str,

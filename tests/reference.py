@@ -8,6 +8,10 @@ trusts the box list it is given, a shape's boxes in row-major order
 (``SkewShape.row_major``), and the code convention: code 2k-1 is the
 primed letter k', code 2k the unprimed letter k.
 
+``iota`` states the involution from its definition on the same row-major
+cell tuples.  It trusts the box list and that the minimal tableau it is
+given is one, single-valued, so each of its cells holds one code.
+
 ``orbit`` and ``expanded`` arrange a polynomial held by x-orbit with
 ``itertools.permutations``.  They trust the representation: ``reps`` maps
 (rep, b) to the coefficient that every arrangement of rep carries.
@@ -46,6 +50,17 @@ def violation(boxes, family: str, cells) -> str | None:
         if family == "P" and i == j and any(code % 2 for code in cell):
             return f"primed entry on the diagonal at {(i, j)} (rule 4)"
     return None
+
+
+def iota(boxes, cells, tmin) -> tuple:
+    """iota of the tableau ``cells``, from its definition: at the first
+    box in (column, row) order where ``cells`` and the minimal tableau's
+    cells ``tmin`` differ, delete tmin's code from that cell if it holds
+    it, else insert it.  ``cells`` must not be ``tmin``."""
+    k = min((k for k in range(len(boxes)) if cells[k] != tmin[k]),
+            key=lambda k: boxes[k][::-1])
+    cell = set(cells[k]) ^ set(tmin[k])  # tmin[k] is one code
+    return cells[:k] + (tuple(sorted(cell)),) + cells[k + 1:]
 
 
 def orbit(rep: tuple) -> list:

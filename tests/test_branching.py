@@ -396,7 +396,7 @@ def test_letter_factor_equals_corner_subset_sum_exhaustive():
             for kind in KINDS:
                 corners = _free(rho, mu) if kind == "set-valued" else ()
                 steps = genfunc._Levels(lam, mu, family, kind).steps(rho)
-                for nu, _, f, _, count, signed in steps:
+                for nu, _, f, count, signed in steps:
                     key = (nu, rho, corners, family, kind)
                     want = reference.get(key)
                     if want is None:
@@ -436,8 +436,8 @@ def test_self_loops_count_a_power_of_two_and_sign_only_at_mu():
 def test_keys_that_differ_only_in_lam_share_their_records(fresh_caches):
     # a transition record is kept per (nu, rho, corners, family, kind), so
     # every key with the same mu, family and kind holds the one record of
-    # each (rho, nu) it steps through; its b^0 part is f's first term, as
-    # every row's h(p) is at least 1
+    # each (rho, nu) it steps through; its b^0 part, which b0_only reads
+    # as f[:1], is f's first term, as every row's h(p) is at least 1
     first: dict = {}
     transitions = shared = 0
     for lam, mu, rho in _intervals(9):
@@ -447,7 +447,7 @@ def test_keys_that_differ_only_in_lam_share_their_records(fresh_caches):
                     key = (mu, rho, step.nu, family, kind)
                     shared += key in first  # held by an earlier lam
                     assert first.setdefault(key, step) is step, (lam, key)
-                    assert step.b0 == step.factor[:1] == tuple(
+                    assert step.factor[:1] == tuple(
                         t for t in step.factor if not t[1]), (lam, key)
                     transitions += 1
     assert (transitions, shared) == (37860, 29796)

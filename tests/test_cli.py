@@ -1247,13 +1247,13 @@ class TestWriteCertificate:
         assert run(capsys, *argv) == (0, "pairs=192 leftover=0 ok\n", "")
         first, levels[:] = sorted(set(levels)), []
         assert run(capsys, *argv) == (0, "pairs=192 leftover=0 ok\n", "")
-        # the header's pieces are kept too
-        assert first == [0, 3, 7] and levels == []
+        # only the header is encoded again, once per write
+        assert first == [0, 3, 7] and levels == [0]
 
-    def test_other_n_or_family_makes_no_header_or_side_pieces(
+    def test_other_n_or_family_makes_no_side_pieces(
             self, monkeypatch, fresh_caches):
-        # family and n are holes in the kept header and side pieces, so
-        # one lam // mu shares them across requests
+        # family and n are holes in the kept side pieces, so one lam // mu
+        # shares them across requests; each write encodes its own header
         levels = _counted_pieces(monkeypatch)
         certs = [pairing_certificate(sp(3, 1), sp(2), n, family, minimal)
                  for family in "QP" for n in (2, 1)
@@ -1263,7 +1263,16 @@ class TestWriteCertificate:
         levels.clear()
         for cert in certs[1:]:
             assert _written(cert) == _dumped(cert)
-        assert not {0, 3} & set(levels)
+        assert levels == [0] * 7
+
+    def test_every_header_key_is_written(self):
+        # the header is written as _setup sets it, so a key added there
+        # needs no change to the writer
+        cert = pairing_certificate(sp(3, 1), sp(2), 2, "Q")
+        cert.header["extra"] = [1, {"b": None}]
+        assert _written(cert) == _dumped(cert)
+        cert.pairs.clear()
+        assert _written(cert) == _dumped(cert)
 
     def test_writes_a_pair_at_a_time(self, large_certificate):
         # the file's bytes, in writes of at most 64 KB, at least one a pair

@@ -14,11 +14,12 @@ from shifted_kschur.involutions import (PAIR_MAX_ELEMENTS,
                                         minimal_tableau, pairing_certificate,
                                         read_certificate, verify_involution,
                                         write_certificate)
-from shifted_kschur.shapes import (SkewShape, StrictPartition, inner_shapes,
-                                   pi, skew_shapes,
+from shifted_kschur.shapes import (SkewShape, StrictPartition, _index_table,
+                                   inner_shapes, pi, skew_shapes,
                                    strict_partitions_up_to_weight)
 from shifted_kschur.tableaux import (Filling, filling_from_rows,
                                      validate_cells)
+from tests import reference
 from tests.conftest import (TAMPERS, as_written, engine_count, has_empty_set,
                             iota, rows, sp)
 
@@ -169,6 +170,26 @@ class TestIota:
         walk = involutions._iota_pairs(skew_6431_42, "Q", 2, tmin)
         for T, image, _ in itertools.islice(walk, 299):
             assert image == iota(T).cells
+
+    def test_equals_the_reference_exhaustive(self):
+        # every non-minimal set-valued tableau of every lam/mu with
+        # |lam| <= 5, n <= 2, P and Q
+        compared = 0
+        for shape in skew_shapes(5):
+            order = _index_table(shape.outer.parts,
+                                 shape.inner.parts).col_order
+            for family, n in itertools.product("PQ", (1, 2)):
+                if not engine_count(shape, family, n):
+                    continue
+                tmin = minimal_tableau(shape, family, n).cells
+                spec = EnumSpec(shape, n, family, "set-valued")
+                for T in enumerate_fillings(spec):
+                    if T.cells != tmin:
+                        assert involutions._iota_cells(
+                            order, T.cells, tmin) == reference.iota(
+                                shape.row_major, T.cells, tmin), T
+                        compared += 1
+        assert compared == 3680
 
     def test_one_box_q_swap(self):
         shape = SkewShape(sp(1))

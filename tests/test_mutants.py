@@ -13,6 +13,7 @@ equivalent mutant, which changes no result, or one that only bytes catch.
 
 import inspect
 import io
+import json
 import sys
 import types
 from typing import Callable, NamedTuple
@@ -23,7 +24,7 @@ from shifted_kschur import (enumeration, genfunc, involutions, polyring,
                             shapes, tableaux)
 from shifted_kschur.shapes import skew_shapes
 
-from conftest import engine_count, sp
+from conftest import TAMPERS, engine_count, sp
 from test_branching import (definition_sweep, orbit_against_permutations,
                             strips_against_letter_factor)
 from test_cli import print_order_holds
@@ -74,6 +75,19 @@ def certificates_prove_their_requests():
         verdict = involutions.certificate_checker(*request)(
             involutions.read_certificate(fh))
         assert verdict == (True, None), (request, verdict)
+
+
+def tampers_are_refused():
+    """Each of conftest's ``TAMPERS`` applied to a good certificate
+    document of 2,1 // 1, P, n = 2: the checker refuses it with the
+    tamper's exact reason.  It stops at the first other verdict."""
+    request = (sp(2, 1), sp(1), 2, "P")
+    text = json.dumps(involutions.pairing_certificate(*request).to_json())
+    for tamper, reason in TAMPERS:
+        doc = json.loads(text)
+        tamper(doc)
+        verdict = involutions.certificate_checker(*request)(doc)
+        assert verdict == (False, reason), (tamper.__name__, verdict)
 
 
 def keyed_without(key: str) -> str:
@@ -223,16 +237,15 @@ MUTANTS = [
     # a kept per-shape piece must be keyed on every field of the request
     # it states, or leave it a hole that each request fills: the maker,
     # the writer and the checker share the caches, and the checker finds
-    # the fault.  A nu's side, and the header, with their holes filled
-    # by the first request written and kept for the next
+    # the fault.  A nu's side with its holes filled by the first request
+    # written, and the first header text written, kept for the next
     Mutant("side-holes-filled-from-the-first-write", involutions,
            "write_certificate", "sides: dict = {}",
            'sides = write_certificate.__dict__.setdefault("sides", {})',
            certificates_prove_their_requests),
-    Mutant("header-holes-filled-from-the-first-write", involutions,
-           "write_certificate", "fh.write(_filled(top[:5], [",
-           "(lambda head: fh.write(write_certificate.__dict__.setdefault("
-           "top, head)))(_filled(top[:5], [",
+    Mutant("header-text-kept-across-writes", involutions,
+           "write_certificate", "fh.write(top[0])",
+           'fh.write(write_certificate.__dict__.setdefault("top", top)[0])',
            certificates_prove_their_requests),
     # (outer, inner, family, n) without family
     Mutant("minimal-cells-keyed-without-family", enumeration,
@@ -276,6 +289,28 @@ MUTANTS = [
                     "row-major order also puts each box's left and top "
                     "neighbors first, so iota still pairs every tableau; "
                     "only the certificate digests pin col_order"),
+    # iota deletes the minimal cell's code where the cell holds it and
+    # inserts it where not; either half alone fixes some tableau
+    Mutant("iota-always-deletes", involutions, "_iota_cells",
+           "have - mincell if have & mincell else have | mincell",
+           "have - mincell", involution_holds),
+    Mutant("iota-always-inserts", involutions, "_iota_cells",
+           "have - mincell if have & mincell else have | mincell",
+           "have | mincell", involution_holds),
+    # the checker's pair and count rules, each dropped: the TAMPERS edit
+    # that breaks it then passes, or fails for another reason
+    Mutant("checker-admits-a-duplicate", involutions, "certificate_checker",
+           "if len(seen) == known:", "if False:", tampers_are_refused),
+    Mutant("checker-admits-same-sign-sides", involutions,
+           "certificate_checker",
+           "if (sum(map(len, cells_l)) + sum(map(len, cells_r))) % 2 == 0:",
+           "if False:", tampers_are_refused),
+    Mutant("checker-admits-iota-across-nu", involutions,
+           "certificate_checker", 'if tag == "iota" and nu_l != nu_r:',
+           "if False:", tampers_are_refused),
+    Mutant("checker-skips-the-element-count", involutions,
+           "certificate_checker", "if len(seen) != want:", "if False:",
+           tampers_are_refused),
 ]
 
 

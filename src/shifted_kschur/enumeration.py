@@ -3,11 +3,12 @@
 Boxes are filled row by row, left to right, onto a list of cells, with
 neighbors read from ``shapes._index_table``; candidate cell sets for a box
 are tried in lexicographic order of their entry codes, so the emitted
-sequence is canonical and deterministic.  A box's candidate codes are
-bounded below by its left and upper neighbors' cells alone (fact A, in
-``validate_cells``), and the walk reads its candidate cells, with their
-letters, from a table cached per (lowest code, step, highest code, kind);
-the highest code is the box's ceiling (``_ceilings``): on every nonempty
+sequence is canonical and deterministic.  A box's least code is read
+from its left and upper neighbors' cells alone (``_least_code``; fact A,
+in ``validate_cells``), by the walk and the minimal tableau's fill alike;
+the walk reads its candidate cells, with their letters, from a table
+cached per (least code, step, highest code, kind); the highest code is
+the box's ceiling (``_ceilings``): on every nonempty
 set tried the walk enters no box whose later boxes cannot be filled, but
 on an empty set it searches the dead tree.  It carries each tableau's
 weight and entry count |T| as it places and removes cells, so ``count``
@@ -45,19 +46,18 @@ def EnumSpec(shape: SkewShape, n: int, family: str,
     return FunctionSpec(family if kind == "single" else "G" + family, shape, n)
 
 
-def _candidate_cells(spec, k, cells, table, tops):
-    """Cell sets admissible at row-major index k, lex order.
+def _least_code(family: str, k: int, cells: list, table) -> tuple:
+    """(lo, step): the least code row-major index k may hold and the step
+    between its codes, from its left and top neighbors alone (fact B).
 
-    ``cells`` holds the cells of indices 0 to k - 1, ``table`` is the
-    shape's ``shapes._index_table`` and ``tops`` its ``_ceilings`` at 2n.
-    Admissible codes are bounded below by the max of the left and top
-    neighbors (weak) and above by the box's ceiling, and are even on the
-    diagonal for family P.  The lowest code is dropped if it is primed and
-    the left neighbor's max, or unprimed and the top neighbor's max: the
-    earlier codes of the row (column) are at most that neighbor's max, so
-    no other code can repeat there.  Each candidate comes from
-    ``_cell_table`` as (cell, letters); ``_minimal_cells`` takes the
-    first.
+    ``cells`` holds the cells of indices 0 to k - 1 and ``table`` is the
+    shape's ``shapes._index_table``.  lo is at least the max of the left
+    and top neighbors (weak), and even on the diagonal for family P, where
+    step is 2.  It is raised a step if it is primed and the left
+    neighbor's max, or unprimed and the top neighbor's max: the earlier
+    codes of the row (column) are at most that neighbor's max, so no
+    other code can repeat there.  ``_leaves`` reads the box's candidates
+    from ``_cell_table``; ``_minimal_cells`` takes (lo,).
     """
     i, j = table.boxes[k]
     left, top = table.left[k], table.top[k]
@@ -65,12 +65,12 @@ def _candidate_cells(spec, k, cells, table, tops):
     top_max = cells[top][-1] if top >= 0 else 0
     lo = max(left_max, top_max, 1)
     step = 1
-    if spec.base_family == "P" and i == j:
+    if family == "P" and i == j:
         lo += lo & 1  # the even codes, unprimed letters only
         step = 2
     if lo == (left_max if lo & 1 else top_max):  # a repeat in row or column
         lo += step
-    return _cell_table(lo, step, tops[k], spec.kind)
+    return lo, step
 
 
 @lru_cache(maxsize=256)
@@ -128,8 +128,8 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
     step.  An explicit stack of one candidate iterator per box on the path
     hands each leaf out once.
     """
-    shape = spec.shape
-    outer, inner = shape.outer.parts, shape.inner.parts
+    family, kind = spec.base_family, spec.kind
+    outer, inner = spec.shape.outer.parts, spec.shape.inner.parts
     table = _index_table(outer, inner)
     tops = _ceilings(outer, inner, 2 * spec.n)
     end = len(table.boxes)
@@ -143,7 +143,8 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
             k -= 1
             continue
         if choices[k] is None:
-            choices[k] = iter(_candidate_cells(spec, k, cells, table, tops))
+            lo, step = _least_code(family, k, cells, table)
+            choices[k] = iter(_cell_table(lo, step, tops[k], kind))
         else:  # take the standing cell off
             for letter in placed[k][1]:
                 counts[letter] -= 1
@@ -161,34 +162,31 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
         k += 1
 
 
-@lru_cache(maxsize=1024, typed=True)
+@lru_cache(maxsize=1024)
 def _minimal_cells(outer: tuple, inner: tuple, family: str,
                    n: int) -> tuple | None:
     """The row-major cells of outer/inner's minimal tableau, or None if it
-    has no single-valued tableau; kept per key, typed so that a float or
-    bool n is its own key and is refused on its own miss.
+    has no single-valued tableau; ``minimal_tableau`` checks family and n.
 
-    Greedy row-major fill, the walk's first descent: each box takes its
-    first ``_candidate_cells`` cell, and the fill stops at a box with none.
-    It equals the walk's first single-valued leaf on 3,560 keys (every
-    lam/mu with |lam| <= 9, n <= 5, P and Q), and is None exactly when the
-    engine counts no tableau on 28,890 (0 < |lam| <= 14).  That first leaf
-    searches an empty set's dead tree: on Q 16,5,4,3,2,1/5 at n = 4 it
-    reads 11,958 candidate tables (12 ms) to the fill's 12 (0.02 ms), on P
-    10,3,2,1/3 at n = 2 106 to 8, and the 206 empty tables it read on
-    |lam| <= 8, n <= 3 were all on empty sets.  Gated by the engine's
-    count, it builds engine tables the certificate path never needs.
+    Greedy row-major fill, fact B as written: each box takes its
+    ``_least_code`` alone, and the fill stops at the first box whose least
+    code is past its ceiling.  It equals the walk's first single-valued
+    leaf on 3,560 keys (every lam/mu with |lam| <= 9, n <= 5, P and Q), and
+    is None exactly when the engine counts no tableau on 28,890
+    (0 < |lam| <= 14).  That first leaf searches an empty set's dead tree:
+    on Q 16,5,4,3,2,1/5 at n = 4 it reads 11,958 candidate tables (12 ms)
+    to the fill's 12 least codes (0.02 ms), on P 10,3,2,1/3 at n = 2 106
+    to 8, and the 206 empty tables it read on |lam| <= 8, n <= 3 were all
+    on empty sets.  Gated by the engine's count, it builds engine tables
+    the certificate path never needs.
     """
-    shape = SkewShape(StrictPartition(outer), StrictPartition(inner))
-    spec = EnumSpec(shape, n, family, "single")
     table = _index_table(outer, inner)
-    tops = _ceilings(outer, inner, 2 * n)
     cells: list = []
-    for k in range(len(table.boxes)):
-        candidates = _candidate_cells(spec, k, cells, table, tops)
-        if not candidates:
+    for k, top in enumerate(_ceilings(outer, inner, 2 * n)):
+        lo, _ = _least_code(family, k, cells, table)
+        if lo > top:
             return None
-        cells.append(candidates[0][0])
+        cells.append((lo,))
     return tuple(cells)
 
 

@@ -49,9 +49,12 @@ PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
 
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     """The single-valued tableau minimizing the total numeric entry value,
-    on the caller's shape, from ``enumeration._minimal_cells``: ValueError
-    on an empty tableau set."""
+    on the caller's shape: every box holds the least code its left and top
+    neighbors allow (``enumeration._minimal_cells``).  ValueError on an
+    empty tableau set."""
     _check_shape(shape)
+    _check_family(family)
+    _check_n(n)
     cells = _minimal_cells(shape.outer.parts, shape.inner.parts, family, n)
     if cells is None:
         raise ValueError(f"empty tableau set for {shape}, {family}, n={n}")

@@ -186,6 +186,16 @@ def _tamper_same_sign_pairs(doc):
     first["right"], second["left"] = second["left"], first["right"]
 
 
+def _tamper_unknown_tag(doc):
+    doc["pairs"][0]["tag"] = "zeta"
+
+
+def _tamper_non_minimal_pi_side(doc):
+    # pair 0 is the pi pair; pair 1's right side has its left side's nu
+    # and sign, and appears here first
+    doc["pairs"][0]["left"] = doc["pairs"][1]["right"]
+
+
 def _first_cell_set_to(cell, name):
     def tamper(doc):
         doc["pairs"][0]["left"]["tableau"]["rows"][0][0] = cell
@@ -250,6 +260,9 @@ TAMPERS = [
      'certificate is for {"lambda": [2, 1], "mu": [1], "n": 3, '
      '"family": "P", "minimal_only": false}'),
     (_tamper_same_sign_pairs, "pair 1: both sides have the same sign"),
+    (_tamper_unknown_tag, "pair 0: tag 'zeta' not allowed"),
+    (_tamper_non_minimal_pi_side,
+     "pair 0: pi side is not minimal: Filling(2,1/1; 1' | 2)"),
     # malformed cells, which a cell parsed once per certificate must not hide
     (_first_cell_set_to(["9"], "_tamper_entry_out_of_range"),
      "pair 0: malformed element (entry out of range 1..4 at (1, 2))"),

@@ -8,6 +8,10 @@ trusts the box list it is given, a shape's boxes in row-major order
 (``SkewShape.row_major``), and the code convention: code 2k-1 is the
 primed letter k', code 2k the unprimed letter k.
 
+``least_code`` states fact B's least code from ``violation``: it
+trusts the box list and that the neighbors' cells break no rule among
+themselves.
+
 ``iota`` states the involution from its definition on the same row-major
 cell tuples.  It trusts the box list and that the minimal tableau it is
 given is one, single-valued, so each of its cells holds one code.
@@ -50,6 +54,23 @@ def violation(boxes, family: str, cells) -> str | None:
         if family == "P" and i == j and any(code % 2 for code in cell):
             return f"primed entry on the diagonal at {(i, j)} (rule 4)"
     return None
+
+
+def least_code(boxes, family: str, cells, k: int) -> int | None:
+    """The least code the tableau rules allow at box k given its left and
+    top neighbors' cells: the first code c for which those cells and the
+    one-code cell (c,) at box k break no rule of ``violation``.  ``cells``
+    holds a cell for each of the boxes before k at least.  A code past
+    every neighbor code repeats none of them, and one of the next two is
+    even, so the search stops 2 past the largest, with None if the
+    neighbors' cells break a rule themselves."""
+    i, j = boxes[k]
+    near = [b for b in ((i, j - 1), (i - 1, j)) if b in boxes[:k]]
+    at = dict(zip(boxes[:k], cells))
+    top = max((max(at[b]) for b in near), default=0) + 2
+    return next((c for c in range(1, top + 1)
+                 if violation(near + [(i, j)], family,
+                              [at[b] for b in near] + [(c,)]) is None), None)
 
 
 def iota(boxes, cells, tmin) -> tuple:

@@ -199,40 +199,70 @@ def set_rule(spec, box, cells):
 
 def test_cell_table_equals_set_rule_at_every_node(monkeypatch,
                                                   fresh_caches):
-    # every node of both walks: the cached table, read from the left and
-    # top neighbors alone, gives the set rule's cells, which exclude every
-    # code used in the row or column, each with its letters; the partial
-    # filling, a row-major list prefix, is read here as a dict keyed by
-    # box; the caches start empty, so no minimal tableau kept earlier
-    # skips its walk
-    nodes = 0
-    real = enumeration._candidate_cells
+    # every node of the walk: the cached table over the least code, read
+    # from the left and top neighbors alone, and the box's ceiling gives
+    # the set rule's cells, which exclude every code used in the row or
+    # column, each with its letters; every box of the minimal tableau's
+    # fill holds the set rule's first single cell.  The partial filling, a
+    # row-major list prefix, is read here as a dict keyed by box; the
+    # caches start empty, so no minimal tableau kept earlier skips its fill
+    walk = fill = 0
+    real = enumeration._least_code
+    current = expected = None  # the spec walked or filled; the fill's cells
 
-    def checked(spec, k, prefix, table, tops):
-        nonlocal nodes
-        boxes = spec.shape.row_major
-        assert len(prefix) == k
-        assert table is _index_table(spec.shape.outer.parts,
-                                     spec.shape.inner.parts)
+    def checked(family, k, prefix, table):
+        nonlocal walk, fill
+        s, boxes = current, current.shape.row_major
+        outer, inner = s.shape.outer.parts, s.shape.inner.parts
+        assert family == s.base_family and len(prefix) == k
+        assert table is _index_table(outer, inner)
         box, cells = boxes[k], dict(zip(boxes, prefix))
-        got = real(spec, k, prefix, table, tops)
-        assert [e[0] for e in got] == set_rule(spec, box, cells), (spec, box)
-        for cell, letters in got:
-            assert letters == tuple((c + 1) // 2 - 1 for c in cell)
-        nodes += 1
-        return got
+        lo, step = real(family, k, prefix, table)
+        want = set_rule(s, box, cells)
+        if expected is None:
+            top = enumeration._ceilings(outer, inner, 2 * s.n)[k]
+            got = enumeration._cell_table(lo, step, top, s.kind)
+            assert [e[0] for e in got] == want, (s, box)
+            for cell, letters in got:
+                assert letters == tuple((c + 1) // 2 - 1 for c in cell)
+            walk += 1
+        else:
+            expected.append(want[0])
+            fill += 1
+        return lo, step
 
-    monkeypatch.setattr(enumeration, "_candidate_cells", checked)
+    monkeypatch.setattr(enumeration, "_least_code", checked)
     for shape in skew_shapes(5, with_empty=True):
         for n in (1, 2, 3):
             for family in ("P", "Q"):
                 specs = [EnumSpec(shape, n, family, kind)
                          for kind in enumeration.KINDS]
-                for s in specs:
-                    count(s)
-                if count(specs[0]):
-                    involutions.minimal_tableau(shape, family, n)
-    assert nodes == 24704  # 35,326 before the walk read the ceilings
+                for current in specs:
+                    count(current)
+                current = specs[0]
+                if count(current):
+                    expected = []
+                    tmin = involutions.minimal_tableau(shape, family, n)
+                    assert tmin.cells == tuple(expected), (current,)
+                    expected = None
+    # 35,326 before the walk read the ceilings
+    assert (walk, fill) == (24224, 480)
+
+
+def test_cold_minimal_tableau_builds_no_shape_request_or_table(
+        monkeypatch, fresh_caches):
+    # the fill reads each box's least code alone: it builds no partition,
+    # shape or request, and adds no candidate table to the walk's cache
+    def refused(*args, **kwargs):
+        raise AssertionError("the fill built one")
+
+    for name in ("StrictPartition", "SkewShape", "FunctionSpec"):
+        monkeypatch.setattr(enumeration, name, refused)
+    shape = SkewShape.parse("6,4,3,1/4,2")
+    before = enumeration._cell_table.cache_info().currsize
+    for family, n in product("PQ", (2, 5)):
+        involutions.minimal_tableau(shape, family, n)
+    assert enumeration._cell_table.cache_info().currsize == before
 
 
 def test_leaves_in_oracle_order(oracle_tableaux):

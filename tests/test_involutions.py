@@ -26,6 +26,41 @@ from tests.conftest import (TAMPERS, as_written, engine_count, has_empty_set,
 REQUEST = (sp(2, 1), sp(1), 2, "P")  # the request TAMPERS spoil
 
 
+def _minimal_cells_or_none(shape, family, n):
+    try:
+        return minimal_tableau(shape, family, n).cells
+    except ValueError as exc:
+        assert "empty tableau set" in str(exc), exc
+        return None
+
+
+def minimal_tableau_against_least_codes():
+    """Fact B from its definition on every lam/mu with 0 < |lam| <= 12, P
+    and Q: at n = max(1, |lam/mu|) the minimal tableau exists, breaks no
+    rule of ``reference.violation`` and holds ``reference.least_code`` in
+    every box; at each n from 1 to |lam/mu| + 1 it is refused as an empty
+    set exactly when n is below its largest letter, and is that same
+    tableau otherwise.  It stops at its first mismatch."""
+    cases = 0
+    for shape in skew_shapes(12):
+        boxes = shape.row_major
+        for family in "PQ":
+            cells = _minimal_cells_or_none(shape, family, max(1, shape.size))
+            assert cells is not None, (str(shape), family)
+            assert reference.violation(boxes, family, cells) is None, \
+                (str(shape), family, cells)
+            least = tuple((reference.least_code(boxes, family, cells, k),)
+                          for k in range(len(boxes)))
+            assert cells == least, (str(shape), family, cells, least)
+            largest = (max(map(max, cells), default=0) + 1) // 2
+            for n in range(1, shape.size + 2):
+                got = _minimal_cells_or_none(shape, family, n)
+                assert got == (None if n < largest else cells), \
+                    (str(shape), family, n, got)
+                cases += 1
+    assert cases == 14512
+
+
 class TestMinimalTableau:
     def test_straight_p(self, shape_421):
         assert minimal_tableau(shape_421, "P", 3) == \
@@ -96,22 +131,26 @@ class TestMinimalTableau:
     def test_empty_set_fill_stops_where_the_walk_searches(
             self, monkeypatch, fresh_caches):
         # Q 16,5,4,3,2,1/5 at n = 4 has no tableau, yet its first boxes
-        # have candidates: the greedy fill stops at the first box with
-        # none, after 12 candidate tables (one per box at most), while
-        # the walk's first leaf reads 11,958 searching the dead tree
+        # have candidates: the greedy fill stops at the first box whose
+        # least code is past its ceiling, after 12 least codes (one per
+        # box at most), while the walk's first leaf reads 11,958 candidate
+        # tables searching the dead tree
         calls = 0
-        real = enumeration._candidate_cells
+        real = enumeration._least_code
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return real(*args)
 
-        monkeypatch.setattr(enumeration, "_candidate_cells", counted)
+        monkeypatch.setattr(enumeration, "_least_code", counted)
         shape = SkewShape.parse("16,5,4,3,2,1/5")
         with pytest.raises(ValueError, match="empty tableau set"):
             minimal_tableau(shape, "Q", 4)
         assert 0 < calls <= shape.size == 26
+
+    def test_every_box_holds_its_least_code(self):
+        minimal_tableau_against_least_codes()
 
     def test_greedy_fails_iff_empty(self):
         for lam in strict_partitions_up_to_weight(4):

@@ -29,6 +29,7 @@ from test_branching import (definition_sweep, orbit_against_permutations,
                             strips_against_letter_factor)
 from test_cli import print_order_holds
 from test_genfunc import double_skew_against_engine
+from test_involutions import minimal_tableau_against_least_codes
 from test_shapes import subpartitions_against_brute_force
 from test_tableaux import neighbor_rules_against_whole_lines
 
@@ -250,7 +251,7 @@ MUTANTS = [
     # (outer, inner, family, n) without family
     Mutant("minimal-cells-keyed-without-family", enumeration,
            "_minimal_cells",
-           "@lru_cache(maxsize=1024, typed=True)\ndef _minimal_cells(",
+           "@lru_cache(maxsize=1024)\ndef _minimal_cells(",
            keyed_without("(a[0], a[1], a[3])") + "def _minimal_cells(",
            certificates_prove_their_requests),
     # rules 2 and 3 read one neighbor each (fact A): either read dropped
@@ -269,14 +270,18 @@ MUTANTS = [
     Mutant("rule-4-first-code-only", tableaux, "validate_cells",
            "for code in cells[k]:", "for code in cells[k][:1]:",
            neighbor_rules_against_whole_lines),
-    Mutant("walk-admits-a-repeat", enumeration, "_candidate_cells",
+    # the walk and the minimal tableau's fill read one least code: a
+    # repeat let through, or a primed code on a P diagonal, breaks both
+    Mutant("walk-admits-a-repeat", enumeration, "_least_code",
            "lo += step", "pass", engine_against_walk),
+    Mutant("least-code-primes-the-p-diagonal", enumeration, "_least_code",
+           "lo += lo & 1", "lo += 0", minimal_tableau_against_least_codes),
     # iota pairs every tableau in any box order that puts each box's left
     # and top neighbors first, from a minimal tableau whose every cell is
     # the least its neighbors allow; breaking either premise breaks it
     Mutant("minimal-cells-take-a-later-candidate", enumeration,
-           "_minimal_cells", "cells.append(candidates[0][0])",
-           "cells.append(candidates[-1][0])", involution_holds),
+           "_minimal_cells", "cells.append((lo,))",
+           "cells.append((top,))", involution_holds),
     Mutant("iota-in-reversed-column-order", involutions, "_iota_pairs",
            "order = _index_table(shape.outer.parts, shape.inner.parts)"
            ".col_order", "order = _index_table(shape.outer.parts, "
@@ -311,7 +316,28 @@ MUTANTS = [
     Mutant("checker-skips-the-element-count", involutions,
            "certificate_checker", "if len(seen) != want:", "if False:",
            tampers_are_refused),
+    Mutant("checker-admits-any-tag", involutions, "certificate_checker",
+           'tag not in ("iota", "pi") or (minimal_only and tag != "pi")',
+           'minimal_only and tag != "pi"', tampers_are_refused),
+    Mutant("checker-admits-a-non-minimal-pi-side", involutions,
+           "certificate_checker", "if cells != minimal[nu].cells:",
+           "if False:", tampers_are_refused),
+    # the point recursion's signed side, read through _at by the sweep
+    Mutant("point-sum-signed-side-unsigned", genfunc, "_point_sum",
+           "was[1] + s * signed", "was[1] + c * signed",
+           engine_against_walk),
 ]
+
+
+# each kill check above must pass against the unbroken package, or it
+# would "kill" every row it guards; the checks imported here have their
+# own tests in their modules
+@pytest.mark.parametrize("check", [engine_against_walk, involution_holds,
+                                   certificates_prove_their_requests,
+                                   tampers_are_refused],
+                         ids=lambda c: c.__name__)
+def test_kill_check_passes_unbroken(check, fresh_caches):
+    check()
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)

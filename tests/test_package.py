@@ -249,7 +249,7 @@ def test_naive_oracle_shares_no_code_with_the_walk():
              for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert "validate_cells" in called
-    assert not named & {"_candidate_cells", "_cell_table", "_leaves",
+    assert not named & {"_least_code", "_cell_table", "_leaves",
                         "enumerate_fillings"}
 
 

@@ -162,7 +162,6 @@ def _leaves(spec: FunctionSpec) -> Iterator[tuple[list, list, int]]:
         k += 1
 
 
-@lru_cache(maxsize=1024)
 def _minimal_cells(outer: tuple, inner: tuple, family: str,
                    n: int) -> tuple | None:
     """The row-major cells of outer/inner's minimal tableau, or None if it
@@ -178,7 +177,8 @@ def _minimal_cells(outer: tuple, inner: tuple, family: str,
     to the fill's 12 least codes (0.02 ms), on P 10,3,2,1/3 at n = 2 106
     to 8, and the 206 empty tables it read on |lam| <= 8, n <= 3 were all
     on empty sets.  Gated by the engine's count, it builds engine tables
-    the certificate path never needs.
+    the certificate path never needs.  It is not kept: it reads one least
+    code per box, from the kept index table and ceilings.
     """
     table = _index_table(outer, inner)
     cells: list = []

@@ -12,17 +12,17 @@ tableaux, on its corner of rho outside mu, with no tableaux
 (``_transition``): nu, |nu|, the factor and its values at
 x = 1 and b = 1, -1, kept per (nu, rho, corner rows, family, kind) and so
 shared by every key that steps through it, as are the strips, kept per
-(rho, lam), and rho's corners outside mu, kept per (rho, mu)
-(``_free_corners``).  rho's table, the tuple of its records toward lam,
-is kept per (rho, lam, corner rows, family, kind) (``_steps``), so the
-keys (lam, mu, family, kind) with one lam, family and kind share it
-wherever their mu leave rho the same corners, and single tableaux, which
-have none, always.  Each key keeps, in ``_point_levels``, a reference to
-the table of each rho it stepped from.  ``_branching_sum`` sums them in
-one loop at every n: it keeps the terms with nonincreasing x-exponents,
-one per x-orbit, as the skew functions are symmetric in x, less those
-whose remaining letters cannot add the boxes still missing from lam, and
-returns these representatives.  A step whose factor's largest x-exponent,
+(rho, lam).  rho's table, the tuple of its records toward lam, is kept
+per (rho, lam, corner rows, family, kind) (``_steps``), so the keys
+(lam, mu, family, kind) with one lam, family and kind share it wherever
+their mu leave rho the same corners, and single tableaux, which have
+none, always.  Each key keeps, in ``_point_levels``, a reference to the
+table of each rho it stepped from, read once per rho with rho's corners
+outside mu.  ``_branching_sum`` sums them in one loop at every n: it
+keeps the terms with nonincreasing x-exponents, one per x-orbit, as the
+skew functions are symmetric in x, less those whose remaining letters
+cannot add the boxes still missing from lam, and returns these
+representatives.  A step whose factor's largest x-exponent,
 its last term's, is below what its letter must add to leave lam reachable
 is skipped whole, which is exact as no term of it could be kept.  The
 deepest run is kept per key, so a smaller n is a cut of it, not a run.  ``_representatives`` sums them over
@@ -167,22 +167,14 @@ def _transition(nu: tuple, rho: tuple, corners: tuple, family: str,
     return _Transition(nu, sum(nu), f, count, signed)
 
 
-@lru_cache(maxsize=4096)
-def _free_corners(rho: tuple, mu: tuple) -> tuple[int, ...]:
-    """The rows of rho's corners outside mu, which a set-valued letter may
-    join (a corner inside mu holds no entries)."""
-    return tuple(r for r in _corner_rows(rho)
-                 if rho[r] > (mu[r] if r < len(mu) else 0))
-
-
 @lru_cache(maxsize=2048)
 def _steps(rho: tuple, lam: tuple, corners: tuple, family: str,
            kind: str) -> tuple[_Transition, ...]:
     """rho's table toward lam: the shared records of the nu of
     ``_strips_above(rho, lam)``, kept per (rho, lam, corners, family,
-    kind), so every key with this lam, family and kind whose mu leaves rho
-    these corners (every such key, for single tableaux) holds this one
-    tuple."""
+    kind), corners being rho's outside the key's mu (``_Levels.steps``),
+    so every key with this lam, family and kind whose mu leaves rho these
+    corners (every such key, for single tableaux) holds this one tuple."""
     return tuple([_transition(nu, rho, corners, family, kind)
                   for nu in _strips_above(rho, lam)])
 
@@ -192,7 +184,8 @@ class _Levels:
 
     ``moves`` maps each rho stepped from to its transitions, a tuple of
     the shared ``_Transition`` records of the nu of ``_strips_above(rho,
-    lam)``, read on first use by ``steps``: the factor and its b^0 terms
+    lam)``, read on first use by ``steps``, which finds rho's corners
+    outside mu then, once per key and rho: the factor and its b^0 terms
     for the polynomial, and its values at x = 1, b = 1, -1 for the point
     pairs.  The tuple is ``_steps``' own, shared with every key of this
     lam, family and kind whose mu leaves rho the same corners, so a key
@@ -215,11 +208,15 @@ class _Levels:
 
     def steps(self, rho: tuple) -> tuple[_Transition, ...]:
         """rho's transitions, read from ``_steps`` the first time rho is
-        stepped from: the one place either recursion reads them from."""
+        stepped from: the one place either recursion reads them from, with
+        rho's corners outside mu, which a set-valued letter may join."""
         out = self.moves.get(rho)
         if out is None:
             lam, mu, family, kind = self.key
-            corners = _free_corners(rho, mu) if kind == "set-valued" else ()
+            corners = ()
+            if kind == "set-valued":
+                corners = tuple(r for r in _corner_rows(rho)
+                                if rho[r] > (mu[r] if r < len(mu) else 0))
             out = self.moves[rho] = _steps(rho, lam, corners, family, kind)
         return out
 

@@ -13,18 +13,19 @@ double-skew tableau family, over the inner shapes of
 returns (checked, violations) on one shape).  A certificate is written
 straight from its tableaux, as ``json.dumps`` texts of documents with
 holes, split at the holes (``_pieces``) and joined with what goes in them,
-and checked as its JSON document.  What a shape or a cell needs, its
-minimal tableau's cells (from ``enumeration``), its element's pieces and
-a cell's text, is made once and kept in caches keyed on part tuples,
-ints and strings; a request's family and n are holes in the kept side
-pieces, which each write fills, so every request on one lam // mu shares
-them.  The header is encoded once per write.  The check reads each
-element as its nu and row-major cell tuple, each distinct cell parsed
-once, with a ``Filling`` built only for a minimal tableau or to show a
-fault.  ``read_certificate`` reads only
-the layout ``write_certificate`` writes, ``json.dumps(doc, sort_keys=True,
-indent=1)``, of short lines, holding its header and one pair at a time.
-The first fault is reported, in this order: a refused request
+and checked as its JSON document.  What a shape or a cell needs in the
+writer, its element's pieces and a cell's text, is made once and kept in
+caches keyed on part tuples and cells; a request's family and n are holes
+in the kept side pieces, which each write fills, so every request on one
+lam // mu shares them.  A minimal tableau's cells are filled on each call
+(``enumeration._minimal_cells``), one least code per box.  The header is
+encoded once per write.  The check reads each element as its nu and
+row-major cell tuple, each distinct cell parsed once, with a ``Filling``
+built only for a minimal tableau or to show a fault.
+``read_certificate`` reads only the layout ``write_certificate`` writes,
+``json.dumps(doc, sort_keys=True, indent=1)``, of short lines, holding
+its header and one pair at a time, and decodes each from a copy of its
+text.  The first fault is reported, in this order: a refused request
 (``_setup``); the header's layout or text; the header; pair k, its layout,
 text or content; the end of the file.
 """
@@ -50,8 +51,8 @@ PAIR_MAX_ELEMENTS = 20_000  # by the tests or the benchmark (4,804)
 def minimal_tableau(shape: SkewShape, family: str, n: int) -> Filling:
     """The single-valued tableau minimizing the total numeric entry value,
     on the caller's shape: every box holds the least code its left and top
-    neighbors allow (``enumeration._minimal_cells``).  ValueError on an
-    empty tableau set."""
+    neighbors allow, filled on each call (``enumeration._minimal_cells``).
+    ValueError on an empty tableau set."""
     _check_shape(shape)
     _check_family(family)
     _check_n(n)
@@ -317,7 +318,6 @@ _CHUNK = 1 << 16  # the fewest characters read from a certificate file at once
 _PAIRS, _PAIR_END = '\n "pairs": [', "\n  }"
 _LAYOUT = "Expecting the layout pair --out writes"
 _LINE = 80  # longer than any line written: 23, or 12 more than n's digits
-_DECODE = json.JSONDecoder().raw_decode
 
 
 def read_certificate(fh) -> dict:
@@ -325,9 +325,10 @@ def read_certificate(fh) -> dict:
     ``write_certificate`` writes: the header decoded whole, and ``"pairs"``
     an iterator that decodes one pair per step as it reads fh, ``_CHUNK``
     characters at a time or as many as are held; fh must stay open while it
-    is used.  Text that leaves the layout (``_LAYOUT``), a line held
-    unfinished at more than ``_LINE`` characters among it, or does not parse
-    raises json.JSONDecodeError with its place in the file, a value nested
+    is used.  Each pair is decoded once, by ``json.loads`` of its text up
+    to its closing line.  Text that leaves the layout (``_LAYOUT``), a
+    line held unfinished at more than ``_LINE`` characters among it, or
+    does not parse raises json.JSONDecodeError with its place in the file, a value nested
     too deep RecursionError, and text not of fh's encoding a ValueError that
     names its byte offset, each when the reader reaches it.
     """
@@ -377,12 +378,7 @@ def read_certificate(fh) -> dict:
         opener, tail = "\n  {", "]\n}"
         while fill(len(opener)) == opener:
             end = min(find(_PAIR_END) + len(_PAIR_END), len(text))
-            j = i + len(opener) - 1  # the pair's "{"
-            try:  # decoded in place; sliced only to report a fault
-                pair, stop = _DECODE(text, j)
-            except (ValueError, RecursionError):
-                stop = -1
-            yield pair if stop == end else loads(j, end)
+            yield loads(i + len(opener) - 1, end)  # from the pair's "{"
             i, opener, tail = end, ",\n  {", "\n ]\n}"
         if fill(len(tail) + 1) != tail:
             raise error(_LAYOUT, i)

@@ -196,6 +196,11 @@ def _tamper_non_minimal_pi_side(doc):
     doc["pairs"][0]["left"] = doc["pairs"][1]["right"]
 
 
+def _tamper_iota_retagged_pi(doc):
+    # pair 1 is an iota pair, both sides on one nu
+    doc["pairs"][1]["tag"] = "pi"
+
+
 def _first_cell_set_to(cell, name):
     def tamper(doc):
         doc["pairs"][0]["left"]["tableau"]["rows"][0][0] = cell
@@ -263,6 +268,9 @@ TAMPERS = [
     (_tamper_unknown_tag, "pair 0: tag 'zeta' not allowed"),
     (_tamper_non_minimal_pi_side,
      "pair 0: pi side is not minimal: Filling(2,1/1; 1' | 2)"),
+    (_tamper_iota_retagged_pi,
+     "pair 1: pi pair of inner shapes that do not differ by the bottom "
+     "removable box"),
     # malformed cells, which a cell parsed once per certificate must not hide
     (_first_cell_set_to(["9"], "_tamper_entry_out_of_range"),
      "pair 0: malformed element (entry out of range 1..4 at (1, 2))"),

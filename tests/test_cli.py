@@ -865,18 +865,42 @@ class TestPair:
     @pytest.mark.parametrize("make", STREAM_CASES.values(), ids=STREAM_CASES)
     def test_in_place_decode_reads_as_the_slice(self, capsys, tmp_path,
                                                 monkeypatch, make):
-        # each pair decoded from a copy of its text, up to its closing
-        # line: the same pairs, and the same error at the same place
+        # each pair is decoded where it stands, once and in file order,
+        # from a copy of its text: its "{" up to its closing line, or to
+        # the end of a cut file.  The pairs read are those decodes, and a
+        # fault in the next is its decode's error, at its place in the file
         path = tmp_path / "cert.json"
         run(capsys, *PAIR_21_1, "--out", str(path))
         path.write_bytes(make(path.read_bytes()))
-        in_place = _read_outcome(path)
-
-        def refuse(text, at):
-            raise ValueError("no in-place decode")
-
-        monkeypatch.setattr(involutions, "_DECODE", refuse)
-        assert _read_outcome(path) == in_place
+        text = path.read_bytes().decode(errors="replace")
+        decoded, loads = [], json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda s: decoded.append(s) or loads(s))
+        doc, error = _read_outcome(path)
+        monkeypatch.undo()
+        if not decoded:  # refused before the header was decoded
+            assert error and not doc
+            return
+        header, *slices = decoded
+        assert header.endswith("]}") and text.startswith(header[:-2])
+        pairs = doc.get("pairs", [])
+        assert len(slices) in (len(pairs), len(pairs) + 1)
+        at = len(header) - 2  # where the pairs' text starts
+        for k, piece in enumerate(slices):
+            start = at + len(",\n  {" if k else "\n  {") - 1
+            at = start + len(piece)
+            assert text[start:at] == piece and piece.startswith("{"), k
+            closed = piece.find("\n  }")
+            assert closed == len(piece) - 4 or (closed < 0 and
+                                                at == len(text)), k
+            if k < len(pairs):
+                assert loads(piece) == pairs[k], k
+                continue
+            with pytest.raises((ValueError, RecursionError)) as got:
+                loads(piece)
+            assert type(got.value) is error[0], k
+            if error[0] is json.JSONDecodeError:
+                assert error[4] == min(start + got.value.pos, at), k
 
     @pytest.mark.parametrize("spoil,error", [
         ("pair_closes_early",

@@ -29,7 +29,8 @@ from test_branching import (definition_sweep, orbit_against_permutations,
                             strips_against_letter_factor)
 from test_cli import print_order_holds
 from test_genfunc import double_skew_against_engine
-from test_involutions import minimal_tableau_against_least_codes
+from test_involutions import (minimal_tableau_against_least_codes,
+                              pi_removes_the_bottom_box)
 from test_shapes import subpartitions_against_brute_force
 from test_tableaux import neighbor_rules_against_whole_lines
 
@@ -205,17 +206,16 @@ MUTANTS = [
     Mutant("strips-past-the-row-above", shapes, "_strips_above",
            "min(lam[r], rho[r - 1])", "lam[r]",
            strips_against_letter_factor),
-    # the transitions are shared across keys through four caches, each
-    # keyed on all it reads: the strips on (rho, lam), rho's corners
-    # outside mu on (rho, mu), a record on (nu, rho, corners, family,
-    # kind) and a table on (rho, lam, corners, family, kind)
+    # the transitions are shared across keys through three caches, each
+    # keyed on all it reads: the strips on (rho, lam), a record on (nu,
+    # rho, corners, family, kind) and a table on (rho, lam, corners,
+    # family, kind), the corners being rho's outside the key's mu
     Mutant("strips-keyed-without-lam", shapes, "_strips_above",
            "@lru_cache(maxsize=4096)\ndef _strips_above(",
            keyed_without("a[0]") + "def _strips_above(",
            strips_against_letter_factor),
-    Mutant("free-corners-keyed-without-mu", genfunc, "_free_corners",
-           "@lru_cache(maxsize=4096)\ndef _free_corners(",
-           keyed_without("a[0]") + "def _free_corners(",
+    Mutant("corners-ignore-mu", genfunc, "_Levels",
+           "rho[r] > (mu[r] if r < len(mu) else 0)", "rho[r] > 0",
            engine_against_walk),
     Mutant("transition-keyed-without-corners", genfunc, "_transition",
            "@lru_cache(maxsize=1 << 14)\ndef _transition(",
@@ -247,12 +247,6 @@ MUTANTS = [
     Mutant("header-text-kept-across-writes", involutions,
            "write_certificate", "fh.write(top[0])",
            'fh.write(write_certificate.__dict__.setdefault("top", top)[0])',
-           certificates_prove_their_requests),
-    # (outer, inner, family, n) without family
-    Mutant("minimal-cells-keyed-without-family", enumeration,
-           "_minimal_cells",
-           "@lru_cache(maxsize=1024)\ndef _minimal_cells(",
-           keyed_without("(a[0], a[1], a[3])") + "def _minimal_cells(",
            certificates_prove_their_requests),
     # rules 2 and 3 read one neighbor each (fact A): either read dropped
     # lets a repeat through
@@ -322,6 +316,13 @@ MUTANTS = [
     Mutant("checker-admits-a-non-minimal-pi-side", involutions,
            "certificate_checker", "if cells != minimal[nu].cells:",
            "if False:", tampers_are_refused),
+    Mutant("checker-admits-a-pi-pair-off-the-bottom-box", involutions,
+           "certificate_checker",
+           "if pi(mu, shapes[nu_l].inner).parts != nu_r:", "if False:",
+           tampers_are_refused),
+    # the pi pairs toggle mu's bottom removable box, in its last row
+    Mutant("pi-toggles-the-top-row", shapes, "pi", "r = mu.length - 1",
+           "r = 0", pi_removes_the_bottom_box),
     # the point recursion's signed side, read through _at by the sweep
     Mutant("point-sum-signed-side-unsigned", genfunc, "_point_sum",
            "was[1] + s * signed", "was[1] + c * signed",

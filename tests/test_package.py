@@ -142,8 +142,8 @@ def test_every_cache_is_a_functools_cache_the_clearing_loop_reaches(
     # the recursions, their shared transitions and the oracle sum among
     # them, each bounded
     for name in ("genfunc._point_levels", "genfunc._steps",
-                 "genfunc._transition", "genfunc._free_corners",
-                 "shapes._strips_above", "genfunc._tableau_terms"):
+                 "genfunc._transition", "shapes._strips_above",
+                 "genfunc._tableau_terms"):
         assert reached[f"shifted_kschur.{name}"].cache_parameters()[
             "maxsize"] is not None, name
     containers = _containers()
